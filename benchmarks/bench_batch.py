@@ -73,21 +73,17 @@ def test_backend_speedup_claim(scale):
     assert speedup > 1.2
 
 
-@pytest.mark.parametrize("precompile", [False, True])
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_batch_jobs(benchmark, jobs, precompile, scale):
-    """solve_many over a corpus: serial vs. workers, trees vs. compiled.
+def test_batch_jobs(benchmark, jobs, scale):
+    """solve_many over a corpus: serial vs. workers.
 
-    ``precompile=True`` is the default path: nets compile once in the
-    parent and workers receive flat CompiledNet payloads (no per-solve
-    validation or tree pickling).
+    Nets compile once in the parent and workers receive flat
+    CompiledNet payloads (no per-solve validation or tree pickling).
     """
     trees = batch_corpus(8, max(int(150 * scale), 30))
     library = paper_library(8, jitter=0.03, seed=8)
-    benchmark.extra_info.update(jobs=jobs, nets=len(trees),
-                                precompile=precompile)
-    results = run_once(benchmark, solve_many, trees, library, jobs=jobs,
-                       precompile=precompile)
+    benchmark.extra_info.update(jobs=jobs, nets=len(trees))
+    results = run_once(benchmark, solve_many, trees, library, jobs=jobs)
     benchmark.extra_info.update(total_buffers=sum(r.num_buffers
                                                   for r in results))
 

@@ -15,7 +15,7 @@ import pytest
 from conftest import run_once, scaled
 
 from repro.core.api import insert_buffers
-from repro.core.schedule import auto_compile, compile_net
+from repro.core.schedule import compile_net
 from repro.experiments.figures import format_figure, run_fig4
 from repro.experiments.workloads import (
     FIG4_NET,
@@ -41,25 +41,20 @@ def test_fig4_point(benchmark, positions, algorithm, backend):
              backend=backend)
 
 
-@pytest.mark.parametrize("mode", ["tree-walk", "compiled"])
-def test_fig4_solve_path(benchmark, mode):
-    """Per-solve tree walk vs compiled repeat-solve on one trunk point.
+def test_fig4_solve_path(benchmark):
+    """The compiled repeat-solve on one trunk point.
 
-    The compiled cell measures exactly what a sweep pays per repeat
-    solve: compilation (validation, plans, flattening) happens once,
-    outside the timed region.
+    Measures exactly what a sweep pays per repeat solve: compilation
+    (validation, plans, flattening) happens once, outside the timed
+    region.
     """
     tree = build_net(SPEC, positions_override=FIG4_POSITION_COUNTS[1])
     library = paper_library(LIBRARY_SIZE, jitter=0.03, seed=LIBRARY_SIZE)
-    benchmark.extra_info.update(mode=mode, positions=tree.num_buffer_positions,
+    benchmark.extra_info.update(positions=tree.num_buffer_positions,
                                 library_size=LIBRARY_SIZE)
-    if mode == "compiled":
-        net = compile_net(tree, library)
-        insert_buffers(net, library)  # warm the scratch arena
-        run_once(benchmark, insert_buffers, net, library)
-    else:
-        with auto_compile(False):
-            run_once(benchmark, insert_buffers, tree, library)
+    net = compile_net(tree, library)
+    insert_buffers(net, library)  # warm the scratch arena
+    run_once(benchmark, insert_buffers, net, library)
 
 
 def test_fig4_claims(benchmark):

@@ -56,7 +56,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from repro.core.api import insert_buffers
-from repro.core.schedule import clear_schedule_cache
 from repro.experiments.workloads import FIG4_NET, build_net
 from repro.incremental import (
     IncrementalSolver,
@@ -166,8 +165,7 @@ def replay(
         result = solver.resolve()
         incremental = time.perf_counter() - started
         # The scratch rival pays what any stateless caller pays for the
-        # edited net: validate + plan + compile + solve (the edit
-        # invalidated the schedule cache, exactly as it would for them).
+        # edited net: validate + plan + compile + solve.
         started = time.perf_counter()
         scratch = insert_buffers(tree, library, algorithm="fast",
                                  backend=backend)
@@ -222,7 +220,6 @@ def measure_trunk(scale: float, edits_per_class: int) -> Dict:
             2, edits_per_class // 2
         )
         for backend in _backends():
-            clear_schedule_cache()
             tree = copy.deepcopy(build_net(FIG4_NET,
                                            positions_override=positions))
             row = replay(tree, library, backend, per_point,
@@ -248,7 +245,6 @@ def measure_multi_sink(scale: float, edits_per_class: int) -> Dict:
     )
     rows = []
     for backend in _backends():
-        clear_schedule_cache()
         tree = segment_to_position_count(copy.deepcopy(base), positions)
         # Sink and wire edits only: this net exists to show the
         # dirty-path claim without the driver class's huge numbers.

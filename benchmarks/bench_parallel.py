@@ -102,8 +102,7 @@ def measure_cell(compiled, library, workers: int, serial_seconds: float,
                  reference, repeats: int) -> Dict:
     """One (net, worker count) cell: parity check, then warm timing."""
     with SolverPool(
-        library, jobs=workers, backend="soa", parallel="always",
-        policy="static"
+        library, jobs=workers, backend="soa", policy="always_parallel"
     ) as pool:
         # Warm-up doubles as the honesty guard: the partitioned result
         # must be bit-identical to the serial solve of the same net.
@@ -207,7 +206,7 @@ def collect(scale: float, repeats: int) -> Dict:
             "workload": (
                 "single large nets cut at balanced subtree boundaries "
                 "and solved across a warm SolverPool process pool "
-                "(parallel='always'), vs the serial compiled-soa solve "
+                "(policy='always_parallel'), vs the serial compiled-soa solve "
                 "of the same pre-compiled net; bit-identity asserted "
                 "before timing; timings best-of-repeats on a warm pool"
             ),

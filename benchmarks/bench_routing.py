@@ -108,8 +108,7 @@ SESSION_CELLS = (
     (64, 58, [{"op": "swap_driver", "resistance": 90.0}]),
 )
 
-POLICIES = ("static", "model", "always_object", "always_soa",
-            "always_walk", "always_compiled")
+POLICIES = ("static", "model", "always_object", "always_soa")
 
 CI_GATE = {
     # The model policy's total must land within 10% of the oracle (the

@@ -6,23 +6,22 @@ to compare against.  This script distills the workloads the kernel-
 engine work targets into one JSON file at the repo root:
 
 * ``fig4`` — the Figure 4 trunk sweep (algorithm ``fast``) over the
-  paper's full position range (500 … 8000), each point timed two ways
-  per backend: the per-solve **tree walk** (auto-compile disabled)
-  versus the **compiled** repeat-solve path.  ``ratio`` is
-  walk/compiled per backend; each position additionally records
-  ``soa_vs_object_compiled`` — compiled-object seconds over
+  paper's full position range (500 … 8000), each point timed as a
+  **compiled** repeat solve per backend; each position additionally
+  records ``soa_vs_object_compiled`` — compiled-object seconds over
   compiled-soa seconds, the headline number of the PR4 kernel engine
   (>1 means the vectorized backend wins; PR2's trajectory showed ~0.5
   here).  The backend comparison is interleaved best-of-N, so both
   backends see the same thermal drift.
 * ``op_profile`` — the wire/merge/buffer wall-clock split of
-  ``bench_op_profile.py`` (object backend, instrumented list ops) for
-  both algorithms, recording where solve time goes.
+  ``bench_op_profile.py`` (object backend, measured by
+  :class:`repro.obs.profiler.KernelProfiler`) for both algorithms,
+  recording where solve time goes.
 * ``fig3`` — one Figure 3 cell: lillis vs fast on the same compiled
   net (the paper's own speedup, for trend tracking).
 * ``batch`` — :func:`~repro.core.batch.solve_many` throughput over a
-  corpus of small nets, precompiled versus object-tree dispatch, plus
-  the pickled payload sizes of both task encodings.
+  corpus of small nets (compiled dispatch), plus the pickled payload
+  sizes of the object trees and of their compiled encoding.
 * ``ci_gate`` — thresholds the CI perf smoke job enforces with
   ``tools/perf_gate.py`` against a freshly generated file: at every
   sweep point with at least ``min_positions`` actual positions,
@@ -41,8 +40,8 @@ best-of-``--repeats`` (minimum = least noisy estimator of deterministic
 work).
 
 Reading the file: every ``*_seconds`` field is wall time, every
-``ratio``/``speedup`` field is "old over new" (bigger is better for the
-new path), and ``meta`` records the scale/repeats so numbers are only
+``speedup`` field is "old over new" (bigger is better for the new
+path), and ``meta`` records the scale/repeats so numbers are only
 compared against runs with the same settings.
 """
 
@@ -59,9 +58,8 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.api import insert_buffers
 from repro.core.batch import solve_many
-from repro.core.schedule import auto_compile, compile_net
+from repro.core.schedule import compile_net
 from repro.core.stores import resolve_backend
-from repro.experiments.profiling import profile_operations
 from repro.experiments.workloads import (
     FIG4_NET,
     FIGURE_NET,
@@ -69,6 +67,7 @@ from repro.experiments.workloads import (
     build_net,
 )
 from repro.library.generators import paper_library
+from repro.obs.profiler import KernelProfiler, profile_scope
 
 # persist.py runs from the benchmarks directory (as a script or under
 # pytest's rootdir), so the suite's shared helpers import directly.
@@ -126,54 +125,45 @@ def _backends() -> List[str]:
 
 
 def measure_fig4(scale: float, repeats: int) -> Dict:
-    """Tree walk vs compiled, and compiled soa vs object, per position."""
+    """Compiled repeat-solve seconds per position and backend."""
     points = []
-    walk_ratios = []
     library = paper_library(LIBRARY_SIZE, jitter=0.03, seed=LIBRARY_SIZE)
     backends = _backends()
     for target in FIG4_SWEEP:
         positions = max(int(target * scale), 50)
-        tree = build_net(FIG4_NET, positions_override=positions)
-        compiled = compile_net(tree, library)
+        compiled = compile_net(
+            build_net(FIG4_NET, positions_override=positions), library
+        )
         # The big points dominate wall time; halve their repeats.
         point_repeats = repeats if target <= 2000 else max(2, repeats // 2)
-        compiled_seconds: Dict[str, float] = {}
-        for backend in backends:
-
-            def solve_walk() -> None:
-                with auto_compile(False):
-                    insert_buffers(tree, library, algorithm="fast",
-                                   backend=backend)
-
-            def solve_compiled() -> None:
-                insert_buffers(compiled, library, algorithm="fast",
-                               backend=backend)
-
-            solve_walk()  # warm build_net/library caches
-            solve_compiled()  # warm the factory's scratch arena/tape
-            walk, fast = _best_of_paired(solve_walk, solve_compiled,
-                                         point_repeats)
-            ratio = walk / fast if fast else float("inf")
-            walk_ratios.append(ratio)
-            compiled_seconds[backend] = fast
+        solves = [
+            lambda backend=backend: insert_buffers(
+                compiled, library, algorithm="fast", backend=backend
+            )
+            for backend in backends
+        ]
+        for solve in solves:
+            solve()  # warm the factory's scratch arena/tape
+        if len(solves) == 2:
+            seconds = _best_of_paired(*solves, point_repeats)
+        else:
+            seconds = (_best_of(solves[0], point_repeats),)
+        for backend, elapsed in zip(backends, seconds):
             points.append({
                 "positions": positions,
                 "target_positions": target,
                 "backend": backend,
-                "tree_walk_seconds": walk,
-                "compiled_seconds": fast,
-                "ratio": ratio,
+                "compiled_seconds": elapsed,
             })
-        if "soa" in compiled_seconds:
+        if len(seconds) == 2:
             # The PR4 headline: compiled object over compiled soa.
-            head = compiled_seconds["object"] / compiled_seconds["soa"]
-            for point in points[-len(backends):]:
+            head = seconds[0] / seconds[1]
+            for point in points[-2:]:
                 point["soa_vs_object_compiled"] = head
     return {
         "algorithm": "fast",
         "library_size": LIBRARY_SIZE,
         "points": points,
-        "compiled_speedup": sum(walk_ratios) / len(walk_ratios),
     }
 
 
@@ -185,15 +175,22 @@ def measure_op_profile(scale: float) -> Dict:
     for size in (8, LIBRARY_SIZE):
         library = paper_library(size, jitter=0.03, seed=size)
         for algorithm in ("lillis", "fast"):
-            profile = profile_operations(tree, library, algorithm=algorithm)
+            profiler = KernelProfiler()
+            with profile_scope(profiler, flush=False):
+                insert_buffers(tree, library, algorithm=algorithm,
+                               backend="object")
+            seconds = profiler.seconds
+            measured = seconds["wire"] + seconds["merge"] + seconds["buffer"]
             rows.append({
                 "net": spec.name,
                 "algorithm": algorithm,
                 "library_size": size,
-                "wire_seconds": profile.wire_seconds,
-                "merge_seconds": profile.merge_seconds,
-                "buffer_seconds": profile.buffer_seconds,
-                "buffer_fraction": profile.buffer_fraction,
+                "wire_seconds": seconds["wire"],
+                "merge_seconds": seconds["merge"],
+                "buffer_seconds": seconds["buffer"],
+                "buffer_fraction": (
+                    seconds["buffer"] / measured if measured else 0.0
+                ),
             })
     return {"rows": rows}
 
@@ -230,7 +227,7 @@ def measure_fig3(scale: float, repeats: int) -> Dict:
 
 
 def measure_batch(scale: float, repeats: int) -> Dict:
-    """solve_many throughput: compiled dispatch vs object-tree dispatch."""
+    """solve_many throughput over compiled nets, and payload sizes."""
     trees = batch_corpus(8, max(int(150 * scale), 30))
     library = paper_library(8, jitter=0.03, seed=8)
     results: Dict = {"nets": len(trees), "backends": []}
@@ -238,24 +235,15 @@ def measure_batch(scale: float, repeats: int) -> Dict:
     results["payload_bytes_tree"] = len(pickle.dumps(trees))
     results["payload_bytes_compiled"] = len(pickle.dumps(compiled))
     for backend in _backends():
-        def solve_trees() -> None:
-            with auto_compile(False):
-                solve_many(trees, library, jobs=1, backend=backend,
-                           precompile=False)
-
         def solve_compiled() -> None:
             solve_many(compiled, library, jobs=1, backend=backend)
 
         solve_compiled()  # warm arenas
-        tree_seconds, compiled_seconds = _best_of_paired(
-            solve_trees, solve_compiled, repeats)
+        seconds = _best_of(solve_compiled, repeats)
         results["backends"].append({
             "backend": backend,
-            "tree_dispatch_seconds": tree_seconds,
-            "compiled_dispatch_seconds": compiled_seconds,
-            "tree_nets_per_second": len(trees) / tree_seconds,
-            "compiled_nets_per_second": len(trees) / compiled_seconds,
-            "ratio": tree_seconds / compiled_seconds,
+            "compiled_dispatch_seconds": seconds,
+            "compiled_nets_per_second": len(trees) / seconds,
         })
     return results
 
@@ -304,10 +292,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         suffix = (f"  soa-vs-obj {head:.2f}x"
                   if head is not None and point["backend"] == "soa" else "")
         print(f"  n={point['positions']:>5} {point['backend']:<7}"
-              f" walk {point['tree_walk_seconds']*1e3:9.2f}ms"
-              f" compiled {point['compiled_seconds']*1e3:9.2f}ms"
-              f" ratio {point['ratio']:.2f}x{suffix}")
-    print(f"  mean compiled speedup: {fig4['compiled_speedup']:.2f}x")
+              f" compiled {point['compiled_seconds']*1e3:9.2f}ms{suffix}")
     for row in payload["op_profile"]["rows"]:
         print(f"op split {row['algorithm']:<7} b={row['library_size']:<3}"
               f" wire {row['wire_seconds']*1e3:7.2f}ms"
@@ -318,9 +303,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"fig3 cell b=16: lillis/fast = {fig3['speedup']:.2f}x")
     for row in payload["batch"]["backends"]:
         print(f"batch {row['backend']:<7}"
-              f" {row['tree_nets_per_second']:6.1f} -> "
-              f"{row['compiled_nets_per_second']:6.1f} nets/s "
-              f"({row['ratio']:.2f}x)")
+              f" {row['compiled_nets_per_second']:6.1f} nets/s")
     print(f"wrote {args.out}")
     return 0
 

@@ -486,7 +486,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_edit(args: argparse.Namespace) -> int:
-    from repro.core.schedule import auto_compile
     from repro.errors import EditError, ReproError
     from repro.incremental import IncrementalSolver, edit_from_dict
 
@@ -534,10 +533,8 @@ def _cmd_edit(args: argparse.Namespace) -> int:
         elapsed = time.perf_counter() - started
         verified = None
         if args.verify:
-            with auto_compile(False):
-                scratch = insert_buffers(tree, library,
-                                         algorithm=args.algorithm,
-                                         backend=args.backend)
+            scratch = insert_buffers(tree, library, algorithm=args.algorithm,
+                                     backend=args.backend)
             verified = (
                 scratch.slack == result.slack
                 and scratch.assignment == result.assignment

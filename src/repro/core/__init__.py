@@ -33,7 +33,7 @@ from repro.core.stores import (
     resolve_backend,
     store_backend_names,
 )
-from repro.core.schedule import CompiledNet, auto_compile, compile_net
+from repro.core.schedule import CompiledNet, compile_net
 from repro.core.api import insert_buffers
 from repro.core.fast import insert_buffers_fast
 from repro.core.lillis import insert_buffers_lillis
@@ -65,7 +65,6 @@ __all__ = [
     "resolve_backend",
     "CompiledNet",
     "compile_net",
-    "auto_compile",
     "insert_buffers",
     "insert_buffers_van_ginneken",
     "insert_buffers_lillis",

@@ -15,7 +15,7 @@ The first positional argument may be a plain
 :class:`~repro.core.schedule.CompiledNet` from
 :func:`~repro.core.schedule.compile_net`: compile a net once, then
 re-solve it across algorithms, drivers and backends without paying for
-validation, plan building or the tree walk again.
+validation, plan building and flattening again.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ def insert_buffers(
     Args:
         tree: A routing tree, or a pre-compiled net from
             :func:`repro.core.schedule.compile_net` (fastest for repeat
-            solves; plain trees are also compiled and cached behind the
-            scenes after their first solve).
+            solves: a plain tree is validated and compiled on every
+            call).
         library: The buffer library.
         algorithm: A registered algorithm name
             (:func:`repro.core.registry.algorithm_names`).
@@ -103,8 +103,7 @@ def insert_buffers(
             means an ideal driver.
         backend: ``"auto"`` or a registered candidate-store backend name
             (:func:`repro.core.stores.store_backend_names`).
-        policy: Routing policy for the ``"auto"`` decision (and, when
-            set explicitly, for the walk/compiled schedule choice):
+        policy: Routing policy for the ``"auto"`` backend decision:
             ``"static"``, ``"model"``, or an ``always_*`` escape hatch
             (see :mod:`repro.routing.router`).  ``None`` follows the
             process default (:func:`repro.routing.router.default_policy`).
@@ -136,22 +135,8 @@ def insert_buffers(
         from repro.routing.features import features_of
 
         router = _router_for(policy)
-        plan = router.route(
-            features_of(tree, library),
-            backend=backend,
-            supports_walk=isinstance(tree, RoutingTree),
-        )
+        plan = router.route(features_of(tree, library), backend=backend)
         resolved = resolve_backend(plan.backend)
-        if plan.schedule_mode == "walk" and isinstance(tree, RoutingTree):
-            # A pinned (or model-chosen) tree walk: keep the walk honest
-            # by not swapping in a cached compiled schedule.
-            from repro.core.schedule import auto_compile
-
-            with auto_compile(False):
-                return strategy.run(
-                    tree, library, driver=driver, backend=resolved,
-                    **options,
-                )
     else:
         resolved = resolve_backend(backend)
     return strategy.run(

@@ -11,7 +11,7 @@ processes.  A compiled net pickles as flat op-code/parasitic arrays — a
 fraction of the object tree's payload — and tasks are dispatched in
 chunks, so the pickler's memo collapses the shared library to one copy
 per chunk.  Workers run the schedule interpreter directly: no
-re-validation, no tree walk, no plan rebuilding per solve.
+re-validation, no re-flattening, no plan rebuilding per solve.
 
 :class:`SolverPool` is the persistent form: construct it once with the
 shared solve context (library, algorithm, backend, options — shipped to
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar, Union
 
@@ -230,21 +229,19 @@ class SolverPool:
             ``os.cpu_count()``.
         driver: Optional driver override applied to every net.
         backend: Candidate-store backend name, or ``"auto"``.
-        parallel: Single-net partitioned-solve policy (``jobs > 1``
-            only): ``"auto"`` (default) partitions nets whose compiled
-            schedule reaches ``parallel_threshold`` instructions,
-            ``"always"`` partitions every locally compiled net,
-            ``"never"`` disables partitioning.  See
-            :func:`repro.parallel.solver.solve_partitioned`.
-        parallel_threshold: Instruction-count floor for ``"auto"``;
+        parallel_threshold: Instruction-count floor at which the static
+            rule partitions a single net across the workers (``jobs > 1``
+            only; see :func:`repro.parallel.solver.solve_partitioned`);
             defaults to
             :data:`repro.parallel.solver.DEFAULT_PARALLEL_THRESHOLD`.
         policy: Routing policy for every dispatch decision this pool
             makes (backend, batch axis, partitioning): ``"static"``
             (the legacy heuristics, the process default), ``"model"``
             (cost-model argmin), or an ``always_*`` / ``never_*``
-            escape hatch — see :mod:`repro.routing.router`.  ``None``
-            follows :func:`repro.routing.router.default_policy`.
+            escape hatch — ``"always_parallel"`` partitions every
+            locally compiled net, ``"never_parallel"`` none; see
+            :mod:`repro.routing.router`.  ``None`` follows
+            :func:`repro.routing.router.default_policy`.
         workload_log: Opt-in request capture: a
             :class:`repro.routing.workload.WorkloadLog`, or a path to
             append JSONL records to.  Every execution unit (solo solve,
@@ -273,13 +270,6 @@ class SolverPool:
         AlgorithmError: Unknown algorithm/backend or invalid options
             (checked here, so a bad context never reaches a worker).
         ValueError: ``jobs < 1`` or an unknown ``policy``.
-
-    .. deprecated::
-        Passing ``parallel="always"`` / ``parallel="never"`` without an
-        explicit ``policy=`` is deprecated: those knobs predate the
-        router and bypass it.  Use ``policy="always_parallel"`` /
-        ``policy="never_parallel"`` (or any explicit policy, which
-        makes the ``parallel`` knob an intentional static-rule input).
     """
 
     def __init__(
@@ -289,7 +279,6 @@ class SolverPool:
         jobs: Optional[int] = 1,
         driver: Optional[Driver] = None,
         backend: str = "auto",
-        parallel: str = "auto",
         parallel_threshold: Optional[int] = None,
         policy: Optional[str] = None,
         workload_log=None,
@@ -308,19 +297,6 @@ class SolverPool:
         requested_backend = backend
         backend = resolve_backend(backend)
         get_store_backend(backend)
-        if parallel not in ("auto", "always", "never"):
-            raise ValueError(
-                f"parallel must be 'auto', 'always' or 'never', "
-                f"got {parallel!r}"
-            )
-        if parallel != "auto" and policy is None:
-            warnings.warn(
-                "SolverPool(parallel=...) without an explicit policy= is "
-                "deprecated; route through the router instead, e.g. "
-                "policy='always_parallel' or policy='never_parallel'",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if parallel_threshold is None:
             from repro.parallel.solver import DEFAULT_PARALLEL_THRESHOLD
 
@@ -332,12 +308,9 @@ class SolverPool:
         self.driver = driver
         self.backend = backend
         self._requested_backend = requested_backend
-        self.parallel = parallel
         self.parallel_threshold = parallel_threshold
         self.router = Router(
-            policy=policy,
-            parallel_mode=parallel,
-            parallel_threshold=parallel_threshold,
+            policy=policy, parallel_threshold=parallel_threshold
         )
         if workload_log is None or isinstance(workload_log, WorkloadLog):
             self.workload_log = workload_log
@@ -968,8 +941,11 @@ class SolverPool:
             stats = dict(self._parallel_stats)
             if stats["last"] is not None:
                 stats["last"] = dict(stats["last"])
-        stats["enabled"] = self.jobs > 1 and self.parallel != "never"
-        stats["policy"] = self.parallel
+        policy = {"always_parallel": "always", "never_parallel": "never"}.get(
+            self.router.policy, "auto"
+        )
+        stats["enabled"] = self.jobs > 1 and policy != "never"
+        stats["policy"] = policy
         stats["threshold_instructions"] = self.parallel_threshold
         return stats
 
@@ -1127,7 +1103,6 @@ def solve_many(
     driver: Optional[Driver] = None,
     backend: str = "auto",
     chunksize: Optional[int] = None,
-    precompile: bool = True,
     policy: Optional[str] = None,
     deadline: Optional[Deadline] = None,
     **options,
@@ -1149,10 +1124,6 @@ def solve_many(
         driver: Optional driver override applied to every net.
         backend: Candidate-store backend name, or ``"auto"`` (default).
         chunksize: Nets per worker task (``jobs > 1`` only).
-        precompile: Compile each net once in this process and dispatch
-            the compact :class:`CompiledNet` payloads (the default, and
-            the reason workers neither re-validate nor re-plan a net).
-            ``False`` ships the object trees, as earlier releases did.
         policy: Routing policy (see :class:`SolverPool`); ``None``
             follows the process default.
         deadline: Optional wall-clock budget covering the whole call
@@ -1167,8 +1138,9 @@ def solve_many(
 
     Raises:
         AlgorithmError: Unknown algorithm/backend, invalid options, or
-            an invalid tree (validation happens here, exactly once per
-            net, when ``precompile`` is on).
+            an invalid tree (each net is validated and compiled once, in
+            this process, and workers receive the compact
+            :class:`CompiledNet` payloads).
         ValueError: ``jobs < 1``.
     """
     jobs = _resolve_jobs(jobs)
@@ -1182,14 +1154,7 @@ def solve_many(
     # said "auto" (routable per net) or pinned a store.
     get_store_backend(resolve_backend(backend))
 
-    if precompile:
-        nets: List[Union[RoutingTree, CompiledNet]] = [
-            net if isinstance(net, CompiledNet) else compile_net(net, library)
-            for net in trees
-        ]
-    else:
-        nets = list(trees)
-
+    nets = list(trees)
     if jobs == 1 or len(nets) <= 1:
         # A one-shot inline pool: no workers, but structural groups
         # still ride the batch-axis engine when the context allows.

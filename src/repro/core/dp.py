@@ -1,8 +1,8 @@
 """The bottom-up dynamic program shared by every insertion algorithm.
 
-The engine walks the tree in post-order maintaining, per subtree, the
-sorted nonredundant candidate list of Section 2.  The three operations
-are exactly the paper's:
+The engine maintains, per subtree, the sorted nonredundant candidate
+list of Section 2, built bottom-up by exactly the paper's three
+operations:
 
 1. *add buffer* at a buffer position — pluggable (this is where the
    algorithms differ);
@@ -13,46 +13,34 @@ At the root the driver turns the list into a single slack number, and
 the winning candidate's decision DAG is expanded into an explicit
 :class:`~repro.core.solution.BufferingResult`.
 
-The *representation* of the candidate lists is pluggable too
+Every solve runs one interpreter, :func:`_execute_schedule`, over the
+flat post-order instruction stream of a
+:class:`~repro.core.schedule.CompiledNet`: a plain
+:class:`~repro.tree.routing_tree.RoutingTree` is validated and compiled
+with :func:`~repro.core.schedule.compile_net` first.  The partitioned
+solver's residual replay (:mod:`repro.parallel.solver`), its workers
+(:mod:`repro.parallel.worker`) and the incremental engine
+(:mod:`repro.incremental.engine`) run the same loop, adding only a
+splice map (precomputed subtree frontiers pushed in place of their
+instruction ranges) and a capture hook; only the batch axis
+(:mod:`repro.core.stores.batch_axis`), whose ops take per-lane columns,
+keeps its own loop.
+
+The *representation* of the candidate lists is pluggable
 (:mod:`repro.core.stores`): with ``backend="object"`` (this engine-level
 function's default — the public :func:`~repro.core.api.insert_buffers`
 defaults to ``"auto"``, which defers the choice to the execution router
-(:mod:`repro.routing`; the default ``static`` policy keeps the
-historical SoA-when-NumPy rule))
-the engine operates on bare ``CandidateList`` objects exactly as the seed
-code did — including the legacy list-level ``add_buffer`` /
-``add_wire`` / ``merge`` callables used by the instrumentation modules —
-while any other backend runs through the :class:`CandidateStore`
-protocol, with ``add_buffer`` receiving the store (the built-in
-algorithms route it to the store's fused
+(:mod:`repro.routing`)) the engine operates on bare ``CandidateList``
+objects, while any other backend runs through the
+:class:`CandidateStore` protocol, with ``add_buffer`` receiving the
+store (the built-in algorithms route it to the store's fused
 :meth:`~repro.core.stores.base.CandidateStore.apply_buffer`).  Store
-ops may mutate in place and return the same store; the engine's
+ops may mutate in place and return the same store; the interpreter's
 release bookkeeping only recycles operands that were actually
 replaced.  Provenance may be deferred: the winning root candidate's
 ``decision`` can be a backend handle (the SoA tape reference) that
 :func:`~repro.core.candidate.reconstruct_assignment` expands once, at
 the end of the solve.
-
-So is the *execution strategy* (:mod:`repro.core.schedule`):
-:func:`run_dynamic_program` accepts either a plain
-:class:`~repro.tree.routing_tree.RoutingTree` — walked as above — or a
-:class:`~repro.core.schedule.CompiledNet`, interpreted as a flat
-instruction stream with no tree-object access in the hot path.  Plain
-trees compile themselves transparently: the first solve walks the tree
-and caches a schedule, repeat solves run the interpreter.  Both paths
-perform the same IEEE-754 operations on the same inputs in dependency
-order, so their results are bit-identical.
-
-There is a third executor of the same contract outside this module:
-the incremental engine (:mod:`repro.incremental.engine`) runs its own
-interpreter over a ``CompiledNet``'s instruction stream, skipping
-clean subtree ranges and splicing memoized frontiers onto the stack.
-It builds its per-backend operations with :func:`_resolve_ops` and
-finishes through :func:`_finish`, so those two helpers — together with
-the instruction semantics of ``_execute_schedule`` and the engine's
-release discipline (a consumed store is released the moment it is no
-longer reachable from the stack) — are a load-bearing internal
-contract: change them in lockstep with that engine.
 """
 
 from __future__ import annotations
@@ -76,12 +64,9 @@ from repro.core.schedule import (
     OP_SINK,
     OP_WIRE,
     CompiledNet,
-    auto_compile_enabled,
-    cache_schedule,
-    cached_schedule,
+    compile_net,
 )
 from repro.core.solution import BufferingResult, DPStats
-from repro.errors import AlgorithmError
 from repro.library.library import BufferLibrary
 from repro.obs.profiler import instrument_ops, record_dp_stats
 from repro.obs.spans import active_tracer
@@ -139,46 +124,30 @@ def _release_store(store) -> None:
 
 
 def _resolve_ops(
-    backend: str,
-    add_wire: Optional[Callable],
-    merge: Optional[Callable],
-    factory=None,
+    backend: str, factory=None
 ) -> Tuple[Callable, Callable, Callable, Callable, Callable]:
-    """The five backend-specific callables the engine loops over.
+    """The five backend-specific callables the interpreter loops over.
 
     Returns ``(sink_op, wire_op, merge_op, best_op, release_op)``.
-    ``factory`` is only used (and created when ``None``) for non-object
-    backends; reusing one across solves keeps its scratch state warm.
-    Shared with the incremental engine's splice interpreter (see the
-    module docstring), which passes its session-owned factory here.
+    ``factory`` is the store factory of a non-object backend (unused
+    for ``"object"``); reusing one across solves keeps its scratch
+    state warm.
     """
     if backend == "object":
-        from repro.core.merge import merge_branches as default_merge
-        from repro.core.wire_ops import add_wire as default_add_wire
-
-        wire_op = add_wire if add_wire is not None else default_add_wire
-        merge_op = merge if merge is not None else default_merge
+        from repro.core.merge import merge_branches
+        from repro.core.wire_ops import add_wire
 
         def sink_op(node_id: int, q: float, c: float) -> CandidateList:
             return [Candidate(q=q, c=c, decision=SinkDecision(node_id))]
 
         return (
             sink_op,
-            wire_op,
-            merge_op,
+            add_wire,
+            merge_branches,
             best_candidate_for_driver,
             _release_noop,
         )
 
-    if add_wire is not None or merge is not None:
-        raise AlgorithmError(
-            "list-level add_wire/merge overrides require backend='object'; "
-            f"got backend={backend!r}"
-        )
-    if factory is None:
-        from repro.core.stores import get_store_backend
-
-        factory = get_store_backend(backend)()
     factory.begin_solve()
     wire_op = lambda store, r, c: store.add_wire(r, c)  # noqa: E731
     merge_op = lambda left, right: left.merge(right)  # noqa: E731
@@ -188,29 +157,47 @@ def _resolve_ops(
 
 def _execute_schedule(
     compiled: CompiledNet,
-    plans: List[BufferPlan],
     sink_op: Callable,
     wire_op: Callable,
     merge_op: Callable,
     add_buffer: AddBufferOp,
     release: Callable,
+    site: str = "dp.schedule",
+    splice_at: Optional[Dict[int, Callable[[], Optional[tuple]]]] = None,
+    on_final: Optional[Callable[[int, object, int, int], None]] = None,
 ):
     """Run the instruction stream; returns ``(root_list, peak, generated)``.
 
-    The stack machine mirrors the tree walk's data flow exactly — each
-    instruction consumes only values the tree walk would have had at
-    that point — so every arithmetic result is bit-identical.  Stores a
-    consumed operand no longer reachable from the stack are released to
-    the backend (a no-op for bare object lists), which is what lets the
-    SoA scratch arena recycle buffers mid-solve.
+    Each instruction consumes only values of the subtrees below it, in
+    post-order, so every arithmetic result is reproducible bit for bit.
+    Stores a consumed operand no longer reachable from the stack are
+    released to the backend (a no-op for bare object lists), which is
+    what lets the SoA scratch arena recycle buffers mid-solve.
+
+    Stats are kept per stack slot: each slot carries the peak list
+    length and generated-candidate count of the subtree it holds, and
+    ``MERGE`` folds the right slot's into the left's.  The root slot
+    therefore ends with the whole solve's ``DPStats`` figures, and at
+    each node-final instruction the top slot holds that subtree's own.
+
+    Args:
+        site: The deadline site named when the ambient deadline expires.
+        splice_at: ``{instruction index: callback}``.  Before executing
+            a mapped instruction the interpreter calls the callback; a
+            ``(store, peak, generated, final)`` return pushes ``store``
+            as a finished subtree frontier with those stats and resumes
+            after instruction ``final``; ``None`` executes as usual.
+        on_final: Called as ``on_final(index, store, peak, generated)``
+            after every node-final instruction (the top slot's view).
     """
     steps, wire_r, wire_c, sink_node, sink_q, sink_c = compiled.runtime()
+    plans = compiled.plans()
 
     stack: List[object] = []
     push = stack.append
     pop = stack.pop
-    peak = 0
-    generated = 0
+    peaks: List[int] = []
+    gens: List[int] = []
     deadline = active_deadline()
     # One thread-local read per solve; with no active profiler the ops
     # come back untouched and end_range is None, so the dispatch loop
@@ -218,8 +205,23 @@ def _execute_schedule(
     sink_op, wire_op, merge_op, add_buffer, end_range = instrument_ops(
         sink_op, wire_op, merge_op, add_buffer
     )
+    probe = splice_at.get if splice_at else None
 
-    for op, arg in steps:
+    total = len(steps)
+    i = 0
+    while i < total:
+        if probe is not None:
+            hook = probe(i)
+            if hook is not None:
+                hit = hook()
+                if hit is not None:
+                    store, peak, generated, final = hit
+                    push(store)
+                    peaks.append(peak)
+                    gens.append(generated)
+                    i = final + 1
+                    continue
+        op, arg = steps[i]
         code = op & 3
         if code == OP_WIRE:
             top = stack[-1]
@@ -229,13 +231,18 @@ def _execute_schedule(
                 stack[-1] = current
         elif code == OP_SINK:
             current = sink_op(sink_node[arg], sink_q[arg], sink_c[arg])
-            generated += 1
             push(current)
+            peaks.append(0)
+            gens.append(1)
         elif code == OP_MERGE:
             right = pop()
             left = pop()
             current = merge_op(left, right)
-            generated += len(current)
+            right_peak = peaks.pop()
+            right_generated = gens.pop()
+            gens[-1] += right_generated + len(current)
+            if right_peak > peaks[-1]:
+                peaks[-1] = right_peak
             if current is not left:
                 release(left)
             if current is not right:
@@ -245,23 +252,27 @@ def _execute_schedule(
             top = stack[-1]
             before = len(top)
             current = add_buffer(top, plans[arg])
-            generated += max(len(current) - before, 0)
+            gens[-1] += max(len(current) - before, 0)
             if current is not top:
                 release(top)
                 stack[-1] = current
         if op & OP_FINAL:
             # Instruction-range boundary: one per tree node.  The
-            # deadline poll and profiler hook each cost a single
+            # deadline poll and the hooks each cost a single
             # is-not-None test when inactive.
-            if len(current) > peak:
-                peak = len(current)
+            length = len(current)
+            if length > peaks[-1]:
+                peaks[-1] = length
             if deadline is not None:
-                deadline.check("dp.schedule")
+                deadline.check(site)
             if end_range is not None:
-                end_range(len(current))
+                end_range(length)
+            if on_final is not None:
+                on_final(i, current, peaks[-1], gens[-1])
+        i += 1
 
     assert len(stack) == 1, "schedule must reduce to the root list"
-    return stack[0], peak, generated
+    return stack[0], peaks[0], gens[0]
 
 
 def _finish(
@@ -277,7 +288,7 @@ def _finish(
     started: float,
     backend: str,
 ) -> BufferingResult:
-    """Turn the root list into the result object (shared by both paths)."""
+    """Turn the root list into the result object (every caller's tail)."""
     resistance = driver.resistance if driver is not None else 0.0
     best = best_op(root_list, resistance)
     assert best is not None  # a validated tree always yields candidates
@@ -309,21 +320,47 @@ def _finish(
     )
 
 
-def _run_compiled(
-    compiled: CompiledNet,
+def run_dynamic_program(
+    tree: Union[RoutingTree, CompiledNet],
     library: BufferLibrary,
     add_buffer: AddBufferOp,
     algorithm: str,
-    driver: Optional[Driver],
-    backend: str,
+    driver: Optional[Driver] = None,
+    backend: str = "object",
 ) -> BufferingResult:
-    """Solve a :class:`CompiledNet` with the interpreter loop."""
+    """Run the bottom-up DP and return the optimal buffering.
+
+    Args:
+        tree: A routing tree — validated and compiled with
+            :func:`~repro.core.schedule.compile_net` on every call — or
+            an already compiled :class:`~repro.core.schedule.CompiledNet`
+            (compile once to amortize that over repeat solves).
+        library: The buffer library (defines ``b``).
+        add_buffer: The pluggable add-buffer operation.  Operates on
+            ``CandidateList`` under ``backend="object"`` and on the
+            node's :class:`CandidateStore` under any other backend.
+        algorithm: Name recorded in the result.
+        driver: Source driver; defaults to ``tree.driver`` (or the
+            driver recorded at compile time); ``None`` means an ideal
+            driver (slack is simply the best ``q``).
+        backend: Candidate-store backend name
+            (:func:`repro.core.stores.store_backend_names`), or
+            ``"auto"``.
+
+    Raises:
+        AlgorithmError: If the tree fails validation, the backend is
+            unknown, or a compiled net is combined with a mismatched
+            library.
+    """
+    from repro.core.stores import resolve_backend
+
+    backend = resolve_backend(backend)
+    compiled = tree if isinstance(tree, CompiledNet) else compile_net(tree, library)
     compiled.check_library(library)
     driver = driver if driver is not None else compiled.driver
-    plans = compiled.plans()
     factory = None if backend == "object" else compiled.factory(backend)
     sink_op, wire_op, merge_op, best_op, release = _resolve_ops(
-        backend, None, None, factory=factory
+        backend, factory=factory
     )
 
     started = time.perf_counter()
@@ -338,9 +375,9 @@ def _run_compiled(
             else nullcontext()
         ):
             root_list, peak_length, candidates_generated = _execute_schedule(
-                compiled, plans, sink_op, wire_op, merge_op, add_buffer, release
+                compiled, sink_op, wire_op, merge_op, add_buffer, release
             )
-        result = _finish(
+        return _finish(
             root_list, best_op, release, driver, algorithm,
             compiled.num_buffer_positions, library, peak_length,
             candidates_generated, started, backend,
@@ -351,151 +388,3 @@ def _run_compiled(
         # keeps an aborted solve from pinning its provenance.
         if factory is not None:
             factory.end_solve()
-    return result
-
-
-def run_dynamic_program(
-    tree: Union[RoutingTree, CompiledNet],
-    library: BufferLibrary,
-    add_buffer: AddBufferOp,
-    algorithm: str,
-    driver: Optional[Driver] = None,
-    add_wire: Optional[Callable[[CandidateList, float, float], CandidateList]] = None,
-    merge: Optional[Callable[[CandidateList, CandidateList], CandidateList]] = None,
-    backend: str = "object",
-) -> BufferingResult:
-    """Run the bottom-up DP and return the optimal buffering.
-
-    Args:
-        tree: A routing tree, or a :class:`~repro.core.schedule.CompiledNet`
-            from :func:`~repro.core.schedule.compile_net` (already
-            validated and planned; solved by the interpreter loop with
-            no tree-object access).  Plain trees are compiled and cached
-            transparently after their first solve, so repeat solves take
-            the interpreter path automatically (see
-            :func:`repro.core.schedule.auto_compile`).
-        library: The buffer library (defines ``b``).
-        add_buffer: The pluggable add-buffer operation.  Operates on
-            ``CandidateList`` under ``backend="object"`` and on the
-            node's :class:`CandidateStore` under any other backend.
-        algorithm: Name recorded in the result.
-        driver: Source driver; defaults to ``tree.driver`` (or the
-            driver recorded at compile time); ``None`` means an ideal
-            driver (slack is simply the best ``q``).
-        add_wire, merge: List-level overrides for the other two
-            operations (used by instrumentation and the cost extension);
-            default to the standard ones.  Object backend only, and they
-            force the tree-walking path.
-        backend: Candidate-store backend name
-            (:func:`repro.core.stores.store_backend_names`), or
-            ``"auto"``.
-
-    Raises:
-        AlgorithmError: If the tree fails validation, the backend is
-            unknown, list-level overrides are combined with a non-object
-            backend, or a compiled net is combined with overrides or a
-            mismatched library.
-    """
-    from repro.core.stores import resolve_backend
-
-    backend = resolve_backend(backend)
-    has_overrides = add_wire is not None or merge is not None
-
-    if isinstance(tree, CompiledNet):
-        if has_overrides:
-            raise AlgorithmError(
-                "list-level add_wire/merge overrides require a plain "
-                "RoutingTree; got a CompiledNet"
-            )
-        return _run_compiled(tree, library, add_buffer, algorithm, driver, backend)
-
-    auto = auto_compile_enabled() and not has_overrides
-    if auto:
-        compiled = cached_schedule(tree, library)
-        if compiled is not None:
-            return _run_compiled(
-                compiled, library, add_buffer, algorithm, driver, backend
-            )
-
-    try:
-        tree.validate()
-    except Exception as exc:
-        raise AlgorithmError(f"invalid routing tree: {exc}") from exc
-
-    driver = driver if driver is not None else tree.driver
-    plans = build_plans(tree, library)
-    sink_op, wire_op, merge_op, best_op, release = _resolve_ops(
-        backend, add_wire, merge
-    )
-
-    started = time.perf_counter()
-
-    lists: Dict[int, object] = {}
-    peak_length = 0
-    candidates_generated = 0
-    deadline = active_deadline()
-    tracer = active_tracer()
-    sink_op, wire_op, merge_op, add_buffer, end_range = instrument_ops(
-        sink_op, wire_op, merge_op, add_buffer
-    )
-    walk_handle = (
-        tracer.begin("dp.walk", backend=backend, algorithm=algorithm)
-        if tracer is not None
-        else None
-    )
-
-    for node_id in tree.postorder():
-        if deadline is not None:
-            deadline.check("dp.walk")
-        node = tree.node(node_id)
-        if node.is_sink:
-            current = sink_op(node_id, node.required_arrival, node.capacitance)
-            candidates_generated += 1
-        else:
-            branch_lists: List[object] = []
-            for child in tree.children_of(node_id):
-                edge = tree.edge_to(child)
-                child_list = lists.pop(child)
-                wired = wire_op(child_list, edge.resistance, edge.capacitance)
-                if wired is not child_list:
-                    release(child_list)
-                branch_lists.append(wired)
-            current = branch_lists[0]
-            for other in branch_lists[1:]:
-                merged = merge_op(current, other)
-                candidates_generated += len(merged)
-                if merged is not current:
-                    release(current)
-                if merged is not other:
-                    release(other)
-                current = merged
-            plan = plans.get(node_id)
-            if plan is not None:
-                before = len(current)
-                buffered = add_buffer(current, plan)
-                candidates_generated += max(len(buffered) - before, 0)
-                if buffered is not current:
-                    release(current)
-                current = buffered
-
-        if len(current) > peak_length:
-            peak_length = len(current)
-        if end_range is not None:
-            end_range(len(current))
-        lists[node_id] = current
-
-    if walk_handle is not None:
-        tracer.end(walk_handle)
-
-    result = _finish(
-        lists[tree.root_id], best_op, release, driver, algorithm,
-        tree.num_buffer_positions, library, peak_length,
-        candidates_generated, started, backend,
-    )
-
-    if auto:
-        # Amortize the next solve: remember the flattened schedule.
-        # The walk above already validated the tree and built its
-        # plans, so compilation reuses both and only pays the flatten.
-        cache_schedule(tree, library, validate=False, plans=plans)
-    return result

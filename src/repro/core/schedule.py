@@ -9,18 +9,12 @@ arguments:
 * **add buffer** (paper op 1) with the node's precomputed
   :class:`~repro.core.buffer_ops.BufferPlan`;
 
-plus the sink base candidates that seed the recursion.  Yet every call
-to :func:`repro.core.dp.run_dynamic_program` on a plain
-:class:`~repro.tree.routing_tree.RoutingTree` re-validates the tree,
-rebuilds every ``BufferPlan``, and walks the Python object graph
+plus the sink base candidates that seed the recursion.  Validating the
+tree, building every ``BufferPlan`` and walking the Python object graph
 (``postorder()`` → ``node()`` → ``children_of()`` → ``edge_to()`` per
-vertex).  For the solve-many workloads this library targets — the
-Table 1 / Figure 3 / Figure 4 sweeps re-solve the *same* nets across
-library sizes and algorithms, and :func:`repro.core.batch.solve_many`
-buffers whole corpora — that fixed overhead is pure waste.
-
-:func:`compile_net` pays it once.  It flattens the post-order walk into
-a compact instruction stream over four op codes:
+vertex) is therefore paid once, by :func:`compile_net`, which flattens
+the post-order walk into a compact instruction stream over four op
+codes:
 
 =========  ===============================================  ==========
 op code    meaning                                          paper op
@@ -31,34 +25,27 @@ op code    meaning                                          paper op
 ``BUFFER`` apply the position's ``BufferPlan`` to the top   add buffer
 =========  ===============================================  ==========
 
-executed by a tiny stack machine (:func:`repro.core.dp.run_dynamic_program`
-recognizes a :class:`CompiledNet` and runs the interpreter loop — no
-tree-object access in the hot path).  Wire parasitics and sink ``q``/``c``
-live in flat ``array('d')`` payloads, op codes in ``bytes``, so a
-``CompiledNet`` pickles in a fraction of the bytes of the object tree it
-came from — which is exactly what the batch engine ships to worker
-processes.
+executed by a tiny stack machine, the DP's one interpreter
+(:func:`repro.core.dp._execute_schedule` — no tree-object access in the
+hot path).  Every solve runs through it: a plain tree handed to
+:func:`repro.core.dp.run_dynamic_program` is compiled on the spot, so
+callers that re-solve the *same* net — the Table 1 / Figure 3 /
+Figure 4 sweeps across library sizes and algorithms, the serving
+layer's compiled-net cache — compile once and pass the ``CompiledNet``.
+Wire parasitics and sink ``q``/``c`` live in flat ``array('d')``
+payloads, op codes in ``bytes``, so a ``CompiledNet`` pickles in a
+fraction of the bytes of the object tree it came from — which is
+exactly what the batch engine ships to worker processes.
 
-The instruction stream preserves the tree walk's data-dependency order,
-so every float is produced by the same IEEE-754 operations on the same
-inputs: results are **bit-identical** to the tree-walking path (the same
-parity bar the SoA backend meets against the object backend; asserted by
-``tests/test_schedule.py`` on a randomized corpus).
-
-Repeat solves on plain trees get the same treatment automatically: the
-first ``run_dynamic_program(tree, library, ...)`` walks the tree and
-caches a compiled schedule in a :class:`weakref.WeakKeyDictionary`, and
-every later solve of that (tree, library) pair runs the interpreter.
-:func:`auto_compile` turns the caching off for instrumentation or A/B
-timing.
+Answers are locked by ``tests/data/dp_golden.json`` (asserted bit for
+bit by ``tests/test_schedule.py`` on both store backends) and checked
+against the independent timing oracle and the brute-force enumerator.
 """
 
 from __future__ import annotations
 
-import weakref
 from array import array
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.buffer_ops import BufferPlan
 from repro.errors import AlgorithmError
@@ -72,8 +59,8 @@ OP_WIRE = 1
 OP_MERGE = 2
 OP_BUFFER = 3
 #: ... plus the node-final flag: the last instruction of each tree
-#: vertex carries it, so the interpreter samples peak-list-length at
-#: exactly the points the tree walk does.
+#: vertex carries it, so the interpreter samples peak-list-length once
+#: per vertex, on that vertex's finished list.
 OP_FINAL = 4
 
 _OP_MASK = 3
@@ -96,9 +83,7 @@ class CompiledNet:
             load capacitances.
         library: The :class:`BufferLibrary` the plans were built for.
         driver: The tree's source driver at compile time.
-        num_nodes / num_sinks / num_buffer_positions: Tree metadata
-            (``num_nodes`` also guards the repeat-solve cache against
-            trees that grew after compilation).
+        num_nodes / num_sinks / num_buffer_positions: Tree metadata.
 
     Buffer plans are *not* stored directly: they are rebuilt lazily from
     ``(node_id, allowed-name)`` specs plus the library, so the pickled
@@ -319,9 +304,9 @@ class CompiledNet:
         re-flatten.  Callers own the consistency contract: the tree this
         schedule was compiled from must have received the same edit
         (:class:`repro.incremental.engine.IncrementalSolver` does both
-        sides).  Patch a *shared* schedule (the auto-compile cache, the
-        server's compiled-net cache) and every other user sees the edit;
-        the incremental engine therefore always compiles privately.
+        sides).  Patch a *shared* schedule (the server's compiled-net
+        cache) and every other user sees the edit; the incremental
+        engine therefore always compiles privately.
         """
         if self._sink_index_of is None:
             self._sink_index_of = {
@@ -361,32 +346,6 @@ class CompiledNet:
         arrays = (self.args, self.wire_r, self.wire_c,
                   self.sink_node, self.sink_q, self.sink_c)
         return len(self.ops) + sum(a.itemsize * len(a) for a in arrays)
-
-    def matches_tree(self, tree: RoutingTree) -> bool:
-        """Whether ``tree`` still looks like the tree compiled here.
-
-        Guards the repeat-solve cache against in-place mutation: the
-        structure (via ``num_nodes``), the driver and every sink's
-        ``(required_arrival, capacitance)`` payload are compared.  Wire
-        edits (:meth:`~repro.tree.routing_tree.RoutingTree.set_edge`)
-        are invisible here, but every tree mutation also evicts the
-        cache entry eagerly (:func:`invalidate_schedule`), so a stale
-        schedule can no longer be looked up; mutating a node's private
-        buffer-position fields by hand is the one hole left, and
-        callers doing that must recompile explicitly.
-        """
-        if self.num_nodes != tree.num_nodes or self.driver != tree.driver:
-            return False
-        sink_q = self.sink_q
-        sink_c = self.sink_c
-        for index, node_id in enumerate(self.sink_node):
-            node = tree.node(node_id)
-            if (
-                node.required_arrival != sink_q[index]
-                or node.capacitance != sink_c[index]
-            ):
-                return False
-        return True
 
     def check_library(self, library: BufferLibrary) -> None:
         """Raise unless ``library`` matches the one compiled against."""
@@ -446,7 +405,6 @@ def compile_net(
     library: BufferLibrary,
     driver: Optional[Driver] = None,
     validate: bool = True,
-    plans: Optional[Dict[int, BufferPlan]] = None,
 ) -> CompiledNet:
     """Compile ``tree`` against ``library`` for repeat solving.
 
@@ -463,10 +421,6 @@ def compile_net(
         driver: Recorded source driver; defaults to ``tree.driver``.
         validate: Validate the tree first (disable only when the caller
             just validated the same tree).
-        plans: Reuse an existing :func:`~repro.core.dp.build_plans`
-            result for this exact (tree, library) pair instead of
-            rebuilding it (the engine passes the plans of the solve it
-            just finished).
 
     Raises:
         AlgorithmError: The tree fails validation.
@@ -487,8 +441,7 @@ def compile_net(
         except Exception as exc:
             raise AlgorithmError(f"invalid routing tree: {exc}") from exc
 
-    if plans is None:
-        plans = build_plans(tree, library)
+    plans = build_plans(tree, library)
 
     ops = bytearray()
     args = array("q")
@@ -541,8 +494,8 @@ def compile_net(
 
         # Moving up the incoming edge: wire the just-finished subtree
         # list, then fold it into the branches accumulated so far.  The
-        # MERGE interleaving preserves the tree walk's left-to-right
-        # merge order (and its decision-arena append order).
+        # MERGE interleaving folds siblings left to right in tree order
+        # (float addition is not associative, so the order is fixed).
         edge = tree.edge_to(node_id)
         emit(OP_WIRE, len(wire_r))
         wire_index_of[node_id] = len(wire_r)
@@ -554,8 +507,7 @@ def compile_net(
             emit(OP_MERGE)
         # When the parent has no add-buffer step, its list is complete
         # the moment its last child folds in: flag that instruction as
-        # the parent's final one so peak-length sampling matches the
-        # tree walk.
+        # the parent's final one so peak-length sampling sees it.
         if (
             rank + 1 == len(tree.children_of(edge.parent))
             and edge.parent not in plans
@@ -594,92 +546,6 @@ def compile_net(
     if compile_handle is not None:
         tracer.end(compile_handle, instructions=len(compiled.ops))
     return compiled
-
-
-# ----------------------------------------------------------------------
-# Repeat-solve cache
-# ----------------------------------------------------------------------
-
-#: Latest compiled schedule per live tree.  Weak keys: caching must not
-#: keep trees alive, and a collected tree takes its schedule with it.
-_SCHEDULE_CACHE: "weakref.WeakKeyDictionary[RoutingTree, CompiledNet]" = (
-    weakref.WeakKeyDictionary()
-)
-
-_AUTO_COMPILE = True
-
-
-def auto_compile_enabled() -> bool:
-    """Whether plain-tree solves cache and reuse compiled schedules."""
-    return _AUTO_COMPILE
-
-
-def set_auto_compile(enabled: bool) -> bool:
-    """Set the auto-compile flag; returns the previous value."""
-    global _AUTO_COMPILE
-    previous = _AUTO_COMPILE
-    _AUTO_COMPILE = bool(enabled)
-    return previous
-
-
-@contextmanager
-def auto_compile(enabled: bool) -> Iterator[None]:
-    """Temporarily force the auto-compile flag (A/B timing, tests)."""
-    previous = set_auto_compile(enabled)
-    try:
-        yield
-    finally:
-        set_auto_compile(previous)
-
-
-def cached_schedule(
-    tree: RoutingTree, library: BufferLibrary
-) -> Optional[CompiledNet]:
-    """The cached schedule for ``(tree, library)``, if still valid.
-
-    A hit requires the library to hold the same buffers (the common
-    sweep case passes the very same ``BufferLibrary`` object, which
-    short-circuits the comparison) and the tree to still match the
-    compiled payloads — structure, driver and sink timing/loads
-    (:meth:`CompiledNet.matches_tree`), so in-place edits between
-    solves fall back to a fresh walk instead of stale answers.
-    """
-    compiled = _SCHEDULE_CACHE.get(tree)
-    if compiled is None or not compiled.matches_tree(tree):
-        return None
-    if (
-        compiled.library is not library
-        and compiled.library.buffers != library.buffers
-    ):
-        return None
-    return compiled
-
-
-def cache_schedule(
-    tree: RoutingTree,
-    library: BufferLibrary,
-    validate: bool = True,
-    plans: Optional[Dict[int, BufferPlan]] = None,
-) -> CompiledNet:
-    """Compile ``tree`` and remember the schedule for repeat solves."""
-    compiled = compile_net(tree, library, validate=validate, plans=plans)
-    _SCHEDULE_CACHE[tree] = compiled
-    return compiled
-
-
-def clear_schedule_cache() -> None:
-    """Drop every cached schedule (benchmark hygiene)."""
-    _SCHEDULE_CACHE.clear()
-
-
-def invalidate_schedule(tree: RoutingTree) -> None:
-    """Forget ``tree``'s cached schedule after an in-place edit.
-
-    Called by every :class:`~repro.tree.routing_tree.RoutingTree`
-    mutation, because a compiled schedule embeds wire parasitics that
-    :func:`cached_schedule`'s ``matches_tree`` guard cannot see.
-    """
-    _SCHEDULE_CACHE.pop(tree, None)
 
 
 # ----------------------------------------------------------------------
@@ -727,7 +593,7 @@ def run_compiled_group(
     options: Optional[Dict[str, object]] = None,
     factory=None,
 ) -> list:
-    """Solve structurally identical compiled nets as one batched walk.
+    """Solve structurally identical compiled nets as one batched pass.
 
     The batch-axis entry point: every instruction is fetched once and
     dispatched as one vectorized kernel across all lanes (see

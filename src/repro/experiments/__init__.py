@@ -31,7 +31,6 @@ from repro.experiments.runner import (
     time_algorithm,
     time_batch,
 )
-from repro.experiments.profiling import OperationProfile, profile_operations
 from repro.experiments.list_stats import (
     ListStats,
     collect_list_stats,
@@ -59,8 +58,6 @@ __all__ = [
     "MeasuredBatch",
     "time_algorithm",
     "time_batch",
-    "OperationProfile",
-    "profile_operations",
     "ListStats",
     "collect_list_stats",
     "list_growth_by_positions",

@@ -46,6 +46,7 @@ index reuse the decisions unwrapped.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.candidate import (
@@ -53,16 +54,9 @@ from repro.core.candidate import (
     ExpandedDecision,
     reconstruct_assignment,
 )
-from repro.core.dp import _finish, _resolve_ops
+from repro.core.dp import _execute_schedule, _finish, _resolve_ops
 from repro.core.registry import get_algorithm
-from repro.core.schedule import (
-    OP_FINAL,
-    OP_MERGE,
-    OP_SINK,
-    OP_WIRE,
-    CompiledNet,
-    compile_net,
-)
+from repro.core.schedule import CompiledNet, compile_net
 from repro.core.solution import BufferingResult
 from repro.core.stores import get_store_backend, resolve_backend
 from repro.core.stores.soa import _CHAIN_LIMIT
@@ -78,9 +72,7 @@ from repro.incremental.edits import (
 )
 from repro.incremental.subtree_cache import FrontierCache, FrontierSnapshot
 from repro.library.library import BufferLibrary
-from repro.obs.profiler import instrument_ops
 from repro.obs.spans import active_tracer
-from repro.resilience.deadline import active_deadline
 from repro.service.canon import (
     digest_body,
     edge_entry,
@@ -462,7 +454,7 @@ class IncrementalSolver:
             decisions = wrapped
         return splice_snapshot(snapshot, self.factory, decisions=decisions)
 
-    # -- the dirty-path interpreter ------------------------------------
+    # -- dirty-path resolve --------------------------------------------
 
     def resolve(self) -> BufferingResult:
         """Solve the current net, reusing every memoized clean subtree.
@@ -471,45 +463,53 @@ class IncrementalSolver:
         edited net — including the DP stats, except ``runtime_seconds``
         which reports this (much shorter) resolve.  With no edits since
         the last resolve, returns the previous result without solving.
+
+        The DP's one interpreter (:func:`repro.core.dp._execute_schedule`)
+        does the work: a splice callback at every subtree start pushes
+        the outermost cached frontier and skips its range, and the
+        node-final hook captures every frontier not cached yet.
         """
         if self._last_result is not None and not self._stale:
             return self._last_result
         self._ensure_schedule()
         index = self._frozen_index()
         compiled = self.compiled
-        steps, wire_r, wire_c, sink_node, sink_q, sink_c = compiled.runtime()
-        plans = compiled.plans()
         probes = self._probes()
         final_node = self._final_node
         final_of_node = compiled.final_of_node
         digest = self._digest
         cache = self.cache
         context = self._context_key
-        capture = self.capture
-        add_buffer = self._add_buffer
         driver = self.driver if self.driver is not None else self.tree.driver
-
-        started = time.perf_counter()
-        sink_op, wire_op, merge_op, best_op, release = _resolve_ops(
-            self.backend, None, None, factory=self.factory
-        )
-        sink_op, wire_op, merge_op, add_buffer, end_range = instrument_ops(
-            sink_op, wire_op, merge_op, add_buffer
-        )
-        tracer = active_tracer()
-        resolve_handle = (
-            tracer.begin("incremental.resolve", backend=self.backend)
-            if tracer is not None
-            else None
-        )
         factory = self.factory
         snapshot_values = getattr(factory, "snapshot_values", None)
+        tracer = active_tracer()
 
-        stack: List[object] = []
-        push = stack.append
-        pop = stack.pop
-        peaks: List[int] = []
-        gens: List[int] = []
+        skipped = 0  # instructions jumped over by splices
+        spliced = 0
+
+        def probe(start: int, nodes: List[int]):
+            def hook():
+                nonlocal skipped, spliced
+                for node in nodes:
+                    snapshot = cache.get((digest[node], context))
+                    if snapshot is not None:
+                        break
+                else:
+                    return None
+                with (
+                    tracer.span("splice", node=node, size=len(snapshot.q))
+                    if tracer is not None
+                    else nullcontext()
+                ):
+                    store = self._splice(snapshot, node, index)
+                final = final_of_node[node]
+                skipped += final + 1 - start
+                spliced += 1
+                return store, snapshot.peak, snapshot.generated, final
+
+            return hook
+
         # Captures collect here and become cache entries only after the
         # run: values are copied at the capture point (the object
         # backend's wire op mutates candidates in place downstream) but
@@ -518,114 +518,50 @@ class IncrementalSolver:
         # with candidate values, not provenance graphs.
         pending: List[tuple] = []
         pending_keys = set()
-        executed = 0
-        spliced = 0
-        i = 0
-        total = len(steps)
-        current = None
-        deadline = active_deadline()
-        while i < total:
-            nodes_here = probes.get(i)
-            if nodes_here is not None:
-                snapshot = None
-                for node in nodes_here:
-                    snapshot = cache.get((digest[node], context))
-                    if snapshot is not None:
-                        break
-                if snapshot is not None:
-                    if tracer is not None:
-                        splice_handle = tracer.begin(
-                            "splice", node=node, size=len(snapshot.q)
-                        )
-                        push(self._splice(snapshot, node, index))
-                        tracer.end(splice_handle)
-                    else:
-                        push(self._splice(snapshot, node, index))
-                    peaks.append(snapshot.peak)
-                    gens.append(snapshot.generated)
-                    spliced += 1
-                    i = final_of_node[node] + 1
-                    continue
-            op, arg = steps[i]
-            executed += 1
-            code = op & 3
-            if code == OP_WIRE:
-                top = stack[-1]
-                current = wire_op(top, wire_r[arg], wire_c[arg])
-                if current is not top:
-                    release(top)
-                    stack[-1] = current
-            elif code == OP_SINK:
-                current = sink_op(sink_node[arg], sink_q[arg], sink_c[arg])
-                push(current)
-                peaks.append(0)
-                gens.append(1)
-            elif code == OP_MERGE:
-                right = pop()
-                left = pop()
-                right_peak = peaks.pop()
-                right_gen = gens.pop()
-                current = merge_op(left, right)
-                gens[-1] += right_gen + len(current)
-                if right_peak > peaks[-1]:
-                    peaks[-1] = right_peak
-                if current is not left:
-                    release(left)
-                if current is not right:
-                    release(right)
-                # Right's aggregate slot folded into left's, which now
-                # sits exactly under the pushed result.
-                push(current)
-            else:  # OP_BUFFER
-                top = stack[-1]
-                before = len(top)
-                current = add_buffer(top, plans[arg])
-                gens[-1] += max(len(current) - before, 0)
-                if current is not top:
-                    release(top)
-                    stack[-1] = current
-            if op & OP_FINAL:
-                length = len(current)
-                if length > peaks[-1]:
-                    peaks[-1] = length
-                if deadline is not None:
-                    deadline.check("incremental.resolve")
-                if end_range is not None:
-                    end_range(length)
-                if capture:
-                    node = final_node[i]
-                    key = (digest[node], context)
-                    if key not in pending_keys and key not in cache:
-                        pending_keys.add(key)
-                        store = stack[-1]
-                        if snapshot_values is not None:
-                            q, c, d = snapshot_values(store)
-                            decisions = None
-                        else:
-                            q = []
-                            c = []
-                            decision_list = []
-                            for candidate in store:
-                                q.append(candidate.q)
-                                c.append(candidate.c)
-                                decision_list.append(candidate.decision)
-                            decisions = tuple(decision_list)
-                            d = None
-                        pending.append(
-                            (key, node, q, c, decisions, d,
-                             peaks[-1], gens[-1])
-                        )
-            i += 1
 
-        assert len(stack) == 1, "schedule must reduce to the root list"
+        def capture(i: int, store, peak: int, generated: int) -> None:
+            node = final_node[i]
+            key = (digest[node], context)
+            if key in pending_keys or key in cache:
+                return
+            pending_keys.add(key)
+            if snapshot_values is not None:
+                q, c, d = snapshot_values(store)
+                decisions = None
+            else:
+                q = [candidate.q for candidate in store]
+                c = [candidate.c for candidate in store]
+                decisions = tuple(candidate.decision for candidate in store)
+                d = None
+            pending.append((key, node, q, c, decisions, d, peak, generated))
+
+        splice_at = {
+            start: probe(start, nodes) for start, nodes in probes.items()
+        }
+        started = time.perf_counter()
+        sink_op, wire_op, merge_op, best_op, release = _resolve_ops(
+            self.backend, factory=factory
+        )
+        resolve_handle = (
+            tracer.begin("incremental.resolve", backend=self.backend)
+            if tracer is not None
+            else None
+        )
+        root, peak, generated = _execute_schedule(
+            compiled, sink_op, wire_op, merge_op, self._add_buffer, release,
+            site="incremental.resolve", splice_at=splice_at,
+            on_final=capture if self.capture else None,
+        )
+        total = len(compiled.ops)
+        executed = total - skipped
         if resolve_handle is not None:
             tracer.end(
                 resolve_handle, executed=executed, total=total,
                 spliced=spliced,
             )
         result = _finish(
-            stack[0], best_op, release, driver, self._label,
-            compiled.num_buffer_positions, self.library, peaks[0], gens[0],
+            root, best_op, release, driver, self._label,
+            compiled.num_buffer_positions, self.library, peak, generated,
             started, self.backend,
         )
         if pending:

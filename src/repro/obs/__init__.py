@@ -19,8 +19,8 @@ every request an id that survives the process-pool boundary:
   record with the current request id (``repro serve --log-json``).
 * :mod:`repro.obs.profiler` — the sampling kernel profiler: per-op
   wall time and peak list length from *any* execution strategy (object
-  and soa stores, batch-axis groups, partitioned workers), replacing
-  the old object-backend-only ``experiments/profiling.py`` timing.
+  and soa stores, batch-axis groups, partitioned workers, splice
+  replays).
 
 Request correlation: :func:`~repro.obs.spans.request_scope` installs a
 request id (generated at the server/CLI entry) in the same thread-local

@@ -3,11 +3,10 @@
 :class:`KernelProfiler` measures where kernel time goes — ``sink`` /
 ``wire`` / ``merge`` / ``buffer`` wall seconds and call counts, plus
 peak candidate-list length — at the interpreter loop, so it works for
-every execution strategy: the object and soa stores, the walk and
-compiled paths, batch-axis groups, splice replays and partitioned
-workers.  It replaces the object-backend-only timing wrappers that
-``experiments/profiling.py`` used to build by hand (that module is now
-a thin shim over this one).
+every execution strategy: the object and soa stores, batch-axis groups,
+splice replays and partitioned workers.  The paper's Figure 4
+explanation — add-buffer dominating the baseline as ``n`` grows — is
+measured this way (``benchmarks/bench_op_profile.py``).
 
 It is **opt-in and ambient**: :func:`profile_scope` installs a profiler
 in a thread-local slot exactly as ``deadline_scope`` installs a

@@ -1,8 +1,9 @@
 """Partitioned solve orchestration: dispatch cuts, splice, finish.
 
 :func:`solve_partitioned` is the entry point behind
-``SolverPool(parallel=...)``, ``repro buffer --jobs`` and the serving
-layer's large-``/solve`` routing.  The flow:
+``SolverPool``'s partitioned plans (``policy="always_parallel"``, or
+the instruction threshold of the static rule), ``repro buffer --jobs``
+and the serving layer's large-``/solve`` routing.  The flow:
 
 1. plan cuts over the compiled schedule
    (:func:`~repro.parallel.partition.plan_partitions`); a non-viable
@@ -12,11 +13,12 @@ layer's large-``/solve`` routing.  The flow:
    (:meth:`~repro.core.schedule.CompiledNet.subschedule`) and solve the
    extracts concurrently (a shared :class:`~repro.core.batch.SolverPool`
    process pool, a transient pool, or inline for ``jobs=1`` testing);
-3. replay the **residual** instruction stream in the calling process,
-   splicing each returned frontier at its cut's start instruction
+3. replay the **residual** instruction stream in the calling process
+   through the DP's one interpreter
+   (:func:`repro.core.dp._execute_schedule`), splicing each returned
+   frontier at its cut's start instruction
    (:func:`~repro.incremental.engine.splice_snapshot`) and jumping the
-   cut's range — the incremental engine's dirty-path interpreter with
-   cuts in place of cache hits;
+   cut's range — as the incremental engine does with cache hits;
 4. finish through :func:`repro.core.dp._finish` exactly like a scratch
    solve.
 
@@ -38,13 +40,13 @@ point, which is precisely its contribution to the scratch accounting.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from contextlib import nullcontext
+from typing import List, Optional, Sequence, Union
 
-from repro.core.schedule import OP_FINAL, OP_MERGE, OP_SINK, OP_WIRE, CompiledNet
+from repro.core.schedule import CompiledNet, compile_net
 from repro.core.solution import BufferingResult
 from repro.errors import AlgorithmError, DeadlineExceeded, WorkerCrashError
 from repro.library.library import BufferLibrary
-from repro.obs.profiler import instrument_ops
 from repro.obs.spans import active_tracer, current_request_id
 from repro.resilience.deadline import Deadline, active_deadline, deadline_scope
 from repro.resilience.faults import inject as _inject_fault
@@ -53,8 +55,8 @@ from repro.parallel.worker import _solve_partition, solve_subschedule
 from repro.tree.node import Driver
 from repro.tree.routing_tree import RoutingTree
 
-#: Instruction-count floor for ``parallel="auto"`` (roughly twice the
-#: buffer-position count).  Calibrated against the measured hand-off
+#: Instruction-count floor of the static routing rule's partitioned
+#: solve (roughly twice the buffer-position count).  Calibrated against the measured hand-off
 #: overhead — partition planning is one O(n) pass and each partition
 #: costs a subschedule pickle plus a snapshot unpickle, together a few
 #: hundred milliseconds of fixed cost at this size, against multi-second
@@ -133,22 +135,9 @@ def solve_partitioned(
         jobs = pool.jobs if jobs is None else jobs
     jobs = _resolve_jobs(jobs)
 
-    if isinstance(net, CompiledNet):
-        compiled = net
-    else:
-        from repro.core.schedule import (
-            auto_compile_enabled,
-            cache_schedule,
-            cached_schedule,
-            compile_net,
-        )
-
-        compiled = cached_schedule(net, library)
-        if compiled is None:
-            if auto_compile_enabled():
-                compiled = cache_schedule(net, library)
-            else:
-                compiled = compile_net(net, library)
+    compiled = (
+        net if isinstance(net, CompiledNet) else compile_net(net, library)
+    )
 
     if report is None:
         report = {}
@@ -341,14 +330,12 @@ def _execute_residual(
 ) -> BufferingResult:
     """Replay the glue between cuts, splicing worker frontiers in.
 
-    The incremental engine's dirty-path loop
-    (:meth:`repro.incremental.engine.IncrementalSolver.resolve`) with
-    cut snapshots in the role of cache hits.  Stats are scalar here:
-    merges fold every per-slot aggregate into slot 0 by the end, so
-    ``max`` over sampled peaks and ``sum`` over generation counts give
-    exactly the scratch solve's ``peaks[0]``/``gens[0]``.
+    :func:`repro.core.dp._execute_schedule` with one splice callback
+    per cut: at the cut's start instruction it pushes the worker's
+    frontier, with the snapshot's ``peak``/``generated`` as that stack
+    slot's stats, and resumes after the cut's final instruction.
     """
-    from repro.core.dp import _finish, _resolve_ops
+    from repro.core.dp import _execute_schedule, _finish, _resolve_ops
     from repro.core.registry import get_algorithm
     from repro.incremental.engine import splice_snapshot
 
@@ -357,96 +344,38 @@ def _execute_residual(
     label = strategy.stats_label(**options)
     factory = compiled.factory(backend) if backend != "object" else None
     sink_op, wire_op, merge_op, best_op, release = _resolve_ops(
-        backend, None, None, factory=factory
+        backend, factory=factory
     )
-    sink_op, wire_op, merge_op, add_buffer, end_range = instrument_ops(
-        sink_op, wire_op, merge_op, add_buffer
-    )
-    steps, wire_r, wire_c, sink_node, sink_q, sink_c = compiled.runtime()
-    plans = compiled.plans()
-    splice_at: Dict[int, Tuple[object, int]] = {
-        cut.start: (snapshots[index], cut.final)
+    tracer = active_tracer()
+
+    def splice(snapshot, final: int):
+        def hook():
+            with (
+                tracer.span("splice", size=len(snapshot.q))
+                if tracer is not None
+                else nullcontext()
+            ):
+                store = splice_snapshot(snapshot, factory)
+            return store, snapshot.peak, snapshot.generated, final
+
+        return hook
+
+    splice_at = {
+        cut.start: splice(snapshots[index], cut.final)
         for index, cut in enumerate(plan.cuts)
     }
-    resolved_driver = driver if driver is not None else compiled.driver
-
-    tracer = active_tracer()
-    residual_handle = (
-        tracer.begin("parallel.residual", cuts=len(plan.cuts))
+    with (
+        tracer.span("parallel.residual", cuts=len(plan.cuts))
         if tracer is not None
-        else None
-    )
-    stack: List[object] = []
-    push = stack.append
-    pop = stack.pop
-    peak = 0
-    generated = 0
-    i = 0
-    total = len(steps)
-    current = None
-    deadline = active_deadline()
-    while i < total:
-        hit = splice_at.get(i)
-        if hit is not None:
-            snapshot, final = hit
-            if tracer is not None:
-                splice_handle = tracer.begin(
-                    "splice", size=len(snapshot.q)
-                )
-                push(splice_snapshot(snapshot, factory))
-                tracer.end(splice_handle)
-            else:
-                push(splice_snapshot(snapshot, factory))
-            if snapshot.peak > peak:
-                peak = snapshot.peak
-            generated += snapshot.generated
-            i = final + 1
-            continue
-        op, arg = steps[i]
-        code = op & 3
-        if code == OP_WIRE:
-            top = stack[-1]
-            current = wire_op(top, wire_r[arg], wire_c[arg])
-            if current is not top:
-                release(top)
-                stack[-1] = current
-        elif code == OP_SINK:
-            current = sink_op(sink_node[arg], sink_q[arg], sink_c[arg])
-            push(current)
-            generated += 1
-        elif code == OP_MERGE:
-            right = pop()
-            left = pop()
-            current = merge_op(left, right)
-            generated += len(current)
-            if current is not left:
-                release(left)
-            if current is not right:
-                release(right)
-            push(current)
-        else:  # OP_BUFFER
-            top = stack[-1]
-            before = len(top)
-            current = add_buffer(top, plans[arg])
-            generated += max(len(current) - before, 0)
-            if current is not top:
-                release(top)
-                stack[-1] = current
-        if op & OP_FINAL:
-            length = len(current)
-            if length > peak:
-                peak = length
-            if deadline is not None:
-                deadline.check("parallel.residual")
-            if end_range is not None:
-                end_range(length)
-        i += 1
-
-    assert len(stack) == 1, "residual must reduce to the root list"
-    if residual_handle is not None:
-        tracer.end(residual_handle)
+        else nullcontext()
+    ):
+        root, peak, generated = _execute_schedule(
+            compiled, sink_op, wire_op, merge_op, add_buffer, release,
+            site="parallel.residual", splice_at=splice_at,
+        )
     result = _finish(
-        stack[0], best_op, release, resolved_driver, label,
+        root, best_op, release,
+        driver if driver is not None else compiled.driver, label,
         compiled.num_buffer_positions, library, peak, generated,
         started, backend,
     )

@@ -71,10 +71,10 @@ def solve_subschedule(
 
         factory = get_store_backend(backend)()
     sink_op, wire_op, merge_op, _best_op, release = _resolve_ops(
-        backend, None, None, factory=factory
+        backend, factory=factory
     )
     root, peak, generated = _execute_schedule(
-        sub, sub.plans(), sink_op, wire_op, merge_op, add_buffer, release
+        sub, sink_op, wire_op, merge_op, add_buffer, release
     )
     snapshot = capture_frontier(
         root, factory, root_id, peak, generated, portable=True

@@ -3,11 +3,12 @@
 A :class:`Deadline` is a monotonic wall budget created at admission
 time (one per request).  It is *threaded* through the execution layers
 ambiently: :func:`deadline_scope` installs it in a thread-local slot,
-and every interpreter loop — the compiled schedule executor
-(:func:`repro.core.dp._execute_schedule`), the batch-axis lane loop
-(:func:`repro.core.stores.batch_axis.solve_group`), the partitioned
-residual replay and the incremental dirty-path interpreter — polls
-:func:`active_deadline` once at entry and then checks expiry only at
+and both interpreter loops — the schedule executor
+(:func:`repro.core.dp._execute_schedule`, which also runs the
+partitioned residual replay and the incremental engine's resolves, each
+under its own site name) and the batch-axis lane loop
+(:func:`repro.core.stores.batch_axis.solve_group`) — poll
+:func:`active_deadline` once at entry and then check expiry only at
 instruction-range boundaries (``OP_FINAL`` instructions, one per tree
 node), so the per-instruction cost with no deadline installed is a
 single ``is not None`` test.

@@ -1,10 +1,9 @@
 """Cost-model-driven execution routing.
 
-The repository accumulated four genuinely different ways to solve the
-same net — object vs SoA candidate stores, walk vs compiled schedules,
-scratch vs incremental splice, sequential vs batch-axis vs partitioned
-parallel — and, until this package, four scattered hardcoded rules for
-picking between them.  Routing pulls every one of those dispatch
+The repository has several genuinely different ways to solve the same
+net — object vs SoA candidate stores, scratch vs incremental splice,
+sequential vs batch-axis vs partitioned parallel — and, until this
+package, had scattered hardcoded rules for picking between them.  Routing pulls every one of those dispatch
 decisions behind a single observable seam:
 
 * :mod:`repro.routing.features` — a cheap per-request feature vector
@@ -28,8 +27,8 @@ decisions behind a single observable seam:
 
 The doctrine is unchanged from every earlier subsystem: routing may
 only *pick* answers, never change them.  ``tests/test_routing.py``
-proves every plan the router can emit bit-identical to the object/walk
-reference path.
+proves every plan the router can emit bit-identical to the compiled
+object-store reference path.
 """
 
 from repro.routing.cost_model import CostModel, default_model

@@ -1,12 +1,11 @@
 """The per-strategy latency predictor behind ``policy="model"``.
 
 The model is deliberately boring: for each solo execution strategy
-(``object-compiled``, ``soa-compiled``, ``object-walk``, ``soa-walk``)
-it stores a piecewise-linear curve of solve seconds over the DP work
-product ``positions^2 * library_size`` (the paper's O(b n^2) — see
+(``object-compiled``, ``soa-compiled``) it stores a piecewise-linear
+curve of solve seconds over the DP work product
+``positions^2 * library_size`` (the paper's O(b n^2) — see
 :attr:`repro.routing.features.RequestFeatures.work`), and for the
-composite strategies
-it stores the few parameters that relate them to the solo curves — a
+composite strategies it stores the few parameters that relate them to the solo curves — a
 batch-axis speedup surface over ``(work, lanes)``, a splice
 overhead fraction, and an Amdahl residual for the partitioned solve.
 The coefficients are fitted **offline** by ``tools/fit_routing_model.py``
@@ -39,12 +38,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.routing.features import RequestFeatures
 
 #: Solo strategy keys every model artifact must provide curves for.
-BASE_STRATEGIES = (
-    "object-compiled",
-    "soa-compiled",
-    "object-walk",
-    "soa-walk",
-)
+BASE_STRATEGIES = ("object-compiled", "soa-compiled")
 
 #: EMA weight of one new observation in the online correction.
 EMA_ALPHA = 0.2
@@ -164,14 +158,8 @@ class CostModel:
 
     # -- prediction -----------------------------------------------------
 
-    def _solo_seconds(self, backend: str, mode: str, work: float) -> float:
-        key = f"{backend}-{mode}"
-        curve = self._base.get(key)
-        if curve is None:
-            # Unknown mode (e.g. "splice" routed here by mistake) falls
-            # back to the compiled curve of the same backend.
-            curve = self._base[f"{backend}-compiled"]
-        return _interp(curve, work)
+    def _solo_seconds(self, backend: str, work: float) -> float:
+        return _interp(self._base[f"{backend}-compiled"], work)
 
     def _batch_speedup_at(self, work: float, lanes: float) -> float:
         if not self._batch_speedup:
@@ -191,16 +179,15 @@ class CostModel:
         directly.
         """
         work = float(features.work)
-        mode = plan.schedule_mode
-        if mode == "splice":
-            base = self._solo_seconds(plan.backend, "compiled", work)
+        if plan.schedule_mode == "splice":
+            base = self._solo_seconds(plan.backend, work)
             fraction = min(max(features.dirty_fraction, 0.0), 1.0)
             return base * (fraction + self._splice_overhead)
         if plan.batch_axis:
-            per_lane = self._solo_seconds("soa", "compiled", work)
+            per_lane = self._solo_seconds("soa", work)
             speedup = self._batch_speedup_at(work, float(features.lanes))
             return per_lane * features.lanes / speedup
-        base = self._solo_seconds(plan.backend, mode, work)
+        base = self._solo_seconds(plan.backend, work)
         if plan.parallel:
             jobs = max(features.jobs, 1)
             residual = self._parallel_residual

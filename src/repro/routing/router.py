@@ -1,10 +1,9 @@
 """``route(features) -> ExecutionPlan``: one seam for every dispatch.
 
-Before this module, strategy selection lived in four unrelated places:
-``resolve_backend("auto")`` picked the store, the auto-compile cache
-picked walk vs compiled, ``SolverPool`` batched any structural group
-and partitioned any net over a fixed instruction threshold.  The
-:class:`Router` subsumes all of them behind one policy string:
+Before this module, strategy selection lived in unrelated places:
+``resolve_backend("auto")`` picked the store, ``SolverPool`` batched
+any structural group and partitioned any net over a fixed instruction
+threshold.  The :class:`Router` subsumes them behind one policy string:
 
 * ``"static"`` — reproduce the legacy heuristics exactly (the default;
   decisions are bit-for-bit what the scattered rules chose, so nothing
@@ -13,16 +12,14 @@ and partitioned any net over a fixed instruction threshold.  The
   for the cheapest plan among the candidates legal for this request.
 * ``"always_X"`` / ``"never_X"`` — escape hatches that pin one axis and
   leave the rest on the static rule: ``always_object``, ``always_soa``,
-  ``always_walk``, ``always_compiled``, ``always_splice``,
-  ``always_scratch``, ``always_batch`` / ``never_batch``,
-  ``always_parallel`` / ``never_parallel``, and the combined
-  ``always_<backend>-<mode>`` form (e.g. ``always_object-walk``) used
-  by the replay harness to pin a full solo plan.
+  ``always_splice``, ``always_scratch`` (re-solve sessions from
+  scratch), ``always_batch`` / ``never_batch``, ``always_parallel`` /
+  ``never_parallel``.
 
 Whatever the policy, the emitted plan is only ever a *choice among
 bit-identical executions* — ``tests/test_routing.py`` proves every
 candidate plan returns the same slack, assignment, driver load and DP
-stats as the object/walk reference.
+stats as the compiled object-store reference.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from repro.routing.cost_model import CostModel, default_model
 from repro.routing.features import RequestFeatures
 
 #: Schedule modes a plan can name.
-SCHEDULE_MODES = ("walk", "compiled", "splice")
+SCHEDULE_MODES = ("compiled", "splice")
 
 #: How decisively the model must favor a composite plan (batch axis or
 #: partitioned) before the router takes it over the best simple plan.
@@ -46,15 +43,12 @@ SCHEDULE_MODES = ("walk", "compiled", "splice")
 #: near a predicted tie the simple plan is the safer execution.
 COMPOSITE_MARGIN = 1.15
 
-#: The canonical policy tokens (the combined ``always_<backend>-<mode>``
-#: form is accepted too; see :func:`validate_policy`).
+#: The policy tokens (see :func:`validate_policy`).
 POLICIES = (
     "static",
     "model",
     "always_object",
     "always_soa",
-    "always_walk",
-    "always_compiled",
     "always_splice",
     "always_scratch",
     "always_batch",
@@ -70,9 +64,9 @@ class ExecutionPlan:
 
     Attributes:
         backend: Candidate-store backend (``"object"`` / ``"soa"``).
-        schedule_mode: ``"walk"`` (tree walk), ``"compiled"`` (schedule
-            interpreter; for sessions this is the from-scratch re-run),
-            or ``"splice"`` (incremental dirty-path execution).
+        schedule_mode: ``"compiled"`` (schedule interpreter; for
+            sessions this is the from-scratch re-run) or ``"splice"``
+            (incremental dirty-path execution).
         batch_axis: Solve the request's structural group as one
             vectorized dispatch (implies ``soa``/``compiled``).
         parallel: Partition one large net across worker processes
@@ -146,31 +140,17 @@ def _parse_policy(policy: str) -> _Constraints:
             return _Constraints(**{key: value})
         if not value:
             break  # only batch/parallel have a "never_" form
+        if axis == "splice":
+            return _Constraints(schedule_mode="splice")
         if axis == "scratch":
-            # An explicit "re-solve sessions from scratch" pin.
             return _Constraints(schedule_mode="compiled")
-        backend: Optional[str] = None
-        mode: Optional[str] = None
-        parts = axis.split("-", 1)
-        if parts[0] in SCHEDULE_MODES:
-            mode = parts[0]
-        else:
-            backend = parts[0] or None
-            if len(parts) == 2:
-                mode = parts[1]
-        if mode is not None and mode not in SCHEDULE_MODES:
-            break
-        if backend is not None:
-            from repro.core.stores import store_backend_names
+        from repro.core.stores import store_backend_names
 
-            if backend not in store_backend_names():
-                break
-        if backend is not None or mode is not None:
-            return _Constraints(backend=backend, schedule_mode=mode)
+        if axis in store_backend_names():
+            return _Constraints(backend=axis)
         break
     raise ValueError(
-        f"unknown routing policy {policy!r}; expected one of {POLICIES} "
-        "or the combined form 'always_<backend>-<mode>'"
+        f"unknown routing policy {policy!r}; expected one of {POLICIES}"
     )
 
 
@@ -216,8 +196,6 @@ class Router:
         model: Cost model for predictions and online refinement; the
             shared :func:`~repro.routing.cost_model.default_model` by
             default (so corrections pool process-wide).
-        parallel_mode: The legacy ``SolverPool`` knob (``"auto"`` /
-            ``"always"`` / ``"never"``), honored by the static rule.
         parallel_threshold: Instruction floor of the static
             partitioned-solve rule; defaults to
             :data:`repro.parallel.solver.DEFAULT_PARALLEL_THRESHOLD`.
@@ -227,7 +205,6 @@ class Router:
         self,
         policy: Optional[str] = None,
         model: Optional[CostModel] = None,
-        parallel_mode: str = "auto",
         parallel_threshold: Optional[int] = None,
     ) -> None:
         if policy is None:
@@ -235,7 +212,6 @@ class Router:
         self.policy = validate_policy(policy)
         self._constraints = _parse_policy(policy)
         self._model = model
-        self.parallel_mode = parallel_mode
         if parallel_threshold is None:
             from repro.parallel.solver import DEFAULT_PARALLEL_THRESHOLD
 
@@ -262,7 +238,6 @@ class Router:
         backend: str = "auto",
         supports_batch: bool = False,
         supports_parallel: bool = False,
-        supports_walk: bool = False,
     ) -> List[ExecutionPlan]:
         """Every plan legal for this request, reference-most first.
 
@@ -270,8 +245,7 @@ class Router:
         explicit choice always wins over routing).  Capability flags
         describe the execution context: the batch axis needs a
         structural group on an soa context, partitioning needs a
-        multi-process pool and a locally compiled net, walking needs
-        the plain tree (a bare ``CompiledNet`` cannot walk).
+        multi-process pool and a locally compiled net.
         """
         if backend != "auto":
             backends = [backend]
@@ -293,10 +267,8 @@ class Router:
                     ExecutionPlan("soa", "compiled", batch_axis=True)
                 )
         else:
-            modes = (["walk"] if supports_walk else []) + ["compiled"]
             for store in backends:
-                for mode in modes:
-                    plans.append(ExecutionPlan(store, mode))
+                plans.append(ExecutionPlan(store, "compiled"))
             if supports_parallel:
                 for store in backends:
                     plans.append(
@@ -322,12 +294,9 @@ class Router:
         batch = supports_batch and features.lanes > 1
         if batch:
             return ExecutionPlan("soa", "compiled", batch_axis=True)
-        parallel = supports_parallel and (
-            self.parallel_mode == "always"
-            or (
-                self.parallel_mode == "auto"
-                and features.instructions >= self.parallel_threshold
-            )
+        parallel = (
+            supports_parallel
+            and features.instructions >= self.parallel_threshold
         )
         return ExecutionPlan(store, "compiled", parallel=parallel)
 
@@ -338,7 +307,6 @@ class Router:
         backend: str = "auto",
         supports_batch: bool = False,
         supports_parallel: bool = False,
-        supports_walk: bool = False,
     ) -> ExecutionPlan:
         """Pick the execution plan for one request under this policy."""
         tracer = active_tracer()
@@ -360,7 +328,6 @@ class Router:
                     backend=backend,
                     supports_batch=supports_batch,
                     supports_parallel=supports_parallel,
-                    supports_walk=supports_walk,
                 )
                 if constraints.admits(candidate)
             ]

@@ -35,7 +35,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.core.schedule import CompiledNet, auto_compile, compile_net
+from repro.core.schedule import CompiledNet, compile_net
 from repro.core.solution import BufferingResult
 from repro.errors import ReproError
 from repro.routing.features import RequestFeatures
@@ -252,9 +252,9 @@ class _LoadedRequest:
             self.tree_dicts = record["nets"]
         else:
             self.tree_dicts = [record["net"]]
-        self.trees = [tree_from_dict(data) for data in self.tree_dicts]
         self.compiled = [
-            compile_net(tree, self.library) for tree in self.trees
+            compile_net(tree_from_dict(data), self.library)
+            for data in self.tree_dicts
         ]
         self.edits = record.get("edits", [])
 
@@ -284,17 +284,6 @@ def _measure_solve(
                 algorithm=algorithm, options=options,
             )
             elapsed = time.perf_counter() - start
-        elif plan.schedule_mode == "walk":
-            with auto_compile(False):
-                start = time.perf_counter()
-                results = [
-                    insert_buffers(
-                        tree, library, algorithm=algorithm,
-                        backend=plan.backend, **options,
-                    )
-                    for tree in loaded.trees
-                ]
-                elapsed = time.perf_counter() - start
         else:
             start = time.perf_counter()
             results = [
@@ -413,9 +402,7 @@ def replay(
             )
         else:
             candidates = enumerator.candidate_plans(
-                features,
-                supports_batch=supports_batch,
-                supports_walk=True,
+                features, supports_batch=supports_batch
             )
 
         measured: Dict[str, float] = {}
@@ -447,9 +434,7 @@ def replay(
                 plan = routers[name].route(features, backend=backend)
             else:
                 plan = routers[name].route(
-                    features,
-                    supports_batch=supports_batch,
-                    supports_walk=True,
+                    features, supports_batch=supports_batch
                 )
             if plan.strategy not in measured:
                 raise ReplayError(

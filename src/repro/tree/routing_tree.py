@@ -36,11 +36,6 @@ class Edge:
             )
 
 
-#: Lazily bound :func:`repro.core.schedule.invalidate_schedule` (the
-#: import is deferred to break the module cycle, then cached here).
-_invalidate_schedule = None
-
-
 class RoutingTree:
     """A rooted RC routing tree (paper Section 2).
 
@@ -58,37 +53,7 @@ class RoutingTree:
         self._edges: Dict[int, Edge] = {}  # keyed by child id
         self._children: Dict[int, List[int]] = {}
         self._next_id = 0
-        self._driver = driver
-
-    @property
-    def driver(self) -> Optional[Driver]:
-        """The source driver (assignable; swapping it invalidates any
-        cached compiled schedule, see :meth:`_mutated`)."""
-        return self._driver
-
-    @driver.setter
-    def driver(self, driver: Optional[Driver]) -> None:
-        self._driver = driver
-        self._mutated()
-
-    def _mutated(self) -> None:
-        """Drop any compiled schedule cached against this tree.
-
-        Every mutation funnels through here: a
-        :class:`~repro.core.schedule.CompiledNet` embeds wire
-        parasitics, sink payloads and the driver, so serving a cached
-        schedule after an in-place edit would solve the pre-edit net.
-        (``matches_tree`` re-checks sinks and the driver on lookup, but
-        wire edits are invisible to it — eager invalidation closes that
-        hole.)  Lazy import: :mod:`repro.core.schedule` imports this
-        module.
-        """
-        global _invalidate_schedule
-        if _invalidate_schedule is None:
-            from repro.core.schedule import invalidate_schedule
-
-            _invalidate_schedule = invalidate_schedule
-        _invalidate_schedule(self)
+        self.driver = driver
 
     # ------------------------------------------------------------------
     # Construction
@@ -133,7 +98,6 @@ class RoutingTree:
         node_id = self._add_node(node)
         self._edges[node_id] = edge
         self._children[parent].append(node_id)
-        self._mutated()
         return node_id
 
     def add_sink(
@@ -230,7 +194,6 @@ class RoutingTree:
             ),
             polarity=node.polarity if polarity is None else polarity,
         )
-        self._mutated()
 
     def set_edge(
         self,
@@ -260,7 +223,6 @@ class RoutingTree:
             ),
             length=edge.length if length is None else length,
         )
-        self._mutated()
 
     def split_edge(
         self,
@@ -315,7 +277,6 @@ class RoutingTree:
         # preserving sibling order (and therefore merge order).
         siblings = self._children[edge.parent]
         siblings[siblings.index(child)] = new_id
-        self._mutated()
         return new_id
 
     def remove_subtree(self, node_id: int) -> List[int]:
@@ -347,7 +308,6 @@ class RoutingTree:
             del self._nodes[current]
             del self._edges[current]
         self._children[parent].remove(node_id)
-        self._mutated()
         return removed
 
     # ------------------------------------------------------------------

@@ -109,3 +109,124 @@ def random_small_tree(seed: int, max_extra: int = 3) -> RoutingTree:
         sink(child)
     tree.validate()
     return tree
+
+
+def restricted_steiner_tree(library) -> RoutingTree:
+    """Allowed-buffer subsets, an empty subset and a pure Steiner point."""
+    names = [b.name for b in library.buffers]
+    tree = RoutingTree.with_source(driver=Driver(400.0))
+    v1 = tree.add_internal(0, 120.0, fF(30.0), allowed_buffers=[names[0]])
+    v2 = tree.add_internal(v1, 90.0, fF(20.0), buffer_position=False)
+    v3 = tree.add_internal(v2, 90.0, fF(20.0), allowed_buffers=[])
+    tree.add_sink(v3, 60.0, fF(10.0), capacitance=fF(15.0),
+                  required_arrival=ps(700.0))
+    tree.add_sink(v2, 80.0, fF(12.0), capacitance=fF(18.0),
+                  required_arrival=ps(900.0))
+    return tree
+
+
+def golden_cases() -> dict:
+    """The corpus behind ``tests/data/dp_golden.json``.
+
+    Maps a case id to a zero-argument builder returning
+    ``(tree, library, solve_kwargs)``; ``solve_kwargs`` holds the
+    algorithm, an optional driver override and algorithm options.
+    Covers fast / lillis / van_ginneken, driver overrides, load-capped
+    libraries, per-position library subsets (including empty ones) and
+    destructive pruning; every case is solved on both backends.
+    """
+    from repro import BufferLibrary, BufferType, paper_library
+    from repro import random_tree_net, two_pin_net, uniform_random_library
+
+    def trunk(segments):
+        return two_pin_net(length=8000.0, sink_capacitance=fF(20.0),
+                           required_arrival=ps(900.0), driver=Driver(200.0),
+                           num_segments=segments)
+
+    def load_capped(seed):
+        base = uniform_random_library(5, seed=seed)
+        capped = [
+            BufferType(
+                name=f"{b.name}_capped",
+                driving_resistance=b.driving_resistance,
+                input_capacitance=b.input_capacitance,
+                intrinsic_delay=b.intrinsic_delay,
+                max_load=fF(40.0 + 12.0 * i),
+            )
+            for i, b in enumerate(base.buffers[:2])
+        ]
+        return BufferLibrary(list(base.buffers) + capped)
+
+    def subsets(seed, size):
+        library = paper_library(size)
+        names = [b.name for b in library.buffers]
+        tree = random_tree_net(24, seed=seed, required_arrival=ps(800.0),
+                               driver=Driver(300.0))
+        for rank, node in enumerate(tree.buffer_positions()):
+            if rank % 3:
+                node.allowed_buffers = frozenset(names[:rank % size])
+        return tree, library
+
+    cases = {}
+    for seed in range(20):
+        for algorithm in ("fast", "lillis"):
+            cases[f"random-{algorithm}-{seed}"] = (
+                lambda seed=seed, algorithm=algorithm: (
+                    random_small_tree(seed),
+                    uniform_random_library(5, seed=seed + 500),
+                    {"algorithm": algorithm},
+                )
+            )
+    cases["van_ginneken"] = lambda: (
+        trunk(48), paper_library(1), {"algorithm": "van_ginneken"}
+    )
+    for destructive in (False, True):
+        cases[f"destructive-{destructive}"] = (
+            lambda destructive=destructive: (
+                trunk(64), paper_library(8),
+                {"algorithm": "fast", "destructive_pruning": destructive},
+            )
+        )
+    for algorithm in ("fast", "lillis"):
+        cases[f"restricted-{algorithm}"] = lambda algorithm=algorithm: (
+            restricted_steiner_tree(paper_library(4)), paper_library(4),
+            {"algorithm": algorithm},
+        )
+    for label, driver in (("default", None), ("strong", Driver(10.0)),
+                          ("weak", Driver(5000.0))):
+        cases[f"driver-{label}"] = lambda driver=driver: (
+            random_small_tree(4), uniform_random_library(4, seed=9),
+            {"algorithm": "fast", "driver": driver},
+        )
+    drivers = (None, Driver(140.0), Driver(2500.0))
+    for seed in range(6):
+        for algorithm in ("fast", "lillis"):
+            cases[f"loadcap-{algorithm}-{seed}"] = (
+                lambda seed=seed, algorithm=algorithm: (
+                    random_small_tree(seed + 30), load_capped(seed + 600),
+                    {"algorithm": algorithm, "driver": drivers[seed % 3]},
+                )
+            )
+    for size in (2, 4, 8):
+        for algorithm in ("fast", "lillis"):
+            cases[f"subset-b{size}-{algorithm}"] = (
+                lambda size=size, algorithm=algorithm: (
+                    *subsets(size + 40, size), {"algorithm": algorithm}
+                )
+            )
+    return cases
+
+
+def golden_record(result) -> dict:
+    """One solve's answer in the ``dp_golden.json`` encoding."""
+    return {
+        "slack": float.hex(result.slack),
+        "driver_load": float.hex(result.driver_load),
+        "assignment": {
+            str(node): buffer.name
+            for node, buffer in sorted(result.assignment.items())
+        },
+        "root_candidates": result.stats.root_candidates,
+        "peak_list_length": result.stats.peak_list_length,
+        "candidates_generated": result.stats.candidates_generated,
+    }

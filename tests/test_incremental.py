@@ -33,7 +33,6 @@ from repro.core.registry import (
     register_algorithm,
     unregister_algorithm,
 )
-from repro.core.schedule import auto_compile, cached_schedule
 from repro.core.stores import resolve_backend
 from repro.errors import AlgorithmError, EditError
 from repro.incremental import (
@@ -64,13 +63,9 @@ def names(assignment):
 
 
 def scratch_solve(tree, library, algorithm, backend, **options):
-    # auto_compile(False): keep the global schedule cache out of the
-    # comparison; the walk and interpreter paths are themselves
-    # bit-identical (test_schedule.py).
-    with auto_compile(False):
-        return insert_buffers(
-            tree, library, algorithm=algorithm, backend=backend, **options
-        )
+    return insert_buffers(
+        tree, library, algorithm=algorithm, backend=backend, **options
+    )
 
 
 def assert_parity(result, tree, library, algorithm, backend, **options):
@@ -212,25 +207,16 @@ class TestTreeMutations:
         assert tree.num_nodes == before - len(removed)
         tree.validate()
 
-    def test_mutation_invalidates_cached_schedule(self, paper_lib8):
-        tree = random_small_tree(21)
-        insert_buffers(tree, paper_lib8)  # populates the schedule cache
-        assert cached_schedule(tree, paper_lib8) is not None
-        internal = tree.children_of(tree.root_id)[0]
-        edge = tree.edge_to(internal)
-        tree.set_edge(internal, resistance=edge.resistance * 2.0)
-        assert cached_schedule(tree, paper_lib8) is None
-        # And a repeat solve reflects the edit (no stale answer).
-        fresh = insert_buffers(tree, paper_lib8)
-        with auto_compile(False):
-            expected = insert_buffers(tree, paper_lib8)
-        assert fresh.slack == expected.slack
-
     def test_driver_assignment_invalidates_schedule(self, paper_lib8):
+        """A re-solve after swapping the driver scores the new one."""
         tree = random_small_tree(22)
-        insert_buffers(tree, paper_lib8)
+        before = insert_buffers(tree, paper_lib8)
         tree.driver = Driver(resistance=50.0)
-        assert cached_schedule(tree, paper_lib8) is None
+        after = insert_buffers(tree, paper_lib8)
+        assert after.slack != before.slack
+        assert after.slack == insert_buffers(
+            random_small_tree(22), paper_lib8, driver=Driver(resistance=50.0)
+        ).slack
 
 
 # ----------------------------------------------------------------------

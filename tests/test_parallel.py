@@ -283,13 +283,13 @@ class TestEdgeCases:
 
 class TestSolverPoolRouting:
     def test_invalid_policy_rejected(self, library):
-        with pytest.raises(ValueError, match="parallel"):
-            SolverPool(library, parallel="sometimes")
+        with pytest.raises(ValueError, match="routing policy"):
+            SolverPool(library, policy="sometimes_parallel")
 
     def test_pool_partitioned_solve_bit_identical(self, medium_net, library):
         reference = insert_buffers(medium_net, library)
         with SolverPool(
-            library, jobs=2, parallel="always", policy="static"
+            library, jobs=2, policy="always_parallel"
         ) as pool:
             first = pool.solve([medium_net])[0]
             second = pool.solve([medium_net])[0]  # pool reuse
@@ -303,7 +303,7 @@ class TestSolverPoolRouting:
 
     def test_auto_threshold_keeps_small_nets_serial(self, library):
         small = random_net(9, sinks=12, positions=200)
-        with SolverPool(library, jobs=2, parallel="auto") as pool:
+        with SolverPool(library, jobs=2) as pool:
             result = pool.solve([small])[0]
             stats = pool.parallel_stats()
         assert stats["parallel_solves"] == 0
@@ -314,7 +314,7 @@ class TestSolverPoolRouting:
     def test_custom_threshold_routes_small_nets(self, library):
         small = random_net(9, sinks=12, positions=400)
         with SolverPool(
-            library, jobs=2, parallel="auto", parallel_threshold=100
+            library, jobs=2, parallel_threshold=100
         ) as pool:
             result = pool.solve([small])[0]
             stats = pool.parallel_stats()
@@ -323,7 +323,7 @@ class TestSolverPoolRouting:
 
     def test_parallel_never_disables_routing(self, medium_net, library):
         with SolverPool(
-            library, jobs=2, parallel="never", policy="static"
+            library, jobs=2, policy="never_parallel"
         ) as pool:
             result = pool.solve([medium_net])[0]
             stats = pool.parallel_stats()
@@ -336,7 +336,7 @@ class TestSolverPoolRouting:
         nets = [small[0], medium_net, small[1]]
         references = [insert_buffers(net, library) for net in nets]
         with SolverPool(
-            library, jobs=2, parallel="auto", parallel_threshold=2000
+            library, jobs=2, parallel_threshold=2000
         ) as pool:
             results = pool.solve(nets)
             stats = pool.parallel_stats()
@@ -346,7 +346,7 @@ class TestSolverPoolRouting:
 
     def test_closed_pool_refuses_work(self, library):
         pool = SolverPool(
-            library, jobs=2, parallel="always", policy="static"
+            library, jobs=2, policy="always_parallel"
         )
         pool.close()
         with pytest.raises(RuntimeError):

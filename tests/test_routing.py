@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from repro import insert_buffers, paper_library, uniform_random_library
 from repro.core.batch import SolverPool
-from repro.core.schedule import auto_compile, compile_net
+from repro.core.schedule import compile_net
 from repro.core.stores import resolve_backend
 from repro.core.stores.batch_axis import batch_axis_available
+from repro.errors import AlgorithmError
 from repro.experiments.workloads import corner_variants
 from repro.routing.cost_model import CostModel, default_model
 from repro.routing.features import (
@@ -99,9 +100,7 @@ def _toy_spec(**overrides):
         "base": {
             # object is cheap at small work, loses at large work.
             "object-compiled": {"knots": [[1, 1e-4], [1e6, 1.0]]},
-            "object-walk": {"knots": [[1, 2e-4], [1e6, 2.0]]},
             "soa-compiled": {"knots": [[1, 5e-4], [1e6, 0.1]]},
-            "soa-walk": {"knots": [[1, 6e-4], [1e6, 0.5]]},
         },
         "batch_axis": {
             "work": [1, 1e6],
@@ -229,7 +228,7 @@ class TestCostModel:
 
 class TestExecutionPlan:
     def test_strategy_labels(self):
-        assert ExecutionPlan("object", "walk").strategy == "object-walk"
+        assert ExecutionPlan("object", "compiled").strategy == "object-compiled"
         assert (
             ExecutionPlan("soa", "compiled", batch_axis=True).strategy
             == "soa-compiled+batch"
@@ -252,11 +251,10 @@ class TestPolicies:
     def test_all_canonical_policies_validate(self):
         for policy in POLICIES:
             assert validate_policy(policy) == policy
-        assert validate_policy("always_object-walk") == "always_object-walk"
-        assert validate_policy("always_soa-compiled")
 
     def test_unknown_policy_rejected(self):
-        for bad in ("fastest", "always_gpu", "never_walk", "always_"):
+        for bad in ("fastest", "always_gpu", "never_walk", "always_",
+                    "always_walk", "always_compiled", "always_object-walk"):
             with pytest.raises(ValueError, match="routing policy"):
                 validate_policy(bad)
 
@@ -304,16 +302,10 @@ class TestPolicies:
             features, supports_batch=True
         )
         assert not plan.batch_axis
-        plan = Router(policy="always_walk").route(
-            _features(), supports_walk=True
-        )
-        assert plan.schedule_mode == "walk"
         plan = Router(policy="always_scratch").route(_features(kind="session"))
         assert plan.schedule_mode == "compiled"
-        plan = Router(policy="always_object-walk").route(
-            _features(), supports_walk=True
-        )
-        assert plan == ExecutionPlan("object", "walk")
+        plan = Router(policy="always_splice").route(_features(kind="session"))
+        assert plan.schedule_mode == "splice"
 
     def test_explicit_backend_beats_routing(self):
         plan = Router(policy="model").route(_features(), backend="object")
@@ -323,7 +315,7 @@ class TestPolicies:
         model = CostModel.from_spec(_toy_spec())
         router = Router(policy="model", model=model)
         # Toy curves make object cheapest at small work ...
-        plan = router.route(_features(positions=5), supports_walk=True)
+        plan = router.route(_features(positions=5))
         assert plan == ExecutionPlan("object", "compiled")
         # ... and soa cheapest at large work.
         if resolve_backend("auto") == "soa":
@@ -384,27 +376,18 @@ def test_every_candidate_plan_is_bit_identical(
 ):
     """The routing contract: whatever plan the router picks, the slack,
     assignment, driver load and DP statistics are those of the
-    object/walk reference — bit for bit, not approximately."""
+    plain-tree object-store reference — bit for bit, not approximately."""
     tree = random_tree_net(sinks, seed=seed)
     library = uniform_random_library(library_size, seed=library_seed)
     compiled = compile_net(tree, library)
-    with auto_compile(False):
-        reference = _result_fingerprint(
-            insert_buffers(tree, library, backend="object")
-        )
+    reference = _result_fingerprint(
+        insert_buffers(tree, library, backend="object")
+    )
     router = Router(policy="static")
-    plans = router.candidate_plans(features_of(compiled), supports_walk=True)
-    assert len(plans) >= 2
+    plans = router.candidate_plans(features_of(compiled))
+    assert len(plans) == (2 if resolve_backend("auto") == "soa" else 1)
     for plan in plans:
-        if plan.schedule_mode == "walk":
-            with auto_compile(False):
-                result = insert_buffers(
-                    tree, library, backend=plan.backend
-                )
-        else:
-            result = insert_buffers(
-                compiled, library, backend=plan.backend
-            )
+        result = insert_buffers(compiled, library, backend=plan.backend)
         assert _result_fingerprint(result) == reference, plan.strategy
 
 
@@ -513,26 +496,25 @@ class TestWorkloadLog:
 
 
 # ---------------------------------------------------------------------
-# Deprecation of router-bypassing overrides
+# Partitioning is pinned through the router, not a pool knob
 
 
 class TestDeprecations:
-    def test_parallel_override_without_policy_warns(self):
-        library = paper_library(2)
-        with pytest.warns(DeprecationWarning, match="policy"):
-            pool = SolverPool(library, parallel="never")
-        pool.close()
-
     def test_parallel_override_with_policy_is_clean(self):
         library = paper_library(2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pool = SolverPool(
-                library, parallel="never", policy="static"
-            )
-            pool.close()
-            pool = SolverPool(library)  # no override, no warning
-            pool.close()
+            for policy, label in (
+                ("always_parallel", "always"),
+                ("never_parallel", "never"),
+                (None, "auto"),
+            ):
+                with SolverPool(library, jobs=1, policy=policy) as pool:
+                    assert pool.parallel_stats()["policy"] == label
+        # ``parallel`` is no pool option: the algorithm's option check
+        # rejects it.
+        with pytest.raises(AlgorithmError, match="parallel"):
+            SolverPool(library, parallel="never")
 
 
 # ---------------------------------------------------------------------
@@ -550,7 +532,7 @@ class TestReplayCorpus:
         return replay(
             corpus,
             policies=(
-                "static", "model", "always_object", "always_compiled",
+                "static", "model", "always_object", "always_scratch",
             ),
             repeats=1,
         )

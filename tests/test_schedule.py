@@ -1,18 +1,21 @@
-"""Compiled solve schedules: parity, caching, pickling, the arena.
+"""Compiled solve schedules: golden answers, pickling, the arena.
 
-The acceptance bar for the compiled execution layer is the same as the
-SoA backend's: *bit identity* with the reference path.  The interpreter
-performs the same IEEE-754 operations on the same inputs in dependency
-order, so slack, driver load, the full assignment — and even the DP
-statistics (peak list length, candidates generated) — must compare
-equal with ``==``, never approx.
+Every solve runs the compiled interpreter, so its answers are locked by
+``tests/data/dp_golden.json``: slack and driver load (as ``float.hex``),
+the full assignment and the DP statistics (peak list length, candidates
+generated, root candidates), recorded on the randomized corpus of
+``helpers.golden_cases`` by the tree-walk interpreter before it was
+removed.  Both store backends, handed a plain tree or a ``compile_net``
+result, must reproduce every record with ``==``, never approx.
 """
 
+import json
 import pickle
+from pathlib import Path
 
 import pytest
 
-from helpers import random_small_tree
+from helpers import golden_cases, golden_record, random_small_tree
 
 from repro import (
     Driver,
@@ -20,6 +23,7 @@ from repro import (
     compile_net,
     insert_buffers,
     paper_library,
+    random_tree_net,
     solve_many,
     two_pin_net,
     uniform_random_library,
@@ -31,13 +35,10 @@ from repro.core.schedule import (
     OP_SINK,
     OP_WIRE,
     CompiledNet,
-    auto_compile,
-    cached_schedule,
-    clear_schedule_cache,
 )
 from repro.core.stores import resolve_backend
 from repro.errors import AlgorithmError
-from repro.units import fF, ps
+from repro.units import fF, ps, to_ps
 
 try:
     import numpy
@@ -45,6 +46,11 @@ except ImportError:  # pragma: no cover
     numpy = None
 
 BACKENDS = ["object"] + (["soa"] if numpy is not None else [])
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "dp_golden.json").read_text()
+)["cases"]
+CASES = golden_cases()
 
 
 def assert_identical(a, b):
@@ -59,96 +65,81 @@ def assert_same_stats(a, b):
     assert a.stats.root_candidates == b.stats.root_candidates
 
 
+def assert_golden(case_id, backend):
+    """Solve one corpus case every way a caller can; all match golden.
+
+    Returns the compiled-path result for extra case-specific checks.
+    """
+    tree, library, kwargs = CASES[case_id]()
+    kwargs = dict(kwargs)
+    algorithm = kwargs.pop("algorithm")
+    compiled = compile_net(tree, library)
+    results = [
+        insert_buffers(net, library, algorithm=algorithm, backend=backend,
+                       **kwargs)
+        # The second compiled solve runs on the warm factory/arena.
+        for net in (compiled, compiled, tree)
+    ]
+    for result in results:
+        assert golden_record(result) == GOLDEN[case_id]
+        assert result.stats.backend == backend
+    return results[0]
+
+
 # ----------------------------------------------------------------------
-# Parity: compiled interpreter vs tree walk
+# Golden answers: the compiled interpreter on the randomized corpus
 # ----------------------------------------------------------------------
+
+
+def test_golden_covers_the_corpus():
+    assert set(GOLDEN) == set(CASES)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("algorithm", ["fast", "lillis"])
 @pytest.mark.parametrize("seed", range(20))
 def test_compiled_parity_on_random_trees(algorithm, backend, seed):
-    tree = random_small_tree(seed)
-    library = uniform_random_library(5, seed=seed + 500)
-    with auto_compile(False):
-        walk = insert_buffers(tree, library, algorithm=algorithm,
-                              backend=backend)
-    compiled = compile_net(tree, library)
-    result = insert_buffers(compiled, library, algorithm=algorithm,
-                            backend=backend)
-    assert_identical(walk, result)
-    assert_same_stats(walk, result)
-    assert result.stats.backend == backend
-    # Repeat solves (warm factory/arena) stay identical.
-    again = insert_buffers(compiled, library, algorithm=algorithm,
-                           backend=backend)
-    assert_identical(result, again)
-    assert_same_stats(result, again)
+    assert_golden(f"random-{algorithm}-{seed}", backend)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_compiled_parity_van_ginneken(backend):
-    tree = two_pin_net(length=8000.0, sink_capacitance=fF(20.0),
-                       required_arrival=ps(900.0), driver=Driver(200.0),
-                       num_segments=48)
-    library = paper_library(1)
-    with auto_compile(False):
-        walk = insert_buffers(tree, library, algorithm="van_ginneken",
-                              backend=backend)
-    result = insert_buffers(compile_net(tree, library), library,
-                            algorithm="van_ginneken", backend=backend)
-    assert_identical(walk, result)
+    result = assert_golden("van_ginneken", backend)
     assert result.stats.algorithm == "van_ginneken"
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("destructive", [False, True])
 def test_compiled_parity_destructive_pruning(backend, destructive):
-    tree = two_pin_net(length=8000.0, sink_capacitance=fF(20.0),
-                       required_arrival=ps(900.0), driver=Driver(200.0),
-                       num_segments=64)
-    library = paper_library(8)
-    with auto_compile(False):
-        walk = insert_buffers(tree, library, backend=backend,
-                              destructive_pruning=destructive)
-    result = insert_buffers(compile_net(tree, library), library,
-                            backend=backend,
-                            destructive_pruning=destructive)
-    assert_identical(walk, result)
+    assert_golden(f"destructive-{destructive}", backend)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_compiled_parity_with_restricted_and_steiner_nodes(backend):
     """Allowed-buffer subsets, empty subsets and pure Steiner points."""
-    library = paper_library(4)
-    names = [b.name for b in library.buffers]
-    tree = RoutingTree.with_source(driver=Driver(400.0))
-    v1 = tree.add_internal(0, 120.0, fF(30.0), allowed_buffers=[names[0]])
-    v2 = tree.add_internal(v1, 90.0, fF(20.0), buffer_position=False)
-    v3 = tree.add_internal(v2, 90.0, fF(20.0), allowed_buffers=[])
-    tree.add_sink(v3, 60.0, fF(10.0), capacitance=fF(15.0),
-                  required_arrival=ps(700.0))
-    tree.add_sink(v2, 80.0, fF(12.0), capacitance=fF(18.0),
-                  required_arrival=ps(900.0))
-    with auto_compile(False):
-        walk = insert_buffers(tree, library, backend=backend)
-    result = insert_buffers(compile_net(tree, library), library,
-                            backend=backend)
-    assert_identical(walk, result)
-    assert_same_stats(walk, result)
+    for algorithm in ("fast", "lillis"):
+        assert_golden(f"restricted-{algorithm}", backend)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "case_id",
+    sorted(case for case in CASES if case.startswith(("loadcap", "subset"))),
+)
+def test_compiled_matches_golden_on_capped_libraries(case_id, backend):
+    """Load-capped buffer types and per-position library subsets."""
+    assert_golden(case_id, backend)
 
 
 def test_compiled_driver_override_and_default():
+    for backend in BACKENDS:
+        default = assert_golden("driver-default", backend)
+        strong = assert_golden("driver-strong", backend)
+        weak = assert_golden("driver-weak", backend)
+        assert strong.slack > default.slack > weak.slack
     tree = random_small_tree(4)
-    library = uniform_random_library(4, seed=9)
-    compiled = compile_net(tree, library)
+    compiled = compile_net(tree, uniform_random_library(4, seed=9))
     assert compiled.driver == tree.driver
-    strong = insert_buffers(compiled, library, driver=Driver(10.0))
-    weak = insert_buffers(compiled, library, driver=Driver(5000.0))
-    assert strong.slack > weak.slack
-    with auto_compile(False):
-        default = insert_buffers(tree, library)
-    assert insert_buffers(compiled, library).slack == default.slack
 
 
 # ----------------------------------------------------------------------
@@ -179,6 +170,8 @@ def test_compile_invalid_tree_rejected():
     tree = RoutingTree.with_source()  # no sinks
     with pytest.raises(AlgorithmError, match="invalid routing tree"):
         compile_net(tree, paper_library(2))
+    with pytest.raises(AlgorithmError, match="invalid routing tree"):
+        insert_buffers(tree, paper_library(2))
 
 
 def test_compiled_rejects_mismatched_library():
@@ -188,89 +181,62 @@ def test_compiled_rejects_mismatched_library():
         insert_buffers(compiled, paper_library(8))
 
 
-def test_compiled_rejects_list_level_overrides():
-    from repro.core.dp import run_dynamic_program
-
-    tree = random_small_tree(1)
-    library = paper_library(2)
-    compiled = compile_net(tree, library)
-    with pytest.raises(AlgorithmError, match="RoutingTree"):
-        run_dynamic_program(
-            compiled, library, lambda lst, plan: lst, algorithm="hooked",
-            add_wire=lambda lst, r, c: lst, backend="object",
-        )
-
-
 # ----------------------------------------------------------------------
-# Repeat-solve caching
+# Re-solves after in-place edits answer for the edited net
 # ----------------------------------------------------------------------
-
-
-def test_auto_compile_caches_on_first_solve():
-    tree = random_small_tree(7)
-    library = uniform_random_library(4, seed=70)
-    clear_schedule_cache()
-    assert cached_schedule(tree, library) is None
-    first = insert_buffers(tree, library)
-    compiled = cached_schedule(tree, library)
-    assert isinstance(compiled, CompiledNet)
-    second = insert_buffers(tree, library)  # interpreter path
-    assert_identical(first, second)
-    assert_same_stats(first, second)
-
-
-def test_auto_compile_disabled_does_not_cache():
-    tree = random_small_tree(8)
-    library = uniform_random_library(4, seed=80)
-    clear_schedule_cache()
-    with auto_compile(False):
-        insert_buffers(tree, library)
-        assert cached_schedule(tree, library) is None
 
 
 def test_cache_invalidated_when_tree_grows():
+    def grow(tree):
+        tree.add_sink(0, 200.0, fF(30.0), capacitance=fF(25.0),
+                      required_arrival=ps(100.0))
+
     tree = random_small_tree(9)
     library = uniform_random_library(4, seed=90)
     before = insert_buffers(tree, library)
-    assert cached_schedule(tree, library) is not None
-    tree.add_sink(0, 200.0, fF(30.0), capacitance=fF(25.0),
-                  required_arrival=ps(100.0))
-    assert cached_schedule(tree, library) is None  # stale entry ignored
+    grow(tree)
     after = insert_buffers(tree, library)
-    with auto_compile(False):
-        fresh = insert_buffers(tree, library)
-    assert_identical(after, fresh)
+    fresh = random_small_tree(9)
+    grow(fresh)
+    expected = insert_buffers(fresh, library)
+    assert_identical(after, expected)
+    assert_same_stats(after, expected)
     assert after.slack != before.slack or after.assignment != before.assignment
 
 
 def test_cache_invalidated_by_sink_mutation():
-    """In-place required-arrival edits must not serve stale schedules."""
-    tree = two_pin_net(length=8000.0, sink_capacitance=fF(20.0),
-                       required_arrival=ps(900.0), driver=Driver(200.0),
-                       num_segments=32)
+    """In-place required-arrival edits must not serve stale answers."""
+    def build():
+        return two_pin_net(length=8000.0, sink_capacitance=fF(20.0),
+                           required_arrival=ps(900.0), driver=Driver(200.0),
+                           num_segments=32)
+
+    def halve_rats(tree):
+        for node in tree.sinks():
+            node.required_arrival = node.required_arrival / 2.0
+
+    tree = build()
     library = paper_library(4)
     before = insert_buffers(tree, library)
-    assert cached_schedule(tree, library) is not None
-    for node in tree.sinks():
-        node.required_arrival = node.required_arrival / 2.0
-    assert cached_schedule(tree, library) is None
+    halve_rats(tree)
     after = insert_buffers(tree, library)
-    with auto_compile(False):
-        fresh = insert_buffers(tree, library)
-    assert_identical(after, fresh)
+    fresh = build()
+    halve_rats(fresh)
+    assert_identical(after, insert_buffers(fresh, library))
     assert after.slack != before.slack
 
 
 def test_cache_invalidated_by_driver_mutation():
     tree = random_small_tree(18)
     library = uniform_random_library(4, seed=180)
-    insert_buffers(tree, library)
-    assert cached_schedule(tree, library) is not None
-    tree.driver = Driver(resistance=tree.driver.resistance * 7.0)
-    assert cached_schedule(tree, library) is None
+    before = insert_buffers(tree, library)
+    driver = Driver(resistance=tree.driver.resistance * 7.0)
+    tree.driver = driver
     after = insert_buffers(tree, library)
-    with auto_compile(False):
-        assert_identical(after, insert_buffers(tree, library))
+    assert after.slack != before.slack
+    assert_identical(
+        after, insert_buffers(random_small_tree(18), library, driver=driver)
+    )
 
 
 def test_cache_invalidated_by_library_change():
@@ -278,11 +244,43 @@ def test_cache_invalidated_by_library_change():
     small = uniform_random_library(3, seed=100)
     large = uniform_random_library(6, seed=101)
     insert_buffers(tree, small)
-    assert cached_schedule(tree, small) is not None
-    assert cached_schedule(tree, large) is None
     result = insert_buffers(tree, large)
-    with auto_compile(False):
-        assert_identical(result, insert_buffers(tree, large))
+    assert_identical(result, insert_buffers(random_small_tree(10), large))
+    assert result.stats.library_size == 6
+
+
+def test_resolve_after_buffer_position_edit_is_fresh():
+    """Clearing a node's buffer-position flag by hand takes effect on
+    the next solve of the same tree object."""
+    library = paper_library(8)
+    tree = random_tree_net(20, seed=3)
+    before = insert_buffers(tree, library)
+    assert 1 in before.assignment
+    tree.node(1).is_buffer_position = False
+    after = insert_buffers(tree, library)
+    fresh = random_tree_net(20, seed=3)
+    fresh.node(1).is_buffer_position = False
+    assert_identical(after, insert_buffers(fresh, library))
+    assert 1 not in after.assignment
+    assert to_ps(after.slack) == pytest.approx(-1652.89, abs=0.01)
+    assert to_ps(before.slack) == pytest.approx(-1361.50, abs=0.01)
+
+
+def test_resolve_after_allowed_buffers_edit_is_fresh():
+    """Narrowing a position's allowed buffers by hand takes effect on
+    the next solve of the same tree object."""
+    library = paper_library(8)
+    tree = random_tree_net(20, seed=3)
+    before = insert_buffers(tree, library)
+    used = before.assignment[1].name
+    narrowed = frozenset(b.name for b in library.buffers if b.name != used)
+    tree.node(1).allowed_buffers = narrowed
+    after = insert_buffers(tree, library)
+    fresh = random_tree_net(20, seed=3)
+    fresh.node(1).allowed_buffers = narrowed
+    assert_identical(after, insert_buffers(fresh, library))
+    assert after.assignment[1].name != used
+    assert after.slack < before.slack
 
 
 # ----------------------------------------------------------------------
@@ -333,10 +331,12 @@ def test_solve_many_validates_each_net_exactly_once(monkeypatch):
 
 @pytest.mark.parametrize("precompile", [False, True])
 def test_solve_many_precompile_parity(precompile):
+    """Plain trees and caller-compiled nets solve identically."""
     trees = [random_small_tree(seed) for seed in range(5)]
     library = paper_library(4)
     reference = [insert_buffers(t, library) for t in trees]
-    results = solve_many(trees, library, jobs=1, precompile=precompile)
+    nets = [compile_net(t, library) for t in trees] if precompile else trees
+    results = solve_many(nets, library, jobs=1)
     for got, want in zip(results, reference):
         assert_identical(got, want)
 
@@ -477,8 +477,7 @@ def test_factory_reuse_isolated_across_solves():
     assert_same_stats(first_a, second_a)
 
     # The first result's reconstruction is untouched by later solves.
-    with auto_compile(False):
-        fresh = insert_buffers(tree_a, library, backend="soa")
+    fresh = insert_buffers(tree_a, library, backend="soa")
     assert first_a.assignment == fresh.assignment
     assert first_a.slack == fresh.slack
 

@@ -169,13 +169,3 @@ def test_backend_names_and_duplicate_registration():
         unregister_store_backend("custom_for_test")
     assert "custom_for_test" not in store_backend_names()
 
-
-def test_instrumentation_hooks_require_object_backend(line_net, paper_lib8):
-    from repro.core.dp import run_dynamic_program
-
-    with pytest.raises(AlgorithmError, match="backend='object'"):
-        run_dynamic_program(
-            line_net, paper_lib8, lambda store, plan: store,
-            algorithm="hooked", add_wire=lambda lst, r, c: lst,
-            backend="soa",
-        )

@@ -5,8 +5,8 @@ Produces ``src/repro/routing/model_default.json``, the versioned
 artifact :mod:`repro.routing.cost_model` ships with.  Two data sources:
 
 1. **Committed BENCH files** (offline, the authoritative large-work
-   anchors): ``BENCH_PR4.json`` fig4 points give walk and compiled
-   seconds per backend at ``b=32``, positions 500..8000;
+   anchors): ``BENCH_PR4.json`` fig4 points give compiled seconds per
+   backend at ``b=32``, positions 500..8000;
    ``BENCH_PR6.json`` gives the batch-axis speedup surface over
    ``(work, lanes)``; ``BENCH_PR5.json`` gives the splice overhead
    fraction (``1/speedup - executed_fraction`` per edit class);
@@ -66,10 +66,10 @@ def _best_of(fn, repeats: int = 5) -> float:
 
 
 def calibrate(repeats: int = 5) -> dict:
-    """Measure the four solo strategies on tiny nets; knots by strategy."""
+    """Measure the solo strategies on tiny nets; knots by strategy."""
     from repro import paper_library
     from repro.core.api import insert_buffers
-    from repro.core.schedule import auto_compile, compile_net
+    from repro.core.schedule import compile_net
     from repro.core.stores import resolve_backend
     from repro.tree.builders import random_tree_net
 
@@ -91,16 +91,8 @@ def calibrate(repeats: int = 5) -> dict:
                 lambda: insert_buffers(compiled, library, backend=backend),
                 repeats,
             )
-            with auto_compile(False):
-                walk_seconds = _best_of(
-                    lambda: insert_buffers(tree, library, backend=backend),
-                    repeats,
-                )
             knots.setdefault(f"{backend}-compiled", []).append(
                 [work, compiled_seconds]
-            )
-            knots.setdefault(f"{backend}-walk", []).append(
-                [work, walk_seconds]
             )
     return knots
 
@@ -114,9 +106,6 @@ def bench_anchors(pr4: dict) -> dict:
         backend = point["backend"]
         knots.setdefault(f"{backend}-compiled", []).append(
             [work, point["compiled_seconds"]]
-        )
-        knots.setdefault(f"{backend}-walk", []).append(
-            [work, point["tree_walk_seconds"]]
         )
     return knots
 
@@ -273,14 +262,12 @@ def fit(bench_dir: Path, calibrate_local: bool, repeats: int) -> dict:
         if batch_axis_available():
             batch_rows = calibrate_batch(repeats)
     base = _merge_knots(*sources)
-    for key in ("soa-compiled", "soa-walk"):
-        # A numpy-less calibration box leaves the soa curves to the
+    if "soa-compiled" not in base:
+        # A numpy-less calibration box leaves the soa curve to the
         # committed anchors alone — never drop a required strategy.
-        if key not in base:
-            base[key] = [
-                [knot[0], knot[1] * 1.05]
-                for knot in base[key.replace("soa", "object")]
-            ]
+        base["soa-compiled"] = [
+            [knot[0], knot[1] * 1.05] for knot in base["object-compiled"]
+        ]
     return {
         "version": MODEL_VERSION,
         "fitted_from": [
