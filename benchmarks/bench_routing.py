@@ -19,24 +19,25 @@ What the numbers mean:
 * ``oracle_seconds`` — sum over requests of the best measured plan;
   no policy can beat it (it is the same table every policy is priced
   from).
-* ``policies.static`` — the historical hardcoded heuristics (SoA when
-  NumPy exists, batch any structural group, 50k-instruction parallel
-  floor), now expressed as a routing policy.  This is the baseline the
-  router must never lose to.
+* ``policies.static`` — the default policy's fixed rules (SoA only for
+  long candidate lists, :func:`repro.routing.router.static_store`;
+  batch a structural group only when its lanes are on SoA;
+  50k-instruction parallel floor).  This is what traffic gets by
+  default, so it is gated against the oracle directly.
 * ``policies.model`` — the fitted cost model
   (``src/repro/routing/model_default.json``) choosing per request.
-  Expect wins on small nets (object store below the kernel-launch
-  crossover) and parity elsewhere.
 * ``always_*`` — single-strategy escape hatches, for context.
 
 Every plan's result is checked bit-identical before anything is
 priced, so a policy can only ever change wall time, never answers.
 
 ``ci_gate`` thresholds are embedded in the output and enforced by
-``tools/perf_gate.py`` against a freshly generated file: the model
-policy must reach ``min_model_speedup_vs_oracle`` (how close to the
-per-request best it lands) and ``min_model_speedup_vs_static`` (it
-must not lose to the legacy heuristics beyond timing noise).
+``tools/perf_gate.py`` against a freshly generated file: the default
+static policy must reach ``min_static_speedup_vs_oracle`` and the
+model policy ``min_model_speedup_vs_oracle`` (how close to the
+per-request best each lands), and the model policy must reach
+``min_model_speedup_vs_static`` (it must not lose to the default
+beyond timing noise).
 
 Run::
 
@@ -114,10 +115,13 @@ CI_GATE = {
     # The model policy's total must land within 10% of the oracle (the
     # per-request best measured plan) on the mixed corpus ...
     "min_model_speedup_vs_oracle": 0.9,
-    # ... and must not lose to the legacy static heuristics beyond a
+    # ... and must not lose to the default static rule beyond a
     # timing-noise allowance (identical choices tie exactly; the slack
     # absorbs scheduler jitter between the shared measurements).
     "min_model_speedup_vs_static": 0.98,
+    # The default policy itself must land within 10% of the oracle:
+    # what traffic gets without opting into anything.
+    "min_static_speedup_vs_oracle": 0.9,
 }
 
 
@@ -160,7 +164,9 @@ def build_corpus(path: Path, scale: float = 1.0) -> Dict[str, int]:
     for sinks, lanes, seed in BATCH_CELLS:
         base = random_tree_net(_scaled(sinks, scale), seed=seed)
         variants = [tree for _, tree in corner_variants(base, lanes)]
-        pool = SolverPool(library, workload_log=log)
+        # Captured as one batch request: the static rule would solve
+        # these short-list lanes one by one and log each as a solo.
+        pool = SolverPool(library, workload_log=log, policy="always_batch")
         pool.solve(variants)
         pool.close()
         counts["batch"] += 1

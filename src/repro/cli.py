@@ -104,7 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=("auto",) + store_backend_names(),
                      default="auto",
                      help="candidate-store backend; 'auto' (default) "
-                          "picks soa when NumPy is available")
+                          "picks soa for long candidate lists, object "
+                          "otherwise")
     buf.add_argument("--paper-pseudocode", action="store_true",
                      help="use the paper's destructive Convexpruning "
                           "(exact on 2-pin nets only)")
@@ -137,7 +138,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=("auto",) + store_backend_names(),
                        default="auto",
                        help="candidate-store backend; 'auto' (default) "
-                            "picks soa when NumPy is available")
+                            "picks soa for long candidate lists, object "
+                            "otherwise")
     batch.add_argument("--jobs", type=int, default=1,
                        help="worker processes, >= 1 (default 1; pass your "
                             "CPU count for one worker per core)")
@@ -170,7 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       choices=("auto",) + store_backend_names(),
                       default="auto",
                       help="candidate-store backend; 'auto' (default) "
-                           "picks soa when NumPy is available")
+                           "picks soa for long candidate lists, object "
+                           "otherwise")
     edit.add_argument("--verify", action="store_true",
                       help="cross-check every step against a from-scratch "
                            "solve (bit-identical slack and assignment)")
@@ -211,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "needs --jobs > 1)")
     serve.add_argument("--policy", default=None, metavar="POLICY",
                        help="execution-routing policy: 'static' "
-                            "(default; the historical heuristics), "
+                            "(default; fixed size rules), "
                             "'model' (cost-model routed), or an "
                             "always_* escape hatch (see "
                             "repro.routing.router)")

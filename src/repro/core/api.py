@@ -5,8 +5,9 @@ Dispatch is a registry lookup (:mod:`repro.core.registry`): the
 strategy, and the ``backend`` argument names a registered candidate
 store (:mod:`repro.core.stores`) — or ``"auto"``, the default, which
 defers the choice to the execution router (:mod:`repro.routing`): the
-default ``static`` policy keeps the historical rule (SoA when NumPy is
-importable), ``policy="model"`` picks the store the fitted cost model
+default ``static`` policy picks SoA only for long candidate lists
+(:func:`repro.routing.router.static_store`) and the object store
+otherwise, ``policy="model"`` picks the store the fitted cost model
 predicts fastest for this request's size.  Third-party algorithms and
 backends therefore plug in without touching this module.
 
@@ -84,12 +85,13 @@ def insert_buffers(
     ``backend`` selects how candidate lists are stored and operated on:
     ``"object"`` (Candidate objects), ``"soa"`` (structure-of-arrays
     over NumPy), or ``"auto"`` (the default), which hands the choice to
-    the execution router: under the default ``policy="static"`` that
-    is the historical rule — SoA whenever NumPy is importable — while
-    ``policy="model"`` consults the fitted cost model, which typically
-    keeps small nets on the object store (below the kernel-launch
-    crossover) and large nets on SoA.  Every backend produces
-    bit-identical results, so the choice only ever moves running time.
+    the execution router: under the default ``policy="static"``, SoA
+    only when the candidate lists will be long (a large enough
+    ``positions x b`` per sink and in all, see
+    :func:`repro.routing.router.static_store`) and the object store
+    otherwise, while ``policy="model"`` consults the fitted cost model.
+    Every backend produces bit-identical results, so the choice only
+    ever moves running time.
 
     Args:
         tree: A routing tree, or a pre-compiled net from

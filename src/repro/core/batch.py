@@ -236,7 +236,7 @@ class SolverPool:
             :data:`repro.parallel.solver.DEFAULT_PARALLEL_THRESHOLD`.
         policy: Routing policy for every dispatch decision this pool
             makes (backend, batch axis, partitioning): ``"static"``
-            (the legacy heuristics, the process default), ``"model"``
+            (fixed size rules, the process default), ``"model"``
             (cost-model argmin), or an ``always_*`` / ``never_*``
             escape hatch — ``"always_parallel"`` partitions every
             locally compiled net, ``"never_parallel"`` none; see
@@ -468,8 +468,11 @@ class SolverPool:
         Every one of those dispatch decisions — backend, batch axis,
         partitioning — goes through the pool's
         :class:`~repro.routing.router.Router` (``policy=``): the
-        default ``static`` policy reproduces the historical heuristics
-        exactly, ``model`` asks the cost model per request.
+        default ``static`` policy applies fixed size rules (an
+        ``"auto"`` inline pool keeps nets and groups short of a long
+        chain on the ``object`` store, see
+        :func:`~repro.routing.router.static_store`), ``model`` asks the
+        cost model per request.
 
         ``deadline`` installs a per-call wall budget
         (:class:`~repro.resilience.Deadline`) for the duration of the
@@ -600,8 +603,9 @@ class SolverPool:
         Returns ``(exec_groups, unit_plans, unit_features)``: index
         groups of size > 1 are batch-axis dispatches, singletons are
         per-net solves carrying the backend their plan picked.  A
-        multi-lane group the policy declines to batch (``model`` can,
-        ``static`` never does) is split back into singletons.
+        multi-lane group the policy declines to batch (``static`` does
+        when its lanes are on the ``object`` side) is split back into
+        singletons.
         """
         from repro.routing.features import features_of
         from repro.routing.router import ExecutionPlan
@@ -615,10 +619,10 @@ class SolverPool:
             groups = _group_indices(compiled)
         else:
             groups = [[index] for index in range(len(compiled))]
-        # An inline pool built with backend="auto" may route each solo
-        # net's store per request; worker processes hold one fixed
-        # backend, so multi-process pools stay pinned.
-        solo_backend = (
+        # An inline pool built with backend="auto" routes each unit's
+        # store per request; worker processes hold one fixed backend,
+        # so multi-process pools stay pinned.
+        unit_backend = (
             self._requested_backend if self.jobs == 1 else self.backend
         )
         exec_groups: List[List[int]] = []
@@ -631,7 +635,7 @@ class SolverPool:
                     lanes=len(indices), jobs=self.jobs,
                 )
                 plan = self.router.route(
-                    features, backend=self.backend, supports_batch=True
+                    features, backend=unit_backend, supports_batch=True
                 )
                 if plan.batch_axis:
                     exec_groups.append(indices)
@@ -650,7 +654,7 @@ class SolverPool:
                 features = features_of(
                     compiled[index], self.library, jobs=self.jobs
                 )
-                plan = self.router.route(features, backend=solo_backend)
+                plan = self.router.route(features, backend=unit_backend)
             else:
                 features = features_of(
                     compiled[index], self.library, jobs=self.jobs

@@ -83,19 +83,22 @@ def store_backend_names() -> Tuple[str, ...]:
     return tuple(_BACKENDS)
 
 
-#: Pseudo-backend resolved by :func:`resolve_backend` to the fastest
-#: backend the environment supports.
+#: Pseudo-backend: let the execution router pick the store per request.
 AUTO_BACKEND = "auto"
 
 
 def resolve_backend(name: str) -> str:
     """Resolve a backend name, mapping ``"auto"`` to a concrete backend.
 
-    ``"auto"`` picks ``"soa"`` when NumPy is importable and falls back
-    to ``"object"`` otherwise, so callers get the fast path by default
-    without breaking NumPy-less installs.  Concrete names (including
-    third-party registrations) pass through unchanged; unknown names
-    are rejected by :func:`get_store_backend` at lookup time.
+    This is not the per-request choice: ``insert_buffers``, inline
+    ``SolverPool`` contexts and incremental sessions route ``"auto"`` by
+    request size (:func:`repro.routing.router.static_store`).  Here
+    ``"auto"`` means the store of a context that cannot route per
+    request (a multi-process pool's workers, a partitioned solve) and
+    the store the batch axis needs: ``"soa"`` when NumPy is importable,
+    ``"object"`` otherwise.  Concrete names (including third-party
+    registrations) pass through unchanged; unknown names are rejected
+    by :func:`get_store_backend` at lookup time.
     """
     if name != AUTO_BACKEND:
         return name

@@ -58,7 +58,7 @@ from repro.core.dp import _execute_schedule, _finish, _resolve_ops
 from repro.core.registry import get_algorithm
 from repro.core.schedule import CompiledNet, compile_net
 from repro.core.solution import BufferingResult
-from repro.core.stores import get_store_backend, resolve_backend
+from repro.core.stores import AUTO_BACKEND, get_store_backend
 from repro.core.stores.soa import _CHAIN_LIMIT
 from repro.errors import AlgorithmError, EditError
 from repro.incremental.edits import (
@@ -213,7 +213,9 @@ class IncrementalSolver:
         library: The buffer library (fixed for the session's lifetime).
         algorithm: A registered algorithm exposing ``add_buffer_op``
             (all built-ins do).
-        backend: Candidate-store backend name or ``"auto"``; must be
+        backend: Candidate-store backend name, or ``"auto"`` for the
+            store the static routing rule picks for this net
+            (:func:`repro.routing.router.static_store`); must be
             ``"object"`` or provide frontier snapshots (``"soa"`` does).
         driver: Fixed driver override; default ``None`` follows
             ``tree.driver`` (so :class:`~repro.incremental.edits.SwapDriver`
@@ -243,7 +245,14 @@ class IncrementalSolver:
         self.tree = tree
         self.library = library
         self.algorithm = algorithm
-        self.backend = resolve_backend(backend)
+        if backend == AUTO_BACKEND:
+            from repro.routing.features import features_of
+            from repro.routing.router import static_store
+
+            backend = static_store(
+                features_of(tree, library, kind="session")
+            )
+        self.backend = backend
         self.driver = driver
         self.capture = capture
         self.options = dict(options)

@@ -17,8 +17,9 @@ decisions behind a single observable seam:
   refined online by EMA updates from measured solve times.
 * :mod:`repro.routing.router` — ``route(features) -> ExecutionPlan``
   with ``policy="static" | "model" | "always_*"`` escape hatches.
-  ``static`` reproduces the legacy hardcoded heuristics bit-for-bit;
-  ``model`` asks the cost model; ``always_*`` pins an axis.
+  ``static`` applies fixed rules (:func:`~repro.routing.router.static_store`
+  picks ``soa`` only for long candidate lists); ``model`` asks the cost
+  model; ``always_*`` pins an axis.
 * :mod:`repro.routing.workload` — an opt-in JSONL workload log written
   by :class:`~repro.core.batch.SolverPool` and the server, plus
   :func:`~repro.routing.workload.replay`, which re-runs a captured log

@@ -5,9 +5,10 @@ Before this module, strategy selection lived in unrelated places:
 any structural group and partitioned any net over a fixed instruction
 threshold.  The :class:`Router` subsumes them behind one policy string:
 
-* ``"static"`` — reproduce the legacy heuristics exactly (the default;
-  decisions are bit-for-bit what the scattered rules chose, so nothing
-  changes for existing callers).
+* ``"static"`` — fixed rules (the default): :func:`static_store` picks
+  the candidate store from the request's size, a structural group rides
+  the batch axis when its lanes are on the ``soa`` side, and a net over
+  the instruction threshold is partitioned on a multi-process pool.
 * ``"model"`` — ask the :class:`~repro.routing.cost_model.CostModel`
   for the cheapest plan among the candidates legal for this request.
 * ``"always_X"`` / ``"never_X"`` — escape hatches that pin one axis and
@@ -186,6 +187,37 @@ def _soa_available() -> bool:
     return resolve_backend("auto") == "soa"
 
 
+#: The object/soa crossover in ``positions * library_size`` (every
+#: position tries every buffer type), measured by
+#: ``benchmarks/bench_crossover.py``.  ``soa`` pays a fixed NumPy
+#: dispatch cost per instruction and wins only once the add-buffer step
+#: works on long candidate lists: lists grow along the positions between
+#: branch points, hence a floor per sink, and the step's width grows
+#: with the library size.
+SOA_MIN_POSITION_TYPES_PER_SINK = 800
+SOA_MIN_POSITION_TYPES = 9600
+
+
+def static_store(features: RequestFeatures) -> str:
+    """The candidate store the static rule picks for ``features``.
+
+    ``"soa"`` when the candidate lists will be long — ``positions *
+    library_size`` of at least :data:`SOA_MIN_POSITION_TYPES_PER_SINK`
+    per sink and :data:`SOA_MIN_POSITION_TYPES` in all (a Figure 4
+    trunk: one sink, hundreds of positions) — and NumPy imports;
+    ``"object"`` otherwise (nets with a few positions per sink, where
+    ``soa``'s per-instruction overhead is not paid back).
+    """
+    work = features.positions * features.library_size
+    if (
+        work >= SOA_MIN_POSITION_TYPES_PER_SINK * features.sinks
+        and work >= SOA_MIN_POSITION_TYPES
+        and _soa_available()
+    ):
+        return "soa"
+    return "object"
+
+
 class Router:
     """Turns request features into :class:`ExecutionPlan` decisions.
 
@@ -285,14 +317,21 @@ class Router:
         supports_batch: bool,
         supports_parallel: bool,
     ) -> ExecutionPlan:
-        """The legacy heuristics, verbatim, as one plan."""
-        from repro.core.stores import resolve_backend
+        """The static rule as one plan.
 
-        store = resolve_backend(backend)
+        The store is the caller's, else the policy's pinned one, else
+        :func:`static_store`'s; a multi-lane group is batched only when
+        that store is ``soa`` (otherwise its lanes solve one by one).
+        """
+        if backend != "auto":
+            store = backend
+        elif self._constraints.backend is not None:
+            store = self._constraints.backend
+        else:
+            store = static_store(features)
         if features.kind == "session":
             return ExecutionPlan(store, "splice")
-        batch = supports_batch and features.lanes > 1
-        if batch:
+        if supports_batch and features.lanes > 1 and store == "soa":
             return ExecutionPlan("soa", "compiled", batch_axis=True)
         parallel = (
             supports_parallel

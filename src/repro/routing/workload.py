@@ -350,7 +350,7 @@ def replay(
     (best-of-``repeats``); plans must agree bit-identically or the
     replay aborts with :class:`ReplayError` — a routing bug, not a
     measurement artifact.  Policies are then priced from that shared
-    table.  ``"static"`` (the legacy heuristics) is always evaluated,
+    table.  ``"static"`` (the default policy) is always evaluated,
     requested or not, because it is the baseline the gate compares
     against.  Partitioned plans are excluded: replay runs in-process,
     and a one-process pool cannot measure multi-process speedups
@@ -392,18 +392,9 @@ def replay(
             and _supports_batch(loaded.library, loaded.algorithm,
                                 loaded.options)
         )
-        enumerator = routers["static"]
-        if loaded.kind == "session":
-            from repro.core.stores import resolve_backend
-
-            backend = resolve_backend("auto")
-            candidates = enumerator.candidate_plans(
-                features, backend=backend
-            )
-        else:
-            candidates = enumerator.candidate_plans(
-                features, supports_batch=supports_batch
-            )
+        candidates = routers["static"].candidate_plans(
+            features, supports_batch=supports_batch
+        )
 
         measured: Dict[str, float] = {}
         reference: Optional[List[tuple]] = None
@@ -430,12 +421,9 @@ def replay(
 
         chosen = {}
         for name in policy_names:
-            if loaded.kind == "session":
-                plan = routers[name].route(features, backend=backend)
-            else:
-                plan = routers[name].route(
-                    features, supports_batch=supports_batch
-                )
+            plan = routers[name].route(
+                features, supports_batch=supports_batch
+            )
             if plan.strategy not in measured:
                 raise ReplayError(
                     f"record {index}: policy {name} chose unmeasured "

@@ -216,16 +216,20 @@ def request_key(
     backend: str = "auto",
     options: Optional[Dict[str, object]] = None,
     driver: Optional[Driver] = None,
+    policy: Optional[str] = None,
 ) -> str:
     """The cache key of one solve request.
 
     Covers everything that can influence the returned solution: the
     canonical net digest, the library content, the effective driver, the
-    algorithm, the *resolved* backend (``"auto"`` hashes as whatever it
-    resolves to, so explicit and automatic selection of the same backend
-    share an entry; all backends return bit-identical results, but the
-    key keeps them distinct entries anyway so ``stats.backend`` in a
-    cached payload never lies), and the option flags.
+    algorithm, the store selection, and the option flags.  All stores
+    return bit-identical results, but the key keeps store selections
+    apart so a cached payload's ``backend`` is one the request asked
+    for: a concrete store keys by its name, and ``"auto"`` keys by the
+    routing policy that picks the store (``auto/<policy>``), since the
+    router may send the same net to ``object`` under one policy and to
+    ``soa`` under another.  A cached ``"auto"`` answer reports the store
+    that computed it.
 
     Args:
         net: The routing tree, or an already-computed
@@ -237,9 +241,15 @@ def request_key(
         backend: Candidate-store backend name or ``"auto"``.
         options: Algorithm-specific flags.
         driver: Effective driver override; defaults to the net's own.
+        policy: The routing policy an ``"auto"`` request is solved
+            under; ``None`` means the process default
+            (:func:`repro.routing.router.default_policy`).  Ignored for
+            a concrete store.
     """
-    from repro.core.stores import resolve_backend
+    if backend == "auto":
+        from repro.routing.router import default_policy
 
+        backend = f"auto/{policy if policy is not None else default_policy()}"
     if isinstance(net, CanonicalNet):
         net_key = net.key
         effective_driver = driver
@@ -252,7 +262,7 @@ def request_key(
         f"lib={library_key(library)}",
         f"drv={driver_key(effective_driver)}",
         f"alg={algorithm}",
-        f"backend={resolve_backend(backend)}",
+        f"backend={backend}",
         f"opts={options_key(options)}",
     )
     return _digest(";".join(parts))

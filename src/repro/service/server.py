@@ -407,8 +407,8 @@ class BufferServer:
         # (the /stats "incremental" block's mean).
         self._session_fraction_sum = 0.0
         self._session_fraction_last = 0.0
-        # Nets actually solved (cache misses), per resolved candidate-
-        # store backend — with the kernel/arena health in /stats this is
+        # Nets actually solved (cache misses), per candidate store that
+        # ran them — with the kernel/arena health in /stats this is
         # what makes production pool sizing debuggable.
         self._solve_counter = self.registry.counter(
             "repro_solves_total",
@@ -1243,7 +1243,7 @@ class BufferServer:
                 key=request_key(
                     canon, request.library, algorithm=request.algorithm,
                     backend=request.backend, options=request.options,
-                    driver=tree.driver,
+                    driver=tree.driver, policy=request.policy,
                 ),
                 canon=canon,
                 serialized_id={new: old for old, new in id_map.items()},
@@ -1303,8 +1303,6 @@ class BufferServer:
         to_solve = [net for net, _ in unique.values()]
         self.counters["worker_dispatches"] += 1
         self.counters["nets_solved"] += len(to_solve)
-        backend = entry.pool.backend
-        self._solve_counter.inc(len(to_solve), backend=backend)
         loop = asyncio.get_running_loop()
         # in_flight bookkeeping happens on the event loop thread
         # (before and after the await), so LRU eviction never
@@ -1339,6 +1337,8 @@ class BufferServer:
                 entry.pool.close()
         payload_by_key: Dict[str, SolutionPayload] = {}
         for (key, (_, base_canon)), result in zip(unique.items(), results):
+            # By the store that ran: an "auto" pool routes per net.
+            self._solve_counter.inc(backend=result.stats.backend)
             payload = SolutionPayload.encode(result, base_canon)
             payload_by_key[key] = payload
             self._cache_put(key, payload)
@@ -1681,12 +1681,6 @@ class _SolveContext:
             from repro.core.stores import get_store_backend
 
             get_store_backend(resolve_backend(backend))
-            # Under an explicit routing policy an "auto" backend stays
-            # "auto" all the way into the pool, so the router may pick
-            # the store per net; otherwise keep the historical contract
-            # of resolving it here (cache keys included).
-            if policy is None and backend == "auto":
-                backend = resolve_backend(backend)
         except ReproError as exc:
             raise _BadRequest(str(exc)) from exc
         return cls(library, algorithm, backend, options, policy, deadline_ms)

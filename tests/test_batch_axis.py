@@ -229,7 +229,9 @@ class TestPoolGrouping:
         tree = medium_net(83, sinks=6, positions=70)
         nets = [v for _, v in corner_variants(tree, 5)]
         loner = random_small_tree(9)
-        with SolverPool(library) as pool:
+        # On the soa store: under "auto" these short lanes would solve
+        # one by one on object (see the test_auto_* cases below).
+        with SolverPool(library, backend="soa") as pool:
             results = pool.solve(nets + [loner])
             stats = pool.batch_axis_stats()
         assert stats["enabled"] is True
@@ -239,6 +241,45 @@ class TestPoolGrouping:
         assert stats["lanes_histogram"] == {5: 1}
         for tree_in, result in zip(nets + [loner], results):
             reference = insert_buffers(tree_in, library, backend="soa")
+            assert result.slack == reference.slack
+            assert result.assignment == reference.assignment
+
+    def test_auto_short_lanes_solve_one_by_one_on_object(self):
+        """An "auto" pool keeps a group of short-list lanes off the
+        batch axis: each lane solves on object, bit-identical."""
+        library = paper_library(3)
+        tree = medium_net(83, sinks=6, positions=70)
+        nets = [v for _, v in corner_variants(tree, 5)]
+        with SolverPool(library) as pool:
+            results = pool.solve(nets)
+            stats = pool.batch_axis_stats()
+        assert stats["enabled"] is True
+        assert stats["groups"] == 0
+        assert stats["scalar_solves"] == 5
+        batched = run_compiled_group(
+            [compile_net(net, library) for net in nets], library
+        )
+        for result, reference in zip(results, batched):
+            assert result.stats.backend == "object"
+            assert result.slack == reference.slack
+            assert result.assignment == reference.assignment
+
+    def test_auto_long_lanes_ride_the_batch_axis(self):
+        """Lanes on the soa side of the static rule batch under "auto"."""
+        from repro.experiments.workloads import FIG4_NET, build_net
+        from repro.routing.router import SOA_MIN_POSITION_TYPES
+
+        library = paper_library(32)
+        positions = -(-SOA_MIN_POSITION_TYPES // library.size)
+        trunk = build_net(FIG4_NET, positions_override=positions)
+        nets = [v for _, v in corner_variants(trunk, 4)]
+        with SolverPool(library) as pool:
+            results = pool.solve(nets)
+            stats = pool.batch_axis_stats()
+        assert stats["groups"] == 1
+        assert stats["batched_solves"] == 4
+        for net, result in zip(nets, results):
+            reference = insert_buffers(net, library, backend="object")
             assert result.slack == reference.slack
             assert result.assignment == reference.assignment
 

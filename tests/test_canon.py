@@ -181,13 +181,23 @@ class TestLibraryAndRequestKeys:
             tree, library, options={"destructive_pruning": True}) != base
         assert request_key(tree, library, driver=Driver(999.0)) != base
 
-    def test_auto_backend_hashes_as_its_resolution(self):
-        from repro.core.stores import resolve_backend
+    def test_auto_backend_hashes_by_its_policy(self):
+        """"auto" may run on either store, so it never shares an entry
+        with a concrete store, and two policies never share one."""
+        from repro.routing.router import default_policy
 
         tree = branchy_tree()
         library = paper_library(4)
-        assert (request_key(tree, library, backend="auto")
-                == request_key(tree, library, backend=resolve_backend("auto")))
+        auto = request_key(tree, library, backend="auto")
+        assert auto != request_key(tree, library, backend="soa")
+        assert auto != request_key(tree, library, backend="object")
+        assert auto == request_key(
+            tree, library, backend="auto", policy=default_policy())
+        assert auto != request_key(
+            tree, library, backend="auto", policy="always_object")
+        # A concrete store ignores the policy.
+        assert (request_key(tree, library, backend="soa", policy="model")
+                == request_key(tree, library, backend="soa"))
 
 
 class TestIndexMapping:

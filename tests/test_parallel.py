@@ -23,6 +23,7 @@ from repro import (
     random_tree_net,
     uniform_random_library,
 )
+from repro.core.stores import resolve_backend
 from repro.errors import AlgorithmError
 from repro.parallel import (
     DEFAULT_PARALLEL_THRESHOLD,
@@ -32,6 +33,11 @@ from repro.parallel import (
 from repro.tree.builders import star_net, two_pin_net
 from repro.tree.segmenting import segment_to_position_count
 from repro.units import fF, ps
+
+
+#: The store multi-process pools and partitioned solves run ``"auto"``
+#: on: unlike ``insert_buffers``, they cannot route per net.
+PINNED = resolve_backend("auto")
 
 
 def assert_identical(result, reference):
@@ -200,7 +206,7 @@ class TestParityCorpus:
         result = solve_partitioned(
             compiled, library, jobs=1, plan=plan
         )
-        assert_identical(result, insert_buffers(compiled, library))
+        assert_identical(result, insert_buffers(compiled, library, backend=PINNED))
 
     @pytest.mark.parametrize("backend", ["object", "soa"])
     def test_mixed_polarity_sinks(self, backend, library):
@@ -240,7 +246,7 @@ class TestEdgeCases:
         assert plan.viable, plan.reason
         assert all(cut.depth == 1 for cut in plan.cuts)
         result = solve_partitioned(compiled, library, jobs=1, plan=plan)
-        assert_identical(result, insert_buffers(compiled, library))
+        assert_identical(result, insert_buffers(compiled, library, backend=PINNED))
 
     def test_single_sink_partitions(self, library):
         """min_instructions=1 admits leaf-sized cuts (a lone SINK+FINAL)."""
@@ -255,7 +261,7 @@ class TestEdgeCases:
         assert plan.viable, plan.reason
         assert min(cut.size for cut in plan.cuts) <= 4
         result = solve_partitioned(compiled, library, jobs=1, plan=plan)
-        assert_identical(result, insert_buffers(compiled, library))
+        assert_identical(result, insert_buffers(compiled, library, backend=PINNED))
 
     def test_degenerate_chain_falls_back_serially(self, library):
         chain = two_pin_net(
@@ -269,7 +275,7 @@ class TestEdgeCases:
         )
         assert not report["engaged"]
         assert "chain" in report["reason"]
-        assert_identical(result, insert_buffers(chain, library))
+        assert_identical(result, insert_buffers(chain, library, backend=PINNED))
 
     def test_one_job_without_plan_falls_back(self, medium_net, library):
         report = {}
@@ -278,7 +284,7 @@ class TestEdgeCases:
         )
         assert not report["engaged"]
         assert "fewer than two workers" in report["reason"]
-        assert_identical(result, insert_buffers(medium_net, library))
+        assert_identical(result, insert_buffers(medium_net, library, backend=PINNED))
 
 
 class TestSolverPoolRouting:
@@ -287,7 +293,7 @@ class TestSolverPoolRouting:
             SolverPool(library, policy="sometimes_parallel")
 
     def test_pool_partitioned_solve_bit_identical(self, medium_net, library):
-        reference = insert_buffers(medium_net, library)
+        reference = insert_buffers(medium_net, library, backend=PINNED)
         with SolverPool(
             library, jobs=2, policy="always_parallel"
         ) as pool:
@@ -309,7 +315,7 @@ class TestSolverPoolRouting:
         assert stats["parallel_solves"] == 0
         assert stats["fallback_solves"] == 0
         assert stats["threshold_instructions"] == DEFAULT_PARALLEL_THRESHOLD
-        assert_identical(result, insert_buffers(small, library))
+        assert_identical(result, insert_buffers(small, library, backend=PINNED))
 
     def test_custom_threshold_routes_small_nets(self, library):
         small = random_net(9, sinks=12, positions=400)
@@ -319,7 +325,7 @@ class TestSolverPoolRouting:
             result = pool.solve([small])[0]
             stats = pool.parallel_stats()
         assert stats["parallel_solves"] + stats["fallback_solves"] == 1
-        assert_identical(result, insert_buffers(small, library))
+        assert_identical(result, insert_buffers(small, library, backend=PINNED))
 
     def test_parallel_never_disables_routing(self, medium_net, library):
         with SolverPool(
@@ -329,12 +335,12 @@ class TestSolverPoolRouting:
             stats = pool.parallel_stats()
         assert not stats["enabled"]
         assert stats["parallel_solves"] == 0
-        assert_identical(result, insert_buffers(medium_net, library))
+        assert_identical(result, insert_buffers(medium_net, library, backend=PINNED))
 
     def test_mixed_batch_routes_only_large_nets(self, medium_net, library):
         small = [random_net(seed, sinks=8, positions=60) for seed in (20, 21)]
         nets = [small[0], medium_net, small[1]]
-        references = [insert_buffers(net, library) for net in nets]
+        references = [insert_buffers(net, library, backend=PINNED) for net in nets]
         with SolverPool(
             library, jobs=2, parallel_threshold=2000
         ) as pool:

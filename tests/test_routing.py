@@ -27,10 +27,13 @@ from repro.routing.features import (
 from repro.routing.router import (
     COMPOSITE_MARGIN,
     POLICIES,
+    SOA_MIN_POSITION_TYPES,
+    SOA_MIN_POSITION_TYPES_PER_SINK,
     ExecutionPlan,
     Router,
     default_policy,
     set_default_policy,
+    static_store,
     validate_policy,
 )
 from repro.routing.workload import (
@@ -266,19 +269,35 @@ class TestPolicies:
         finally:
             set_default_policy(previous)
 
-    def test_static_replicates_legacy_heuristics(self):
-        """policy='static' is the old scattered rules, verbatim."""
+    def test_static_rule_routes_by_size(self):
+        """policy='static': the store by size, groups batch on the soa
+        side only, the instruction floor partitions, sessions splice."""
         router = Router(policy="static", parallel_threshold=1000)
-        auto = resolve_backend("auto")
-        # Solo solve: resolved backend, compiled, no composite axes.
-        plan = router.route(_features())
-        assert plan == ExecutionPlan(auto, "compiled")
-        # Any structural group batches when the context supports it.
-        plan = router.route(_features(lanes=2), supports_batch=True)
+        soa = resolve_backend("auto")
+        short = _features()  # 10 positions per sink: object
+        long = _features(positions=2000, sinks=1)
+        assert router.route(short) == ExecutionPlan("object", "compiled")
+        assert router.route(long) == ExecutionPlan(soa, "compiled")
+        # A structural group batches only when its lanes are on soa ...
+        plan = router.route(short.with_(lanes=2), supports_batch=True)
+        assert plan == ExecutionPlan("object", "compiled")
+        if soa == "soa":
+            plan = router.route(long.with_(lanes=2), supports_batch=True)
+            assert plan == ExecutionPlan("soa", "compiled", batch_axis=True)
+        # ... and never when the context cannot batch.
+        plan = router.route(long.with_(lanes=2))
+        assert plan == ExecutionPlan(soa, "compiled")
+        # A store the caller (or the policy) pins decides for the rule.
+        plan = router.route(short.with_(lanes=2), backend="soa",
+                            supports_batch=True)
         assert plan == ExecutionPlan("soa", "compiled", batch_axis=True)
-        # ... but stays sequential when it does not.
-        plan = router.route(_features(lanes=2))
-        assert plan == ExecutionPlan(auto, "compiled")
+        plan = Router(policy="always_soa").route(
+            short.with_(lanes=2), supports_batch=True
+        )
+        assert plan == ExecutionPlan("soa", "compiled", batch_axis=True)
+        plan = router.route(long.with_(lanes=2), backend="object",
+                            supports_batch=True)
+        assert plan == ExecutionPlan("object", "compiled")
         # The instruction floor turns on the partitioned solve.
         plan = router.route(
             _features(instructions=1000), supports_parallel=True
@@ -288,9 +307,11 @@ class TestPolicies:
             _features(instructions=999), supports_parallel=True
         )
         assert not plan.parallel
-        # Sessions splice.
-        plan = router.route(_features(kind="session"))
-        assert plan.schedule_mode == "splice"
+        # Sessions splice, on the store the size picks.
+        plan = router.route(short.with_(kind="session"))
+        assert plan == ExecutionPlan("object", "splice")
+        plan = router.route(long.with_(kind="session"))
+        assert plan == ExecutionPlan(soa, "splice")
 
     def test_escape_hatches_pin_axes(self):
         features = _features(lanes=4)
@@ -355,6 +376,106 @@ class TestPolicies:
         assert stats["decisions"] == 3
         assert sum(stats["decisions_by_strategy"].values()) == 3
         assert stats["model"]["version"]
+
+
+def _corner_group(tree, library_size, lanes=8):
+    library = paper_library(library_size)
+    return features_of(tree, library).with_(lanes=lanes)
+
+
+class TestStaticStore:
+    """The static rule's store choice, pinned on both sides of the
+    object/soa crossover (``benchmarks/bench_crossover.py``), on inputs
+    the repo benchmark does and does not send."""
+
+    @pytest.mark.parametrize("positions, sinks, library_size", [
+        (586, 34, 8),     # Table-1 net 1 at b = 8
+        (586, 34, 16),    # ... at b = 16 (the ECO session)
+        (600, 1, 8),      # a short trunk
+        (300, 300, 32),   # a 300-sink random net, ~1 position per sink
+        (5, 5, 32),       # the smallest nets /solve traffic sends
+    ])
+    def test_object_side(self, positions, sinks, library_size):
+        features = _features(
+            positions=positions, sinks=sinks, library_size=library_size
+        )
+        assert static_store(features) == "object"
+
+    @pytest.mark.parametrize("positions, sinks, library_size", [
+        (2000, 1, 8),     # a 2000-position trunk at b = 8
+        (500, 1, 32),     # the Figure 4 trunks at b = 32 ...
+        (1350, 1, 32),
+        (8000, 1, 32),    # ... up to the paper's regime
+        (1600, 16, 32),   # a 16-sink net segmented to 100 per sink
+    ])
+    def test_soa_side(self, positions, sinks, library_size):
+        features = _features(
+            positions=positions, sinks=sinks, library_size=library_size
+        )
+        assert static_store(features) == resolve_backend("auto")
+
+    @pytest.mark.parametrize("sinks, library_size", [(20, 32), (1, 8)])
+    def test_each_floor_is_the_boundary(self, sinks, library_size):
+        """The first position count that clears both floors picks soa;
+        one less picks object (20 sinks: the per-sink floor binds; one
+        sink: the total)."""
+        floor = max(SOA_MIN_POSITION_TYPES_PER_SINK * sinks,
+                    SOA_MIN_POSITION_TYPES)
+        positions = -(-floor // library_size)
+        features = _features(
+            positions=positions, sinks=sinks, library_size=library_size
+        )
+        assert static_store(features) == resolve_backend("auto")
+        assert static_store(features.with_(positions=positions - 1)) == "object"
+
+    def test_real_nets(self):
+        from repro.experiments.workloads import (
+            FIG4_NET, TABLE1_NETS, build_net,
+        )
+
+        table1 = build_net(TABLE1_NETS[0])
+        trunk = build_net(FIG4_NET, positions_override=2000)
+        assert static_store(
+            features_of(table1, paper_library(8))
+        ) == "object"
+        assert static_store(
+            features_of(trunk, paper_library(8))
+        ) == resolve_backend("auto")
+
+    def test_corner_groups(self):
+        """An 8-lane group of a 40-sink b = 8 net solves lane by lane on
+        object; the same group of an 866-position trunk at b = 32 rides
+        the batch axis."""
+        from repro.experiments.workloads import FIG4_NET, build_net
+
+        router = Router(policy="static")
+        small = _corner_group(random_tree_net(40, seed=3), 8)
+        plan = router.route(small, supports_batch=True)
+        assert plan == ExecutionPlan("object", "compiled")
+        if resolve_backend("auto") == "soa":
+            trunk = _corner_group(
+                build_net(FIG4_NET, positions_override=866), 32
+            )
+            plan = router.route(trunk, supports_batch=True)
+            assert plan == ExecutionPlan("soa", "compiled", batch_axis=True)
+
+    def test_session_store(self):
+        """``IncrementalSolver(backend="auto")`` takes the rule's store."""
+        from repro.experiments.workloads import (
+            FIG4_NET, TABLE1_NETS, build_net,
+        )
+        from repro.incremental.engine import IncrementalSolver
+        from repro.tree.io import tree_from_dict, tree_to_dict
+
+        def private(tree):  # sessions edit their tree; build_net caches
+            return tree_from_dict(tree_to_dict(tree))
+
+        table1 = private(build_net(TABLE1_NETS[0]))
+        assert IncrementalSolver(table1, paper_library(16)).backend == "object"
+        trunk = private(build_net(FIG4_NET, positions_override=2000))
+        assert IncrementalSolver(
+            trunk, paper_library(8)
+        ).backend == resolve_backend("auto")
 
 
 # ---------------------------------------------------------------------
@@ -574,6 +695,17 @@ class TestReplayCorpus:
                 assert entry["regret_seconds"][name] == pytest.approx(
                     entry["measured_seconds"][chosen] - best
                 )
+
+    def test_sessions_price_both_stores(self, report):
+        """Session replay measures every store the server may route a
+        session to, so the session oracle is not soa by construction."""
+        stores = {"object"} | {resolve_backend("auto")}
+        for entry in report["per_request"]:
+            if entry["kind"] == "session":
+                assert {
+                    f"{store}-{mode}"
+                    for store in stores for mode in ("splice", "compiled")
+                } <= set(entry["measured_seconds"])
 
     def test_policies_only_change_time_never_answers(self, report):
         """Each policy's chosen plan appears in the shared measurement

@@ -373,11 +373,12 @@ def test_resolve_backend_auto():
 
 
 def test_insert_buffers_auto_backend():
+    """A small net's "auto" solve runs on object, where soa's
+    per-instruction overhead is not paid back."""
     tree = random_small_tree(14)
     library = uniform_random_library(4, seed=140)
     result = insert_buffers(tree, library, backend="auto")
-    expected = "soa" if numpy is not None else "object"
-    assert result.stats.backend == expected
+    assert result.stats.backend == "object"
     explicit = insert_buffers(tree, library, backend="object")
     assert_identical(result, explicit)
 

@@ -195,6 +195,64 @@ class TestSolveAndCache:
         assert answer["num_buffers"] >= 1
 
 
+class TestAutoRouting:
+    """``backend: "auto"`` (the default) picks the store per request."""
+
+    def test_small_net_solves_on_object(self, harness, net, library):
+        answer = harness.client.solve(net, library)
+        assert answer["backend"] == "object"
+        assert harness.client.stats()["solves_by_backend"] == {"object": 1}
+
+    def test_fig4_trunk_solves_on_soa(self, harness):
+        from repro.core.stores import resolve_backend
+        from repro.experiments.workloads import FIG4_NET, build_net
+
+        library = paper_library(32)
+        trunk = build_net(FIG4_NET, positions_override=500)
+        answer = harness.client.solve(trunk, library)
+        assert answer["backend"] == resolve_backend("auto")
+        expected = insert_buffers(trunk, library, backend="object")
+        assert answer["slack_seconds"] == expected.slack
+
+    def test_table1_session_runs_on_object(self, harness):
+        from repro.experiments.workloads import TABLE1_NETS, build_net
+
+        session = harness.client.create_session(
+            build_net(TABLE1_NETS[0]), paper_library(16)
+        )
+        assert session.info["backend"] == "object"
+        session.delete()
+
+    def test_cached_auto_answer_never_answers_another_store(
+        self, harness, library
+    ):
+        """An "auto" answer routed to object must not be served to a
+        later explicit "soa" request as if soa had computed it."""
+        from repro.core.stores import resolve_backend
+        from repro.tree.io import library_to_dict
+
+        body = {
+            "net": tree_to_dict(random_tree_net(8, seed=11)),
+            "library": library_to_dict(library),
+            "backend": "auto",
+            "policy": "always_object",
+        }
+        first = harness.client._request("POST", "/solve", body)
+        assert first["backend"] == "object"
+        soa = resolve_backend("auto")
+        del body["policy"]
+        second = harness.client._request(
+            "POST", "/solve", dict(body, backend=soa)
+        )
+        assert second["cached"] is False
+        assert second["backend"] == soa
+        assert second["slack_seconds"] == first["slack_seconds"]
+        again = harness.client._request(
+            "POST", "/solve", dict(body, backend=soa)
+        )
+        assert again["cached"] is True and again["backend"] == soa
+
+
 class TestBatch:
     def test_batch_solves_in_order_and_dedupes(self, harness, library):
         nets = [random_small_tree(seed) for seed in (1, 2, 3)]
@@ -243,8 +301,9 @@ class TestStats:
         from repro.core.stores import resolve_backend
 
         backend = resolve_backend("auto")
-        harness.client.solve(net, library)
-        harness.client.solve(net, library)  # cache hit: no new solve
+        harness.client.solve(net, library, backend=backend)
+        # cache hit: no new solve
+        harness.client.solve(net, library, backend=backend)
         stats = harness.client.stats()
         assert stats["solves_by_backend"] == {backend: 1}
         if backend == "soa":
@@ -255,14 +314,18 @@ class TestStats:
             assert kernels["tape_capacity"] >= 0
 
     def test_stats_batch_axis_block(self, harness, library):
-        """A multi-corner /batch forms one lane group, visible in
-        /stats, and every lane's answer matches the in-process solve."""
+        """A multi-corner /batch on the soa store forms one lane group,
+        visible in /stats, and every lane's answer matches the
+        in-process solve.  (Under "auto" these small lanes would solve
+        one by one on object.)"""
         from repro.core.stores import resolve_backend
         from repro.experiments.workloads import corner_variants
 
         tree = random_small_tree(7)
         nets = [variant for _, variant in corner_variants(tree, 4)]
-        answers = harness.client.solve_batch(nets, library)
+        answers = harness.client.solve_batch(
+            nets, library, backend=resolve_backend("auto")
+        )
         for net, answer in zip(nets, answers):
             expected = insert_buffers(net, library)
             assert answer["slack_seconds"] == expected.slack

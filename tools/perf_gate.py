@@ -24,10 +24,12 @@ regresses.  Thresholds always come from the benchmark file itself
   same pre-compiled lanes (see ``benchmarks/bench_batch_axis.py``).
   Smaller cells are printed as ungated context.
 * ``BENCH_PR8.json`` (has ``routing``) — the execution-routing gate:
-  on the mixed replay corpus the ``model`` policy's total must reach
-  ``ci_gate.min_model_speedup_vs_oracle`` of the oracle (per-request
-  best measured plan) and ``ci_gate.min_model_speedup_vs_static`` of
-  the legacy static heuristics (see ``benchmarks/bench_routing.py``).
+  on the mixed replay corpus the default ``static`` policy's total must
+  reach ``ci_gate.min_static_speedup_vs_oracle`` of the oracle
+  (per-request best measured plan), and the ``model`` policy's
+  ``ci_gate.min_model_speedup_vs_oracle`` of the oracle and
+  ``ci_gate.min_model_speedup_vs_static`` of the static policy (see
+  ``benchmarks/bench_routing.py``).
 * ``BENCH_PR9.json`` (has ``resilience``) — the chaos gate: under the
   committed fault plan (seeded worker crashes and hangs; see
   ``benchmarks/bench_resilience.py``) at least
@@ -348,6 +350,7 @@ def check_routing(payload: dict, path: Path) -> int:
     gate = payload["ci_gate"]
     min_vs_oracle = gate["min_model_speedup_vs_oracle"]
     min_vs_static = gate["min_model_speedup_vs_static"]
+    min_static_vs_oracle = gate["min_static_speedup_vs_oracle"]
 
     report = payload["routing"]
     policies = report["policies"]
@@ -370,6 +373,14 @@ def check_routing(payload: dict, path: Path) -> int:
         )
 
     failures = 0
+    static_vs_oracle = policies["static"]["speedup_vs_oracle"]
+    verdict = "ok" if static_vs_oracle >= min_static_vs_oracle else "FAIL"
+    if verdict == "FAIL":
+        failures += 1
+    print(
+        f"perf gate: static vs oracle {static_vs_oracle:.3f} "
+        f"(floor {min_static_vs_oracle:.2f})  {verdict}"
+    )
     model = policies["model"]
     vs_oracle = model["speedup_vs_oracle"]
     verdict = "ok" if vs_oracle >= min_vs_oracle else "FAIL"
@@ -389,8 +400,8 @@ def check_routing(payload: dict, path: Path) -> int:
     )
     if failures:
         print(
-            f"perf gate: {failures} routing threshold(s) missed — the "
-            "model policy is leaving measured wall time on the table"
+            f"perf gate: {failures} routing threshold(s) missed — a "
+            "routing policy is leaving measured wall time on the table"
         )
     return 1 if failures else 0
 
