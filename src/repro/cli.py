@@ -37,7 +37,7 @@ Example session (see ``docs/cli.md`` for full transcripts)::
                          --edits eco.json --verify
     python -m repro info --net net.json
     python -m repro serve --port 8080 --jobs 4 --workload-log workload.jsonl
-    python -m repro replay --log workload.jsonl --policy static model
+    python -m repro replay --log workload.jsonl --policy static always_soa
 """
 
 from __future__ import annotations
@@ -214,9 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "needs --jobs > 1)")
     serve.add_argument("--policy", default=None, metavar="POLICY",
                        help="execution-routing policy: 'static' "
-                            "(default; fixed size rules), "
-                            "'model' (cost-model routed), or an "
-                            "always_* escape hatch (see "
+                            "(default; fixed size rules) or an "
+                            "always_*/never_* escape hatch (see "
                             "repro.routing.router)")
     serve.add_argument("--workload-log", type=Path, default=None,
                        metavar="PATH",
@@ -257,9 +256,9 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--log", type=Path, required=True,
                         help="workload JSONL captured with capture='full' "
                              "(the committed corpus format)")
-    replay.add_argument("--policy", nargs="*", default=["static", "model"],
+    replay.add_argument("--policy", nargs="*", default=["static"],
                         metavar="POLICY",
-                        help="policies to price (default: static model); "
+                        help="policies to price (default: static); "
                              "'static' is always included as baseline")
     replay.add_argument("--repeats", type=int, default=3,
                         help="timing repeats per (request, plan); the "
@@ -695,8 +694,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     print(f"replayed {report['requests']} request(s) "
           f"(repeats={report['repeats']}, "
-          f"parity checked on {report['parity_checked']} plan(s), "
-          f"model {report['model_version']})")
+          f"parity checked on {report['parity_checked']} plan(s))")
     print(f"oracle best: {report['oracle_seconds'] * 1e3:.2f} ms total")
     header = (f"{'policy':<18}{'total (ms)':>12}{'regret (ms)':>13}"
               f"{'vs oracle':>11}{'vs static':>11}")

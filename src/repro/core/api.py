@@ -7,9 +7,8 @@ store (:mod:`repro.core.stores`) — or ``"auto"``, the default, which
 defers the choice to the execution router (:mod:`repro.routing`): the
 default ``static`` policy picks SoA only for long candidate lists
 (:func:`repro.routing.router.static_store`) and the object store
-otherwise, ``policy="model"`` picks the store the fitted cost model
-predicts fastest for this request's size.  Third-party algorithms and
-backends therefore plug in without touching this module.
+otherwise.  Third-party algorithms and backends therefore plug in
+without touching this module.
 
 The first positional argument may be a plain
 :class:`~repro.tree.routing_tree.RoutingTree` *or* a
@@ -21,7 +20,6 @@ validation, plan building and flattening again.
 
 from __future__ import annotations
 
-import threading
 from typing import Optional, Tuple, Union
 
 from repro.core.registry import algorithm_names, get_algorithm
@@ -40,23 +38,6 @@ def __getattr__(name: str) -> Tuple[str, ...]:
     if name == "ALGORITHMS":
         return algorithm_names()
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-_routers: dict = {}
-_routers_lock = threading.Lock()
-
-
-def _router_for(policy: Optional[str]):
-    """A cached router per policy string (the api-level routing seam)."""
-    from repro.routing.router import Router, default_policy
-
-    key = policy if policy is not None else default_policy()
-    with _routers_lock:
-        router = _routers.get(key)
-        if router is None:
-            router = Router(policy=key)
-            _routers[key] = router
-        return router
 
 
 def insert_buffers(
@@ -89,9 +70,8 @@ def insert_buffers(
     only when the candidate lists will be long (a large enough
     ``positions x b`` per sink and in all, see
     :func:`repro.routing.router.static_store`) and the object store
-    otherwise, while ``policy="model"`` consults the fitted cost model.
-    Every backend produces bit-identical results, so the choice only
-    ever moves running time.
+    otherwise.  Every backend produces bit-identical results, so the
+    choice only ever moves running time.
 
     Args:
         tree: A routing tree, or a pre-compiled net from
@@ -106,9 +86,8 @@ def insert_buffers(
         backend: ``"auto"`` or a registered candidate-store backend name
             (:func:`repro.core.stores.store_backend_names`).
         policy: Routing policy for the ``"auto"`` backend decision:
-            ``"static"``, ``"model"``, or an ``always_*`` escape hatch
-            (see :mod:`repro.routing.router`).  ``None`` follows the
-            process default (:func:`repro.routing.router.default_policy`).
+            ``"static"`` (the default for ``None``) or an ``always_*``
+            escape hatch (see :mod:`repro.routing.router`).
         deadline: Optional per-request wall budget
             (:class:`repro.resilience.Deadline`).  Checked cooperatively
             at instruction-range boundaries; an expired deadline raises
@@ -135,9 +114,11 @@ def insert_buffers(
     strategy.validate_options(options)
     if backend == "auto" or policy is not None:
         from repro.routing.features import features_of
+        from repro.routing.router import router_for
 
-        router = _router_for(policy)
-        plan = router.route(features_of(tree, library), backend=backend)
+        plan = router_for(policy).route(
+            features_of(tree, library), backend=backend
+        )
         resolved = resolve_backend(plan.backend)
     else:
         resolved = resolve_backend(backend)

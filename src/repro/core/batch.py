@@ -51,7 +51,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, TypeVar, Union
 
 from repro.core.schedule import CompiledNet, compile_net, group_signature
 from repro.core.solution import BufferingResult
-from repro.errors import AlgorithmError, DeadlineExceeded, WorkerHangError
+from repro.errors import DeadlineExceeded, WorkerHangError
 from repro.library.library import BufferLibrary
 from repro.obs.spans import active_tracer
 from repro.resilience.breaker import BreakerBoard
@@ -228,7 +228,10 @@ class SolverPool:
         jobs: Worker processes: ``1`` solves inline, ``None`` uses
             ``os.cpu_count()``.
         driver: Optional driver override applied to every net.
-        backend: Candidate-store backend name, or ``"auto"``.
+        backend: Candidate-store backend name, or ``"auto"``: an inline
+            pool routes each net's store (see :attr:`routed_backend`),
+            a multi-process pool pins
+            :func:`~repro.core.stores.resolve_backend`'s.
         parallel_threshold: Instruction-count floor at which the static
             rule partitions a single net across the workers (``jobs > 1``
             only; see :func:`repro.parallel.solver.solve_partitioned`);
@@ -236,12 +239,11 @@ class SolverPool:
             :data:`repro.parallel.solver.DEFAULT_PARALLEL_THRESHOLD`.
         policy: Routing policy for every dispatch decision this pool
             makes (backend, batch axis, partitioning): ``"static"``
-            (fixed size rules, the process default), ``"model"``
-            (cost-model argmin), or an ``always_*`` / ``never_*``
-            escape hatch — ``"always_parallel"`` partitions every
-            locally compiled net, ``"never_parallel"`` none; see
-            :mod:`repro.routing.router`.  ``None`` follows
-            :func:`repro.routing.router.default_policy`.
+            (fixed size rules, the default for ``None``) or an
+            ``always_*`` / ``never_*`` escape hatch —
+            ``"always_parallel"`` partitions every locally compiled
+            net, ``"never_parallel"`` none; see
+            :mod:`repro.routing.router`.
         workload_log: Opt-in request capture: a
             :class:`repro.routing.workload.WorkloadLog`, or a path to
             append JSONL records to.  Every execution unit (solo solve,
@@ -290,6 +292,7 @@ class SolverPool:
     ) -> None:
         from repro.core.registry import get_algorithm
         from repro.core.stores import get_store_backend, resolve_backend
+        from repro.core.stores.batch_axis import supports_batch_axis
         from repro.routing.router import Router
         from repro.routing.workload import WorkloadLog
 
@@ -307,7 +310,14 @@ class SolverPool:
         self.jobs = _resolve_jobs(jobs)
         self.driver = driver
         self.backend = backend
-        self._requested_backend = requested_backend
+        #: The store each execution unit is routed with: ``"auto"`` on
+        #: an inline pool built with ``"auto"`` (the router picks per
+        #: request), else the pinned store — worker processes hold one
+        #: fixed backend.
+        self.routed_backend = (
+            "auto" if requested_backend == "auto" and self.jobs == 1
+            else backend
+        )
         self.parallel_threshold = parallel_threshold
         self.router = Router(
             policy=policy, parallel_threshold=parallel_threshold
@@ -337,7 +347,9 @@ class SolverPool:
         }
         self._pool = None  # created lazily on the first multi-process solve
         self._closed = False
-        self._batch_axis = self._context_supports_batch_axis()
+        self._batch_axis = supports_batch_axis(
+            self.backend, library, algorithm, self.options
+        )
         self._batch_stats = {
             "groups": 0,
             "lanes_histogram": {},
@@ -361,32 +373,6 @@ class SolverPool:
 
     #: Distinct lane counts whose warm factories a pool keeps around.
     _MAX_FACTORIES = 4
-
-    def _context_supports_batch_axis(self) -> bool:
-        """Whether this pool's context can legally dispatch groups.
-
-        Requires the resolved ``soa`` backend (the batched store packs
-        SoA columns), NumPy, and an algorithm that drives candidate
-        stores through the ``add_buffer_op`` seam for this library and
-        these options — the exact preconditions of
-        :func:`repro.core.stores.batch_axis.solve_group`.  Anything
-        else falls back to the per-net path, never errors.
-        """
-        if self.backend != "soa":
-            return False
-        from repro.core.stores.batch_axis import batch_axis_available
-
-        if not batch_axis_available():
-            return False
-        from repro.core.registry import get_algorithm
-
-        try:
-            get_algorithm(self.algorithm).add_buffer_op(
-                "soa", self.library, **self.options
-            )
-        except AlgorithmError:
-            return False
-        return True
 
     def _factory_for(self, lanes: int):
         factory = self._factories.get(lanes)
@@ -471,8 +457,7 @@ class SolverPool:
         default ``static`` policy applies fixed size rules (an
         ``"auto"`` inline pool keeps nets and groups short of a long
         chain on the ``object`` store, see
-        :func:`~repro.routing.router.static_store`), ``model`` asks the
-        cost model per request.
+        :func:`~repro.routing.router.static_store`).
 
         ``deadline`` installs a per-call wall budget
         (:class:`~repro.resilience.Deadline`) for the duration of the
@@ -506,9 +491,8 @@ class SolverPool:
             for index, net in enumerate(compiled):
                 if not net.final_of_node:
                     continue
-                features = features_of(net, self.library, jobs=self.jobs)
                 plan = self.router.route(
-                    features, backend=self.backend,
+                    features_of(net, self.library), backend=self.backend,
                     supports_parallel=parallel_ok,
                 )
                 plans[index] = plan
@@ -552,21 +536,22 @@ class SolverPool:
             for net in nets
         ]
 
-    def _observe_unit(
-        self, kind, indices, compiled, plan, features, seconds, capture
+    def _log_unit(
+        self, kind, indices, compiled, plan, seconds, capture
     ) -> None:
-        """Feed one executed unit back: cost model EMA + workload log.
+        """Append one executed unit to the workload log, if there is one.
 
-        Called with the serial lock held (counters and the model's own
-        lock nest safely beneath it).
+        Called with the serial lock held (the log's own lock nests
+        safely beneath it).
         """
-        self.router.observe(plan, features, seconds)
         log = self.workload_log
         if log is None:
             return
+        from repro.routing.features import features_of
         from repro.routing.workload import compiled_digest, group_digest
 
         nets = [compiled[index] for index in indices]
+        features = features_of(nets[0], self.library, lanes=len(nets))
         payload = None
         if log.capture == "full" and capture is not None:
             dicts = [capture[index] for index in indices]
@@ -600,7 +585,7 @@ class SolverPool:
     ) -> tuple:
         """Group the nets structurally and route each execution unit.
 
-        Returns ``(exec_groups, unit_plans, unit_features)``: index
+        Returns ``(exec_groups, unit_plans)``: index
         groups of size > 1 are batch-axis dispatches, singletons are
         per-net solves carrying the backend their plan picked.  A
         multi-lane group the policy declines to batch (``static`` does
@@ -619,53 +604,39 @@ class SolverPool:
             groups = _group_indices(compiled)
         else:
             groups = [[index] for index in range(len(compiled))]
-        # An inline pool built with backend="auto" routes each unit's
-        # store per request; worker processes hold one fixed backend,
-        # so multi-process pools stay pinned.
-        unit_backend = (
-            self._requested_backend if self.jobs == 1 else self.backend
-        )
         exec_groups: List[List[int]] = []
         unit_plans: List[ExecutionPlan] = []
-        unit_features = []
         for indices in groups:
             if len(indices) > 1:
-                features = features_of(
-                    compiled[indices[0]], self.library,
-                    lanes=len(indices), jobs=self.jobs,
-                )
                 plan = self.router.route(
-                    features, backend=unit_backend, supports_batch=True
+                    features_of(
+                        compiled[indices[0]], self.library,
+                        lanes=len(indices),
+                    ),
+                    backend=self.routed_backend, supports_batch=True,
                 )
                 if plan.batch_axis:
                     exec_groups.append(indices)
                     unit_plans.append(plan)
-                    unit_features.append(features)
                     continue
                 solo_plan = ExecutionPlan(plan.backend, "compiled")
                 for index in indices:
                     exec_groups.append([index])
                     unit_plans.append(solo_plan)
-                    unit_features.append(features.with_(lanes=1))
                 continue
             index = indices[0]
             plan = preplans[index]
             if plan is None:
-                features = features_of(
-                    compiled[index], self.library, jobs=self.jobs
-                )
-                plan = self.router.route(features, backend=unit_backend)
-            else:
-                features = features_of(
-                    compiled[index], self.library, jobs=self.jobs
+                plan = self.router.route(
+                    features_of(compiled[index], self.library),
+                    backend=self.routed_backend,
                 )
             exec_groups.append([index])
             unit_plans.append(plan)
-            unit_features.append(features)
         if batch_ok and not any(len(ix) > 1 for ix in exec_groups):
             # Probe consumed but no group dispatched: return the token.
             self.breakers.cancel("batch_axis")
-        return exec_groups, unit_plans, unit_features
+        return exec_groups, unit_plans
 
     def _solve_plain(
         self,
@@ -677,13 +648,11 @@ class SolverPool:
         """The per-net/batch-axis path (everything but partitioning)."""
         if preplans is None:
             preplans = [None] * len(compiled)
-        exec_groups, unit_plans, unit_features = self._route_units(
-            compiled, preplans
-        )
+        exec_groups, unit_plans = self._route_units(compiled, preplans)
         if self.jobs == 1 or not compiled:
             with self._serial_lock:
                 return self._solve_inline(
-                    compiled, exec_groups, unit_plans, unit_features, capture
+                    compiled, exec_groups, unit_plans, capture
                 )
         items = [
             [compiled[index] for index in indices] for indices in exec_groups
@@ -704,8 +673,8 @@ class SolverPool:
         )
         results: List[Optional[BufferingResult]] = [None] * len(compiled)
         with self._serial_lock:
-            for indices, plan, features, group_results in zip(
-                exec_groups, unit_plans, unit_features, nested
+            for indices, plan, group_results in zip(
+                exec_groups, unit_plans, nested
             ):
                 for index, result in zip(indices, group_results):
                     results[index] = result
@@ -719,9 +688,9 @@ class SolverPool:
                     result.stats.runtime_seconds
                     for result in group_results
                 )
-                self._observe_unit(
+                self._log_unit(
                     "batch" if len(indices) > 1 else "solve",
-                    indices, compiled, plan, features, seconds, capture,
+                    indices, compiled, plan, seconds, capture,
                 )
         return results  # type: ignore[return-value]
 
@@ -730,7 +699,6 @@ class SolverPool:
     ) -> BufferingResult:
         """One large net across all workers, spliced in this process."""
         from repro.parallel.solver import solve_partitioned
-        from repro.routing.features import features_of
 
         report: dict = {}
         # The whole call holds the serial lock: the residual replay
@@ -777,9 +745,8 @@ class SolverPool:
             else:
                 stats["fallback_solves"] += 1
             stats["last"] = report
-            features = features_of(net, self.library, jobs=self.jobs)
-            self._observe_unit(
-                "solve", [0], [net], plan, features, elapsed,
+            self._log_unit(
+                "solve", [0], [net], plan, elapsed,
                 [capture_entry] if capture_entry is not None else None,
             )
         return result
@@ -958,7 +925,6 @@ class SolverPool:
         compiled: List[CompiledNet],
         groups: List[List[int]],
         plans: list,
-        features_list: list,
         capture: Optional[list] = None,
     ) -> List[BufferingResult]:
         """The ``jobs=1`` path: batched groups + per-net singletons."""
@@ -966,7 +932,7 @@ class SolverPool:
         from repro.core.schedule import run_compiled_group
 
         results: List[Optional[BufferingResult]] = [None] * len(compiled)
-        for indices, plan, features in zip(groups, plans, features_list):
+        for indices, plan in zip(groups, plans):
             if len(indices) > 1:
                 lanes = len(indices)
                 start = time.perf_counter()
@@ -997,9 +963,8 @@ class SolverPool:
                 for index, result in zip(indices, group_results):
                     results[index] = result
                 self._record_group(lanes)
-                self._observe_unit(
-                    "batch", indices, compiled, plan, features, elapsed,
-                    capture,
+                self._log_unit(
+                    "batch", indices, compiled, plan, elapsed, capture
                 )
             else:
                 start = time.perf_counter()
@@ -1011,9 +976,8 @@ class SolverPool:
                 elapsed = time.perf_counter() - start
                 results[indices[0]] = result
                 self._batch_stats["scalar_solves"] += 1
-                self._observe_unit(
-                    "solve", indices, compiled, plan, features, elapsed,
-                    capture,
+                self._log_unit(
+                    "solve", indices, compiled, plan, elapsed, capture
                 )
         return results  # type: ignore[return-value]
 
@@ -1052,7 +1016,7 @@ class SolverPool:
             }
 
     def routing_stats(self) -> dict:
-        """Routing decisions and model telemetry (``/stats`` block)."""
+        """Routing decisions and workload-log records (``/stats`` block)."""
         stats = self.router.stats()
         log = self.workload_log
         stats["workload_records"] = (

@@ -383,8 +383,8 @@ class CompiledNet:
     def num_instructions(self) -> int:
         """Instruction count as a named accessor.
 
-        This is the size measure the execution router's cost model and
-        the partitioned-solve threshold reason about; for a tree that
+        This is the size measure the execution router's
+        partitioned-solve threshold reasons about; for a tree that
         has not been compiled yet the same number is available without
         compiling via
         :func:`repro.routing.features.estimate_instructions`.

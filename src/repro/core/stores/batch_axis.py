@@ -103,6 +103,28 @@ def batch_axis_available() -> bool:
     return np is not None
 
 
+def supports_batch_axis(
+    backend: str, library, algorithm: str, options: dict
+) -> bool:
+    """Whether a solve context can legally dispatch structural groups.
+
+    Requires the resolved ``soa`` backend (the batched store packs SoA
+    columns), NumPy, and an algorithm that drives candidate stores
+    through the ``add_buffer_op`` seam for this library and these
+    options — the preconditions of :func:`solve_group`.  Anything else
+    falls back to the per-net path, never errors.
+    """
+    if backend != "soa" or not batch_axis_available():
+        return False
+    from repro.core.registry import get_algorithm
+
+    try:
+        get_algorithm(algorithm).add_buffer_op("soa", library, **options)
+    except AlgorithmError:
+        return False
+    return True
+
+
 class BatchedScratchArena:
     """A recycling pool of ``(lanes, power-of-two)`` NumPy blocks.
 

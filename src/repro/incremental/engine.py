@@ -214,7 +214,7 @@ class IncrementalSolver:
         algorithm: A registered algorithm exposing ``add_buffer_op``
             (all built-ins do).
         backend: Candidate-store backend name, or ``"auto"`` for the
-            store the static routing rule picks for this net
+            store the default routing policy picks for this net
             (:func:`repro.routing.router.static_store`); must be
             ``"object"`` or provide frontier snapshots (``"soa"`` does).
         driver: Fixed driver override; default ``None`` follows
@@ -247,11 +247,11 @@ class IncrementalSolver:
         self.algorithm = algorithm
         if backend == AUTO_BACKEND:
             from repro.routing.features import features_of
-            from repro.routing.router import static_store
+            from repro.routing.router import router_for
 
-            backend = static_store(
+            backend = router_for().route(
                 features_of(tree, library, kind="session")
-            )
+            ).backend
         self.backend = backend
         self.driver = driver
         self.capture = capture

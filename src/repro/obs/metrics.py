@@ -67,11 +67,6 @@ LIST_LENGTH_BUCKETS = (
 #: Batch-axis lane-count buckets (structural group sizes).
 LANE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
-#: Routing predicted-vs-actual absolute error buckets (seconds).
-ROUTING_ERROR_BUCKETS = (
-    0.0001, 0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0,
-)
-
 _LabelKey = Tuple[Tuple[str, str], ...]
 
 

@@ -17,8 +17,7 @@ A :class:`CircuitBreaker` guards one strategy axis (``"parallel"``,
 ``/stats`` / deep-healthz view.  Callers consult the board by masking
 the ``supports_parallel`` / ``supports_batch`` capability flags they
 pass to :meth:`repro.routing.router.Router.route`, so a tripped axis
-simply disappears from the candidate plans — routing itself stays
-deterministic and model-driven.
+is simply never chosen — routing itself stays deterministic.
 """
 
 from __future__ import annotations

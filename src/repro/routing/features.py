@@ -1,19 +1,18 @@
 """Per-request feature extraction for execution routing.
 
-A :class:`RequestFeatures` vector is everything the router and the cost
-model are allowed to look at: quantities that are *already known* before
-any solving happens — tree/schedule size counters, the library size, how
-many structurally identical lanes arrived together, how many worker
-processes the pool holds, and (for incremental sessions) the fraction of
-the schedule the splice interpreter is expected to re-execute.  Feature
-extraction never triggers validation, plan building or compilation; for
-a plain :class:`~repro.tree.routing_tree.RoutingTree` the instruction
-count is a closed-form estimate of what :func:`compile_net` would emit.
+A :class:`RequestFeatures` vector is everything the router is allowed
+to look at: quantities that are *already known* before any solving
+happens — tree/schedule size counters, the library size, how many
+structurally identical lanes arrived together, and whether the request
+is a solve or an incremental-session resolve.  Feature extraction never
+triggers validation, plan building or compilation; for a plain
+:class:`~repro.tree.routing_tree.RoutingTree` the instruction count is
+a closed-form estimate of what :func:`compile_net` would emit.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 from repro.core.schedule import CompiledNet
@@ -39,11 +38,6 @@ class RequestFeatures:
             quantity the partitioned-solve threshold is expressed in.
         lanes: Structurally identical nets arriving as one group
             (``1`` for a solo solve) — the batch-axis width.
-        jobs: Worker processes available to the caller's pool.
-        dirty_fraction: For ``kind="session"``, the fraction of the
-            schedule expected to re-execute after the pending edits
-            (``1.0`` means a full re-run; scratch solves always use
-            ``1.0``).
         kind: ``"solve"`` or ``"session"``.
     """
 
@@ -52,8 +46,6 @@ class RequestFeatures:
     library_size: int
     instructions: int
     lanes: int = 1
-    jobs: int = 1
-    dirty_fraction: float = 1.0
     kind: str = "solve"
 
     def __post_init__(self) -> None:
@@ -61,23 +53,6 @@ class RequestFeatures:
             raise ValueError(
                 f"kind must be one of {KINDS}, got {self.kind!r}"
             )
-
-    @property
-    def work(self) -> int:
-        """The DP work product ``positions^2 * library_size`` — the
-        cost model's piecewise-linear abscissa.
-
-        Quadratic in ``n`` because that is the paper's complexity
-        (O(b n^2)): candidate-list lengths grow with the subtree they
-        summarize, so per-position cost is itself ~linear in ``n``.  A
-        linear ``n * b`` axis systematically underpredicts sink-heavy
-        nets whose lists are long at small position counts.
-        """
-        return self.positions * self.positions * self.library_size
-
-    def with_(self, **changes) -> "RequestFeatures":
-        """A copy with ``changes`` applied (frozen-dataclass update)."""
-        return replace(self, **changes)
 
     def to_dict(self) -> dict:
         """Plain-dict form (workload-log JSONL payload)."""
@@ -112,8 +87,6 @@ def features_of(
     library: Optional[BufferLibrary] = None,
     *,
     lanes: int = 1,
-    jobs: int = 1,
-    dirty_fraction: float = 1.0,
     kind: str = "solve",
 ) -> RequestFeatures:
     """Extract the routing feature vector from a net, without solving.
@@ -124,9 +97,6 @@ def features_of(
         library: The buffer library (its size is a feature).  Optional
             for a :class:`CompiledNet`, which remembers its library.
         lanes: Group width this net arrived with (batch axis).
-        jobs: Worker processes available.
-        dirty_fraction: Expected re-executed schedule fraction
-            (sessions only; see :class:`RequestFeatures`).
         kind: ``"solve"`` or ``"session"``.
     """
     if isinstance(net, CompiledNet):
@@ -137,8 +107,6 @@ def features_of(
             library_size=lib.size,
             instructions=net.num_instructions,
             lanes=lanes,
-            jobs=jobs,
-            dirty_fraction=dirty_fraction,
             kind=kind,
         )
     if library is None:
@@ -149,7 +117,5 @@ def features_of(
         library_size=library.size,
         instructions=estimate_instructions(net),
         lanes=lanes,
-        jobs=jobs,
-        dirty_fraction=dirty_fraction,
         kind=kind,
     )

@@ -5,58 +5,52 @@ Before this module, strategy selection lived in unrelated places:
 any structural group and partitioned any net over a fixed instruction
 threshold.  The :class:`Router` subsumes them behind one policy string:
 
-* ``"static"`` — fixed rules (the default): :func:`static_store` picks
+* ``"static"`` — the rule (the default): :func:`static_store` picks
   the candidate store from the request's size, a structural group rides
   the batch axis when its lanes are on the ``soa`` side, and a net over
   the instruction threshold is partitioned on a multi-process pool.
-* ``"model"`` — ask the :class:`~repro.routing.cost_model.CostModel`
-  for the cheapest plan among the candidates legal for this request.
 * ``"always_X"`` / ``"never_X"`` — escape hatches that pin one axis and
   leave the rest on the static rule: ``always_object``, ``always_soa``,
-  ``always_splice``, ``always_scratch`` (re-solve sessions from
-  scratch), ``always_batch`` / ``never_batch``, ``always_parallel`` /
+  ``always_batch`` / ``never_batch``, ``always_parallel`` /
   ``never_parallel``.
 
 Whatever the policy, the emitted plan is only ever a *choice among
 bit-identical executions* — ``tests/test_routing.py`` proves every
-candidate plan returns the same slack, assignment, driver load and DP
-stats as the compiled object-store reference.
+plan returns the same slack, assignment, driver load and DP stats as
+the compiled object-store reference, and locks the decisions
+themselves in ``tests/data/route_golden.json``.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.obs.metrics import default_registry
 from repro.obs.spans import active_tracer
-from repro.routing.cost_model import CostModel, default_model
 from repro.routing.features import RequestFeatures
 
 #: Schedule modes a plan can name.
 SCHEDULE_MODES = ("compiled", "splice")
 
-#: How decisively the model must favor a composite plan (batch axis or
-#: partitioned) before the router takes it over the best simple plan.
-#: Composite predictions stack two fitted components (a base curve and
-#: a speedup surface / Amdahl residual), so their error bars are wider;
-#: near a predicted tie the simple plan is the safer execution.
-COMPOSITE_MARGIN = 1.15
+#: Each policy's pins — (store, batch axis, partitioned solve); ``None``
+#: leaves that axis to the static rule.
+_PINS = {
+    "static": (None, None, None),
+    "always_object": ("object", None, None),
+    "always_soa": ("soa", None, None),
+    "always_batch": (None, True, None),
+    "never_batch": (None, False, None),
+    "always_parallel": (None, None, True),
+    "never_parallel": (None, None, False),
+}
 
 #: The policy tokens (see :func:`validate_policy`).
-POLICIES = (
-    "static",
-    "model",
-    "always_object",
-    "always_soa",
-    "always_splice",
-    "always_scratch",
-    "always_batch",
-    "never_batch",
-    "always_parallel",
-    "never_parallel",
-)
+POLICIES = tuple(_PINS)
+
+#: The policy a caller gets with ``policy=None``.
+DEFAULT_POLICY = "static"
 
 
 @dataclass(frozen=True)
@@ -89,7 +83,7 @@ class ExecutionPlan:
     @property
     def strategy(self) -> str:
         """Compact label, e.g. ``soa-compiled+batch`` — the key used by
-        decision counters, the cost model and the workload log."""
+        decision counters, replay reports and the workload log."""
         label = f"{self.backend}-{self.schedule_mode}"
         if self.batch_axis:
             label += "+batch"
@@ -106,79 +100,13 @@ class ExecutionPlan:
         return cls(**{k: v for k, v in data.items() if k in names})
 
 
-@dataclass(frozen=True)
-class _Constraints:
-    """A parsed policy: pinned axes are non-``None``."""
-
-    use_model: bool = False
-    backend: Optional[str] = None
-    schedule_mode: Optional[str] = None
-    batch_axis: Optional[bool] = None
-    parallel: Optional[bool] = None
-
-    def admits(self, plan: ExecutionPlan) -> bool:
-        return (
-            (self.backend is None or plan.backend == self.backend)
-            and (self.schedule_mode is None
-                 or plan.schedule_mode == self.schedule_mode)
-            and (self.batch_axis is None
-                 or plan.batch_axis == self.batch_axis)
-            and (self.parallel is None or plan.parallel == self.parallel)
-        )
-
-
-def _parse_policy(policy: str) -> _Constraints:
-    if policy == "static":
-        return _Constraints()
-    if policy == "model":
-        return _Constraints(use_model=True)
-    for prefix, value in (("always_", True), ("never_", False)):
-        if not policy.startswith(prefix):
-            continue
-        axis = policy[len(prefix):]
-        if axis in ("batch", "parallel"):
-            key = "batch_axis" if axis == "batch" else "parallel"
-            return _Constraints(**{key: value})
-        if not value:
-            break  # only batch/parallel have a "never_" form
-        if axis == "splice":
-            return _Constraints(schedule_mode="splice")
-        if axis == "scratch":
-            return _Constraints(schedule_mode="compiled")
-        from repro.core.stores import store_backend_names
-
-        if axis in store_backend_names():
-            return _Constraints(backend=axis)
-        break
-    raise ValueError(
-        f"unknown routing policy {policy!r}; expected one of {POLICIES}"
-    )
-
-
 def validate_policy(policy: str) -> str:
     """Raise ``ValueError`` on an unknown policy string; return it."""
-    _parse_policy(policy)
+    if policy not in _PINS:
+        raise ValueError(
+            f"unknown routing policy {policy!r}; expected one of {POLICIES}"
+        )
     return policy
-
-
-_default_policy = "static"
-_default_policy_lock = threading.Lock()
-
-
-def default_policy() -> str:
-    """The process-wide policy used when a caller passes ``policy=None``."""
-    with _default_policy_lock:
-        return _default_policy
-
-
-def set_default_policy(policy: str) -> str:
-    """Set (and return the previous) process-wide default policy."""
-    global _default_policy
-    validate_policy(policy)
-    with _default_policy_lock:
-        previous = _default_policy
-        _default_policy = policy
-    return previous
 
 
 def _soa_available() -> bool:
@@ -222,12 +150,9 @@ class Router:
     """Turns request features into :class:`ExecutionPlan` decisions.
 
     Args:
-        policy: ``"static"``, ``"model"``, or an ``always_*`` /
-            ``never_*`` escape hatch (see module docstring); ``None``
-            follows :func:`default_policy`.
-        model: Cost model for predictions and online refinement; the
-            shared :func:`~repro.routing.cost_model.default_model` by
-            default (so corrections pool process-wide).
+        policy: ``"static"`` or an ``always_*`` / ``never_*`` escape
+            hatch (see module docstring); ``None`` means
+            :data:`DEFAULT_POLICY`.
         parallel_threshold: Instruction floor of the static
             partitioned-solve rule; defaults to
             :data:`repro.parallel.solver.DEFAULT_PARALLEL_THRESHOLD`.
@@ -236,14 +161,12 @@ class Router:
     def __init__(
         self,
         policy: Optional[str] = None,
-        model: Optional[CostModel] = None,
         parallel_threshold: Optional[int] = None,
     ) -> None:
-        if policy is None:
-            policy = default_policy()
-        self.policy = validate_policy(policy)
-        self._constraints = _parse_policy(policy)
-        self._model = model
+        self.policy = validate_policy(
+            DEFAULT_POLICY if policy is None else policy
+        )
+        self._pins = _PINS[self.policy]
         if parallel_threshold is None:
             from repro.parallel.solver import DEFAULT_PARALLEL_THRESHOLD
 
@@ -251,93 +174,6 @@ class Router:
         self.parallel_threshold = parallel_threshold
         self._lock = threading.Lock()
         self._decisions: Dict[str, int] = {}
-        self._routed = 0
-        self._observed = 0
-
-    @property
-    def model(self) -> CostModel:
-        """The cost model (lazily the shared default artifact)."""
-        if self._model is None:
-            self._model = default_model()
-        return self._model
-
-    # -- candidate enumeration -----------------------------------------
-
-    def candidate_plans(
-        self,
-        features: RequestFeatures,
-        *,
-        backend: str = "auto",
-        supports_batch: bool = False,
-        supports_parallel: bool = False,
-    ) -> List[ExecutionPlan]:
-        """Every plan legal for this request, reference-most first.
-
-        ``backend`` other than ``"auto"`` pins the store (a caller's
-        explicit choice always wins over routing).  Capability flags
-        describe the execution context: the batch axis needs a
-        structural group on an soa context, partitioning needs a
-        multi-process pool and a locally compiled net.
-        """
-        if backend != "auto":
-            backends = [backend]
-        elif self._constraints.backend is not None:
-            backends = [self._constraints.backend]
-        else:
-            backends = ["object"] + (["soa"] if _soa_available() else [])
-
-        plans: List[ExecutionPlan] = []
-        if features.kind == "session":
-            for store in backends:
-                plans.append(ExecutionPlan(store, "splice"))
-                plans.append(ExecutionPlan(store, "compiled"))
-        elif features.lanes > 1:
-            for store in backends:
-                plans.append(ExecutionPlan(store, "compiled"))
-            if supports_batch:
-                plans.append(
-                    ExecutionPlan("soa", "compiled", batch_axis=True)
-                )
-        else:
-            for store in backends:
-                plans.append(ExecutionPlan(store, "compiled"))
-            if supports_parallel:
-                for store in backends:
-                    plans.append(
-                        ExecutionPlan(store, "compiled", parallel=True)
-                    )
-        return plans
-
-    # -- decision rules -------------------------------------------------
-
-    def _static_plan(
-        self,
-        features: RequestFeatures,
-        backend: str,
-        supports_batch: bool,
-        supports_parallel: bool,
-    ) -> ExecutionPlan:
-        """The static rule as one plan.
-
-        The store is the caller's, else the policy's pinned one, else
-        :func:`static_store`'s; a multi-lane group is batched only when
-        that store is ``soa`` (otherwise its lanes solve one by one).
-        """
-        if backend != "auto":
-            store = backend
-        elif self._constraints.backend is not None:
-            store = self._constraints.backend
-        else:
-            store = static_store(features)
-        if features.kind == "session":
-            return ExecutionPlan(store, "splice")
-        if supports_batch and features.lanes > 1 and store == "soa":
-            return ExecutionPlan("soa", "compiled", batch_axis=True)
-        parallel = (
-            supports_parallel
-            and features.instructions >= self.parallel_threshold
-        )
-        return ExecutionPlan(store, "compiled", parallel=parallel)
 
     def route(
         self,
@@ -347,67 +183,52 @@ class Router:
         supports_batch: bool = False,
         supports_parallel: bool = False,
     ) -> ExecutionPlan:
-        """Pick the execution plan for one request under this policy."""
+        """Pick the execution plan for one request: the static rule
+        with this policy's pins applied.
+
+        The store is the caller's ``backend`` (an explicit store always
+        wins), else the policy's pinned store, else
+        :func:`static_store`'s.  A session splices on it.  A multi-lane
+        group, on a context that ``supports_batch``, rides the batch
+        axis when that store is ``soa`` — or, under ``always_batch``,
+        whenever the store was left to routing; ``never_batch`` solves
+        such a group's lanes one by one on ``soa`` instead.  Anything
+        else solves on the store, partitioned on a context that
+        ``supports_parallel`` once its schedule reaches
+        :attr:`parallel_threshold` instructions (``always_parallel``
+        partitions every single net, ``never_parallel`` none).
+        """
         tracer = active_tracer()
         route_handle = (
             tracer.begin("route", policy=self.policy)
             if tracer is not None
             else None
         )
-        constraints = self._constraints
-        plan = self._static_plan(
-            features, backend, supports_batch, supports_parallel
+        pin_store, pin_batch, pin_parallel = self._pins
+        store = (
+            backend if backend != "auto"
+            else pin_store or static_store(features)
         )
-        candidates = None
-        if constraints.use_model or constraints != _Constraints():
-            candidates = [
-                candidate
-                for candidate in self.candidate_plans(
-                    features,
-                    backend=backend,
-                    supports_batch=supports_batch,
-                    supports_parallel=supports_parallel,
+        if features.kind == "session":
+            plan = ExecutionPlan(store, "splice")
+        elif supports_batch and features.lanes > 1 and (
+            store == "soa" or (pin_batch is True and backend == "auto")
+        ):
+            plan = ExecutionPlan(
+                "soa", "compiled", batch_axis=pin_batch is not False
+            )
+        else:
+            parallel = (
+                supports_parallel
+                and pin_parallel is not False
+                and (
+                    features.instructions >= self.parallel_threshold
+                    or (pin_parallel is True and features.lanes == 1)
                 )
-                if constraints.admits(candidate)
-            ]
-        if candidates:
-            if constraints.use_model:
-                model = self.model
-                costs = {
-                    candidate: model.predict(candidate, features)
-                    for candidate in candidates
-                }
-                plan = min(candidates, key=costs.__getitem__)
-                if plan.batch_axis or plan.parallel:
-                    # Composite predictions stack two fitted components,
-                    # so near a predicted tie prefer the simple plan.
-                    simple = [
-                        candidate for candidate in candidates
-                        if not (candidate.batch_axis or candidate.parallel)
-                    ]
-                    if simple:
-                        best_simple = min(simple, key=costs.__getitem__)
-                        if not (
-                            costs[plan] * COMPOSITE_MARGIN
-                            < costs[best_simple]
-                        ):
-                            plan = best_simple
-            elif not constraints.admits(plan):
-                # A pinned axis the static rule disagrees with: take the
-                # first admissible candidate whose free axes match the
-                # static choice as closely as the enumeration allows.
-                plan = min(
-                    candidates,
-                    key=lambda candidate: (
-                        candidate.backend != plan.backend,
-                        candidate.schedule_mode != plan.schedule_mode,
-                        candidate.batch_axis != plan.batch_axis,
-                        candidate.parallel != plan.parallel,
-                    ),
-                )
+            )
+            plan = ExecutionPlan(store, "compiled", parallel=parallel)
+        key = plan.strategy
         with self._lock:
-            self._routed += 1
-            key = plan.strategy
             self._decisions[key] = self._decisions.get(key, 0) + 1
         default_registry().counter(
             "repro_routing_decisions_total",
@@ -417,31 +238,28 @@ class Router:
             tracer.end(route_handle, strategy=key)
         return plan
 
-    # -- feedback and observability -------------------------------------
-
-    def observe(
-        self, plan: ExecutionPlan, features: RequestFeatures, seconds: float
-    ) -> None:
-        """Feed one measured execution back into the cost model.
-
-        Runs under every policy (not just ``"model"``): static pools
-        keep the shared model calibrated and the predicted-vs-actual
-        error in ``/stats`` honest.
-        """
-        self.model.observe(plan, features, seconds)
-        with self._lock:
-            self._observed += 1
-
     def stats(self) -> dict:
         """The ``/stats`` ``routing`` block for one router."""
         with self._lock:
             decisions = dict(self._decisions)
-            routed = self._routed
-            observed = self._observed
         return {
             "policy": self.policy,
-            "decisions": routed,
+            "decisions": sum(decisions.values()),
             "decisions_by_strategy": decisions,
-            "observations": observed,
-            "model": self.model.stats(),
         }
+
+
+_routers: Dict[str, Router] = {}
+_routers_lock = threading.Lock()
+
+
+def router_for(policy: Optional[str] = None) -> Router:
+    """The process-wide :class:`Router` for ``policy`` — the one that
+    ``insert_buffers`` and incremental sessions route ``"auto"`` with
+    (one per policy, so its decision counters accumulate)."""
+    key = validate_policy(DEFAULT_POLICY if policy is None else policy)
+    with _routers_lock:
+        router = _routers.get(key)
+        if router is None:
+            router = _routers[key] = Router(policy=key)
+        return router

@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.schedule import CompiledNet, compile_net
 from repro.core.solution import BufferingResult
+from repro.core.stores import resolve_backend
 from repro.errors import ReproError
 from repro.routing.features import RequestFeatures
 from repro.routing.router import ExecutionPlan, Router
@@ -214,20 +215,27 @@ def _result_fingerprint(result: BufferingResult) -> tuple:
     )
 
 
-def _supports_batch(library, algorithm: str, options: dict) -> bool:
-    """Mirror of ``SolverPool._context_supports_batch_axis``."""
-    from repro.core.registry import get_algorithm
-    from repro.core.stores import resolve_backend
-    from repro.core.stores.batch_axis import batch_axis_available
-    from repro.errors import AlgorithmError
+def candidate_plans(
+    features: RequestFeatures, supports_batch: bool = False
+) -> List[ExecutionPlan]:
+    """Every plan replay measures for one request, reference-most first.
 
-    if resolve_backend("auto") != "soa" or not batch_axis_available():
-        return False
-    try:
-        get_algorithm(algorithm).add_buffer_op("soa", library, **options)
-    except AlgorithmError:
-        return False
-    return True
+    Each store (``object``, plus ``soa`` when NumPy imports) — for a
+    session both the splice resolve and the from-scratch re-solve —
+    and, for a group on a context that can batch, the batch axis.
+    Partitioned plans are left out: replay runs in-process, and a
+    one-process pool cannot measure multi-process speedups honestly.
+    """
+    stores = ["object"] + (["soa"] if resolve_backend("auto") == "soa" else [])
+    if features.kind == "session":
+        return [
+            ExecutionPlan(store, mode)
+            for store in stores for mode in ("splice", "compiled")
+        ]
+    plans = [ExecutionPlan(store, "compiled") for store in stores]
+    if supports_batch and features.lanes > 1:
+        plans.append(ExecutionPlan("soa", "compiled", batch_axis=True))
+    return plans
 
 
 class _LoadedRequest:
@@ -340,37 +348,30 @@ def _measure_session(
 
 def replay(
     records: Union[Sequence[dict], str, Path],
-    policies: Sequence[str] = ("static", "model"),
+    policies: Sequence[str] = ("static",),
     repeats: int = 3,
     parallel_threshold: Optional[int] = None,
 ) -> dict:
     """Re-run a captured workload under ``policies``; report regret.
 
-    Every candidate plan of every request is measured once
-    (best-of-``repeats``); plans must agree bit-identically or the
+    Every :func:`candidate_plans` entry of every request is measured
+    once (best-of-``repeats``); plans must agree bit-identically or the
     replay aborts with :class:`ReplayError` — a routing bug, not a
     measurement artifact.  Policies are then priced from that shared
     table.  ``"static"`` (the default policy) is always evaluated,
     requested or not, because it is the baseline the gate compares
-    against.  Partitioned plans are excluded: replay runs in-process,
-    and a one-process pool cannot measure multi-process speedups
-    honestly.
+    against.
 
     Returns the report dict (see ``docs/benchmarks.md`` for the field
     reference used by ``BENCH_PR8.json``).
     """
     if isinstance(records, (str, Path)):
         records = read_log(records)
-    from repro.routing.cost_model import CostModel, _DEFAULT_PATH
+    from repro.core.stores.batch_axis import supports_batch_axis
 
-    # A private model instance keeps replay deterministic: the shared
-    # default model may carry online corrections from earlier solves.
-    model = CostModel.from_file(_DEFAULT_PATH)
     policy_names = list(dict.fromkeys(["static", *policies]))
     routers = {
-        name: Router(
-            policy=name, model=model, parallel_threshold=parallel_threshold
-        )
+        name: Router(policy=name, parallel_threshold=parallel_threshold)
         for name in policy_names
     }
 
@@ -387,14 +388,11 @@ def replay(
     for index, record in enumerate(records):
         loaded = _LoadedRequest(record, index)
         features = loaded.features
-        supports_batch = (
-            loaded.kind == "batch"
-            and _supports_batch(loaded.library, loaded.algorithm,
-                                loaded.options)
+        supports_batch = loaded.kind == "batch" and supports_batch_axis(
+            resolve_backend("auto"), loaded.library, loaded.algorithm,
+            loaded.options,
         )
-        candidates = routers["static"].candidate_plans(
-            features, supports_batch=supports_batch
-        )
+        candidates = candidate_plans(features, supports_batch)
 
         measured: Dict[str, float] = {}
         reference: Optional[List[tuple]] = None
@@ -466,7 +464,6 @@ def replay(
         "requests": len(records),
         "repeats": repeats,
         "parity_checked": parity_checked,
-        "model_version": model.version,
         "oracle_seconds": oracle_total,
         "logged_seconds": logged_total,
         "policies": report_policies,

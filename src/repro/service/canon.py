@@ -242,14 +242,14 @@ def request_key(
         options: Algorithm-specific flags.
         driver: Effective driver override; defaults to the net's own.
         policy: The routing policy an ``"auto"`` request is solved
-            under; ``None`` means the process default
-            (:func:`repro.routing.router.default_policy`).  Ignored for
-            a concrete store.
+            under; ``None`` means
+            :data:`repro.routing.router.DEFAULT_POLICY`.  Ignored for a
+            concrete store.
     """
     if backend == "auto":
-        from repro.routing.router import default_policy
+        from repro.routing.router import DEFAULT_POLICY
 
-        backend = f"auto/{policy if policy is not None else default_policy()}"
+        backend = f"auto/{policy if policy is not None else DEFAULT_POLICY}"
     if isinstance(net, CanonicalNet):
         net_key = net.key
         effective_driver = driver

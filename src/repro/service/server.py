@@ -143,7 +143,7 @@ from repro.obs.spans import (
     trace_scope,
 )
 from repro.resilience import Deadline, should_corrupt
-from repro.routing.router import default_policy, validate_policy
+from repro.routing.router import DEFAULT_POLICY, validate_policy
 from repro.routing.workload import WorkloadLog, compiled_digest
 from repro.service.cache import ResultCache, SolutionPayload
 from repro.service.canon import (
@@ -710,7 +710,7 @@ class BufferServer:
             cache_stats = self.results.stats()
             answer["workers"] = [
                 dict(entry.pool.worker_health(),
-                     backend=entry.pool.backend,
+                     backend=entry.pool.routed_backend,
                      in_flight=entry.in_flight)
                 for entry in self._pools.values()
             ]
@@ -853,18 +853,12 @@ class BufferServer:
                     "pool_utilization": last["pool_utilization"],
                 }
         # Execution-routing health over the warm pools: which strategy
-        # each routed request landed on, plus the shared cost model's
-        # online-refinement telemetry.  Every pool's router feeds the
-        # same process-wide model, so its stats are reported once.
-        from repro.routing.cost_model import default_model
-
+        # each routed request landed on.
         routing: Dict[str, Any] = {
             "policy": self.policy if self.policy is not None
-            else default_policy(),
+            else DEFAULT_POLICY,
             "decisions": 0,
             "decisions_by_strategy": {},
-            "observations": 0,
-            "model": default_model().stats(),
             "workload_records": (
                 self._workload_log.records_written
                 if self._workload_log is not None else 0
@@ -873,7 +867,6 @@ class BufferServer:
         for entry in self._pools.values():
             pool_stats = entry.pool.routing_stats()
             routing["decisions"] += pool_stats["decisions"]
-            routing["observations"] += pool_stats["observations"]
             by_strategy = routing["decisions_by_strategy"]
             for strategy, count in (
                 pool_stats["decisions_by_strategy"].items()
@@ -971,7 +964,7 @@ class BufferServer:
             "pools": [
                 {
                     "algorithm": entry.pool.algorithm,
-                    "backend": entry.pool.backend,
+                    "backend": entry.pool.routed_backend,
                     "policy": entry.pool.router.policy,
                     "jobs": entry.pool.jobs,
                     "library_size": entry.pool.library.size,
@@ -1062,18 +1055,27 @@ class BufferServer:
         except ReproError as exc:
             raise _BadRequest(f"invalid net: {exc}") from exc
         from repro.incremental.engine import IncrementalSolver
+        from repro.routing.features import features_of
+        from repro.routing.router import router_for
+
+        def create() -> IncrementalSolver:
+            # The store is routed under the request's policy, like a
+            # /solve miss; construction validates, compiles and digests
+            # the net — O(n) work that belongs off the event loop.
+            plan = router_for(context.policy).route(
+                features_of(tree, context.library, kind="session"),
+                backend=context.backend,
+            )
+            return IncrementalSolver(
+                tree, context.library, algorithm=context.algorithm,
+                backend=plan.backend, cache=self.frontiers,
+                **context.options,
+            )
 
         loop = asyncio.get_running_loop()
         try:
-            # Construction validates, compiles and digests the net —
-            # O(n) work that belongs off the event loop.
             solver = await loop.run_in_executor(
-                None,
-                lambda: _scoped_call(request_id, lambda: IncrementalSolver(
-                    tree, context.library, algorithm=context.algorithm,
-                    backend=context.backend, cache=self.frontiers,
-                    **context.options,
-                )),
+                None, lambda: _scoped_call(request_id, create)
             )
         except ReproError as exc:
             raise _BadRequest(str(exc)) from exc
@@ -1133,34 +1135,26 @@ class BufferServer:
     def _record_session_resolve(
         self, session: "_Session", answer: Dict[str, Any]
     ) -> None:
-        """Feed a session re-solve's timing back to the routing model
-        (and append it to the workload log when one is configured)."""
-        from repro.routing.cost_model import default_model
+        """Append a session re-solve to the workload log, if one is
+        configured."""
+        if self._workload_log is None:
+            return
         from repro.routing.features import features_of
         from repro.routing.router import ExecutionPlan
 
         solver = session.solver
-        features = features_of(
-            solver.compiled, kind="session",
-            dirty_fraction=solver.last_executed_fraction,
+        self._workload_log.record(
+            "session",
+            digest=compiled_digest(solver.compiled),
+            features=features_of(solver.compiled, kind="session"),
+            plan=ExecutionPlan(backend=solver.backend, schedule_mode="splice"),
+            policy=(
+                self.policy if self.policy is not None else DEFAULT_POLICY
+            ),
+            seconds=answer["stats"]["solve_runtime_seconds"],
+            algorithm=solver.algorithm,
+            options=dict(solver.options),
         )
-        plan = ExecutionPlan(backend=solver.backend, schedule_mode="splice")
-        seconds = answer["stats"]["solve_runtime_seconds"]
-        default_model().observe(plan, features, seconds)
-        if self._workload_log is not None:
-            self._workload_log.record(
-                "session",
-                digest=compiled_digest(solver.compiled),
-                features=features,
-                plan=plan,
-                policy=(
-                    self.policy if self.policy is not None
-                    else default_policy()
-                ),
-                seconds=seconds,
-                algorithm=solver.algorithm,
-                options=dict(solver.options),
-            )
 
     def _handle_session_delete(self, sid: str) -> Tuple[int, Dict]:
         session = self.sessions.get(sid)

@@ -1,11 +1,14 @@
-"""Execution routing: features, cost model, router policies, workload
+"""Execution routing: features, router policies, workload
 capture/replay — and the parity doctrine that routing may only ever
 *pick* an execution, never change its answer."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,21 +21,18 @@ from repro.core.stores import resolve_backend
 from repro.core.stores.batch_axis import batch_axis_available
 from repro.errors import AlgorithmError
 from repro.experiments.workloads import corner_variants
-from repro.routing.cost_model import CostModel, default_model
+from repro.parallel.solver import DEFAULT_PARALLEL_THRESHOLD
 from repro.routing.features import (
     RequestFeatures,
     estimate_instructions,
     features_of,
 )
 from repro.routing.router import (
-    COMPOSITE_MARGIN,
     POLICIES,
     SOA_MIN_POSITION_TYPES,
     SOA_MIN_POSITION_TYPES_PER_SINK,
     ExecutionPlan,
     Router,
-    default_policy,
-    set_default_policy,
     static_store,
     validate_policy,
 )
@@ -40,6 +40,7 @@ from repro.routing.workload import (
     ReplayError,
     WorkloadLog,
     _result_fingerprint,
+    candidate_plans,
     compiled_digest,
     read_log,
     replay,
@@ -66,16 +67,10 @@ class TestFeatures:
         compiled = compile_net(tree, library)
         assert features_of(tree, library) == features_of(compiled)
 
-    def test_work_is_quadratic_in_positions(self):
-        features = RequestFeatures(
-            positions=10, sinks=4, library_size=8, instructions=30
-        )
-        assert features.work == 10 * 10 * 8
-
     def test_round_trip_ignores_unknown_keys(self):
         features = features_of(
             random_tree_net(6, seed=5), paper_library(4),
-            lanes=3, jobs=2, dirty_fraction=0.5, kind="session",
+            lanes=3, kind="session",
         )
         data = dict(features.to_dict(), future_field=123)
         assert RequestFeatures.from_dict(data) == features
@@ -92,137 +87,10 @@ class TestFeatures:
             features_of(random_tree_net(4, seed=1))
 
 
-# ---------------------------------------------------------------------
-# Cost model
-
-
-def _toy_spec(**overrides):
-    """A hand-written model spec with simple, assertable curves."""
-    spec = {
-        "version": "routing-model/test",
-        "base": {
-            # object is cheap at small work, loses at large work.
-            "object-compiled": {"knots": [[1, 1e-4], [1e6, 1.0]]},
-            "soa-compiled": {"knots": [[1, 5e-4], [1e6, 0.1]]},
-        },
-        "batch_axis": {
-            "work": [1, 1e6],
-            "lanes": [2, 64],
-            "speedup": [[1.0, 2.0], [2.0, 8.0]],
-        },
-        "splice": {"overhead_fraction": 0.1},
-        "parallel": {"residual_fraction": 0.25, "overhead_seconds": 0.01},
-    }
-    spec.update(overrides)
-    return spec
-
-
 def _features(**overrides):
     base = dict(positions=100, sinks=10, library_size=8, instructions=300)
     base.update(overrides)
     return RequestFeatures(**base)
-
-
-class TestCostModel:
-    def test_spec_validation(self):
-        with pytest.raises(ValueError, match="version"):
-            CostModel.from_spec({"base": {}})
-        with pytest.raises(ValueError, match="lacks base curves"):
-            CostModel.from_spec({"version": "x", "base": {}})
-        bad = _toy_spec()
-        bad["base"]["object-compiled"]["knots"] = [[10, 1.0], [1, 2.0]]
-        with pytest.raises(ValueError, match="unsorted"):
-            CostModel.from_spec(bad)
-
-    def test_interpolation_clamps_below_first_knot(self):
-        """Tiny work never predicts below the launch-overhead floor."""
-        model = CostModel.from_spec(_toy_spec())
-        plan = ExecutionPlan("object", "compiled")
-        tiny = model.predict_raw(
-            plan, _features(positions=1, library_size=1)
-        )
-        assert tiny == pytest.approx(1e-4)
-
-    def test_prediction_monotone_in_work(self):
-        model = CostModel.from_spec(_toy_spec())
-        plan = ExecutionPlan("soa", "compiled")
-        costs = [
-            model.predict_raw(plan, _features(positions=p))
-            for p in (10, 100, 1000, 10_000)
-        ]
-        assert costs == sorted(costs)
-
-    def test_sequential_group_scales_with_lanes(self):
-        model = CostModel.from_spec(_toy_spec())
-        plan = ExecutionPlan("object", "compiled")
-        solo = model.predict_raw(plan, _features(lanes=1))
-        group = model.predict_raw(plan, _features(lanes=8))
-        assert group == pytest.approx(8 * solo)
-
-    def test_batched_group_beats_sequential_at_wide_lanes(self):
-        model = CostModel.from_spec(_toy_spec())
-        features = _features(positions=1000, lanes=64)
-        sequential = model.predict_raw(
-            ExecutionPlan("soa", "compiled"), features
-        )
-        batched = model.predict_raw(
-            ExecutionPlan("soa", "compiled", batch_axis=True), features
-        )
-        assert batched < sequential
-
-    def test_splice_scales_with_dirty_fraction(self):
-        model = CostModel.from_spec(_toy_spec())
-        plan = ExecutionPlan("object", "splice")
-        full = model.predict_raw(
-            plan, _features(dirty_fraction=1.0, kind="session")
-        )
-        dirty = model.predict_raw(
-            plan, _features(dirty_fraction=0.1, kind="session")
-        )
-        assert dirty < full
-        scratch = model.predict_raw(
-            ExecutionPlan("object", "compiled"),
-            _features(dirty_fraction=0.1, kind="session"),
-        )
-        assert dirty < scratch
-
-    def test_parallel_amdahl_shape(self):
-        model = CostModel.from_spec(_toy_spec())
-        features = _features(positions=900, jobs=4)
-        base = model.predict_raw(
-            ExecutionPlan("object", "compiled"), features
-        )
-        split = model.predict_raw(
-            ExecutionPlan("object", "compiled", parallel=True), features
-        )
-        assert split == pytest.approx(base * (0.25 + 0.75 / 4) + 0.01)
-
-    def test_observe_moves_scale_toward_measurement(self):
-        model = CostModel.from_spec(_toy_spec())
-        plan = ExecutionPlan("object", "compiled")
-        features = _features()
-        raw = model.predict_raw(plan, features)
-        for _ in range(50):
-            model.observe(plan, features, raw * 2.0)
-        corrected = model.predict(plan, features)
-        assert corrected == pytest.approx(raw * 2.0, rel=0.05)
-        stats = model.stats()
-        assert stats["online_updates"] == 50
-        assert stats["scales"][plan.strategy] > 1.5
-        assert stats["abs_error_seconds"] > 0.0
-
-    def test_observe_clamps_outliers(self):
-        model = CostModel.from_spec(_toy_spec())
-        plan = ExecutionPlan("object", "compiled")
-        features = _features()
-        raw = model.predict_raw(plan, features)
-        model.observe(plan, features, raw * 1e6)  # scheduler hiccup
-        assert model.stats()["scales"][plan.strategy] <= 1.0 + 0.2 * 20.0
-
-    def test_default_artifact_loads_and_validates(self):
-        model = default_model()
-        assert model.version.startswith("routing-model/")
-        assert default_model() is model  # process-wide singleton
 
 
 # ---------------------------------------------------------------------
@@ -257,17 +125,12 @@ class TestPolicies:
 
     def test_unknown_policy_rejected(self):
         for bad in ("fastest", "always_gpu", "never_walk", "always_",
-                    "always_walk", "always_compiled", "always_object-walk"):
+                    "always_walk", "always_compiled", "always_object-walk",
+                    "model", "always_splice", "always_scratch"):
             with pytest.raises(ValueError, match="routing policy"):
                 validate_policy(bad)
-
-    def test_default_policy_round_trip(self):
-        previous = set_default_policy("model")
-        try:
-            assert default_policy() == "model"
-            assert Router().policy == "model"
-        finally:
-            set_default_policy(previous)
+            with pytest.raises(ValueError, match="routing policy"):
+                Router(policy=bad)
 
     def test_static_rule_routes_by_size(self):
         """policy='static': the store by size, groups batch on the soa
@@ -279,23 +142,23 @@ class TestPolicies:
         assert router.route(short) == ExecutionPlan("object", "compiled")
         assert router.route(long) == ExecutionPlan(soa, "compiled")
         # A structural group batches only when its lanes are on soa ...
-        plan = router.route(short.with_(lanes=2), supports_batch=True)
+        plan = router.route(replace(short, lanes=2), supports_batch=True)
         assert plan == ExecutionPlan("object", "compiled")
         if soa == "soa":
-            plan = router.route(long.with_(lanes=2), supports_batch=True)
+            plan = router.route(replace(long, lanes=2), supports_batch=True)
             assert plan == ExecutionPlan("soa", "compiled", batch_axis=True)
         # ... and never when the context cannot batch.
-        plan = router.route(long.with_(lanes=2))
+        plan = router.route(replace(long, lanes=2))
         assert plan == ExecutionPlan(soa, "compiled")
         # A store the caller (or the policy) pins decides for the rule.
-        plan = router.route(short.with_(lanes=2), backend="soa",
+        plan = router.route(replace(short, lanes=2), backend="soa",
                             supports_batch=True)
         assert plan == ExecutionPlan("soa", "compiled", batch_axis=True)
         plan = Router(policy="always_soa").route(
-            short.with_(lanes=2), supports_batch=True
+            replace(short, lanes=2), supports_batch=True
         )
         assert plan == ExecutionPlan("soa", "compiled", batch_axis=True)
-        plan = router.route(long.with_(lanes=2), backend="object",
+        plan = router.route(replace(long, lanes=2), backend="object",
                             supports_batch=True)
         assert plan == ExecutionPlan("object", "compiled")
         # The instruction floor turns on the partitioned solve.
@@ -308,9 +171,9 @@ class TestPolicies:
         )
         assert not plan.parallel
         # Sessions splice, on the store the size picks.
-        plan = router.route(short.with_(kind="session"))
+        plan = router.route(replace(short, kind="session"))
         assert plan == ExecutionPlan("object", "splice")
-        plan = router.route(long.with_(kind="session"))
+        plan = router.route(replace(long, kind="session"))
         assert plan == ExecutionPlan(soa, "splice")
 
     def test_escape_hatches_pin_axes(self):
@@ -323,64 +186,105 @@ class TestPolicies:
             features, supports_batch=True
         )
         assert not plan.batch_axis
-        plan = Router(policy="always_scratch").route(_features(kind="session"))
-        assert plan.schedule_mode == "compiled"
-        plan = Router(policy="always_splice").route(_features(kind="session"))
-        assert plan.schedule_mode == "splice"
+        plan = Router(policy="always_parallel").route(
+            _features(), supports_parallel=True
+        )
+        assert plan == ExecutionPlan("object", "compiled", parallel=True)
+        plan = Router(policy="never_parallel").route(
+            _features(instructions=10**6), supports_parallel=True
+        )
+        assert not plan.parallel
 
     def test_explicit_backend_beats_routing(self):
-        plan = Router(policy="model").route(_features(), backend="object")
-        assert plan.backend == "object"
-
-    def test_model_policy_picks_cheapest_candidate(self):
-        model = CostModel.from_spec(_toy_spec())
-        router = Router(policy="model", model=model)
-        # Toy curves make object cheapest at small work ...
-        plan = router.route(_features(positions=5))
-        assert plan == ExecutionPlan("object", "compiled")
-        # ... and soa cheapest at large work.
-        if resolve_backend("auto") == "soa":
-            plan = router.route(_features(positions=5000))
-            assert plan == ExecutionPlan("soa", "compiled")
-
-    def test_composite_needs_a_margin(self):
-        """A composite plan near a predicted tie loses to the best
-        simple plan; a decisive composite win is taken."""
-        spec = _toy_spec()
-        # Flat surface: batching "wins" by exactly 10% < margin.
-        spec["batch_axis"] = {
-            "work": [1, 1e6], "lanes": [2, 64],
-            "speedup": [[1.1, 1.1], [1.1, 1.1]],
-        }
-        router = Router(
-            policy="model", model=CostModel.from_spec(spec)
+        """An explicit store wins over every pin — the batch pins
+        included: a group on ``object`` solves lane by lane."""
+        group = _features(lanes=8)
+        for policy in ("always_soa", "always_batch"):
+            router = Router(policy=policy)
+            plan = router.route(_features(), backend="object")
+            assert plan == ExecutionPlan("object", "compiled")
+            plan = router.route(group, backend="object", supports_batch=True)
+            assert plan == ExecutionPlan("object", "compiled")
+        plan = Router(policy="always_object").route(
+            _features(kind="session"), backend="soa"
         )
-        features = _features(positions=5000, lanes=8)
-        plan = router.route(features, supports_batch=True)
-        assert not plan.batch_axis
-        # A 4x predicted win clears COMPOSITE_MARGIN comfortably.
-        spec["batch_axis"]["speedup"] = [[4.0, 4.0], [4.0, 4.0]]
-        router = Router(
-            policy="model", model=CostModel.from_spec(spec)
-        )
-        plan = router.route(features, supports_batch=True)
-        assert plan.batch_axis
-        assert COMPOSITE_MARGIN > 1.0
+        assert plan == ExecutionPlan("soa", "splice")
 
     def test_decision_counters(self):
         router = Router(policy="static")
         for _ in range(3):
             router.route(_features())
-        stats = router.stats()
-        assert stats["policy"] == "static"
-        assert stats["decisions"] == 3
-        assert sum(stats["decisions_by_strategy"].values()) == 3
-        assert stats["model"]["version"]
+        assert router.stats() == {
+            "policy": "static",
+            "decisions": 3,
+            "decisions_by_strategy": {"object-compiled": 3},
+        }
+
+
+#: Decisions of the router before it was cut to one function, recorded
+#: over :func:`_golden_cells` for every policy it still accepts.
+ROUTE_GOLDEN = Path(__file__).parent / "data" / "route_golden.json"
+
+
+def _golden_cells():
+    """``(key, features, route kwargs)`` over the locked grid: solo,
+    8-lane group and session requests on both sides of both
+    :func:`static_store` floors and of the partitioned-solve threshold,
+    under every backend and capability flag."""
+    sizes = ((499, 20, 32), (500, 20, 32), (1199, 1, 8), (1200, 1, 8))
+    shapes = ((1, "solve"), (8, "solve"), (1, "session"))
+    counts = (DEFAULT_PARALLEL_THRESHOLD - 1, DEFAULT_PARALLEL_THRESHOLD)
+    for (positions, sinks, b), (lanes, kind), count in itertools.product(
+        sizes, shapes, counts
+    ):
+        features = RequestFeatures(
+            positions=positions, sinks=sinks, library_size=b,
+            instructions=count, lanes=lanes, kind=kind,
+        )
+        for backend, batch, parallel in itertools.product(
+            ("auto", "object", "soa"), (False, True), (False, True)
+        ):
+            key = (f"{kind} lanes={lanes} n={positions} sinks={sinks} "
+                   f"b={b} i={count} backend={backend} "
+                   f"batch={int(batch)} parallel={int(parallel)}")
+            yield key, features, dict(
+                backend=backend, supports_batch=batch,
+                supports_parallel=parallel,
+            )
+
+
+@pytest.mark.skipif(
+    resolve_backend("auto") != "soa",
+    reason="the golden table was recorded with NumPy",
+)
+def test_route_golden():
+    """Every kept policy decides as before on the whole grid, except
+    where a store pin or ``always_batch`` used to override a caller's
+    explicit ``backend="object"`` on a batchable group: there the
+    explicit store now wins."""
+    golden = json.loads(ROUTE_GOLDEN.read_text())
+    assert set(golden) == set(POLICIES)
+    changed = 0
+    for policy in POLICIES:
+        router = Router(policy=policy)
+        for key, features, kwargs in _golden_cells():
+            plan = router.route(features, **kwargs)
+            if plan.strategy == golden[policy][key]:
+                continue
+            assert (
+                policy in ("always_soa", "always_batch")
+                and features.lanes > 1 and kwargs["supports_batch"]
+                and kwargs["backend"] == "object"
+                and golden[policy][key] == "soa-compiled+batch"
+                and plan.backend == "object" and not plan.batch_axis
+            ), (policy, key, golden[policy][key], plan.strategy)
+            changed += 1
+    assert changed == 32
 
 
 def _corner_group(tree, library_size, lanes=8):
     library = paper_library(library_size)
-    return features_of(tree, library).with_(lanes=lanes)
+    return replace(features_of(tree, library), lanes=lanes)
 
 
 class TestStaticStore:
@@ -426,7 +330,8 @@ class TestStaticStore:
             positions=positions, sinks=sinks, library_size=library_size
         )
         assert static_store(features) == resolve_backend("auto")
-        assert static_store(features.with_(positions=positions - 1)) == "object"
+        below = replace(features, positions=positions - 1)
+        assert static_store(below) == "object"
 
     def test_real_nets(self):
         from repro.experiments.workloads import (
@@ -504,8 +409,7 @@ def test_every_candidate_plan_is_bit_identical(
     reference = _result_fingerprint(
         insert_buffers(tree, library, backend="object")
     )
-    router = Router(policy="static")
-    plans = router.candidate_plans(features_of(compiled))
+    plans = candidate_plans(features_of(compiled))
     assert len(plans) == (2 if resolve_backend("auto") == "soa" else 1)
     for plan in plans:
         result = insert_buffers(compiled, library, backend=plan.backend)
@@ -647,14 +551,9 @@ CORPUS = "tests/data/workload_mixed.jsonl"
 class TestReplayCorpus:
     @pytest.fixture(scope="class")
     def report(self):
-        from pathlib import Path
-
         corpus = Path(__file__).parent / "data" / "workload_mixed.jsonl"
         return replay(
-            corpus,
-            policies=(
-                "static", "model", "always_object", "always_scratch",
-            ),
+            corpus, policies=("static", "always_object", "always_soa"),
             repeats=1,
         )
 
@@ -665,6 +564,13 @@ class TestReplayCorpus:
         assert kinds.count("solve") == 24
         assert kinds.count("batch") == 8
         assert kinds.count("session") == 8
+
+    def test_static_routes_the_corpus_to_object(self, report):
+        """Every corpus net is short-list: the default policy solves
+        solos and group lanes on ``object`` and splices sessions there."""
+        assert report["policies"]["static"]["decisions_by_strategy"] == {
+            "object-compiled": 32, "object-splice": 8,
+        }
 
     def test_identical_results_across_policies(self, report):
         """replay() raises ReplayError on any parity breach, so a

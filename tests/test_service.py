@@ -10,6 +10,7 @@ in-process :func:`repro.core.api.insert_buffers` result.
 """
 
 import asyncio
+import json
 import threading
 
 import pytest
@@ -253,6 +254,41 @@ class TestAutoRouting:
         assert again["cached"] is True and again["backend"] == soa
 
 
+    def test_session_honours_the_request_policy(self, harness, library):
+        """A session's "auto" store is routed under the request's
+        policy, exactly like a /solve of the same body."""
+        from repro.core.stores import resolve_backend
+        from repro.tree.io import library_to_dict
+
+        body = {
+            "net": tree_to_dict(random_tree_net(8, seed=11)),
+            "library": library_to_dict(library),
+            "policy": "always_soa",
+        }
+        soa = resolve_backend("auto")
+        answer = harness.client._request("POST", "/solve", body)
+        assert answer["backend"] == soa
+        session = harness.client._request("POST", "/session", body)
+        assert session["backend"] == soa
+        harness.client._request("DELETE", f"/session/{session['session']}")
+
+    @pytest.mark.parametrize(
+        "policy", ["model", "always_splice", "always_scratch", "fastest"]
+    )
+    def test_unknown_policy_is_400(self, harness, net, library, policy):
+        from repro.tree.io import library_to_dict
+
+        body = {
+            "net": tree_to_dict(net),
+            "library": library_to_dict(library),
+            "policy": policy,
+        }
+        for path in ("/solve", "/session"):
+            status, text = harness.client._request_text("POST", path, body)
+            assert status == 400
+            assert "unknown routing policy" in json.loads(text)["error"]
+
+
 class TestBatch:
     def test_batch_solves_in_order_and_dedupes(self, harness, library):
         nets = [random_small_tree(seed) for seed in (1, 2, 3)]
@@ -280,16 +316,16 @@ class TestBatch:
 class TestStats:
     def test_stats_shape(self, harness, net, library):
         harness.client.solve(net, library)
-        from repro.core.stores import resolve_backend
-
         stats = harness.client.stats()
         assert stats["counters"]["solve_requests"] == 1
         assert stats["cache"]["size"] == 1
         assert stats["compiled_cache"]["size"] == 1
         assert stats["compiled_cache"]["payload_bytes"] > 0
+        # An inline "auto" pool routes every net's store: its pinned
+        # store is "auto", and the answers say which one ran.
         assert stats["pools"] == [{
             "algorithm": "fast",
-            "backend": resolve_backend("auto"),
+            "backend": "auto",
             "policy": "static",
             "jobs": 1,
             "library_size": 4,

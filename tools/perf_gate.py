@@ -26,10 +26,7 @@ regresses.  Thresholds always come from the benchmark file itself
 * ``BENCH_PR8.json`` (has ``routing``) — the execution-routing gate:
   on the mixed replay corpus the default ``static`` policy's total must
   reach ``ci_gate.min_static_speedup_vs_oracle`` of the oracle
-  (per-request best measured plan), and the ``model`` policy's
-  ``ci_gate.min_model_speedup_vs_oracle`` of the oracle and
-  ``ci_gate.min_model_speedup_vs_static`` of the static policy (see
-  ``benchmarks/bench_routing.py``).
+  (per-request best measured plan; see ``benchmarks/bench_routing.py``).
 * ``BENCH_PR9.json`` (has ``resilience``) — the chaos gate: under the
   committed fault plan (seeded worker crashes and hangs; see
   ``benchmarks/bench_resilience.py``) at least
@@ -347,15 +344,12 @@ def check_parallel(payload: dict, path: Path) -> int:
 
 
 def check_routing(payload: dict, path: Path) -> int:
-    gate = payload["ci_gate"]
-    min_vs_oracle = gate["min_model_speedup_vs_oracle"]
-    min_vs_static = gate["min_model_speedup_vs_static"]
-    min_static_vs_oracle = gate["min_static_speedup_vs_oracle"]
+    min_static_vs_oracle = payload["ci_gate"]["min_static_speedup_vs_oracle"]
 
     report = payload["routing"]
     policies = report["policies"]
-    if "model" not in policies:
-        print("perf gate: replay report has no 'model' policy bucket")
+    if "static" not in policies:
+        print("perf gate: replay report has no 'static' policy bucket")
         return 1
 
     oracle = report["oracle_seconds"]
@@ -372,38 +366,18 @@ def check_routing(payload: dict, path: Path) -> int:
             f"  vs-static {bucket['speedup_vs_static']:5.2f}x"
         )
 
-    failures = 0
     static_vs_oracle = policies["static"]["speedup_vs_oracle"]
-    verdict = "ok" if static_vs_oracle >= min_static_vs_oracle else "FAIL"
-    if verdict == "FAIL":
-        failures += 1
+    ok = static_vs_oracle >= min_static_vs_oracle
     print(
         f"perf gate: static vs oracle {static_vs_oracle:.3f} "
-        f"(floor {min_static_vs_oracle:.2f})  {verdict}"
+        f"(floor {min_static_vs_oracle:.2f})  {'ok' if ok else 'FAIL'}"
     )
-    model = policies["model"]
-    vs_oracle = model["speedup_vs_oracle"]
-    verdict = "ok" if vs_oracle >= min_vs_oracle else "FAIL"
-    if verdict == "FAIL":
-        failures += 1
-    print(
-        f"perf gate: model vs oracle {vs_oracle:.3f} "
-        f"(floor {min_vs_oracle:.2f})  {verdict}"
-    )
-    vs_static = model["speedup_vs_static"]
-    verdict = "ok" if vs_static >= min_vs_static else "FAIL"
-    if verdict == "FAIL":
-        failures += 1
-    print(
-        f"perf gate: model vs static {vs_static:.3f} "
-        f"(floor {min_vs_static:.2f})  {verdict}"
-    )
-    if failures:
+    if not ok:
         print(
-            f"perf gate: {failures} routing threshold(s) missed — a "
-            "routing policy is leaving measured wall time on the table"
+            "perf gate: the default routing policy is leaving measured "
+            "wall time on the table"
         )
-    return 1 if failures else 0
+    return 0 if ok else 1
 
 
 def check(path: Path) -> int:
