@@ -32,6 +32,15 @@ assignment.)
 Excluded from the hash by design: node names, node ids, ``position``
 coordinates, edge ``length`` and the driver's ``name`` — the algorithms
 never read them (see :mod:`repro.tree.node`).
+
+The digest has two front-ends over one core: :func:`canonicalize` reads
+a :class:`~repro.tree.routing_tree.RoutingTree`, and
+:func:`canonicalize_records` reads a serialized net's validated records
+(:func:`repro.tree.io.net_records`) without building a tree.  They
+share the payload and edge texts and the child tie order, so for the
+same net both return the same key, subtree keys and canonical order.
+The server keys every ``/solve`` and ``/batch`` net from its records
+and builds a tree only on a cache miss.
 """
 
 from __future__ import annotations
@@ -39,11 +48,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.library.library import BufferLibrary
-from repro.tree.node import Driver
+from repro.tree.io import NetRecords, NodeRecord
+from repro.tree.node import Driver, Node, NodeKind
 from repro.tree.routing_tree import RoutingTree
+
+_SOURCE, _SINK = NodeKind.SOURCE, NodeKind.SINK
 
 
 def _digest(text: str) -> str:
@@ -64,7 +76,9 @@ class CanonicalNet:
             differ only in names, ids, child order, positions or edge
             lengths.
         node_of_index: ``node_of_index[i]`` is the tree's node id at
-            canonical index ``i`` (pre-order over sorted-digest children).
+            canonical index ``i`` (pre-order over sorted-digest children);
+            from :func:`canonicalize_records`, the record's list position,
+            which is the node id of the tree the records build.
         index_of_node: The inverse mapping, ``{node_id: canonical index}``.
         subtree_keys: ``subtree_keys[i]`` is the Merkle digest of the
             subtree rooted at canonical index ``i`` (so
@@ -88,34 +102,110 @@ class CanonicalNet:
         return self.subtree_keys[self.index_of_node[node_id]]
 
 
-def _node_payload(tree: RoutingTree, node_id: int) -> str:
-    node = tree.node(node_id)
-    if node.is_sink:
+def _payload(node: Union[Node, NodeRecord]) -> str:
+    """The canonical payload text of one vertex.
+
+    ``node`` is a tree's :class:`~repro.tree.node.Node` or a serialized
+    net's :class:`~repro.tree.io.NodeRecord`; the two share the field
+    names read here, so both front-ends hash the same text.
+    """
+    kind = node.kind
+    if kind is _SINK:
         return (
             f"S(c={_f(node.capacitance)},q={_f(node.required_arrival)},"
             f"p={node.polarity:+d})"
         )
-    if node.is_source:
+    if kind is _SOURCE:
         return "N()"
     allowed = node.allowed_buffers
     allowed_text = "*" if allowed is None else ",".join(sorted(allowed))
     return f"I(bp={int(node.is_buffer_position)},f=[{allowed_text}])"
 
 
+def _wire(resistance: float, capacitance: float) -> str:
+    return f"E(r={_f(resistance)},c={_f(capacitance)})"
+
+
 def node_payload(tree: RoutingTree, node_id: int) -> str:
     """The canonical payload text of one vertex (public for the
     incremental engine, which recomputes digests along dirty paths)."""
-    return _node_payload(tree, node_id)
+    return _payload(tree.node(node_id))
 
 
 def edge_entry(resistance: float, capacitance: float, digest: str) -> str:
     """The edge-prefixed entry string a child contributes to its parent."""
-    return f"E(r={_f(resistance)},c={_f(capacitance)})" + digest
+    return _wire(resistance, capacitance) + digest
 
 
 def digest_body(body: str) -> str:
     """Hash one canonical body text (the Merkle step, public form)."""
     return _digest(body)
+
+
+def _canonical_order(
+    payloads: List[str],
+    wires: List[str],
+    parents: List[int],
+    memo: Optional[Dict[str, str]],
+) -> Tuple[List[int], List[str]]:
+    """The digest core both front-ends share.
+
+    Vertices are list positions, every parent before its children
+    (``parents[i] < i``; the root is position 0 with parent -1).
+    ``payloads[i]`` is vertex ``i``'s payload text and ``wires[i]`` the
+    text of the edge into it (``wires[0]`` is unused).  Returns the
+    positions in canonical order and the subtree digests aligned with
+    them.
+    """
+    count = len(payloads)
+    children: List[List[int]] = [[] for _ in range(count)]
+    for position in range(1, count):
+        children[parents[position]].append(position)
+
+    # Bottom-up (children sit after their parent, so a reverse sweep
+    # sees them first): digest every subtree.  A child contributes
+    # through the edge that reaches it, so moving a subtree to a
+    # different wire changes the parent digest even when the subtree
+    # itself is equal.  The sort is stable: equal siblings keep their
+    # list order.
+    entry: List[str] = [""] * count  # the edge-prefixed entry strings
+    digest: List[str] = [""] * count
+    for position in range(count - 1, -1, -1):
+        kids = children[position]
+        body = payloads[position]
+        if kids:
+            if len(kids) > 1:
+                kids.sort(key=entry.__getitem__)
+            body += "[" + "|".join([entry[kid] for kid in kids]) + "]"
+        if memo is None:
+            hashed = _digest(body)
+        else:
+            hashed = memo.get(body)
+            if hashed is None:
+                hashed = memo[body] = _digest(body)
+        digest[position] = hashed
+        entry[position] = wires[position] + hashed
+
+    # Top-down: number vertices in pre-order, children in sorted order.
+    order: List[int] = []
+    stack = [0]
+    while stack:
+        position = stack.pop()
+        order.append(position)
+        stack.extend(reversed(children[position]))
+    return order, [digest[position] for position in order]
+
+
+def _canonical_net(
+    node_of_index: Sequence[int], subtree_keys: Sequence[str]
+) -> CanonicalNet:
+    node_of_index = tuple(node_of_index)
+    return CanonicalNet(
+        key=subtree_keys[0],
+        node_of_index=node_of_index,
+        index_of_node={node: i for i, node in enumerate(node_of_index)},
+        subtree_keys=tuple(subtree_keys),
+    )
 
 
 def canonicalize(
@@ -137,47 +227,40 @@ def canonicalize(
             instead of once per occurrence (the server's ``/batch``
             path does this).
     """
-    # Bottom-up: digest every subtree.  A child contributes through the
-    # edge that reaches it, so moving a subtree to a different wire
-    # changes the parent digest even when the subtree itself is equal.
-    entry: Dict[int, str] = {}  # node id -> its edge-prefixed entry string
-    digest: Dict[int, str] = {}
-    children_sorted: Dict[int, List[int]] = {}
-    for node_id in tree.postorder():
-        kids = sorted(tree.children_of(node_id), key=entry.__getitem__)
-        children_sorted[node_id] = kids
-        body = _node_payload(tree, node_id)
-        if kids:
-            body += "[" + "|".join(entry[child] for child in kids) + "]"
-        if memo is None:
-            digest[node_id] = _digest(body)
-        else:
-            hashed = memo.get(body)
-            if hashed is None:
-                hashed = memo[body] = _digest(body)
-            digest[node_id] = hashed
-        if node_id != tree.root_id:
-            edge = tree.edge_to(node_id)
-            entry[node_id] = edge_entry(
-                edge.resistance, edge.capacitance, digest[node_id]
-            )
-
-    # Top-down: number nodes in pre-order, children in sorted order.
-    node_of_index: List[int] = []
-    stack = [tree.root_id]
-    while stack:
-        node_id = stack.pop()
-        node_of_index.append(node_id)
-        stack.extend(reversed(children_sorted[node_id]))
-
-    return CanonicalNet(
-        key=digest[tree.root_id],
-        node_of_index=tuple(node_of_index),
-        index_of_node={
-            node_id: index for index, node_id in enumerate(node_of_index)
-        },
-        subtree_keys=tuple(digest[node_id] for node_id in node_of_index),
+    order = tree.preorder()
+    position = {node_id: index for index, node_id in enumerate(order)}
+    wires = [""]
+    parents = [-1]
+    for node_id in order[1:]:
+        edge = tree.edge_to(node_id)
+        wires.append(_wire(edge.resistance, edge.capacitance))
+        parents.append(position[edge.parent])
+    canonical, keys = _canonical_order(
+        [_payload(tree.node(node_id)) for node_id in order], wires, parents,
+        memo,
     )
+    return _canonical_net([order[index] for index in canonical], keys)
+
+
+def canonicalize_records(
+    records: NetRecords, memo: Optional[Dict[str, str]] = None
+) -> CanonicalNet:
+    """:func:`canonicalize` over a serialized net, without building a tree.
+
+    ``records`` is :func:`repro.tree.io.net_records`' output.  Node ids
+    are list positions, the ids :func:`repro.tree.io.tree_from_records`
+    gives, so the result equals ``canonicalize(tree_from_dict(data))``
+    bit for bit: key, subtree keys and canonical order.  ``memo`` is
+    shared with :func:`canonicalize` on the same terms.
+    """
+    nodes = records.nodes
+    canonical, keys = _canonical_order(
+        [_payload(node) for node in nodes],
+        [_wire(node.edge_resistance, node.edge_capacitance) for node in nodes],
+        [node.parent for node in nodes],
+        memo,
+    )
+    return _canonical_net(canonical, keys)
 
 
 def library_key(library: BufferLibrary) -> str:
@@ -211,7 +294,7 @@ def options_key(options: Optional[Dict[str, object]]) -> str:
 
 def request_key(
     net: Union[RoutingTree, CanonicalNet],
-    library: BufferLibrary,
+    library: Union[BufferLibrary, str],
     algorithm: str = "fast",
     backend: str = "auto",
     options: Optional[Dict[str, object]] = None,
@@ -236,7 +319,8 @@ def request_key(
             :class:`CanonicalNet` (cheapest when the caller also needs
             the index mapping; pass ``driver`` explicitly then, since a
             ``CanonicalNet`` deliberately carries no driver).
-        library: The buffer library.
+        library: The buffer library, or its already-computed
+            :func:`library_key`.
         algorithm: Registered algorithm name.
         backend: Candidate-store backend name or ``"auto"``.
         options: Algorithm-specific flags.
@@ -250,6 +334,8 @@ def request_key(
         from repro.routing.router import DEFAULT_POLICY
 
         backend = f"auto/{policy if policy is not None else DEFAULT_POLICY}"
+    if not isinstance(library, str):
+        library = library_key(library)
     if isinstance(net, CanonicalNet):
         net_key = net.key
         effective_driver = driver
@@ -259,7 +345,7 @@ def request_key(
 
     parts = (
         f"net={net_key}",
-        f"lib={library_key(library)}",
+        f"lib={library}",
         f"drv={driver_key(effective_driver)}",
         f"alg={algorithm}",
         f"backend={backend}",

@@ -80,20 +80,22 @@ one session serialize on a per-session lock.
 
 Request flow for ``/solve`` (``/batch`` is the same per net):
 
-1. parse the net and library from the JSON body
-   (:func:`repro.tree.io.tree_from_dict` — validation happens here,
-   once per net, never again downstream);
-2. canonicalize (:func:`repro.service.canon.canonicalize`) and derive
-   the request key;
+1. read the net into validated records in one pass
+   (:func:`repro.tree.io.net_records` — validation happens here, once
+   per net, never again downstream), and the library;
+2. canonicalize the records
+   (:func:`repro.service.canon.canonicalize_records`; node ids are
+   record positions) and derive the request key;
 3. cache hit → translate the stored
    :class:`~repro.service.cache.SolutionPayload` onto *this* request's
-   node ids via the canonical index mapping and answer — no compile, no
-   solve, no worker dispatch;
-4. cache miss → fetch (or compile and remember) the
-   :class:`~repro.core.schedule.CompiledNet` for this structure, solve
-   it on the persistent :class:`~repro.core.batch.SolverPool` for this
-   (library, algorithm, backend, options) context, store the payload,
-   answer.
+   node ids via the canonical index mapping and answer — no tree, no
+   compile, no solve, no worker dispatch;
+4. cache miss → fetch the :class:`~repro.core.schedule.CompiledNet` for
+   this structure, or build the tree from the same records
+   (:func:`repro.tree.io.tree_from_records`) and compile and remember
+   it; solve it on the persistent :class:`~repro.core.batch.SolverPool`
+   for this (library, algorithm, backend, options) context, store the
+   payload, answer.
 
 Solves run in the event loop's default thread-pool executor so the loop
 keeps accepting requests while the kernel works; with ``jobs > 1`` the
@@ -121,7 +123,7 @@ import threading
 import time
 import uuid
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.batch import SolverPool
 from repro.core.registry import get_algorithm
@@ -148,13 +150,18 @@ from repro.routing.workload import WorkloadLog, compiled_digest
 from repro.service.cache import ResultCache, SolutionPayload
 from repro.service.canon import (
     CanonicalNet,
-    canonicalize,
+    canonicalize_records,
     driver_key,
     library_key,
     options_key,
     request_key,
 )
-from repro.tree.io import library_from_dict, tree_from_dict
+from repro.tree.io import (
+    library_from_dict,
+    net_records,
+    tree_from_dict,
+    tree_from_records,
+)
 
 _JSON_HEADERS = "Content-Type: application/json\r\nConnection: close\r\n"
 _TEXT_HEADERS = (
@@ -219,6 +226,13 @@ def _scoped_call(request_id, fn, tracer=None):
     """
     with request_scope(request_id), trace_scope(tracer):
         return fn()
+
+
+def _span(tracer: Optional[Tracer], name: str, **args: Any):
+    """``tracer.span(name, **args)``, or a no-op without a tracer."""
+    if tracer is None:
+        return contextlib.nullcontext()
+    return tracer.span(name, **args)
 
 
 def _endpoint_label(path: str) -> str:
@@ -1185,10 +1199,10 @@ class BufferServer:
         # within one net or across a batch's nets — hash once instead
         # of once per occurrence (see canonicalize's ``memo``).
         digest_memo: Dict[str, str] = {}
-        # The parse/canonicalize/compile loop below is synchronous — no
-        # awaits — so installing the ambient scope on the loop thread
-        # for its duration is safe (no other request can interleave),
-        # and compile + cache.lookup spans land on the tracer.
+        # The read/key/compile loop below is synchronous — no awaits —
+        # so installing the ambient scope on the loop thread for its
+        # duration is safe (no other request can interleave), and its
+        # spans land on the tracer.
         with request_scope(request_id), trace_scope(tracer):
             self._prepare_records(
                 request, net_specs, records, misses, digest_memo
@@ -1198,7 +1212,8 @@ class BufferServer:
             await self._solve_misses(request, misses, deadline,
                                      request_id, tracer)
 
-        return [record.render(request.library) for record in records]
+        with _span(tracer, "render", nets=len(records)):
+            return [record.render(request.library) for record in records]
 
     def _prepare_records(
         self,
@@ -1208,39 +1223,47 @@ class BufferServer:
         misses: "List[_NetRecord]",
         digest_memo: Dict[str, str],
     ) -> None:
-        """Parse, canonicalize, cache-probe and compile every net."""
+        """Read, key and cache-probe every net; build and compile misses.
+
+        Each net is read once, into validated records; its key and, on a
+        hit, its answer come from those records alone.  Only a miss
+        builds the tree, from the same records, and only when no
+        equivalent structure is compiled already.
+        """
+        tracer = active_tracer()
         for index, net_spec in enumerate(net_specs):
             if not isinstance(net_spec, dict):
                 raise _BadRequest(
                     f"nets[{index}] must be a net object, "
                     f"got {type(net_spec).__name__}"
                 )
-            try:
-                # tree_from_dict re-assigns node ids; keep the map so
-                # answers speak the ids the request was written in.
-                tree, id_map = tree_from_dict(net_spec, with_id_map=True)
-            except ReproError as exc:
-                raise _BadRequest(f"invalid net at index {index}: {exc}") from exc
+            with _span(tracer, "net.records", net=index):
+                try:
+                    net = net_records(net_spec)
+                except ReproError as exc:
+                    raise _BadRequest(
+                        f"invalid net at index {index}: {exc}"
+                    ) from exc
             if (
                 self.max_positions is not None
-                and tree.num_buffer_positions > self.max_positions
+                and net.num_buffer_positions > self.max_positions
             ):
                 self.counters["rejected_payloads"] += 1
                 raise _HttpError(
-                    f"net at index {index} has {tree.num_buffer_positions} "
+                    f"net at index {index} has {net.num_buffer_positions} "
                     f"buffer positions, above the server's max_positions "
                     f"limit of {self.max_positions}",
                     status=422,
                 )
-            canon = canonicalize(tree, memo=digest_memo)
-            record = _NetRecord(
-                key=request_key(
-                    canon, request.library, algorithm=request.algorithm,
+            with _span(tracer, "net.canon", net=index):
+                canon = canonicalize_records(net, memo=digest_memo)
+                key = request_key(
+                    canon, request.library_key, algorithm=request.algorithm,
                     backend=request.backend, options=request.options,
-                    driver=tree.driver, policy=request.policy,
-                ),
-                canon=canon,
-                serialized_id={new: old for old, new in id_map.items()},
+                    driver=net.driver, policy=request.policy,
+                )
+            record = _NetRecord(
+                key, canon, [node.id for node in net.nodes]
             )
             records.append(record)
             record.payload = self._cache_get(record.key)
@@ -1257,12 +1280,14 @@ class BufferServer:
                 # compiled net across drivers would solve with the
                 # wrong one.
                 compiled_key = (
-                    canon.key, request.library_key, driver_key(tree.driver)
+                    canon.key, request.library_key, driver_key(net.driver)
                 )
                 entry = self.compiled.get(compiled_key)
                 if entry is None:
+                    with _span(tracer, "tree.build", net=index):
+                        tree = tree_from_records(net)
                     try:
-                        # tree_from_dict already validated; skip re-validation.
+                        # net_records already validated; skip re-validation.
                         entry = (
                             compile_net(tree, request.library, validate=False),
                             canon,
@@ -1563,7 +1588,11 @@ class _PoolEntry:
 
 
 class _NetRecord:
-    """Per-net serving state: key, canon, id translation, payload."""
+    """Per-net serving state: key, canon, id translation, payload.
+
+    ``serialized_id[node_id]`` is the request's id of ``canon``'s node
+    ``node_id`` (a list when node ids are record positions).
+    """
 
     __slots__ = ("key", "canon", "serialized_id", "compiled", "base_canon",
                  "payload", "cached")
@@ -1572,7 +1601,7 @@ class _NetRecord:
         self,
         key: str,
         canon: CanonicalNet,
-        serialized_id: Dict[int, Any],
+        serialized_id: Union[List[Any], Dict[int, Any]],
     ) -> None:
         self.key = key
         self.canon = canon

@@ -10,8 +10,9 @@ collection order.  ``helpers`` exists only here.
 
 from __future__ import annotations
 
+import copy
 import random
-from typing import List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro import Driver, RoutingTree
 from repro.core.candidate import Candidate, SinkDecision
@@ -230,3 +231,64 @@ def golden_record(result) -> dict:
         "peak_list_length": result.stats.peak_list_length,
         "candidates_generated": result.stats.candidates_generated,
     }
+
+
+def malformed_requests() -> Dict[str, Tuple[Dict[str, Any], Dict[str, Any]]]:
+    """Malformed solve bodies, each with the valid twin it came from.
+
+    Maps a case name to ``(malformed body, twin body)`` over an 8-sink
+    net with a driver and ``paper_library(4)``.  The twin is the valid
+    request a lenient reader would take the malformed one for: the same
+    net and library, except that ``allowed_buffers`` read as a string
+    becomes the set of its characters.  A server must reject every
+    malformed body with a 400, even with the twin's answer cached.
+    """
+    from repro import paper_library, random_tree_net
+    from repro.tree.io import library_to_dict, tree_to_dict
+
+    net = tree_to_dict(random_tree_net(
+        8, seed=11, required_arrival=(ps(500.0), ps(2000.0)),
+        driver=Driver(resistance=200.0),
+    ))
+    library = library_to_dict(paper_library(4))
+    nodes = net["nodes"]
+    sink = next(i for i, node in enumerate(nodes) if node["kind"] == "sink")
+    inner = next(
+        i for i, node in enumerate(nodes)
+        if node["kind"] == "internal" and node.get("buffer_position")
+    )
+    buffer_name = library["buffers"][0]["name"]
+
+    def node(body: Dict[str, Any], index: int) -> Dict[str, Any]:
+        return body["net"]["nodes"][index]
+
+    edits: Dict[str, Callable[[Dict[str, Any]], Any]] = {
+        "node-without-kind": lambda body: node(body, sink).pop("kind"),
+        "string-capacitance": lambda body: node(body, sink).update(
+            capacitance=repr(nodes[sink]["capacitance"])),
+        "string-edge-resistance": lambda body: node(body, sink)["edge"].update(
+            resistance=repr(nodes[sink]["edge"]["resistance"])),
+        "integer-position": lambda body: node(body, inner).update(position=5),
+        "driver-without-resistance":
+            lambda body: body["net"]["driver"].pop("resistance"),
+        "nodes-not-a-list": lambda body: body["net"].update(nodes="abc"),
+        "allowed_buffers-as-a-string":
+            lambda body: node(body, inner).update(allowed_buffers=buffer_name),
+        "buffer_position-as-a-string":
+            lambda body: node(body, inner).update(buffer_position="no"),
+        "buffer-without-name":
+            lambda body: body["library"]["buffers"][0].pop("name"),
+        "string-driving_resistance":
+            lambda body: body["library"]["buffers"][0].update(
+                driving_resistance=repr(
+                    library["buffers"][0]["driving_resistance"])),
+    }
+    base = {"net": net, "library": library}
+    cases = {}
+    for case, edit in edits.items():
+        malformed, twin = copy.deepcopy(base), copy.deepcopy(base)
+        edit(malformed)
+        if case == "allowed_buffers-as-a-string":
+            node(twin, inner)["allowed_buffers"] = sorted(set(buffer_name))
+        cases[case] = (malformed, twin)
+    return cases

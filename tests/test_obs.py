@@ -583,14 +583,21 @@ class TestTraceRoundtrip:
             assert event["args"]["request_id"] == request_id
             assert event["ts"] >= 0.0 and event["dur"] >= 0.0
 
-        # A cached re-solve still traces; the lookup records the hit.
+        # The request path around the solve is spanned too; the tree is
+        # built once, for the miss.
+        path = {"net.records", "net.canon", "render"}
+        assert path <= names
+        assert [e["name"] for e in events].count("tree.build") == 1
+
+        # A cached re-solve still traces; the lookup records the hit,
+        # and the hit is answered without building a tree.
         answer = harness.client.solve(small_net(), library, trace=True)
         assert answer["cached"]
-        lookups = [
-            e for e in answer["trace"]["traceEvents"]
-            if e.get("name") == "cache.lookup" and e["ph"] == "X"
-        ]
+        events = [e for e in answer["trace"]["traceEvents"] if e["ph"] == "X"]
+        lookups = [e for e in events if e["name"] == "cache.lookup"]
         assert any(e["args"].get("hit") for e in lookups)
+        assert path <= {e["name"] for e in events}
+        assert "tree.build" not in {e["name"] for e in events}
 
     def test_untraced_solve_has_no_trace_key(self, harness):
         answer = harness.client.solve(small_net(), paper_library(4))

@@ -12,17 +12,30 @@ in-process :func:`repro.core.api.insert_buffers` result.
 import asyncio
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
-from helpers import SLACK_ATOL, random_small_tree, relabeled
+from helpers import (
+    SLACK_ATOL,
+    malformed_requests,
+    random_small_tree,
+    relabeled,
+)
 from repro import Driver, insert_buffers, paper_library, random_tree_net
 from repro.errors import ServiceError
 from repro.service.client import ServiceClient
 from repro.service.server import BufferServer
 from repro.timing.buffered import evaluate_assignment
 from repro.tree.io import tree_to_dict
+from repro.tree.routing_tree import RoutingTree
 from repro.units import ps
+
+#: ``/solve`` answers recorded before the server read nets as records:
+#: nets with int, string and mixed ids, each sent twice (miss, hit).
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "solve_golden.json").read_text()
+)
 
 
 class ServerHarness:
@@ -623,6 +636,8 @@ class TestResilienceServing:
             assert "buffer positions" in str(info.value)
             stats = h.client.stats()
             assert stats["resilience"]["server"]["rejected_payloads"] == 1
+            # Rejected before the result cache is probed.
+            assert stats["cache"]["hits"] == stats["cache"]["misses"] == 0
         finally:
             h.shutdown()
 
@@ -797,3 +812,68 @@ class TestPartitionedServing:
             assert last["pool_utilization"] > 0.0
         finally:
             h.shutdown()
+
+
+class TestRecordsPath:
+    """Each net is read once; a cache hit is answered without a tree."""
+
+    def test_hit_builds_no_tree(self, harness, net, library, monkeypatch):
+        twin = tree_to_dict(relabeled(net, rename=True, reverse_children=True))
+        builds = []
+        build = RoutingTree.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(self)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(RoutingTree, "__init__", counted)
+        first = harness.client.solve(tree_to_dict(net), library)
+        assert first["cached"] is False
+        assert len(builds) == 1
+        builds.clear()
+        answer = harness.client.solve(twin, library)
+        assert answer["cached"] is True
+        assert answer["key"] == first["key"]
+        assert builds == []
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN["cases"], ids=[case["name"] for case in GOLDEN["cases"]]
+    )
+    def test_answers_match_the_golden_file(self, harness, case):
+        """Miss and hit answers equal the recorded ones in every field
+        but the runtime, key order included (mixed int and string ids
+        cannot be sorted, so the order is the request's node order)."""
+
+        def pinned(answer):
+            stats = dict(answer["stats"])
+            del stats["solve_runtime_seconds"]
+            return json.dumps(dict(answer, stats=stats))
+
+        body = {"net": case["net"], "library": GOLDEN["library"]}
+        for sent in ("miss", "hit"):
+            answer = harness.client._request("POST", "/solve", body)
+            assert pinned(answer) == pinned(case[sent])
+
+
+MALFORMED = malformed_requests()
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_400_even_with_the_valid_twin_cached(self, harness, case):
+        """Every endpoint rejects a malformed field with a 400, and a
+        cached answer for its valid twin neither leaks out nor lets the
+        request reach a worker."""
+        malformed, twin = MALFORMED[case]
+        solve = harness.client._request
+        assert solve("POST", "/solve", twin)["cached"] is False
+        dispatches = harness.client.stats()["counters"]["worker_dispatches"]
+        batch = {"nets": [malformed["net"]], "library": malformed["library"]}
+        for path, body in (("/solve", malformed), ("/batch", batch),
+                           ("/session", malformed)):
+            status, text = harness.client._request_text("POST", path, body)
+            assert status == 400, (path, text)
+        stats = harness.client.stats()
+        assert stats["counters"]["worker_dispatches"] == dispatches
+        assert solve("POST", "/solve", twin)["cached"] is True
+
