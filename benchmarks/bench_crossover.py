@@ -13,7 +13,7 @@ Cells (``paper_library(b, jitter=0.03, seed=b)`` throughout):
 
 * ``solo`` — one compiled solve per store: ``random_tree_net(sinks)``
   as generated (about one position per sink) and segmented to 10-200
-  positions per sink, plus Figure 4 trunks of 100-2000 positions, at
+  positions per sink, plus Figure 4 trunks of 100-8000 positions, at
   b = 8 to 64.
 * ``group`` — the 8 R/C-corner replicas of a net: one batch-axis pass
   against the lanes solved one by one on the ``object`` store.
@@ -63,10 +63,11 @@ LIBRARY_SIZES = (8, 16, 24, 32, 64)
 #: the generated net; larger ratios segment its wires).
 RANDOM_SINKS = (4, 16, 64)
 RANDOM_RATIOS = (1, 10, 30, 50, 100, 200)
-TRUNK_POSITIONS = (100, 200, 300, 400, 600, 800, 1200, 1600, 2000)
+TRUNK_POSITIONS = (100, 200, 300, 400, 600, 800, 1200, 1600, 2000, 3000,
+                   4000, 6000, 8000)
 #: Solo cells above this ``positions * b`` are skipped (seconds per
-#: solve).
-MAX_POSITION_TYPES = 3200 * 32
+#: solve): the paper's 8000-position trunk at b = 32, 4000 at b = 64.
+MAX_POSITION_TYPES = 8000 * 32
 GROUP_LANES = 8
 #: (description, builder, library size) of the group and session cells.
 GROUP_CELLS = (

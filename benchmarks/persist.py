@@ -7,12 +7,12 @@ engine work targets into one JSON file at the repo root:
 
 * ``fig4`` — the Figure 4 trunk sweep (algorithm ``fast``) over the
   paper's full position range (500 … 8000), each point timed as a
-  **compiled** repeat solve per backend; each position additionally
-  records ``soa_vs_object_compiled`` — compiled-object seconds over
-  compiled-soa seconds, the headline number of the PR4 kernel engine
-  (>1 means the vectorized backend wins; PR2's trajectory showed ~0.5
-  here).  The backend comparison is interleaved best-of-N, so both
-  backends see the same thermal drift.
+  **compiled** repeat solve on both stores in paired rounds (the store
+  that runs first alternates), plus the store the static routing rule
+  (:func:`repro.routing.router.static_store`) picks there.  Each point
+  records both stores' median seconds and ``picked_over_other``: the
+  median over rounds of the picked store's time over the other's (< 1
+  means the rule picked the faster store).
 * ``op_profile`` — the wire/merge/buffer wall-clock split of
   ``bench_op_profile.py`` (object backend, measured by
   :class:`repro.obs.profiler.KernelProfiler`) for both algorithms,
@@ -24,9 +24,13 @@ engine work targets into one JSON file at the repo root:
   sizes of the object trees and of their compiled encoding.
 * ``ci_gate`` — thresholds the CI perf smoke job enforces with
   ``tools/perf_gate.py`` against a freshly generated file: at every
-  sweep point with at least ``min_positions`` actual positions,
-  compiled-soa must not be slower than ``max_soa_over_object`` times
-  compiled-object (the PR2 regression shape must stay reversed).
+  sweep point with at least ``min_positions`` actual positions, the
+  store the rule picks must not be slower than
+  ``max_picked_over_other`` times the other store.  Since the object
+  store's single-pass kernels the rule solves every single net on
+  ``object``, so this checks that ``object`` is the faster store on
+  every long trunk (before them it checked ``soa``, which the rule
+  picked there).
 
 Run::
 
@@ -35,9 +39,10 @@ Run::
 
 ``--scale`` (default: the ``REPRO_BENCH_SCALE`` environment variable,
 else 1.0) shrinks the instances the same way the benchmark suite's
-conftest does, so the CI smoke job can afford the sweep.  Timings are
-best-of-``--repeats`` (minimum = least noisy estimator of deterministic
-work).
+conftest does, so the CI smoke job can afford the sweep.  ``fig4``
+runs ``--repeats`` paired rounds per point and reports medians; the
+other sections' timings are best-of-``--repeats`` (minimum = least
+noisy estimator of deterministic work).
 
 Reading the file: every ``*_seconds`` field is wall time, every
 ``speedup`` field is "old over new" (bigger is better for the new
@@ -51,6 +56,7 @@ import argparse
 import json
 import os
 import pickle
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -68,6 +74,8 @@ from repro.experiments.workloads import (
 )
 from repro.library.generators import paper_library
 from repro.obs.profiler import KernelProfiler, profile_scope
+from repro.routing.features import features_of
+from repro.routing.router import static_store
 
 # persist.py runs from the benchmarks directory (as a script or under
 # pytest's rootdir), so the suite's shared helpers import directly.
@@ -84,8 +92,9 @@ LIBRARY_SIZE = 32
 CI_GATE = {
     # Points with at least this many *actual* positions are gated.
     "min_positions": 1000,
-    # compiled-soa seconds must be <= this multiple of compiled-object.
-    "max_soa_over_object": 1.0,
+    # The picked store's seconds must be <= this multiple of the
+    # other store's (median of per-round ratios).
+    "max_picked_over_other": 1.0,
 }
 
 
@@ -98,25 +107,24 @@ def _best_of(fn: Callable[[], object], repeats: int) -> float:
     return best
 
 
-def _best_of_paired(
-    first: Callable[[], object], second: Callable[[], object], repeats: int
+def _paired_rounds(
+    first: Callable[[], object], second: Callable[[], object], rounds: int
 ) -> tuple:
-    """Best-of-N for two rivals with interleaved rounds.
-
-    Alternating the two measurements inside each round exposes both to
-    the same background drift (thermal throttling, noisy neighbours),
-    which matters when the difference under test is a few percent.
-    """
-    best_first = float("inf")
-    best_second = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        first()
-        best_first = min(best_first, time.perf_counter() - started)
-        started = time.perf_counter()
-        second()
-        best_second = min(best_second, time.perf_counter() - started)
-    return best_first, best_second
+    """Per-round seconds of two rivals, the one that runs first
+    alternating every round, so both see the same background drift
+    (thermal throttling, noisy neighbours) and neither always runs
+    on a cache the other just warmed."""
+    first_seconds: List[float] = []
+    second_seconds: List[float] = []
+    for round_index in range(rounds):
+        order = ((first, first_seconds), (second, second_seconds))
+        if round_index % 2:
+            order = order[::-1]
+        for solve, seconds in order:
+            started = time.perf_counter()
+            solve()
+            seconds.append(time.perf_counter() - started)
+    return first_seconds, second_seconds
 
 
 def _backends() -> List[str]:
@@ -125,7 +133,8 @@ def _backends() -> List[str]:
 
 
 def measure_fig4(scale: float, repeats: int) -> Dict:
-    """Compiled repeat-solve seconds per position and backend."""
+    """Per point: both stores' compiled repeat-solve seconds in paired
+    rounds, and how the static rule's pick compares to the other."""
     points = []
     library = paper_library(LIBRARY_SIZE, jitter=0.03, seed=LIBRARY_SIZE)
     backends = _backends()
@@ -134,32 +143,34 @@ def measure_fig4(scale: float, repeats: int) -> Dict:
         compiled = compile_net(
             build_net(FIG4_NET, positions_override=positions), library
         )
-        # The big points dominate wall time; halve their repeats.
-        point_repeats = repeats if target <= 2000 else max(2, repeats // 2)
-        solves = [
-            lambda backend=backend: insert_buffers(
+        picked = static_store(features_of(compiled, library))
+        solves = {
+            backend: (lambda backend=backend: insert_buffers(
                 compiled, library, algorithm="fast", backend=backend
-            )
+            ))
             for backend in backends
-        ]
-        for solve in solves:
+        }
+        for solve in solves.values():
             solve()  # warm the factory's scratch arena/tape
-        if len(solves) == 2:
-            seconds = _best_of_paired(*solves, point_repeats)
+        point = {
+            "positions": positions,
+            "target_positions": target,
+            "picked": picked,
+        }
+        if len(backends) == 2:
+            other = "soa" if picked == "object" else "object"
+            picked_seconds, other_seconds = _paired_rounds(
+                solves[picked], solves[other], repeats
+            )
+            point[f"{picked}_seconds"] = statistics.median(picked_seconds)
+            point[f"{other}_seconds"] = statistics.median(other_seconds)
+            point["picked_over_other"] = statistics.median(
+                mine / theirs
+                for mine, theirs in zip(picked_seconds, other_seconds)
+            )
         else:
-            seconds = (_best_of(solves[0], point_repeats),)
-        for backend, elapsed in zip(backends, seconds):
-            points.append({
-                "positions": positions,
-                "target_positions": target,
-                "backend": backend,
-                "compiled_seconds": elapsed,
-            })
-        if len(seconds) == 2:
-            # The PR4 headline: compiled object over compiled soa.
-            head = seconds[0] / seconds[1]
-            for point in points[-2:]:
-                point["soa_vs_object_compiled"] = head
+            point["object_seconds"] = _best_of(solves["object"], repeats)
+        points.append(point)
     return {
         "algorithm": "fast",
         "library_size": LIBRARY_SIZE,
@@ -288,11 +299,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     fig4 = payload["fig4"]
     print(f"fig4 trunk sweep (fast, b={fig4['library_size']}):")
     for point in fig4["points"]:
-        head = point.get("soa_vs_object_compiled")
-        suffix = (f"  soa-vs-obj {head:.2f}x"
-                  if head is not None and point["backend"] == "soa" else "")
-        print(f"  n={point['positions']:>5} {point['backend']:<7}"
-              f" compiled {point['compiled_seconds']*1e3:9.2f}ms{suffix}")
+        line = (f"  n={point['positions']:>5} picked {point['picked']:<7}"
+                f" object {point['object_seconds']*1e3:9.2f}ms")
+        if "soa_seconds" in point:
+            line += (f"  soa {point['soa_seconds']*1e3:9.2f}ms"
+                     f"  picked/other {point['picked_over_other']:.3f}")
+        print(line)
     for row in payload["op_profile"]["rows"]:
         print(f"op split {row['algorithm']:<7} b={row['library_size']:<3}"
               f" wire {row['wire_seconds']*1e3:7.2f}ms"

@@ -104,8 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=("auto",) + store_backend_names(),
                      default="auto",
                      help="candidate-store backend; 'auto' (default) "
-                          "picks soa for long candidate lists, object "
-                          "otherwise")
+                          "picks object for a single net")
     buf.add_argument("--paper-pseudocode", action="store_true",
                      help="use the paper's destructive Convexpruning "
                           "(exact on 2-pin nets only)")
@@ -138,8 +137,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=("auto",) + store_backend_names(),
                        default="auto",
                        help="candidate-store backend; 'auto' (default) "
-                            "picks soa for long candidate lists, object "
-                            "otherwise")
+                            "picks object for each net, and the soa batch "
+                            "axis for a corner group with long candidate "
+                            "lists")
     batch.add_argument("--jobs", type=int, default=1,
                        help="worker processes, >= 1 (default 1; pass your "
                             "CPU count for one worker per core)")

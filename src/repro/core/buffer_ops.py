@@ -168,38 +168,75 @@ def generate_fast(
     (Lemma 3 needs all resistances to be feasible), so those types fall
     back to a prefix scan of the full list.  Unconstrained types — the
     DATE-2005 setting — keep the O(k + b) walk.
+
+    Each type's beta is first computed as a float (its ``q``) plus the
+    candidate it buffers; the betas are then dominance-pruned in
+    ``cap_order`` on those floats, and only the survivors become
+    :class:`Candidate` and :class:`BufferDecision` objects.
     """
     if not candidates:
         return []
     if hull is None:
         hull = convex_prune(candidates)
-    betas: List[Optional[Candidate]] = [None] * len(plan.by_resistance_desc)
+    buffers = plan.by_resistance_desc
+    beta_q = [0.0] * len(buffers)
+    below: List[Optional[Candidate]] = [None] * len(buffers)
     pointer = 0
     last = len(hull) - 1
-    for index, buffer in enumerate(plan.by_resistance_desc):
+    current = hull[0]
+    current_q = current.q
+    current_c = current.c
+    for index, buffer in enumerate(buffers):
         resistance = buffer.driving_resistance
         if buffer.max_load is not None:
-            current, value = _scan_best(candidates, resistance, buffer.max_load)
-            if current is None:
+            best, value = _scan_best(candidates, resistance, buffer.max_load)
+            if best is None:
                 continue
         else:
-            current = hull[pointer]
-            value = current.q - resistance * current.c
+            value = current_q - resistance * current_c
             while pointer < last:
                 following = hull[pointer + 1]
-                next_value = following.q - resistance * following.c
+                following_q = following.q
+                following_c = following.c
+                next_value = following_q - resistance * following_c
                 if next_value <= value:
                     break
                 pointer += 1
                 current = following
+                current_q = following_q
+                current_c = following_c
                 value = next_value
-        betas[index] = Candidate(
-            q=value - buffer.intrinsic_delay,
-            c=buffer.input_capacitance,
-            decision=BufferDecision(plan.node_id, buffer, current.decision),
+            best = current
+        beta_q[index] = value - buffer.intrinsic_delay
+        below[index] = best
+    # prune_dominated over the cap-ordered betas, on their floats.
+    kept: List[int] = []
+    last_q = last_c = 0.0
+    for index in plan.cap_order:
+        if below[index] is None:
+            continue
+        q = beta_q[index]
+        c = buffers[index].input_capacitance
+        if not kept:
+            kept.append(index)
+        elif q > last_q:
+            if c == last_c:
+                kept[-1] = index
+            else:
+                kept.append(index)
+        else:
+            continue
+        last_q = q
+        last_c = c
+    node_id = plan.node_id
+    return [
+        Candidate(
+            beta_q[index],
+            buffers[index].input_capacitance,
+            BufferDecision(node_id, buffers[index], below[index].decision),
         )
-    ordered = [betas[i] for i in plan.cap_order if betas[i] is not None]
-    return prune_dominated(ordered)
+        for index in kept
+    ]
 
 
 def insert_candidates(
@@ -207,23 +244,83 @@ def insert_candidates(
 ) -> CandidateList:
     """Theorem 2: merge the ``beta_i`` into the list in ``O(k + b)``.
 
-    Both inputs must be sorted by non-decreasing ``c``; the result is
-    the nonredundant union, sorted by strictly increasing ``c`` and
-    ``q``.
+    Both inputs must be nonredundant (sorted by strictly increasing
+    ``c`` and ``q``), as every add-buffer caller passes them: the list
+    a position holds and the output of :func:`generate_fast` or
+    :func:`generate_lillis`.  The result is their nonredundant union;
+    on an equal-``c`` tie the existing candidate is ordered first.
+
+    Only the overlap of the two ``c`` ranges is walked.  The existing
+    candidates below the first new one's ``c`` all survive, so they are
+    copied as one slice; once the new candidates are used up, the rest
+    of the list survives from its first candidate whose ``q`` beats the
+    last one kept.  Both cut points are binary searches, so beyond the
+    two slice copies the step compares only the overlap and
+    ``O(log k)`` more candidates.
     """
     if not new_candidates:
         return candidates
-    if not candidates:
-        return prune_dominated(new_candidates)
-    merged: CandidateList = []
-    i = j = 0
-    while i < len(candidates) and j < len(new_candidates):
-        if candidates[i].c <= new_candidates[j].c:
-            merged.append(candidates[i])
-            i += 1
+    size = len(candidates)
+    # First existing candidate with c >= the first new candidate's c.
+    first_c = new_candidates[0].c
+    low, high = 0, size
+    while low < high:
+        middle = (low + high) // 2
+        if candidates[middle].c < first_c:
+            low = middle + 1
         else:
-            merged.append(new_candidates[j])
-            j += 1
-    merged.extend(candidates[i:])
-    merged.extend(new_candidates[j:])
-    return prune_dominated(merged)
+            high = middle
+    merged = candidates[:low]
+    append = merged.append
+    i = low
+    if merged:
+        kept = merged[-1]
+        last_q = kept.q
+        last_c = kept.c
+    else:
+        last_q = last_c = 0.0
+    # The overlap: a sorted merge (existing first on equal c) with the
+    # dominance prune inline, until the new candidates are used up.
+    for new in new_candidates:
+        new_c = new.c
+        while i < size:
+            candidate = candidates[i]
+            c = candidate.c
+            if c > new_c:
+                break
+            i += 1
+            q = candidate.q
+            if not merged:
+                append(candidate)
+            elif q > last_q:
+                if c == last_c:
+                    merged[-1] = candidate
+                else:
+                    append(candidate)
+            else:
+                continue
+            last_q = q
+            last_c = c
+        q = new.q
+        if not merged:
+            append(new)
+        elif q > last_q:
+            if new_c == last_c:
+                merged[-1] = new
+            else:
+                append(new)
+        else:
+            continue
+        last_q = q
+        last_c = new_c
+    # Every remaining candidate has c above the last one kept; the
+    # first whose q beats it starts the surviving tail.
+    low, high = i, size
+    while low < high:
+        middle = (low + high) // 2
+        if candidates[middle].q > last_q:
+            high = middle
+        else:
+            low = middle + 1
+    merged += candidates[low:]
+    return merged

@@ -11,7 +11,6 @@ nonredundant, which the classic two-pointer walk enumerates directly in
 from __future__ import annotations
 
 from repro.core.candidate import Candidate, CandidateList, MergeDecision
-from repro.core.pruning import prune_dominated
 
 
 def merge_branches(left: CandidateList, right: CandidateList) -> CandidateList:
@@ -27,26 +26,61 @@ def merge_branches(left: CandidateList, right: CandidateList) -> CandidateList:
         # identity behaviour is the sane degenerate answer.
         return left or right
 
+    # The dominance prune runs inline on each pairing's two floats, so a
+    # pairing it drops never becomes a Candidate.  (The walk makes q
+    # strictly increase, so the prune only replaces the last kept
+    # candidate on an equal-c tie, which rounding ``c_l + c_r`` makes.)
     merged: CandidateList = []
+    append = merged.append
+    size_left = len(left)
+    size_right = len(right)
     i = j = 0
-    while i < len(left) and j < len(right):
-        a, b = left[i], right[j]
-        merged.append(
-            Candidate(
-                q=min(a.q, b.q),
-                c=a.c + b.c,
-                decision=MergeDecision(a.decision, b.decision),
-            )
-        )
+    a = left[0]
+    b = right[0]
+    a_q = a.q
+    b_q = b.q
+    last_q = last_c = 0.0
+    while True:
+        # min(a_q, b_q), keeping min's choice of operand (the sign of a
+        # zero survives as min returns it).
+        q = b_q if b_q < a_q else a_q
+        c = a.c + b.c
+        if not merged:
+            append(Candidate(q, c, MergeDecision(a.decision, b.decision)))
+            last_q = q
+            last_c = c
+        elif q > last_q:
+            joint = Candidate(q, c, MergeDecision(a.decision, b.decision))
+            if c == last_c:
+                merged[-1] = joint
+            else:
+                append(joint)
+            last_q = q
+            last_c = c
         # Advance the binding (smaller-q) side; on a tie advance both,
         # since keeping either pointer would only raise c at the same q.
-        if a.q < b.q:
+        # Once one list is exhausted, pairing the other's remaining
+        # (higher c, higher q) candidates cannot raise min(q) further:
+        # dominated.
+        if a_q < b_q:
             i += 1
-        elif b.q < a.q:
+            if i == size_left:
+                break
+            a = left[i]
+            a_q = a.q
+        elif b_q < a_q:
             j += 1
+            if j == size_right:
+                break
+            b = right[j]
+            b_q = b.q
         else:
             i += 1
             j += 1
-    # Once one list is exhausted, pairing the other's remaining (higher
-    # c, higher q) candidates cannot raise min(q) further: dominated.
-    return prune_dominated(merged)
+            if i == size_left or j == size_right:
+                break
+            a = left[i]
+            b = right[j]
+            a_q = a.q
+            b_q = b.q
+    return merged

@@ -31,16 +31,30 @@ def prune_dominated(candidates: CandidateList) -> CandidateList:
     Among candidates tied in both ``q`` and ``c`` the earliest survives.
     Linear time.
     """
-    result: CandidateList = []
-    for candidate in candidates:
-        if result and candidate.c < result[-1].c:
+    iterator = iter(candidates)
+    for first in iterator:
+        break
+    else:
+        return []
+    result: CandidateList = [first]
+    append = result.append
+    # The last kept candidate's coordinates stay in locals: a candidate
+    # survives exactly when its q beats the last kept q; an equal-c
+    # survivor replaces the kept one, any other is appended.
+    last_q = first.q
+    last_c = first.c
+    for candidate in iterator:
+        q = candidate.q
+        c = candidate.c
+        if c < last_c:
             raise ValueError("prune_dominated requires c-sorted input")
-        # Equal-c candidates are adjacent; a strictly better q replaces
-        # the kept one, an equal-or-worse q is dropped.
-        if result and candidate.c == result[-1].c and candidate.q > result[-1].q:
-            result.pop()
-        if not result or candidate.q > result[-1].q:
-            result.append(candidate)
+        if q > last_q:
+            if c == last_c:
+                result[-1] = candidate
+            else:
+                append(candidate)
+            last_q = q
+            last_c = c
     return result
 
 
@@ -69,13 +83,31 @@ def convex_prune(candidates: Sequence[Candidate]) -> CandidateList:
     :class:`repro.core.fast.FastBufferInsertion` exposes via its
     ``destructive_pruning`` flag.
     """
-    hull: CandidateList = []
+    # A preallocated hull store with a depth counter, plus the last two
+    # hull points' coordinates in locals (``q1, c1`` the top, ``q2, c2``
+    # the one below it): the popping predicate is Eq. (2) on floats, and
+    # a pop reads only the new second point.
+    hull: CandidateList = [None] * len(candidates)  # type: ignore[list-item]
+    q1 = c1 = q2 = c2 = 0.0
+    depth = 0
     for candidate in candidates:
-        while len(hull) >= 2 and _left_turn_or_straight(
-            hull[-2], hull[-1], candidate
-        ):
-            hull.pop()
-        hull.append(candidate)
+        q = candidate.q
+        c = candidate.c
+        while depth >= 2 and (q1 - q2) * (c - c1) <= (q - q1) * (c1 - c2):
+            depth -= 1
+            q1 = q2
+            c1 = c2
+            if depth >= 2:
+                below = hull[depth - 2]
+                q2 = below.q
+                c2 = below.c
+        hull[depth] = candidate
+        depth += 1
+        q2 = q1
+        c2 = c1
+        q1 = q
+        c1 = c
+    del hull[depth:]
     return hull
 
 

@@ -32,8 +32,9 @@ def add_wire(
         return candidates
     half_wire = capacitance / 2.0
     for candidate in candidates:
-        candidate.q -= resistance * (half_wire + candidate.c)
-        candidate.c += capacitance
+        c = candidate.c
+        candidate.q -= resistance * (half_wire + c)
+        candidate.c = c + capacitance
     # Even at resistance == 0 (where every q survives unchanged) the
     # uniform c shift can round two neighbouring c values into a tie,
     # so the re-prune is unconditional to restore strictness.

@@ -35,6 +35,7 @@ from repro.core.candidate import (
 )
 from repro.core.dp import build_plans
 from repro.core.merge import merge_branches
+from repro.core.pruning import prune_dominated
 from repro.core.wire_ops import add_wire
 from repro.errors import AlgorithmError, InfeasibleError
 from repro.library.buffer_type import BufferType
@@ -192,11 +193,14 @@ def _run_cost_dp(
                             continue
                         additions.setdefault(w_new, []).append(candidate)
                 for w_new, extra in additions.items():
+                    # Betas from several source levels: c-sorted, but
+                    # only their nonredundant subset may be inserted.
                     extra.sort(key=lambda cand: cand.c)
+                    extra = prune_dominated(extra)
                     if w_new in levels:
                         levels[w_new] = insert_candidates(levels[w_new], extra)
                     else:
-                        levels[w_new] = insert_candidates([], extra)
+                        levels[w_new] = extra
 
             levels = _prune_across_levels(levels)
 

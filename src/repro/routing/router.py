@@ -6,9 +6,10 @@ any structural group and partitioned any net over a fixed instruction
 threshold.  The :class:`Router` subsumes them behind one policy string:
 
 * ``"static"`` — the rule (the default): :func:`static_store` picks
-  the candidate store from the request's size, a structural group rides
-  the batch axis when its lanes are on the ``soa`` side, and a net over
-  the instruction threshold is partitioned on a multi-process pool.
+  the candidate store from the request's kind and size (``object`` for
+  every single-net solve), a structural group rides the batch axis when
+  it is on the ``soa`` side, and a net over the instruction threshold
+  is partitioned on a multi-process pool.
 * ``"always_X"`` / ``"never_X"`` — escape hatches that pin one axis and
   leave the rest on the static rule: ``always_object``, ``always_soa``,
   ``always_batch`` / ``never_batch``, ``always_parallel`` /
@@ -24,7 +25,7 @@ themselves in ``tests/data/route_golden.json``.
 from __future__ import annotations
 
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, Optional
 
 from repro.obs.metrics import default_registry
@@ -118,10 +119,15 @@ def _soa_available() -> bool:
 #: The object/soa crossover in ``positions * library_size`` (every
 #: position tries every buffer type), measured by
 #: ``benchmarks/bench_crossover.py``.  ``soa`` pays a fixed NumPy
-#: dispatch cost per instruction and wins only once the add-buffer step
-#: works on long candidate lists: lists grow along the positions between
-#: branch points, hence a floor per sink, and the step's width grows
-#: with the library size.
+#: dispatch cost per instruction and wins only once the work per
+#: instruction is large: lists grow along the positions between branch
+#: points, hence a floor per sink, and the add-buffer step's width grows
+#: with the library size.  Against the object store's single-pass
+#: kernels one net's solve never pays that cost back on the measured
+#: grid (Figure 4 trunks to 8000 positions, b = 8-64), so these floors
+#: apply only where ``soa`` still measured faster on long lists: a
+#: session resolve, and a multi-lane group on the batch axis, which
+#: runs every lane per dispatch.
 SOA_MIN_POSITION_TYPES_PER_SINK = 800
 SOA_MIN_POSITION_TYPES = 9600
 
@@ -129,13 +135,16 @@ SOA_MIN_POSITION_TYPES = 9600
 def static_store(features: RequestFeatures) -> str:
     """The candidate store the static rule picks for ``features``.
 
-    ``"soa"`` when the candidate lists will be long — ``positions *
-    library_size`` of at least :data:`SOA_MIN_POSITION_TYPES_PER_SINK`
-    per sink and :data:`SOA_MIN_POSITION_TYPES` in all (a Figure 4
-    trunk: one sink, hundreds of positions) — and NumPy imports;
-    ``"object"`` otherwise (nets with a few positions per sink, where
-    ``soa``'s per-instruction overhead is not paid back).
+    ``"object"`` for a single-net solve, whatever its size.  A session
+    or a multi-lane group takes ``"soa"`` when its candidate lists will
+    be long — ``positions * library_size`` of at least
+    :data:`SOA_MIN_POSITION_TYPES_PER_SINK` per sink and
+    :data:`SOA_MIN_POSITION_TYPES` in all (a Figure 4 trunk: one sink,
+    hundreds of positions) — and NumPy imports; ``"object"``
+    otherwise.
     """
+    if features.kind == "solve" and features.lanes == 1:
+        return "object"
     work = features.positions * features.library_size
     if (
         work >= SOA_MIN_POSITION_TYPES_PER_SINK * features.sinks
@@ -188,11 +197,13 @@ class Router:
 
         The store is the caller's ``backend`` (an explicit store always
         wins), else the policy's pinned store, else
-        :func:`static_store`'s.  A session splices on it.  A multi-lane
-        group, on a context that ``supports_batch``, rides the batch
-        axis when that store is ``soa`` — or, under ``always_batch``,
-        whenever the store was left to routing; ``never_batch`` solves
-        such a group's lanes one by one on ``soa`` instead.  Anything
+        :func:`static_store`'s (for a group on a context that cannot
+        batch, the store of one lane).  A session splices on it.  A
+        multi-lane group, on a context that ``supports_batch``, rides the
+        batch axis when that store is ``soa`` — or, under
+        ``always_batch``, whenever the store was left to routing;
+        ``never_batch`` solves such a group's lanes one by one on ``soa``
+        instead.  Anything
         else solves on the store, partitioned on a context that
         ``supports_parallel`` once its schedule reaches
         :attr:`parallel_threshold` instructions (``always_parallel``
@@ -205,10 +216,15 @@ class Router:
             else None
         )
         pin_store, pin_batch, pin_parallel = self._pins
-        store = (
-            backend if backend != "auto"
-            else pin_store or static_store(features)
-        )
+        if backend != "auto":
+            store = backend
+        elif pin_store is not None:
+            store = pin_store
+        elif features.lanes > 1 and not supports_batch:
+            # Lanes that cannot ride the batch axis solve one by one.
+            store = static_store(replace(features, lanes=1))
+        else:
+            store = static_store(features)
         if features.kind == "session":
             plan = ExecutionPlan(store, "splice")
         elif supports_batch and features.lanes > 1 and (

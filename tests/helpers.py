@@ -15,7 +15,12 @@ import random
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro import Driver, RoutingTree
-from repro.core.candidate import Candidate, SinkDecision
+from repro.core.candidate import (
+    BufferDecision,
+    Candidate,
+    MergeDecision,
+    SinkDecision,
+)
 from repro.units import fF, ps
 
 #: Tolerance for slack comparisons in seconds (sub-femtosecond).
@@ -30,6 +35,173 @@ def make_candidates(points: Sequence[Tuple[float, float]]) -> List[Candidate]:
 def qc(candidates: Sequence[Candidate]) -> List[Tuple[float, float]]:
     """The (q, c) pairs of a candidate list, for equality assertions."""
     return [(cand.q, cand.c) for cand in candidates]
+
+
+def kernel_signature(candidates) -> list:
+    """What a kernel parity check compares, per candidate.
+
+    The ``float.hex`` of ``q`` and ``c`` (so a sign of zero or a last
+    ulp counts), plus the decision: passed-through decisions by
+    identity, a new :class:`BufferDecision` by its node, type object
+    and the decision below it, a new :class:`MergeDecision` by its two
+    children.
+    """
+    rows = []
+    for candidate in candidates:
+        decision = candidate.decision
+        if isinstance(decision, BufferDecision):
+            shape = ("buffer", decision.node_id, id(decision.buffer),
+                     id(decision.below))
+        elif isinstance(decision, MergeDecision):
+            shape = ("merge", id(decision.left), id(decision.right))
+        else:
+            shape = ("same", id(decision))
+        rows.append((float.hex(candidate.q), float.hex(candidate.c), shape))
+    return rows
+
+
+def copied(candidates) -> List[Candidate]:
+    """Fresh candidate objects sharing the originals' decisions (for
+    kernels that mutate their input, like add-wire)."""
+    return [Candidate(c.q, c.c, c.decision) for c in candidates]
+
+
+# -- Reference kernels ----------------------------------------------------
+#
+# The object store's list kernels as first written: generic list passes
+# that build every candidate, then prune.  The production kernels in
+# ``repro.core`` are single passes that allocate only survivors; the
+# property tests hold them to these bodies bit for bit (every ``q`` and
+# ``c`` by ``float.hex``, every decision node).
+
+
+def reference_prune_dominated(candidates):
+    result = []
+    for candidate in candidates:
+        if result and candidate.c < result[-1].c:
+            raise ValueError("prune_dominated requires c-sorted input")
+        if result and candidate.c == result[-1].c and candidate.q > result[-1].q:
+            result.pop()
+        if not result or candidate.q > result[-1].q:
+            result.append(candidate)
+    return result
+
+
+def _reference_left_turn_or_straight(a1, a2, a3):
+    return (a2.q - a1.q) * (a3.c - a2.c) <= (a3.q - a2.q) * (a2.c - a1.c)
+
+
+def reference_convex_prune(candidates):
+    hull = []
+    for candidate in candidates:
+        while len(hull) >= 2 and _reference_left_turn_or_straight(
+            hull[-2], hull[-1], candidate
+        ):
+            hull.pop()
+        hull.append(candidate)
+    return hull
+
+
+def _reference_scan_best(candidates, resistance, max_load):
+    best = None
+    best_value = float("-inf")
+    for candidate in candidates:
+        if candidate.c > max_load:
+            break
+        value = candidate.q - resistance * candidate.c
+        if value > best_value:
+            best_value = value
+            best = candidate
+    return best, best_value
+
+
+def reference_generate_fast(candidates, plan, hull=None):
+    if not candidates:
+        return []
+    if hull is None:
+        hull = reference_convex_prune(candidates)
+    betas = [None] * len(plan.by_resistance_desc)
+    pointer = 0
+    last = len(hull) - 1
+    for index, buffer in enumerate(plan.by_resistance_desc):
+        resistance = buffer.driving_resistance
+        if buffer.max_load is not None:
+            current, value = _reference_scan_best(
+                candidates, resistance, buffer.max_load
+            )
+            if current is None:
+                continue
+        else:
+            current = hull[pointer]
+            value = current.q - resistance * current.c
+            while pointer < last:
+                following = hull[pointer + 1]
+                next_value = following.q - resistance * following.c
+                if next_value <= value:
+                    break
+                pointer += 1
+                current = following
+                value = next_value
+        betas[index] = Candidate(
+            q=value - buffer.intrinsic_delay,
+            c=buffer.input_capacitance,
+            decision=BufferDecision(plan.node_id, buffer, current.decision),
+        )
+    ordered = [betas[i] for i in plan.cap_order if betas[i] is not None]
+    return reference_prune_dominated(ordered)
+
+
+def reference_insert_candidates(candidates, new_candidates):
+    if not new_candidates:
+        return candidates
+    if not candidates:
+        return reference_prune_dominated(new_candidates)
+    merged = []
+    i = j = 0
+    while i < len(candidates) and j < len(new_candidates):
+        if candidates[i].c <= new_candidates[j].c:
+            merged.append(candidates[i])
+            i += 1
+        else:
+            merged.append(new_candidates[j])
+            j += 1
+    merged.extend(candidates[i:])
+    merged.extend(new_candidates[j:])
+    return reference_prune_dominated(merged)
+
+
+def reference_merge_branches(left, right):
+    if not left or not right:
+        return left or right
+    merged = []
+    i = j = 0
+    while i < len(left) and j < len(right):
+        a, b = left[i], right[j]
+        merged.append(
+            Candidate(
+                q=min(a.q, b.q),
+                c=a.c + b.c,
+                decision=MergeDecision(a.decision, b.decision),
+            )
+        )
+        if a.q < b.q:
+            i += 1
+        elif b.q < a.q:
+            j += 1
+        else:
+            i += 1
+            j += 1
+    return reference_prune_dominated(merged)
+
+
+def reference_add_wire(candidates, resistance, capacitance):
+    if resistance == 0.0 and capacitance == 0.0:
+        return candidates
+    half_wire = capacitance / 2.0
+    for candidate in candidates:
+        candidate.q -= resistance * (half_wire + candidate.c)
+        candidate.c += capacitance
+    return reference_prune_dominated(candidates)
 
 
 def relabeled(

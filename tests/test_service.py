@@ -217,16 +217,21 @@ class TestAutoRouting:
         assert answer["backend"] == "object"
         assert harness.client.stats()["solves_by_backend"] == {"object": 1}
 
-    def test_fig4_trunk_solves_on_soa(self, harness):
+    def test_fig4_trunk_solves_on_object(self, harness):
+        """One net solves on object at any size; a session on the same
+        trunk resolves on soa."""
         from repro.core.stores import resolve_backend
         from repro.experiments.workloads import FIG4_NET, build_net
 
         library = paper_library(32)
         trunk = build_net(FIG4_NET, positions_override=500)
         answer = harness.client.solve(trunk, library)
-        assert answer["backend"] == resolve_backend("auto")
-        expected = insert_buffers(trunk, library, backend="object")
+        assert answer["backend"] == "object"
+        expected = insert_buffers(trunk, library, backend="soa")
         assert answer["slack_seconds"] == expected.slack
+        session = harness.client.create_session(trunk, library)
+        assert session.info["backend"] == resolve_backend("auto")
+        session.delete()
 
     def test_table1_session_runs_on_object(self, harness):
         from repro.experiments.workloads import TABLE1_NETS, build_net
