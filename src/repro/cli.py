@@ -563,7 +563,8 @@ def _cmd_edit(args: argparse.Namespace) -> int:
     cache = solver.stats()["frontier_cache"]
     print(f"\n{len(edits)} edits; frontier cache: {cache['hits']} hits / "
           f"{cache['misses']} misses ({cache['hit_rate']:.0%}), "
-          f"{cache['bytes'] / 1024:.0f} KiB resident")
+          f"{cache['bytes'] / 1024:.0f} KiB resident, "
+          f"{cache['held']} held, {cache['released']} released")
     if args.output is not None:
         final = steps[-1] if steps else {}
         payload = {

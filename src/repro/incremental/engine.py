@@ -41,13 +41,23 @@ subtree elsewhere wraps each decision in a
 tree-preorder indices at backtrace time — O(answer), only for the
 winning candidate.  Splices into the *same* vertex of an unchanged
 index reuse the decisions unwrapped.
+
+**Frontier lifetime.**  Each node of a session holds the cache key of
+its current subtree (:meth:`FrontierCache.hold`).  After a resolve, the
+nodes whose digest moved move their holds to the new keys.  The keys
+they left stay held until the next resolve that moves holds (a driver
+swap moves none), so undoing the latest edit still splices the whole
+previous state, while older states are recomputed.
+:meth:`IncrementalSolver.close` — or the solver's finalizer, when a
+session is dropped without it — releases every hold.
 """
 
 from __future__ import annotations
 
 import time
+import weakref
 from contextlib import nullcontext
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Set, Tuple, Union
 
 from repro.core.candidate import (
     Candidate,
@@ -190,6 +200,19 @@ def splice_snapshot(
     return factory.from_snapshot(snapshot.q, snapshot.c, decisions)
 
 
+def _release_holds(
+    cache: FrontierCache,
+    holds: Dict[int, Hashable],
+    superseded: List[Hashable],
+) -> None:
+    """Release a session's holds (its :meth:`~IncrementalSolver.close`
+    and its finalizer; refers to nothing that keeps the solver alive)."""
+    keys = [*holds.values(), *superseded]
+    holds.clear()
+    superseded.clear()
+    cache.release(keys)
+
+
 class IncrementalSolver:
     """A stateful ECO session: apply edits, re-solve the dirty path.
 
@@ -206,7 +229,8 @@ class IncrementalSolver:
     factory (warm SoA arenas across re-solves) and a
     :class:`~repro.incremental.subtree_cache.FrontierCache` — pass a
     shared cache to pool frontier memory across sessions (the server
-    does).
+    does).  The session holds its current frontiers in that cache (see
+    the module docstring) until :meth:`close` or until it is collected.
 
     Args:
         tree: The net; validated once here, mutated by :meth:`apply`.
@@ -222,7 +246,7 @@ class IncrementalSolver:
             edits take effect).
         cache: Shared :class:`FrontierCache`; a private one by default.
         capture: Memoize frontiers while solving (disable for pure
-            replay measurements).
+            replay measurements; such a session holds nothing).
         **options: Algorithm options (part of every cache key).
 
     Raises:
@@ -282,7 +306,16 @@ class IncrementalSolver:
         self.compiled: CompiledNet = compile_net(tree, library, validate=False)
         self._digest: Dict[int, str] = {}
         self._entry: Dict[int, str] = {}
+        #: Nodes whose digest may have moved since the last resolve.
+        self._moved: Set[int] = set()
         self._rebuild_digests()
+        #: node -> the cache key it holds, and the keys the latest
+        #: resolve that moved holds left (released by the next one).
+        self._holds: Dict[int, Hashable] = {}
+        self._superseded: List[Hashable] = []
+        self._finalizer = weakref.finalize(
+            self, _release_holds, self.cache, self._holds, self._superseded
+        )
         self._index: Optional[TreeIndex] = None
         self._index_stale = True
         self._schedule_stale = False
@@ -312,6 +345,7 @@ class IncrementalSolver:
 
     def _digest_node(self, node_id: int) -> None:
         self._digest[node_id] = digest_body(self._body(node_id))
+        self._moved.add(node_id)
         if node_id != self.tree.root_id:
             edge = self.tree.edge_to(node_id)
             self._entry[node_id] = edge_entry(
@@ -361,6 +395,7 @@ class IncrementalSolver:
         for node_id in impact.removed:
             self._digest.pop(node_id, None)
             self._entry.pop(node_id, None)
+            self._moved.add(node_id)
         if isinstance(edit, (SetWire, SplitWire)):
             # The child keeps its digest; only its edge-prefixed entry
             # (and everything above) changes.
@@ -583,6 +618,9 @@ class IncrementalSolver:
                     q, c, decisions, index, node, peak, gen,
                     archive=archive, d=d,
                 ))
+        if self.capture:
+            self._move_holds()
+        self._moved.clear()
         if factory is not None:
             factory.end_solve()
 
@@ -594,6 +632,47 @@ class IncrementalSolver:
         self._last_result = result
         self._stale = False
         return result
+
+    # -- frontier lifetime ---------------------------------------------
+
+    def _move_holds(self) -> None:
+        """Point each moved node's hold at its current key (after this
+        resolve's captures are in the cache).  If that supersedes any
+        key, release the keys the last such resolve superseded."""
+        cache = self.cache
+        context = self._context_key
+        digest = self._digest
+        holds = self._holds
+        superseded = []
+        for node in self._moved:
+            held = holds.get(node)
+            node_digest = digest.get(node)
+            key = None if node_digest is None else (node_digest, context)
+            if key == held:
+                continue
+            if key is None:
+                del holds[node]
+            else:
+                holds[node] = key
+                cache.hold(key)
+            if held is not None:
+                superseded.append(held)
+        if superseded:
+            cache.release(self._superseded)
+            # In place: the finalizer releases this very list.
+            self._superseded[:] = superseded
+
+    def close(self) -> None:
+        """Release every frontier this session holds in its cache.
+
+        Idempotent.  The session stays usable, but from here on it
+        memoizes nothing (as with ``capture=False``).  Like the other
+        methods it must not run concurrently with :meth:`resolve`.
+        Sessions dropped without a ``close()`` release their holds when
+        they are collected.
+        """
+        self.capture = False
+        self._finalizer()
 
     # -- introspection -------------------------------------------------
 

@@ -33,13 +33,18 @@ entry.
 :class:`FrontierCache` is a thread-safe LRU bounded by **bytes** as
 well as entries — sessions on a server share one instance, so the bound
 is the serving layer's documented memory ceiling for frontier state.
+Inside that bound, an entry lives as long as someone holds its key: a
+session holds the keys of its current subtrees
+(:meth:`FrontierCache.hold`), and an entry is dropped as soon as its
+last holder lets go (:meth:`FrontierCache.release`), so frontiers that
+edits superseded do not sit in memory until the bound evicts them.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from threading import Lock
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable, Iterable, Optional
 
 #: Fixed per-snapshot overhead estimate (object headers, slots, the
 #: cache entry itself), plus a per-candidate estimate covering the two
@@ -200,6 +205,12 @@ class FrontierCache:
     backend, options), so one cache instance can safely serve many
     sessions with different solve contexts.
 
+    Holders are counted per key, apart from the entries: a key may be
+    held while it has no entry (not captured yet, or evicted), and
+    sessions that share the cache never drop each other's frontiers.
+    An entry is dropped when the last holder of its key releases it;
+    the bounds keep evicting LRU entries on top, held or not.
+
     Args:
         max_bytes: Total estimated snapshot bytes to retain; inserting
             beyond it evicts least-recently-used entries.
@@ -216,15 +227,37 @@ class FrontierCache:
         self.max_bytes = max_bytes
         self.max_entries = max_entries
         self._entries: "OrderedDict[Hashable, FrontierSnapshot]" = OrderedDict()
+        self._holds: Dict[Hashable, int] = {}
+        # Released keys not applied yet (see release()); every call
+        # that takes the lock applies them first.
+        self._releases: "deque[Hashable]" = deque()
         self._lock = Lock()
         self._bytes = 0
         self._hits = 0
         self._misses = 0
         self._evictions = 0
+        self._released = 0
+
+    def _apply_releases(self) -> None:
+        """Apply the queued releases; the caller holds the lock."""
+        releases = self._releases
+        holds = self._holds
+        while releases:
+            key = releases.popleft()
+            count = holds[key] - 1
+            if count:
+                holds[key] = count
+                continue
+            del holds[key]
+            snapshot = self._entries.pop(key, None)
+            if snapshot is not None:
+                self._bytes -= snapshot.nbytes
+                self._released += 1
 
     def get(self, key: Hashable) -> Optional[FrontierSnapshot]:
         """The snapshot under ``key`` or ``None`` (counted either way)."""
         with self._lock:
+            self._apply_releases()
             snapshot = self._entries.get(key)
             if snapshot is None:
                 self._misses += 1
@@ -236,6 +269,7 @@ class FrontierCache:
     def put(self, key: Hashable, snapshot: FrontierSnapshot) -> None:
         """Insert (or refresh) ``key``, evicting LRU entries past bounds."""
         with self._lock:
+            self._apply_releases()
             previous = self._entries.pop(key, None)
             if previous is not None:
                 self._bytes -= previous.nbytes
@@ -253,30 +287,57 @@ class FrontierCache:
                 self._bytes -= evicted.nbytes
                 self._evictions += 1
 
-    def clear(self) -> None:
-        """Drop every entry (counters keep their totals)."""
+    def hold(self, key: Hashable) -> None:
+        """Add one holder to ``key``, whether or not it has an entry."""
         with self._lock:
-            self._entries.clear()
-            self._bytes = 0
+            self._apply_releases()
+            holds = self._holds
+            holds[key] = holds.get(key, 0) + 1
+
+    def release(self, keys: Iterable[Hashable]) -> None:
+        """Drop one holder from each of ``keys`` (each one held before).
+
+        A key whose last holder leaves loses its entry.  This never
+        waits for the lock: the keys are queued and applied here if the
+        lock is free, else by the next call that takes it.  That makes
+        it safe to call from a finalizer, which the cyclic GC may run
+        inside another call of this cache on the same thread.
+        """
+        self._releases.extend(keys)
+        if self._lock.acquire(blocking=False):
+            try:
+                self._apply_releases()
+            finally:
+                self._lock.release()
 
     def __len__(self) -> int:
         with self._lock:
+            self._apply_releases()
             return len(self._entries)
 
     def __contains__(self, key: Hashable) -> bool:
-        """Non-counting, non-LRU-touching membership probe (tests)."""
+        """Non-counting, non-LRU-touching membership probe."""
         with self._lock:
+            self._apply_releases()
             return key in self._entries
 
     def stats(self) -> Dict[str, object]:
-        """JSON-ready counters (the ``/stats`` ``incremental`` block)."""
+        """JSON-ready counters (the ``/stats`` ``incremental`` block).
+
+        ``held`` counts keys with at least one holder and ``released``
+        the entries dropped by their last holder's release; drops by
+        the bounds count as ``evictions``.
+        """
         with self._lock:
+            self._apply_releases()
             lookups = self._hits + self._misses
             return {
                 "hits": self._hits,
                 "misses": self._misses,
                 "evictions": self._evictions,
+                "released": self._released,
                 "entries": len(self._entries),
+                "held": len(self._holds),
                 "bytes": self._bytes,
                 "max_bytes": self.max_bytes,
                 "hit_rate": self._hits / lookups if lookups else 0.0,

@@ -69,11 +69,17 @@ documented two-part policy: (1) at most ``max_sessions`` sessions live
 at once — beyond that the least recently *used* session is evicted, and
 sessions idle longer than ``session_ttl`` seconds expire (both via the
 same :class:`~repro.service.cache.ResultCache` machinery as results);
-(2) all sessions share one byte-bounded
-:class:`~repro.incremental.subtree_cache.FrontierCache`
-(``frontier_cache_bytes``), so total frontier memory cannot grow with
-session count — and structurally repeated subtrees *across* sessions
-share entries.  Session solves always run inline in the serving
+(2) all sessions share one
+:class:`~repro.incremental.subtree_cache.FrontierCache`, which keeps a
+frontier only while a live session holds it: each session holds its
+current net's subtree frontiers plus those its latest edit superseded
+(so undoing the latest edit splices everything), and structurally
+repeated subtrees *across* sessions share entries.  A frontier goes
+when its last holder lets go: on ``DELETE``, when an evicted or expired
+session is collected, or at the session's next resolve that supersedes
+frontiers of its own.  The byte bound (``frontier_cache_bytes``) still
+evicts LRU entries on top, held or not, so total frontier memory cannot
+grow with session count.  Session solves always run inline in the serving
 process (their state is in-process by construction), in the default
 executor so the event loop stays responsive; concurrent requests to
 one session serialize on a per-session lock.
@@ -684,7 +690,7 @@ class BufferServer:
         if len(parts) == 2:
             if method != "DELETE":
                 return 405, {"error": "/session/{id} requires DELETE"}
-            return self._handle_session_delete(parts[1])
+            return await self._handle_session_delete(parts[1])
         if len(parts) == 3 and parts[2] in ("edit", "resolve"):
             if method != "POST":
                 return 405, {"error": f"/session/{{id}}/{parts[2]} requires POST"}
@@ -1170,11 +1176,13 @@ class BufferServer:
             options=dict(solver.options),
         )
 
-    def _handle_session_delete(self, sid: str) -> Tuple[int, Dict]:
+    async def _handle_session_delete(self, sid: str) -> Tuple[int, Dict]:
         session = self.sessions.get(sid)
         if session is None:
             raise _BadRequest(f"unknown or expired session {sid!r}")
         self.sessions.discard(sid)
+        # In the executor: closing waits out a request in flight on it.
+        await asyncio.get_running_loop().run_in_executor(None, session.close)
         return 200, {"deleted": True, "session": sid}
 
     # -- the serving core ----------------------------------------------
@@ -1565,6 +1573,11 @@ class _Session:
                     "edits_applied": solver.edits_applied,
                 },
             }
+
+    def close(self) -> None:
+        """Release the session's frontier holds (executor side)."""
+        with self.lock:
+            self.solver.close()
 
     def nbytes(self) -> int:
         """Approximate resident footprint (compiled payloads + tree)."""

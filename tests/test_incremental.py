@@ -10,13 +10,20 @@ polarity and driver edits mixed) against scratch solves at every step.
 
 The trickier corners get dedicated tests: sibling subtrees that share a
 digest (one cache entry must serve both, with node ids translated onto
-the right sibling), frontier-cache bounding/eviction, and the SoA
-backend's promise that no stale tape reference ever leaks into a cached
-frontier.
+the right sibling), frontier-cache bounding/eviction, frontier lifetime
+(a session holds its current subtrees plus the path its latest edit
+superseded, and nothing once it is closed or collected, also with many
+sessions on many threads), and the SoA backend's promise that no stale
+tape reference ever leaks into a cached frontier.
 """
 
+import gc
 import json
+import os
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -34,7 +41,7 @@ from repro.core.registry import (
     unregister_algorithm,
 )
 from repro.core.stores import resolve_backend
-from repro.errors import AlgorithmError, EditError
+from repro.errors import AlgorithmError, DeadlineExceeded, EditError
 from repro.incremental import (
     AddSink,
     FrontierCache,
@@ -50,6 +57,7 @@ from repro.incremental import (
     edit_from_dict,
     edit_to_dict,
 )
+from repro.resilience.deadline import Deadline, deadline_scope
 from repro.tree.routing_tree import RoutingTree
 from repro.units import fF, ps
 
@@ -84,6 +92,12 @@ def assert_parity(result, tree, library, algorithm, backend, **options):
 
 def library_for(algorithm):
     return paper_library(1) if algorithm == "van_ginneken" else paper_library(4)
+
+
+def session_keys(solver):
+    """The frontier-cache keys of the session's current subtrees."""
+    context = solver._context_key
+    return {(digest, context) for digest in solver._digest.values()}
 
 
 # ----------------------------------------------------------------------
@@ -286,6 +300,28 @@ def random_edit(tree, rng):
     return RemoveSubtree(node=rng.choice(removable))
 
 
+def eco_edit(base, rng):
+    """An ECO-loop edit drawn against the unedited net ``base``: a sink's
+    RAT or load, or a wire's R and C, scaled at random (no compounding)."""
+    kind = rng.randrange(3)
+    if kind == 2:
+        node = rng.choice([n.node_id for n in base.nodes() if not n.is_source])
+        edge = base.edge_to(node)
+        return SetWire(
+            node=node,
+            resistance=edge.resistance * rng.uniform(0.6, 1.6),
+            capacitance=edge.capacitance * rng.uniform(0.6, 1.6),
+        )
+    sink = rng.choice(base.sinks())
+    if kind == 0:
+        return SetSinkRAT(
+            node=sink.node_id,
+            required_arrival=sink.required_arrival * rng.uniform(0.85, 1.15),
+        )
+    return SetSinkCap(node=sink.node_id,
+                      capacitance=sink.capacitance * rng.uniform(0.7, 1.4))
+
+
 class TestReplayParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -304,6 +340,30 @@ class TestReplayParity:
             assert_parity(
                 solver.resolve(), tree, library, algorithm, backend
             )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_random_edit_holds(self, backend, seed):
+        """Through splits, adds, removes, polarity and driver edits, the
+        session holds exactly its current keys plus those of the state
+        before its latest change, and the cache keeps exactly those."""
+        library = paper_library(4)
+        tree = polarity_tree(seed)
+        cache = FrontierCache()
+        solver = IncrementalSolver(tree, library, backend=backend,
+                                   cache=cache)
+        solver.resolve()
+        current = previous = session_keys(solver)
+        assert cache.stats()["held"] == len(current)
+        rng = random.Random(seed * 1000 + 7)
+        for _ in range(16):
+            for _ in range(rng.randrange(1, 3)):
+                solver.apply(random_edit(tree, rng))
+            solver.resolve()
+            if session_keys(solver) != current:
+                previous, current = current, session_keys(solver)
+            assert cache.stats()["held"] == len(current | previous)
+            assert set(cache._entries) == current | previous
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_trunk_replay(self, backend):
@@ -483,6 +543,33 @@ class TestSiblingDigestSharing:
         assert cache.stats()["hits"] > hits_before
         assert_parity(result, second.tree, library, "fast", backend)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_sessions_keep_each_others_frontiers(self, backend):
+        """A's edits release only A's holds: B's frontiers stay in the
+        shared cache, and dropping A leaves exactly B's."""
+        library = paper_library(4)
+        cache = FrontierCache()
+        first = IncrementalSolver(polarity_tree(14), library,
+                                  backend=backend, cache=cache)
+        second = IncrementalSolver(polarity_tree(14), library,
+                                   backend=backend, cache=cache)
+        first.resolve()
+        second.resolve()
+        assert second.last_executed_fraction == 0.0
+        for sink in first.tree.sinks()[:3]:
+            first.apply(SetSinkRAT(node=sink.node_id,
+                                   required_arrival=sink.required_arrival
+                                   * 0.9))
+            first.resolve()
+        second.apply(SwapDriver(resistance=77.0))
+        result = second.resolve()
+        assert second.last_executed_fraction == 0.0
+        assert_parity(result, second.tree, library, "fast", backend)
+        del first
+        gc.collect()
+        assert set(cache._entries) == session_keys(second)
+        assert cache.stats()["held"] == len(session_keys(second))
+
 
 # ----------------------------------------------------------------------
 # Frontier cache behavior
@@ -543,6 +630,281 @@ class TestFrontierCache:
             FrontierCache(max_bytes=0)
         with pytest.raises(ValueError):
             FrontierCache(max_entries=0)
+
+    def test_hold_counts(self):
+        cache = FrontierCache()
+        cache.put("a", self.snapshot())
+        cache.hold("a")
+        cache.hold("b")  # a key can be held before it has an entry
+        stats = cache.stats()
+        assert stats["held"] == 2 and stats["entries"] == 1
+        assert stats["released"] == 0
+
+    def test_entry_dropped_when_count_reaches_zero(self):
+        cache = FrontierCache()
+        cache.put("a", self.snapshot())
+        cache.put("b", self.snapshot())
+        cache.hold("a")
+        cache.hold("b")
+        cache.release(["a"])
+        assert "a" not in cache and "b" in cache
+        stats = cache.stats()
+        assert stats["held"] == 1 and stats["released"] == 1
+        assert stats["bytes"] == self.snapshot().nbytes
+        # A released key without an entry drops nothing.
+        cache.hold("c")
+        cache.release(["c"])
+        assert cache.stats()["released"] == 1
+
+    def test_held_entry_evicted_by_bytes_then_reput(self):
+        snapshot = self.snapshot()
+        cache = FrontierCache(max_bytes=2 * snapshot.nbytes)
+        cache.put("a", self.snapshot())
+        cache.hold("a")
+        cache.put("b", self.snapshot())
+        cache.put("c", self.snapshot())
+        assert "a" not in cache  # the byte bound evicts held entries too
+        stats = cache.stats()
+        assert stats["evictions"] == 1 and stats["held"] == 1
+        cache.put("a", self.snapshot())
+        assert "a" in cache
+        cache.release(["a"])
+        assert "a" not in cache
+        assert cache.stats()["released"] == 1
+
+    def test_key_held_twice(self):
+        cache = FrontierCache()
+        cache.put("a", self.snapshot())
+        cache.hold("a")
+        cache.hold("a")
+        cache.release(["a"])
+        assert "a" in cache and cache.stats()["held"] == 1
+        cache.release(["a"])
+        assert "a" not in cache and cache.stats()["held"] == 0
+
+    def test_release_never_waits_for_the_lock(self):
+        """A finalizer may release while its thread is inside a cache
+        call; the release is queued and applied by the next call."""
+        cache = FrontierCache()
+        cache.put("a", self.snapshot())
+        cache.hold("a")
+        queued = []
+
+        def release_inside_a_call():
+            # On a thread of its own, so a release that waited for the
+            # lock fails this test instead of hanging the suite.
+            with cache._lock:
+                cache.release(["a"])
+                queued.append("a" in cache._entries)
+
+        thread = threading.Thread(target=release_inside_a_call, daemon=True)
+        thread.start()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive() and queued == [True]
+        assert len(cache) == 0
+        assert cache.stats()["held"] == 0
+
+
+# ----------------------------------------------------------------------
+# Frontier lifetime
+# ----------------------------------------------------------------------
+
+
+class TestFrontierLifetime:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_eco_loop_keeps_one_superseded_path(self, backend):
+        """Over a long ECO loop the cache never holds more than the
+        current net's frontiers plus the path the latest edit moved."""
+        library = paper_library(4)
+        tree = polarity_tree(12)
+        base = polarity_tree(12)
+        cache = FrontierCache()
+        solver = IncrementalSolver(tree, library, backend=backend,
+                                   cache=cache)
+        solver.resolve()
+        previous = session_keys(solver)
+        rng = random.Random(12)
+        for step in range(300):
+            solver.apply(eco_edit(base, rng))
+            result = solver.resolve()
+            current = session_keys(solver)
+            assert len(cache) <= len(current | previous)
+            assert cache.stats()["held"] == len(current | previous)
+            if step % 50 == 49:
+                assert_parity(result, tree, library, "fast", backend)
+            previous = current
+        assert cache.stats()["released"] > 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_undo_splices_the_previous_state(self, backend):
+        library = paper_library(4)
+        tree = polarity_tree(13)
+        solver = IncrementalSolver(tree, library, backend=backend)
+        solver.resolve()
+        sink = tree.sinks()[0]
+        wire = tree.children_of(tree.root_id)[0]
+        edge = tree.edge_to(wire)
+        rat, resistance = sink.required_arrival, edge.resistance
+        solver.apply(SetSinkRAT(node=sink.node_id,
+                                required_arrival=rat * 0.8))
+        solver.resolve()
+        solver.apply(SetSinkRAT(node=sink.node_id, required_arrival=rat))
+        result = solver.resolve()
+        assert solver.last_executed_fraction == 0.0
+        assert_parity(result, tree, library, "fast", backend)
+        # The restored keys were re-held before the old ones went.
+        assert session_keys(solver) <= set(solver.cache._entries)
+        # A driver swap moves no hold, so it keeps the superseded path.
+        solver.apply(SetSinkRAT(node=sink.node_id,
+                                required_arrival=rat * 0.9))
+        solver.resolve()
+        solver.apply(SwapDriver(resistance=95.0))
+        solver.resolve()
+        solver.apply(SetSinkRAT(node=sink.node_id, required_arrival=rat))
+        result = solver.resolve()
+        assert solver.last_executed_fraction == 0.0
+        assert_parity(result, tree, library, "fast", backend)
+        # Two-step undo: the latest state splices in whole, the one
+        # before it (released a resolve ago) is partly recomputed.
+        solver.apply(SetSinkRAT(node=sink.node_id,
+                                required_arrival=rat * 0.7))
+        solver.resolve()
+        solver.apply(SetWire(node=wire, resistance=resistance * 2.0,
+                             capacitance=edge.capacitance))
+        solver.resolve()
+        solver.apply(SetWire(node=wire, resistance=resistance,
+                             capacitance=edge.capacitance))
+        result = solver.resolve()
+        assert solver.last_executed_fraction == 0.0
+        assert_parity(result, tree, library, "fast", backend)
+        solver.apply(SetSinkRAT(node=sink.node_id, required_arrival=rat))
+        result = solver.resolve()
+        assert solver.last_executed_fraction > 0.0
+        assert_parity(result, tree, library, "fast", backend)
+
+    @pytest.mark.parametrize("drop", ("close", "collect"))
+    def test_dropped_session_releases_everything(self, drop):
+        library = paper_library(4)
+        tree = polarity_tree(15)
+        cache = FrontierCache()
+        solver = IncrementalSolver(tree, library, cache=cache)
+        solver.resolve()
+        sink = tree.sinks()[0]
+        solver.apply(SetSinkCap(node=sink.node_id,
+                                capacitance=sink.capacitance * 1.3))
+        solver.resolve()
+        assert cache.stats()["held"] > 0
+        if drop == "close":
+            solver.close()
+            solver.close()  # idempotent
+        else:
+            solver.cycle = [solver]  # only the cyclic GC can free it
+            del solver
+            gc.collect()
+        stats = cache.stats()
+        assert (stats["entries"], stats["held"], stats["bytes"]) == (0, 0, 0)
+        if drop == "close":
+            # A closed session still answers, but holds nothing.
+            solver.apply(SetSinkCap(node=sink.node_id,
+                                    capacitance=sink.capacitance * 0.6))
+            assert_parity(solver.resolve(), tree, library, "fast",
+                          solver.backend)
+            stats = cache.stats()
+            assert (stats["entries"], stats["held"]) == (0, 0)
+
+    def test_capture_false_holds_nothing(self):
+        cache = FrontierCache()
+        solver = IncrementalSolver(polarity_tree(16), paper_library(4),
+                                   cache=cache, capture=False)
+        solver.resolve()
+        assert cache.stats()["held"] == 0 and len(cache) == 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_aborted_resolve_moves_no_holds(self, backend):
+        library = paper_library(4)
+        tree = polarity_tree(17)
+        cache = FrontierCache()
+        solver = IncrementalSolver(tree, library, backend=backend,
+                                   cache=cache)
+        solver.resolve()
+        previous = session_keys(solver)
+        sink = tree.sinks()[0]
+        solver.apply(SetSinkRAT(node=sink.node_id,
+                                required_arrival=sink.required_arrival
+                                * 0.8))
+        before = cache.stats()
+        reads = []
+
+        def clock():
+            # Construction and the first two node-final polls see time
+            # 0; the third poll is past the deadline.
+            reads.append(None)
+            return 0.0 if len(reads) <= 3 else 10.0
+
+        with deadline_scope(Deadline(1.0, clock=clock)):
+            with pytest.raises(DeadlineExceeded):
+                solver.resolve()
+        after = cache.stats()
+        for field in ("held", "entries", "released", "bytes"):
+            assert after[field] == before[field]
+        result = solver.resolve()
+        assert_parity(result, tree, library, "fast", backend)
+        assert cache.stats()["held"] == len(session_keys(solver) | previous)
+
+
+# ----------------------------------------------------------------------
+# Many sessions on many threads
+# ----------------------------------------------------------------------
+
+
+class TestConcurrentSessions:
+    def test_shared_cache_under_thread_churn(self):
+        """Sessions on identical nets edit and resolve concurrently on
+        one cache with a tiny switch interval; every answer matches
+        scratch, and once all are closed nothing is held or kept."""
+        library = paper_library(4)
+        cache = FrontierCache()
+        threads_wanted = (os.cpu_count() or 1) + 2
+        stop_at = time.monotonic() + 1.0
+        errors = []
+
+        def run(seed):
+            try:
+                tree = polarity_tree(18)
+                base = polarity_tree(18)
+                solver = IncrementalSolver(tree, library, cache=cache)
+                solver.resolve()
+                # Pairs of sessions replay the same edits, so they race
+                # on the same keys as well as the shared clean ones.
+                rng = random.Random(seed // 2)
+                steps = 0
+                while steps < 5 or time.monotonic() < stop_at:
+                    solver.apply(eco_edit(base, rng))
+                    result = solver.resolve()
+                    steps += 1
+                assert_parity(result, tree, library, "fast", solver.backend)
+                solver.close()
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=run, args=(seed,), daemon=True)
+                for seed in range(threads_wanted)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        stats = cache.stats()
+        assert (stats["held"], stats["entries"], stats["bytes"]) == (0, 0, 0)
+        assert stats["released"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -659,6 +1021,7 @@ class TestEditCLI:
         assert code == 0
         output = capsys.readouterr().out
         assert "ok" in output and "MISMATCH" not in output
+        assert " held, " in output and " released" in output
         payload = json.loads(out_path.read_text())
         assert len(payload["steps"]) == 3
         assert all(step["verified"] for step in payload["steps"])

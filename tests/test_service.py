@@ -557,6 +557,39 @@ class TestSessions:
         finally:
             harness.shutdown()
 
+    def test_delete_and_eviction_free_frontiers(self, harness, net, library):
+        session = harness.client.create_session(net, library)
+        session.resolve()
+        sink = net.sinks()[0]
+        session.edit({"op": "set_sink_cap", "node": sink.node_id,
+                      "capacitance": sink.capacitance * 1.5})
+        session.resolve()
+        cache = harness.client.stats()["incremental"]["frontier_cache"]
+        assert cache["entries"] > 0 and cache["held"] > 0
+        # A reference that outlives the DELETE, as a request still in
+        # flight would hold one: the frontiers must go all the same.
+        live = harness.server.sessions.get(session.info["session"])
+        session.delete()
+        cache = harness.client.stats()["incremental"]["frontier_cache"]
+        assert (cache["entries"], cache["held"]) == (0, 0)
+        assert cache["released"] > 0
+        assert live.solver.capture is False
+
+        # An LRU-evicted session lets go of its frontiers as well.
+        single = ServerHarness(jobs=1, max_sessions=1)
+        try:
+            first = single.client.create_session(net, library)
+            first.resolve()
+            cache = single.client.stats()["incremental"]["frontier_cache"]
+            assert cache["held"] > 0
+            single.client.create_session(net, library)
+            stats = single.client.stats()["incremental"]
+            assert stats["sessions"]["evicted"] == 1
+            cache = stats["frontier_cache"]
+            assert (cache["entries"], cache["held"]) == (0, 0)
+        finally:
+            single.shutdown()
+
     def test_stats_incremental_block(self, harness, net, library):
         session = harness.client.create_session(net, library)
         session.resolve()
