@@ -22,9 +22,14 @@ solver's residual replay (:mod:`repro.parallel.solver`), its workers
 (:mod:`repro.parallel.worker`) and the incremental engine
 (:mod:`repro.incremental.engine`) run the same loop, adding only a
 splice map (precomputed subtree frontiers pushed in place of their
-instruction ranges) and a capture hook; only the batch axis
-(:mod:`repro.core.stores.batch_axis`), whose ops take per-lane columns,
-keeps its own loop.
+instruction ranges) and a capture hook.  The extension DPs run it too,
+each with its own op set over a different stack value: the polarity DP
+(:mod:`repro.core.polarity`) a list per arriving phase, the min-cost DP
+(:mod:`repro.cost.min_cost`) a ``{cost: list}`` dict pruned across
+levels from the ``on_final`` hook, and joint wire sizing
+(:mod:`repro.wiresizing.dp`) a plain list whose ``WIRE`` tries every
+wire class.  Only the batch axis (:mod:`repro.core.stores.batch_axis`),
+whose ops take per-lane columns, keeps its own loop.
 
 The *representation* of the candidate lists is pluggable
 (:mod:`repro.core.stores`): with ``backend="object"`` (this engine-level

@@ -2,32 +2,39 @@
 
 Real libraries are dominated by *inverters* (smaller and faster than
 back-to-back buffer pairs), and real nets have sinks that want the
-inverted phase.  Lillis, Cheng & Lin's formulation handles this by
-keeping, per subtree, one nonredundant candidate list for each signal
-polarity at the subtree root; the DATE-2005 hull-walk speedup applies to
-each list unchanged.  This module implements that extension on top of
-the same operation kit as :mod:`repro.core.dp`.
+inverted phase.  Lillis, Cheng & Lin's formulation keeps, per subtree,
+one nonredundant candidate list for each polarity of the signal
+arriving at the subtree root; the DATE-2005 hull walk applies to each
+list unchanged.
 
-Semantics: ``lists[+1]`` holds candidates that are valid when the signal
-*arriving at the subtree root* has the source's polarity; ``lists[-1]``
-when it arrives inverted.
+Here that formulation is an op set over the DP's one interpreter
+(:func:`repro.core.dp._execute_schedule`) on the compiled net.  A stack
+value is a :class:`_Phases` pair: ``lists[0]`` holds the candidates
+valid when the arriving signal has the source's polarity, ``lists[1]``
+when it arrives inverted, each a bare list (object backend) or a store
+of any registered backend (:func:`repro.core.dp._resolve_ops`).
 
-* A sink with polarity ``p`` seeds ``lists[p]`` only.
-* Wires transform both lists.
-* A branch merge combines same-polarity lists (both branches see the
-  same arriving signal); a polarity with an empty list in either branch
-  stays empty.
-* A non-inverting type buffers ``lists[p]`` into ``lists[p]``; an
-  inverting type buffers ``lists[p]`` into ``lists[-p]``.
-* The driver is non-inverting, so the answer is read from ``lists[+1]``
-  at the root; if that list is empty the instance is infeasible (e.g. a
-  negative sink with no inverter in the library).
+* ``SINK`` seeds the sink's own phase; ``WIRE`` wires both lists.
+* ``MERGE`` combines like phases (both branches see the same arriving
+  signal); a phase that either branch lacks stays empty.  It returns
+  the left pair updated in place, having consumed the right pair's
+  lists, so the interpreter never releases a list in use.
+* ``BUFFER`` splits the plan by ``inverting``: a non-inverting type
+  buffers ``lists[p]`` into ``lists[p]``, an inverting one into the
+  other phase.  All betas come from the lists as they arrived and are
+  inserted in a fixed order.
+* The driver is non-inverting, so the root reads ``lists[0]``; an empty
+  one means no polarity-correct buffering exists.
+
+A pair's length is both lists' together, so ``DPStats`` follow the main
+DP's per-slot definitions: on a polarity-free input they equal
+:func:`repro.core.api.insert_buffers`' on the same store.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.buffer_ops import (
     BufferPlan,
@@ -35,52 +42,14 @@ from repro.core.buffer_ops import (
     generate_lillis,
     insert_candidates,
 )
-from repro.core.candidate import (
-    Candidate,
-    CandidateList,
-    SinkDecision,
-    best_candidate_for_driver,
-    reconstruct_assignment,
-)
-from repro.core.merge import merge_branches
-from repro.core.solution import BufferingResult, DPStats
-from repro.core.wire_ops import add_wire
+from repro.core.dp import _execute_schedule, _finish, _release_noop, _resolve_ops
+from repro.core.schedule import compile_net
+from repro.core.solution import BufferingResult
 from repro.errors import AlgorithmError, InfeasibleError
 from repro.library.buffer_type import BufferType
 from repro.library.library import BufferLibrary
 from repro.tree.node import Driver
 from repro.tree.routing_tree import RoutingTree
-
-#: Per-subtree state: candidate list per arriving-signal polarity.
-PolarityLists = Dict[int, CandidateList]
-
-_POLARITIES = (1, -1)
-
-
-class _PolarityPlans:
-    """Per-node buffer plans split by inverting / non-inverting types."""
-
-    __slots__ = ("non_inverting", "inverting")
-
-    def __init__(self, node_id: int, buffers: List[BufferType]) -> None:
-        non_inv = [b for b in buffers if not b.inverting]
-        inv = [b for b in buffers if b.inverting]
-        self.non_inverting = BufferPlan(node_id, non_inv) if non_inv else None
-        self.inverting = BufferPlan(node_id, inv) if inv else None
-
-
-def _build_polarity_plans(
-    tree: RoutingTree, library: BufferLibrary
-) -> Dict[int, _PolarityPlans]:
-    plans: Dict[int, _PolarityPlans] = {}
-    for node in tree.buffer_positions():
-        allowed = [
-            b for b in library.buffers
-            if node.allowed_buffers is None or b.name in node.allowed_buffers
-        ]
-        if allowed:
-            plans[node.node_id] = _PolarityPlans(node.node_id, allowed)
-    return plans
 
 
 def verify_polarities(
@@ -89,80 +58,139 @@ def verify_polarities(
     """Whether ``assignment`` delivers every sink its required polarity.
 
     The source emits polarity +1; each inverting cell on the path flips
-    it.  Independent of the DP — used as the oracle in tests.
+    it.  Reads :attr:`repro.timing.buffered.TimingReport.wrong_phase_sinks`
+    of the independent timing oracle (load limits not enforced), so it
+    does not depend on the DP.
     """
-    polarity_at: Dict[int, int] = {tree.root_id: 1}
-    for node_id in tree.preorder():
-        if node_id == tree.root_id:
-            continue
-        parent = tree.edge_to(node_id).parent
-        polarity = polarity_at[parent]
-        buffer = assignment.get(node_id)
-        if buffer is not None and buffer.inverting:
-            polarity = -polarity
-        polarity_at[node_id] = polarity
-    return all(
-        polarity_at[sink.node_id] == sink.polarity for sink in tree.sinks()
-    )
+    from repro.timing.buffered import evaluate_assignment
+
+    report = evaluate_assignment(tree, assignment, enforce_load_limits=False)
+    return not report.wrong_phase_sinks
 
 
-class _PolarityOps:
-    """The backend-specific operation kit of the polarity DP.
+def require_polarity_free(
+    tree: RoutingTree, library: BufferLibrary, engine: str
+) -> None:
+    """Reject phase inputs for a DP that cannot honour them.
 
-    The DP body below is written against this small vocabulary so it
-    runs unchanged over bare candidate lists (the object backend's
-    fast path) or any registered :class:`~repro.core.stores.base.StoreFactory`
-    backend (e.g. the SoA kernel engine) — the same pluggability the
-    main engine gets from :func:`repro.core.dp._resolve_ops`.
+    Raises:
+        AlgorithmError: ``tree`` has a sink of polarity -1 or
+            ``library`` an inverting type; the message names them.
     """
-
-    __slots__ = ("sink", "empty", "wire", "merge", "generate", "insert",
-                 "best", "release")
-
-    def __init__(self, sink, empty, wire, merge, generate, insert, best,
-                 release) -> None:
-        self.sink = sink
-        self.empty = empty
-        self.wire = wire
-        self.merge = merge
-        self.generate = generate
-        self.insert = insert
-        self.best = best
-        self.release = release
+    negative = [sink.node_id for sink in tree.sinks() if sink.polarity == -1]
+    inverting = [buffer.name for buffer in library.buffers if buffer.inverting]
+    if negative or inverting:
+        raise AlgorithmError(
+            f"{engine} ignores signal polarity; it cannot solve "
+            f"negative-phase sinks {negative} or inverting types "
+            f"{inverting} (use insert_buffers_with_inverters)"
+        )
 
 
-def _object_ops(algorithm: str) -> _PolarityOps:
-    generate = generate_fast if algorithm == "fast" else generate_lillis
-    return _PolarityOps(
-        sink=lambda node_id, q, c: [
-            Candidate(q=q, c=c, decision=SinkDecision(node_id))
-        ],
-        empty=lambda: [],
-        wire=add_wire,
-        merge=merge_branches,
-        generate=generate,
-        insert=insert_candidates,
-        best=best_candidate_for_driver,
-        release=lambda lst: None,
-    )
+class _Phases:
+    """A subtree's frontier: one list per arriving phase (+1, then -1)."""
+
+    __slots__ = ("lists",)
+
+    def __init__(self, lists: List) -> None:
+        self.lists = lists
+
+    def __len__(self) -> int:
+        return len(self.lists[0]) + len(self.lists[1])
 
 
-def _store_ops(factory, algorithm: str) -> _PolarityOps:
-    factory.begin_solve()
-    if algorithm == "fast":
-        generate = lambda store, plan: store.generate_hull(plan)  # noqa: E731
+def _split_plan(plan: BufferPlan):
+    """``(same-phase plan, inverting plan)``, either ``None`` if empty.
+
+    Filtering ``by_resistance_desc`` keeps the plan's tie order; a plan
+    of one kind only is returned as is.
+    """
+    inverting = [b for b in plan.by_resistance_desc if b.inverting]
+    if not inverting:
+        return plan, None
+    if len(inverting) == len(plan):
+        return None, plan
+    same = [b for b in plan.by_resistance_desc if not b.inverting]
+    return BufferPlan(plan.node_id, same), BufferPlan(plan.node_id, inverting)
+
+
+def _phase_ops(backend: str, factory, algorithm: str, negative: Sequence[int]):
+    """The polarity op set: ``(sink, wire, merge, add_buffer)`` plus the
+    inner ``(best, release)`` of the lists a pair holds."""
+    sink, wire, merge, best, release = _resolve_ops(backend, factory=factory)
+    if backend == "object":
+        empty = list
+        generate = generate_fast if algorithm == "fast" else generate_lillis
+        insert = insert_candidates
     else:
-        generate = lambda store, plan: store.generate_scan(plan)  # noqa: E731
-    return _PolarityOps(
-        sink=factory.sink,
-        empty=factory.empty,
-        wire=lambda store, r, c: store.add_wire(r, c),
-        merge=lambda left, right: left.merge(right),
-        generate=generate,
-        insert=lambda store, new: store.insert(new),
-        best=lambda store, resistance: store.best_for_driver(resistance),
-        release=lambda store: store.release(),
-    )
+        empty = factory.empty
+        if algorithm == "fast":
+            generate = lambda store, plan: store.generate_hull(plan)  # noqa: E731
+        else:
+            generate = lambda store, plan: store.generate_scan(plan)  # noqa: E731
+        insert = lambda store, new: store.insert(new)  # noqa: E731
+    negative = frozenset(negative)
+
+    def sink_op(node_id: int, q: float, c: float) -> _Phases:
+        own = sink(node_id, q, c)
+        return _Phases([empty(), own] if node_id in negative else [own, empty()])
+
+    def wire_op(phases: _Phases, resistance: float, capacitance: float):
+        lists = phases.lists
+        for p in (0, 1):
+            old = lists[p]
+            if len(old):
+                new = wire(old, resistance, capacitance)
+                if new is not old:
+                    release(old)
+                lists[p] = new
+        return phases
+
+    def merge_op(left: _Phases, right: _Phases) -> _Phases:
+        lists = left.lists
+        for p in (0, 1):
+            a = lists[p]
+            b = right.lists[p]
+            if not len(a):
+                release(b)
+            elif not len(b):
+                release(a)
+                lists[p] = b
+            else:
+                merged = merge(a, b)
+                if merged is not a:
+                    release(a)
+                if merged is not b:
+                    release(b)
+                lists[p] = merged
+        return left
+
+    def add_buffer(phases: _Phases, plan: BufferPlan) -> _Phases:
+        same, flip = _split_plan(plan)
+        lists = phases.lists
+        betas = ([], [])
+        for p in (0, 1):
+            source = lists[p]
+            if len(source):
+                if same is not None:
+                    betas[p].append(generate(source, same))
+                if flip is not None:
+                    betas[1 - p].append(generate(source, flip))
+        for p in (0, 1):
+            for new in betas[p]:
+                current = lists[p]
+                if len(new):
+                    out = insert(current, new)
+                    if out is not current:
+                        release(current)
+                    if out is not new:
+                        release(new)
+                    lists[p] = out
+                elif new is not current:
+                    release(new)
+        return phases
+
+    return sink_op, wire_op, merge_op, add_buffer, best, release
 
 
 def insert_buffers_with_inverters(
@@ -196,133 +224,39 @@ def insert_buffers_with_inverters(
             required polarity (e.g. negative sinks, no inverters).
         AlgorithmError: Unknown ``algorithm``/``backend`` or invalid
             tree.
+        DeadlineExceeded: An ambient deadline expired mid-solve.
     """
-    from repro.core.stores import get_store_backend, resolve_backend
+    from repro.core.stores import resolve_backend
 
     if algorithm not in ("fast", "lillis"):
         raise AlgorithmError(
             f"unknown algorithm {algorithm!r}; choose 'fast' or 'lillis'"
         )
     backend = resolve_backend(backend)
-    if backend == "object":
-        ops = _object_ops(algorithm)
-    else:
-        ops = _store_ops(get_store_backend(backend)(), algorithm)
-
+    compiled = compile_net(tree, library)
+    negative = [sink.node_id for sink in tree.sinks() if sink.polarity == -1]
+    factory = None if backend == "object" else compiled.factory(backend)
     try:
-        tree.validate()
-    except Exception as exc:
-        raise AlgorithmError(f"invalid routing tree: {exc}") from exc
-
-    driver = driver if driver is not None else tree.driver
-    plans = _build_polarity_plans(tree, library)
-    started = time.perf_counter()
-
-    states: Dict[int, PolarityLists] = {}
-    peak_length = 0
-    candidates_generated = 0
-
-    for node_id in tree.postorder():
-        node = tree.node(node_id)
-        if node.is_sink:
-            lists: PolarityLists = {1: ops.empty(), -1: ops.empty()}
-            lists[node.polarity] = ops.sink(
-                node_id, node.required_arrival, node.capacitance
-            )
-            candidates_generated += 1
-        else:
-            branch_states: List[PolarityLists] = []
-            for child in tree.children_of(node_id):
-                edge = tree.edge_to(child)
-                child_lists = states.pop(child)
-                wired: PolarityLists = {}
-                for p in _POLARITIES:
-                    out = ops.wire(child_lists[p], edge.resistance,
-                                   edge.capacitance)
-                    if out is not child_lists[p]:
-                        ops.release(child_lists[p])
-                    wired[p] = out
-                branch_states.append(wired)
-            lists = branch_states[0]
-            for other in branch_states[1:]:
-                combined: PolarityLists = {}
-                for p in _POLARITIES:
-                    if len(lists[p]) and len(other[p]):
-                        merged = ops.merge(lists[p], other[p])
-                        candidates_generated += len(merged)
-                        if merged is not lists[p]:
-                            ops.release(lists[p])
-                        if merged is not other[p]:
-                            ops.release(other[p])
-                        combined[p] = merged
-                    else:
-                        # One branch cannot accept this arriving
-                        # polarity: nor can the merged subtree.
-                        ops.release(lists[p])
-                        ops.release(other[p])
-                        combined[p] = ops.empty()
-                lists = combined
-
-            plan = plans.get(node_id)
-            if plan is not None:
-                new_by_polarity: Dict[int, list] = {1: [], -1: []}
-                for p in _POLARITIES:
-                    if not len(lists[p]):
-                        continue
-                    if plan.non_inverting is not None:
-                        new_by_polarity[p].append(
-                            ops.generate(lists[p], plan.non_inverting)
-                        )
-                    if plan.inverting is not None:
-                        new_by_polarity[-p].append(
-                            ops.generate(lists[p], plan.inverting)
-                        )
-                for p in _POLARITIES:
-                    for new_candidates in new_by_polarity[p]:
-                        if len(new_candidates):
-                            count = len(new_candidates)
-                            out = ops.insert(lists[p], new_candidates)
-                            candidates_generated += count
-                            if out is not lists[p]:
-                                ops.release(lists[p])
-                            if out is not new_candidates:
-                                ops.release(new_candidates)
-                            lists[p] = out
-                        elif new_candidates is not lists[p]:
-                            ops.release(new_candidates)
-
-        for p in _POLARITIES:
-            if len(lists[p]) > peak_length:
-                peak_length = len(lists[p])
-        states[node_id] = lists
-
-    root_positive = states[tree.root_id][1]
-    if not len(root_positive):
-        negative_sinks = [s.node_id for s in tree.sinks() if s.polarity == -1]
-        raise InfeasibleError(
-            "no polarity-correct buffering exists: sinks "
-            f"{negative_sinks} need the inverted signal and the library "
-            "offers no way to deliver it"
+        sink_op, wire_op, merge_op, add_buffer, best, release = _phase_ops(
+            backend, factory, algorithm, negative
         )
-
-    resistance = driver.resistance if driver is not None else 0.0
-    best = ops.best(root_positive, resistance)
-    assert best is not None
-    slack = best.q - (driver.delay(best.c) if driver is not None else 0.0)
-
-    stats = DPStats(
-        algorithm=f"{algorithm}-inverters",
-        num_buffer_positions=tree.num_buffer_positions,
-        library_size=library.size,
-        root_candidates=len(root_positive),
-        peak_list_length=peak_length,
-        candidates_generated=candidates_generated,
-        runtime_seconds=time.perf_counter() - started,
-        backend=backend,
-    )
-    return BufferingResult(
-        slack=slack,
-        assignment=reconstruct_assignment(best.decision),
-        driver_load=best.c,
-        stats=stats,
-    )
+        started = time.perf_counter()
+        root, peak, generated = _execute_schedule(
+            compiled, sink_op, wire_op, merge_op, add_buffer, _release_noop
+        )
+        positive = root.lists[0]
+        if not len(positive):
+            raise InfeasibleError(
+                "no polarity-correct buffering exists: sinks "
+                f"{negative} need the inverted signal and the library "
+                "offers no way to deliver it"
+            )
+        return _finish(
+            positive, best, release,
+            driver if driver is not None else compiled.driver,
+            f"{algorithm}-inverters", compiled.num_buffer_positions, library,
+            peak, generated, started, backend,
+        )
+    finally:
+        if factory is not None:
+            factory.end_solve()

@@ -135,7 +135,8 @@ class CompiledNet:
         #: read them.
         self.start_of_node = start_of_node or {}
         self.final_of_node = final_of_node or {}
-        #: ``child node id -> index into wire_r/wire_c`` (payload patching).
+        #: ``child node id -> index into wire_r/wire_c`` (payload patching,
+        #: and wire sizing's per-edge class choice).
         self.wire_index_of = wire_index_of or {}
         self._plans: Optional[List[BufferPlan]] = None
         self._factories: Dict[str, object] = {}

@@ -17,6 +17,14 @@ Operations per level mirror the unit-cost DP:
 
 A cross-level prune removes candidates dominated by a *cheaper* level —
 they can never appear on the frontier — keeping level lists small.
+
+These are an op set over the DP's one interpreter
+(:func:`repro.core.dp._execute_schedule`) on the compiled net, whose
+stack values are ``{cost: list}`` dicts.  The cross-level prune runs
+from its ``on_final`` hook, once per vertex on the finished levels
+(pruning inside ``MERGE`` or ``BUFFER`` would change the intermediate
+lists).  Polarity is not modelled: negative-phase sinks and inverting
+types are rejected.
 """
 
 from __future__ import annotations
@@ -33,9 +41,11 @@ from repro.core.candidate import (
     best_candidate_for_driver,
     reconstruct_assignment,
 )
-from repro.core.dp import build_plans
+from repro.core.dp import _execute_schedule, _release_noop
 from repro.core.merge import merge_branches
+from repro.core.polarity import require_polarity_free
 from repro.core.pruning import prune_dominated
+from repro.core.schedule import compile_net
 from repro.core.wire_ops import add_wire
 from repro.errors import AlgorithmError, InfeasibleError
 from repro.library.buffer_type import BufferType
@@ -120,100 +130,60 @@ def _prune_across_levels(levels: CostLevels) -> CostLevels:
     return pruned
 
 
-def _run_cost_dp(
-    tree: RoutingTree,
-    library: BufferLibrary,
-    driver: Optional[Driver],
-    cost_fn: CostFn,
-    max_cost: Optional[int],
-) -> Tuple[Dict[int, Candidate], Optional[Driver]]:
-    """Run the stratified DP; returns the best root candidate per cost."""
-    tree.validate()
-    driver = driver if driver is not None else tree.driver
+def _level_ops(buffer_costs: Dict[str, int], max_cost: Optional[int]):
+    """The cost-level op set: ``(sink, wire, merge, add_buffer)``."""
 
-    plans = build_plans(tree, library)
-    buffer_costs: Dict[str, int] = {}
-    for buffer in library.buffers:
-        cost = cost_fn(buffer)
-        if not isinstance(cost, int) or cost < 0:
-            raise AlgorithmError(
-                f"cost_fn must return non-negative ints; got {cost!r} "
-                f"for buffer {buffer.name!r}"
-            )
-        buffer_costs[buffer.name] = cost
+    def sink_op(node_id: int, q: float, c: float) -> CostLevels:
+        return {0: [Candidate(q=q, c=c, decision=SinkDecision(node_id))]}
 
-    states: Dict[int, CostLevels] = {}
-    for node_id in tree.postorder():
-        node = tree.node(node_id)
-        if node.is_sink:
-            levels: CostLevels = {
-                0: [
-                    Candidate(
-                        q=node.required_arrival,
-                        c=node.capacitance,
-                        decision=SinkDecision(node_id),
-                    )
-                ]
-            }
-        else:
-            branch_states: List[CostLevels] = []
-            for child in tree.children_of(node_id):
-                edge = tree.edge_to(child)
-                child_levels = states.pop(child)
-                branch_states.append(
-                    {
-                        w: add_wire(lst, edge.resistance, edge.capacitance)
-                        for w, lst in child_levels.items()
-                    }
-                )
-            levels = branch_states[0]
-            for other in branch_states[1:]:
-                combined: CostLevels = {}
-                for wl, left in levels.items():
-                    for wr, right in other.items():
-                        w = wl + wr
-                        if max_cost is not None and w > max_cost:
-                            continue
-                        merged = merge_branches(list(left), list(right))
-                        if w in combined:
-                            combined[w] = insert_candidates(combined[w], merged)
-                        else:
-                            combined[w] = merged
-                levels = combined
+    def wire_op(levels: CostLevels, resistance: float, capacitance: float):
+        return {
+            w: add_wire(lst, resistance, capacitance)
+            for w, lst in levels.items()
+        }
 
-            plan = plans.get(node_id)
-            if plan is not None:
-                additions: CostLevels = {}
-                for w, lst in levels.items():
-                    new_candidates = generate_fast(lst, plan)
-                    for candidate in new_candidates:
-                        assert candidate.decision.buffer is not None
-                        w_new = w + buffer_costs[candidate.decision.buffer.name]
-                        if max_cost is not None and w_new > max_cost:
-                            continue
-                        additions.setdefault(w_new, []).append(candidate)
-                for w_new, extra in additions.items():
-                    # Betas from several source levels: c-sorted, but
-                    # only their nonredundant subset may be inserted.
-                    extra.sort(key=lambda cand: cand.c)
-                    extra = prune_dominated(extra)
-                    if w_new in levels:
-                        levels[w_new] = insert_candidates(levels[w_new], extra)
-                    else:
-                        levels[w_new] = extra
+    def merge_op(levels: CostLevels, other: CostLevels) -> CostLevels:
+        combined: CostLevels = {}
+        for wl, left in levels.items():
+            for wr, right in other.items():
+                w = wl + wr
+                if max_cost is not None and w > max_cost:
+                    continue
+                merged = merge_branches(left, right)
+                if w in combined:
+                    combined[w] = insert_candidates(combined[w], merged)
+                else:
+                    combined[w] = merged
+        return combined
 
-            levels = _prune_across_levels(levels)
+    def add_buffer(levels: CostLevels, plan: BufferPlan) -> CostLevels:
+        additions: CostLevels = {}
+        for w, lst in levels.items():
+            for candidate in generate_fast(lst, plan):
+                w_new = w + buffer_costs[candidate.decision.buffer.name]
+                if max_cost is not None and w_new > max_cost:
+                    continue
+                additions.setdefault(w_new, []).append(candidate)
+        for w_new, extra in additions.items():
+            # Betas from several source levels: c-sorted, but only
+            # their nonredundant subset may be inserted.
+            extra.sort(key=lambda cand: cand.c)
+            extra = prune_dominated(extra)
+            if w_new in levels:
+                levels[w_new] = insert_candidates(levels[w_new], extra)
+            else:
+                levels[w_new] = extra
+        return levels
 
-        states[node_id] = levels
+    return sink_op, wire_op, merge_op, add_buffer
 
-    root_levels = states[tree.root_id]
-    resistance = driver.resistance if driver is not None else 0.0
-    best_per_cost: Dict[int, Candidate] = {}
-    for cost in sorted(root_levels):
-        best = best_candidate_for_driver(root_levels[cost], resistance)
-        if best is not None:
-            best_per_cost[cost] = best
-    return best_per_cost, driver
+
+def _prune_final(index: int, levels: CostLevels, peak: int, generated: int):
+    """``on_final`` hook: the cross-level prune, once per vertex, in place."""
+    if len(levels) > 1:
+        pruned = _prune_across_levels(levels)
+        levels.clear()
+        levels.update(pruned)
 
 
 def slack_cost_frontier(
@@ -237,14 +207,38 @@ def slack_cost_frontier(
         slack; the first point is the unbuffered solution (cost 0) unless
         it is off-frontier, and the last achieves the unconstrained
         optimum of :func:`repro.core.api.insert_buffers`.
+
+    Raises:
+        AlgorithmError: The tree fails validation, ``cost_fn`` returns
+            something other than a non-negative int, or the net has a
+            negative-phase sink or the library an inverting type.
+        DeadlineExceeded: An ambient deadline expired mid-solve.
     """
     cost_fn = cost_fn if cost_fn is not None else _default_cost
-    best_per_cost, driver = _run_cost_dp(tree, library, driver, cost_fn, max_cost)
+    compiled = compile_net(tree, library)
+    require_polarity_free(tree, library, "slack_cost_frontier")
+    buffer_costs: Dict[str, int] = {}
+    for buffer in library.buffers:
+        cost = cost_fn(buffer)
+        if not isinstance(cost, int) or cost < 0:
+            raise AlgorithmError(
+                f"cost_fn must return non-negative ints; got {cost!r} "
+                f"for buffer {buffer.name!r}"
+            )
+        buffer_costs[buffer.name] = cost
 
+    sink_op, wire_op, merge_op, add_buffer = _level_ops(buffer_costs, max_cost)
+    root_levels, _, _ = _execute_schedule(
+        compiled, sink_op, wire_op, merge_op, add_buffer, _release_noop,
+        on_final=_prune_final,
+    )
+
+    driver = driver if driver is not None else compiled.driver
+    resistance = driver.resistance if driver is not None else 0.0
     frontier: List[FrontierPoint] = []
     best_slack = float("-inf")
-    for cost in sorted(best_per_cost):
-        candidate = best_per_cost[cost]
+    for cost in sorted(root_levels):
+        candidate = best_candidate_for_driver(root_levels[cost], resistance)
         slack = candidate.q - (driver.delay(candidate.c) if driver else 0.0)
         if slack > best_slack:
             best_slack = slack
@@ -271,6 +265,7 @@ def minimize_cost(
     Raises:
         InfeasibleError: If no buffering (within ``max_cost``) reaches
             the target; the message reports the best achievable slack.
+        AlgorithmError: As :func:`slack_cost_frontier`.
     """
     frontier = slack_cost_frontier(tree, library, driver, cost_fn, max_cost)
     for point in frontier:

@@ -49,7 +49,13 @@ ranges, worker partitions re-parented across the process-pool boundary
   onto a saturated pool;
 * **request validation** — bodies above ``max_request_bytes`` are a
   413, nets with more than ``max_positions`` buffer positions a 422,
-  both as clean JSON errors before any solve work starts;
+  both as clean JSON errors before any solve work starts.  So are
+  inputs the served solvers cannot honour, because they ignore signal
+  polarity: a library with an inverting type (checked where the
+  library is parsed), a net with a ``polarity: -1`` sink (checked on
+  the miss path, before compile, so such a net is never cached and a
+  hit pays nothing) and a session edit that would make a sink
+  negative-phase (before any edit of its batch is applied);
 * **deadlines** — a request's ``deadline_ms`` (or the server-wide
   default) becomes a :class:`~repro.resilience.deadline.Deadline`
   covering parse, cache lookup and solve; exceeding it is a 504;
@@ -211,6 +217,17 @@ class _BadRequest(_HttpError):
     """Client-side error; rendered as a 400 with an ``error`` field."""
 
     status = 400
+
+
+def _phase_error(what: str) -> _HttpError:
+    """The 422 for inputs the served solvers cannot honour: they ignore
+    signal polarity, so they would answer with the wrong phase."""
+    return _HttpError(
+        f"{what}: the served solvers ignore signal polarity and would "
+        "deliver the wrong phase; solve it in process with "
+        "insert_buffers_with_inverters",
+        status=422,
+    )
 
 
 class _TextPayload(str):
@@ -1074,6 +1091,12 @@ class BufferServer:
             tree, id_map = tree_from_dict(net_spec, with_id_map=True)
         except ReproError as exc:
             raise _BadRequest(f"invalid net: {exc}") from exc
+        negative = [
+            serialized for serialized, internal in id_map.items()
+            if tree.node(internal).polarity == -1
+        ]
+        if negative:
+            raise _phase_error(f"net has negative-phase sinks {negative}")
         from repro.incremental.engine import IncrementalSolver
         from repro.routing.features import features_of
         from repro.routing.router import router_for
@@ -1277,6 +1300,15 @@ class BufferServer:
             record.payload = self._cache_get(record.key)
             record.cached = record.payload is not None
             if record.payload is None:
+                # A hit was checked when it missed, so only a miss pays.
+                negative = [
+                    node.id for node in net.nodes if node.polarity == -1
+                ]
+                if negative:
+                    raise _phase_error(
+                        f"net at index {index} has negative-phase sinks "
+                        f"{negative}"
+                    )
                 misses.append(record)
                 # The compiled-net cache bridges trees: a hit hands back
                 # the structure compiled from some earlier equivalent
@@ -1481,7 +1513,11 @@ class _Session:
 
     def apply_edits(self, edit_specs: List[Any]) -> Dict[str, Any]:
         """Parse, translate and apply a batch of edits (executor side)."""
-        from repro.incremental.edits import edit_from_dict
+        from repro.incremental.edits import (
+            AddSink,
+            SetSinkPolarity,
+            edit_from_dict,
+        )
 
         edits = []
         for index, edit_spec in enumerate(edit_specs):
@@ -1501,7 +1537,16 @@ class _Session:
                             f"{serialized!r}"
                         )
                     translated[field] = internal
-            edits.append(edit_from_dict(translated))
+            edit = edit_from_dict(translated)
+            if (
+                isinstance(edit, (AddSink, SetSinkPolarity))
+                and edit.polarity == -1
+            ):
+                raise _phase_error(
+                    f"edits[{index}] ({edit.op}) makes a sink "
+                    "negative-phase; no edit of this batch was applied"
+                )
+            edits.append(edit)
         created: List[Any] = []
         removed: List[Any] = []
         applied = 0
@@ -1684,6 +1729,9 @@ class _SolveContext:
             library = library_from_dict(library_spec)
         except ReproError as exc:
             raise _BadRequest(f"invalid library: {exc}") from exc
+        inverting = [b.name for b in library.buffers if b.inverting]
+        if inverting:
+            raise _phase_error(f"library has inverting types {inverting}")
         algorithm = spec.get("algorithm", "fast")
         if not isinstance(algorithm, str):
             raise _BadRequest("'algorithm' must be a string")

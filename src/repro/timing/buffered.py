@@ -6,7 +6,10 @@ capacitance, and the signal pays the buffer delay ``K + R * C_down(v)``
 before continuing into the subtree.  This matches the candidate algebra
 of the dynamic programs (buffering happens at the vertex, below its
 incoming edge) and is implemented here from scratch — without candidate
-lists — so it can act as an independent oracle.
+lists — so it can act as an independent oracle.  The same pass tracks
+the signal phase each vertex receives (the driver is non-inverting,
+every inverting cell flips it), so the report also names the sinks an
+assignment delivers the wrong phase.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ class TimingReport:
         driver_load: Capacitance presented to the driver, farads.
         num_buffers: Number of buffers in the assignment.
         total_buffer_cost: Sum of assigned buffers' ``cost`` attributes.
+        wrong_phase_sinks: Node ids of the sinks whose delivered phase
+            differs from their ``polarity``; empty when every phase is
+            right.
     """
 
     slack: float
@@ -42,6 +48,7 @@ class TimingReport:
     driver_load: float = 0.0
     num_buffers: int = 0
     total_buffer_cost: float = 0.0
+    wrong_phase_sinks: Tuple[int, ...] = ()
 
     def __str__(self) -> str:
         return (
@@ -138,11 +145,14 @@ def evaluate_assignment(
     if enforce_load_limits:
         _check_load_limits(assignment, cap_below)
 
-    # Arrival time at each node's *driving point*: after the buffer when
-    # one is assigned there, after the driver at the root.
+    # Arrival time and signal phase at each node's *driving point*:
+    # after the buffer when one is assigned there, after the driver at
+    # the root.
     arrival: Dict[int, float] = {}
+    phase: Dict[int, int] = {}
     root = tree.root_id
     arrival[root] = driver.delay(cap_presented[root]) if driver else 0.0
+    phase[root] = 1
 
     for node_id in tree.preorder():
         if node_id == root:
@@ -151,16 +161,23 @@ def evaluate_assignment(
         time_at_input = arrival[edge.parent] + edge.resistance * (
             edge.capacitance / 2.0 + cap_presented[node_id]
         )
+        polarity = phase[edge.parent]
         buffer = assignment.get(node_id)
         if buffer is not None:
             time_at_input += buffer.delay(cap_below[node_id])
+            if buffer.inverting:
+                polarity = -polarity
         arrival[node_id] = time_at_input
+        phase[node_id] = polarity
 
     sink_delays: Dict[int, float] = {}
     sink_slacks: Dict[int, float] = {}
     worst_slack = float("inf")
     critical = -1
+    wrong_phase = []
     for sink in tree.sinks():
+        if phase[sink.node_id] != sink.polarity:
+            wrong_phase.append(sink.node_id)
         delay = arrival[sink.node_id]
         slack = sink.required_arrival - delay
         sink_delays[sink.node_id] = delay
@@ -177,6 +194,7 @@ def evaluate_assignment(
         driver_load=cap_presented[root],
         num_buffers=len(assignment),
         total_buffer_cost=sum(b.cost for b in assignment.values()),
+        wrong_phase_sinks=tuple(wrong_phase),
     )
 
 

@@ -1,23 +1,36 @@
-"""The joint wire-sizing + buffer-insertion dynamic program."""
+"""The joint wire-sizing + buffer-insertion dynamic program.
+
+An op set over the DP's one interpreter
+(:func:`repro.core.dp._execute_schedule`), run on the net compiled by
+:func:`~repro.core.schedule.compile_net`.  Stack values are plain
+candidate lists, merged by :func:`~repro.core.merge.merge_branches` and
+buffered by the fast algorithm's keep-all add-buffer; only ``WIRE``
+differs: it tries every wire class on the edge and records the choice
+in a :class:`WireDecision`.  That needs the edge's child id, and
+``compile_net`` numbers wires in instruction order, so the k-th
+``WIRE`` executed is wire k, whose child is found by inverting
+``CompiledNet.wire_index_of``.  Signal polarity is not modelled:
+negative-phase sinks and inverting types are rejected.
+"""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.core.buffer_ops import generate_fast, insert_candidates
+from repro.core.buffer_ops import insert_candidates
 from repro.core.candidate import (
     BufferDecision,
     Candidate,
     CandidateList,
     MergeDecision,
-    SinkDecision,
-    best_candidate_for_driver,
 )
-from repro.core.dp import build_plans
-from repro.core.merge import merge_branches
+from repro.core.dp import _execute_schedule, _resolve_ops
+from repro.core.fast import _add_buffer_keep_all
+from repro.core.polarity import require_polarity_free
 from repro.core.pruning import prune_dominated
+from repro.core.schedule import compile_net
 from repro.core.solution import DPStats
 from repro.errors import AlgorithmError
 from repro.library.buffer_type import BufferType
@@ -150,6 +163,11 @@ def size_wires_and_insert_buffers(
         wire_classes: Non-empty sequence of width choices (names must be
             unique).
         driver: Source driver (defaults to ``tree.driver``).
+
+    Raises:
+        AlgorithmError: No or duplicate wire classes, an invalid tree,
+            or a negative-phase sink or inverting type.
+        DeadlineExceeded: An ambient deadline expired mid-solve.
     """
     classes = list(wire_classes)
     if not classes:
@@ -158,65 +176,38 @@ def size_wires_and_insert_buffers(
     if len(set(names)) != len(names):
         raise AlgorithmError(f"duplicate wire class names: {names}")
 
-    try:
-        tree.validate()
-    except Exception as exc:
-        raise AlgorithmError(f"invalid routing tree: {exc}") from exc
+    compiled = compile_net(tree, library)
+    require_polarity_free(tree, library, "size_wires_and_insert_buffers")
+    sink_op, _, merge_op, best_op, release = _resolve_ops("object")
+    # compile_net numbers wires in instruction order, and this solve
+    # splices nothing, so the k-th WIRE executed is wire k.
+    index_of = compiled.wire_index_of
+    children = sorted(index_of, key=index_of.__getitem__)
+    wires_run = 0
 
-    driver = driver if driver is not None else tree.driver
-    plans = build_plans(tree, library)
+    def wire_op(candidates, resistance, capacitance):
+        nonlocal wires_run
+        child = children[wires_run]
+        wires_run += 1
+        return _add_sized_wire(
+            candidates, child, resistance, capacitance, classes
+        )
+
     started = time.perf_counter()
+    root_list, peak_length, candidates_generated = _execute_schedule(
+        compiled, sink_op, wire_op, merge_op, _add_buffer_keep_all, release
+    )
+    assert wires_run == len(children), "every wire must run exactly once"
 
-    lists: Dict[int, CandidateList] = {}
-    peak_length = 0
-    candidates_generated = 0
-
-    for node_id in tree.postorder():
-        node = tree.node(node_id)
-        if node.is_sink:
-            current: CandidateList = [
-                Candidate(
-                    q=node.required_arrival,
-                    c=node.capacitance,
-                    decision=SinkDecision(node_id),
-                )
-            ]
-            candidates_generated += 1
-        else:
-            branch_lists: List[CandidateList] = []
-            for child in tree.children_of(node_id):
-                edge = tree.edge_to(child)
-                child_list = lists.pop(child)
-                sized = _add_sized_wire(
-                    child_list, child, edge.resistance, edge.capacitance,
-                    classes,
-                )
-                candidates_generated += len(sized)
-                branch_lists.append(sized)
-            current = branch_lists[0]
-            for other in branch_lists[1:]:
-                current = merge_branches(current, other)
-                candidates_generated += len(current)
-            plan = plans.get(node_id)
-            if plan is not None:
-                new_candidates = generate_fast(current, plan)
-                candidates_generated += len(new_candidates)
-                current = insert_candidates(current, new_candidates)
-
-        if len(current) > peak_length:
-            peak_length = len(current)
-        lists[node_id] = current
-
-    root_list = lists[tree.root_id]
+    driver = driver if driver is not None else compiled.driver
     resistance = driver.resistance if driver is not None else 0.0
-    best = best_candidate_for_driver(root_list, resistance)
-    assert best is not None
+    best = best_op(root_list, resistance)
     slack = best.q - (driver.delay(best.c) if driver is not None else 0.0)
     buffers, wires = _reconstruct(best.decision)
 
     stats = DPStats(
         algorithm="fast-wiresizing",
-        num_buffer_positions=tree.num_buffer_positions,
+        num_buffer_positions=compiled.num_buffer_positions,
         library_size=library.size,
         root_candidates=len(root_list),
         peak_list_length=peak_length,

@@ -405,6 +405,252 @@ def golden_record(result) -> dict:
     }
 
 
+def assert_same_solve(result, reference) -> None:
+    """``result`` equals ``reference`` bit for bit: slack, driver load,
+    buffer assignment and every :class:`~repro.core.solution.DPStats`
+    count (the algorithm label and runtime aside)."""
+    assignment = getattr(result, "buffer_assignment", None)
+    if assignment is None:
+        assignment = result.assignment
+    assert float.hex(result.slack) == float.hex(reference.slack)
+    assert float.hex(result.driver_load) == float.hex(reference.driver_load)
+    assert assignment == reference.assignment
+    for field in ("num_buffer_positions", "library_size", "root_candidates",
+                  "peak_list_length", "candidates_generated", "backend"):
+        assert getattr(result.stats, field) == getattr(reference.stats, field), field
+
+
+def inverter_repro():
+    """A net whose only sink wants the inverted phase, and two libraries.
+
+    ``two_pin_net(6000.0, num_segments=10)`` with its sink at polarity
+    -1; ``paper_library(4)``, and the same plus an inverter with the
+    first buffer's R, 0.7x its input capacitance and 0.6x its intrinsic
+    delay.  A polarity-blind solve of the second answers -166.0 ps with
+    no buffer, which delivers the wrong phase; the polarity DP finds
+    -716.0 ps with one inverter.  Returns ``(net, plain, with_inverter)``.
+    """
+    from repro import BufferLibrary, BufferType, paper_library, two_pin_net
+
+    net = two_pin_net(6000.0, num_segments=10)
+    net.set_sink(net.sinks()[0].node_id, polarity=-1)
+    plain = paper_library(4)
+    first = plain.buffers[0]
+    inverter = BufferType(
+        "INV", first.driving_resistance, first.input_capacitance * 0.7,
+        first.intrinsic_delay * 0.6, inverting=True,
+    )
+    return net, plain, BufferLibrary(list(plain.buffers) + [inverter])
+
+
+def golden_cost(buffer) -> int:
+    """A non-unit buffer cost for the min-cost golden cases: 1 + the
+    input capacitance in whole 10 fF steps."""
+    return 1 + int(buffer.input_capacitance / fF(10.0))
+
+
+def extension_golden_cases() -> dict:
+    """The corpus behind ``tests/data/extensions_golden.json``.
+
+    Maps a case id to a zero-argument builder returning
+    ``(kind, tree, library, kwargs)``.  ``kind`` names the extension
+    DP: ``"polarity"`` (:func:`repro.insert_buffers_with_inverters`,
+    ``kwargs`` holds the algorithm, solved on every store backend),
+    ``"wiresizing"`` (:func:`repro.wiresizing.size_wires_and_insert_buffers`,
+    ``kwargs`` holds the wire classes) or ``"mincost"``
+    (:func:`repro.cost.slack_cost_frontier`, ``kwargs`` holds
+    ``cost_fn`` and ``max_cost``).
+
+    Polarity cases: segmented random nets with about 40% negative-phase
+    sinks and mixed libraries from no inverter to all inverters (the
+    inverter-free ones with a negative sink are infeasible), a
+    polarity-free net, restricted positions (subsets with only
+    inverters, only buffers, or nothing), load-capped types and a
+    driverless net.  Wire-sizing cases use 1-4 wire classes;
+    min-cost cases use unit and non-unit costs, with and without a
+    small ``max_cost``.
+    """
+    from repro import (
+        BufferLibrary,
+        BufferType,
+        mixed_paper_library,
+        paper_library,
+        random_tree_net,
+        segment_tree,
+        two_pin_net,
+        uniform_random_library,
+    )
+    from repro.wiresizing import default_wire_classes
+
+    def polarized_net(seed, sinks, segment=250.0, driver=True):
+        rng = random.Random(seed)
+        tree = segment_tree(
+            random_tree_net(
+                sinks, seed=seed, die_size=4000.0,
+                required_arrival=ps(rng.uniform(300.0, 1200.0)),
+                driver=Driver(rng.uniform(100.0, 600.0)) if driver else None,
+            ),
+            segment,
+        )
+        for sink in tree.sinks():
+            if rng.random() < 0.4:
+                sink.polarity = -1
+        return tree
+
+    def load_capped(seed):
+        base = mixed_paper_library(4, inverter_fraction=0.5, seed=seed,
+                                   jitter=0.05)
+        capped = [
+            BufferType(
+                name=f"{b.name}_capped",
+                driving_resistance=b.driving_resistance * 0.8,
+                input_capacitance=b.input_capacitance,
+                intrinsic_delay=b.intrinsic_delay,
+                max_load=fF(30.0 + 15.0 * i),
+                inverting=b.inverting,
+            )
+            for i, b in enumerate(base.buffers)
+        ]
+        return BufferLibrary(list(base.buffers) + capped)
+
+    def restricted(seed):
+        library = mixed_paper_library(6, inverter_fraction=0.5, seed=seed,
+                                      jitter=0.05)
+        inverters = [b.name for b in library.buffers if b.inverting]
+        buffers = [b.name for b in library.buffers if not b.inverting]
+        tree = polarized_net(seed, 5)
+        subsets = (None, frozenset(inverters[:1]), frozenset(buffers),
+                   frozenset(), frozenset(inverters))
+        for rank, node in enumerate(tree.buffer_positions()):
+            node.allowed_buffers = subsets[rank % len(subsets)]
+        return tree, library
+
+    polarity_cases = {}
+    fractions = (0.0, 0.25, 0.5, 1.0)
+    for seed in range(24):
+        size = (2, 4, 6, 8)[seed % 4]
+        fraction = fractions[(seed // 3) % 4]
+        polarity_cases[f"random-{seed}"] = (
+            lambda seed=seed, size=size, fraction=fraction: (
+                polarized_net(seed + 200, 2 + seed % 5),
+                mixed_paper_library(size, inverter_fraction=fraction,
+                                    jitter=0.05, seed=seed),
+            )
+        )
+    polarity_cases["positive-only"] = lambda: (
+        two_pin_net(6000.0, num_segments=12, driver=Driver(200.0),
+                    required_arrival=ps(900.0)),
+        mixed_paper_library(6, inverter_fraction=0.5),
+    )
+    polarity_cases["restricted"] = lambda: restricted(7)
+    polarity_cases["loadcap"] = lambda: (polarized_net(31, 4),
+                                         load_capped(31))
+    polarity_cases["driverless"] = lambda: (
+        polarized_net(41, 4, driver=False),
+        mixed_paper_library(4, inverter_fraction=0.5, jitter=0.05, seed=41),
+    )
+
+    cases = {}
+    for name, builder in polarity_cases.items():
+        for algorithm in ("fast", "lillis"):
+            cases[f"polarity-{name}-{algorithm}"] = (
+                lambda builder=builder, algorithm=algorithm: (
+                    "polarity", *builder(), {"algorithm": algorithm}
+                )
+            )
+    for seed in range(8):
+        classes = 1 + seed % 4
+        cases[f"wiresizing-{classes}-{seed}"] = (
+            lambda seed=seed, classes=classes: (
+                "wiresizing",
+                random_small_tree(seed + 60) if seed % 2 else
+                segment_tree(random_tree_net(
+                    3 + seed, seed=seed + 60, die_size=4000.0,
+                    required_arrival=ps(900.0), driver=Driver(250.0),
+                ), 600.0),
+                uniform_random_library(2 + seed % 3, seed=seed + 60),
+                {"wire_classes": default_wire_classes(classes)},
+            )
+        )
+    cases["wiresizing-4-trunk"] = lambda: (
+        "wiresizing",
+        two_pin_net(12000.0, num_segments=16, driver=Driver(200.0),
+                    required_arrival=ps(1500.0)),
+        paper_library(4),
+        {"wire_classes": default_wire_classes(4)},
+    )
+    for seed in range(12):
+        cost_fn = golden_cost if seed % 2 else None
+        max_cost = (None, 3, 6)[seed % 3]
+        cases[f"mincost-{seed}"] = (
+            lambda seed=seed, cost_fn=cost_fn, max_cost=max_cost: (
+                "mincost",
+                random_small_tree(seed + 80) if seed % 4 < 2 else
+                segment_tree(random_tree_net(
+                    3 + seed % 5, seed=seed + 80, die_size=4000.0,
+                    required_arrival=ps(900.0), driver=Driver(250.0),
+                ), 800.0),
+                uniform_random_library(2 + seed % 3, seed=seed + 80)
+                if seed % 3 else paper_library(4),
+                {"cost_fn": cost_fn, "max_cost": max_cost},
+            )
+        )
+    return cases
+
+
+def extension_record(kind: str, result) -> dict:
+    """One extension solve's answer in the ``extensions_golden.json``
+    encoding: slacks and loads as ``float.hex``, assignments as
+    ``{node id: type or wire-class name}``."""
+
+    def names(assignment):
+        return {str(node): value.name
+                for node, value in sorted(assignment.items())}
+
+    if kind == "mincost":
+        return {"frontier": [
+            {"cost": point.cost, "slack": float.hex(point.slack),
+             "assignment": names(point.assignment)}
+            for point in result
+        ]}
+    record = {
+        "slack": float.hex(result.slack),
+        "driver_load": float.hex(result.driver_load),
+        "root_candidates": result.stats.root_candidates,
+    }
+    if kind == "wiresizing":
+        record["assignment"] = names(result.buffer_assignment)
+        record["wire_assignment"] = names(result.wire_assignment)
+    else:
+        record["assignment"] = names(result.assignment)
+    return record
+
+
+def solve_extension_case(kind: str, tree, library, kwargs, backend="object"):
+    """Run one :func:`extension_golden_cases` case and encode it with
+    :func:`extension_record`; an infeasible polarity case encodes as
+    ``{"infeasible": True}``."""
+    from repro import insert_buffers_with_inverters
+    from repro.cost import slack_cost_frontier
+    from repro.errors import InfeasibleError
+    from repro.wiresizing import size_wires_and_insert_buffers
+
+    if kind == "polarity":
+        try:
+            result = insert_buffers_with_inverters(
+                tree, library, backend=backend, **kwargs
+            )
+        except InfeasibleError:
+            return {"infeasible": True}
+    elif kind == "wiresizing":
+        result = size_wires_and_insert_buffers(
+            tree, library, kwargs["wire_classes"]
+        )
+    else:
+        result = slack_cost_frontier(tree, library, **kwargs)
+    return extension_record(kind, result)
+
+
 def malformed_requests() -> Dict[str, Tuple[Dict[str, Any], Dict[str, Any]]]:
     """Malformed solve bodies, each with the valid twin it came from.
 

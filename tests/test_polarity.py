@@ -5,23 +5,39 @@ import random
 
 import pytest
 
-from helpers import SLACK_ATOL
+from helpers import (
+    SLACK_ATOL,
+    assert_same_solve,
+    inverter_repro,
+    random_small_tree,
+)
 
 from repro import (
     BufferLibrary,
     BufferType,
     Driver,
     RoutingTree,
+    evaluate_assignment,
     evaluate_slack,
     insert_buffers,
     insert_buffers_with_inverters,
     mixed_paper_library,
     paper_library,
+    random_tree_net,
+    segment_tree,
     two_pin_net,
+    uniform_random_library,
     verify_polarities,
 )
 from repro.errors import AlgorithmError, InfeasibleError, TreeError
-from repro.units import fF, ps
+from repro.units import fF, ps, to_ps
+
+try:
+    import numpy
+except ImportError:  # pragma: no cover
+    numpy = None
+
+BACKENDS = ["object"] + (["soa"] if numpy is not None else [])
 
 
 def inverter(name="inv", r=800.0, c=fF(4.0), k=ps(25.0)):
@@ -108,17 +124,42 @@ class TestVerifyPolarities:
         assert verify_polarities(net, {position: buffer_()})
 
 
+def polarity_free_cases():
+    """Nets with every sink +1 and libraries without an inverting type."""
+    nets = [
+        two_pin_net(length=6000.0, sink_capacitance=fF(20.0),
+                    required_arrival=ps(900.0), driver=Driver(200.0),
+                    num_segments=12),
+    ]
+    nets += [random_small_tree(seed) for seed in range(6)]
+    nets += [
+        segment_tree(random_tree_net(3 + seed, seed=seed, die_size=4000.0,
+                                     required_arrival=ps(900.0),
+                                     driver=Driver(250.0)), 500.0)
+        for seed in range(3)
+    ]
+    libraries = [
+        paper_library(4),
+        mixed_paper_library(8, inverter_fraction=0.0, jitter=0.05, seed=3),
+        uniform_random_library(5, seed=11),
+    ]
+    return [(net, library) for net in nets for library in libraries]
+
+
 class TestInsertion:
     def test_all_positive_matches_plain_algorithm(self):
         """With only non-inverting types and positive sinks, the
-        polarity DP must reduce exactly to the plain one."""
-        net = two_pin_net(length=6000.0, sink_capacitance=fF(20.0),
-                          required_arrival=ps(900.0), driver=Driver(200.0),
-                          num_segments=12)
-        library = paper_library(4)
-        plain = insert_buffers(net, library)
-        polarity = insert_buffers_with_inverters(net, library)
-        assert polarity.slack == pytest.approx(plain.slack, abs=SLACK_ATOL)
+        polarity DP must reduce exactly to the plain one on the same
+        store: slack, assignment, driver load and every stats count."""
+        for net, library in polarity_free_cases():
+            for algorithm in ("fast", "lillis"):
+                for backend in BACKENDS:
+                    plain = insert_buffers(net, library, algorithm=algorithm,
+                                           backend=backend)
+                    polarity = insert_buffers_with_inverters(
+                        net, library, algorithm=algorithm, backend=backend
+                    )
+                    assert_same_solve(polarity, plain)
 
     def test_negative_sink_requires_inverter(self):
         net = chain_net(polarity=-1)
@@ -223,6 +264,46 @@ class TestMixedPolaritySinks:
         plain = insert_buffers(net, buffers_only)
         mixed = insert_buffers_with_inverters(net, with_inverters)
         assert mixed.slack >= plain.slack - SLACK_ATOL
+
+
+class TestReproNet:
+    """The net whose polarity-blind answer delivers the wrong phase."""
+
+    def test_oracle_names_the_wrong_phase_sink(self):
+        net, _, library = inverter_repro()
+        sink = net.sinks()[0].node_id
+        blind = insert_buffers(net, library)
+        assert round(to_ps(blind.slack), 1) == -166.0
+        report = evaluate_assignment(net, blind.assignment)
+        assert report.wrong_phase_sinks == (sink,)
+        assert not verify_polarities(net, blind.assignment)
+        right = insert_buffers_with_inverters(net, library)
+        assert round(to_ps(right.slack), 1) == -716.0
+        assert [b.name for b in right.assignment.values()] == ["INV"]
+        assert evaluate_assignment(net, right.assignment).wrong_phase_sinks == ()
+
+    @pytest.mark.parametrize("engine", ["frontier", "min_cost", "wiresizing"])
+    def test_polarity_blind_extensions_refuse_phase_inputs(self, engine):
+        from repro.cost import minimize_cost, slack_cost_frontier
+        from repro.wiresizing import (
+            default_wire_classes,
+            size_wires_and_insert_buffers,
+        )
+
+        solve = {
+            "frontier": slack_cost_frontier,
+            "min_cost": lambda tree, lib: minimize_cost(tree, lib, -1.0),
+            "wiresizing": lambda tree, lib: size_wires_and_insert_buffers(
+                tree, lib, default_wire_classes(2)),
+        }[engine]
+        net, plain, library = inverter_repro()
+        sink = net.sinks()[0].node_id
+        with pytest.raises(AlgorithmError, match=f"sinks \\[{sink}\\]"):
+            solve(net, plain)
+        net.set_sink(sink, polarity=1)
+        with pytest.raises(AlgorithmError, match="'INV'"):
+            solve(net, library)
+        solve(net, plain)  # polarity-free inputs still solve
 
 
 class TestIoRoundTrip:

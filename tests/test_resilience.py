@@ -192,6 +192,25 @@ class TestDeadlineInStrategies:
             with pytest.raises(DeadlineExceeded):
                 solver.resolve()
 
+    @pytest.mark.parametrize("dp", ["polarity", "min_cost", "wiresizing"])
+    def test_extension_dps(self, dp, library):
+        from repro import insert_buffers_with_inverters
+        from repro.cost import slack_cost_frontier
+        from repro.wiresizing import (
+            default_wire_classes,
+            size_wires_and_insert_buffers,
+        )
+
+        solve = {
+            "polarity": insert_buffers_with_inverters,
+            "min_cost": slack_cost_frontier,
+            "wiresizing": lambda net, lib: size_wires_and_insert_buffers(
+                net, lib, default_wire_classes(2)),
+        }[dp]
+        with deadline_scope(self.expired()):
+            with pytest.raises(DeadlineExceeded):
+                solve(small_net(), library)
+
     def test_pool_dispatch_bounded_without_task_timeout(self, library):
         """A hung worker cannot outlive the deadline even with no
         task_timeout configured: the parent's wait is clipped."""

@@ -18,6 +18,7 @@ import pytest
 
 from helpers import (
     SLACK_ATOL,
+    inverter_repro,
     malformed_requests,
     random_small_tree,
     relabeled,
@@ -610,6 +611,68 @@ class TestSessions:
         assert stats["edits"] == 1
         assert 0.0 < stats["last_executed_fraction"] < 1.0
         assert 0.0 < stats["mean_executed_fraction"] <= 1.0
+        session.delete()
+
+
+class TestInverterInputs:
+    """Inputs the served solvers would answer in the wrong phase: a
+    negative-phase sink or an inverting type is a 422, never an answer
+    (and never cached); the in-process polarity DP solves them."""
+
+    def test_solve_and_batch_reject_the_repro(self, harness):
+        net, plain, library = inverter_repro()
+        sink = net.sinks()[0].node_id
+        with pytest.raises(ServiceError, match="422") as info:
+            harness.client.solve(net, library)
+        assert "inverting types ['INV']" in str(info.value)
+        for _ in range(2):  # never cached: a repeat is rejected too
+            with pytest.raises(ServiceError, match="422") as info:
+                harness.client.solve(net, plain)
+            assert f"negative-phase sinks [{sink}]" in str(info.value)
+        stats = harness.client.stats()
+        assert stats["cache"]["size"] == 0
+        assert stats["compiled_cache"]["size"] == 0
+        with pytest.raises(ServiceError, match="422") as info:
+            harness.client.solve_batch([random_small_tree(3), net], plain)
+        assert "net at index 1" in str(info.value)
+        stats = harness.client.stats()
+        assert stats["cache"]["size"] == 0
+        assert stats["counters"]["worker_dispatches"] == 0
+
+    def test_sessions_reject_phase_inputs(self, harness):
+        net, plain, library = inverter_repro()
+        sink = net.sinks()[0].node_id
+        with pytest.raises(ServiceError, match="422") as info:
+            harness.client.create_session(net, plain)
+        assert f"negative-phase sinks [{sink}]" in str(info.value)
+        net.set_sink(sink, polarity=1)
+        with pytest.raises(ServiceError, match="422") as info:
+            harness.client.create_session(net, library)
+        assert "'INV'" in str(info.value)
+        assert harness.client.stats()["incremental"]["sessions"]["live"] == 0
+
+    def test_negative_phase_edits_apply_nothing(self, harness):
+        net, plain, _ = inverter_repro()
+        sink = net.sinks()[0].node_id
+        net.set_sink(sink, polarity=1)
+        session = harness.client.create_session(net, plain)
+        before = session.resolve()
+        parent = net.edge_to(sink).parent
+        for edit in (
+            {"op": "set_sink_polarity", "node": sink, "polarity": -1},
+            {"op": "add_sink", "parent": parent, "edge_resistance": 2.0,
+             "edge_capacitance": 2e-15, "capacitance": 8e-15,
+             "required_arrival": 9e-10, "polarity": -1},
+        ):
+            valid = {"op": "set_sink_rat", "node": sink,
+                     "required_arrival": ps(100.0)}
+            with pytest.raises(ServiceError, match="422") as info:
+                session.edit(valid, edit)
+            assert "edits[1]" in str(info.value)
+            assert "no edit of this batch was applied" in str(info.value)
+        after = session.resolve()
+        assert after["slack_seconds"] == before["slack_seconds"]
+        assert after["incremental"]["edits_applied"] == 0
         session.delete()
 
 

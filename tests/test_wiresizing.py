@@ -4,13 +4,15 @@ import itertools
 
 import pytest
 
-from helpers import SLACK_ATOL, random_small_tree
+from helpers import SLACK_ATOL, assert_same_solve, random_small_tree
 
 from repro import (
     Driver,
     evaluate_slack,
     insert_buffers,
     paper_library,
+    random_tree_net,
+    segment_tree,
     two_pin_net,
     uniform_random_library,
 )
@@ -63,11 +65,24 @@ class TestWireLibrary:
 
 class TestReducesToPlain:
     def test_single_unit_class_equals_insert_buffers(self, net):
-        library = paper_library(4)
-        plain = insert_buffers(net, library)
-        sized = size_wires_and_insert_buffers(net, library, [UNIT_CLASS])
-        assert sized.slack == pytest.approx(plain.slack, abs=SLACK_ATOL)
-        assert sized.buffer_assignment.keys() == plain.assignment.keys()
+        """One unit wire class is the plain DP on the object store:
+        slack, assignment, driver load and every stats count."""
+        nets = [net] + [random_small_tree(seed) for seed in range(6)] + [
+            segment_tree(random_tree_net(3 + seed, seed=seed,
+                                         die_size=4000.0,
+                                         required_arrival=ps(900.0),
+                                         driver=Driver(250.0)), 500.0)
+            for seed in range(3)
+        ]
+        libraries = [paper_library(4), uniform_random_library(5, seed=11),
+                     paper_library(8, jitter=0.05, seed=2)]
+        for tree in nets:
+            for library in libraries:
+                plain = insert_buffers(tree, library, backend="object")
+                sized = size_wires_and_insert_buffers(tree, library,
+                                                      [UNIT_CLASS])
+                assert_same_solve(sized, plain)
+                assert sized.stats.algorithm == "fast-wiresizing"
 
     def test_every_edge_gets_a_width(self, net):
         library = paper_library(2)
