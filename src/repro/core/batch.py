@@ -236,7 +236,7 @@ class SolverPool:
             rule partitions a single net across the workers (``jobs > 1``
             only; see :func:`repro.parallel.solver.solve_partitioned`);
             defaults to
-            :data:`repro.parallel.solver.DEFAULT_PARALLEL_THRESHOLD`.
+            :data:`repro.routing.router.DEFAULT_PARALLEL_THRESHOLD`.
         policy: Routing policy for every dispatch decision this pool
             makes (backend, batch axis, partitioning): ``"static"``
             (fixed size rules, the default for ``None``) or an
@@ -293,7 +293,7 @@ class SolverPool:
         from repro.core.registry import get_algorithm
         from repro.core.stores import get_store_backend, resolve_backend
         from repro.core.stores.batch_axis import supports_batch_axis
-        from repro.routing.router import Router
+        from repro.routing.router import DEFAULT_PARALLEL_THRESHOLD, Router
         from repro.routing.workload import WorkloadLog
 
         get_algorithm(algorithm).validate_options(options)
@@ -301,8 +301,6 @@ class SolverPool:
         backend = resolve_backend(backend)
         get_store_backend(backend)
         if parallel_threshold is None:
-            from repro.parallel.solver import DEFAULT_PARALLEL_THRESHOLD
-
             parallel_threshold = DEFAULT_PARALLEL_THRESHOLD
 
         self.library = library
@@ -358,8 +356,8 @@ class SolverPool:
         }
         # Warm batch-axis factories, one per lane count (LRU-capped):
         # reusing a factory keeps its grown arena blocks and tape
-        # capacity across solves, exactly like the single-net factory
-        # the compiled-net cache holds on to.
+        # capacity across solves, as a CompiledNet's own factory does
+        # across repeat solves of that net.
         self._factories: "OrderedDict[int, object]" = OrderedDict()
         # Guards the inline path: concurrent callers (server handler
         # threads) may pass the *same* CompiledNet, whose factory scratch

@@ -53,7 +53,16 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.core.buffer_ops import BufferPlan
 from repro.core.candidate import (
@@ -99,7 +108,19 @@ def _full_library_plan(buffers) -> BufferPlan:
 
 
 def build_plans(tree: RoutingTree, library: BufferLibrary) -> Dict[int, BufferPlan]:
-    """Precompute a :class:`BufferPlan` per buffer position.
+    """Precompute a :class:`BufferPlan` per buffer position of ``tree``."""
+    return plans_for(
+        ((node.node_id, node.allowed_buffers)
+         for node in tree.buffer_positions()),
+        library,
+    )
+
+
+def plans_for(
+    positions: Iterable[Tuple[int, Optional[FrozenSet[str]]]],
+    library: BufferLibrary,
+) -> Dict[int, BufferPlan]:
+    """A :class:`BufferPlan` per ``(node id, allowed names)`` position.
 
     Nodes that allow the whole library share one plan's sort orders via
     :meth:`BufferPlan.shared_view`; restricted nodes get a plan for
@@ -108,15 +129,15 @@ def build_plans(tree: RoutingTree, library: BufferLibrary) -> Dict[int, BufferPl
     """
     full_plan = _full_library_plan(library.buffers)
     plans: Dict[int, BufferPlan] = {}
-    for node in tree.buffer_positions():
-        if node.allowed_buffers is None:
-            plan = BufferPlan.shared_view(node.node_id, full_plan)
+    for node_id, allowed_names in positions:
+        if allowed_names is None:
+            plan = BufferPlan.shared_view(node_id, full_plan)
         else:
-            allowed = [b for b in library.buffers if b.name in node.allowed_buffers]
+            allowed = [b for b in library.buffers if b.name in allowed_names]
             if not allowed:
                 continue  # effectively not a buffer position
-            plan = BufferPlan(node.node_id, allowed)
-        plans[node.node_id] = plan
+            plan = BufferPlan(node_id, allowed)
+        plans[node_id] = plan
     return plans
 
 

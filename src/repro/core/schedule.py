@@ -30,12 +30,21 @@ executed by a tiny stack machine, the DP's one interpreter
 hot path).  Every solve runs through it: a plain tree handed to
 :func:`repro.core.dp.run_dynamic_program` is compiled on the spot, so
 callers that re-solve the *same* net — the Table 1 / Figure 3 /
-Figure 4 sweeps across library sizes and algorithms, the serving
-layer's compiled-net cache — compile once and pass the ``CompiledNet``.
+Figure 4 sweeps across library sizes and algorithms, incremental
+sessions — compile once and pass the ``CompiledNet``.
 Wire parasitics and sink ``q``/``c`` live in flat ``array('d')``
 payloads, op codes in ``bytes``, so a ``CompiledNet`` pickles in a
 fraction of the bytes of the object tree it came from — which is
 exactly what the batch engine ships to worker processes.
+
+The flattening has two front-ends over one loop, as the canonical hash
+has (:mod:`repro.service.canon`): :func:`compile_net` reads a
+:class:`~repro.tree.routing_tree.RoutingTree`, and
+:func:`compile_records` reads a serialized net's validated records
+(:func:`repro.tree.io.net_records`) without building a tree.  Both
+give the same ``CompiledNet`` for the same net.  The server compiles
+each ``/solve`` and ``/batch`` miss from its records, solves it and
+keeps only the answer.
 
 Answers are locked by ``tests/data/dp_golden.json`` (asserted bit for
 bit by ``tests/test_schedule.py`` on both store backends) and checked
@@ -45,12 +54,14 @@ against the independent timing oracle and the brute-force enumerator.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.buffer_ops import BufferPlan
 from repro.errors import AlgorithmError
 from repro.library.library import BufferLibrary
-from repro.tree.node import Driver
+from repro.obs.spans import active_tracer
+from repro.tree.io import NetRecords, NodeRecord
+from repro.tree.node import Driver, Node, NodeKind
 from repro.tree.routing_tree import RoutingTree
 
 #: Instruction op codes (low two bits) ...
@@ -64,6 +75,8 @@ OP_BUFFER = 3
 OP_FINAL = 4
 
 _OP_MASK = 3
+
+_SINK = NodeKind.SINK
 
 
 class CompiledNet:
@@ -211,8 +224,7 @@ class CompiledNet:
         :meth:`~repro.core.stores.base.StoreFactory.stats` dict (the
         SoA backend reports solve counts, scratch-arena block pools and
         provenance-tape capacity).  Only backends that have actually
-        solved through this compiled net appear.  The serving layer
-        aggregates this over its compiled-net cache for ``/stats``.
+        solved through this compiled net appear.
         """
         return {
             backend: factory.stats()
@@ -305,9 +317,9 @@ class CompiledNet:
         re-flatten.  Callers own the consistency contract: the tree this
         schedule was compiled from must have received the same edit
         (:class:`repro.incremental.engine.IncrementalSolver` does both
-        sides).  Patch a *shared* schedule (the server's compiled-net
-        cache) and every other user sees the edit; the incremental
-        engine therefore always compiles privately.
+        sides).  Patch a *shared* schedule and every other user sees
+        the edit; the incremental engine therefore always compiles
+        privately.
         """
         if self._sink_index_of is None:
             self._sink_index_of = {
@@ -340,9 +352,8 @@ class CompiledNet:
         Counts the instruction stream and the parasitic/sink arrays —
         the parts that scale with net size and survive pickling.  The
         library, plan specs and per-process caches are excluded (the
-        library is shared across nets; caches never ship).  The serving
-        layer's ``/stats`` endpoint sums this over its compiled-net
-        cache to report resident bytes.
+        library is shared across nets; caches never ship).  The server
+        counts it in a session's resident bytes.
         """
         arrays = (self.args, self.wire_r, self.wire_c,
                   self.sink_node, self.sink_q, self.sink_c)
@@ -427,23 +438,108 @@ def compile_net(
         AlgorithmError: The tree fails validation.
     """
     from repro.core.dp import build_plans
-    from repro.obs.spans import active_tracer
 
     tracer = active_tracer()
-    compile_handle = (
+    handle = (
         tracer.begin("compile", nodes=tree.num_nodes)
-        if tracer is not None
-        else None
+        if tracer is not None else None
     )
-
     if validate:
         try:
             tree.validate()
         except Exception as exc:
             raise AlgorithmError(f"invalid routing tree: {exc}") from exc
 
-    plans = build_plans(tree, library)
+    def edge_of(node_id: int) -> Tuple[int, float, float]:
+        edge = tree.edge_to(node_id)
+        return edge.parent, edge.resistance, edge.capacitance
 
+    compiled = _flatten(
+        tree.postorder(), tree.node, tree.children_of, edge_of,
+        build_plans(tree, library), library,
+        driver if driver is not None else tree.driver,
+        tree.num_buffer_positions,
+    )
+    if handle is not None:
+        tracer.end(handle, instructions=len(compiled.ops))
+    return compiled
+
+
+def compile_records(
+    records: NetRecords, library: BufferLibrary
+) -> CompiledNet:
+    """:func:`compile_net` over a serialized net, without building a tree.
+
+    ``records`` is :func:`repro.tree.io.net_records`' output, validated
+    when it was read.  Node ids are list positions, the ids
+    :func:`repro.tree.io.tree_from_records` gives, so the result equals
+    ``compile_net(tree_from_records(records), library, validate=False)``
+    in every array, plan spec and instruction map; the driver is the
+    records'.  The server compiles every ``/solve`` and ``/batch`` miss
+    this way.
+    """
+    from repro.core.dp import plans_for
+
+    nodes = records.nodes
+    tracer = active_tracer()
+    handle = (
+        tracer.begin("compile", nodes=len(nodes))
+        if tracer is not None else None
+    )
+    children: List[List[int]] = [[] for _ in nodes]
+    for position in range(1, len(nodes)):
+        children[nodes[position].parent].append(position)
+    # Children are in record order, the order tree_from_records
+    # attaches them.  A pre-order walk that takes them last to first,
+    # reversed, is the post-order that takes them first to last:
+    # RoutingTree.postorder()'s order.
+    postorder: List[int] = []
+    stack = [0]
+    while stack:
+        position = stack.pop()
+        postorder.append(position)
+        stack.extend(children[position])
+    postorder.reverse()
+
+    def edge_of(position: int) -> Tuple[int, float, float]:
+        node = nodes[position]
+        return node.parent, node.edge_resistance, node.edge_capacitance
+
+    compiled = _flatten(
+        postorder, nodes.__getitem__, children.__getitem__, edge_of,
+        plans_for(
+            ((position, node.allowed_buffers)
+             for position, node in enumerate(nodes)
+             if node.is_buffer_position),
+            library,
+        ),
+        library, records.driver, records.num_buffer_positions,
+    )
+    if handle is not None:
+        tracer.end(handle, instructions=len(compiled.ops))
+    return compiled
+
+
+def _flatten(
+    postorder: Sequence[int],
+    node_of: Callable[[int], Union[Node, NodeRecord]],
+    children_of: Callable[[int], Sequence[int]],
+    edge_of: Callable[[int], Tuple[int, float, float]],
+    plans: Dict[int, BufferPlan],
+    library: BufferLibrary,
+    driver: Optional[Driver],
+    num_buffer_positions: int,
+) -> CompiledNet:
+    """The post-order flattening loop both front-ends share.
+
+    ``postorder`` lists every node id, children before parents and
+    siblings in tree order; ``node_of(v)`` is v's
+    :class:`~repro.tree.node.Node` or :class:`~repro.tree.io.NodeRecord`
+    (the fields read here share their names), ``children_of(v)`` its
+    children in tree order, ``edge_of(v)`` the ``(parent, R, C)`` of the
+    wire into v, and ``plans`` the :class:`BufferPlan` of every usable
+    buffer position.
+    """
     ops = bytearray()
     args = array("q")
     wire_r = array("d")
@@ -457,21 +553,22 @@ def compile_net(
     start_of_node: Dict[int, int] = {}
     final_of_node: Dict[int, int] = {}
     wire_index_of: Dict[int, int] = {}
+    root_id = postorder[-1]
 
     def emit(op: int, arg: int = 0) -> None:
         ops.append(op)
         args.append(arg)
 
-    for node_id in tree.postorder():
-        node = tree.node(node_id)
-        children = tree.children_of(node_id)
+    for node_id in postorder:
+        node = node_of(node_id)
+        children = children_of(node_id)
         # Post-order makes every subtree a contiguous instruction
         # range: it starts where the first child's subtree started (or
         # at this very instruction for a sink).
         start_of_node[node_id] = (
             start_of_node[children[0]] if children else len(ops)
         )
-        if node.is_sink:
+        if node.kind is _SINK:
             emit(OP_SINK | OP_FINAL, len(sink_node))
             final_of_node[node_id] = len(ops) - 1
             sink_node.append(node_id)
@@ -490,31 +587,28 @@ def compile_net(
                     (node_id, None if allowed is None else tuple(allowed))
                 )
 
-        if node_id == tree.root_id:
+        if node_id == root_id:
             continue
 
         # Moving up the incoming edge: wire the just-finished subtree
         # list, then fold it into the branches accumulated so far.  The
         # MERGE interleaving folds siblings left to right in tree order
         # (float addition is not associative, so the order is fixed).
-        edge = tree.edge_to(node_id)
+        parent, resistance, capacitance = edge_of(node_id)
         emit(OP_WIRE, len(wire_r))
         wire_index_of[node_id] = len(wire_r)
-        wire_r.append(edge.resistance)
-        wire_c.append(edge.capacitance)
-        rank = emitted_children.get(edge.parent, 0)
-        emitted_children[edge.parent] = rank + 1
+        wire_r.append(resistance)
+        wire_c.append(capacitance)
+        rank = emitted_children.get(parent, 0)
+        emitted_children[parent] = rank + 1
         if rank:
             emit(OP_MERGE)
         # When the parent has no add-buffer step, its list is complete
         # the moment its last child folds in: flag that instruction as
         # the parent's final one so peak-length sampling sees it.
-        if (
-            rank + 1 == len(tree.children_of(edge.parent))
-            and edge.parent not in plans
-        ):
+        if rank + 1 == len(children_of(parent)) and parent not in plans:
             ops[-1] |= OP_FINAL
-            final_of_node[edge.parent] = len(ops) - 1
+            final_of_node[parent] = len(ops) - 1
 
     compiled = CompiledNet(
         ops=bytes(ops),
@@ -526,10 +620,10 @@ def compile_net(
         sink_c=sink_c,
         plan_specs=plan_specs,
         library=library,
-        driver=driver if driver is not None else tree.driver,
-        num_nodes=tree.num_nodes,
+        driver=driver,
+        num_nodes=len(postorder),
         num_sinks=len(sink_node),
-        num_buffer_positions=tree.num_buffer_positions,
+        num_buffer_positions=num_buffer_positions,
         start_of_node=start_of_node,
         final_of_node=final_of_node,
         wire_index_of=wire_index_of,
@@ -544,8 +638,6 @@ def compile_net(
 
     prime_plan_kernels(plan_table)
     compiled._plans = plan_table
-    if compile_handle is not None:
-        tracer.end(compile_handle, instructions=len(compiled.ops))
     return compiled
 
 

@@ -21,10 +21,8 @@ cut-selection policy, the hand-off protocol and the parity argument.
 """
 
 from repro.parallel.partition import Cut, PartitionPlan, plan_partitions
-from repro.parallel.solver import (
-    DEFAULT_PARALLEL_THRESHOLD,
-    solve_partitioned,
-)
+from repro.parallel.solver import solve_partitioned
+from repro.routing.router import DEFAULT_PARALLEL_THRESHOLD
 
 __all__ = [
     "Cut",

@@ -55,15 +55,6 @@ from repro.parallel.worker import _solve_partition, solve_subschedule
 from repro.tree.node import Driver
 from repro.tree.routing_tree import RoutingTree
 
-#: Instruction-count floor of the static routing rule's partitioned
-#: solve (roughly twice the buffer-position count).  Calibrated against the measured hand-off
-#: overhead — partition planning is one O(n) pass and each partition
-#: costs a subschedule pickle plus a snapshot unpickle, together a few
-#: hundred milliseconds of fixed cost at this size, against multi-second
-#: serial solves (see ``benchmarks/bench_parallel.py``); below it the
-#: overhead eats the win.
-DEFAULT_PARALLEL_THRESHOLD = 50_000
-
 
 def solve_partitioned(
     net: Union[RoutingTree, CompiledNet],

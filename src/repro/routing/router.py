@@ -53,6 +53,17 @@ POLICIES = tuple(_PINS)
 #: The policy a caller gets with ``policy=None``.
 DEFAULT_POLICY = "static"
 
+#: Instruction-count floor of the static rule's partitioned solve
+#: (roughly twice the buffer-position count).  Calibrated against the
+#: measured hand-off overhead — partition planning is one O(n) pass and
+#: each partition costs a subschedule pickle plus a snapshot unpickle,
+#: together a few hundred milliseconds of fixed cost at this size,
+#: against multi-second serial solves (see
+#: ``benchmarks/bench_parallel.py``); below it the overhead eats the
+#: win.  Routing owns it, so reading it loads no parallel or serving
+#: code.
+DEFAULT_PARALLEL_THRESHOLD = 50_000
+
 
 @dataclass(frozen=True)
 class ExecutionPlan:
@@ -164,7 +175,7 @@ class Router:
             :data:`DEFAULT_POLICY`.
         parallel_threshold: Instruction floor of the static
             partitioned-solve rule; defaults to
-            :data:`repro.parallel.solver.DEFAULT_PARALLEL_THRESHOLD`.
+            :data:`DEFAULT_PARALLEL_THRESHOLD`.
     """
 
     def __init__(
@@ -176,11 +187,10 @@ class Router:
             DEFAULT_POLICY if policy is None else policy
         )
         self._pins = _PINS[self.policy]
-        if parallel_threshold is None:
-            from repro.parallel.solver import DEFAULT_PARALLEL_THRESHOLD
-
-            parallel_threshold = DEFAULT_PARALLEL_THRESHOLD
-        self.parallel_threshold = parallel_threshold
+        self.parallel_threshold = (
+            DEFAULT_PARALLEL_THRESHOLD
+            if parallel_threshold is None else parallel_threshold
+        )
         self._lock = threading.Lock()
         self._decisions: Dict[str, int] = {}
 

@@ -22,8 +22,12 @@ stateful front end a traffic-serving deployment needs:
   ``examples/serving.py`` and ``examples/incremental_eco.py``.
 
 Everything here is standard library only (the compute kernel underneath
-may still use NumPy through the ``soa`` backend).
+may still use NumPy through the ``soa`` backend).  The server and the
+client load on first use, so code that needs only the canonical hash
+(the incremental engine) does not import the HTTP stack.
 """
+
+from importlib import import_module
 
 from repro.service.cache import CacheStats, ResultCache, SolutionPayload
 from repro.service.canon import (
@@ -33,8 +37,20 @@ from repro.service.canon import (
     options_key,
     request_key,
 )
-from repro.service.client import ServiceClient, ServiceSession
-from repro.service.server import BufferServer, serve
+
+_LAZY = {
+    "ServiceClient": "repro.service.client",
+    "ServiceSession": "repro.service.client",
+    "BufferServer": "repro.service.server",
+    "serve": "repro.service.server",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(import_module(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CanonicalNet",

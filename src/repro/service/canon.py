@@ -40,7 +40,8 @@ a :class:`~repro.tree.routing_tree.RoutingTree`, and
 share the payload and edge texts and the child tie order, so for the
 same net both return the same key, subtree keys and canonical order.
 The server keys every ``/solve`` and ``/batch`` net from its records
-and builds a tree only on a cache miss.
+and compiles a miss from the same records
+(:func:`repro.core.schedule.compile_records`), so it builds no tree.
 """
 
 from __future__ import annotations

@@ -102,12 +102,13 @@ Request flow for ``/solve`` (``/batch`` is the same per net):
    :class:`~repro.service.cache.SolutionPayload` onto *this* request's
    node ids via the canonical index mapping and answer — no tree, no
    compile, no solve, no worker dispatch;
-4. cache miss → fetch the :class:`~repro.core.schedule.CompiledNet` for
-   this structure, or build the tree from the same records
-   (:func:`repro.tree.io.tree_from_records`) and compile and remember
-   it; solve it on the persistent :class:`~repro.core.batch.SolverPool`
+4. cache miss → once every net of the request is read, keyed and
+   checked, compile each distinct miss straight from its records
+   (:func:`repro.core.schedule.compile_records`; no tree is built),
+   solve it on the persistent :class:`~repro.core.batch.SolverPool`
    for this (library, algorithm, backend, options) context, store the
-   payload, answer.
+   payload, answer.  Only the payload is kept: the compiled net is
+   dropped with the request.
 
 Solves run in the event loop's default thread-pool executor so the loop
 keeps accepting requests while the kernel works; with ``jobs > 1`` the
@@ -139,7 +140,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.batch import SolverPool
 from repro.core.registry import get_algorithm
-from repro.core.schedule import CompiledNet, compile_net
+from repro.core.schedule import CompiledNet, compile_records
 from repro.core.stores import resolve_backend
 from repro.errors import DeadlineExceeded, EditError, ReproError, WorkerCrashError
 from repro.library.library import BufferLibrary
@@ -159,20 +160,19 @@ from repro.obs.spans import (
 from repro.resilience import Deadline, should_corrupt
 from repro.routing.router import DEFAULT_POLICY, validate_policy
 from repro.routing.workload import WorkloadLog, compiled_digest
-from repro.service.cache import ResultCache, SolutionPayload
+from repro.service.cache import CacheStats, ResultCache, SolutionPayload
 from repro.service.canon import (
     CanonicalNet,
     canonicalize_records,
-    driver_key,
     library_key,
     options_key,
     request_key,
 )
 from repro.tree.io import (
+    NetRecords,
     library_from_dict,
     net_records,
     tree_from_dict,
-    tree_from_records,
 )
 
 _JSON_HEADERS = "Content-Type: application/json\r\nConnection: close\r\n"
@@ -273,7 +273,7 @@ def _endpoint_label(path: str) -> str:
 class BufferServer:
     """The serving state machine behind ``repro serve``.
 
-    Owns the result cache, the compiled-net cache and the pool registry;
+    Owns the result cache, the session cache and the pool registry;
     :meth:`start` binds the listening socket (``port=0`` picks an
     ephemeral port — the tests' mode), :meth:`serve_forever` blocks.
 
@@ -390,7 +390,9 @@ class BufferServer:
             WorkloadLog(workload_log) if workload_log is not None else None
         )
         self.results = ResultCache(maxsize=cache_size, ttl=cache_ttl)
-        self.compiled = ResultCache(maxsize=max(cache_size // 4, 16))
+        #: Nets compiled for misses; ``/stats`` reports it as
+        #: ``compiled_cache.misses`` (that block is deprecated).
+        self._compiles = 0
         # Imported here, not at module top: the incremental engine uses
         # repro.service.canon's digest helpers, so a module-level import
         # would close a cycle through this package's __init__.
@@ -796,42 +798,6 @@ class BufferServer:
         query: str = "",
         request_id: Optional[str] = None,
     ) -> Tuple[int, Dict]:
-        compiled_bytes = sum(
-            net.payload_nbytes() for net, _ in self.compiled.values()
-        )
-        # Kernel-engine health, aggregated over the compiled-net
-        # cache's per-backend store factories: inline (jobs=1) pools
-        # solve through these factories, so their scratch-arena block
-        # pools and provenance-tape capacities show up here.  Worker
-        # processes (jobs > 1) hold private factories the parent cannot
-        # see; their activity is still visible via solves_by_backend.
-        kernels: Dict[str, Dict[str, int]] = {}
-        factories: Dict[str, int] = {}
-        for net, _ in self.compiled.values():
-            for backend, stats in net.factory_stats().items():
-                bucket = kernels.setdefault(backend, {
-                    "solves": 0,
-                    "arena_free_blocks": 0,
-                    "arena_lent_blocks": 0,
-                    "arena_pooled_bytes": 0,
-                    "tape_entries": 0,
-                    "tape_capacity": 0,
-                })
-                factories[backend] = factories.get(backend, 0) + 1
-                bucket["solves"] += stats.get("solves", 0)
-                arena = stats.get("arena", {})
-                bucket["arena_free_blocks"] += (
-                    arena.get("free_blocks_f8", 0)
-                    + arena.get("free_blocks_ip", 0)
-                    + arena.get("free_blocks_pair", 0)
-                )
-                bucket["arena_lent_blocks"] += arena.get("lent_blocks", 0)
-                bucket["arena_pooled_bytes"] += arena.get("pooled_bytes", 0)
-                tape = stats.get("tape", {})
-                bucket["tape_entries"] += tape.get("entries", 0)
-                bucket["tape_capacity"] += tape.get("capacity", 0)
-        for backend, bucket in kernels.items():
-            bucket["factories"] = factories[backend]
         # Batch-axis health, aggregated over the warm pools: how much
         # of the traffic actually formed structural groups (the /batch
         # multi-corner case) versus falling back to per-net solves.
@@ -968,15 +934,19 @@ class BufferServer:
             "uptime_seconds": self._uptime.seconds(),
             "counters": dict(self.counters),
             "solves_by_backend": dict(self.solves_by_backend),
-            "kernels": kernels,
             "batch_axis": batch_axis,
             "parallel": parallel,
             "routing": routing,
             "resilience": resilience,
             "cache": self.results.stats().as_dict(),
+            # Deprecated: no compiled net outlives its request, so this
+            # block only counts compiles (as misses); the rest reads 0.
             "compiled_cache": dict(
-                self.compiled.stats().as_dict(),
-                payload_bytes=compiled_bytes,
+                CacheStats(
+                    hits=0, misses=self._compiles, evictions=0,
+                    expirations=0, size=0, maxsize=0, ttl=None,
+                ).as_dict(),
+                payload_bytes=0,
             ),
             "incremental": {
                 "frontier_cache": self.frontiers.stats(),
@@ -1225,7 +1195,6 @@ class BufferServer:
             if request.deadline_ms is not None else None
         )
         records: List[_NetRecord] = []
-        misses: List[_NetRecord] = []
         # One digest memo per request: structurally repeated subtrees —
         # within one net or across a batch's nets — hash once instead
         # of once per occurrence (see canonicalize's ``memo``).
@@ -1235,13 +1204,17 @@ class BufferServer:
         # duration is safe (no other request can interleave), and its
         # spans land on the tracer.
         with request_scope(request_id), trace_scope(tracer):
-            self._prepare_records(
-                request, net_specs, records, misses, digest_memo
+            misses = self._prepare_records(
+                request, net_specs, records, digest_memo
             )
 
         if misses:
-            await self._solve_misses(request, misses, deadline,
-                                     request_id, tracer)
+            solved = await self._solve_misses(
+                request, misses, deadline, request_id, tracer
+            )
+            for record in records:
+                if record.payload is None:
+                    record.payload = solved[record.key]
 
         with _span(tracer, "render", nets=len(records)):
             return [record.render(request.library) for record in records]
@@ -1251,17 +1224,19 @@ class BufferServer:
         request: "_SolveContext",
         net_specs: List[Any],
         records: "List[_NetRecord]",
-        misses: "List[_NetRecord]",
         digest_memo: Dict[str, str],
-    ) -> None:
-        """Read, key and cache-probe every net; build and compile misses.
+    ) -> Dict[str, Tuple[CompiledNet, CanonicalNet]]:
+        """Read, key and cache-probe every net; compile the misses.
 
         Each net is read once, into validated records; its key and, on a
-        hit, its answer come from those records alone.  Only a miss
-        builds the tree, from the same records, and only when no
-        equivalent structure is compiled already.
+        hit, its answer come from those records alone.  Only after every
+        net of the request has passed is each distinct miss compiled,
+        straight from its records.  Returns ``{request key: (compiled
+        net, canon)}`` in first-seen order; a key sent twice compiles
+        once, and its answer is encoded against the first copy's canon.
         """
         tracer = active_tracer()
+        pending: Dict[str, Tuple[int, NetRecords, CanonicalNet]] = {}
         for index, net_spec in enumerate(net_specs):
             if not isinstance(net_spec, dict):
                 raise _BadRequest(
@@ -1309,57 +1284,31 @@ class BufferServer:
                         f"net at index {index} has negative-phase sinks "
                         f"{negative}"
                     )
-                misses.append(record)
-                # The compiled-net cache bridges trees: a hit hands back
-                # the structure compiled from some earlier equivalent
-                # tree together with *that* tree's canon, which is what
-                # the solved assignment must be encoded against.  The
-                # driver is part of the key: a CompiledNet embeds the
-                # driver recorded at compile time and the pool solves
-                # with driver=None (falling back to it), so reusing a
-                # compiled net across drivers would solve with the
-                # wrong one.
-                compiled_key = (
-                    canon.key, request.library_key, driver_key(net.driver)
-                )
-                entry = self.compiled.get(compiled_key)
-                if entry is None:
-                    with _span(tracer, "tree.build", net=index):
-                        tree = tree_from_records(net)
-                    try:
-                        # net_records already validated; skip re-validation.
-                        entry = (
-                            compile_net(tree, request.library, validate=False),
-                            canon,
-                        )
-                    except ReproError as exc:
-                        raise _BadRequest(
-                            f"cannot compile net at index {index}: {exc}"
-                        ) from exc
-                    self.compiled.put(compiled_key, entry)
-                record.compiled, record.base_canon = entry
+                pending.setdefault(key, (index, net, canon))
+
+        misses: Dict[str, Tuple[CompiledNet, CanonicalNet]] = {}
+        for key, (index, net, canon) in pending.items():
+            self._compiles += 1
+            try:
+                misses[key] = (compile_records(net, request.library), canon)
+            except ReproError as exc:
+                raise _BadRequest(
+                    f"cannot compile net at index {index}: {exc}"
+                ) from exc
+        return misses
 
     async def _solve_misses(
         self,
         request: "_SolveContext",
-        misses: "List[_NetRecord]",
+        misses: Dict[str, Tuple[CompiledNet, CanonicalNet]],
         deadline: Optional[Deadline],
         request_id: Optional[str],
         tracer: Optional[Tracer],
-    ) -> None:
-        """Solve the cache misses on the warm pool and fill payloads."""
+    ) -> Dict[str, SolutionPayload]:
+        """Solve the compiled misses on the warm pool; cache and return
+        their payloads by request key."""
         entry = self._pool_for(request)
-        # Within one batch, identical nets are solved once: dedupe
-        # by request key, keeping the (compiled, canon) pair of the
-        # first occurrence so result node ids and canon agree.
-        unique: "OrderedDict[str, Tuple[CompiledNet, CanonicalNet]]" = (
-            OrderedDict()
-        )
-        for record in misses:
-            unique.setdefault(
-                record.key, (record.compiled, record.base_canon)
-            )
-        to_solve = [net for net, _ in unique.values()]
+        to_solve = [net for net, _ in misses.values()]
         self.counters["worker_dispatches"] += 1
         self.counters["nets_solved"] += len(to_solve)
         loop = asyncio.get_running_loop()
@@ -1395,14 +1344,13 @@ class BufferServer:
             if entry.evicted and entry.in_flight == 0:
                 entry.pool.close()
         payload_by_key: Dict[str, SolutionPayload] = {}
-        for (key, (_, base_canon)), result in zip(unique.items(), results):
+        for (key, (_, canon)), result in zip(misses.items(), results):
             # By the store that ran: an "auto" pool routes per net.
             self._solve_counter.inc(backend=result.stats.backend)
-            payload = SolutionPayload.encode(result, base_canon)
+            payload = SolutionPayload.encode(result, canon)
             payload_by_key[key] = payload
             self._cache_put(key, payload)
-        for record in misses:
-            record.payload = payload_by_key[record.key]
+        return payload_by_key
 
     def _cache_put(self, key: str, payload: SolutionPayload) -> None:
         """Store ``(payload, digest)`` so reads can verify integrity.
@@ -1652,8 +1600,7 @@ class _NetRecord:
     ``node_id`` (a list when node ids are record positions).
     """
 
-    __slots__ = ("key", "canon", "serialized_id", "compiled", "base_canon",
-                 "payload", "cached")
+    __slots__ = ("key", "canon", "serialized_id", "payload", "cached")
 
     def __init__(
         self,
@@ -1664,8 +1611,6 @@ class _NetRecord:
         self.key = key
         self.canon = canon
         self.serialized_id = serialized_id
-        self.compiled: Optional[CompiledNet] = None
-        self.base_canon: Optional[CanonicalNet] = None
         self.payload: Optional[SolutionPayload] = None
         self.cached = False
 

@@ -10,8 +10,10 @@ Reading a net takes two steps.  :func:`net_records` is the one
 validating pass over the ``nodes`` list and yields a
 :class:`NodeRecord` per node; :func:`tree_from_records` builds the
 :class:`~repro.tree.routing_tree.RoutingTree` from those records, and
-:func:`tree_from_dict` runs both.  The serving layer keys and answers a
-cache hit from the records alone and builds the tree only on a miss.
+:func:`tree_from_dict` runs both.  The serving layer keys, answers and
+compiles ``/solve`` and ``/batch`` nets from the records alone
+(:func:`repro.core.schedule.compile_records` compiles a miss) and
+never builds the tree.
 """
 
 from __future__ import annotations

@@ -55,3 +55,37 @@ def test_package_exports():
     for name in repro.__all__:
         assert hasattr(repro, name), name
     assert repro.__version__
+
+
+def test_routed_solve_imports_no_parallel_or_serving_code():
+    """A first in-process solve loads the router but not the parallel
+    solver, the server or asyncio (the routing threshold lives in
+    routing, and the service package loads its server lazily)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    script = (
+        "import sys\n"
+        "from repro import insert_buffers, paper_library\n"
+        "from repro.tree.builders import two_pin_net\n"
+        "insert_buffers(two_pin_net(1000.0, num_segments=4),"
+        " paper_library(4))\n"
+        "import repro.incremental\n"
+        "assert 'repro.routing.router' in sys.modules\n"
+        "print(sorted(m for m in ('repro.parallel.solver',"
+        " 'repro.service.server', 'repro.service.client', 'asyncio')"
+        " if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -583,11 +583,12 @@ class TestTraceRoundtrip:
             assert event["args"]["request_id"] == request_id
             assert event["ts"] >= 0.0 and event["dur"] >= 0.0
 
-        # The request path around the solve is spanned too; the tree is
-        # built once, for the miss.
+        # The request path around the solve is spanned too; the miss
+        # compiles once, from the records, and builds no tree.
         path = {"net.records", "net.canon", "render"}
         assert path <= names
-        assert [e["name"] for e in events].count("tree.build") == 1
+        assert [e["name"] for e in events].count("compile") == 1
+        assert "tree.build" not in names
 
         # A cached re-solve still traces; the lookup records the hit,
         # and the hit is answered without building a tree.

@@ -21,13 +21,13 @@ from repro.core.stores import resolve_backend
 from repro.core.stores.batch_axis import batch_axis_available
 from repro.errors import AlgorithmError
 from repro.experiments.workloads import corner_variants
-from repro.parallel.solver import DEFAULT_PARALLEL_THRESHOLD
 from repro.routing.features import (
     RequestFeatures,
     estimate_instructions,
     features_of,
 )
 from repro.routing.router import (
+    DEFAULT_PARALLEL_THRESHOLD,
     POLICIES,
     SOA_MIN_POSITION_TYPES,
     SOA_MIN_POSITION_TYPES_PER_SINK,

@@ -15,7 +15,12 @@ from pathlib import Path
 
 import pytest
 
-from helpers import golden_cases, golden_record, random_small_tree
+from helpers import (
+    golden_cases,
+    golden_record,
+    random_small_tree,
+    restricted_steiner_tree,
+)
 
 from repro import (
     Driver,
@@ -35,9 +40,17 @@ from repro.core.schedule import (
     OP_SINK,
     OP_WIRE,
     CompiledNet,
+    compile_records,
 )
 from repro.core.stores import resolve_backend
 from repro.errors import AlgorithmError
+from repro.tree.io import (
+    library_from_dict,
+    net_records,
+    tree_from_records,
+    tree_to_dict,
+)
+from repro.tree.segmenting import segment_tree
 from repro.units import fF, ps, to_ps
 
 try:
@@ -495,3 +508,115 @@ def test_released_store_fails_loudly():
     store.release()  # idempotent
     with pytest.raises(TypeError):
         len(store)
+
+
+# ----------------------------------------------------------------------
+# The records front-end: compile_records == compile_net(tree_from_records)
+# ----------------------------------------------------------------------
+
+
+def _compiled_fields(compiled):
+    """Every field a CompiledNet carries, the plans' type orders too."""
+    return {
+        "ops": compiled.ops,
+        "args": compiled.args.tolist(),
+        "wire_r": compiled.wire_r.tolist(),
+        "wire_c": compiled.wire_c.tolist(),
+        "sink_node": compiled.sink_node.tolist(),
+        "sink_q": compiled.sink_q.tolist(),
+        "sink_c": compiled.sink_c.tolist(),
+        "plan_specs": compiled.plan_specs,
+        "plans": [
+            (plan.node_id, [b.name for b in plan.by_resistance_desc],
+             plan.cap_order)
+            for plan in compiled.plans()
+        ],
+        "driver": compiled.driver,
+        "counts": (compiled.num_nodes, compiled.num_sinks,
+                   compiled.num_buffer_positions),
+        "start_of_node": compiled.start_of_node,
+        "final_of_node": compiled.final_of_node,
+        "wire_index_of": compiled.wire_index_of,
+    }
+
+
+def _relabel_ids(net, label):
+    """``net`` (a serialized dict) with every id replaced by ``label(id)``."""
+    nodes = []
+    for node in net["nodes"]:
+        node = dict(node, id=label(node["id"]))
+        if "edge" in node:
+            edge = node["edge"]
+            node["edge"] = dict(edge, parent=label(edge["parent"]))
+        nodes.append(node)
+    return dict(net, nodes=nodes)
+
+
+def _records_corpus():
+    """``{name: (serialized net, library)}``: the served golden nets,
+    every net of the mixed workload, and generated edge cases."""
+    data = Path(__file__).parent / "data"
+    golden = json.loads((data / "solve_golden.json").read_text())
+    golden_library = library_from_dict(golden["library"])
+    corpus = {
+        f"golden-{case['name']}": (case["net"], golden_library)
+        for case in golden["cases"]
+    }
+    lines = (data / "workload_mixed.jsonl").read_text().splitlines()
+    for line_no, line in enumerate(lines):
+        record = json.loads(line)
+        library = library_from_dict(record["library"])
+        nets = [record["net"]] if "net" in record else record["nets"]
+        for index, net in enumerate(nets):
+            corpus[f"mixed-{line_no}-{index}"] = (net, library)
+    paper = paper_library(8)
+    for seed in range(4):
+        tree = random_tree_net(12 + 10 * seed, seed=seed,
+                               driver=Driver(300.0))
+        corpus[f"random-{seed}"] = (tree_to_dict(tree), paper)
+        corpus[f"segmented-{seed}"] = (
+            tree_to_dict(segment_tree(tree, 800.0)), paper)
+    corpus["two-pin"] = (
+        tree_to_dict(two_pin_net(5000.0, num_segments=16)), paper)
+    corpus["restricted"] = (tree_to_dict(restricted_steiner_tree(paper)),
+                            paper)
+    restricted = tree_to_dict(random_tree_net(20, seed=9))
+    names = [b.name for b in paper.buffers]
+    for position, node in enumerate(restricted["nodes"]):
+        if node.get("buffer_position") and position % 3:
+            node["allowed_buffers"] = names[position % 5::2]
+    corpus["restricted-random"] = (restricted, paper)
+    driverless = tree_to_dict(random_small_tree(3))
+    del driverless["driver"]
+    corpus["driverless"] = (driverless, paper)
+    base = tree_to_dict(random_tree_net(16, seed=4, driver=Driver(250.0)))
+    corpus["string-ids"] = (_relabel_ids(base, lambda i: f"pin:{i}"), paper)
+    corpus["descending-ids"] = (_relabel_ids(base, lambda i: 1000 - i), paper)
+    return corpus
+
+
+RECORDS_CORPUS = _records_corpus()
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS_CORPUS))
+def test_compile_records_equals_the_tree_compile(name):
+    net, library = RECORDS_CORPUS[name]
+    records = net_records(net)
+    expected = compile_net(tree_from_records(records), library,
+                           validate=False)
+    assert _compiled_fields(compile_records(records, library)) == (
+        _compiled_fields(expected)
+    )
+
+
+def test_records_corpus_covers_the_edge_cases():
+    kinds = {name.split("-")[0] for name in RECORDS_CORPUS}
+    assert {"golden", "mixed", "random", "segmented", "restricted",
+            "driverless", "string", "descending"} <= kinds
+    assert sum(name.startswith("mixed-") for name in RECORDS_CORPUS) == 80
+    net, library = RECORDS_CORPUS["restricted-random"]
+    compiled = compile_records(net_records(net), library)
+    assert any(allowed is not None for _, allowed in compiled.plan_specs)
+    assert compile_records(
+        net_records(RECORDS_CORPUS["driverless"][0]), library
+    ).driver is None

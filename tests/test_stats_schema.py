@@ -39,7 +39,6 @@ DYNAMIC_KEYS = {
     "decisions_by_strategy",
     "solves_by_backend",
     "lanes_histogram",
-    "kernels",
 }
 
 

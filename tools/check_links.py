@@ -68,8 +68,10 @@ def anchors_in(path: Path) -> set:
         if not line.startswith("#"):
             continue
         title = line.lstrip("#").strip()
+        # GitHub's rule: drop punctuation, then one dash per space
+        # (``a / b`` becomes ``a--b``; runs are not collapsed).
         slug = re.sub(r"[^\w\s-]", "", title.lower())
-        anchors.add(re.sub(r"[\s]+", "-", slug).strip("-"))
+        anchors.add(re.sub(r"\s", "-", slug))
     return anchors
 
 
