@@ -81,21 +81,21 @@ CI_GATE = {
     "min_positions": 1000,
     # Geometric-mean per-edit speedup floor on the gated backend.
     "min_speedup": 5.0,
-    # The gate pins the production path: whatever backend="auto"
-    # resolves to on the measuring machine ("backend" is filled in at
-    # generation time).  The other backend's replay is still recorded
-    # for trend tracking, just not gated — its slowest class (object
-    # full-path re-solves pay eager per-candidate capture) sits close
-    # enough to the floor that CI noise would make the gate flaky.
+    # The gate pins the production path: the store the router picks
+    # for a session on the smallest gated trunk ("backend" is filled in
+    # at generation time).  The other backend's replay is still
+    # recorded for trend tracking, just not gated — its slowest class
+    # (object full-path re-solves pay eager per-candidate capture) sits
+    # close enough to the floor that CI noise would make the gate flaky.
 }
 
 
 def _backends() -> List[str]:
-    from repro.core.stores import resolve_backend
-
-    return ["object"] if resolve_backend("auto") == "object" else [
-        "object", "soa"
-    ]
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        return ["object"]
+    return ["object", "soa"]
 
 
 def _edit_classes(tree, rng) -> Dict[str, Callable]:
@@ -258,9 +258,14 @@ def measure_multi_sink(scale: float, edits_per_class: int) -> Dict:
 
 
 def collect(scale: float, edits_per_class: int) -> Dict:
-    from repro.core.stores import resolve_backend
+    from repro.routing.features import features_of
+    from repro.routing.router import static_store
 
-    ci_gate = dict(CI_GATE, backend=resolve_backend("auto"))
+    trunk = build_net(FIG4_NET, positions_override=CI_GATE["min_positions"])
+    library = paper_library(LIBRARY_SIZE, jitter=0.03, seed=LIBRARY_SIZE)
+    ci_gate = dict(CI_GATE, backend=static_store(
+        features_of(trunk, library, kind="session")
+    ))
     return {
         "meta": {
             "bench": "PR5 incremental ECO re-solve engine",

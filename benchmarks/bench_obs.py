@@ -5,10 +5,11 @@ with no profiler and no tracer installed, every instrumented layer pays
 a single thread-local read per solve (``instrument_ops`` returns the op
 callables unchanged), plus one histogram observation per solve for the
 always-on ``DPStats`` feed.  This benchmark prices that promise on the
-Figure-4 trunk workload (compiled solve, ``auto``-resolved backend)
-against a hard-bypassed baseline (``repro.obs.profiler.set_bypass``,
-which removes even the entry checks), and records — ungated — what
-fully enabled profiling + tracing costs.
+Figure-4 trunk workload (compiled solve on the ``soa`` store, the one
+this gate has timed since it was added) against a hard-bypassed
+baseline (``repro.obs.profiler.set_bypass``, which removes even the
+entry checks), and records — ungated — what fully enabled profiling +
+tracing costs.
 
 Measured modes, interleaved within each round so all three see the same
 background drift:
@@ -44,7 +45,6 @@ from typing import Dict, List, Optional
 
 from repro.core.api import insert_buffers
 from repro.core.schedule import compile_net
-from repro.core.stores import resolve_backend
 from repro.experiments.workloads import FIG4_NET, build_net
 from repro.library.generators import paper_library
 from repro.obs.profiler import KernelProfiler, profile_scope, set_bypass
@@ -67,7 +67,9 @@ def measure(scale: float, repeats: int) -> Dict:
     positions = max(250, int(round(FULL_POSITIONS * scale)))
     library = paper_library(LIBRARY_SIZE, jitter=0.03, seed=LIBRARY_SIZE)
     tree = build_net(FIG4_NET, positions_override=positions)
-    backend = resolve_backend("auto")
+    # Named explicitly: a single net routes to object, but this gate
+    # keeps timing the soa solve it was recorded on.
+    backend = "soa"
     compiled = compile_net(tree, library)
 
     def solve() -> None:

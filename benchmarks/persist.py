@@ -65,7 +65,6 @@ from typing import Callable, Dict, List, Optional
 from repro.core.api import insert_buffers
 from repro.core.batch import solve_many
 from repro.core.schedule import compile_net
-from repro.core.stores import resolve_backend
 from repro.experiments.workloads import (
     FIG4_NET,
     FIGURE_NET,
@@ -128,8 +127,11 @@ def _paired_rounds(
 
 
 def _backends() -> List[str]:
-    fastest = resolve_backend("auto")
-    return ["object"] if fastest == "object" else ["object", "soa"]
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        return ["object"]
+    return ["object", "soa"]
 
 
 def measure_fig4(scale: float, repeats: int) -> Dict:

@@ -104,7 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=("auto",) + store_backend_names(),
                      default="auto",
                      help="candidate-store backend; 'auto' (default) "
-                          "picks object for a single net")
+                          "picks object for a single net, also under "
+                          "--jobs")
     buf.add_argument("--paper-pseudocode", action="store_true",
                      help="use the paper's destructive Convexpruning "
                           "(exact on 2-pin nets only)")
@@ -191,7 +192,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="TCP port (default 8080; 0 = ephemeral)")
     serve.add_argument("--jobs", type=int, default=1,
                        help="worker processes per solve pool, >= 1 "
-                            "(default 1 = solve in the server process)")
+                            "(default 1 = solve in the server process; "
+                            "requests route to the same store at any "
+                            "--jobs)")
     serve.add_argument("--cache-size", type=int, default=1024,
                        help="result-cache capacity in entries (default 1024)")
     serve.add_argument("--cache-ttl", type=float, default=None,

@@ -30,7 +30,6 @@ from repro.core.registry import (
 from repro.core.stores import (
     get_store_backend,
     register_store_backend,
-    resolve_backend,
     store_backend_names,
 )
 from repro.core.schedule import CompiledNet, compile_net
@@ -62,7 +61,6 @@ __all__ = [
     "register_store_backend",
     "get_store_backend",
     "store_backend_names",
-    "resolve_backend",
     "CompiledNet",
     "compile_net",
     "insert_buffers",

@@ -5,10 +5,11 @@ Dispatch is a registry lookup (:mod:`repro.core.registry`): the
 strategy, and the ``backend`` argument names a registered candidate
 store (:mod:`repro.core.stores`) — or ``"auto"``, the default, which
 defers the choice to the execution router (:mod:`repro.routing`): the
-default ``static`` policy picks SoA only for long candidate lists
-(:func:`repro.routing.router.static_store`) and the object store
-otherwise.  Third-party algorithms and backends therefore plug in
-without touching this module.
+default ``static`` policy picks the object store for one net
+(:func:`repro.routing.router.static_store`).  ``"auto"`` is resolved
+here, once; the strategy only ever sees a concrete store.
+Third-party algorithms and backends therefore plug in without touching
+this module.
 
 The first positional argument may be a plain
 :class:`~repro.tree.routing_tree.RoutingTree` *or* a
@@ -25,7 +26,6 @@ from typing import Optional, Tuple, Union
 from repro.core.registry import algorithm_names, get_algorithm
 from repro.core.schedule import CompiledNet
 from repro.core.solution import BufferingResult
-from repro.core.stores import resolve_backend
 from repro.library.library import BufferLibrary
 from repro.resilience.deadline import Deadline, deadline_scope
 from repro.tree.node import Driver
@@ -66,12 +66,11 @@ def insert_buffers(
     ``backend`` selects how candidate lists are stored and operated on:
     ``"object"`` (Candidate objects), ``"soa"`` (structure-of-arrays
     over NumPy), or ``"auto"`` (the default), which hands the choice to
-    the execution router: under the default ``policy="static"``, SoA
-    only when the candidate lists will be long (a large enough
-    ``positions x b`` per sink and in all, see
-    :func:`repro.routing.router.static_store`) and the object store
-    otherwise.  Every backend produces bit-identical results, so the
-    choice only ever moves running time.
+    the execution router: under the default ``policy="static"``, the
+    object store, which is the faster one for a single net at every
+    measured size (see :func:`repro.routing.router.static_store`).
+    Every backend produces bit-identical results, so the choice only
+    ever moves running time.
 
     Args:
         tree: A routing tree, or a pre-compiled net from
@@ -116,12 +115,9 @@ def insert_buffers(
         from repro.routing.features import features_of
         from repro.routing.router import router_for
 
-        plan = router_for(policy).route(
+        backend = router_for(policy).route(
             features_of(tree, library), backend=backend
-        )
-        resolved = resolve_backend(plan.backend)
-    else:
-        resolved = resolve_backend(backend)
+        ).backend
     return strategy.run(
-        tree, library, driver=driver, backend=resolved, **options
+        tree, library, driver=driver, backend=backend, **options
     )

@@ -14,11 +14,14 @@ per chunk.  Workers run the schedule interpreter directly: no
 re-validation, no re-flattening, no plan rebuilding per solve.
 
 :class:`SolverPool` is the persistent form: construct it once with the
-shared solve context (library, algorithm, backend, options — shipped to
+shared solve context (library, algorithm, driver, options — shipped to
 each worker exactly once, so the library's buffer-plan sort stays
 resident per worker) and call :meth:`SolverPool.solve` as often as
-traffic demands.  The HTTP serving layer (:mod:`repro.service.server`)
-keeps one pool per distinct solve context across requests.
+traffic demands.  The store is not part of that context: the pool
+routes every execution unit in this process, as an inline pool does,
+and each worker task carries its unit's store.  The HTTP serving layer
+(:mod:`repro.service.server`) keeps one pool per distinct solve context
+across requests.
 :func:`solve_many` is the one-shot convenience wrapper: it builds a
 pool, solves, and tears it down.
 
@@ -26,17 +29,19 @@ Results come back in input order and are identical to a serial loop
 (asserted by ``tests/test_batch.py``); ``jobs=1`` *is* a serial loop,
 with no multiprocessing import cost at all.
 
-On top of the process axis sits the **batch axis**: when the pool's
-context resolves to the ``soa`` backend (NumPy present, store-driving
-algorithm), nets sharing a structural
+On top of the process axis sits the **batch axis**: when the router
+puts a structural group on the ``soa`` side (NumPy present,
+store-driving algorithm, and under ``"auto"`` long candidate lists),
+nets sharing a structural
 :func:`~repro.core.schedule.group_signature` — same op stream and
 buffer positions, arbitrary parasitics/RATs/drivers, i.e. multi-corner
 replicas — are solved by one vectorized
 :func:`~repro.core.schedule.run_compiled_group` dispatch instead of N
 interpreter runs, bit-identical per net (see
 :mod:`repro.core.stores.batch_axis`).  Grouping is transparent:
-singletons, mixed structures and unsupported contexts take the per-net
-path, and :meth:`SolverPool.batch_axis_stats` reports what happened.
+singletons, mixed structures, groups the router declines and
+unsupported contexts take the per-net path, and
+:meth:`SolverPool.batch_axis_stats` reports what happened.
 
 :func:`parallel_map` is the underlying generic helper, reused by the
 experiment harness to parallelize Table 1 / figure sweep cells.
@@ -73,7 +78,6 @@ def _init_worker(
     library: BufferLibrary,
     algorithm: str,
     driver: Optional[Driver],
-    backend: str,
     options: dict,
 ) -> None:
     # A fork during a deadline-scoped dispatch (lazy pool creation or a
@@ -90,55 +94,49 @@ def _init_worker(
         "library": library,
         "algorithm": algorithm,
         "driver": driver,
-        "backend": backend,
         "options": options,
     }
-    if backend != "object":
-        # Ship the precomputed plan arrays once per worker: the
-        # whole-library BufferPlan (one sort per process) and its SoA
-        # kernel vectors are built here, at pool start, so no solve
-        # pays them (no-op without NumPy).
-        from repro.core.dp import _full_library_plan
-        from repro.core.stores.soa import prime_plan_kernels
-
-        prime_plan_kernels([_full_library_plan(library.buffers)])
 
 
-def _solve_one(net: Union[RoutingTree, CompiledNet]) -> BufferingResult:
-    from repro.core.api import insert_buffers
+def _solve_unit(
+    store: str,
+    nets: List[CompiledNet],
+    library: BufferLibrary,
+    algorithm: str,
+    driver: Optional[Driver],
+    options: dict,
+    factory=None,
+) -> List[BufferingResult]:
+    """Run one routed execution unit; results in ``nets`` order.
 
-    context = _WORKER_CONTEXT
-    assert context is not None, "worker used before initialization"
-    return insert_buffers(
-        net,
-        context["library"],
-        algorithm=context["algorithm"],
-        driver=context["driver"],
-        backend=context["backend"],
-        **context["options"],
-    )
-
-
-def _solve_task(nets: List[CompiledNet]) -> List[BufferingResult]:
-    """One worker task: a structural group (batched) or a single net.
-
-    The parent only forms multi-net tasks when its context supports the
-    batch-axis engine, so the worker can dispatch on length alone.
+    A single net solves on ``store``; a structural group (the router
+    only forms one on the batch axis) runs as one
+    :func:`~repro.core.schedule.run_compiled_group` dispatch, on
+    ``factory`` when given.  The inline pool, the worker task and the
+    supervised fallback all run their units here.
     """
-    _inject_fault("worker.task")
-    context = _WORKER_CONTEXT
-    assert context is not None, "worker used before initialization"
     if len(nets) == 1:
-        return [_solve_one(nets[0])]
+        from repro.core.api import insert_buffers
+
+        return [insert_buffers(
+            nets[0], library, algorithm=algorithm, driver=driver,
+            backend=store, **options,
+        )]
     from repro.core.schedule import run_compiled_group
 
     return run_compiled_group(
-        nets,
-        context["library"],
-        algorithm=context["algorithm"],
-        driver=context["driver"],
-        options=context["options"],
+        nets, library, algorithm=algorithm, driver=driver,
+        options=options, factory=factory,
     )
+
+
+def _solve_task(task: tuple) -> List[BufferingResult]:
+    """One worker task: ``(store, nets)``, one unit as the parent routed it."""
+    _inject_fault("worker.task")
+    context = _WORKER_CONTEXT
+    assert context is not None, "worker used before initialization"
+    store, nets = task
+    return _solve_unit(store, nets, **context)
 
 
 def _group_indices(compiled: Sequence[CompiledNet]) -> List[List[int]]:
@@ -209,11 +207,12 @@ class SolverPool:
 
     Where :func:`solve_many` spins workers up and down per call, a
     ``SolverPool`` keeps them alive between calls: the library (and its
-    per-worker buffer-plan sort), the algorithm, the backend and the
+    per-worker buffer-plan sort), the algorithm, the driver and the
     options ship to each worker exactly once, at pool start, and every
-    later :meth:`solve` only pickles the compiled nets themselves.  That
-    is the difference between a batch job and a server: the serving
-    layer answers each request out of a pool that is already warm.
+    later :meth:`solve` only pickles the compiled nets themselves, each
+    task with the store its unit was routed to.  That is the difference
+    between a batch job and a server: the serving layer answers each
+    request out of a pool that is already warm.
 
     ``jobs=1`` (the default) is an inline pool: :meth:`solve` runs in
     the calling process with no multiprocessing import at all, which is
@@ -228,10 +227,12 @@ class SolverPool:
         jobs: Worker processes: ``1`` solves inline, ``None`` uses
             ``os.cpu_count()``.
         driver: Optional driver override applied to every net.
-        backend: Candidate-store backend name, or ``"auto"``: an inline
-            pool routes each net's store (see :attr:`routed_backend`),
-            a multi-process pool pins
-            :func:`~repro.core.stores.resolve_backend`'s.
+        backend: Candidate-store backend name, or ``"auto"`` (the
+            default): the pool's router picks the store of each
+            execution unit — a net, a structural group, a partitioned
+            solve — the same way at every ``jobs`` value (see
+            :func:`~repro.routing.router.static_store`).  A store name
+            pins every unit to that store.
         parallel_threshold: Instruction-count floor at which the static
             rule partitions a single net across the workers (``jobs > 1``
             only; see :func:`repro.parallel.solver.solve_partitioned`);
@@ -291,15 +292,14 @@ class SolverPool:
         **options,
     ) -> None:
         from repro.core.registry import get_algorithm
-        from repro.core.stores import get_store_backend, resolve_backend
+        from repro.core.stores import AUTO_BACKEND, get_store_backend
         from repro.core.stores.batch_axis import supports_batch_axis
         from repro.routing.router import DEFAULT_PARALLEL_THRESHOLD, Router
         from repro.routing.workload import WorkloadLog
 
         get_algorithm(algorithm).validate_options(options)
-        requested_backend = backend
-        backend = resolve_backend(backend)
-        get_store_backend(backend)
+        if backend != AUTO_BACKEND:
+            get_store_backend(backend)
         if parallel_threshold is None:
             parallel_threshold = DEFAULT_PARALLEL_THRESHOLD
 
@@ -308,14 +308,6 @@ class SolverPool:
         self.jobs = _resolve_jobs(jobs)
         self.driver = driver
         self.backend = backend
-        #: The store each execution unit is routed with: ``"auto"`` on
-        #: an inline pool built with ``"auto"`` (the router picks per
-        #: request), else the pinned store — worker processes hold one
-        #: fixed backend.
-        self.routed_backend = (
-            "auto" if requested_backend == "auto" and self.jobs == 1
-            else backend
-        )
         self.parallel_threshold = parallel_threshold
         self.router = Router(
             policy=policy, parallel_threshold=parallel_threshold
@@ -384,12 +376,19 @@ class SolverPool:
             self._factories.popitem(last=False)
         return factory
 
-    def _record_group(self, lanes: int) -> None:
+    def _record_unit(self, indices, compiled, plan, seconds, capture) -> None:
+        """Count one executed per-net or batch-axis unit and log it
+        (serial lock held)."""
+        lanes = len(indices)
         stats = self._batch_stats
-        stats["groups"] += 1
-        stats["batched_solves"] += lanes
-        histogram = stats["lanes_histogram"]
-        histogram[lanes] = histogram.get(lanes, 0) + 1
+        if lanes > 1:
+            stats["groups"] += 1
+            stats["batched_solves"] += lanes
+            histogram = stats["lanes_histogram"]
+            histogram[lanes] = histogram.get(lanes, 0) + 1
+        else:
+            stats["scalar_solves"] += 1
+        self._log_unit(indices, compiled, plan, seconds, capture)
 
     def batch_axis_stats(self) -> dict:
         """Batch-axis grouping counters for this pool.
@@ -436,11 +435,11 @@ class SolverPool:
         single net to a worker — the worker already holds the solve
         context, which is the point of keeping the pool warm.
 
-        When the context supports the batch-axis engine (``soa``
-        backend with NumPy and a store-driving algorithm), nets sharing
-        a structural :func:`~repro.core.schedule.group_signature` are
-        solved as one vectorized group — bit-identical per net to the
-        per-net path, just amortizing every kernel launch over the
+        When the router puts a structural group on the batch axis
+        (NumPy, a store-driving algorithm, and ``soa``-side lanes),
+        nets sharing a :func:`~repro.core.schedule.group_signature`
+        are solved as one vectorized group — bit-identical per net to
+        the per-net path, just amortizing every kernel launch over the
         group.  Results always come back in input order.
 
         On a multi-process pool, single nets large enough for the
@@ -453,8 +452,8 @@ class SolverPool:
         partitioning — goes through the pool's
         :class:`~repro.routing.router.Router` (``policy=``): the
         default ``static`` policy applies fixed size rules (an
-        ``"auto"`` inline pool keeps nets and groups short of a long
-        chain on the ``object`` store, see
+        ``"auto"`` pool, at any ``jobs``, keeps single nets and groups
+        short of a long chain on the ``object`` store, see
         :func:`~repro.routing.router.static_store`).
 
         ``deadline`` installs a per-call wall budget
@@ -534,9 +533,7 @@ class SolverPool:
             for net in nets
         ]
 
-    def _log_unit(
-        self, kind, indices, compiled, plan, seconds, capture
-    ) -> None:
+    def _log_unit(self, indices, compiled, plan, seconds, capture) -> None:
         """Append one executed unit to the workload log, if there is one.
 
         Called with the serial lock held (the log's own lock nests
@@ -545,6 +542,7 @@ class SolverPool:
         log = self.workload_log
         if log is None:
             return
+        kind = "batch" if len(indices) > 1 else "solve"
         from repro.routing.features import features_of
         from repro.routing.workload import compiled_digest, group_digest
 
@@ -611,7 +609,7 @@ class SolverPool:
                         compiled[indices[0]], self.library,
                         lanes=len(indices),
                     ),
-                    backend=self.routed_backend, supports_batch=True,
+                    backend=self.backend, supports_batch=True,
                 )
                 if plan.batch_axis:
                     exec_groups.append(indices)
@@ -627,7 +625,7 @@ class SolverPool:
             if plan is None:
                 plan = self.router.route(
                     features_of(compiled[index], self.library),
-                    backend=self.routed_backend,
+                    backend=self.backend,
                 )
             exec_groups.append([index])
             unit_plans.append(plan)
@@ -653,7 +651,8 @@ class SolverPool:
                     compiled, exec_groups, unit_plans, capture
                 )
         items = [
-            [compiled[index] for index in indices] for indices in exec_groups
+            (plan.backend, [compiled[index] for index in indices])
+            for indices, plan in zip(exec_groups, unit_plans)
         ]
         if chunksize is None:
             chunksize = max(1, len(items) // (self.jobs * 4))
@@ -676,20 +675,13 @@ class SolverPool:
             ):
                 for index, result in zip(indices, group_results):
                     results[index] = result
-                if len(indices) > 1:
-                    self._record_group(len(indices))
-                else:
-                    self._batch_stats["scalar_solves"] += 1
                 # In-worker solve seconds (a lane's runtime is the
                 # group wall clock amortized, so the sum restores it).
                 seconds = sum(
                     result.stats.runtime_seconds
                     for result in group_results
                 )
-                self._log_unit(
-                    "batch" if len(indices) > 1 else "solve",
-                    indices, compiled, plan, seconds, capture,
-                )
+                self._record_unit(indices, compiled, plan, seconds, capture)
         return results  # type: ignore[return-value]
 
     def _solve_partitioned_net(
@@ -707,7 +699,7 @@ class SolverPool:
             try:
                 result = solve_partitioned(
                     net, self.library, algorithm=self.algorithm,
-                    driver=self.driver, backend=self.backend,
+                    driver=self.driver, backend=plan.backend,
                     options=self.options, pool=self, report=report,
                 )
             except Exception as exc:
@@ -725,7 +717,7 @@ class SolverPool:
 
                 result = insert_buffers(
                     net, self.library, algorithm=self.algorithm,
-                    driver=self.driver, backend=self.backend,
+                    driver=self.driver, backend=plan.backend,
                     **self.options,
                 )
             else:
@@ -744,7 +736,7 @@ class SolverPool:
                 stats["fallback_solves"] += 1
             stats["last"] = report
             self._log_unit(
-                "solve", [0], [net], plan, elapsed,
+                [0], [net], plan, elapsed,
                 [capture_entry] if capture_entry is not None else None,
             )
         return result
@@ -764,10 +756,10 @@ class SolverPool:
             self._resilience_counters["partitioned_fallbacks"] += 1
             return [
                 (index, solve_subschedule(
-                    sub, root_id, self.library, self.algorithm,
-                    self.backend, self.options,
+                    sub, root_id, self.library, self.algorithm, store,
+                    self.options,
                 ), 0.0, None)
-                for index, root_id, sub, _ in tasks
+                for store, index, root_id, sub, _ in tasks
             ]
 
         return self._supervised_map(
@@ -873,27 +865,19 @@ class SolverPool:
                 self._pool = None
 
     def _solve_items_inline(self, items: list) -> list:
-        """Degraded dispatch: solve every task's nets in this process.
+        """Degraded dispatch: run every ``(store, nets)`` task here.
 
-        The supervised fallback after worker recovery fails.  Groups
-        are unbatched to plain per-net solves — the simplest healthy
-        path, bit-identical to the worker result by the parity
-        doctrine (every strategy returns identical bits).
+        The supervised fallback after worker recovery fails: each unit
+        runs in this process exactly as a worker would have run it.
         """
-        from repro.core.api import insert_buffers
-
-        nested = []
         with self._serial_lock:
-            for nets in items:
-                nested.append([
-                    insert_buffers(
-                        net, self.library, algorithm=self.algorithm,
-                        driver=self.driver, backend=self.backend,
-                        **self.options,
-                    )
-                    for net in nets
-                ])
-        return nested
+            return [self._run_unit(store, nets) for store, nets in items]
+
+    def _run_unit(self, store: str, nets, factory=None) -> list:
+        return _solve_unit(
+            store, nets, self.library, self.algorithm, self.driver,
+            self.options, factory,
+        )
 
     def parallel_stats(self) -> dict:
         """Partitioned-solve counters for this pool (``/stats`` block).
@@ -925,58 +909,38 @@ class SolverPool:
         plans: list,
         capture: Optional[list] = None,
     ) -> List[BufferingResult]:
-        """The ``jobs=1`` path: batched groups + per-net singletons."""
-        from repro.core.api import insert_buffers
-        from repro.core.schedule import run_compiled_group
+        """The ``jobs=1`` path: every unit through :func:`_solve_unit`.
 
+        A batch-axis group that fails degrades to per-net solves on the
+        group's store (bit-identical), counted against the
+        ``batch_axis`` breaker.
+        """
         results: List[Optional[BufferingResult]] = [None] * len(compiled)
         for indices, plan in zip(groups, plans):
-            if len(indices) > 1:
-                lanes = len(indices)
-                start = time.perf_counter()
+            nets = [compiled[index] for index in indices]
+            start = time.perf_counter()
+            if len(nets) == 1:
+                unit_results = self._run_unit(plan.backend, nets)
+            else:
                 try:
                     _inject_fault("batch.group")
-                    group_results = run_compiled_group(
-                        [compiled[index] for index in indices], self.library,
-                        algorithm=self.algorithm, driver=self.driver,
-                        options=self.options,
-                        factory=self._factory_for(lanes),
+                    unit_results = self._run_unit(
+                        plan.backend, nets, self._factory_for(len(nets))
                     )
                 except Exception as exc:
                     if not is_supervisable(exc):
                         raise
                     self.breakers.record("batch_axis", False)
                     self._resilience_counters["batch_group_fallbacks"] += 1
-                    group_results = [
-                        insert_buffers(
-                            compiled[index], self.library,
-                            algorithm=self.algorithm, driver=self.driver,
-                            backend=plan.backend, **self.options,
-                        )
-                        for index in indices
+                    unit_results = [
+                        self._run_unit(plan.backend, [net])[0] for net in nets
                     ]
                 else:
                     self.breakers.record("batch_axis", True)
-                elapsed = time.perf_counter() - start
-                for index, result in zip(indices, group_results):
-                    results[index] = result
-                self._record_group(lanes)
-                self._log_unit(
-                    "batch", indices, compiled, plan, elapsed, capture
-                )
-            else:
-                start = time.perf_counter()
-                result = insert_buffers(
-                    compiled[indices[0]], self.library,
-                    algorithm=self.algorithm, driver=self.driver,
-                    backend=plan.backend, **self.options,
-                )
-                elapsed = time.perf_counter() - start
-                results[indices[0]] = result
-                self._batch_stats["scalar_solves"] += 1
-                self._log_unit(
-                    "solve", indices, compiled, plan, elapsed, capture
-                )
+            elapsed = time.perf_counter() - start
+            for index, result in zip(indices, unit_results):
+                results[index] = result
+            self._record_unit(indices, compiled, plan, elapsed, capture)
         return results  # type: ignore[return-value]
 
     def resilience_stats(self) -> dict:
@@ -1031,7 +995,7 @@ class SolverPool:
                     processes=self.jobs,
                     initializer=_init_worker,
                     initargs=(self.library, self.algorithm, self.driver,
-                              self.backend, self.options),
+                              self.options),
                 )
             return self._pool
 
@@ -1110,29 +1074,11 @@ def solve_many(
         ValueError: ``jobs < 1``.
     """
     jobs = _resolve_jobs(jobs)
-
-    # Fail fast (and in the parent process) on bad names/options.
-    from repro.core.registry import get_algorithm
-    from repro.core.stores import get_store_backend, resolve_backend
-
-    get_algorithm(algorithm).validate_options(options)
-    # Validate without rebinding: the pool remembers whether the caller
-    # said "auto" (routable per net) or pinned a store.
-    get_store_backend(resolve_backend(backend))
-
     nets = list(trees)
-    if jobs == 1 or len(nets) <= 1:
-        # A one-shot inline pool: no workers, but structural groups
-        # still ride the batch-axis engine when the context allows.
-        with SolverPool(
-            library, algorithm=algorithm, jobs=1, driver=driver,
-            backend=backend, policy=policy, **options,
-        ) as pool:
-            return pool.solve(nets, deadline=deadline)
-
-    # jobs > 1 and len(nets) > 1: a one-shot pool, torn down on return.
+    # A one-shot pool, torn down on return; one net starts no workers.
+    # The pool checks the names and options before any solve.
     with SolverPool(
-        library, algorithm=algorithm, jobs=jobs, driver=driver,
-        backend=backend, policy=policy, **options,
+        library, algorithm=algorithm, jobs=jobs if len(nets) > 1 else 1,
+        driver=driver, backend=backend, policy=policy, **options,
     ) as pool:
         return pool.solve(nets, chunksize=chunksize, deadline=deadline)

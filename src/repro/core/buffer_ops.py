@@ -52,11 +52,10 @@ class BufferPlan:
     Array backends additionally attach a *plan kernel* — the ``R`` /
     ``C_in`` / intrinsic-delay / load-limit columns of
     ``by_resistance_desc`` as NumPy vectors — via the two private slots
-    below.  The kernel is built lazily by
-    :func:`repro.core.stores.soa.plan_kernel` (or eagerly at
-    compile time by :func:`repro.core.schedule.compile_net`) and is
-    cached on the *owning* plan so every shared view reuses one copy;
-    this module itself never imports NumPy.
+    below.  The kernel is built lazily, on first ``soa`` use, by
+    :func:`repro.core.stores.soa.plan_kernel` and is cached on the
+    *owning* plan so every shared view reuses one copy; this module
+    itself never imports NumPy.
     """
 
     __slots__ = ("node_id", "by_resistance_desc", "cap_order",

@@ -369,18 +369,15 @@ def run_dynamic_program(
         driver: Source driver; defaults to ``tree.driver`` (or the
             driver recorded at compile time); ``None`` means an ideal
             driver (slack is simply the best ``q``).
-        backend: Candidate-store backend name
-            (:func:`repro.core.stores.store_backend_names`), or
-            ``"auto"``.
+        backend: A registered candidate-store backend name
+            (:func:`repro.core.stores.store_backend_names`).  ``"auto"``
+            is not one: callers resolve it before they get here.
 
     Raises:
         AlgorithmError: If the tree fails validation, the backend is
             unknown, or a compiled net is combined with a mismatched
             library.
     """
-    from repro.core.stores import resolve_backend
-
-    backend = resolve_backend(backend)
     compiled = tree if isinstance(tree, CompiledNet) else compile_net(tree, library)
     compiled.check_library(library)
     driver = driver if driver is not None else compiled.driver

@@ -210,8 +210,9 @@ def insert_buffers_with_inverters(
         algorithm: ``"fast"`` (hull walk per polarity list, the
             DATE-2005 operation) or ``"lillis"`` (exhaustive scan) —
             both exact, used to cross-check each other in tests.
-        backend: Candidate-store backend name or ``"auto"``
-            (:func:`repro.core.stores.resolve_backend`); results are
+        backend: Candidate-store backend name, or ``"auto"`` for the
+            store of a net solved alone
+            (:func:`repro.routing.router.solo_store`); results are
             bit-identical across backends, like the main engine's.
 
     Returns:
@@ -226,14 +227,14 @@ def insert_buffers_with_inverters(
             tree.
         DeadlineExceeded: An ambient deadline expired mid-solve.
     """
-    from repro.core.stores import resolve_backend
+    from repro.routing.router import solo_store
 
     if algorithm not in ("fast", "lillis"):
         raise AlgorithmError(
             f"unknown algorithm {algorithm!r}; choose 'fast' or 'lillis'"
         )
-    backend = resolve_backend(backend)
     compiled = compile_net(tree, library)
+    backend = solo_store(backend, compiled)
     negative = [sink.node_id for sink in tree.sinks() if sink.polarity == -1]
     factory = None if backend == "object" else compiled.factory(backend)
     try:

@@ -175,9 +175,6 @@ class CompiledNet:
                         if b.name in allowed_names
                     ]
                     plans.append(BufferPlan(node_id, allowed))
-            from repro.core.stores.soa import prime_plan_kernels
-
-            prime_plan_kernels(plans)
             self._plans = plans
         return self._plans
 
@@ -630,13 +627,7 @@ def _flatten(
     )
     # The plans just walked are the plan table; seed the lazy cache so
     # in-process solves never rebuild it (pickles still rebuild from
-    # the specs).  Plan kernels — the R / C_in / intrinsic-delay
-    # vectors the SoA buffer kernel broadcasts against — are built here
-    # too, so they are part of the compiled artifact's warm state
-    # rather than a first-solve cost (no-op without NumPy).
-    from repro.core.stores.soa import prime_plan_kernels
-
-    prime_plan_kernels(plan_table)
+    # the specs).
     compiled._plans = plan_table
     return compiled
 

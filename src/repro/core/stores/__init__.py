@@ -10,6 +10,10 @@ and how the paper's operations execute over them:
   arrays plus a decision index array; hot loops are whole-array
   operations (:mod:`repro.core.stores.soa`).
 
+``"auto"`` (:data:`AUTO_BACKEND`) is not a store.  The public entry
+points resolve it once per request through the execution router;
+the strategies and the DP interpreter reject it.
+
 Third-party backends register without touching core::
 
     from repro.core.stores import register_store_backend
@@ -83,28 +87,9 @@ def store_backend_names() -> Tuple[str, ...]:
     return tuple(_BACKENDS)
 
 
-#: Pseudo-backend: let the execution router pick the store per request.
+#: The name that lets the execution router pick the store for the
+#: request at hand (:func:`repro.routing.router.static_store`).
 AUTO_BACKEND = "auto"
-
-
-def resolve_backend(name: str) -> str:
-    """Resolve a backend name, mapping ``"auto"`` to a concrete backend.
-
-    This is not the per-request choice: ``insert_buffers``, inline
-    ``SolverPool`` contexts and incremental sessions route ``"auto"`` by
-    request size (:func:`repro.routing.router.static_store`).  Here
-    ``"auto"`` means the store of a context that cannot route per
-    request (a multi-process pool's workers, a partitioned solve) and
-    the store the batch axis needs: ``"soa"`` when NumPy is importable,
-    ``"object"`` otherwise.  Concrete names (including third-party
-    registrations) pass through unchanged; unknown names are rejected
-    by :func:`get_store_backend` at lookup time.
-    """
-    if name != AUTO_BACKEND:
-        return name
-    from repro.core.stores.soa import np as _np
-
-    return "object" if _np is None else "soa"
 
 
 register_store_backend("object")(ObjectStoreFactory)
@@ -123,5 +108,4 @@ __all__ = [
     "get_store_backend",
     "store_backend_names",
     "AUTO_BACKEND",
-    "resolve_backend",
 ]

@@ -108,13 +108,14 @@ def supports_batch_axis(
 ) -> bool:
     """Whether a solve context can legally dispatch structural groups.
 
-    Requires the resolved ``soa`` backend (the batched store packs SoA
-    columns), NumPy, and an algorithm that drives candidate stores
-    through the ``add_buffer_op`` seam for this library and these
-    options — the preconditions of :func:`solve_group`.  Anything else
-    falls back to the per-net path, never errors.
+    Requires ``backend`` ``"soa"`` (the batched store packs SoA
+    columns) or ``"auto"`` (the router may put a group there), NumPy,
+    and an algorithm that drives candidate stores through the
+    ``add_buffer_op`` seam for this library and these options — the
+    preconditions of :func:`solve_group`.  Anything else falls back to
+    the per-net path, never errors.
     """
-    if backend != "soa" or not batch_axis_available():
+    if backend not in ("soa", "auto") or not batch_axis_available():
         return False
     from repro.core.registry import get_algorithm
 

@@ -717,10 +717,10 @@ def plan_kernel(plan: BufferPlan) -> _PlanKernel:
 def prime_plan_kernels(plans) -> None:
     """Build the kernels of ``plans`` eagerly (no-op without NumPy).
 
-    Called by :func:`repro.core.schedule.compile_net` so the arrays are
-    part of the compiled artifact's warm state, and by the batch
-    engine's worker initializer so each worker pays the library's
-    kernel build exactly once.
+    Called by the batch-axis group solve before its lanes run.  Every
+    other path builds a plan's kernel on its first ``soa`` use
+    (:func:`plan_kernel`), so compiling a net that solves on ``object``
+    builds none.
     """
     if np is None:
         return

@@ -75,10 +75,15 @@ def solve_partitioned(
         net: A routing tree or a *locally compiled*
             :class:`CompiledNet` (partitioning needs the subtree range
             maps, which do not survive pickling).
-        library / algorithm / driver / backend / options: The usual
-            solve context (see :func:`repro.core.api.insert_buffers`).
-            When ``pool`` is given, these must match the pool's context
-            — the workers already hold it.
+        library / algorithm / driver / options: The usual solve
+            context (see :func:`repro.core.api.insert_buffers`).  When
+            ``pool`` is given, these must match the pool's context —
+            the workers already hold it.
+        backend: A store name, or ``"auto"`` (the default) for the
+            store of the net solved alone
+            (:func:`repro.routing.router.solo_store`).  The cuts and the
+            residual all run on that one store, which each partition
+            task carries to its worker.
         jobs: Worker count for cut planning and the transient pool;
             defaults to ``pool.jobs`` or ``os.cpu_count()``.  ``1``
             solves the partitions inline (no processes) — the same
@@ -106,9 +111,10 @@ def solve_partitioned(
             and degrade to the serial plan.
         DeadlineExceeded: The deadline expired mid-solve.
     """
-    from repro.core.batch import SolverPool, _init_worker, _resolve_jobs
+    from repro.core.batch import _init_worker, _resolve_jobs
     from repro.core.registry import get_algorithm
-    from repro.core.stores import get_store_backend, resolve_backend
+    from repro.core.stores import get_store_backend
+    from repro.routing.router import solo_store
 
     if deadline is not None:
         with deadline_scope(deadline):
@@ -119,8 +125,6 @@ def solve_partitioned(
             )
 
     get_algorithm(algorithm).validate_options(options or {})
-    backend = resolve_backend(backend)
-    get_store_backend(backend)
     options = dict(options or {})
     if pool is not None:
         jobs = pool.jobs if jobs is None else jobs
@@ -129,6 +133,8 @@ def solve_partitioned(
     compiled = (
         net if isinstance(net, CompiledNet) else compile_net(net, library)
     )
+    backend = solo_store(backend, compiled)
+    get_store_backend(backend)
 
     if report is None:
         report = {}
@@ -186,7 +192,7 @@ def solve_partitioned(
         else None
     )
     tasks = [
-        (index, plan.cuts[index].node_id,
+        (backend, index, plan.cuts[index].node_id,
          compiled.subschedule(plan.cuts[index].node_id), obs)
         for index in order
     ]
@@ -202,15 +208,14 @@ def solve_partitioned(
         raw = pool._map_partition_tasks(tasks)
     elif jobs > 1:
         raw = _dispatch_transient(
-            tasks, jobs, library, algorithm, driver, backend, options,
-            _init_worker,
+            tasks, jobs, library, algorithm, driver, options, _init_worker,
         )
     else:
         raw = [
             (index, solve_subschedule(
                 sub, root_id, library, algorithm, backend, options
             ), 0.0, None)
-            for index, root_id, sub, _ in tasks
+            for _, index, root_id, sub, _ in tasks
         ]
     dispatch_seconds = time.perf_counter() - dispatch_started
     if dispatch_handle is not None:
@@ -242,7 +247,6 @@ def _dispatch_transient(
     library: BufferLibrary,
     algorithm: str,
     driver: Optional[Driver],
-    backend: str,
     options: dict,
     init_worker,
 ) -> List[tuple]:
@@ -260,12 +264,12 @@ def _dispatch_transient(
     from concurrent.futures import TimeoutError as FuturesTimeoutError
     from concurrent.futures.process import BrokenProcessPool
 
-    cut_ids = tuple(task[1] for task in tasks)
+    cut_ids = tuple(task[2] for task in tasks)
     deadline = active_deadline()
     executor = ProcessPoolExecutor(
         max_workers=jobs,
         initializer=init_worker,
-        initargs=(library, algorithm, driver, backend, options),
+        initargs=(library, algorithm, driver, options),
     )
     try:
         futures = [executor.submit(_solve_partition, task) for task in tasks]

@@ -3,35 +3,34 @@
 A partition task ships a :meth:`~repro.core.schedule.CompiledNet.subschedule`
 extract to a worker of the shared :class:`~repro.core.batch.SolverPool`
 process pool (same pool, same ``_init_worker`` context — library,
-algorithm, driver, backend, options live in the worker already).  The
-worker runs the ordinary schedule interpreter over the extract and
-returns the *frontier* — a picklable
+algorithm, driver and options live in the worker already; the task
+names the store its solve was routed to).  The worker runs the
+ordinary schedule interpreter over the extract and returns the
+*frontier* — a picklable
 :class:`~repro.incremental.subtree_cache.FrontierSnapshot` in the
 parent tree's node ids — never an assignment: the cut's frontier is an
 intermediate value of the parent's DP, and only the parent, after
 splicing every frontier and replaying the residual glue, can score the
 root against the driver.
 
-Solve state (store factory, add-buffer op) is cached per worker process
-and reused across tasks, exactly like the per-net factories of the
-batch path: the SoA scratch arena and provenance tape stay warm for the
-next partition.
+Each worker process keeps one store factory per store and reuses it
+across tasks, exactly like the per-net factories of the batch path: the
+SoA scratch arena and provenance tape stay warm for the next partition.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional, Tuple
+from contextlib import nullcontext
+from typing import Dict, Optional, Tuple
 
 from repro.core.schedule import CompiledNet
 from repro.incremental.subtree_cache import FrontierSnapshot, capture_frontier
 from repro.resilience.faults import inject as _inject_fault
 
-#: Per-process solve state: ``(context identity, add_buffer, factory)``.
-#: The context dict is installed once per worker by ``_init_worker``,
-#: so identity comparison is enough to detect a stale cache (only the
-#: inline path, which passes explicit arguments, bypasses it).
-_STATE: Optional[tuple] = None
+#: This process's warm store factories, by store name (the inline
+#: path, which passes explicit arguments, bypasses them).
+_FACTORIES: Dict[str, object] = {}
 
 
 def solve_subschedule(
@@ -85,28 +84,24 @@ def solve_subschedule(
     return snapshot
 
 
-def _worker_state():
-    """The (cached) per-process solve callables for the pool context."""
-    global _STATE
+def _worker_state(store: str):
+    """The pool context and this process's warm factory for ``store``."""
     from repro.core import batch
 
     context = batch._WORKER_CONTEXT
     assert context is not None, "partition task on an uninitialized worker"
-    if _STATE is None or _STATE[0] is not context:
-        backend = context["backend"]
-        factory = None
-        if backend != "object":
-            from repro.core.stores import get_store_backend
+    factory = _FACTORIES.get(store)
+    if factory is None and store != "object":
+        from repro.core.stores import get_store_backend
 
-            factory = get_store_backend(backend)()
-        _STATE = (context, factory)
-    return context, _STATE[1]
+        factory = _FACTORIES[store] = get_store_backend(store)()
+    return context, factory
 
 
 def _solve_partition(
-    task: Tuple[int, int, CompiledNet, Optional[tuple]]
+    task: Tuple[str, int, int, CompiledNet, Optional[tuple]]
 ) -> Tuple[int, FrontierSnapshot, float, Optional[list]]:
-    """One pool task: ``(index, cut node id, subschedule, obs context)``.
+    """One pool task: ``(store, index, cut node id, subschedule, obs)``.
 
     ``obs`` is ``None`` or ``(request_id, collect_spans)`` — the
     observability context the parent threads through the task tuple,
@@ -120,7 +115,7 @@ def _solve_partition(
     Returns ``(partition index, snapshot, busy seconds, spans)`` — the
     busy time feeds the pool-utilization figure in the solve report.
     """
-    part_index, root_id, sub, obs = task
+    store, part_index, root_id, sub, obs = task
     request_id, collect_spans = obs if obs is not None else (None, False)
     # Forked executor workers can inherit the parent thread's ambient
     # deadline and tracer; the parent bounds its wait and collects its
@@ -131,28 +126,24 @@ def _solve_partition(
     reset_active_deadline()
     reset_active_tracer()
     _inject_fault("worker.partition")
-    context, factory = _worker_state()
+    context, factory = _worker_state(store)
     tracer = (
         Tracer(request_id=request_id or "untraced")
         if collect_spans
         else None
     )
     started = time.perf_counter()
-    with request_scope(request_id), trace_scope(tracer):
-        if tracer is not None:
-            with tracer.span(
-                "worker.partition", root=root_id,
-                instructions=len(sub.ops),
-            ):
-                snapshot = solve_subschedule(
-                    sub, root_id, context["library"], context["algorithm"],
-                    context["backend"], context["options"], factory=factory,
-                )
-        else:
-            snapshot = solve_subschedule(
-                sub, root_id, context["library"], context["algorithm"],
-                context["backend"], context["options"], factory=factory,
-            )
+    with request_scope(request_id), trace_scope(tracer), (
+        tracer.span(
+            "worker.partition", root=root_id, instructions=len(sub.ops),
+        )
+        if tracer is not None
+        else nullcontext()
+    ):
+        snapshot = solve_subschedule(
+            sub, root_id, context["library"], context["algorithm"],
+            store, context["options"], factory=factory,
+        )
     elapsed = time.perf_counter() - started
     spans = tracer.export_relative() if tracer is not None else None
     return part_index, snapshot, elapsed, spans

@@ -29,6 +29,8 @@ proves every plan the router can emit bit-identical to the compiled
 object-store reference path.
 """
 
+from importlib import import_module
+
 from repro.routing.features import RequestFeatures, features_of
 from repro.routing.router import (
     DEFAULT_POLICY,
@@ -36,7 +38,15 @@ from repro.routing.router import (
     ExecutionPlan,
     Router,
 )
-from repro.routing.workload import WorkloadLog, read_log, replay
+
+
+def __getattr__(name: str):
+    # The workload log loads on first use, so a solve that only routes
+    # does not import it (nor hashlib and json).
+    if name in ("WorkloadLog", "read_log", "replay"):
+        return getattr(import_module("repro.routing.workload"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DEFAULT_POLICY",

@@ -1,9 +1,12 @@
 """``route(features) -> ExecutionPlan``: one seam for every dispatch.
 
-Before this module, strategy selection lived in unrelated places:
-``resolve_backend("auto")`` picked the store, ``SolverPool`` batched
-any structural group and partitioned any net over a fixed instruction
-threshold.  The :class:`Router` subsumes them behind one policy string:
+Every public entry point that accepts ``backend="auto"`` resolves it
+here, once per request: ``insert_buffers``, ``SolverPool`` and
+``solve_many`` at every ``jobs`` value, incremental sessions and the
+server through :class:`Router`, and ``insert_buffers_with_inverters``
+and ``solve_partitioned`` through :func:`solo_store`.  The strategies
+and the DP interpreter take a concrete store only.  The
+:class:`Router` puts every dispatch decision behind one policy string:
 
 * ``"static"`` — the rule (the default): :func:`static_store` picks
   the candidate store from the request's kind and size (``object`` for
@@ -30,7 +33,7 @@ from typing import Dict, Optional
 
 from repro.obs.metrics import default_registry
 from repro.obs.spans import active_tracer
-from repro.routing.features import RequestFeatures
+from repro.routing.features import RequestFeatures, features_of
 
 #: Schedule modes a plan can name.
 SCHEDULE_MODES = ("compiled", "splice")
@@ -122,9 +125,10 @@ def validate_policy(policy: str) -> str:
 
 
 def _soa_available() -> bool:
-    from repro.core.stores import resolve_backend
+    """Whether NumPy imports, which the ``soa`` store needs."""
+    from repro.core.stores.soa import np
 
-    return resolve_backend("auto") == "soa"
+    return np is not None
 
 
 #: The object/soa crossover in ``positions * library_size`` (every
@@ -164,6 +168,18 @@ def static_store(features: RequestFeatures) -> str:
     ):
         return "soa"
     return "object"
+
+
+def solo_store(backend: str, compiled) -> str:
+    """The store one compiled net solved alone runs on.
+
+    ``backend`` itself, unless it is ``"auto"``: then
+    :func:`static_store`'s pick for a single-net solve of ``compiled``
+    (a :class:`~repro.core.schedule.CompiledNet`).
+    """
+    if backend != "auto":
+        return backend
+    return static_store(features_of(compiled))
 
 
 class Router:

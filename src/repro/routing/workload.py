@@ -37,10 +37,9 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.schedule import CompiledNet, compile_net
 from repro.core.solution import BufferingResult
-from repro.core.stores import resolve_backend
 from repro.errors import ReproError
 from repro.routing.features import RequestFeatures
-from repro.routing.router import ExecutionPlan, Router
+from repro.routing.router import ExecutionPlan, Router, _soa_available
 
 #: Workload-log schema version (bump on breaking record changes).
 SCHEMA_VERSION = 1
@@ -226,7 +225,7 @@ def candidate_plans(
     Partitioned plans are left out: replay runs in-process, and a
     one-process pool cannot measure multi-process speedups honestly.
     """
-    stores = ["object"] + (["soa"] if resolve_backend("auto") == "soa" else [])
+    stores = ["object"] + (["soa"] if _soa_available() else [])
     if features.kind == "session":
         return [
             ExecutionPlan(store, mode)
@@ -389,8 +388,7 @@ def replay(
         loaded = _LoadedRequest(record, index)
         features = loaded.features
         supports_batch = loaded.kind == "batch" and supports_batch_axis(
-            resolve_backend("auto"), loaded.library, loaded.algorithm,
-            loaded.options,
+            "auto", loaded.library, loaded.algorithm, loaded.options,
         )
         candidates = candidate_plans(features, supports_batch)
 

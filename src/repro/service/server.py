@@ -141,7 +141,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.core.batch import SolverPool
 from repro.core.registry import get_algorithm
 from repro.core.schedule import CompiledNet, compile_records
-from repro.core.stores import resolve_backend
+from repro.core.stores import AUTO_BACKEND, get_store_backend
 from repro.errors import DeadlineExceeded, EditError, ReproError, WorkerCrashError
 from repro.library.library import BufferLibrary
 from repro.obs.metrics import (
@@ -749,7 +749,7 @@ class BufferServer:
             cache_stats = self.results.stats()
             answer["workers"] = [
                 dict(entry.pool.worker_health(),
-                     backend=entry.pool.routed_backend,
+                     backend=entry.pool.backend,
                      in_flight=entry.in_flight)
                 for entry in self._pools.values()
             ]
@@ -971,7 +971,7 @@ class BufferServer:
             "pools": [
                 {
                     "algorithm": entry.pool.algorithm,
-                    "backend": entry.pool.routed_backend,
+                    "backend": entry.pool.backend,
                     "policy": entry.pool.router.policy,
                     "jobs": entry.pool.jobs,
                     "library_size": entry.pool.library.size,
@@ -1707,9 +1707,8 @@ class _SolveContext:
             deadline_ms = float(deadline_ms)
         try:
             get_algorithm(algorithm).validate_options(options)
-            from repro.core.stores import get_store_backend
-
-            get_store_backend(resolve_backend(backend))
+            if backend != AUTO_BACKEND:
+                get_store_backend(backend)
         except ReproError as exc:
             raise _BadRequest(str(exc)) from exc
         return cls(library, algorithm, backend, options, policy, deadline_ms)

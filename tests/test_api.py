@@ -59,8 +59,9 @@ def test_package_exports():
 
 def test_routed_solve_imports_no_parallel_or_serving_code():
     """A first in-process solve loads the router but not the parallel
-    solver, the server or asyncio (the routing threshold lives in
-    routing, and the service package loads its server lazily)."""
+    solver, the server, asyncio or the workload log (the routing
+    threshold lives in routing, and the service and routing packages
+    load those lazily).  The lazy names still import."""
     import os
     import subprocess
     import sys
@@ -80,8 +81,9 @@ def test_routed_solve_imports_no_parallel_or_serving_code():
         "import repro.incremental\n"
         "assert 'repro.routing.router' in sys.modules\n"
         "print(sorted(m for m in ('repro.parallel.solver',"
-        " 'repro.service.server', 'repro.service.client', 'asyncio')"
-        " if m in sys.modules))\n"
+        " 'repro.service.server', 'repro.service.client', 'asyncio',"
+        " 'repro.routing.workload') if m in sys.modules))\n"
+        "from repro.routing import WorkloadLog, read_log, replay\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],

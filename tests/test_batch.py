@@ -38,6 +38,10 @@ def test_jobs2_matches_serial(corpus):
     assert [r.slack for r in serial] == [r.slack for r in parallel]
     assert [r.assignment for r in serial] == [r.assignment for r in parallel]
     assert [r.driver_load for r in serial] == [r.driver_load for r in parallel]
+    # "auto" routes each net the same way at every jobs value.
+    assert [r.stats.backend for r in serial] == [
+        r.stats.backend for r in parallel
+    ]
 
 
 def test_jobs2_soa_matches_serial_object(corpus):

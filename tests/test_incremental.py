@@ -40,7 +40,6 @@ from repro.core.registry import (
     register_algorithm,
     unregister_algorithm,
 )
-from repro.core.stores import resolve_backend
 from repro.errors import AlgorithmError, DeadlineExceeded, EditError
 from repro.incremental import (
     AddSink,
@@ -61,7 +60,12 @@ from repro.resilience.deadline import Deadline, deadline_scope
 from repro.tree.routing_tree import RoutingTree
 from repro.units import fF, ps
 
-BACKENDS = ("object", "soa") if resolve_backend("auto") == "soa" else ("object",)
+try:
+    import numpy
+except ImportError:  # pragma: no cover
+    numpy = None
+
+BACKENDS = ("object", "soa") if numpy is not None else ("object",)
 
 ALGORITHMS = ("fast", "lillis", "van_ginneken")
 

@@ -23,7 +23,7 @@ from repro import (
     random_tree_net,
     uniform_random_library,
 )
-from repro.core.stores import resolve_backend
+from repro.core.stores.batch_axis import batch_axis_available
 from repro.errors import AlgorithmError
 from repro.parallel import (
     DEFAULT_PARALLEL_THRESHOLD,
@@ -33,11 +33,6 @@ from repro.parallel import (
 from repro.tree.builders import star_net, two_pin_net
 from repro.tree.segmenting import segment_to_position_count
 from repro.units import fF, ps
-
-
-#: The store multi-process pools and partitioned solves run ``"auto"``
-#: on: unlike ``insert_buffers``, they cannot route per net.
-PINNED = resolve_backend("auto")
 
 
 def assert_identical(result, reference):
@@ -206,7 +201,7 @@ class TestParityCorpus:
         result = solve_partitioned(
             compiled, library, jobs=1, plan=plan
         )
-        assert_identical(result, insert_buffers(compiled, library, backend=PINNED))
+        assert_identical(result, insert_buffers(compiled, library))
 
     @pytest.mark.parametrize("backend", ["object", "soa"])
     def test_mixed_polarity_sinks(self, backend, library):
@@ -246,7 +241,7 @@ class TestEdgeCases:
         assert plan.viable, plan.reason
         assert all(cut.depth == 1 for cut in plan.cuts)
         result = solve_partitioned(compiled, library, jobs=1, plan=plan)
-        assert_identical(result, insert_buffers(compiled, library, backend=PINNED))
+        assert_identical(result, insert_buffers(compiled, library))
 
     def test_single_sink_partitions(self, library):
         """min_instructions=1 admits leaf-sized cuts (a lone SINK+FINAL)."""
@@ -261,7 +256,7 @@ class TestEdgeCases:
         assert plan.viable, plan.reason
         assert min(cut.size for cut in plan.cuts) <= 4
         result = solve_partitioned(compiled, library, jobs=1, plan=plan)
-        assert_identical(result, insert_buffers(compiled, library, backend=PINNED))
+        assert_identical(result, insert_buffers(compiled, library))
 
     def test_degenerate_chain_falls_back_serially(self, library):
         chain = two_pin_net(
@@ -275,7 +270,7 @@ class TestEdgeCases:
         )
         assert not report["engaged"]
         assert "chain" in report["reason"]
-        assert_identical(result, insert_buffers(chain, library, backend=PINNED))
+        assert_identical(result, insert_buffers(chain, library))
 
     def test_one_job_without_plan_falls_back(self, medium_net, library):
         report = {}
@@ -284,7 +279,7 @@ class TestEdgeCases:
         )
         assert not report["engaged"]
         assert "fewer than two workers" in report["reason"]
-        assert_identical(result, insert_buffers(medium_net, library, backend=PINNED))
+        assert_identical(result, insert_buffers(medium_net, library))
 
 
 class TestSolverPoolRouting:
@@ -293,7 +288,7 @@ class TestSolverPoolRouting:
             SolverPool(library, policy="sometimes_parallel")
 
     def test_pool_partitioned_solve_bit_identical(self, medium_net, library):
-        reference = insert_buffers(medium_net, library, backend=PINNED)
+        reference = insert_buffers(medium_net, library)
         with SolverPool(
             library, jobs=2, policy="always_parallel"
         ) as pool:
@@ -315,7 +310,7 @@ class TestSolverPoolRouting:
         assert stats["parallel_solves"] == 0
         assert stats["fallback_solves"] == 0
         assert stats["threshold_instructions"] == DEFAULT_PARALLEL_THRESHOLD
-        assert_identical(result, insert_buffers(small, library, backend=PINNED))
+        assert_identical(result, insert_buffers(small, library))
 
     def test_custom_threshold_routes_small_nets(self, library):
         small = random_net(9, sinks=12, positions=400)
@@ -325,7 +320,7 @@ class TestSolverPoolRouting:
             result = pool.solve([small])[0]
             stats = pool.parallel_stats()
         assert stats["parallel_solves"] + stats["fallback_solves"] == 1
-        assert_identical(result, insert_buffers(small, library, backend=PINNED))
+        assert_identical(result, insert_buffers(small, library))
 
     def test_parallel_never_disables_routing(self, medium_net, library):
         with SolverPool(
@@ -335,12 +330,12 @@ class TestSolverPoolRouting:
             stats = pool.parallel_stats()
         assert not stats["enabled"]
         assert stats["parallel_solves"] == 0
-        assert_identical(result, insert_buffers(medium_net, library, backend=PINNED))
+        assert_identical(result, insert_buffers(medium_net, library))
 
     def test_mixed_batch_routes_only_large_nets(self, medium_net, library):
         small = [random_net(seed, sinks=8, positions=60) for seed in (20, 21)]
         nets = [small[0], medium_net, small[1]]
-        references = [insert_buffers(net, library, backend=PINNED) for net in nets]
+        references = [insert_buffers(net, library) for net in nets]
         with SolverPool(
             library, jobs=2, parallel_threshold=2000
         ) as pool:
@@ -349,6 +344,48 @@ class TestSolverPoolRouting:
         for result, reference in zip(results, references):
             assert_identical(result, reference)
         assert stats["parallel_solves"] + stats["fallback_solves"] == 1
+
+    def test_auto_pool_routes_units_like_the_inline_pool(self, library):
+        """A ``jobs=2`` "auto" pool routes each unit as ``jobs=1`` does:
+        solo nets on object, 8 R/C corners of an 866-position trunk at
+        b = 32 on the batch axis, and the same corners lane by lane on
+        object under ``always_object``.  Answers match ``jobs=1``."""
+        from repro.experiments.workloads import (
+            FIG4_NET, build_net, corner_variants,
+        )
+
+        solo = [random_net(seed, sinks=8, positions=60) for seed in (20, 21)]
+        solo.append(random_net(22, sinks=24, positions=800))
+        trunk = build_net(FIG4_NET, positions_override=866)
+        corners = [variant for _, variant in corner_variants(trunk, 8)]
+        for nets, lib, policy in (
+            (solo, library, None),
+            (corners, paper_library(32), None),
+            (corners, paper_library(32), "always_object"),
+        ):
+            with SolverPool(lib, policy=policy) as inline:
+                references = inline.solve(nets)
+            with SolverPool(lib, jobs=2, policy=policy) as pool:
+                results = pool.solve(nets)
+                decisions = pool.routing_stats()["decisions_by_strategy"]
+                groups = pool.batch_axis_stats()["groups"]
+            for result, reference in zip(results, references):
+                assert_identical(result, reference)
+            if nets is solo or policy == "always_object":
+                assert set(decisions) == {"object-compiled"}
+                assert groups == 0
+            elif batch_axis_available():
+                assert decisions["soa-compiled+batch"] == 1
+                assert groups == 1
+
+    def test_direct_partitioned_solve_routes_auto(self, medium_net, library):
+        """``solve_partitioned``'s default "auto" runs the cuts and the
+        residual on the store of the net solved alone."""
+        report = {}
+        result = solve_partitioned(medium_net, library, jobs=2, report=report)
+        assert report["engaged"], report["reason"]
+        assert result.stats.backend == "object"
+        assert_identical(result, insert_buffers(medium_net, library))
 
     def test_closed_pool_refuses_work(self, library):
         pool = SolverPool(

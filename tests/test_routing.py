@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro import insert_buffers, paper_library, uniform_random_library
 from repro.core.batch import SolverPool
 from repro.core.schedule import compile_net
-from repro.core.stores import resolve_backend
 from repro.core.stores.batch_axis import batch_axis_available
 from repro.errors import AlgorithmError
 from repro.experiments.workloads import corner_variants
@@ -46,6 +45,14 @@ from repro.routing.workload import (
     replay,
 )
 from repro.tree.builders import random_tree_net
+
+try:
+    import numpy
+except ImportError:  # pragma: no cover
+    numpy = None
+
+#: The store on the static rule's soa side: soa with NumPy.
+SOA = "soa" if numpy is not None else "object"
 
 # ---------------------------------------------------------------------
 # Feature extraction
@@ -137,7 +144,6 @@ class TestPolicies:
         groups batch on the soa side only, the instruction floor
         partitions, sessions splice on the store their size picks."""
         router = Router(policy="static", parallel_threshold=1000)
-        soa = resolve_backend("auto")
         short = _features()  # 10 positions per sink: object
         long = _features(positions=2000, sinks=1)
         assert router.route(short) == ExecutionPlan("object", "compiled")
@@ -145,7 +151,7 @@ class TestPolicies:
         # A structural group batches only when it is on soa ...
         plan = router.route(replace(short, lanes=2), supports_batch=True)
         assert plan == ExecutionPlan("object", "compiled")
-        if soa == "soa":
+        if numpy is not None:
             plan = router.route(replace(long, lanes=2), supports_batch=True)
             assert plan == ExecutionPlan("soa", "compiled", batch_axis=True)
         # ... and never when the context cannot batch: its lanes solve
@@ -176,7 +182,7 @@ class TestPolicies:
         plan = router.route(replace(short, kind="session"))
         assert plan == ExecutionPlan("object", "splice")
         plan = router.route(replace(long, kind="session"))
-        assert plan == ExecutionPlan(soa, "splice")
+        assert plan == ExecutionPlan(SOA, "splice")
 
     def test_escape_hatches_pin_axes(self):
         features = _features(lanes=4)
@@ -260,7 +266,7 @@ def _golden_cells():
 
 
 @pytest.mark.skipif(
-    resolve_backend("auto") != "soa",
+    numpy is None,
     reason="the golden table was recorded with NumPy",
 )
 def test_route_golden():
@@ -321,7 +327,7 @@ class TestStaticStore:
         for kind, lanes in (("session", 1), ("solve", 8)):
             assert static_store(
                 replace(features, kind=kind, lanes=lanes)
-            ) == resolve_backend("auto")
+            ) == SOA
         assert static_store(features) == "object"
 
     @pytest.mark.parametrize("sinks, library_size", [(20, 32), (1, 8)])
@@ -337,7 +343,7 @@ class TestStaticStore:
                 positions=positions, sinks=sinks, library_size=library_size,
                 kind=kind, lanes=lanes,
             )
-            assert static_store(features) == resolve_backend("auto")
+            assert static_store(features) == SOA
             below = replace(features, positions=positions - 1)
             assert static_store(below) == "object"
 
@@ -357,7 +363,7 @@ class TestStaticStore:
         ) == "object"
         assert static_store(
             features_of(trunk, paper_library(8), kind="session")
-        ) == resolve_backend("auto")
+        ) == SOA
 
     def test_corner_groups(self):
         """An 8-lane group of a 40-sink b = 8 net solves lane by lane on
@@ -373,7 +379,7 @@ class TestStaticStore:
         trunk = _corner_group(build_net(FIG4_NET, positions_override=866), 32)
         plan = router.route(replace(trunk, lanes=1), supports_batch=True)
         assert plan == ExecutionPlan("object", "compiled")
-        if resolve_backend("auto") == "soa":
+        if numpy is not None:
             plan = router.route(trunk, supports_batch=True)
             assert plan == ExecutionPlan("soa", "compiled", batch_axis=True)
 
@@ -397,7 +403,7 @@ class TestStaticStore:
             trunk = private(build_net(FIG4_NET, positions_override=positions))
             assert IncrementalSolver(
                 trunk, paper_library(size)
-            ).backend == resolve_backend("auto")
+            ).backend == SOA
 
 
 # ---------------------------------------------------------------------
@@ -427,7 +433,7 @@ def test_every_candidate_plan_is_bit_identical(
         insert_buffers(tree, library, backend="object")
     )
     plans = candidate_plans(features_of(compiled))
-    assert len(plans) == (2 if resolve_backend("auto") == "soa" else 1)
+    assert len(plans) == (2 if numpy is not None else 1)
     for plan in plans:
         result = insert_buffers(compiled, library, backend=plan.backend)
         assert _result_fingerprint(result) == reference, plan.strategy
@@ -622,7 +628,7 @@ class TestReplayCorpus:
     def test_sessions_price_both_stores(self, report):
         """Session replay measures every store the server may route a
         session to, so the session oracle is not soa by construction."""
-        stores = {"object"} | {resolve_backend("auto")}
+        stores = {"object", SOA}
         for entry in report["per_request"]:
             if entry["kind"] == "session":
                 assert {

@@ -27,6 +27,8 @@ from repro import (
     RoutingTree,
     compile_net,
     insert_buffers,
+    insert_buffers_fast,
+    insert_buffers_lillis,
     paper_library,
     random_tree_net,
     solve_many,
@@ -42,7 +44,6 @@ from repro.core.schedule import (
     CompiledNet,
     compile_records,
 )
-from repro.core.stores import resolve_backend
 from repro.errors import AlgorithmError
 from repro.tree.io import (
     library_from_dict,
@@ -378,13 +379,6 @@ def test_solve_many_accepts_precompiled_nets():
 # ----------------------------------------------------------------------
 
 
-def test_resolve_backend_auto():
-    assert resolve_backend("object") == "object"
-    assert resolve_backend("soa") == "soa"
-    expected = "soa" if numpy is not None else "object"
-    assert resolve_backend("auto") == expected
-
-
 def test_insert_buffers_auto_backend():
     """A small net's "auto" solve runs on object, where soa's
     per-instruction overhead is not paid back."""
@@ -401,6 +395,12 @@ def test_unknown_backend_still_rejected():
     with pytest.raises(AlgorithmError, match="unknown candidate-store"):
         insert_buffers(tree, uniform_random_library(3, seed=1),
                        backend="warp_drive")
+    # "auto" is resolved by the entry points; a strategy takes a store.
+    for strategy in (insert_buffers_fast, insert_buffers_lillis):
+        with pytest.raises(
+            AlgorithmError, match="unknown candidate-store backend 'auto'"
+        ):
+            strategy(tree, uniform_random_library(3, seed=1), backend="auto")
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,14 @@ from repro.tree.io import tree_to_dict
 from repro.tree.routing_tree import RoutingTree
 from repro.units import ps
 
+try:
+    import numpy
+except ImportError:  # pragma: no cover
+    numpy = None
+
+#: The store a session or a long-lane group routes to: soa with NumPy.
+SOA = "soa" if numpy is not None else "object"
+
 #: ``/solve`` answers recorded before the server read nets as records:
 #: nets with int, string and mixed ids, each sent twice (miss, hit).
 GOLDEN = json.loads(
@@ -217,11 +225,19 @@ class TestAutoRouting:
         answer = harness.client.solve(net, library)
         assert answer["backend"] == "object"
         assert harness.client.stats()["solves_by_backend"] == {"object": 1}
+        # A pool with worker processes routes "auto" the same way.
+        workers = ServerHarness(jobs=2, cache_size=64)
+        try:
+            assert workers.client.solve(net, library)["backend"] == "object"
+            stats = workers.client.stats()
+            assert stats["solves_by_backend"] == {"object": 1}
+            assert stats["pools"][0]["backend"] == "auto"
+        finally:
+            workers.shutdown()
 
     def test_fig4_trunk_solves_on_object(self, harness):
         """One net solves on object at any size; a session on the same
         trunk resolves on soa."""
-        from repro.core.stores import resolve_backend
         from repro.experiments.workloads import FIG4_NET, build_net
 
         library = paper_library(32)
@@ -231,7 +247,7 @@ class TestAutoRouting:
         expected = insert_buffers(trunk, library, backend="soa")
         assert answer["slack_seconds"] == expected.slack
         session = harness.client.create_session(trunk, library)
-        assert session.info["backend"] == resolve_backend("auto")
+        assert session.info["backend"] == SOA
         session.delete()
 
     def test_table1_session_runs_on_object(self, harness):
@@ -248,7 +264,6 @@ class TestAutoRouting:
     ):
         """An "auto" answer routed to object must not be served to a
         later explicit "soa" request as if soa had computed it."""
-        from repro.core.stores import resolve_backend
         from repro.tree.io import library_to_dict
 
         body = {
@@ -259,24 +274,22 @@ class TestAutoRouting:
         }
         first = harness.client._request("POST", "/solve", body)
         assert first["backend"] == "object"
-        soa = resolve_backend("auto")
         del body["policy"]
         second = harness.client._request(
-            "POST", "/solve", dict(body, backend=soa)
+            "POST", "/solve", dict(body, backend=SOA)
         )
         assert second["cached"] is False
-        assert second["backend"] == soa
+        assert second["backend"] == SOA
         assert second["slack_seconds"] == first["slack_seconds"]
         again = harness.client._request(
-            "POST", "/solve", dict(body, backend=soa)
+            "POST", "/solve", dict(body, backend=SOA)
         )
-        assert again["cached"] is True and again["backend"] == soa
+        assert again["cached"] is True and again["backend"] == SOA
 
 
     def test_session_honours_the_request_policy(self, harness, library):
         """A session's "auto" store is routed under the request's
         policy, exactly like a /solve of the same body."""
-        from repro.core.stores import resolve_backend
         from repro.tree.io import library_to_dict
 
         body = {
@@ -284,11 +297,10 @@ class TestAutoRouting:
             "library": library_to_dict(library),
             "policy": "always_soa",
         }
-        soa = resolve_backend("auto")
         answer = harness.client._request("POST", "/solve", body)
-        assert answer["backend"] == soa
+        assert answer["backend"] == SOA
         session = harness.client._request("POST", "/session", body)
-        assert session["backend"] == soa
+        assert session["backend"] == SOA
         harness.client._request("DELETE", f"/session/{session['session']}")
 
     @pytest.mark.parametrize(
@@ -359,14 +371,11 @@ class TestStats:
     def test_stats_kernel_health(self, harness, net, library):
         """Per-backend solve counters.  No compiled net outlives its
         request, so there are no warm per-net factories to report."""
-        from repro.core.stores import resolve_backend
-
-        backend = resolve_backend("auto")
-        harness.client.solve(net, library, backend=backend)
+        harness.client.solve(net, library, backend=SOA)
         # cache hit: no new solve
-        harness.client.solve(net, library, backend=backend)
+        harness.client.solve(net, library, backend=SOA)
         stats = harness.client.stats()
-        assert stats["solves_by_backend"] == {backend: 1}
+        assert stats["solves_by_backend"] == {SOA: 1}
         assert "kernels" not in stats
 
     def test_stats_batch_axis_block(self, harness, library):
@@ -374,14 +383,11 @@ class TestStats:
         visible in /stats, and every lane's answer matches the
         in-process solve.  (Under "auto" these small lanes would solve
         one by one on object.)"""
-        from repro.core.stores import resolve_backend
         from repro.experiments.workloads import corner_variants
 
         tree = random_small_tree(7)
         nets = [variant for _, variant in corner_variants(tree, 4)]
-        answers = harness.client.solve_batch(
-            nets, library, backend=resolve_backend("auto")
-        )
+        answers = harness.client.solve_batch(nets, library, backend=SOA)
         for net, answer in zip(nets, answers):
             expected = insert_buffers(net, library)
             assert answer["slack_seconds"] == expected.slack
@@ -391,7 +397,7 @@ class TestStats:
             "pools_enabled", "groups", "lanes_histogram",
             "batched_solves", "scalar_solves", "arena_pooled_bytes",
         }
-        if resolve_backend("auto") == "soa":
+        if numpy is not None:
             assert block["pools_enabled"] == 1
             assert block["groups"] == 1
             assert block["batched_solves"] == 4
@@ -854,12 +860,14 @@ class TestResilienceServing:
 
             h.loop.call_soon_threadsafe(release)
             # After the drain the listening socket is closed outright.
+            # Until then the server still answers 503 "draining".
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
                 try:
                     h.client.healthz()
-                except ServiceError:
-                    break  # refused / reset: socket is down
+                except ServiceError as exc:
+                    if "cannot reach" in str(exc):
+                        break  # refused / reset: socket is down
                 time.sleep(0.05)
             else:
                 pytest.fail("server kept answering after drain")

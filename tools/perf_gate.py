@@ -16,10 +16,13 @@ regresses.  Thresholds always come from the benchmark file itself
   gated trunks.
 * ``BENCH_PR5.json`` (has ``incremental``) — the incremental-engine
   gate: at every trunk point with at least ``ci_gate.min_positions``
-  actual positions, each backend's edit-replay headline (the geometric
-  mean of per-edit incremental-vs-scratch speedups; see
-  ``benchmarks/bench_incremental.py`` for the workload definition)
-  must be at least ``ci_gate.min_speedup``.
+  actual positions, the edit-replay headline (the geometric mean of
+  per-edit incremental-vs-scratch speedups; see
+  ``benchmarks/bench_incremental.py`` for the workload definition) of
+  the ``ci_gate.backend`` store must be at least
+  ``ci_gate.min_speedup``.  That store is the one the router picks for
+  a session on the smallest gated trunk, recorded at generation time;
+  the other store's points print as ungated context.
 * ``BENCH_PR6.json`` (has ``batch_axis``) — the batch-axis gate: every
   multi-corner group cell with at least ``ci_gate.min_positions``
   actual positions and at least ``ci_gate.min_group`` lanes must solve
@@ -178,8 +181,8 @@ def check_incremental(payload: dict, path: Path) -> int:
     gate = payload["ci_gate"]
     min_positions = gate["min_positions"]
     min_speedup = gate["min_speedup"]
-    # The gate pins the production path (backend="auto" at generation
-    # time); other backends are reported ungated.
+    # The gate pins the production path (the router's session store,
+    # recorded at generation time); other backends are reported ungated.
     gate_backend = gate.get("backend")
 
     points = payload["incremental"]["points"]
