@@ -17,7 +17,6 @@ import random
 import pytest
 
 from repro.core.buffer_ops import BufferPlan, generate_fast, generate_lillis
-from repro.core.candidate import Candidate, SinkDecision
 from repro.core.pruning import prune_dominated
 from repro.library.generators import paper_library
 
@@ -38,8 +37,8 @@ def synthetic_list(length: int, seed: int = 0):
     for i in range(length):
         c += rng.uniform(0.5e-15, 2.0e-15)
         q = 1e-9 * math.sqrt(i + 1) + rng.uniform(0.0, 2e-11)
-        cands.append(Candidate(q=q, c=c, decision=SinkDecision(i)))
-    cands.sort(key=lambda cand: cand.c)
+        cands.append((q, c, i))
+    cands.sort(key=lambda cand: cand[1])
     out = prune_dominated(cands)
     assert len(out) >= 0.5 * length
     return out

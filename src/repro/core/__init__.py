@@ -16,7 +16,6 @@ All three run the same bottom-up dynamic program
 (:mod:`repro.core.buffer_ops`), exactly as in the paper.
 """
 
-from repro.core.candidate import Candidate, SinkDecision, BufferDecision, MergeDecision
 from repro.core.pruning import prune_dominated, convex_prune, is_nonredundant, is_convex
 from repro.core.solution import BufferingResult, DPStats
 from repro.core.registry import (
@@ -42,10 +41,6 @@ from repro.core.polarity import insert_buffers_with_inverters, verify_polarities
 from repro.core.batch import SolverPool, solve_many
 
 __all__ = [
-    "Candidate",
-    "SinkDecision",
-    "BufferDecision",
-    "MergeDecision",
     "prune_dominated",
     "convex_prune",
     "is_nonredundant",

@@ -64,7 +64,7 @@ def insert_buffers(
     All algorithms return the same optimal slack; they differ in running
     time only (that difference being the paper's entire point).
     ``backend`` selects how candidate lists are stored and operated on:
-    ``"object"`` (Candidate objects), ``"soa"`` (structure-of-arrays
+    ``"object"`` (lists of candidate tuples), ``"soa"`` (structure-of-arrays
     over NumPy), or ``"auto"`` (the default), which hands the choice to
     the execution router: under the default ``policy="static"``, the
     object store, which is the faster one for a single net at every

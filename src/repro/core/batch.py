@@ -484,16 +484,19 @@ class SolverPool:
             # locally compiled schedules carry.  A tripped "parallel"
             # breaker masks the capability so routing skips the
             # strategy (half-open grants one probe).
+            # The probe plans are counted only for the units that run
+            # them: a partitioned net here, a solo net in _route_units.
             parallel_ok = self.breakers.allow("parallel")
             for index, net in enumerate(compiled):
                 if not net.final_of_node:
                     continue
-                plan = self.router.route(
+                plan = self.router.plan(
                     features_of(net, self.library), backend=self.backend,
                     supports_parallel=parallel_ok,
                 )
                 plans[index] = plan
                 if plan.parallel:
+                    self.router.record(plan)
                     routed.append(index)
             if parallel_ok and not routed:
                 # The half-open probe (if any) was never exercised.
@@ -627,6 +630,8 @@ class SolverPool:
                     features_of(compiled[index], self.library),
                     backend=self.backend,
                 )
+            else:
+                self.router.record(plan)
             exec_groups.append([index])
             unit_plans.append(plan)
         if batch_ok and not any(len(ix) > 1 for ix in exec_groups):

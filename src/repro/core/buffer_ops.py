@@ -19,18 +19,16 @@ Reaching a buffer position ``v`` with nonredundant candidate list
 
 Both return the new candidates sorted by non-decreasing ``c`` and free of
 internal dominance, ready for the ``O(k + b)`` sorted-merge insertion of
-Theorem 2 (:func:`insert_candidates`).
+Theorem 2 (:func:`insert_candidates`).  A new candidate is a
+``(q, c, (node_id, buffer_type, below))`` tuple, ``below`` being the
+decision of the candidate the buffer drives.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.candidate import (
-    BufferDecision,
-    Candidate,
-    CandidateList,
-)
+from repro.core.candidate import Candidate, CandidateList
 from repro.core.pruning import convex_prune, prune_dominated
 from repro.library.buffer_type import BufferType
 
@@ -48,6 +46,10 @@ class BufferPlan:
             ``by_resistance_desc[i] for i in cap_order`` yields
             non-decreasing input capacitance (paper: "establish the
             order from buffer index i to the order in C_b" once).
+        drive: ``(R, intrinsic delay, max_load)`` per type of
+            ``by_resistance_desc``, read by the hull walk.
+        by_cap: ``(index, C_in, type)`` per type in ``cap_order``,
+            read by the beta prune.
 
     Array backends additionally attach a *plan kernel* — the ``R`` /
     ``C_in`` / intrinsic-delay / load-limit columns of
@@ -58,8 +60,8 @@ class BufferPlan:
     itself never imports NumPy.
     """
 
-    __slots__ = ("node_id", "by_resistance_desc", "cap_order",
-                 "_kernel", "_shared_from")
+    __slots__ = ("node_id", "by_resistance_desc", "cap_order", "drive",
+                 "by_cap", "_kernel", "_shared_from")
 
     def __init__(self, node_id: int, buffers: Sequence[BufferType]) -> None:
         self.node_id = node_id
@@ -71,6 +73,15 @@ class BufferPlan:
                 range(len(self.by_resistance_desc)),
                 key=lambda i: self.by_resistance_desc[i].input_capacitance,
             )
+        )
+        self.drive = tuple(
+            (b.driving_resistance, b.intrinsic_delay, b.max_load)
+            for b in self.by_resistance_desc
+        )
+        self.by_cap = tuple(
+            (i, self.by_resistance_desc[i].input_capacitance,
+             self.by_resistance_desc[i])
+            for i in self.cap_order
         )
         self._kernel = None
         self._shared_from: Optional["BufferPlan"] = None
@@ -90,6 +101,8 @@ class BufferPlan:
         plan.node_id = node_id
         plan.by_resistance_desc = full_plan.by_resistance_desc
         plan.cap_order = full_plan.cap_order
+        plan.drive = full_plan.drive
+        plan.by_cap = full_plan.by_cap
         plan._kernel = None
         plan._shared_from = full_plan
         return plan
@@ -109,9 +122,10 @@ def _scan_best(
     best = None
     best_value = float("-inf")
     for candidate in candidates:
-        if candidate.c > max_load:
+        q, c, _ = candidate
+        if c > max_load:
             break
-        value = candidate.q - resistance * candidate.c
+        value = q - resistance * c
         if value > best_value:
             best_value = value
             best = candidate
@@ -135,10 +149,10 @@ def generate_lillis(candidates: CandidateList, plan: BufferPlan) -> CandidateLis
         best, best_value = _scan_best(candidates, buffer.driving_resistance, limit)
         if best is None:
             continue
-        betas[index] = Candidate(
-            q=best_value - buffer.intrinsic_delay,
-            c=buffer.input_capacitance,
-            decision=BufferDecision(plan.node_id, buffer, best.decision),
+        betas[index] = (
+            best_value - buffer.intrinsic_delay,
+            buffer.input_capacitance,
+            (plan.node_id, buffer, best[2]),
         )
     ordered = [betas[i] for i in plan.cap_order if betas[i] is not None]
     return prune_dominated(ordered)
@@ -169,73 +183,62 @@ def generate_fast(
     DATE-2005 setting — keep the O(k + b) walk.
 
     Each type's beta is first computed as a float (its ``q``) plus the
-    candidate it buffers; the betas are then dominance-pruned in
-    ``cap_order`` on those floats, and only the survivors become
-    :class:`Candidate` and :class:`BufferDecision` objects.
+    decision of the candidate it buffers; the betas are then
+    dominance-pruned in ``cap_order`` on those floats, and a beta
+    becomes a candidate tuple only when it beats the last one kept.
     """
     if not candidates:
         return []
     if hull is None:
         hull = convex_prune(candidates)
-    buffers = plan.by_resistance_desc
-    beta_q = [0.0] * len(buffers)
-    below: List[Optional[Candidate]] = [None] * len(buffers)
+    size = len(plan.drive)
+    beta_q = [0.0] * size
+    below: List[object] = [None] * size
     pointer = 0
     last = len(hull) - 1
-    current = hull[0]
-    current_q = current.q
-    current_c = current.c
-    for index, buffer in enumerate(buffers):
-        resistance = buffer.driving_resistance
-        if buffer.max_load is not None:
-            best, value = _scan_best(candidates, resistance, buffer.max_load)
+    current_q, current_c, current_d = hull[0]
+    for index, (resistance, delay, max_load) in enumerate(plan.drive):
+        if max_load is not None:
+            best, value = _scan_best(candidates, resistance, max_load)
             if best is None:
                 continue
+            below[index] = best[2]
         else:
             value = current_q - resistance * current_c
             while pointer < last:
-                following = hull[pointer + 1]
-                following_q = following.q
-                following_c = following.c
+                following_q, following_c, following_d = hull[pointer + 1]
                 next_value = following_q - resistance * following_c
                 if next_value <= value:
                     break
                 pointer += 1
-                current = following
                 current_q = following_q
                 current_c = following_c
+                current_d = following_d
                 value = next_value
-            best = current
-        beta_q[index] = value - buffer.intrinsic_delay
-        below[index] = best
+            below[index] = current_d
+        beta_q[index] = value - delay
     # prune_dominated over the cap-ordered betas, on their floats.
-    kept: List[int] = []
+    node_id = plan.node_id
+    betas: CandidateList = []
+    append = betas.append
     last_q = last_c = 0.0
-    for index in plan.cap_order:
-        if below[index] is None:
+    for index, c, buffer in plan.by_cap:
+        decision = below[index]
+        if decision is None:
             continue
         q = beta_q[index]
-        c = buffers[index].input_capacitance
-        if not kept:
-            kept.append(index)
+        if not betas:
+            append((q, c, (node_id, buffer, decision)))
         elif q > last_q:
             if c == last_c:
-                kept[-1] = index
+                betas[-1] = (q, c, (node_id, buffer, decision))
             else:
-                kept.append(index)
+                append((q, c, (node_id, buffer, decision)))
         else:
             continue
         last_q = q
         last_c = c
-    node_id = plan.node_id
-    return [
-        Candidate(
-            beta_q[index],
-            buffers[index].input_capacitance,
-            BufferDecision(node_id, buffers[index], below[index].decision),
-        )
-        for index in kept
-    ]
+    return betas
 
 
 def insert_candidates(
@@ -261,11 +264,11 @@ def insert_candidates(
         return candidates
     size = len(candidates)
     # First existing candidate with c >= the first new candidate's c.
-    first_c = new_candidates[0].c
+    first_c = new_candidates[0][1]
     low, high = 0, size
     while low < high:
         middle = (low + high) // 2
-        if candidates[middle].c < first_c:
+        if candidates[middle][1] < first_c:
             low = middle + 1
         else:
             high = middle
@@ -273,22 +276,19 @@ def insert_candidates(
     append = merged.append
     i = low
     if merged:
-        kept = merged[-1]
-        last_q = kept.q
-        last_c = kept.c
+        last_q, last_c, _ = merged[-1]
     else:
         last_q = last_c = 0.0
     # The overlap: a sorted merge (existing first on equal c) with the
     # dominance prune inline, until the new candidates are used up.
     for new in new_candidates:
-        new_c = new.c
+        new_q, new_c, _ = new
         while i < size:
             candidate = candidates[i]
-            c = candidate.c
+            q, c, _ = candidate
             if c > new_c:
                 break
             i += 1
-            q = candidate.q
             if not merged:
                 append(candidate)
             elif q > last_q:
@@ -300,24 +300,23 @@ def insert_candidates(
                 continue
             last_q = q
             last_c = c
-        q = new.q
         if not merged:
             append(new)
-        elif q > last_q:
+        elif new_q > last_q:
             if new_c == last_c:
                 merged[-1] = new
             else:
                 append(new)
         else:
             continue
-        last_q = q
+        last_q = new_q
         last_c = new_c
     # Every remaining candidate has c above the last one kept; the
     # first whose q beats it starts the surviving tail.
     low, high = i, size
     while low < high:
         middle = (low + high) // 2
-        if candidates[middle].q > last_q:
+        if candidates[middle][0] > last_q:
             high = middle
         else:
             low = middle + 1

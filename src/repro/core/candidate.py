@@ -12,61 +12,38 @@ nonredundant candidates sorted by strictly increasing ``c`` *and*
 strictly increasing ``q`` — the representation all operations in
 :mod:`repro.core` assume and preserve.
 
-Each candidate also carries a *decision*, a node in a persistent DAG
-recording how it was formed, so the winning candidate at the root can be
-expanded into an explicit buffer assignment
-(:func:`reconstruct_assignment`).  Wires do not create decisions (they
-place no buffers); sinks, buffer insertions and branch merges do.
+The object store keeps a candidate as a plain ``(q, c, decision)``
+tuple: one allocation per candidate, read by unpacking or by index,
+never mutated.  The *decision* is a node in a persistent DAG recording
+how the candidate was formed, so the winning candidate at the root can
+be expanded into an explicit buffer assignment
+(:func:`reconstruct_assignment`).  Decisions are nested tuples too:
+
+* a sink is its node id (an ``int``);
+* a buffer is ``(node_id, buffer_type, below)``, where ``below`` is the
+  decision of the candidate the buffer drives;
+* a merge of two sibling branches is ``(left, right)``.
+
+Wires do not create decisions (they place no buffers).  Any other
+object with an ``expand(assignment, stack)`` method is a deferred
+decision (see :func:`reconstruct_assignment`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.library.buffer_type import BufferType
 
+#: A decision DAG node: an ``int`` sink, a ``(node_id, buffer_type,
+#: below)`` buffer, a ``(left, right)`` merge, or a deferred decision
+#: object with an ``expand`` method.
+Decision = object
 
-class SinkDecision:
-    """Terminal decision: the base candidate of a sink."""
+#: A candidate of the object store: ``(q, c, decision)``.
+Candidate = Tuple[float, float, Decision]
 
-    __slots__ = ("node_id",)
-
-    def __init__(self, node_id: int) -> None:
-        self.node_id = node_id
-
-    def __repr__(self) -> str:
-        return f"SinkDecision({self.node_id})"
-
-
-class BufferDecision:
-    """A buffer of type ``buffer`` inserted at ``node_id``.
-
-    ``below`` is the decision of the candidate the buffer was applied to
-    (the best candidate of the subtree hanging under the buffer).
-    """
-
-    __slots__ = ("node_id", "buffer", "below")
-
-    def __init__(self, node_id: int, buffer: BufferType, below: "Decision") -> None:
-        self.node_id = node_id
-        self.buffer = buffer
-        self.below = below
-
-    def __repr__(self) -> str:
-        return f"BufferDecision({self.node_id}, {self.buffer.name})"
-
-
-class MergeDecision:
-    """Two sibling branch candidates joined at a branching vertex."""
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: "Decision", right: "Decision") -> None:
-        self.left = left
-        self.right = right
-
-    def __repr__(self) -> str:
-        return "MergeDecision(...)"
+CandidateList = List[Candidate]
 
 
 class ExpandedDecision:
@@ -93,69 +70,40 @@ class ExpandedDecision:
         return f"ExpandedDecision({len(self.assignment)} buffers)"
 
 
-Decision = Union[SinkDecision, BufferDecision, MergeDecision]
-
-
-class Candidate:
-    """A (Q, C) candidate with provenance.
-
-    Attributes:
-        q: Slack at the subtree root under this candidate, seconds.
-        c: Downstream capacitance at the subtree root, farads.
-        decision: Provenance DAG node for assignment reconstruction.
-
-    ``q`` and ``c`` are mutated in place by the add-wire operation (the
-    owning list is private to the dynamic program); every other operation
-    builds fresh candidates.
-    """
-
-    __slots__ = ("q", "c", "decision")
-
-    def __init__(self, q: float, c: float, decision: Decision) -> None:
-        self.q = q
-        self.c = c
-        self.decision = decision
-
-    def dominates(self, other: "Candidate") -> bool:
-        """Paper Section 2: at least as much slack for no more load."""
-        return self.q >= other.q and self.c <= other.c
-
-    def __repr__(self) -> str:
-        return f"Candidate(q={self.q:.4e}, c={self.c:.4e})"
-
-
-CandidateList = List[Candidate]
-
-
 def reconstruct_assignment(decision: Decision) -> Dict[int, BufferType]:
     """Expand a decision DAG into ``{node_id: buffer_type}``.
 
     Iterative (decision chains are as deep as the tree) and linear in the
-    number of buffers plus merges.
+    number of buffers plus merges.  Dispatches on ``type(node)``: an
+    ``int`` is a sink, a 3-tuple a buffer, a 2-tuple a merge.
 
-    Besides the three decision classes above, any object with an
-    ``expand(assignment, stack)`` method is accepted: it must write its
-    buffers into ``assignment`` directly (and may push further
-    :class:`Decision` nodes onto ``stack``).  This is the *deferred
+    Any other node must have an ``expand(assignment, stack)`` method: it
+    writes its buffers into ``assignment`` directly (and may push
+    further decisions onto ``stack``).  This is the *deferred
     provenance* hook — backends that record predecessor indices in a
-    compact tape instead of building decision objects per candidate
+    compact tape instead of building decisions per candidate
     (:class:`repro.core.stores.soa.TapeRef`) expand only the winning
     root candidate here, once per solve.
     """
     assignment: Dict[int, BufferType] = {}
     stack: List[Decision] = [decision]
+    pop = stack.pop
+    push = stack.append
     while stack:
-        node = stack.pop()
-        if isinstance(node, BufferDecision):
-            assignment[node.node_id] = node.buffer
-            stack.append(node.below)
-        elif isinstance(node, MergeDecision):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif not isinstance(node, SinkDecision):
+        node = pop()
+        kind = type(node)
+        if kind is tuple:
+            if len(node) == 3:
+                node_id, buffer, below = node
+                assignment[node_id] = buffer
+                push(below)
+            else:
+                push(node[0])
+                push(node[1])
+        elif kind is not int:
             # Deferred-provenance reference (e.g. a SoA tape index).
             node.expand(assignment, stack)
-        # SinkDecision carries no buffers.
+        # A sink carries no buffers.
     return assignment
 
 
@@ -176,7 +124,7 @@ def best_candidate_for_driver(
     best: Optional[Candidate] = None
     best_value = float("-inf")
     for candidate in candidates:
-        value = candidate.q - resistance * candidate.c
+        value = candidate[0] - resistance * candidate[1]
         # Strict improvement keeps the earliest (minimum-c) maximizer.
         if value > best_value:
             best_value = value

@@ -35,8 +35,8 @@ The *representation* of the candidate lists is pluggable
 (:mod:`repro.core.stores`): with ``backend="object"`` (this engine-level
 function's default — the public :func:`~repro.core.api.insert_buffers`
 defaults to ``"auto"``, which defers the choice to the execution router
-(:mod:`repro.routing`)) the engine operates on bare ``CandidateList``
-objects, while any other backend runs through the
+(:mod:`repro.routing`)) the engine operates on bare lists of
+``(q, c, decision)`` tuples, while any other backend runs through the
 :class:`CandidateStore` protocol, with ``add_buffer`` receiving the
 store (the built-in algorithms route it to the store's fused
 :meth:`~repro.core.stores.base.CandidateStore.apply_buffer`).  Store
@@ -66,9 +66,7 @@ from typing import (
 
 from repro.core.buffer_ops import BufferPlan
 from repro.core.candidate import (
-    Candidate,
     CandidateList,
-    SinkDecision,
     best_candidate_for_driver,
     reconstruct_assignment,
 )
@@ -164,7 +162,7 @@ def _resolve_ops(
         from repro.core.wire_ops import add_wire
 
         def sink_op(node_id: int, q: float, c: float) -> CandidateList:
-            return [Candidate(q=q, c=c, decision=SinkDecision(node_id))]
+            return [(q, c, node_id)]
 
         return (
             sink_op,
@@ -318,13 +316,14 @@ def _finish(
     resistance = driver.resistance if driver is not None else 0.0
     best = best_op(root_list, resistance)
     assert best is not None  # a validated tree always yields candidates
-    slack = best.q - (driver.delay(best.c) if driver is not None else 0.0)
+    q, c, decision = best
+    slack = q - (driver.delay(c) if driver is not None else 0.0)
     root_candidates = len(root_list)
     release(root_list)
 
     tracer = active_tracer()
     with tracer.span("backtrace") if tracer is not None else nullcontext():
-        assignment = reconstruct_assignment(best.decision)
+        assignment = reconstruct_assignment(decision)
 
     elapsed = time.perf_counter() - started
     stats = DPStats(
@@ -341,7 +340,7 @@ def _finish(
     return BufferingResult(
         slack=slack,
         assignment=assignment,
-        driver_load=best.c,
+        driver_load=c,
         stats=stats,
     )
 

@@ -4,9 +4,10 @@ Two prunes appear in the algorithms:
 
 * **Dominance pruning** keeps the nonredundant set: candidates sorted by
   strictly increasing ``c`` and strictly increasing ``q``.  It restores
-  the invariant after operations that may break the ``q`` ordering
-  (add-wire) or introduce dominated points (inserting new buffered
-  candidates).
+  the invariant after operations that may break the ``q`` ordering or
+  introduce dominated points.  The object store's add-wire, merge and
+  insertion kernels run it inline on their own floats; the buffered
+  candidates of the exhaustive scan go through :func:`prune_dominated`.
 
 * **Convex pruning** (paper Fig. 2, function ``Convexpruning``) further
   removes candidates strictly inside the upper-left convex hull of the
@@ -14,6 +15,11 @@ Two prunes appear in the algorithms:
   type survives, so buffered candidates may be generated from the hull
   alone.  The scan is Graham's scan specialized to pre-sorted points,
   hence linear time (Lemma 2).
+
+The candidate forms take the object store's ``(q, c, decision)`` tuples
+and return survivors as the same tuple objects; the index forms
+(:func:`prune_dominated_indices`, :func:`hull_indices`) serve the array
+stores.
 """
 
 from __future__ import annotations
@@ -41,11 +47,9 @@ def prune_dominated(candidates: CandidateList) -> CandidateList:
     # The last kept candidate's coordinates stay in locals: a candidate
     # survives exactly when its q beats the last kept q; an equal-c
     # survivor replaces the kept one, any other is appended.
-    last_q = first.q
-    last_c = first.c
+    last_q, last_c, _ = first
     for candidate in iterator:
-        q = candidate.q
-        c = candidate.c
+        q, c, _ = candidate
         if c < last_c:
             raise ValueError("prune_dominated requires c-sorted input")
         if q > last_q:
@@ -66,7 +70,10 @@ def _left_turn_or_straight(a1: Candidate, a2: Candidate, a3: Candidate) -> bool:
     ``(q2 - q1) / (c2 - c1) <= (q3 - q2) / (c3 - c2)``; cross-multiplying
     by the positive denominators avoids the division.
     """
-    return (a2.q - a1.q) * (a3.c - a2.c) <= (a3.q - a2.q) * (a2.c - a1.c)
+    q1, c1, _ = a1
+    q2, c2, _ = a2
+    q3, c3, _ = a3
+    return (q2 - q1) * (c3 - c2) <= (q3 - q2) * (c2 - c1)
 
 
 def convex_prune(candidates: Sequence[Candidate]) -> CandidateList:
@@ -91,16 +98,13 @@ def convex_prune(candidates: Sequence[Candidate]) -> CandidateList:
     q1 = c1 = q2 = c2 = 0.0
     depth = 0
     for candidate in candidates:
-        q = candidate.q
-        c = candidate.c
+        q, c, _ = candidate
         while depth >= 2 and (q1 - q2) * (c - c1) <= (q - q1) * (c1 - c2):
             depth -= 1
             q1 = q2
             c1 = c2
             if depth >= 2:
-                below = hull[depth - 2]
-                q2 = below.q
-                c2 = below.c
+                q2, c2, _ = hull[depth - 2]
         hull[depth] = candidate
         depth += 1
         q2 = q1
@@ -194,7 +198,7 @@ def is_nonredundant(candidates: Sequence[Candidate]) -> bool:
     True when ``c`` and ``q`` are both strictly increasing.
     """
     for prev, curr in zip(candidates, candidates[1:]):
-        if not (curr.c > prev.c and curr.q > prev.q):
+        if not (curr[1] > prev[1] and curr[0] > prev[0]):
             return False
     return True
 

@@ -4,7 +4,7 @@ A *backend* decides how the DP's per-subtree candidate lists are stored
 and how the paper's operations execute over them:
 
 * ``"object"`` — the seed representation: a Python list of
-  :class:`~repro.core.candidate.Candidate` objects (reference
+  ``(q, c, decision)`` tuples (:mod:`repro.core.candidate`; reference
   implementation; default).
 * ``"soa"`` — structure of arrays: parallel NumPy ``q``/``c`` float
   arrays plus a decision index array; hot loops are whole-array

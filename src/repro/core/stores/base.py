@@ -3,10 +3,10 @@
 Every insertion algorithm in :mod:`repro.core` manipulates, per subtree,
 the sorted nonredundant (Q, C) candidate list of paper Section 2.  The
 *representation* of that list is an implementation choice orthogonal to
-the algorithm: the seed code keeps a Python list of
-:class:`~repro.core.candidate.Candidate` objects; the structure-of-arrays
-backend (:mod:`repro.core.stores.soa`) keeps parallel ``q``/``c`` float
-arrays plus a decision index array.
+the algorithm: the object backend keeps a Python list of
+``(q, c, decision)`` tuples (:mod:`repro.core.candidate`); the
+structure-of-arrays backend (:mod:`repro.core.stores.soa`) keeps
+parallel ``q``/``c`` float arrays plus a decision index array.
 
 This module defines the two abstractions a backend must provide:
 

@@ -1,9 +1,10 @@
 """The object-list backend: the seed representation behind the protocol.
 
-A thin wrapper around the original ``List[Candidate]`` representation,
-delegating every operation to the proven list functions in
-:mod:`repro.core.wire_ops`, :mod:`repro.core.merge`,
-:mod:`repro.core.buffer_ops` and :mod:`repro.core.pruning`.  This is the
+A thin wrapper around a plain list of ``(q, c, decision)`` tuples (see
+:mod:`repro.core.candidate`), delegating every operation to the proven
+list functions in :mod:`repro.core.wire_ops`, :mod:`repro.core.merge`,
+:mod:`repro.core.buffer_ops` and :mod:`repro.core.pruning`.  No
+operation mutates a candidate or its input list.  This is the
 reference implementation other backends are tested against, and the
 default backend of :func:`repro.core.api.insert_buffers`.
 
@@ -22,12 +23,7 @@ from repro.core.buffer_ops import (
     generate_lillis,
     insert_candidates,
 )
-from repro.core.candidate import (
-    Candidate,
-    CandidateList,
-    SinkDecision,
-    best_candidate_for_driver,
-)
+from repro.core.candidate import CandidateList, best_candidate_for_driver
 from repro.core.merge import merge_branches
 from repro.core.pruning import convex_prune
 from repro.core.stores.base import BestCandidate, CandidateStore, StoreFactory
@@ -35,7 +31,7 @@ from repro.core.wire_ops import add_wire
 
 
 class ObjectStore(CandidateStore):
-    """A candidate list stored as Python :class:`Candidate` objects."""
+    """A candidate list stored as ``(q, c, decision)`` tuples."""
 
     __slots__ = ("candidates",)
 
@@ -72,32 +68,32 @@ class ObjectStore(CandidateStore):
         best = best_candidate_for_driver(self.candidates, resistance)
         if best is None:
             return None
-        return BestCandidate(q=best.q, c=best.c, decision=best.decision)
+        return BestCandidate._make(best)
 
 
 class ObjectStoreFactory(StoreFactory):
     """Stateless factory for the object-list backend."""
 
     def sink(self, node_id: int, q: float, c: float) -> ObjectStore:
-        return ObjectStore([Candidate(q=q, c=c, decision=SinkDecision(node_id))])
+        return ObjectStore([(q, c, node_id)])
 
     def empty(self) -> ObjectStore:
         return ObjectStore([])
 
     def snapshot(self, store: CandidateStore):
-        """Freeze a frontier: values are copied (add-wire mutates
-        candidates in place downstream), decisions are shared (the
-        decision DAG is immutable and already persistent)."""
+        """Freeze a frontier as columns: a ``q`` list, a ``c`` list and
+        a tuple of decisions (shared: the decision DAG is immutable).
+
+        Columns, not the candidate tuples themselves: a snapshot that
+        kept the tuples would keep every captured candidate alive for
+        the cyclic GC to walk; a splice builds them back instead."""
         assert isinstance(store, ObjectStore)
         candidates = store.candidates
         return (
-            [candidate.q for candidate in candidates],
-            [candidate.c for candidate in candidates],
-            [candidate.decision for candidate in candidates],
+            [candidate[0] for candidate in candidates],
+            [candidate[1] for candidate in candidates],
+            tuple([candidate[2] for candidate in candidates]),
         )
 
     def from_snapshot(self, q, c, decisions) -> ObjectStore:
-        return ObjectStore([
-            Candidate(q=qi, c=ci, decision=di)
-            for qi, ci, di in zip(q, c, decisions)
-        ])
+        return ObjectStore(list(zip(q, c, decisions)))

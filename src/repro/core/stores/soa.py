@@ -75,13 +75,7 @@ except ImportError:  # pragma: no cover - exercised only on numpy-less installs
     np = None  # type: ignore[assignment]
 
 from repro.core.buffer_ops import BufferPlan
-from repro.core.candidate import (
-    BufferDecision,
-    ExpandedDecision,
-    MergeDecision,
-    SinkDecision,
-    reconstruct_assignment,
-)
+from repro.core.candidate import ExpandedDecision, reconstruct_assignment
 from repro.core.pruning import hull_indices, prune_dominated_indices
 from repro.core.stores.base import BestCandidate, CandidateStore, StoreFactory
 from repro.errors import AlgorithmError
@@ -426,14 +420,14 @@ class ProvenanceTape:
         """Expand the record at ``index`` into a persistent decision DAG.
 
         The inverse of deferred provenance: turns tape records back into
-        :class:`~repro.core.candidate.SinkDecision` /
-        :class:`MergeDecision` / :class:`BufferDecision` objects that
-        outlive the tape (frontier snapshots must survive
-        ``begin_solve``'s rewind).  ``memo`` (tape index → decision)
-        makes repeated expansion linear in the *distinct* records
-        reachable from all of a solve's snapshots; callers must drop it
-        when the tape resets.  Iterative — chains are as deep as the
-        tree.
+        the object store's decisions (:mod:`repro.core.candidate`: an
+        ``int`` sink, a ``(left, right)`` merge, a ``(node_id,
+        buffer_type, below)`` buffer) that outlive the tape (frontier
+        snapshots must survive ``begin_solve``'s rewind).  ``memo``
+        (tape index → decision) makes repeated expansion linear in the
+        *distinct* records reachable from all of a solve's snapshots;
+        callers must drop it when the tape resets.  Iterative — chains
+        are as deep as the tree.
         """
         op = self.op
         a = self.a
@@ -449,7 +443,7 @@ class ProvenanceTape:
                 continue
             kind = op[i]
             if kind == _TAPE_SINK:
-                memo[i] = SinkDecision(int(a[i]))
+                memo[i] = int(a[i])
                 stack.pop()
             elif kind == _TAPE_SPLICE:
                 memo[i] = splices[int(a[i])]
@@ -458,7 +452,7 @@ class ProvenanceTape:
                 left, right = int(a[i]), int(b[i])
                 left_done = left in memo
                 if left_done and right in memo:
-                    memo[i] = MergeDecision(memo[left], memo[right])
+                    memo[i] = (memo[left], memo[right])
                     stack.pop()
                 else:
                     if not left_done:
@@ -469,7 +463,7 @@ class ProvenanceTape:
                 below = int(a[i])
                 if below in memo:
                     plan = plans[int(c[i])]
-                    memo[i] = BufferDecision(
+                    memo[i] = (
                         plan.node_id,
                         plan.by_resistance_desc[int(b[i])],
                         memo[below],

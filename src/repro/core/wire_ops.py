@@ -11,12 +11,14 @@ preserved, but the ``-R_e * c`` term shrinks high-``c`` candidates' slack
 faster, so the ``q`` ordering can break and dominated candidates appear —
 hence the linear re-prune.  This matches the O(k) per-wire cost in both
 Lillis et al. and the paper.
+
+Candidates are immutable ``(q, c, decision)`` tuples, so the shift and
+the re-prune are one pass that builds only the survivors.
 """
 
 from __future__ import annotations
 
 from repro.core.candidate import CandidateList
-from repro.core.pruning import prune_dominated
 
 
 def add_wire(
@@ -24,18 +26,34 @@ def add_wire(
 ) -> CandidateList:
     """Propagate ``candidates`` through a wire; returns the pruned list.
 
-    Candidates are mutated in place (the dynamic program owns its lists);
-    the returned list is the nonredundant subset, still sorted by
-    strictly increasing ``c`` and ``q``.
+    The input list is left as it is.  The result is the nonredundant
+    subset of the wired candidates, sorted by strictly increasing ``c``
+    and ``q``: a wired candidate survives when its ``q`` beats the last
+    survivor's, and replaces that survivor on an equal ``c``.  Adding
+    one ``C_e`` keeps the ``c`` order (rounding is monotone), but it
+    can round two neighbouring ``c`` values into a tie, so the prune
+    runs even at ``R_e == 0``.
     """
     if resistance == 0.0 and capacitance == 0.0:
         return candidates
     half_wire = capacitance / 2.0
-    for candidate in candidates:
-        c = candidate.c
-        candidate.q -= resistance * (half_wire + c)
-        candidate.c = c + capacitance
-    # Even at resistance == 0 (where every q survives unchanged) the
-    # uniform c shift can round two neighbouring c values into a tie,
-    # so the re-prune is unconditional to restore strictness.
-    return prune_dominated(candidates)
+    iterator = iter(candidates)
+    for q, c, decision in iterator:
+        break
+    else:
+        return []
+    last_q = q - resistance * (half_wire + c)
+    last_c = c + capacitance
+    survivors: CandidateList = [(last_q, last_c, decision)]
+    append = survivors.append
+    for q, c, decision in iterator:
+        q -= resistance * (half_wire + c)
+        if q > last_q:
+            c += capacitance
+            if c == last_c:
+                survivors[-1] = (q, c, decision)
+            else:
+                append((q, c, decision))
+            last_q = q
+            last_c = c
+    return survivors

@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.buffer_ops import BufferPlan, generate_fast, insert_candidates
 from repro.core.candidate import (
-    Candidate,
     CandidateList,
-    SinkDecision,
     best_candidate_for_driver,
     reconstruct_assignment,
 )
@@ -116,17 +115,18 @@ def _prune_across_levels(levels: CostLevels) -> CostLevels:
     for cost in sorted(levels):
         survivors: CandidateList = []
         for candidate in levels[cost]:
-            # Best q among cheaper candidates with c <= candidate.c: the
-            # union is sorted with q increasing in c, so it is the last
-            # entry at or before candidate.c.
-            index = bisect.bisect_right(cheaper_cs, candidate.c) - 1
-            if index >= 0 and cheaper[index].q >= candidate.q:
+            q, c, _ = candidate
+            # Best q among cheaper candidates with c' <= c: the union is
+            # sorted with q increasing in c, so it is the last entry at
+            # or before c.
+            index = bisect.bisect_right(cheaper_cs, c) - 1
+            if index >= 0 and cheaper[index][0] >= q:
                 continue
             survivors.append(candidate)
         if survivors:
             pruned[cost] = survivors
             cheaper = insert_candidates(cheaper, survivors)
-            cheaper_cs = [c.c for c in cheaper]
+            cheaper_cs = [entry[1] for entry in cheaper]
     return pruned
 
 
@@ -134,7 +134,7 @@ def _level_ops(buffer_costs: Dict[str, int], max_cost: Optional[int]):
     """The cost-level op set: ``(sink, wire, merge, add_buffer)``."""
 
     def sink_op(node_id: int, q: float, c: float) -> CostLevels:
-        return {0: [Candidate(q=q, c=c, decision=SinkDecision(node_id))]}
+        return {0: [(q, c, node_id)]}
 
     def wire_op(levels: CostLevels, resistance: float, capacitance: float):
         return {
@@ -160,14 +160,15 @@ def _level_ops(buffer_costs: Dict[str, int], max_cost: Optional[int]):
         additions: CostLevels = {}
         for w, lst in levels.items():
             for candidate in generate_fast(lst, plan):
-                w_new = w + buffer_costs[candidate.decision.buffer.name]
+                # A beta's decision is (node_id, buffer_type, below).
+                w_new = w + buffer_costs[candidate[2][1].name]
                 if max_cost is not None and w_new > max_cost:
                     continue
                 additions.setdefault(w_new, []).append(candidate)
         for w_new, extra in additions.items():
             # Betas from several source levels: c-sorted, but only
             # their nonredundant subset may be inserted.
-            extra.sort(key=lambda cand: cand.c)
+            extra.sort(key=itemgetter(1))
             extra = prune_dominated(extra)
             if w_new in levels:
                 levels[w_new] = insert_candidates(levels[w_new], extra)
@@ -238,15 +239,17 @@ def slack_cost_frontier(
     frontier: List[FrontierPoint] = []
     best_slack = float("-inf")
     for cost in sorted(root_levels):
-        candidate = best_candidate_for_driver(root_levels[cost], resistance)
-        slack = candidate.q - (driver.delay(candidate.c) if driver else 0.0)
+        q, c, decision = best_candidate_for_driver(
+            root_levels[cost], resistance
+        )
+        slack = q - (driver.delay(c) if driver else 0.0)
         if slack > best_slack:
             best_slack = slack
             frontier.append(
                 FrontierPoint(
                     cost=cost,
                     slack=slack,
-                    assignment=reconstruct_assignment(candidate.decision),
+                    assignment=reconstruct_assignment(decision),
                 )
             )
     return frontier

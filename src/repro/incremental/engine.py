@@ -59,11 +59,7 @@ import weakref
 from contextlib import nullcontext
 from typing import Dict, Hashable, List, Optional, Set, Tuple, Union
 
-from repro.core.candidate import (
-    Candidate,
-    ExpandedDecision,
-    reconstruct_assignment,
-)
+from repro.core.candidate import ExpandedDecision, reconstruct_assignment
 from repro.core.dp import _execute_schedule, _finish, _resolve_ops
 from repro.core.registry import get_algorithm
 from repro.core.schedule import CompiledNet, compile_net
@@ -179,11 +175,11 @@ def splice_snapshot(
     parallel partitioned solver: turns a
     :class:`~repro.incremental.subtree_cache.FrontierSnapshot` back
     into whatever the executing backend pushes on its interpreter
-    stack — a plain :class:`~repro.core.candidate.Candidate` list for
-    the object backend (``factory=None``) or a store built by
-    ``factory.from_snapshot`` (value columns copied, provenance
-    deferred).  The copied floats are the captured floats, so every
-    downstream operation sees bit-identical inputs.
+    stack — a plain list of ``(q, c, decision)`` tuples for the object
+    backend (``factory=None``), built back from the snapshot's columns,
+    or a store built by ``factory.from_snapshot`` (value columns
+    copied, provenance deferred).  The floats are the captured floats,
+    so every downstream operation sees bit-identical inputs.
 
     ``decisions`` overrides the snapshot's own provenance — the
     incremental engine passes id-translated wrappers here; callers
@@ -193,10 +189,7 @@ def splice_snapshot(
     if decisions is None:
         decisions = snapshot.decision_list()
     if factory is None:
-        return [
-            Candidate(q=q, c=c, decision=decision)
-            for q, c, decision in zip(snapshot.q, snapshot.c, decisions)
-        ]
+        return list(zip(snapshot.q, snapshot.c, decisions))
     return factory.from_snapshot(snapshot.q, snapshot.c, decisions)
 
 
@@ -555,10 +548,13 @@ class IncrementalSolver:
             return hook
 
         # Captures collect here and become cache entries only after the
-        # run: values are copied at the capture point (the object
-        # backend's wire op mutates candidates in place downstream) but
-        # SoA provenance stays as raw tape indices until the tape is
-        # archived once, at the end — capture cost therefore scales
+        # run.  An object capture copies columns — a q list, a c list
+        # and a tuple of decisions — not the candidate tuples, which
+        # would stay alive in the cache for the cyclic GC to walk; a
+        # splice builds them back.  SoA values are copied at the
+        # capture point (its wire kernel mutates in place downstream)
+        # but its provenance stays as raw tape indices until the tape
+        # is archived once, at the end — capture cost therefore scales
         # with candidate values, not provenance graphs.
         pending: List[tuple] = []
         pending_keys = set()
@@ -573,9 +569,9 @@ class IncrementalSolver:
                 q, c, d = snapshot_values(store)
                 decisions = None
             else:
-                q = [candidate.q for candidate in store]
-                c = [candidate.c for candidate in store]
-                decisions = tuple(candidate.decision for candidate in store)
+                q = [candidate[0] for candidate in store]
+                c = [candidate[1] for candidate in store]
+                decisions = tuple([candidate[2] for candidate in store])
                 d = None
             pending.append((key, node, q, c, decisions, d, peak, generated))
 

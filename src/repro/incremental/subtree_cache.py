@@ -12,20 +12,23 @@ answered from memory.
 A cached :class:`FrontierSnapshot` must outlive the solve that produced
 it, across backends with very different lifetime rules:
 
-* the object backend's candidates are mutated in place by downstream
-  add-wire steps, so the ``(q, c)`` values are copied out; the decision
-  DAG is immutable and shared as-is;
+* the object backend's ``(q, c, decision)`` tuples are immutable, but
+  keeping them would keep every captured candidate alive for the
+  cyclic GC to walk, so a capture copies columns: the ``q`` and ``c``
+  values plus a tuple of the decisions, whose DAG is shared as-is;
 * the SoA backend's provenance lives on a per-solve tape that is
-  rewound between solves, so decisions are *materialized* into
-  persistent objects at capture time
-  (:meth:`repro.core.stores.soa.SoAStoreFactory.snapshot`) — a stale
+  rewound between solves, so the engine copies the value columns and
+  the frontier's tape indices at capture time and archives the whole
+  tape once per resolve (:class:`~repro.core.stores.soa.TapeArchive`);
+  decisions are built only when a snapshot is spliced
+  (:meth:`FrontierSnapshot.decision_list`), so a stale
   :class:`~repro.core.stores.soa.TapeRef` can never reach the cache.
 
 Because decisions name the node ids of the tree they were captured
-from, each snapshot also records the capture-time
-:class:`~repro.service.canon.CanonicalNet` and subtree root: splicing
-into a *different* (but digest-identical) subtree translates ids
-through canonical indices at backtrace time (see
+from, each snapshot also records the capture-time preorder index
+(:class:`~repro.incremental.engine.TreeIndex`) and subtree root:
+splicing into a *different* (but digest-identical) subtree translates
+ids through preorder indices at backtrace time (see
 :class:`~repro.incremental.engine.SplicedFrontierDecision`), which is
 what makes sibling subtrees that share a digest safe to serve from one
 entry.
@@ -185,10 +188,9 @@ def capture_frontier(
             ExpandedDecision,
             reconstruct_assignment,
         )
-    for candidate in store:
-        q.append(candidate.q)
-        c.append(candidate.c)
-        decision = candidate.decision
+    for q_i, c_i, decision in store:
+        q.append(q_i)
+        c.append(c_i)
         if portable:
             decision = ExpandedDecision(reconstruct_assignment(decision))
         decisions.append(decision)

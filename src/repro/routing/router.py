@@ -218,8 +218,26 @@ class Router:
         supports_batch: bool = False,
         supports_parallel: bool = False,
     ) -> ExecutionPlan:
+        """:meth:`plan` one request and :meth:`record` the decision."""
+        plan = self.plan(
+            features, backend=backend, supports_batch=supports_batch,
+            supports_parallel=supports_parallel,
+        )
+        self.record(plan)
+        return plan
+
+    def plan(
+        self,
+        features: RequestFeatures,
+        *,
+        backend: str = "auto",
+        supports_batch: bool = False,
+        supports_parallel: bool = False,
+    ) -> ExecutionPlan:
         """Pick the execution plan for one request: the static rule
-        with this policy's pins applied.
+        with this policy's pins applied.  Nothing is counted: a caller
+        that probes a plan it may not execute (a pool deciding which
+        nets to partition) records the plan of each unit it runs.
 
         The store is the caller's ``backend`` (an explicit store always
         wins), else the policy's pinned store, else
@@ -269,6 +287,12 @@ class Router:
                 )
             )
             plan = ExecutionPlan(store, "compiled", parallel=parallel)
+        if route_handle is not None:
+            tracer.end(route_handle, strategy=plan.strategy)
+        return plan
+
+    def record(self, plan: ExecutionPlan) -> None:
+        """Count one executed plan in :meth:`stats` and the registry."""
         key = plan.strategy
         with self._lock:
             self._decisions[key] = self._decisions.get(key, 0) + 1
@@ -276,9 +300,6 @@ class Router:
             "repro_routing_decisions_total",
             "Execution plans chosen, by strategy label.",
         ).inc(strategy=key)
-        if route_handle is not None:
-            tracer.end(route_handle, strategy=key)
-        return plan
 
     def stats(self) -> dict:
         """The ``/stats`` ``routing`` block for one router."""

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.buffer_ops import insert_candidates
-from repro.core.candidate import (
-    BufferDecision,
-    Candidate,
-    CandidateList,
-    MergeDecision,
-)
+from repro.core.candidate import CandidateList
 from repro.core.dp import _execute_schedule, _resolve_ops
 from repro.core.fast import _add_buffer_keep_all
 from repro.core.polarity import require_polarity_free
@@ -90,21 +85,25 @@ class WireSizingResult:
 
 
 def _reconstruct(decision) -> Tuple[Dict[int, BufferType], Dict[int, WireClass]]:
+    """Expand a decision DAG of :mod:`repro.core.candidate`'s tuple
+    forms plus :class:`WireDecision` nodes into both assignments."""
     buffers: Dict[int, BufferType] = {}
     wires: Dict[int, WireClass] = {}
     stack = [decision]
     while stack:
         node = stack.pop()
-        if isinstance(node, BufferDecision):
-            buffers[node.node_id] = node.buffer
-            stack.append(node.below)
-        elif isinstance(node, MergeDecision):
-            stack.append(node.left)
-            stack.append(node.right)
+        if type(node) is tuple:
+            if len(node) == 3:
+                node_id, buffer, below = node
+                buffers[node_id] = buffer
+                stack.append(below)
+            else:
+                stack.append(node[0])
+                stack.append(node[1])
         elif isinstance(node, WireDecision):
             wires[node.child_id] = node.wire_class
             stack.append(node.below)
-        # SinkDecision terminates a chain.
+        # An int sink terminates a chain.
     return buffers, wires
 
 
@@ -117,8 +116,7 @@ def _add_sized_wire(
 ) -> CandidateList:
     """Propagate through an edge trying every wire class: O(w * k).
 
-    Unlike the plain operation this cannot mutate in place: each class
-    produces its own transformed copy, recorded via a
+    Each class produces its own transformed copy, recorded via a
     :class:`WireDecision`, and the union is dominance-pruned.
     """
     union: CandidateList = []
@@ -127,12 +125,12 @@ def _add_sized_wire(
         scaled_c = capacitance * wire_class.capacitance_scale
         half = scaled_c / 2.0
         transformed = [
-            Candidate(
-                q=cand.q - scaled_r * (half + cand.c),
-                c=cand.c + scaled_c,
-                decision=WireDecision(child_id, wire_class, cand.decision),
+            (
+                q - scaled_r * (half + c),
+                c + scaled_c,
+                WireDecision(child_id, wire_class, decision),
             )
-            for cand in candidates
+            for q, c, decision in candidates
         ]
         # Same wire-cap shift for every candidate of this class: still
         # c-sorted; prune to nonredundant before the cross-class union.
@@ -201,9 +199,9 @@ def size_wires_and_insert_buffers(
 
     driver = driver if driver is not None else compiled.driver
     resistance = driver.resistance if driver is not None else 0.0
-    best = best_op(root_list, resistance)
-    slack = best.q - (driver.delay(best.c) if driver is not None else 0.0)
-    buffers, wires = _reconstruct(best.decision)
+    q, c, decision = best_op(root_list, resistance)
+    slack = q - (driver.delay(c) if driver is not None else 0.0)
+    buffers, wires = _reconstruct(decision)
 
     stats = DPStats(
         algorithm="fast-wiresizing",
@@ -218,7 +216,7 @@ def size_wires_and_insert_buffers(
         slack=slack,
         buffer_assignment=buffers,
         wire_assignment=wires,
-        driver_load=best.c,
+        driver_load=c,
         stats=stats,
     )
 

@@ -11,30 +11,31 @@ collection order.  ``helpers`` exists only here.
 from __future__ import annotations
 
 import copy
+import itertools
 import random
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro import Driver, RoutingTree
-from repro.core.candidate import (
-    BufferDecision,
-    Candidate,
-    MergeDecision,
-    SinkDecision,
-)
+from repro.core.candidate import Candidate
 from repro.units import fF, ps
 
 #: Tolerance for slack comparisons in seconds (sub-femtosecond).
 SLACK_ATOL = 1e-16
 
 
+#: Dummy sink ids for :func:`make_candidates`, unique across calls, so
+#: identity checks can tell any two made candidates' decisions apart.
+_DUMMY_SINKS = itertools.count()
+
+
 def make_candidates(points: Sequence[Tuple[float, float]]) -> List[Candidate]:
     """Candidates from raw (q, c) pairs with dummy sink decisions."""
-    return [Candidate(q=q, c=c, decision=SinkDecision(i)) for i, (q, c) in enumerate(points)]
+    return [(q, c, next(_DUMMY_SINKS)) for q, c in points]
 
 
 def qc(candidates: Sequence[Candidate]) -> List[Tuple[float, float]]:
     """The (q, c) pairs of a candidate list, for equality assertions."""
-    return [(cand.q, cand.c) for cand in candidates]
+    return [(cand[0], cand[1]) for cand in candidates]
 
 
 def kernel_signature(candidates) -> list:
@@ -42,28 +43,21 @@ def kernel_signature(candidates) -> list:
 
     The ``float.hex`` of ``q`` and ``c`` (so a sign of zero or a last
     ulp counts), plus the decision: passed-through decisions by
-    identity, a new :class:`BufferDecision` by its node, type object
-    and the decision below it, a new :class:`MergeDecision` by its two
-    children.
+    identity, a new buffer ``(node_id, buffer_type, below)`` by its
+    node, type object and the decision below it, a new merge
+    ``(left, right)`` by its two children.
     """
     rows = []
-    for candidate in candidates:
-        decision = candidate.decision
-        if isinstance(decision, BufferDecision):
-            shape = ("buffer", decision.node_id, id(decision.buffer),
-                     id(decision.below))
-        elif isinstance(decision, MergeDecision):
-            shape = ("merge", id(decision.left), id(decision.right))
+    for q, c, decision in candidates:
+        if type(decision) is tuple and len(decision) == 3:
+            node_id, buffer, below = decision
+            shape = ("buffer", node_id, id(buffer), id(below))
+        elif type(decision) is tuple:
+            shape = ("merge", id(decision[0]), id(decision[1]))
         else:
             shape = ("same", id(decision))
-        rows.append((float.hex(candidate.q), float.hex(candidate.c), shape))
+        rows.append((float.hex(q), float.hex(c), shape))
     return rows
-
-
-def copied(candidates) -> List[Candidate]:
-    """Fresh candidate objects sharing the originals' decisions (for
-    kernels that mutate their input, like add-wire)."""
-    return [Candidate(c.q, c.c, c.decision) for c in candidates]
 
 
 # -- Reference kernels ----------------------------------------------------
@@ -78,17 +72,19 @@ def copied(candidates) -> List[Candidate]:
 def reference_prune_dominated(candidates):
     result = []
     for candidate in candidates:
-        if result and candidate.c < result[-1].c:
+        q, c, _ = candidate
+        if result and c < result[-1][1]:
             raise ValueError("prune_dominated requires c-sorted input")
-        if result and candidate.c == result[-1].c and candidate.q > result[-1].q:
+        if result and c == result[-1][1] and q > result[-1][0]:
             result.pop()
-        if not result or candidate.q > result[-1].q:
+        if not result or q > result[-1][0]:
             result.append(candidate)
     return result
 
 
 def _reference_left_turn_or_straight(a1, a2, a3):
-    return (a2.q - a1.q) * (a3.c - a2.c) <= (a3.q - a2.q) * (a2.c - a1.c)
+    (q1, c1, _), (q2, c2, _), (q3, c3, _) = a1, a2, a3
+    return (q2 - q1) * (c3 - c2) <= (q3 - q2) * (c2 - c1)
 
 
 def reference_convex_prune(candidates):
@@ -106,9 +102,10 @@ def _reference_scan_best(candidates, resistance, max_load):
     best = None
     best_value = float("-inf")
     for candidate in candidates:
-        if candidate.c > max_load:
+        q, c, _ = candidate
+        if c > max_load:
             break
-        value = candidate.q - resistance * candidate.c
+        value = q - resistance * c
         if value > best_value:
             best_value = value
             best = candidate
@@ -133,19 +130,19 @@ def reference_generate_fast(candidates, plan, hull=None):
                 continue
         else:
             current = hull[pointer]
-            value = current.q - resistance * current.c
+            value = current[0] - resistance * current[1]
             while pointer < last:
                 following = hull[pointer + 1]
-                next_value = following.q - resistance * following.c
+                next_value = following[0] - resistance * following[1]
                 if next_value <= value:
                     break
                 pointer += 1
                 current = following
                 value = next_value
-        betas[index] = Candidate(
-            q=value - buffer.intrinsic_delay,
-            c=buffer.input_capacitance,
-            decision=BufferDecision(plan.node_id, buffer, current.decision),
+        betas[index] = (
+            value - buffer.intrinsic_delay,
+            buffer.input_capacitance,
+            (plan.node_id, buffer, current[2]),
         )
     ordered = [betas[i] for i in plan.cap_order if betas[i] is not None]
     return reference_prune_dominated(ordered)
@@ -159,7 +156,7 @@ def reference_insert_candidates(candidates, new_candidates):
     merged = []
     i = j = 0
     while i < len(candidates) and j < len(new_candidates):
-        if candidates[i].c <= new_candidates[j].c:
+        if candidates[i][1] <= new_candidates[j][1]:
             merged.append(candidates[i])
             i += 1
         else:
@@ -177,16 +174,10 @@ def reference_merge_branches(left, right):
     i = j = 0
     while i < len(left) and j < len(right):
         a, b = left[i], right[j]
-        merged.append(
-            Candidate(
-                q=min(a.q, b.q),
-                c=a.c + b.c,
-                decision=MergeDecision(a.decision, b.decision),
-            )
-        )
-        if a.q < b.q:
+        merged.append((min(a[0], b[0]), a[1] + b[1], (a[2], b[2])))
+        if a[0] < b[0]:
             i += 1
-        elif b.q < a.q:
+        elif b[0] < a[0]:
             j += 1
         else:
             i += 1
@@ -198,10 +189,11 @@ def reference_add_wire(candidates, resistance, capacitance):
     if resistance == 0.0 and capacitance == 0.0:
         return candidates
     half_wire = capacitance / 2.0
-    for candidate in candidates:
-        candidate.q -= resistance * (half_wire + candidate.c)
-        candidate.c += capacitance
-    return reference_prune_dominated(candidates)
+    wired = [
+        (q - resistance * (half_wire + c), c + capacitance, decision)
+        for q, c, decision in candidates
+    ]
+    return reference_prune_dominated(wired)
 
 
 def relabeled(

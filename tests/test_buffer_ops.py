@@ -94,9 +94,10 @@ class TestGenerateEquivalence:
         plan = BufferPlan(1, lib3())
         lillis = generate_lillis(cands, plan)
         fast = generate_fast(cands, plan)
-        for a, b in zip(lillis, fast):
-            assert a.decision.buffer.name == b.decision.buffer.name
-            assert a.decision.below is b.decision.below
+        for (_, _, a), (_, _, b) in zip(lillis, fast):
+            # A buffer decision is (node_id, buffer_type, below).
+            assert a[1].name == b[1].name
+            assert a[2] is b[2]
 
 
 class TestGenerateProperties:
@@ -110,7 +111,7 @@ class TestGenerateProperties:
     def test_new_candidates_have_buffer_input_caps(self):
         cands = make_candidates([(ps(500.0), fF(10.0))])
         out = generate_fast(cands, BufferPlan(0, lib3()))
-        caps = {c.c for c in out}
+        caps = {c for _, c, _ in out}
         assert caps <= {b.input_capacitance for b in lib3()}
 
     def test_buffer_delay_formula(self):
@@ -120,8 +121,9 @@ class TestGenerateProperties:
         out = generate_fast(cands, BufferPlan(0, [buf]))
         assert len(out) == 1
         expected_q = ps(500.0) - ps(10.0) - 1000.0 * fF(10.0)
-        assert out[0].q == pytest.approx(expected_q)
-        assert out[0].c == fF(4.0)
+        q, c, _ = out[0]
+        assert q == pytest.approx(expected_q)
+        assert c == fF(4.0)
 
     def test_empty_candidates(self):
         plan = BufferPlan(0, lib3())
@@ -136,7 +138,7 @@ class TestGenerateProperties:
         )
         weak = BufferType("w", 7000.0, fF(1.0), ps(0.0))
         out = generate_fast(cands, BufferPlan(0, [weak]))
-        assert out[0].decision.below is cands[0].decision
+        assert out[0][2][2] is cands[0][2]
 
     def test_strong_buffer_prefers_high_q_candidate(self):
         cands = prune_dominated(
@@ -144,7 +146,7 @@ class TestGenerateProperties:
         )
         strong = BufferType("s", 100.0, fF(10.0), ps(0.0))
         out = generate_fast(cands, BufferPlan(0, [strong]))
-        assert out[0].decision.below is cands[1].decision
+        assert out[0][2][2] is cands[1][2]
 
 
 class TestInsertCandidates:

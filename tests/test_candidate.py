@@ -6,55 +6,52 @@ from helpers import make_candidates
 
 from repro import BufferType
 from repro.core.candidate import (
-    BufferDecision,
-    Candidate,
-    MergeDecision,
-    SinkDecision,
     best_candidate_for_driver,
     reconstruct_assignment,
 )
+from repro.core.pruning import prune_dominated
 from repro.units import fF, ps
 
 
 def test_dominates():
-    a = Candidate(q=5.0, c=1.0, decision=SinkDecision(0))
-    b = Candidate(q=4.0, c=2.0, decision=SinkDecision(0))
-    assert a.dominates(b)
-    assert not b.dominates(a)
-    assert a.dominates(a)
+    # a dominates b: pruning the c-sorted pair keeps a alone, and a
+    # dominates itself (the earliest of equal candidates survives).
+    a = (5.0, 1.0, 0)
+    b = (4.0, 2.0, 0)
+    assert prune_dominated([a, b]) == [a]
+    assert prune_dominated([a, a]) == [a]
 
 
 def test_dominates_tradeoff_neither():
-    a = Candidate(q=5.0, c=3.0, decision=SinkDecision(0))
-    b = Candidate(q=4.0, c=1.0, decision=SinkDecision(0))
-    assert not a.dominates(b)
-    assert not b.dominates(a)
+    a = (5.0, 3.0, 0)
+    b = (4.0, 1.0, 0)
+    assert prune_dominated([b, a]) == [b, a]
 
 
 def test_reconstruct_sink_only():
-    assert reconstruct_assignment(SinkDecision(3)) == {}
+    assert reconstruct_assignment(3) == {}
 
 
 def test_reconstruct_buffer_chain():
     buf1 = BufferType("x", 100.0, fF(1.0), ps(1.0))
     buf2 = BufferType("y", 200.0, fF(2.0), ps(2.0))
-    decision = BufferDecision(7, buf2, BufferDecision(3, buf1, SinkDecision(1)))
+    decision = (7, buf2, (3, buf1, 1))
     assert reconstruct_assignment(decision) == {7: buf2, 3: buf1}
 
 
 def test_reconstruct_merge_collects_both_sides():
     buf = BufferType("x", 100.0, fF(1.0), ps(1.0))
-    left = BufferDecision(2, buf, SinkDecision(0))
-    right = BufferDecision(5, buf, SinkDecision(1))
-    assert reconstruct_assignment(MergeDecision(left, right)) == {2: buf, 5: buf}
+    left = (2, buf, 0)
+    right = (5, buf, 1)
+    assert reconstruct_assignment((left, right)) == {2: buf, 5: buf}
 
 
 def test_reconstruct_deep_chain_iterative():
     # 50k-deep chain must not hit the recursion limit.
     buf = BufferType("x", 100.0, fF(1.0), ps(1.0))
-    decision = SinkDecision(0)
+    decision = 0
     for node_id in range(1, 50_001):
-        decision = BufferDecision(node_id, buf, decision)
+        decision = (node_id, buf, decision)
     assignment = reconstruct_assignment(decision)
     assert len(assignment) == 50_000
 
@@ -76,14 +73,3 @@ def test_best_candidate_tie_prefers_min_c():
 def test_best_candidate_empty_list():
     assert best_candidate_for_driver([], 1.0) is None
 
-
-def test_candidate_repr():
-    text = repr(Candidate(q=1e-12, c=2e-15, decision=SinkDecision(0)))
-    assert "q=" in text and "c=" in text
-
-
-def test_decision_reprs():
-    buf = BufferType("x", 100.0, fF(1.0), ps(1.0))
-    assert "3" in repr(SinkDecision(3))
-    assert "x" in repr(BufferDecision(1, buf, SinkDecision(0)))
-    assert "Merge" in repr(MergeDecision(SinkDecision(0), SinkDecision(1)))

@@ -125,8 +125,8 @@ def test_interior_candidate_under_limit():
     fast = generate_fast(cands, plan)
     lillis = generate_lillis(cands, plan)
     # Eligible candidates: A and P; best is P (q=4.9).
-    assert fast[0].q == pytest.approx(4.9, abs=1e-6)
-    assert lillis[0].q == pytest.approx(fast[0].q)
+    assert fast[0][0] == pytest.approx(4.9, abs=1e-6)
+    assert lillis[0][0] == pytest.approx(fast[0][0])
 
 
 def test_undrivable_everywhere_means_no_insertion():

@@ -6,7 +6,6 @@ import pytest
 
 from helpers import make_candidates, qc
 
-from repro.core.candidate import MergeDecision
 from repro.core.merge import merge_branches
 from repro.core.pruning import is_nonredundant, prune_dominated
 
@@ -14,7 +13,8 @@ from repro.core.pruning import is_nonredundant, prune_dominated
 def brute_force_merge(left, right):
     """All |L| x |R| pairings, then dominance pruning: the spec."""
     pairs = [
-        (min(a.q, b.q), a.c + b.c) for a, b in itertools.product(left, right)
+        (min(a[0], b[0]), a[1] + b[1])
+        for a, b in itertools.product(left, right)
     ]
     pairs.sort(key=lambda p: (p[1], p[0]))
     kept = []
@@ -42,7 +42,7 @@ def test_matches_brute_force_on_fixed_lists():
     left = make_candidates([(0.0, 0.0), (2.0, 1.5), (5.0, 4.0), (9.0, 8.0)])
     right = make_candidates([(1.0, 0.5), (4.0, 2.0), (6.0, 5.0)])
     expected = brute_force_merge(left, right)
-    got = [(c.q, c.c) for c in merge_branches(left, right)]
+    got = qc(merge_branches(left, right))
     assert got == expected
 
 
@@ -50,7 +50,7 @@ def test_equal_q_tie_advances_both():
     left = make_candidates([(2.0, 1.0), (7.0, 3.0)])
     right = make_candidates([(2.0, 2.0), (7.0, 5.0)])
     expected = brute_force_merge(left, right)
-    assert [(c.q, c.c) for c in merge_branches(left, right)] == expected
+    assert qc(merge_branches(left, right)) == expected
 
 
 def test_output_nonredundant():
@@ -70,10 +70,10 @@ def test_decisions_are_merge_decisions():
     left = make_candidates([(1.0, 1.0)])
     right = make_candidates([(2.0, 2.0)])
     merged = merge_branches(left, right)
-    decision = merged[0].decision
-    assert isinstance(decision, MergeDecision)
-    assert decision.left is left[0].decision
-    assert decision.right is right[0].decision
+    decision = merged[0][2]
+    assert type(decision) is tuple and len(decision) == 2
+    assert decision[0] is left[0][2]
+    assert decision[1] is right[0][2]
 
 
 def test_empty_side_returns_other():
@@ -109,4 +109,4 @@ def test_merge_is_spec_equal_on_random_lists():
         if not left or not right:
             continue
         expected = brute_force_merge(left, right)
-        assert [(c.q, c.c) for c in merge_branches(left, right)] == expected
+        assert qc(merge_branches(left, right)) == expected

@@ -365,12 +365,16 @@ class TestSolverPoolRouting:
         ):
             with SolverPool(lib, policy=policy) as inline:
                 references = inline.solve(nets)
+                inline_decisions = (
+                    inline.routing_stats()["decisions_by_strategy"])
             with SolverPool(lib, jobs=2, policy=policy) as pool:
                 results = pool.solve(nets)
                 decisions = pool.routing_stats()["decisions_by_strategy"]
                 groups = pool.batch_axis_stats()["groups"]
             for result, reference in zip(results, references):
                 assert_identical(result, reference)
+            # Each unit is routed and counted once, as inline.
+            assert decisions == inline_decisions
             if nets is solo or policy == "always_object":
                 assert set(decisions) == {"object-compiled"}
                 assert groups == 0

@@ -24,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    copied,
     kernel_signature,
     make_candidates,
     qc,
@@ -42,7 +41,6 @@ from repro.core.buffer_ops import (
     generate_lillis,
     insert_candidates,
 )
-from repro.core.candidate import BufferDecision
 from repro.core.merge import merge_branches
 from repro.core.pruning import convex_prune, is_nonredundant, prune_dominated
 from repro.core.wire_ops import add_wire
@@ -167,7 +165,7 @@ def assert_add_buffer_matches_reference(cands, plan):
 def test_add_wire_keeps_invariant(raw, wire):
     resistance, capacitance = wire
     cands = nonredundant(raw)
-    want = reference_add_wire(copied(cands), resistance, capacitance)
+    want = reference_add_wire(cands, resistance, capacitance)
     out = add_wire(cands, resistance, capacitance)
     assert is_nonredundant(out)
     assert kernel_signature(out) == kernel_signature(want)
@@ -177,13 +175,13 @@ def test_add_wire_keeps_invariant(raw, wire):
 def test_add_wire_transform_values(raw, wire):
     resistance, capacitance = wire
     cands = nonredundant(raw)
-    before = [(c.q, c.c) for c in cands]
+    before = qc(cands)
     out = add_wire(cands, resistance, capacitance)
     expected = {
         (q - resistance * (capacitance / 2.0 + c), c + capacitance)
         for q, c in before
     }
-    assert all((c.q, c.c) in expected for c in out)
+    assert all((q, c) in expected for q, c in qc(out))
 
 
 @given(grid_points, grid_points)
@@ -198,11 +196,12 @@ def test_merge_closure_properties(raw_left, raw_right):
         reference_merge_branches(left, right))
 
     achievable = {
-        (min(a.q, b.q), a.c + b.c) for a, b in itertools.product(left, right)
+        (min(a[0], b[0]), a[1] + b[1])
+        for a, b in itertools.product(left, right)
     }
-    assert all((m.q, m.c) in achievable for m in merged)
+    assert all(point in achievable for point in qc(merged))
     for q, c in achievable:
-        assert any(m.q >= q and m.c <= c for m in merged), (q, c)
+        assert any(m[0] >= q and m[1] <= c for m in merged), (q, c)
 
 
 @given(grid_points, grid_buffers)
@@ -224,19 +223,20 @@ def test_generate_beta_values_match_definition(raw, specs):
     plan = make_plan(specs)
     out = generate_fast(cands, plan)
     best = {
-        buf.name: max(c.q - buf.intrinsic_delay - buf.driving_resistance * c.c
-                      for c in cands)
+        buf.name: max(q - buf.intrinsic_delay - buf.driving_resistance * c
+                      for q, c, _ in cands)
         for buf in plan.by_resistance_desc
     }
-    emitted = {c.decision.buffer.name: c for c in out}
+    # A beta's decision is (node_id, buffer_type, below).
+    emitted = {decision[1].name: (q, c) for q, c, decision in out}
     for buf in plan.by_resistance_desc:
         if buf.name in emitted:
-            assert emitted[buf.name].q == best[buf.name]
-            assert emitted[buf.name].c == buf.input_capacitance
+            assert emitted[buf.name][0] == best[buf.name]
+            assert emitted[buf.name][1] == buf.input_capacitance
         else:
             assert any(
-                c.q >= best[buf.name] and c.c <= buf.input_capacitance
-                for c in out
+                q >= best[buf.name] and c <= buf.input_capacitance
+                for q, c, _ in out
             ), buf.name
 
 
@@ -253,8 +253,8 @@ def test_insert_candidates_is_union_nonredundant(raw_base, raw_new):
     base, new = nonredundant(raw_base), nonredundant(raw_new)
     merged = insert_candidates(list(base), list(new))
     assert is_nonredundant(merged)
-    for candidate in itertools.chain(base, new):
-        assert any(k.dominates(candidate) for k in merged)
+    for q, c, _ in itertools.chain(base, new):
+        assert any(k[0] >= q and k[1] <= c for k in merged)
     assert kernel_signature(merged) == kernel_signature(
         reference_insert_candidates(base, new))
 
@@ -284,8 +284,8 @@ def test_prune_dominated_matches_reference(raw, rng):
 def test_add_wire_matches_reference(raw, resistance, capacitance):
     """Zero-R and zero-C wires included; the wire may round two c into one."""
     cands = nonredundant(raw)
-    want = reference_add_wire(copied(cands), resistance, capacitance)
-    got = add_wire(copied(cands), resistance, capacitance)
+    want = reference_add_wire(cands, resistance, capacitance)
+    got = add_wire(cands, resistance, capacitance)
     assert kernel_signature(got) == kernel_signature(want)
 
 
@@ -358,8 +358,8 @@ def test_wire_rounding_makes_an_equal_c_tie():
     for q_next, resistance in ((1.0, 0.0), (1.0, 1.0), (2.0 ** -60, 1.0)):
         cands = make_candidates([(-3.0, 0.5), (0.0, 1.0), (q_next, NEXT_ONE),
                                  (5.0, 4.0)])
-        want = reference_add_wire(copied(cands), resistance, 1.0)
-        got = add_wire(copied(cands), resistance, 1.0)
+        want = reference_add_wire(cands, resistance, 1.0)
+        got = add_wire(cands, resistance, 1.0)
         assert kernel_signature(got) == kernel_signature(want)
         assert len(got) == 3
         assert_add_buffer_matches_reference(got, plan)
@@ -396,9 +396,9 @@ def test_empty_and_singleton_lists_match_reference(points):
     assert_add_buffer_matches_reference(cands, plan)
     for resistance, capacitance in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)):
         assert kernel_signature(
-            add_wire(copied(cands), resistance, capacitance)
+            add_wire(cands, resistance, capacitance)
         ) == kernel_signature(
-            reference_add_wire(copied(cands), resistance, capacitance))
+            reference_add_wire(cands, resistance, capacitance))
     singleton = make_candidates([(0.5, 0.5)])
     for left, right in ((cands, singleton), (singleton, cands)):
         assert kernel_signature(merge_branches(left, right)) == (
@@ -449,5 +449,9 @@ def test_generate_fast_builds_only_surviving_betas():
     out = generate_fast(cands, plan)
     assert kernel_signature(out) == kernel_signature(
         reference_generate_fast(cands, plan))
-    assert [c.decision.buffer.name for c in out] == ["b0"]
-    assert all(isinstance(c.decision, BufferDecision) for c in out)
+    # A buffer decision is (node_id, buffer_type, below).
+    assert [decision[1].name for _, _, decision in out] == ["b0"]
+    assert all(
+        type(decision) is tuple and len(decision) == 3
+        for _, _, decision in out
+    )

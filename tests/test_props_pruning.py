@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_candidates
+from helpers import make_candidates, qc
 
 from repro.core.pruning import (
     convex_prune,
@@ -46,14 +46,16 @@ def test_prune_dominated_covers_input(raw):
     cands = sorted_candidates(raw)
     kept = prune_dominated(cands)
     for candidate in cands:
-        assert any(k.dominates(candidate) for k in kept)
+        assert any(
+            k[0] >= candidate[0] and k[1] <= candidate[1] for k in kept
+        )
 
 
 @given(points)
 def test_prune_dominated_idempotent(raw):
     once = prune_dominated(sorted_candidates(raw))
     twice = prune_dominated(list(once))
-    assert [(c.q, c.c) for c in once] == [(c.q, c.c) for c in twice]
+    assert qc(once) == qc(twice)
 
 
 @given(points)
@@ -74,8 +76,8 @@ def test_hull_attains_same_max_for_any_resistance(raw, resistance):
     """Lemma 3 as a property: max(q - R c) is achieved on the hull."""
     nonredundant = prune_dominated(sorted_candidates(raw))
     hull = convex_prune(nonredundant)
-    full_best = max(c.q - resistance * c.c for c in nonredundant)
-    hull_best = max(c.q - resistance * c.c for c in hull)
+    full_best = max(c[0] - resistance * c[1] for c in nonredundant)
+    hull_best = max(c[0] - resistance * c[1] for c in hull)
     assert hull_best >= full_best - 1e-9 * max(1.0, abs(full_best))
 
 
@@ -99,7 +101,7 @@ def test_hull_walk_monotone_argmax(raw):
     def argmax_index(resistance):
         best, best_value = 0, float("-inf")
         for i, cand in enumerate(hull):
-            value = cand.q - resistance * cand.c
+            value = cand[0] - resistance * cand[1]
             if value > best_value:
                 best, best_value = i, value
         return best

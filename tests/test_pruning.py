@@ -99,8 +99,8 @@ class TestConvexPrune:
         )
         hull = convex_prune(cands)
         for resistance in (0.0, 0.1, 0.5, 1.0, 2.0, 10.0):
-            full_best = max(c.q - resistance * c.c for c in cands)
-            hull_best = max(c.q - resistance * c.c for c in hull)
+            full_best = max(c[0] - resistance * c[1] for c in cands)
+            hull_best = max(c[0] - resistance * c[1] for c in hull)
             assert hull_best == pytest.approx(full_best)
 
 

@@ -110,7 +110,6 @@ def test_vectorized_paths_match_scalar_on_long_lists():
     prune/hull code paths execute, and check against the object ops."""
     import random
 
-    from repro.core.candidate import Candidate, SinkDecision
     from repro.core.pruning import convex_prune, prune_dominated
     from repro.core.stores.soa import (
         _hull_indices,
@@ -124,15 +123,12 @@ def test_vectorized_paths_match_scalar_on_long_lists():
         (rng.uniform(0.0, 1e-12), rng.uniform(-1e-9, 0.0))
         for _ in range(count)
     )
-    candidates = [
-        Candidate(q=q, c=c, decision=SinkDecision(i))
-        for i, (c, q) in enumerate(raw)
-    ]
-    q = numpy.array([cand.q for cand in candidates])
-    c = numpy.array([cand.c for cand in candidates])
+    candidates = [(q, c, i) for i, (c, q) in enumerate(raw)]
+    q = numpy.array([cand[0] for cand in candidates])
+    c = numpy.array([cand[1] for cand in candidates])
     kept = _nonredundant_indices(q, c)
     expected = prune_dominated(list(candidates))
-    assert [(q[i], c[i]) for i in kept] == [(x.q, x.c) for x in expected]
+    assert [(q[i], c[i]) for i in kept] == [(x[0], x[1]) for x in expected]
 
     nq = q[kept]
     nc = c[kept]
@@ -140,7 +136,7 @@ def test_vectorized_paths_match_scalar_on_long_lists():
         hull = _hull_indices(nq, nc)
         expected_hull = convex_prune(expected)
         assert [(nq[i], nc[i]) for i in hull] == [
-            (x.q, x.c) for x in expected_hull
+            (x[0], x[1]) for x in expected_hull
         ]
 
 

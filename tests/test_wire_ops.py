@@ -49,18 +49,22 @@ def test_order_preserved_when_spacing_wide():
     assert is_nonredundant(out)
 
 
-def test_mutates_in_place():
-    cands = make_candidates([(10.0, 2.0)])
-    original = cands[0]
-    add_wire(cands, 1.0, 1.0)
-    assert original.c == 3.0  # same object updated
+def test_leaves_input_unchanged():
+    points = [(0.0, 0.0), (0.5, 1.0), (0.9, 2.0), (3.0, 3.0)]
+    cands = make_candidates(points)
+    before = list(cands)
+    out = add_wire(cands, 1.0, 0.5)
+    assert out is not cands
+    assert len(cands) == len(before)
+    assert all(now is then for now, then in zip(cands, before))
+    assert qc(cands) == points
 
 
 def test_decision_unchanged():
     cands = make_candidates([(10.0, 2.0)])
-    decision = cands[0].decision
+    decision = cands[0][2]
     out = add_wire(cands, 1.0, 1.0)
-    assert out[0].decision is decision
+    assert out[0][2] is decision
 
 
 def test_sequential_wires_compose():
