@@ -17,9 +17,10 @@ Cells (``paper_library(b, jitter=0.03, seed=b)`` throughout):
   b = 8 to 64.
 * ``group`` — the 8 R/C-corner replicas of a net: one batch-axis pass
   against the lanes solved one by one on the ``object`` store.
-* ``session`` — an incremental splice resolve after one sink-RAT edit
-  (a fresh value every repeat, so the frontier cache never answers it),
-  per store.
+
+Sessions have no cells: they splice on ``object`` only, which won 7 or
+8 of the 8 session cells in each of five sweeps before the ``soa``
+splice path was retired.
 
 Every cell times warm solves, best of ``--repeats``, the two plans
 alternating within each repeat.  Nothing is gated: the table is the
@@ -42,18 +43,11 @@ from typing import Callable, Dict, List, Optional
 from repro.core.api import insert_buffers
 from repro.core.schedule import compile_net, run_compiled_group
 from repro.core.stores.batch_axis import BatchedSoAFactory
-from repro.experiments.workloads import (
-    FIG4_NET,
-    TABLE1_NETS,
-    build_net,
-    corner_variants,
-)
-from repro.incremental.engine import IncrementalSolver
+from repro.experiments.workloads import FIG4_NET, build_net, corner_variants
 from repro.library.generators import paper_library
 from repro.routing.features import features_of
 from repro.routing.router import Router
 from repro.tree.builders import random_tree_net
-from repro.tree.io import tree_from_dict, tree_to_dict
 from repro.tree.node import Driver
 from repro.tree.segmenting import segment_to_position_count
 from repro.units import ps
@@ -69,7 +63,7 @@ TRUNK_POSITIONS = (100, 200, 300, 400, 600, 800, 1200, 1600, 2000, 3000,
 #: solve): the paper's 8000-position trunk at b = 32, 4000 at b = 64.
 MAX_POSITION_TYPES = 8000 * 32
 GROUP_LANES = 8
-#: (description, builder, library size) of the group and session cells.
+#: (description, builder, library size) of the group cells.
 GROUP_CELLS = (
     ("random 10 sinks", lambda: _random(10, 1), 8),
     ("random 40 sinks", lambda: _random(40, 1), 8),
@@ -77,16 +71,6 @@ GROUP_CELLS = (
     ("random 200 sinks", lambda: _random(200, 1), 32),
     ("random 8 sinks x100", lambda: _random(8, 100), 32),
     ("trunk 866", lambda: build_net(FIG4_NET, positions_override=866), 32),
-    ("trunk 2000", lambda: build_net(FIG4_NET, positions_override=2000), 8),
-)
-SESSION_CELLS = (
-    ("table1 net 1", lambda: build_net(TABLE1_NETS[0]), 8),
-    ("table1 net 1", lambda: build_net(TABLE1_NETS[0]), 16),
-    ("table1 net 1", lambda: build_net(TABLE1_NETS[0]), 32),
-    ("random 64 sinks", lambda: _random(64, 1), 16),
-    ("random 8 sinks x100", lambda: _random(8, 100), 32),
-    ("trunk 500", lambda: build_net(FIG4_NET, positions_override=500), 32),
-    ("trunk 1350", lambda: build_net(FIG4_NET, positions_override=1350), 32),
     ("trunk 2000", lambda: build_net(FIG4_NET, positions_override=2000), 8),
 )
 
@@ -166,40 +150,6 @@ def group_cells(repeats: int) -> List[dict]:
     return rows
 
 
-def session_cells(repeats: int) -> List[dict]:
-    rows = []
-    for name, build, size in SESSION_CELLS:
-        library = _library(size)
-        solvers = {}
-        for store in ("object", "soa"):
-            # A private copy: sessions edit their tree, and build_net
-            # caches the one it returns.
-            tree = tree_from_dict(tree_to_dict(build()))
-            solver = IncrementalSolver(tree, library, backend=store)
-            solver.resolve()
-            solvers[store] = solver
-        sinks = [node.node_id for node in solvers["object"].tree.sinks()]
-        steps = {store: 0 for store in solvers}
-
-        def resolve(store: str) -> None:
-            # Both stores replay one edit sequence, with a new RAT per
-            # call: a state seen before would be answered by the
-            # frontier cache, which an ECO loop never sees.
-            solver = solvers[store]
-            count = steps[store] = steps[store] + 1
-            sink = sinks[count % len(sinks)]
-            solver.apply({"op": "set_sink_rat", "node": sink,
-                          "required_arrival": ps(600.0 + count)})
-            solver.resolve()
-
-        seconds = _race({
-            store: (lambda s=store: resolve(s)) for store in ("object", "soa")
-        }, repeats)
-        features = features_of(solvers["object"].compiled, kind="session")
-        rows.append(_row("session", name, features, seconds, "soa-splice"))
-    return rows
-
-
 def _row(kind: str, name: str, features, seconds: Dict[str, float],
          soa_plan: str, supports_batch: bool = False) -> dict:
     plan = Router(policy="static").route(
@@ -226,14 +176,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeats", type=int, default=3,
                         help="best-of repeats per plan (default 3)")
-    parser.add_argument("--only", choices=("solo", "group", "session"),
+    parser.add_argument("--only", choices=("solo", "group"),
                         default=None, help="run one kind of cell")
     parser.add_argument("--out", type=Path, default=None,
                         help="also write the rows as JSON here")
     args = parser.parse_args(argv)
 
     kinds: Dict[str, Callable[[int], List[dict]]] = {
-        "solo": solo_cells, "group": group_cells, "session": session_cells,
+        "solo": solo_cells, "group": group_cells,
     }
     print("| kind | net | n | sinks | b | object ms | soa ms "
           "| soa/object | static picks | |")

@@ -23,18 +23,20 @@ The replay mixes the three canonical ECO edit classes:
   every subtree digest, so the re-solve is a single argmax over the
   memoized root frontier (three to four orders of magnitude faster).
 
-Per position count and backend the file records each class's
-total-time speedup and the **headline: the geometric mean of per-edit
-speedups over the whole mix** — the standard cross-workload benchmark
-aggregate, which weights every edit equally instead of letting the
-slowest class's wall time drown out the others.  A multi-sink companion
-net (where dirty paths are genuinely short and *every* class wins) is
-measured alongside for context; the CI gate reads the trunk numbers.
+Sessions and the scratch rival both run on the ``object`` store: every
+session solves there, and so does a single net under ``"auto"``.  Per
+position count the file records each class's total-time speedup and
+the **headline: the geometric mean of per-edit speedups over the whole
+mix** — the standard cross-workload benchmark aggregate, which weights
+every edit equally instead of letting the slowest class's wall time
+drown out the others.  A multi-sink companion net (where dirty paths
+are genuinely short and *every* class wins) is measured alongside for
+context; the CI gate reads the trunk numbers.
 
 ``ci_gate`` thresholds are embedded in the output and enforced by
 ``tools/perf_gate.py`` against a freshly generated file: at every point
-with at least ``min_positions`` actual positions, each backend's
-headline geomean speedup must be at least ``min_speedup``.
+with at least ``min_positions`` actual positions, the headline geomean
+speedup must be at least ``min_speedup``.
 
 Run::
 
@@ -76,26 +78,17 @@ from repro.units import ps
 TRUNK_SWEEP = (1000, 4000, 8000)
 LIBRARY_SIZE = 32
 
+#: The store every session and every scratch rival runs on.
+BACKEND = "object"
+
 CI_GATE = {
     # Points with at least this many *actual* positions are gated.
     "min_positions": 1000,
-    # Geometric-mean per-edit speedup floor on the gated backend.
+    # Geometric-mean per-edit speedup floor.
     "min_speedup": 5.0,
-    # The gate pins the production path: the store the router picks
-    # for a session on the smallest gated trunk ("backend" is filled in
-    # at generation time).  The other backend's replay is still
-    # recorded for trend tracking, just not gated — its slowest class
-    # (object full-path re-solves pay eager per-candidate capture) sits
-    # close enough to the floor that CI noise would make the gate flaky.
+    # The store the gated points ran on: the one sessions solve on.
+    "backend": BACKEND,
 }
-
-
-def _backends() -> List[str]:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return ["object"]
-    return ["object", "soa"]
 
 
 def _edit_classes(tree, rng) -> Dict[str, Callable]:
@@ -132,13 +125,12 @@ def _edit_classes(tree, rng) -> Dict[str, Callable]:
 
 
 def replay(
-    tree, library, backend: str, edits_per_class: int, seed: int,
+    tree, library, edits_per_class: int, seed: int,
     classes: Optional[List[str]] = None,
 ) -> Dict:
     """One edit-replay measurement on ``tree`` (which it mutates)."""
     rng = random.Random(seed)
-    solver = IncrementalSolver(tree, library, algorithm="fast",
-                               backend=backend)
+    solver = IncrementalSolver(tree, library, algorithm="fast")
     started = time.perf_counter()
     baseline = solver.resolve()
     initial_seconds = time.perf_counter() - started
@@ -168,7 +160,7 @@ def replay(
         # edited net: validate + plan + compile + solve.
         started = time.perf_counter()
         scratch = insert_buffers(tree, library, algorithm="fast",
-                                 backend=backend)
+                                 backend=BACKEND)
         scratch_seconds = time.perf_counter() - started
         if result.slack != scratch.slack:  # pragma: no cover - honesty guard
             raise AssertionError(
@@ -196,7 +188,7 @@ def replay(
 
     cache_stats = solver.stats()["frontier_cache"]
     return {
-        "backend": backend,
+        "backend": BACKEND,
         "initial_solve_seconds": initial_seconds,
         "baseline_slack_seconds": baseline.slack,
         "edits": len(schedule),
@@ -219,14 +211,13 @@ def measure_trunk(scale: float, edits_per_class: int) -> Dict:
         per_point = edits_per_class if target <= 4000 else max(
             2, edits_per_class // 2
         )
-        for backend in _backends():
-            tree = copy.deepcopy(build_net(FIG4_NET,
-                                           positions_override=positions))
-            row = replay(tree, library, backend, per_point,
-                         seed=target + len(backend))
-            row["positions"] = positions
-            row["target_positions"] = target
-            points.append(row)
+        tree = copy.deepcopy(build_net(FIG4_NET,
+                                       positions_override=positions))
+        # target + 6: the seed the object rows have always replayed.
+        row = replay(tree, library, per_point, seed=target + 6)
+        row["positions"] = positions
+        row["target_positions"] = target
+        points.append(row)
     return {
         "net": FIG4_NET.name,
         "algorithm": "fast",
@@ -243,36 +234,24 @@ def measure_multi_sink(scale: float, edits_per_class: int) -> Dict:
         50, seed=50, required_arrival=(ps(500.0), ps(3000.0)),
         driver=Driver(resistance=200.0),
     )
-    rows = []
-    for backend in _backends():
-        tree = segment_to_position_count(copy.deepcopy(base), positions)
-        # Sink and wire edits only: this net exists to show the
-        # dirty-path claim without the driver class's huge numbers.
-        row = replay(
-            tree, library, backend, edits_per_class, seed=11,
-            classes=["sink", "wire"],
-        )
-        row["positions"] = positions
-        rows.append(row)
-    return {"net": "random50", "positions_target": 2000, "points": rows}
+    tree = segment_to_position_count(copy.deepcopy(base), positions)
+    # Sink and wire edits only: this net exists to show the dirty-path
+    # claim without the driver class's huge numbers.
+    row = replay(
+        tree, library, edits_per_class, seed=11, classes=["sink", "wire"],
+    )
+    row["positions"] = positions
+    return {"net": "random50", "positions_target": 2000, "points": [row]}
 
 
 def collect(scale: float, edits_per_class: int) -> Dict:
-    from repro.routing.features import features_of
-    from repro.routing.router import static_store
-
-    trunk = build_net(FIG4_NET, positions_override=CI_GATE["min_positions"])
-    library = paper_library(LIBRARY_SIZE, jitter=0.03, seed=LIBRARY_SIZE)
-    ci_gate = dict(CI_GATE, backend=static_store(
-        features_of(trunk, library, kind="session")
-    ))
     return {
         "meta": {
             "bench": "PR5 incremental ECO re-solve engine",
             "scale": scale,
             "edits_per_class": edits_per_class,
             "python": sys.version.split()[0],
-            "backends": _backends(),
+            "backends": [BACKEND],
             "workload": (
                 "single-edit replay: apply one random edit "
                 "(sink RAT/cap | wire re-parasitize | driver swap), "
@@ -281,7 +260,7 @@ def collect(scale: float, edits_per_class: int) -> Dict:
                 "headline = geometric mean of per-edit speedups"
             ),
         },
-        "ci_gate": ci_gate,
+        "ci_gate": dict(CI_GATE),
         "incremental": measure_trunk(scale, edits_per_class),
         "multi_sink": measure_multi_sink(scale, edits_per_class),
     }

@@ -3,7 +3,9 @@
 Measures :func:`~repro.parallel.solver.solve_partitioned` through a warm
 :class:`~repro.core.batch.SolverPool` on single large nets — the
 workload the partitioner exists for — against the serial compiled solve
-of the *same pre-compiled net*.  Two topology sweeps:
+of the *same pre-compiled net*.  Both sides run on the ``object`` store:
+a partitioned solve always does, and so does one net solved alone.
+Two topology sweeps:
 
 * ``random`` (gated) — branchy random-topology nets segmented to the
   position targets.  These partition well: balanced cuts cover 70–90 %
@@ -102,7 +104,7 @@ def measure_cell(compiled, library, workers: int, serial_seconds: float,
                  reference, repeats: int) -> Dict:
     """One (net, worker count) cell: parity check, then warm timing."""
     with SolverPool(
-        library, jobs=workers, backend="soa", policy="always_parallel"
+        library, jobs=workers, policy="always_parallel"
     ) as pool:
         # Warm-up doubles as the honesty guard: the partitioned result
         # must be bit-identical to the serial solve of the same net.
@@ -154,7 +156,7 @@ def measure_net(tree, library, repeats: int) -> Dict:
     reference = None
     for _ in range(max(effective, 1)):
         started = time.perf_counter()
-        reference = insert_buffers(compiled, library, backend="soa")
+        reference = insert_buffers(compiled, library, backend="object")
         serial_best = min(serial_best, time.perf_counter() - started)
     cells = [
         dict(
@@ -201,12 +203,12 @@ def collect(scale: float, repeats: int) -> Dict:
             "python": sys.version.split()[0],
             "cpu_count": os.cpu_count() or 1,
             "algorithm": "fast",
-            "backend": "soa",
+            "backend": "object",
             "library_size": LIBRARY_SIZE,
             "workload": (
                 "single large nets cut at balanced subtree boundaries "
                 "and solved across a warm SolverPool process pool "
-                "(policy='always_parallel'), vs the serial compiled-soa solve "
+                "(policy='always_parallel'), vs the serial compiled-object solve "
                 "of the same pre-compiled net; bit-identity asserted "
                 "before timing; timings best-of-repeats on a warm pool"
             ),

@@ -52,7 +52,11 @@ from typing import List, Optional
 from repro.core.api import insert_buffers
 from repro.core.batch import solve_many
 from repro.core.registry import algorithm_names, available_algorithms
-from repro.core.stores import store_backend_names
+from repro.core.stores import (
+    AUTO_BACKEND,
+    SPLICE_BACKEND,
+    store_backend_names,
+)
 from repro.library.generators import paper_library
 from repro.report import describe_net, full_report, render_tree
 from repro.tree.builders import random_tree_net
@@ -104,8 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=("auto",) + store_backend_names(),
                      default="auto",
                      help="candidate-store backend; 'auto' (default) "
-                          "picks object for a single net, also under "
-                          "--jobs")
+                          "picks object for a single net; a partitioned "
+                          "solve (--jobs > 1) runs on object and takes "
+                          "'auto' or 'object' only")
     buf.add_argument("--paper-pseudocode", action="store_true",
                      help="use the paper's destructive Convexpruning "
                           "(exact on 2-pin nets only)")
@@ -169,12 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            "are the loaded net's ids (see 'repro info')")
     edit.add_argument("--algorithm", choices=algorithm_names(),
                       default="fast", help=_algorithm_help())
-    edit.add_argument("--backend",
-                      choices=("auto",) + store_backend_names(),
-                      default="auto",
-                      help="candidate-store backend; 'auto' (default) "
-                           "picks soa for long candidate lists, object "
-                           "otherwise")
     edit.add_argument("--verify", action="store_true",
                       help="cross-check every step against a from-scratch "
                            "solve (bit-identical slack and assignment)")
@@ -306,6 +305,11 @@ def _cmd_buffer(args: argparse.Namespace) -> int:
         print(f"buffer: --deadline-ms must be > 0, got {args.deadline_ms}",
               file=sys.stderr)
         return 2
+    if args.jobs > 1 and args.backend not in (AUTO_BACKEND, SPLICE_BACKEND):
+        print(f"buffer: a partitioned solve (--jobs > 1) runs on the "
+              f"{SPLICE_BACKEND} store; --backend {args.backend} needs "
+              f"--jobs 1", file=sys.stderr)
+        return 2
     tree = load_tree(args.net)
     library = library_from_dict(json.loads(args.library.read_text()))
     options = {}
@@ -336,8 +340,8 @@ def _cmd_buffer(args: argparse.Namespace) -> int:
             try:
                 result = solve_partitioned(
                     tree, library, algorithm=args.algorithm,
-                    backend=args.backend, jobs=args.jobs, options=options,
-                    report=report, deadline=deadline,
+                    jobs=args.jobs, options=options, report=report,
+                    deadline=deadline,
                 )
             except WorkerCrashError as exc:
                 # The partitioned result is bit-identical to the serial
@@ -348,7 +352,7 @@ def _cmd_buffer(args: argparse.Namespace) -> int:
                           "reason": "worker crash, degraded to serial"}
                 result = insert_buffers(
                     tree, library, algorithm=args.algorithm,
-                    backend=args.backend, deadline=deadline, **options,
+                    backend=SPLICE_BACKEND, deadline=deadline, **options,
                 )
             if report["engaged"]:
                 print(f"partitioned solve: {report['partitions']} partitions "
@@ -511,8 +515,7 @@ def _cmd_edit(args: argparse.Namespace) -> int:
         print(f"edit: {exc}", file=sys.stderr)
         return 2
 
-    solver = IncrementalSolver(tree, library, algorithm=args.algorithm,
-                               backend=args.backend)
+    solver = IncrementalSolver(tree, library, algorithm=args.algorithm)
     started = time.perf_counter()
     baseline = solver.resolve()
     baseline_seconds = time.perf_counter() - started
@@ -538,8 +541,7 @@ def _cmd_edit(args: argparse.Namespace) -> int:
         elapsed = time.perf_counter() - started
         verified = None
         if args.verify:
-            scratch = insert_buffers(tree, library, algorithm=args.algorithm,
-                                     backend=args.backend)
+            scratch = insert_buffers(tree, library, algorithm=args.algorithm)
             verified = (
                 scratch.slack == result.slack
                 and scratch.assignment == result.assignment

@@ -229,10 +229,11 @@ class SolverPool:
         driver: Optional driver override applied to every net.
         backend: Candidate-store backend name, or ``"auto"`` (the
             default): the pool's router picks the store of each
-            execution unit — a net, a structural group, a partitioned
-            solve — the same way at every ``jobs`` value (see
+            execution unit — a net or a structural group — the same
+            way at every ``jobs`` value (see
             :func:`~repro.routing.router.static_store`).  A store name
-            pins every unit to that store.
+            pins every such unit to that store; a partitioned solve
+            runs on ``object`` whatever the store.
         parallel_threshold: Instruction-count floor at which the static
             rule partitions a single net across the workers (``jobs > 1``
             only; see :func:`repro.parallel.solver.solve_partitioned`);
@@ -445,7 +446,8 @@ class SolverPool:
         On a multi-process pool, single nets large enough for the
         ``parallel`` policy are additionally solved *partitioned*: cut
         into balanced subtrees, solved concurrently across the same
-        workers, and spliced back together in this process —
+        workers, and spliced back together in this process on the
+        ``object`` store, whatever the pool's ``backend`` —
         bit-identical again (see :mod:`repro.parallel`).
 
         Every one of those dispatch decisions — backend, batch axis,
@@ -696,16 +698,16 @@ class SolverPool:
         from repro.parallel.solver import solve_partitioned
 
         report: dict = {}
-        # The whole call holds the serial lock: the residual replay
-        # runs on this net's (thread-unsafe) in-process factory, and
-        # Pool.map is safe to call while holding it.
+        # The whole call holds the serial lock: it serializes the
+        # dispatch with the pool's other in-process work and stats,
+        # and Pool.map is safe to call while holding it.
         with self._serial_lock:
             start = time.perf_counter()
             try:
                 result = solve_partitioned(
                     net, self.library, algorithm=self.algorithm,
-                    driver=self.driver, backend=plan.backend,
-                    options=self.options, pool=self, report=report,
+                    driver=self.driver, options=self.options, pool=self,
+                    report=report,
                 )
             except Exception as exc:
                 # Safety net under the supervised dispatch: any
@@ -719,10 +721,11 @@ class SolverPool:
                 report["engaged"] = False
                 report["reason"] = f"degraded after worker failure: {exc}"
                 from repro.core.api import insert_buffers
+                from repro.core.stores import SPLICE_BACKEND
 
                 result = insert_buffers(
                     net, self.library, algorithm=self.algorithm,
-                    driver=self.driver, backend=plan.backend,
+                    driver=self.driver, backend=SPLICE_BACKEND,
                     **self.options,
                 )
             else:
@@ -761,10 +764,10 @@ class SolverPool:
             self._resilience_counters["partitioned_fallbacks"] += 1
             return [
                 (index, solve_subschedule(
-                    sub, root_id, self.library, self.algorithm, store,
+                    sub, root_id, self.library, self.algorithm,
                     self.options,
                 ), 0.0, None)
-                for store, index, root_id, sub, _ in tasks
+                for index, root_id, sub, _ in tasks
             ]
 
         return self._supervised_map(

@@ -20,7 +20,7 @@ Reaching a buffer position ``v`` with nonredundant candidate list
 Both return the new candidates sorted by non-decreasing ``c`` and free of
 internal dominance, ready for the ``O(k + b)`` sorted-merge insertion of
 Theorem 2 (:func:`insert_candidates`).  A new candidate is a
-``(q, c, (node_id, buffer_type, below))`` tuple, ``below`` being the
+``(q, c, (node_id, buffer_name, below))`` tuple, ``below`` being the
 decision of the candidate the buffer drives.
 """
 
@@ -48,8 +48,8 @@ class BufferPlan:
             order from buffer index i to the order in C_b" once).
         drive: ``(R, intrinsic delay, max_load)`` per type of
             ``by_resistance_desc``, read by the hull walk.
-        by_cap: ``(index, C_in, type)`` per type in ``cap_order``,
-            read by the beta prune.
+        by_cap: ``(index, C_in, name)`` per type in ``cap_order``,
+            read by the beta prune (decisions name their type).
 
     Array backends additionally attach a *plan kernel* — the ``R`` /
     ``C_in`` / intrinsic-delay / load-limit columns of
@@ -80,7 +80,7 @@ class BufferPlan:
         )
         self.by_cap = tuple(
             (i, self.by_resistance_desc[i].input_capacitance,
-             self.by_resistance_desc[i])
+             self.by_resistance_desc[i].name)
             for i in self.cap_order
         )
         self._kernel = None
@@ -152,7 +152,7 @@ def generate_lillis(candidates: CandidateList, plan: BufferPlan) -> CandidateLis
         betas[index] = (
             best_value - buffer.intrinsic_delay,
             buffer.input_capacitance,
-            (plan.node_id, buffer, best[2]),
+            (plan.node_id, buffer.name, best[2]),
         )
     ordered = [betas[i] for i in plan.cap_order if betas[i] is not None]
     return prune_dominated(ordered)
@@ -222,18 +222,18 @@ def generate_fast(
     betas: CandidateList = []
     append = betas.append
     last_q = last_c = 0.0
-    for index, c, buffer in plan.by_cap:
+    for index, c, name in plan.by_cap:
         decision = below[index]
         if decision is None:
             continue
         q = beta_q[index]
         if not betas:
-            append((q, c, (node_id, buffer, decision)))
+            append((q, c, (node_id, name, decision)))
         elif q > last_q:
             if c == last_c:
-                betas[-1] = (q, c, (node_id, buffer, decision))
+                betas[-1] = (q, c, (node_id, name, decision))
             else:
-                append((q, c, (node_id, buffer, decision)))
+                append((q, c, (node_id, name, decision)))
         else:
             continue
         last_q = q

@@ -20,9 +20,16 @@ be expanded into an explicit buffer assignment
 (:func:`reconstruct_assignment`).  Decisions are nested tuples too:
 
 * a sink is its node id (an ``int``);
-* a buffer is ``(node_id, buffer_type, below)``, where ``below`` is the
+* a buffer is ``(node_id, buffer_name, below)``, where ``below`` is the
   decision of the candidate the buffer drives;
 * a merge of two sibling branches is ``(left, right)``.
+
+A buffer decision names its type (names are unique within a library)
+instead of holding the :class:`~repro.library.buffer_type.BufferType`:
+a DAG of ints, strings and tuples is one the cyclic GC untracks, so
+decisions that outlive their solve — frontiers a session keeps — cost
+the collector nothing.  :func:`reconstruct_assignment` maps the names
+back through the solve's library.
 
 Wires do not create decisions (they place no buffers).  Any other
 object with an ``expand(assignment, stack)`` method is a deferred
@@ -34,8 +41,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.library.buffer_type import BufferType
+from repro.library.library import BufferLibrary
 
-#: A decision DAG node: an ``int`` sink, a ``(node_id, buffer_type,
+#: A decision DAG node: an ``int`` sink, a ``(node_id, buffer_name,
 #: below)`` buffer, a ``(left, right)`` merge, or a deferred decision
 #: object with an ``expand`` method.
 Decision = object
@@ -51,7 +59,7 @@ class ExpandedDecision:
 
     Produced when a deferred-provenance chain is *flattened*: the
     incremental engine's spliced frontiers reference earlier solves'
-    provenance (tape archives, translation wrappers), and without a
+    provenance (translation wrappers), and without a
     bound those references could chain one per re-solve.  Once a chain
     reaches the cap it is collapsed into this terminal form — O(answer)
     once, after which expansion is a dict update and retains nothing
@@ -70,8 +78,13 @@ class ExpandedDecision:
         return f"ExpandedDecision({len(self.assignment)} buffers)"
 
 
-def reconstruct_assignment(decision: Decision) -> Dict[int, BufferType]:
+def reconstruct_assignment(
+    decision: Decision, library: BufferLibrary
+) -> Dict[int, BufferType]:
     """Expand a decision DAG into ``{node_id: buffer_type}``.
+
+    ``library`` is the solve's: buffer decisions name their types, and
+    the names map back to its :class:`BufferType` objects.
 
     Iterative (decision chains are as deep as the tree) and linear in the
     number of buffers plus merges.  Dispatches on ``type(node)``: an
@@ -85,6 +98,7 @@ def reconstruct_assignment(decision: Decision) -> Dict[int, BufferType]:
     (:class:`repro.core.stores.soa.TapeRef`) expand only the winning
     root candidate here, once per solve.
     """
+    types = {buffer.name: buffer for buffer in library}
     assignment: Dict[int, BufferType] = {}
     stack: List[Decision] = [decision]
     pop = stack.pop
@@ -94,8 +108,8 @@ def reconstruct_assignment(decision: Decision) -> Dict[int, BufferType]:
         kind = type(node)
         if kind is tuple:
             if len(node) == 3:
-                node_id, buffer, below = node
-                assignment[node_id] = buffer
+                node_id, name, below = node
+                assignment[node_id] = types[name]
                 push(below)
             else:
                 push(node[0])

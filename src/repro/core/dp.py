@@ -323,7 +323,7 @@ def _finish(
 
     tracer = active_tracer()
     with tracer.span("backtrace") if tracer is not None else nullcontext():
-        assignment = reconstruct_assignment(decision)
+        assignment = reconstruct_assignment(decision, library)
 
     elapsed = time.perf_counter() - started
     stats = DPStats(

@@ -91,6 +91,10 @@ def store_backend_names() -> Tuple[str, ...]:
 #: request at hand (:func:`repro.routing.router.static_store`).
 AUTO_BACKEND = "auto"
 
+#: The one store whose frontiers are frozen and spliced: every
+#: incremental session and every partitioned solve runs on it.
+SPLICE_BACKEND = "object"
+
 
 register_store_backend("object")(ObjectStoreFactory)
 register_store_backend("soa")(SoAStoreFactory)
@@ -108,4 +112,5 @@ __all__ = [
     "get_store_backend",
     "store_backend_names",
     "AUTO_BACKEND",
+    "SPLICE_BACKEND",
 ]

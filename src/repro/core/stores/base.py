@@ -16,6 +16,11 @@ This module defines the two abstractions a backend must provide:
   paper's operations (add-wire, merge, the two buffered-candidate
   generators, convex pruning, sorted insertion) plus root evaluation.
 
+A store runs whole solves only.  Freezing a frontier and splicing it
+into a later solve — incremental sessions and partitioned solves —
+happens on the object store's lists alone, so the protocol has no
+snapshot hooks.
+
 Invariants every store must preserve, matching the object backend:
 
 * candidates are sorted by strictly increasing ``c`` *and* strictly
@@ -166,37 +171,6 @@ class StoreFactory(ABC):
         block pools and provenance-tape capacity here.
         """
         return {}
-
-    def snapshot(self, store: CandidateStore):
-        """Freeze ``store``'s frontier as ``(q, c, decisions)`` lists.
-
-        The incremental engine (:mod:`repro.incremental`) memoizes
-        subtree frontiers across solves; a snapshot must therefore be
-        fully detached from per-solve state — plain floats plus
-        *persistent* decision objects (the SoA backend materializes its
-        tape records here, so no :class:`~repro.core.stores.soa.TapeRef`
-        ever escapes into a cache entry).  Backends that cannot detach
-        a frontier inherit this loud default and simply cannot back an
-        incremental session.
-        """
-        raise AlgorithmError(
-            f"the {self.backend or type(self).__name__!r} candidate-store "
-            "backend cannot snapshot frontiers (required by the "
-            "incremental re-solve engine)"
-        )
-
-    def from_snapshot(self, q, c, decisions) -> CandidateStore:
-        """Rebuild a live store from :meth:`snapshot` output.
-
-        The returned store must behave exactly like the one snapshotted
-        — same values, same order — so splicing it into a later solve
-        reproduces the from-scratch data flow bit for bit.
-        """
-        raise AlgorithmError(
-            f"the {self.backend or type(self).__name__!r} candidate-store "
-            "backend cannot splice frontiers (required by the "
-            "incremental re-solve engine)"
-        )
 
     def begin_solve(self) -> None:
         """Reset per-solve state (decision arenas, scratch buffers).

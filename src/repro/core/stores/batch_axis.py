@@ -940,7 +940,7 @@ def solve_group(
         results.append(
             BufferingResult(
                 slack=slack,
-                assignment=reconstruct_assignment(best.decision),
+                assignment=reconstruct_assignment(best.decision, library),
                 driver_load=best.c,
                 stats=stats,
             )

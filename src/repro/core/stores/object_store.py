@@ -79,21 +79,3 @@ class ObjectStoreFactory(StoreFactory):
 
     def empty(self) -> ObjectStore:
         return ObjectStore([])
-
-    def snapshot(self, store: CandidateStore):
-        """Freeze a frontier as columns: a ``q`` list, a ``c`` list and
-        a tuple of decisions (shared: the decision DAG is immutable).
-
-        Columns, not the candidate tuples themselves: a snapshot that
-        kept the tuples would keep every captured candidate alive for
-        the cyclic GC to walk; a splice builds them back instead."""
-        assert isinstance(store, ObjectStore)
-        candidates = store.candidates
-        return (
-            [candidate[0] for candidate in candidates],
-            [candidate[1] for candidate in candidates],
-            tuple([candidate[2] for candidate in candidates]),
-        )
-
-    def from_snapshot(self, q, c, decisions) -> ObjectStore:
-        return ObjectStore(list(zip(q, c, decisions)))

@@ -31,7 +31,10 @@ candidate* is ever expanded: :meth:`SoAStore.best_for_driver` returns a
 :class:`TapeRef`, whose :meth:`TapeRef.expand` backtraces the winning
 chain into the ``{node_id: buffer_type}`` assignment — once per solve,
 linear in the answer, via the deferred-provenance hook of
-:func:`repro.core.candidate.reconstruct_assignment`.
+:func:`repro.core.candidate.reconstruct_assignment`.  Tape records
+never outlive their solve, so this store runs whole solves only: the
+paths that freeze a frontier and splice it into a later solve
+(incremental sessions, partitioned solves) run on the object store.
 
 **Scratch arena.**  Every persistent candidate array is carved from the
 factory's :class:`ScratchArena`: a pool of power-of-two NumPy blocks,
@@ -75,7 +78,6 @@ except ImportError:  # pragma: no cover - exercised only on numpy-less installs
     np = None  # type: ignore[assignment]
 
 from repro.core.buffer_ops import BufferPlan
-from repro.core.candidate import ExpandedDecision, reconstruct_assignment
 from repro.core.pruning import hull_indices, prune_dominated_indices
 from repro.core.stores.base import BestCandidate, CandidateStore, StoreFactory
 from repro.errors import AlgorithmError
@@ -286,10 +288,6 @@ class ScratchArena:
 _TAPE_SINK = 0
 _TAPE_MERGE = 1
 _TAPE_BUFFER = 2
-#: A spliced-in frontier candidate (incremental re-solve): ``a`` indexes
-#: :attr:`ProvenanceTape.splices`, which holds an already-materialized
-#: decision object carrying the candidate's whole sub-assignment.
-_TAPE_SPLICE = 3
 
 
 class ProvenanceTape:
@@ -320,7 +318,7 @@ class ProvenanceTape:
     """
 
     __slots__ = ("op", "a", "b", "c", "length", "generation", "plans",
-                 "splices", "_arena")
+                 "_arena")
 
     def __init__(self, arena: ScratchArena) -> None:
         self._arena = arena
@@ -331,14 +329,12 @@ class ProvenanceTape:
         self.length = 0
         self.generation = 0
         self.plans: List[BufferPlan] = []
-        self.splices: List[object] = []
 
     def reset(self) -> None:
         """Start a new solve: rewind, keep capacity, invalidate refs."""
         self.length = 0
         self.generation += 1
         self.plans.clear()
-        self.splices.clear()
 
     def _reserve(self, count: int) -> int:
         """Ensure room for ``count`` more records; returns their base."""
@@ -399,80 +395,6 @@ class ProvenanceTape:
         self.c[base:end] = slot
         return base
 
-    def append_splices(self, decisions) -> int:
-        """Bulk-record spliced frontier candidates; returns their base.
-
-        ``decisions`` are ready-made decision objects (materialized
-        provenance from a cached frontier snapshot — see
-        :mod:`repro.incremental.subtree_cache`); each record's ``a``
-        column points at its slot in :attr:`splices`.
-        """
-        slot = len(self.splices)
-        self.splices.extend(decisions)
-        count = len(decisions)
-        base = self._reserve(count)
-        end = base + count
-        self.op[base:end] = _TAPE_SPLICE
-        self.a[base:end] = np.arange(slot, slot + count, dtype=np.intp)
-        return base
-
-    def materialize(self, index: int, memo: Dict[int, object]):
-        """Expand the record at ``index`` into a persistent decision DAG.
-
-        The inverse of deferred provenance: turns tape records back into
-        the object store's decisions (:mod:`repro.core.candidate`: an
-        ``int`` sink, a ``(left, right)`` merge, a ``(node_id,
-        buffer_type, below)`` buffer) that outlive the tape (frontier
-        snapshots must survive ``begin_solve``'s rewind).  ``memo``
-        (tape index → decision) makes repeated expansion linear in the
-        *distinct* records reachable from all of a solve's snapshots;
-        callers must drop it when the tape resets.  Iterative — chains
-        are as deep as the tree.
-        """
-        op = self.op
-        a = self.a
-        b = self.b
-        c = self.c
-        plans = self.plans
-        splices = self.splices
-        stack = [index]
-        while stack:
-            i = stack[-1]
-            if i in memo:
-                stack.pop()
-                continue
-            kind = op[i]
-            if kind == _TAPE_SINK:
-                memo[i] = int(a[i])
-                stack.pop()
-            elif kind == _TAPE_SPLICE:
-                memo[i] = splices[int(a[i])]
-                stack.pop()
-            elif kind == _TAPE_MERGE:
-                left, right = int(a[i]), int(b[i])
-                left_done = left in memo
-                if left_done and right in memo:
-                    memo[i] = (memo[left], memo[right])
-                    stack.pop()
-                else:
-                    if not left_done:
-                        stack.append(left)
-                    if right not in memo:
-                        stack.append(right)
-            else:  # _TAPE_BUFFER
-                below = int(a[i])
-                if below in memo:
-                    plan = plans[int(c[i])]
-                    memo[i] = (
-                        plan.node_id,
-                        plan.by_resistance_desc[int(b[i])],
-                        memo[below],
-                    )
-                    stack.pop()
-                else:
-                    stack.append(below)
-        return memo[index]
-
     def ref(self, index: int) -> "TapeRef":
         """A decision-protocol handle for the record at ``index``."""
         return TapeRef(self, index, self.generation)
@@ -482,113 +404,8 @@ class ProvenanceTape:
             "entries": self.length,
             "capacity": len(self.op),
             "plans": len(self.plans),
-            "splices": len(self.splices),
             "generation": self.generation,
         }
-
-
-#: Maximum provenance-chain depth before flattening.  Each re-solve's
-#: archive may reference earlier archives through its spliced
-#: decisions; unbounded, a long-lived session would pin one archive
-#: per resolve.  Entries at the cap collapse to
-#: :class:`~repro.core.candidate.ExpandedDecision` at archive time
-#: (O(answer) once, amortized one flatten per cap-many resolves).
-_CHAIN_LIMIT = 8
-
-
-class TapeArchive:
-    """An immutable copy of one solve's provenance tape.
-
-    The live tape is rewound between solves, so frontier snapshots that
-    must outlive a solve (the incremental engine's subtree memo) cannot
-    hold tape indices into it.  Materializing every candidate's
-    decision chain at capture time is exactly the per-candidate Python
-    cost deferred provenance exists to avoid — so instead, the engine
-    archives the whole tape **once per resolve** (four array copies
-    plus two shallow list copies) and snapshots keep ``(archive, tape
-    index)`` pairs.  Decisions are only built when a snapshot is
-    actually spliced, and expanded only for the winning candidate
-    (:class:`ArchivedDecision`).
-
-    ``depth`` counts how many earlier archives remain reachable through
-    this one's spliced decisions; entries that would exceed
-    :data:`_CHAIN_LIMIT` are flattened on construction, so session
-    memory holds at most a bounded chain of archives however many
-    re-solves a session performs.
-    """
-
-    __slots__ = ("op", "a", "b", "c", "plans", "splices", "depth")
-
-    def __init__(self, tape: "ProvenanceTape") -> None:
-        length = tape.length
-        self.op = tape.op[:length].copy()
-        self.a = tape.a[:length].copy()
-        self.b = tape.b[:length].copy()
-        self.c = tape.c[:length].copy()
-        self.plans = list(tape.plans)
-        depth = 1
-        splices: List[object] = []
-        for obj in tape.splices:
-            chain = getattr(obj, "chain_depth", 0)
-            if chain >= _CHAIN_LIMIT:
-                splices.append(ExpandedDecision(reconstruct_assignment(obj)))
-            else:
-                splices.append(obj)
-                if chain + 1 > depth:
-                    depth = chain + 1
-        self.splices = splices
-        self.depth = depth
-
-    def nbytes(self) -> int:
-        return 4 * self.op.nbytes if len(self.op) else 0
-
-
-class ArchivedDecision:
-    """A decision handle into a :class:`TapeArchive` (splice provenance).
-
-    Implements the ``expand`` hook of
-    :func:`repro.core.candidate.reconstruct_assignment` by walking the
-    archived columns — no generation hazard (archives are immutable)
-    and no per-candidate object graph until a root backtrace actually
-    reaches this candidate.
-    """
-
-    __slots__ = ("archive", "index")
-
-    def __init__(self, archive: TapeArchive, index: int) -> None:
-        self.archive = archive
-        self.index = index
-
-    @property
-    def chain_depth(self) -> int:
-        """Archive hops reachable from here (chain-flattening input)."""
-        return self.archive.depth
-
-    def expand(self, assignment: Dict[int, object], stack: list) -> None:
-        archive = self.archive
-        op = archive.op
-        a = archive.a
-        b = archive.b
-        c = archive.c
-        plans = archive.plans
-        splices = archive.splices
-        pending = [self.index]
-        while pending:
-            index = pending.pop()
-            kind = op[index]
-            if kind == _TAPE_BUFFER:
-                plan = plans[c[index]]
-                assignment[plan.node_id] = plan.by_resistance_desc[b[index]]
-                pending.append(a[index])
-            elif kind == _TAPE_MERGE:
-                pending.append(a[index])
-                pending.append(b[index])
-            elif kind == _TAPE_SPLICE:
-                assignment.update(reconstruct_assignment(splices[a[index]]))
-            # _TAPE_SINK carries no buffers.
-
-    def __repr__(self) -> str:
-        return f"ArchivedDecision({self.index})"
 
 
 class TapeRef:
@@ -621,7 +438,6 @@ class TapeRef:
         b = tape.b
         c = tape.c
         plans = tape.plans
-        splices = tape.splices
         pending = [self.index]
         while pending:
             index = pending.pop()
@@ -633,11 +449,6 @@ class TapeRef:
             elif kind == _TAPE_MERGE:
                 pending.append(a[index])
                 pending.append(b[index])
-            elif kind == _TAPE_SPLICE:
-                # A spliced-in frontier: its decision object carries the
-                # whole sub-assignment (possibly translated onto this
-                # net's node ids — see SplicedFrontierDecision).
-                assignment.update(reconstruct_assignment(splices[a[index]]))
             # _TAPE_SINK carries no buffers.
 
     def __repr__(self) -> str:
@@ -1419,11 +1230,6 @@ class SoAStoreFactory(StoreFactory):
         self.tape = ProvenanceTape(self.arena)
         self.solves = 0
         self._scratch = _EMPTY_F8
-        # Tape-index -> materialized decision, shared by every frontier
-        # snapshot of one solve (repeated expansion stays linear in the
-        # distinct reachable records).  Dropped whenever the tape
-        # rewinds — its keys are tape indices.
-        self._materialize_memo: Dict[int, object] = {}
 
     def scratch_f8(self, n: int):
         """A persistent float64 scratch row of length ``n``.
@@ -1443,14 +1249,12 @@ class SoAStoreFactory(StoreFactory):
         self.solves += 1
         self.tape.reset()
         self.arena.reset()
-        self._materialize_memo.clear()
 
     def end_solve(self) -> None:
         # The BufferingResult holds the expanded assignment, never tape
         # indices, so the records can go now instead of pinning the
         # whole solve's provenance until the next begin_solve.
         self.tape.reset()
-        self._materialize_memo.clear()
 
     def sink(self, node_id: int, q: float, c: float) -> SoAStore:
         index = self.tape.append_sink(node_id)
@@ -1464,68 +1268,6 @@ class SoAStoreFactory(StoreFactory):
 
     def empty(self) -> SoAStore:
         return SoAStore(_EMPTY_PAIR, _EMPTY_IP, 0, self)
-
-    def snapshot(self, store: CandidateStore):
-        """Freeze a frontier: value copies plus *materialized* provenance.
-
-        The tape is rewound on the next ``begin_solve``, so a snapshot
-        must not hold tape indices: every candidate's decision chain is
-        expanded into persistent decision objects here (memoized across
-        the solve's snapshots via ``_materialize_memo``).  This is
-        exactly the boundary that keeps stale :class:`TapeRef`\\ s from
-        leaking into the frontier cache.
-        """
-        assert isinstance(store, SoAStore)
-        n = store.n
-        memo = self._materialize_memo
-        tape = self.tape
-        materialize = tape.materialize
-        return (
-            store.z[0, :n].tolist(),
-            store.z[1, :n].tolist(),
-            [materialize(index, memo) for index in store.d[:n].tolist()],
-        )
-
-    def snapshot_values(self, store: CandidateStore):
-        """The cheap half of a frontier capture: three array copies.
-
-        Returns ``(q, c, d)`` where ``d`` holds raw tape indices —
-        valid only against a :class:`TapeArchive` of this solve's tape
-        (:meth:`archive_tape`), which the incremental engine takes once
-        per resolve.  This is what keeps capture overhead proportional
-        to candidate *values*, not provenance graphs.
-        """
-        assert isinstance(store, SoAStore)
-        n = store.n
-        return (
-            store.z[0, :n].copy(),
-            store.z[1, :n].copy(),
-            store.d[:n].copy(),
-        )
-
-    def archive_tape(self) -> TapeArchive:
-        """Freeze the current solve's tape (see :class:`TapeArchive`)."""
-        return TapeArchive(self.tape)
-
-    def from_snapshot(self, q, c, decisions) -> SoAStore:
-        """Splice a frozen frontier into the current solve.
-
-        Values land in fresh arena blocks (the store will be mutated in
-        place by downstream WIRE kernels); provenance enters the tape as
-        one bulk run of ``_TAPE_SPLICE`` records pointing at the
-        already-persistent decisions.
-        """
-        count = len(q)
-        if count == 0:
-            return self.empty()
-        arena = self.arena
-        z = arena.pair(count)
-        d = arena.ip_block(count)
-        z[0, :count] = q
-        z[1, :count] = c
-        base = self.tape.append_splices(decisions)
-        np.add(arena.iota(count), base, out=d[:count])
-        return SoAStore(z, d, count, self)
 
     def stats(self) -> Dict[str, object]:
         """Kernel-engine health for the serving layer's ``/stats``."""

@@ -160,8 +160,8 @@ def _level_ops(buffer_costs: Dict[str, int], max_cost: Optional[int]):
         additions: CostLevels = {}
         for w, lst in levels.items():
             for candidate in generate_fast(lst, plan):
-                # A beta's decision is (node_id, buffer_type, below).
-                w_new = w + buffer_costs[candidate[2][1].name]
+                # A beta's decision is (node_id, buffer_name, below).
+                w_new = w + buffer_costs[candidate[2][1]]
                 if max_cost is not None and w_new > max_cost:
                     continue
                 additions.setdefault(w_new, []).append(candidate)
@@ -249,7 +249,7 @@ def slack_cost_frontier(
                 FrontierPoint(
                     cost=cost,
                     slack=slack,
-                    assignment=reconstruct_assignment(decision),
+                    assignment=reconstruct_assignment(decision, library),
                 )
             )
     return frontier

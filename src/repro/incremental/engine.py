@@ -34,13 +34,17 @@ frontier replay the exact IEEE-754 data flow of a scratch solve.  (The
 canonical sorted digest remains the *request*-level key — see
 :attr:`~repro.service.canon.CanonicalNet.subtree_keys`.)
 
-**Provenance across solves.**  A cached frontier's decisions name node
+**Provenance across solves.**  Sessions run on the object store, whose
+decisions are immutable tuples that outlive the solve that built them,
+so a cached frontier keeps its decisions as they are.  They name node
 ids of the tree it was captured from.  Splicing into a digest-equal
 subtree elsewhere wraps each decision in a
 :class:`SplicedFrontierDecision`, which translates ids through
 tree-preorder indices at backtrace time — O(answer), only for the
 winning candidate.  Splices into the *same* vertex of an unchanged
-index reuse the decisions unwrapped.
+index reuse the decisions unwrapped.  A wrapper chain that reaches
+:data:`_CHAIN_LIMIT` generations is flattened instead of nested
+further.
 
 **Frontier lifetime.**  Each node of a session holds the cache key of
 its current subtree (:meth:`FrontierCache.hold`).  After a resolve, the
@@ -49,7 +53,11 @@ they left stay held until the next resolve that moves holds (a driver
 swap moves none), so undoing the latest edit still splices the whole
 previous state, while older states are recomputed.
 :meth:`IncrementalSolver.close` — or the solver's finalizer, when a
-session is dropped without it — releases every hold.
+session is dropped without it — releases every hold.  A resolve does
+not capture a frontier that its own later captures would evict from
+the byte-bounded cache (on a long trunk, all but the vertices nearest
+the driver): that frontier would be copied only to be dropped, and the
+copies would keep the cyclic GC busy for as long as the resolve runs.
 """
 
 from __future__ import annotations
@@ -64,8 +72,7 @@ from repro.core.dp import _execute_schedule, _finish, _resolve_ops
 from repro.core.registry import get_algorithm
 from repro.core.schedule import CompiledNet, compile_net
 from repro.core.solution import BufferingResult
-from repro.core.stores import AUTO_BACKEND, get_store_backend
-from repro.core.stores.soa import _CHAIN_LIMIT
+from repro.core.stores import SPLICE_BACKEND
 from repro.errors import AlgorithmError, EditError
 from repro.incremental.edits import (
     Edit,
@@ -76,7 +83,11 @@ from repro.incremental.edits import (
     SplitWire,
     edit_from_dict,
 )
-from repro.incremental.subtree_cache import FrontierCache, FrontierSnapshot
+from repro.incremental.subtree_cache import (
+    FrontierCache,
+    FrontierSnapshot,
+    snapshot_bytes,
+)
 from repro.library.library import BufferLibrary
 from repro.obs.spans import active_tracer
 from repro.service.canon import (
@@ -88,6 +99,16 @@ from repro.service.canon import (
 )
 from repro.tree.node import Driver
 from repro.tree.routing_tree import RoutingTree
+
+#: Maximum provenance-chain depth before flattening.  Each structural
+#: edit re-indexes the net, so every frontier spliced after it wraps
+#: its decisions in one more :class:`SplicedFrontierDecision`;
+#: unbounded, a long-lived session would pin one index per generation
+#: and expand ever deeper chains.  A decision at the cap is expanded
+#: into an :class:`~repro.core.candidate.ExpandedDecision` at splice
+#: time instead (O(answer) once, at most one flatten per cap-many
+#: generations).
+_CHAIN_LIMIT = 8
 
 
 class TreeIndex:
@@ -122,15 +143,15 @@ class SplicedFrontierDecision:
     subtree — the step that makes one cache entry serve every
     digest-equal subtree instance with correct node ids.
 
-    ``chain_depth`` counts nested provenance generations (wrappers and
-    tape archives); once it reaches the cap, the engine flattens the
-    splice to an :class:`~repro.core.candidate.ExpandedDecision`
-    instead of nesting further, bounding both retained memory and the
-    expansion recursion however long a session lives.
+    ``chain_depth`` counts nested wrapper generations; once it reaches
+    :data:`_CHAIN_LIMIT`, the engine flattens the splice to an
+    :class:`~repro.core.candidate.ExpandedDecision` instead of nesting
+    further, bounding both retained memory and the expansion recursion
+    however long a session lives.
     """
 
     __slots__ = ("decision", "src_index", "src_root", "dst_index",
-                 "dst_root", "chain_depth")
+                 "dst_root", "library", "chain_depth")
 
     def __init__(
         self,
@@ -139,16 +160,18 @@ class SplicedFrontierDecision:
         src_root: int,
         dst_index: TreeIndex,
         dst_root: int,
+        library: BufferLibrary,
     ) -> None:
         self.decision = decision
         self.src_index = src_index
         self.src_root = src_root
         self.dst_index = dst_index
         self.dst_root = dst_root
+        self.library = library
         self.chain_depth = 1 + getattr(decision, "chain_depth", 0)
 
     def expand(self, assignment: Dict[int, object], stack: list) -> None:
-        inner = reconstruct_assignment(self.decision)
+        inner = reconstruct_assignment(self.decision, self.library)
         if not inner:
             return
         src_of = self.src_index.index_of_node
@@ -166,20 +189,15 @@ class SplicedFrontierDecision:
         )
 
 
-def splice_snapshot(
-    snapshot: FrontierSnapshot, factory=None, decisions=None
-):
-    """Materialize a frozen frontier into a live store list.
+def splice_snapshot(snapshot: FrontierSnapshot, decisions=None) -> list:
+    """Build a frozen frontier back into a live object-store list.
 
     The splice primitive shared by the incremental engine and the
     parallel partitioned solver: turns a
-    :class:`~repro.incremental.subtree_cache.FrontierSnapshot` back
-    into whatever the executing backend pushes on its interpreter
-    stack — a plain list of ``(q, c, decision)`` tuples for the object
-    backend (``factory=None``), built back from the snapshot's columns,
-    or a store built by ``factory.from_snapshot`` (value columns
-    copied, provenance deferred).  The floats are the captured floats,
-    so every downstream operation sees bit-identical inputs.
+    :class:`~repro.incremental.subtree_cache.FrontierSnapshot`'s
+    columns back into the ``(q, c, decision)`` tuples the object store
+    pushes on its interpreter stack.  The floats are the captured
+    floats, so every downstream operation sees bit-identical inputs.
 
     ``decisions`` overrides the snapshot's own provenance — the
     incremental engine passes id-translated wrappers here; callers
@@ -187,10 +205,8 @@ def splice_snapshot(
     extraction preserves node ids) leave it ``None``.
     """
     if decisions is None:
-        decisions = snapshot.decision_list()
-    if factory is None:
-        return list(zip(snapshot.q, snapshot.c, decisions))
-    return factory.from_snapshot(snapshot.q, snapshot.c, decisions)
+        decisions = snapshot.decisions
+    return list(zip(snapshot.q, snapshot.c, decisions))
 
 
 def _release_holds(
@@ -218,22 +234,19 @@ class IncrementalSolver:
 
     The session owns its tree (edits mutate it in place), a private
     :class:`~repro.core.schedule.CompiledNet` (payload edits are O(1)
-    array patches; structural edits re-flatten), a private store
-    factory (warm SoA arenas across re-solves) and a
+    array patches; structural edits re-flatten) and a
     :class:`~repro.incremental.subtree_cache.FrontierCache` — pass a
     shared cache to pool frontier memory across sessions (the server
     does).  The session holds its current frontiers in that cache (see
     the module docstring) until :meth:`close` or until it is collected.
+    It solves on the object store (:attr:`backend`), the one store
+    that freezes and splices frontiers.
 
     Args:
         tree: The net; validated once here, mutated by :meth:`apply`.
         library: The buffer library (fixed for the session's lifetime).
         algorithm: A registered algorithm exposing ``add_buffer_op``
             (all built-ins do).
-        backend: Candidate-store backend name, or ``"auto"`` for the
-            store the default routing policy picks for this net
-            (:func:`repro.routing.router.static_store`); must be
-            ``"object"`` or provide frontier snapshots (``"soa"`` does).
         driver: Fixed driver override; default ``None`` follows
             ``tree.driver`` (so :class:`~repro.incremental.edits.SwapDriver`
             edits take effect).
@@ -243,17 +256,18 @@ class IncrementalSolver:
         **options: Algorithm options (part of every cache key).
 
     Raises:
-        AlgorithmError: Unknown algorithm/backend, invalid options, an
-            algorithm without ``add_buffer_op``, or a backend without
-            snapshot support.
+        AlgorithmError: Unknown algorithm, invalid options, or an
+            algorithm without ``add_buffer_op``.
     """
+
+    #: The candidate store every session solves on.
+    backend = SPLICE_BACKEND
 
     def __init__(
         self,
         tree: RoutingTree,
         library: BufferLibrary,
         algorithm: str = "fast",
-        backend: str = "auto",
         driver: Optional[Driver] = None,
         cache: Optional[FrontierCache] = None,
         capture: bool = True,
@@ -262,14 +276,6 @@ class IncrementalSolver:
         self.tree = tree
         self.library = library
         self.algorithm = algorithm
-        if backend == AUTO_BACKEND:
-            from repro.routing.features import features_of
-            from repro.routing.router import router_for
-
-            backend = router_for().route(
-                features_of(tree, library, kind="session")
-            ).backend
-        self.backend = backend
         self.driver = driver
         self.capture = capture
         self.options = dict(options)
@@ -286,12 +292,6 @@ class IncrementalSolver:
             f"backend={self.backend}",
             f"opts={options_key(options)}",
         )))
-        if self.backend == "object":
-            self.factory = None
-        else:
-            # Backends without snapshot support fail loudly on the first
-            # capture (StoreFactory's defaults raise AlgorithmError).
-            self.factory = get_store_backend(self.backend)()
         try:
             tree.validate()
         except Exception as exc:
@@ -313,7 +313,7 @@ class IncrementalSolver:
         self._index_stale = True
         self._schedule_stale = False
         self._probe: Optional[Dict[int, List[int]]] = None
-        self._final_node: Optional[Dict[int, int]] = None
+        self._final_node: Optional[Dict[int, Tuple[int, int]]] = None
         self._stale = True
         self._last_result: Optional[BufferingResult] = None
         #: Session counters (surfaced by /stats and `repro edit`).
@@ -448,7 +448,8 @@ class IncrementalSolver:
 
     def _probes(self) -> Dict[int, List[int]]:
         """``instruction -> [nodes whose subtree starts here]``, outermost
-        first (so the largest clean subtree wins the splice)."""
+        first (so the largest clean subtree wins the splice).  Also maps
+        each node-final instruction to ``(node, number of ancestors)``."""
         if self._probe is None:
             final = self.compiled.final_of_node
             by_start: Dict[int, List[int]] = {}
@@ -457,8 +458,13 @@ class IncrementalSolver:
             for nodes in by_start.values():
                 nodes.sort(key=final.__getitem__, reverse=True)
             self._probe = by_start
+            tree = self.tree
+            depth: Dict[int, int] = {}
+            for node in tree.preorder():
+                parent = tree.parent_of(node)
+                depth[node] = 0 if parent is None else depth[parent] + 1
             self._final_node = {
-                index: node for node, index in final.items()
+                index: (node, depth[node]) for node, index in final.items()
             }
         return self._probe
 
@@ -467,7 +473,7 @@ class IncrementalSolver:
     def _splice(
         self, snapshot: FrontierSnapshot, target_root: int, index: TreeIndex
     ):
-        decisions = snapshot.decision_list()
+        decisions = snapshot.decisions
         if snapshot.canon is not index or snapshot.root_id != target_root:
             src_of = snapshot.canon.index_of_node
             dst_nodes = index.node_of_index
@@ -480,16 +486,17 @@ class IncrementalSolver:
                     # generation of wrappers.
                     wrapped.append(ExpandedDecision({
                         dst_nodes[src_of[node_id] + offset]: buffer
-                        for node_id, buffer
-                        in reconstruct_assignment(decision).items()
+                        for node_id, buffer in reconstruct_assignment(
+                            decision, self.library
+                        ).items()
                     }))
                 else:
                     wrapped.append(SplicedFrontierDecision(
                         decision, snapshot.canon, snapshot.root_id,
-                        index, target_root,
+                        index, target_root, self.library,
                     ))
             decisions = wrapped
-        return splice_snapshot(snapshot, self.factory, decisions=decisions)
+        return splice_snapshot(snapshot, decisions=decisions)
 
     # -- dirty-path resolve --------------------------------------------
 
@@ -504,7 +511,8 @@ class IncrementalSolver:
         The DP's one interpreter (:func:`repro.core.dp._execute_schedule`)
         does the work: a splice callback at every subtree start pushes
         the outermost cached frontier and skips its range, and the
-        node-final hook captures every frontier not cached yet.
+        node-final hook captures every frontier not cached yet that the
+        cache can keep to the end of the resolve.
         """
         if self._last_result is not None and not self._stale:
             return self._last_result
@@ -518,8 +526,6 @@ class IncrementalSolver:
         cache = self.cache
         context = self._context_key
         driver = self.driver if self.driver is not None else self.tree.driver
-        factory = self.factory
-        snapshot_values = getattr(factory, "snapshot_values", None)
         tracer = active_tracer()
 
         skipped = 0  # instructions jumped over by splices
@@ -548,39 +554,35 @@ class IncrementalSolver:
             return hook
 
         # Captures collect here and become cache entries only after the
-        # run.  An object capture copies columns — a q list, a c list
-        # and a tuple of decisions — not the candidate tuples, which
-        # would stay alive in the cache for the cyclic GC to walk; a
-        # splice builds them back.  SoA values are copied at the
-        # capture point (its wire kernel mutates in place downstream)
-        # but its provenance stays as raw tape indices until the tape
-        # is archived once, at the end — capture cost therefore scales
-        # with candidate values, not provenance graphs.
+        # run, so a resolve splices only what was cached before it.  A
+        # capture copies columns — a q, a c and a decision tuple — not
+        # the candidate tuples, which would stay alive in the cache for
+        # the cyclic GC to walk; a splice builds them back.
         pending: List[tuple] = []
         pending_keys = set()
+        room = cache.max_bytes
 
         def capture(i: int, store, peak: int, generated: int) -> None:
-            node = final_node[i]
+            node, ancestors = final_node[i]
+            if ancestors * snapshot_bytes(len(store)) > room:
+                # This resolve re-runs and captures every ancestor after
+                # this node; at this frontier's size (on a chain, about
+                # theirs) they fill the cache and evict it before the
+                # resolve ends, so copying it would be wasted work.
+                return
             key = (digest[node], context)
             if key in pending_keys or key in cache:
                 return
             pending_keys.add(key)
-            if snapshot_values is not None:
-                q, c, d = snapshot_values(store)
-                decisions = None
-            else:
-                q = [candidate[0] for candidate in store]
-                c = [candidate[1] for candidate in store]
-                decisions = tuple([candidate[2] for candidate in store])
-                d = None
-            pending.append((key, node, q, c, decisions, d, peak, generated))
+            q, c, decisions = zip(*store)
+            pending.append((key, node, q, c, decisions, peak, generated))
 
         splice_at = {
             start: probe(start, nodes) for start, nodes in probes.items()
         }
         started = time.perf_counter()
         sink_op, wire_op, merge_op, best_op, release = _resolve_ops(
-            self.backend, factory=factory
+            self.backend
         )
         resolve_handle = (
             tracer.begin("incremental.resolve", backend=self.backend)
@@ -604,21 +606,13 @@ class IncrementalSolver:
             compiled.num_buffer_positions, self.library, peak, generated,
             started, self.backend,
         )
-        if pending:
-            archive = (
-                factory.archive_tape() if snapshot_values is not None
-                else None
-            )
-            for key, node, q, c, decisions, d, peak, gen in pending:
-                cache.put(key, FrontierSnapshot(
-                    q, c, decisions, index, node, peak, gen,
-                    archive=archive, d=d,
-                ))
+        for key, node, q, c, decisions, peak, gen in pending:
+            cache.put(key, FrontierSnapshot(
+                q, c, decisions, index, node, peak, gen
+            ))
         if self.capture:
             self._move_holds()
         self._moved.clear()
-        if factory is not None:
-            factory.end_solve()
 
         self.resolves += 1
         self.last_executed_fraction = executed / total if total else 0.0

@@ -10,19 +10,11 @@ subtree — and every *structurally repeated* subtree anywhere — is
 answered from memory.
 
 A cached :class:`FrontierSnapshot` must outlive the solve that produced
-it, across backends with very different lifetime rules:
-
-* the object backend's ``(q, c, decision)`` tuples are immutable, but
-  keeping them would keep every captured candidate alive for the
-  cyclic GC to walk, so a capture copies columns: the ``q`` and ``c``
-  values plus a tuple of the decisions, whose DAG is shared as-is;
-* the SoA backend's provenance lives on a per-solve tape that is
-  rewound between solves, so the engine copies the value columns and
-  the frontier's tape indices at capture time and archives the whole
-  tape once per resolve (:class:`~repro.core.stores.soa.TapeArchive`);
-  decisions are built only when a snapshot is spliced
-  (:meth:`FrontierSnapshot.decision_list`), so a stale
-  :class:`~repro.core.stores.soa.TapeRef` can never reach the cache.
+it.  Frontiers are captured on the object store, whose ``(q, c,
+decision)`` tuples are immutable; keeping them, though, would keep
+every captured candidate alive for the cyclic GC to walk, so a capture
+copies columns: the ``q`` and ``c`` values plus a tuple of the
+decisions, whose DAG is shared as-is.
 
 Because decisions name the node ids of the tree they were captured
 from, each snapshot also records the capture-time preorder index
@@ -47,16 +39,20 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from threading import Lock
-from typing import Dict, Hashable, Iterable, Optional
+from typing import Dict, Hashable, Iterable, Optional, Sequence
 
 #: Fixed per-snapshot overhead estimate (object headers, slots, the
 #: cache entry itself), plus a per-candidate estimate covering the two
-#: value columns, the provenance column/reference and an amortized
-#: share of the per-resolve tape archive (archives are shared by all
-#: of a resolve's snapshots and die with their last snapshot, so exact
-#: per-entry attribution is impossible; the constant errs high).
+#: value columns and the decision column.  Decision DAGs are shared
+#: between snapshots and die with their last holder, so exact
+#: per-entry attribution is impossible; the constant errs high.
 _SNAPSHOT_BASE_BYTES = 256
 _PER_CANDIDATE_BYTES = 128
+
+
+def snapshot_bytes(length: int) -> int:
+    """The estimated bytes of a snapshot of ``length`` candidates."""
+    return _SNAPSHOT_BASE_BYTES + _PER_CANDIDATE_BYTES * length
 
 
 class FrontierSnapshot:
@@ -64,16 +60,9 @@ class FrontierSnapshot:
 
     Attributes:
         q / c: The candidates' slack / load columns (sequences of
-            floats in the store's sorted order; NumPy arrays for SoA
-            captures, lists for object captures).
-        decisions: Per-candidate persistent provenance (decision DAG
-            nodes) for object-backend captures; ``None`` for SoA
-            captures, which instead carry ``archive`` + ``d``.
-        archive / d: SoA deferred provenance: an immutable
-            :class:`~repro.core.stores.soa.TapeArchive` shared by the
-            capturing resolve's snapshots, plus this frontier's tape
-            indices into it.  Decision objects are only built when the
-            snapshot is spliced (:meth:`decision_list`).
+            floats in the store's sorted order).
+        decisions: Per-candidate persistent provenance (a tuple of
+            object-store decisions).
         canon: The capture-time preorder index
             (:class:`~repro.incremental.engine.TreeIndex`) of the
             *whole* net the subtree belonged to — the anchor id
@@ -86,42 +75,27 @@ class FrontierSnapshot:
             from-scratch one.
     """
 
-    __slots__ = ("q", "c", "decisions", "archive", "d", "canon", "root_id",
-                 "peak", "generated", "nbytes")
+    __slots__ = ("q", "c", "decisions", "canon", "root_id", "peak",
+                 "generated", "nbytes")
 
     def __init__(
         self,
-        q,
-        c,
-        decisions: Optional[tuple],
+        q: Sequence[float],
+        c: Sequence[float],
+        decisions: tuple,
         canon: object,
         root_id: int,
         peak: int,
         generated: int,
-        archive: object = None,
-        d=None,
     ) -> None:
         self.q = q
         self.c = c
         self.decisions = decisions
-        self.archive = archive
-        self.d = d
         self.canon = canon
         self.root_id = root_id
         self.peak = peak
         self.generated = generated
-        self.nbytes = _SNAPSHOT_BASE_BYTES + _PER_CANDIDATE_BYTES * len(q)
-
-    def decision_list(self):
-        """Per-candidate decision objects, built on demand for splicing."""
-        if self.decisions is not None:
-            return self.decisions
-        from repro.core.stores.soa import ArchivedDecision
-
-        archive = self.archive
-        return [
-            ArchivedDecision(archive, index) for index in self.d.tolist()
-        ]
+        self.nbytes = snapshot_bytes(len(q))
 
     def __len__(self) -> int:
         return len(self.q)
@@ -134,56 +108,39 @@ class FrontierSnapshot:
 
 
 def capture_frontier(
-    store,
-    factory,
+    store: list,
     root_id: int,
     peak: int,
     generated: int,
-    portable: bool = False,
+    library=None,
 ) -> FrontierSnapshot:
-    """Freeze a completed store's frontier outside any solver session.
+    """Freeze a completed object-store frontier outside any session.
 
     The :class:`~repro.incremental.engine.IncrementalSolver` captures
-    frontiers mid-resolve with its own batching (values now, one tape
-    archive at the end); this is the standalone equivalent for callers
-    that ran a whole schedule to completion themselves — above all the
-    parallel partition workers, which solve an extracted
-    :meth:`~repro.core.schedule.CompiledNet.subschedule` and ship its
-    root frontier back to the parent process.
+    frontiers mid-resolve with its own batching; this is the standalone
+    equivalent for callers that ran a whole schedule to completion
+    themselves — above all the parallel partition workers, which solve
+    an extracted :meth:`~repro.core.schedule.CompiledNet.subschedule`
+    and ship its root frontier back to the parent process.
 
     Args:
-        store: The completed root store (object-backend candidate list,
-            or a store of ``factory``'s backend).
-        factory: The store factory the solve ran on, or ``None`` for
-            the object backend.  SoA-family factories are archived here
-            (one :meth:`archive_tape` call), so call this *before*
-            ``factory.end_solve()`` and at most once per solve.
+        store: The completed root candidate list.
         root_id: The subtree root's node id (parent-tree coordinates —
             subschedules preserve ids, so ``canon`` stays ``None`` and
             splicing needs no translation).
         peak / generated: The solve's DP-stats contribution.
-        portable: Flatten object-backend decision DAGs into
-            :class:`~repro.core.candidate.ExpandedDecision`\\ s.  The
-            DAG can nest as deep as the subtree, which breaks pickling
-            (recursion) across process boundaries; flattening keeps the
-            reconstructed assignment — hence the final result —
-            bit-identical while bounding depth.  SoA captures are
-            already portable (flat archive columns).
+        library: Given, flatten decision DAGs into
+            :class:`~repro.core.candidate.ExpandedDecision`\\ s over
+            this library's buffer types.  The DAG can nest as deep as
+            the subtree, which breaks pickling (recursion) across
+            process boundaries; flattening keeps the reconstructed
+            assignment — hence the final result — bit-identical while
+            bounding depth.
     """
-    snapshot_values = (
-        getattr(factory, "snapshot_values", None)
-        if factory is not None else None
-    )
-    if snapshot_values is not None:
-        q, c, d = snapshot_values(store)
-        return FrontierSnapshot(
-            q, c, None, None, root_id, peak, generated,
-            archive=factory.archive_tape(), d=d,
-        )
     q = []
     c = []
     decisions = []
-    if portable:
+    if library is not None:
         from repro.core.candidate import (
             ExpandedDecision,
             reconstruct_assignment,
@@ -191,8 +148,10 @@ def capture_frontier(
     for q_i, c_i, decision in store:
         q.append(q_i)
         c.append(c_i)
-        if portable:
-            decision = ExpandedDecision(reconstruct_assignment(decision))
+        if library is not None:
+            decision = ExpandedDecision(
+                reconstruct_assignment(decision, library)
+            )
         decisions.append(decision)
     return FrontierSnapshot(
         q, c, tuple(decisions), None, root_id, peak, generated

@@ -9,8 +9,9 @@ memoization); this package extends it to *parallelism*:
    schedule at balanced subtree boundaries chosen from the postorder
    instruction layout;
 2. each cut's :meth:`~repro.core.schedule.CompiledNet.subschedule`
-   extract is solved concurrently on a process pool, returning a
-   picklable frontier snapshot (never an assignment);
+   extract is solved concurrently on a process pool, on the object
+   store, returning a picklable frontier snapshot (never an
+   assignment);
 3. :func:`~repro.parallel.solver.solve_partitioned` replays the
    residual instruction stream in the parent, splicing each returned
    frontier at its cut exactly like the incremental engine — so the

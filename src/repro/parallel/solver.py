@@ -22,6 +22,10 @@ and the serving layer's large-``/solve`` routing.  The flow:
 4. finish through :func:`repro.core.dp._finish` exactly like a scratch
    solve.
 
+The cuts and the residual run on the object store, like an incremental
+session: it is the one store that freezes and splices frontiers, and
+the store a single net solved alone runs on.
+
 **Why the result is bit-identical.**  Every instruction of the parent
 schedule is executed exactly once, on the same inputs, in the same
 order as the scratch solve: the workers execute the cut ranges (the
@@ -45,6 +49,7 @@ from typing import List, Optional, Sequence, Union
 
 from repro.core.schedule import CompiledNet, compile_net
 from repro.core.solution import BufferingResult
+from repro.core.stores import SPLICE_BACKEND
 from repro.errors import AlgorithmError, DeadlineExceeded, WorkerCrashError
 from repro.library.library import BufferLibrary
 from repro.obs.spans import active_tracer, current_request_id
@@ -61,7 +66,6 @@ def solve_partitioned(
     library: BufferLibrary,
     algorithm: str = "fast",
     driver: Optional[Driver] = None,
-    backend: str = "auto",
     jobs: Optional[int] = None,
     options: Optional[dict] = None,
     pool=None,
@@ -79,11 +83,6 @@ def solve_partitioned(
             context (see :func:`repro.core.api.insert_buffers`).  When
             ``pool`` is given, these must match the pool's context —
             the workers already hold it.
-        backend: A store name, or ``"auto"`` (the default) for the
-            store of the net solved alone
-            (:func:`repro.routing.router.solo_store`).  The cuts and the
-            residual all run on that one store, which each partition
-            task carries to its worker.
         jobs: Worker count for cut planning and the transient pool;
             defaults to ``pool.jobs`` or ``os.cpu_count()``.  ``1``
             solves the partitions inline (no processes) — the same
@@ -113,15 +112,13 @@ def solve_partitioned(
     """
     from repro.core.batch import _init_worker, _resolve_jobs
     from repro.core.registry import get_algorithm
-    from repro.core.stores import get_store_backend
-    from repro.routing.router import solo_store
 
     if deadline is not None:
         with deadline_scope(deadline):
             return solve_partitioned(
                 net, library, algorithm=algorithm, driver=driver,
-                backend=backend, jobs=jobs, options=options, pool=pool,
-                plan=plan, report=report,
+                jobs=jobs, options=options, pool=pool, plan=plan,
+                report=report,
             )
 
     get_algorithm(algorithm).validate_options(options or {})
@@ -133,8 +130,6 @@ def solve_partitioned(
     compiled = (
         net if isinstance(net, CompiledNet) else compile_net(net, library)
     )
-    backend = solo_store(backend, compiled)
-    get_store_backend(backend)
 
     if report is None:
         report = {}
@@ -160,9 +155,7 @@ def solve_partitioned(
 
     if not plan.viable:
         report["reason"] = plan.reason
-        return _serial_fallback(
-            compiled, library, algorithm, driver, backend, options
-        )
+        return _serial_fallback(compiled, library, algorithm, driver, options)
 
     report.update(
         engaged=True,
@@ -192,7 +185,7 @@ def solve_partitioned(
         else None
     )
     tasks = [
-        (backend, index, plan.cuts[index].node_id,
+        (index, plan.cuts[index].node_id,
          compiled.subschedule(plan.cuts[index].node_id), obs)
         for index in order
     ]
@@ -213,9 +206,9 @@ def solve_partitioned(
     else:
         raw = [
             (index, solve_subschedule(
-                sub, root_id, library, algorithm, backend, options
+                sub, root_id, library, algorithm, options
             ), 0.0, None)
-            for _, index, root_id, sub, _ in tasks
+            for index, root_id, sub, _ in tasks
         ]
     dispatch_seconds = time.perf_counter() - dispatch_started
     if dispatch_handle is not None:
@@ -236,8 +229,8 @@ def solve_partitioned(
         report["pool_utilization"] = busy / (jobs * dispatch_seconds)
 
     return _execute_residual(
-        compiled, plan, snapshots, library, algorithm, backend, options,
-        driver, started,
+        compiled, plan, snapshots, library, algorithm, options, driver,
+        started,
     )
 
 
@@ -264,7 +257,7 @@ def _dispatch_transient(
     from concurrent.futures import TimeoutError as FuturesTimeoutError
     from concurrent.futures.process import BrokenProcessPool
 
-    cut_ids = tuple(task[2] for task in tasks)
+    cut_ids = tuple(task[1] for task in tasks)
     deadline = active_deadline()
     executor = ProcessPoolExecutor(
         max_workers=jobs,
@@ -301,14 +294,13 @@ def _serial_fallback(
     library: BufferLibrary,
     algorithm: str,
     driver: Optional[Driver],
-    backend: str,
     options: dict,
 ) -> BufferingResult:
     from repro.core.api import insert_buffers
 
     return insert_buffers(
         compiled, library, algorithm=algorithm, driver=driver,
-        backend=backend, **options,
+        backend=SPLICE_BACKEND, **options,
     )
 
 
@@ -318,7 +310,6 @@ def _execute_residual(
     snapshots: Sequence[object],
     library: BufferLibrary,
     algorithm: str,
-    backend: str,
     options: dict,
     driver: Optional[Driver],
     started: float,
@@ -335,11 +326,10 @@ def _execute_residual(
     from repro.incremental.engine import splice_snapshot
 
     strategy = get_algorithm(algorithm)
-    add_buffer = strategy.add_buffer_op(backend, library, **options)
+    add_buffer = strategy.add_buffer_op(SPLICE_BACKEND, library, **options)
     label = strategy.stats_label(**options)
-    factory = compiled.factory(backend) if backend != "object" else None
     sink_op, wire_op, merge_op, best_op, release = _resolve_ops(
-        backend, factory=factory
+        SPLICE_BACKEND
     )
     tracer = active_tracer()
 
@@ -350,7 +340,7 @@ def _execute_residual(
                 if tracer is not None
                 else nullcontext()
             ):
-                store = splice_snapshot(snapshot, factory)
+                store = splice_snapshot(snapshot)
             return store, snapshot.peak, snapshot.generated, final
 
         return hook
@@ -368,12 +358,9 @@ def _execute_residual(
             compiled, sink_op, wire_op, merge_op, add_buffer, release,
             site="parallel.residual", splice_at=splice_at,
         )
-    result = _finish(
+    return _finish(
         root, best_op, release,
         driver if driver is not None else compiled.driver, label,
         compiled.num_buffer_positions, library, peak, generated,
-        started, backend,
+        started, SPLICE_BACKEND,
     )
-    if factory is not None:
-        factory.end_solve()
-    return result

@@ -3,34 +3,27 @@
 A partition task ships a :meth:`~repro.core.schedule.CompiledNet.subschedule`
 extract to a worker of the shared :class:`~repro.core.batch.SolverPool`
 process pool (same pool, same ``_init_worker`` context — library,
-algorithm, driver and options live in the worker already; the task
-names the store its solve was routed to).  The worker runs the
-ordinary schedule interpreter over the extract and returns the
-*frontier* — a picklable
+algorithm, driver and options live in the worker already).  The worker
+runs the ordinary schedule interpreter over the extract on the object
+store, the one store that freezes and splices frontiers, and returns
+the *frontier* — a picklable
 :class:`~repro.incremental.subtree_cache.FrontierSnapshot` in the
 parent tree's node ids — never an assignment: the cut's frontier is an
 intermediate value of the parent's DP, and only the parent, after
 splicing every frontier and replaying the residual glue, can score the
 root against the driver.
-
-Each worker process keeps one store factory per store and reuses it
-across tasks, exactly like the per-net factories of the batch path: the
-SoA scratch arena and provenance tape stay warm for the next partition.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.schedule import CompiledNet
+from repro.core.stores import SPLICE_BACKEND
 from repro.incremental.subtree_cache import FrontierSnapshot, capture_frontier
 from repro.resilience.faults import inject as _inject_fault
-
-#: This process's warm store factories, by store name (the inline
-#: path, which passes explicit arguments, bypasses them).
-_FACTORIES: Dict[str, object] = {}
 
 
 def solve_subschedule(
@@ -38,11 +31,10 @@ def solve_subschedule(
     root_id: int,
     library,
     algorithm: str,
-    backend: str,
     options: dict,
-    factory=None,
 ) -> FrontierSnapshot:
-    """Run ``sub`` to completion and freeze its root frontier.
+    """Run ``sub`` to completion on the object store and freeze its
+    root frontier.
 
     The same interpreter, operations and accounting as a scratch solve
     of the extract (:func:`repro.core.dp._execute_schedule` with the
@@ -53,55 +45,27 @@ def solve_subschedule(
     Args:
         sub: The extracted subschedule (node ids preserved).
         root_id: The cut node's id (recorded on the snapshot).
-        library / algorithm / backend / options: The solve context;
-            ``backend`` must be resolved (not ``"auto"``).
-        factory: Optional store factory to reuse; defaults to a
-            per-call factory from the backend registry for non-object
-            backends.
+        library / algorithm / options: The solve context.
     """
     from repro.core.dp import _execute_schedule, _resolve_ops
     from repro.core.registry import get_algorithm
 
     add_buffer = get_algorithm(algorithm).add_buffer_op(
-        backend, library, **options
+        SPLICE_BACKEND, library, **options
     )
-    if backend != "object" and factory is None:
-        from repro.core.stores import get_store_backend
-
-        factory = get_store_backend(backend)()
     sink_op, wire_op, merge_op, _best_op, release = _resolve_ops(
-        backend, factory=factory
+        SPLICE_BACKEND
     )
     root, peak, generated = _execute_schedule(
         sub, sink_op, wire_op, merge_op, add_buffer, release
     )
-    snapshot = capture_frontier(
-        root, factory, root_id, peak, generated, portable=True
-    )
-    if factory is not None:
-        release(root)
-        factory.end_solve()
-    return snapshot
-
-
-def _worker_state(store: str):
-    """The pool context and this process's warm factory for ``store``."""
-    from repro.core import batch
-
-    context = batch._WORKER_CONTEXT
-    assert context is not None, "partition task on an uninitialized worker"
-    factory = _FACTORIES.get(store)
-    if factory is None and store != "object":
-        from repro.core.stores import get_store_backend
-
-        factory = _FACTORIES[store] = get_store_backend(store)()
-    return context, factory
+    return capture_frontier(root, root_id, peak, generated, library=library)
 
 
 def _solve_partition(
-    task: Tuple[str, int, int, CompiledNet, Optional[tuple]]
+    task: Tuple[int, int, CompiledNet, Optional[tuple]]
 ) -> Tuple[int, FrontierSnapshot, float, Optional[list]]:
-    """One pool task: ``(store, index, cut node id, subschedule, obs)``.
+    """One pool task: ``(index, cut node id, subschedule, obs)``.
 
     ``obs`` is ``None`` or ``(request_id, collect_spans)`` — the
     observability context the parent threads through the task tuple,
@@ -115,18 +79,20 @@ def _solve_partition(
     Returns ``(partition index, snapshot, busy seconds, spans)`` — the
     busy time feeds the pool-utilization figure in the solve report.
     """
-    store, part_index, root_id, sub, obs = task
+    part_index, root_id, sub, obs = task
     request_id, collect_spans = obs if obs is not None else (None, False)
     # Forked executor workers can inherit the parent thread's ambient
     # deadline and tracer; the parent bounds its wait and collects its
     # own spans instead, so drop both here.
+    from repro.core import batch
     from repro.obs.spans import Tracer, request_scope, reset_active_tracer, trace_scope
     from repro.resilience.deadline import reset_active_deadline
 
     reset_active_deadline()
     reset_active_tracer()
     _inject_fault("worker.partition")
-    context, factory = _worker_state(store)
+    context = batch._WORKER_CONTEXT
+    assert context is not None, "partition task on an uninitialized worker"
     tracer = (
         Tracer(request_id=request_id or "untraced")
         if collect_spans
@@ -142,7 +108,7 @@ def _solve_partition(
     ):
         snapshot = solve_subschedule(
             sub, root_id, context["library"], context["algorithm"],
-            store, context["options"], factory=factory,
+            context["options"],
         )
     elapsed = time.perf_counter() - started
     spans = tracer.export_relative() if tracer is not None else None

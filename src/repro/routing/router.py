@@ -2,21 +2,25 @@
 
 Every public entry point that accepts ``backend="auto"`` resolves it
 here, once per request: ``insert_buffers``, ``SolverPool`` and
-``solve_many`` at every ``jobs`` value, incremental sessions and the
-server through :class:`Router`, and ``insert_buffers_with_inverters``
-and ``solve_partitioned`` through :func:`solo_store`.  The strategies
-and the DP interpreter take a concrete store only.  The
-:class:`Router` puts every dispatch decision behind one policy string:
+``solve_many`` at every ``jobs`` value and the server through
+:class:`Router`, and ``insert_buffers_with_inverters`` through
+:func:`solo_store`.  The strategies and the DP interpreter take a
+concrete store only.  The :class:`Router` puts every dispatch decision
+behind one policy string:
 
 * ``"static"`` — the rule (the default): :func:`static_store` picks
-  the candidate store from the request's kind and size (``object`` for
-  every single-net solve), a structural group rides the batch axis when
-  it is on the ``soa`` side, and a net over the instruction threshold
-  is partitioned on a multi-process pool.
+  the candidate store from the request's size (``object`` for every
+  single net), a structural group rides the batch axis when it is on
+  the ``soa`` side, and a net over the instruction threshold is
+  partitioned on a multi-process pool.
 * ``"always_X"`` / ``"never_X"`` — escape hatches that pin one axis and
   leave the rest on the static rule: ``always_object``, ``always_soa``,
   ``always_batch`` / ``never_batch``, ``always_parallel`` /
   ``never_parallel``.
+
+Two plans ignore every store pin: a session splices on ``object``, and
+a partitioned solve runs its cuts and residual on ``object``.  Only the
+object store freezes and splices frontiers.
 
 Whatever the policy, the emitted plan is only ever a *choice among
 bit-identical executions* — ``tests/test_routing.py`` proves every
@@ -31,6 +35,7 @@ import threading
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, Optional
 
+from repro.core.stores import SPLICE_BACKEND
 from repro.obs.metrics import default_registry
 from repro.obs.spans import active_tracer
 from repro.routing.features import RequestFeatures, features_of
@@ -138,11 +143,10 @@ def _soa_available() -> bool:
 #: instruction is large: lists grow along the positions between branch
 #: points, hence a floor per sink, and the add-buffer step's width grows
 #: with the library size.  Against the object store's single-pass
-#: kernels one net's solve never pays that cost back on the measured
-#: grid (Figure 4 trunks to 8000 positions, b = 8-64), so these floors
-#: apply only where ``soa`` still measured faster on long lists: a
-#: session resolve, and a multi-lane group on the batch axis, which
-#: runs every lane per dispatch.
+#: kernels one net's solve or session resolve never pays that cost back
+#: on the measured grid (Figure 4 trunks to 8000 positions, b = 8-64),
+#: so these floors apply only to a multi-lane group on the batch axis,
+#: which runs every lane per dispatch.
 SOA_MIN_POSITION_TYPES_PER_SINK = 800
 SOA_MIN_POSITION_TYPES = 9600
 
@@ -150,15 +154,15 @@ SOA_MIN_POSITION_TYPES = 9600
 def static_store(features: RequestFeatures) -> str:
     """The candidate store the static rule picks for ``features``.
 
-    ``"object"`` for a single-net solve, whatever its size.  A session
-    or a multi-lane group takes ``"soa"`` when its candidate lists will
-    be long — ``positions * library_size`` of at least
+    ``"object"`` for a single net — a solve or a session — whatever its
+    size.  A multi-lane group takes ``"soa"`` when its candidate lists
+    will be long — ``positions * library_size`` of at least
     :data:`SOA_MIN_POSITION_TYPES_PER_SINK` per sink and
     :data:`SOA_MIN_POSITION_TYPES` in all (a Figure 4 trunk: one sink,
     hundreds of positions) — and NumPy imports; ``"object"``
     otherwise.
     """
-    if features.kind == "solve" and features.lanes == 1:
+    if features.lanes == 1:
         return "object"
     work = features.positions * features.library_size
     if (
@@ -239,16 +243,16 @@ class Router:
         that probes a plan it may not execute (a pool deciding which
         nets to partition) records the plan of each unit it runs.
 
-        The store is the caller's ``backend`` (an explicit store always
-        wins), else the policy's pinned store, else
+        A session splices on ``object``, whatever the store asked for.
+        Otherwise the store is the caller's ``backend`` (an explicit
+        store always wins), else the policy's pinned store, else
         :func:`static_store`'s (for a group on a context that cannot
-        batch, the store of one lane).  A session splices on it.  A
-        multi-lane group, on a context that ``supports_batch``, rides the
-        batch axis when that store is ``soa`` — or, under
-        ``always_batch``, whenever the store was left to routing;
-        ``never_batch`` solves such a group's lanes one by one on ``soa``
-        instead.  Anything
-        else solves on the store, partitioned on a context that
+        batch, the store of one lane).  A multi-lane group, on a context
+        that ``supports_batch``, rides the batch axis when that store is
+        ``soa`` — or, under ``always_batch``, whenever the store was
+        left to routing; ``never_batch`` solves such a group's lanes one
+        by one on ``soa`` instead.  Anything else solves on the store,
+        or partitioned on ``object`` on a context that
         ``supports_parallel`` once its schedule reaches
         :attr:`parallel_threshold` instructions (``always_parallel``
         partitions every single net, ``never_parallel`` none).
@@ -259,6 +263,24 @@ class Router:
             if tracer is not None
             else None
         )
+        if features.kind == "session":
+            plan = ExecutionPlan(SPLICE_BACKEND, "splice")
+        else:
+            plan = self._solve_plan(
+                features, backend, supports_batch, supports_parallel
+            )
+        if route_handle is not None:
+            tracer.end(route_handle, strategy=plan.strategy)
+        return plan
+
+    def _solve_plan(
+        self,
+        features: RequestFeatures,
+        backend: str,
+        supports_batch: bool,
+        supports_parallel: bool,
+    ) -> ExecutionPlan:
+        """:meth:`plan` for a request that is not a session."""
         pin_store, pin_batch, pin_parallel = self._pins
         if backend != "auto":
             store = backend
@@ -269,27 +291,24 @@ class Router:
             store = static_store(replace(features, lanes=1))
         else:
             store = static_store(features)
-        if features.kind == "session":
-            plan = ExecutionPlan(store, "splice")
-        elif supports_batch and features.lanes > 1 and (
+        if supports_batch and features.lanes > 1 and (
             store == "soa" or (pin_batch is True and backend == "auto")
         ):
-            plan = ExecutionPlan(
+            return ExecutionPlan(
                 "soa", "compiled", batch_axis=pin_batch is not False
             )
-        else:
-            parallel = (
-                supports_parallel
-                and pin_parallel is not False
-                and (
-                    features.instructions >= self.parallel_threshold
-                    or (pin_parallel is True and features.lanes == 1)
-                )
+        parallel = (
+            supports_parallel
+            and pin_parallel is not False
+            and (
+                features.instructions >= self.parallel_threshold
+                or (pin_parallel is True and features.lanes == 1)
             )
-            plan = ExecutionPlan(store, "compiled", parallel=parallel)
-        if route_handle is not None:
-            tracer.end(route_handle, strategy=plan.strategy)
-        return plan
+        )
+        return ExecutionPlan(
+            SPLICE_BACKEND if parallel else store, "compiled",
+            parallel=parallel,
+        )
 
     def record(self, plan: ExecutionPlan) -> None:
         """Count one executed plan in :meth:`stats` and the registry."""

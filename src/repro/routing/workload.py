@@ -219,19 +219,17 @@ def candidate_plans(
 ) -> List[ExecutionPlan]:
     """Every plan replay measures for one request, reference-most first.
 
-    Each store (``object``, plus ``soa`` when NumPy imports) — for a
-    session both the splice resolve and the from-scratch re-solve —
-    and, for a group on a context that can batch, the batch axis.
-    Partitioned plans are left out: replay runs in-process, and a
-    one-process pool cannot measure multi-process speedups honestly.
+    A from-scratch solve on each store (``object``, plus ``soa`` when
+    NumPy imports), led for a session by the ``object`` splice resolve
+    (sessions splice on ``object`` only) and followed, for a group on a
+    context that can batch, by the batch axis.  Partitioned plans are
+    left out: replay runs in-process, and a one-process pool cannot
+    measure multi-process speedups honestly.
     """
     stores = ["object"] + (["soa"] if _soa_available() else [])
-    if features.kind == "session":
-        return [
-            ExecutionPlan(store, mode)
-            for store in stores for mode in ("splice", "compiled")
-        ]
     plans = [ExecutionPlan(store, "compiled") for store in stores]
+    if features.kind == "session":
+        return [ExecutionPlan("object", "splice"), *plans]
     if supports_batch and features.lanes > 1:
         plans.append(ExecutionPlan("soa", "compiled", batch_axis=True))
     return plans
@@ -312,8 +310,9 @@ def _measure_session(
 
     ``splice`` times the incremental dirty-path resolve after the
     recorded edits; ``compiled`` times the from-scratch alternative
-    (compile + interpret the edited net) the router weighs it against.
-    The baseline solve and the edit application are setup, not timed.
+    (compile + interpret the edited net on the plan's store) the router
+    weighs it against.  The baseline solve and the edit application are
+    setup, not timed.
     """
     from repro.core.api import insert_buffers
     from repro.incremental.engine import IncrementalSolver
@@ -324,7 +323,7 @@ def _measure_session(
         tree = loaded.fresh_trees()[0]
         solver = IncrementalSolver(
             tree, loaded.library, algorithm=loaded.algorithm,
-            backend=plan.backend, **loaded.options,
+            **loaded.options,
         )
         solver.resolve()
         for edit in loaded.edits:

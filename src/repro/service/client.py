@@ -195,9 +195,10 @@ class ServiceClient:
         The server keeps the net, its compiled schedule and its
         memoized subtree frontiers resident; use the returned
         :class:`ServiceSession` to apply edits and re-solve at
-        dirty-path cost.  Sessions expire after the server's idle TTL
-        and are evicted least recently used — callers should
-        :meth:`~ServiceSession.delete` when done.
+        dirty-path cost.  Sessions solve on the ``object`` store, so
+        ``backend`` must be ``"auto"`` or ``"object"``.  Sessions expire
+        after the server's idle TTL and are evicted least recently used
+        — callers should :meth:`~ServiceSession.delete` when done.
         """
         answer = self._request("POST", "/session", {
             "net": _net_spec(tree),

@@ -70,7 +70,9 @@ ranges, worker partitions re-parented across the process-pool boundary
 :class:`~repro.incremental.engine.IncrementalSolver`: the server keeps
 the net, its compiled schedule and its memoized subtree frontiers
 resident between requests, so an edit-resolve round trip pays only the
-dirty path instead of a full solve.  Session memory is bounded by a
+dirty path instead of a full solve.  Sessions solve on the ``object``
+store: a ``/session`` body's ``backend`` must be ``"auto"`` or
+``"object"`` (anything else is a 400).  Session memory is bounded by a
 documented two-part policy: (1) at most ``max_sessions`` sessions live
 at once — beyond that the least recently *used* session is evicted, and
 sessions idle longer than ``session_ttl`` seconds expire (both via the
@@ -141,7 +143,11 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.core.batch import SolverPool
 from repro.core.registry import get_algorithm
 from repro.core.schedule import CompiledNet, compile_records
-from repro.core.stores import AUTO_BACKEND, get_store_backend
+from repro.core.stores import (
+    AUTO_BACKEND,
+    SPLICE_BACKEND,
+    get_store_backend,
+)
 from repro.errors import DeadlineExceeded, EditError, ReproError, WorkerCrashError
 from repro.library.library import BufferLibrary
 from repro.obs.metrics import (
@@ -1057,6 +1063,12 @@ class BufferServer:
         spec = _parse_body(body)
         net_spec = _require(spec, "net", dict)
         context = _SolveContext.from_spec(spec, self.policy)
+        if context.backend not in (AUTO_BACKEND, SPLICE_BACKEND):
+            raise _BadRequest(
+                f"sessions solve on the {SPLICE_BACKEND!r} store; 'backend' "
+                f"must be {AUTO_BACKEND!r} or {SPLICE_BACKEND!r}, got "
+                f"{context.backend!r}"
+            )
         try:
             tree, id_map = tree_from_dict(net_spec, with_id_map=True)
         except ReproError as exc:
@@ -1072,17 +1084,16 @@ class BufferServer:
         from repro.routing.router import router_for
 
         def create() -> IncrementalSolver:
-            # The store is routed under the request's policy, like a
-            # /solve miss; construction validates, compiles and digests
-            # the net — O(n) work that belongs off the event loop.
-            plan = router_for(context.policy).route(
-                features_of(tree, context.library, kind="session"),
-                backend=context.backend,
+            # Counted under the request's policy like a /solve miss (a
+            # session always plans object-splice); construction
+            # validates, compiles and digests the net — O(n) work that
+            # belongs off the event loop.
+            router_for(context.policy).route(
+                features_of(tree, context.library, kind="session")
             )
             return IncrementalSolver(
                 tree, context.library, algorithm=context.algorithm,
-                backend=plan.backend, cache=self.frontiers,
-                **context.options,
+                cache=self.frontiers, **context.options,
             )
 
         loop = asyncio.get_running_loop()

@@ -84,9 +84,12 @@ class WireSizingResult:
         )
 
 
-def _reconstruct(decision) -> Tuple[Dict[int, BufferType], Dict[int, WireClass]]:
+def _reconstruct(
+    decision, library: BufferLibrary
+) -> Tuple[Dict[int, BufferType], Dict[int, WireClass]]:
     """Expand a decision DAG of :mod:`repro.core.candidate`'s tuple
     forms plus :class:`WireDecision` nodes into both assignments."""
+    types = {buffer.name: buffer for buffer in library}
     buffers: Dict[int, BufferType] = {}
     wires: Dict[int, WireClass] = {}
     stack = [decision]
@@ -94,8 +97,8 @@ def _reconstruct(decision) -> Tuple[Dict[int, BufferType], Dict[int, WireClass]]
         node = stack.pop()
         if type(node) is tuple:
             if len(node) == 3:
-                node_id, buffer, below = node
-                buffers[node_id] = buffer
+                node_id, name, below = node
+                buffers[node_id] = types[name]
                 stack.append(below)
             else:
                 stack.append(node[0])
@@ -201,7 +204,7 @@ def size_wires_and_insert_buffers(
     resistance = driver.resistance if driver is not None else 0.0
     q, c, decision = best_op(root_list, resistance)
     slack = q - (driver.delay(c) if driver is not None else 0.0)
-    buffers, wires = _reconstruct(decision)
+    buffers, wires = _reconstruct(decision, library)
 
     stats = DPStats(
         algorithm="fast-wiresizing",

@@ -43,15 +43,15 @@ def kernel_signature(candidates) -> list:
 
     The ``float.hex`` of ``q`` and ``c`` (so a sign of zero or a last
     ulp counts), plus the decision: passed-through decisions by
-    identity, a new buffer ``(node_id, buffer_type, below)`` by its
-    node, type object and the decision below it, a new merge
+    identity, a new buffer ``(node_id, buffer_name, below)`` by its
+    node, type name and the decision below it, a new merge
     ``(left, right)`` by its two children.
     """
     rows = []
     for q, c, decision in candidates:
         if type(decision) is tuple and len(decision) == 3:
-            node_id, buffer, below = decision
-            shape = ("buffer", node_id, id(buffer), id(below))
+            node_id, name, below = decision
+            shape = ("buffer", node_id, name, id(below))
         elif type(decision) is tuple:
             shape = ("merge", id(decision[0]), id(decision[1]))
         else:
@@ -142,7 +142,7 @@ def reference_generate_fast(candidates, plan, hull=None):
         betas[index] = (
             value - buffer.intrinsic_delay,
             buffer.input_capacitance,
-            (plan.node_id, buffer, current[2]),
+            (plan.node_id, buffer.name, current[2]),
         )
     ordered = [betas[i] for i in plan.cap_order if betas[i] is not None]
     return reference_prune_dominated(ordered)

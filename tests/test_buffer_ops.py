@@ -95,8 +95,8 @@ class TestGenerateEquivalence:
         lillis = generate_lillis(cands, plan)
         fast = generate_fast(cands, plan)
         for (_, _, a), (_, _, b) in zip(lillis, fast):
-            # A buffer decision is (node_id, buffer_type, below).
-            assert a[1].name == b[1].name
+            # A buffer decision is (node_id, buffer_name, below).
+            assert a[1] == b[1]
             assert a[2] is b[2]
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import make_candidates
 
-from repro import BufferType
+from repro import BufferLibrary, BufferType
 from repro.core.candidate import (
     best_candidate_for_driver,
     reconstruct_assignment,
@@ -28,32 +28,46 @@ def test_dominates_tradeoff_neither():
     assert prune_dominated([b, a]) == [b, a]
 
 
+BUF_X = BufferType("x", 100.0, fF(1.0), ps(1.0))
+BUF_Y = BufferType("y", 200.0, fF(2.0), ps(2.0))
+LIBRARY = BufferLibrary([BUF_X, BUF_Y])
+
+
 def test_reconstruct_sink_only():
-    assert reconstruct_assignment(3) == {}
+    assert reconstruct_assignment(3, LIBRARY) == {}
 
 
 def test_reconstruct_buffer_chain():
-    buf1 = BufferType("x", 100.0, fF(1.0), ps(1.0))
-    buf2 = BufferType("y", 200.0, fF(2.0), ps(2.0))
-    decision = (7, buf2, (3, buf1, 1))
-    assert reconstruct_assignment(decision) == {7: buf2, 3: buf1}
+    # A buffer decision names its type; the library maps it back.
+    decision = (7, "y", (3, "x", 1))
+    assert reconstruct_assignment(decision, LIBRARY) == {7: BUF_Y, 3: BUF_X}
 
 
 def test_reconstruct_merge_collects_both_sides():
-    buf = BufferType("x", 100.0, fF(1.0), ps(1.0))
-    left = (2, buf, 0)
-    right = (5, buf, 1)
-    assert reconstruct_assignment((left, right)) == {2: buf, 5: buf}
+    left = (2, "x", 0)
+    right = (5, "x", 1)
+    assert reconstruct_assignment((left, right), LIBRARY) == {
+        2: BUF_X, 5: BUF_X,
+    }
 
 
 def test_reconstruct_deep_chain_iterative():
     # 50k-deep chain must not hit the recursion limit.
-    buf = BufferType("x", 100.0, fF(1.0), ps(1.0))
     decision = 0
     for node_id in range(1, 50_001):
-        decision = (node_id, buf, decision)
-    assignment = reconstruct_assignment(decision)
+        decision = (node_id, "x", decision)
+    assignment = reconstruct_assignment(decision, LIBRARY)
     assert len(assignment) == 50_000
+
+
+def test_decision_dags_are_untracked_by_the_gc():
+    # Ints, names and tuples only: a collection untracks the DAG, so
+    # frontiers kept past their solve cost the collector nothing.
+    import gc
+
+    decision = (4, "y", ((2, "x", 0), (3, "x", 1)))
+    gc.collect()
+    assert not gc.is_tracked(decision)
 
 
 def test_best_candidate_for_driver_picks_max_q_minus_rc():

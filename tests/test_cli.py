@@ -53,6 +53,35 @@ def test_buffer_lillis_agrees_with_fast(tmp_path, capsys):
     assert slacks["fast"] == pytest.approx(slacks["lillis"], abs=1e-16)
 
 
+def test_partitioned_buffer_takes_the_object_store_only(tmp_path, capsys):
+    # A partitioned solve (--jobs > 1) runs on object, so another store
+    # is refused up front (exit 2, nothing written), not ignored.
+    net_path = tmp_path / "net.json"
+    lib_path = tmp_path / "lib.json"
+    out_path = tmp_path / "solution.json"
+    main(["generate", "--net", str(net_path), "--sinks", "6",
+          "--positions", "40", "--library", str(lib_path),
+          "--library-size", "3"])
+    capsys.readouterr()
+    buffer = ["buffer", "--net", str(net_path), "--library", str(lib_path),
+              "--output", str(out_path)]
+
+    assert main(buffer + ["--jobs", "2", "--backend", "soa"]) == 2
+    assert "--backend soa needs --jobs 1" in capsys.readouterr().err
+    assert not out_path.exists()
+
+    assert main(buffer + ["--jobs", "1", "--backend", "soa"]) == 0
+    capsys.readouterr()
+    on_soa = json.loads(out_path.read_text())
+    assert on_soa["backend"] == "soa"
+    assert main(buffer + ["--jobs", "2", "--backend", "object"]) == 0
+    capsys.readouterr()
+    partitioned = json.loads(out_path.read_text())
+    assert partitioned["backend"] == "object"
+    assert partitioned["slack_seconds"] == on_soa["slack_seconds"]
+    assert partitioned["assignment"] == on_soa["assignment"]
+
+
 def test_paper_pseudocode_flag(tmp_path, capsys):
     net_path = tmp_path / "net.json"
     lib_path = tmp_path / "lib.json"

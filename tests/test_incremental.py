@@ -4,7 +4,8 @@ The headline contract is *bit-identity*: after any sequence of edits,
 :meth:`~repro.incremental.engine.IncrementalSolver.resolve` must return
 exactly — ``==``, not approx — the slack, assignment, driver load and
 DP statistics a from-scratch solve of the edited net returns, for every
-registered algorithm and every candidate-store backend.  The parity
+registered algorithm, on every candidate store the scratch solve can
+run on (sessions themselves run on the object store).  The parity
 corpus below replays randomized edit sequences (payload, structural,
 polarity and driver edits mixed) against scratch solves at every step.
 
@@ -13,8 +14,8 @@ digest (one cache entry must serve both, with node ids translated onto
 the right sibling), frontier-cache bounding/eviction, frontier lifetime
 (a session holds its current subtrees plus the path its latest edit
 superseded, and nothing once it is closed or collected, also with many
-sessions on many threads), and the SoA backend's promise that no stale
-tape reference ever leaks into a cached frontier.
+sessions on many threads), and the cap on provenance chains that long
+sessions of structural edits build.
 """
 
 import gc
@@ -65,7 +66,9 @@ try:
 except ImportError:  # pragma: no cover
     numpy = None
 
-BACKENDS = ("object", "soa") if numpy is not None else ("object",)
+#: The stores a session's answers are checked against: every session
+#: runs on object, and must match a scratch solve on each store.
+REFERENCES = ("object", "soa") if numpy is not None else ("object",)
 
 ALGORITHMS = ("fast", "lillis", "van_ginneken")
 
@@ -74,14 +77,14 @@ def names(assignment):
     return {node_id: buffer.name for node_id, buffer in assignment.items()}
 
 
-def scratch_solve(tree, library, algorithm, backend, **options):
+def scratch_solve(tree, library, algorithm, reference, **options):
     return insert_buffers(
-        tree, library, algorithm=algorithm, backend=backend, **options
+        tree, library, algorithm=algorithm, backend=reference, **options
     )
 
 
-def assert_parity(result, tree, library, algorithm, backend, **options):
-    expected = scratch_solve(tree, library, algorithm, backend, **options)
+def assert_parity(result, tree, library, algorithm, reference, **options):
+    expected = scratch_solve(tree, library, algorithm, reference, **options)
     assert result.slack == expected.slack
     assert result.driver_load == expected.driver_load
     assert names(result.assignment) == names(expected.assignment)
@@ -327,35 +330,33 @@ def eco_edit(base, rng):
 
 
 class TestReplayParity:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("reference", REFERENCES)
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("seed", (1, 2, 3))
-    def test_random_edit_replay(self, algorithm, backend, seed):
+    def test_random_edit_replay(self, algorithm, reference, seed):
         library = library_for(algorithm)
         tree = polarity_tree(seed)
-        solver = IncrementalSolver(
-            tree, library, algorithm=algorithm, backend=backend
-        )
-        assert_parity(solver.resolve(), tree, library, algorithm, backend)
+        solver = IncrementalSolver(tree, library, algorithm=algorithm)
+        assert_parity(solver.resolve(), tree, library, algorithm, reference)
         rng = random.Random(seed * 1000 + 7)
         for _ in range(8):
             for _ in range(rng.randrange(1, 3)):
                 solver.apply(random_edit(tree, rng))
             assert_parity(
-                solver.resolve(), tree, library, algorithm, backend
+                solver.resolve(), tree, library, algorithm, reference
             )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("reference", REFERENCES)
     @pytest.mark.parametrize("seed", (1, 2, 3))
-    def test_random_edit_holds(self, backend, seed):
+    def test_random_edit_holds(self, reference, seed):
         """Through splits, adds, removes, polarity and driver edits, the
         session holds exactly its current keys plus those of the state
-        before its latest change, and the cache keeps exactly those."""
+        before its latest change, the cache keeps exactly those, and
+        every answer matches the scratch solve."""
         library = paper_library(4)
         tree = polarity_tree(seed)
         cache = FrontierCache()
-        solver = IncrementalSolver(tree, library, backend=backend,
-                                   cache=cache)
+        solver = IncrementalSolver(tree, library, cache=cache)
         solver.resolve()
         current = previous = session_keys(solver)
         assert cache.stats()["held"] == len(current)
@@ -363,21 +364,22 @@ class TestReplayParity:
         for _ in range(16):
             for _ in range(rng.randrange(1, 3)):
                 solver.apply(random_edit(tree, rng))
-            solver.resolve()
+            result = solver.resolve()
+            assert_parity(result, tree, library, "fast", reference)
             if session_keys(solver) != current:
                 previous, current = current, session_keys(solver)
             assert cache.stats()["held"] == len(current | previous)
             assert set(cache._entries) == current | previous
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_trunk_replay(self, backend):
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_trunk_replay(self, reference):
         library = paper_library(4)
         tree = two_pin_net(
             length=8000.0, sink_capacitance=fF(20.0),
             required_arrival=ps(900.0), driver=Driver(resistance=200.0),
             num_segments=40,
         )
-        solver = IncrementalSolver(tree, library, backend=backend)
+        solver = IncrementalSolver(tree, library)
         solver.resolve()
         rng = random.Random(99)
         sink = tree.sinks()[0].node_id
@@ -393,7 +395,7 @@ class TestReplayParity:
             SplitWire(node=internals[len(internals) // 2], fraction=0.5),
         ):
             solver.apply(edit)
-            assert_parity(solver.resolve(), tree, library, "fast", backend)
+            assert_parity(solver.resolve(), tree, library, "fast", reference)
         # Wire edits near the driver must not re-run the whole trunk.
         solver.apply(SetWire(node=internals[0], resistance=2.0,
                              capacitance=fF(2.0)))
@@ -401,8 +403,8 @@ class TestReplayParity:
         assert solver.last_executed_fraction < 0.2
         assert solver.last_spliced_subtrees >= 1
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_destructive_pruning_options_respected(self, backend):
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_destructive_pruning_options_respected(self, reference):
         library = paper_library(4)
         tree = two_pin_net(
             length=5000.0, sink_capacitance=fF(15.0),
@@ -410,14 +412,13 @@ class TestReplayParity:
             num_segments=16,
         )
         solver = IncrementalSolver(
-            tree, library, algorithm="fast", backend=backend,
-            destructive_pruning=True,
+            tree, library, algorithm="fast", destructive_pruning=True,
         )
         solver.apply(SetSinkRAT(node=tree.sinks()[0].node_id,
                                 required_arrival=ps(650.0)))
         result = solver.resolve()
         assert result.stats.algorithm == "fast-destructive"
-        assert_parity(result, tree, library, "fast", backend,
+        assert_parity(result, tree, library, "fast", reference,
                       destructive_pruning=True)
 
     def test_rejected_add_sink_leaves_tree_untouched(self):
@@ -484,6 +485,17 @@ class TestReplayParity:
         finally:
             unregister_algorithm("_opaque_test")
 
+    @pytest.mark.parametrize("store", ("soa", "object", "auto"))
+    def test_store_option_is_rejected(self, store):
+        """Sessions solve on object and take no store option: a stray
+        ``backend=`` is an unknown algorithm option, never ignored."""
+        with pytest.raises(AlgorithmError, match="unknown options.*backend"):
+            IncrementalSolver(polarity_tree(6), paper_library(2),
+                              backend=store)
+        assert IncrementalSolver(
+            polarity_tree(6), paper_library(2)
+        ).stats()["backend"] == "object"
+
 
 # ----------------------------------------------------------------------
 # Sibling subtrees sharing a digest
@@ -504,11 +516,11 @@ def twin_arm_tree(arms=2):
 
 
 class TestSiblingDigestSharing:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_edit_in_one_arm_translates_the_other(self, backend):
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_edit_in_one_arm_translates_the_other(self, reference):
         library = paper_library(4)
         tree = twin_arm_tree()
-        solver = IncrementalSolver(tree, library, backend=backend)
+        solver = IncrementalSolver(tree, library)
         solver.resolve()
         # Dirty arm 1; arm 2 must be served from the digest-shared
         # cache entry with its *own* node ids in the assignment.
@@ -516,47 +528,42 @@ class TestSiblingDigestSharing:
         solver.apply(SetSinkRAT(node=first_sink, required_arrival=ps(600.0)))
         result = solver.resolve()
         assert solver.last_spliced_subtrees >= 1
-        assert_parity(result, tree, library, "fast", backend)
+        assert_parity(result, tree, library, "fast", reference)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_three_identical_arms_one_execution(self, backend):
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_three_identical_arms_one_execution(self, reference):
         library = paper_library(4)
         tree = twin_arm_tree(arms=3)
         cache = FrontierCache()
-        solver = IncrementalSolver(tree, library, backend=backend,
-                                   cache=cache)
+        solver = IncrementalSolver(tree, library, cache=cache)
         result = solver.resolve()
-        assert_parity(result, tree, library, "fast", backend)
+        assert_parity(result, tree, library, "fast", reference)
         # Make every arm dirty-adjacent in turn; each still matches.
         for sink in [arm.node_id for arm in tree.sinks()][:3]:
             solver.apply(SetSinkCap(node=sink, capacitance=fF(17.0)))
-            assert_parity(solver.resolve(), tree, library, "fast", backend)
+            assert_parity(solver.resolve(), tree, library, "fast", reference)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_shared_cache_across_sessions(self, backend):
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_shared_cache_across_sessions(self, reference):
         """Two sessions over identical nets share frontier entries."""
         library = paper_library(4)
         cache = FrontierCache()
-        first = IncrementalSolver(twin_arm_tree(), library, backend=backend,
-                                  cache=cache)
+        first = IncrementalSolver(twin_arm_tree(), library, cache=cache)
         first.resolve()
         hits_before = cache.stats()["hits"]
-        second = IncrementalSolver(twin_arm_tree(), library, backend=backend,
-                                   cache=cache)
+        second = IncrementalSolver(twin_arm_tree(), library, cache=cache)
         result = second.resolve()
         assert cache.stats()["hits"] > hits_before
-        assert_parity(result, second.tree, library, "fast", backend)
+        assert_parity(result, second.tree, library, "fast", reference)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_sessions_keep_each_others_frontiers(self, backend):
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_sessions_keep_each_others_frontiers(self, reference):
         """A's edits release only A's holds: B's frontiers stay in the
         shared cache, and dropping A leaves exactly B's."""
         library = paper_library(4)
         cache = FrontierCache()
-        first = IncrementalSolver(polarity_tree(14), library,
-                                  backend=backend, cache=cache)
-        second = IncrementalSolver(polarity_tree(14), library,
-                                   backend=backend, cache=cache)
+        first = IncrementalSolver(polarity_tree(14), library, cache=cache)
+        second = IncrementalSolver(polarity_tree(14), library, cache=cache)
         first.resolve()
         second.resolve()
         assert second.last_executed_fraction == 0.0
@@ -568,7 +575,7 @@ class TestSiblingDigestSharing:
         second.apply(SwapDriver(resistance=77.0))
         result = second.resolve()
         assert second.last_executed_fraction == 0.0
-        assert_parity(result, second.tree, library, "fast", backend)
+        assert_parity(result, second.tree, library, "fast", reference)
         del first
         gc.collect()
         assert set(cache._entries) == session_keys(second)
@@ -715,16 +722,15 @@ class TestFrontierCache:
 
 
 class TestFrontierLifetime:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_eco_loop_keeps_one_superseded_path(self, backend):
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_eco_loop_keeps_one_superseded_path(self, reference):
         """Over a long ECO loop the cache never holds more than the
         current net's frontiers plus the path the latest edit moved."""
         library = paper_library(4)
         tree = polarity_tree(12)
         base = polarity_tree(12)
         cache = FrontierCache()
-        solver = IncrementalSolver(tree, library, backend=backend,
-                                   cache=cache)
+        solver = IncrementalSolver(tree, library, cache=cache)
         solver.resolve()
         previous = session_keys(solver)
         rng = random.Random(12)
@@ -735,15 +741,15 @@ class TestFrontierLifetime:
             assert len(cache) <= len(current | previous)
             assert cache.stats()["held"] == len(current | previous)
             if step % 50 == 49:
-                assert_parity(result, tree, library, "fast", backend)
+                assert_parity(result, tree, library, "fast", reference)
             previous = current
         assert cache.stats()["released"] > 0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_undo_splices_the_previous_state(self, backend):
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_undo_splices_the_previous_state(self, reference):
         library = paper_library(4)
         tree = polarity_tree(13)
-        solver = IncrementalSolver(tree, library, backend=backend)
+        solver = IncrementalSolver(tree, library)
         solver.resolve()
         sink = tree.sinks()[0]
         wire = tree.children_of(tree.root_id)[0]
@@ -755,7 +761,7 @@ class TestFrontierLifetime:
         solver.apply(SetSinkRAT(node=sink.node_id, required_arrival=rat))
         result = solver.resolve()
         assert solver.last_executed_fraction == 0.0
-        assert_parity(result, tree, library, "fast", backend)
+        assert_parity(result, tree, library, "fast", reference)
         # The restored keys were re-held before the old ones went.
         assert session_keys(solver) <= set(solver.cache._entries)
         # A driver swap moves no hold, so it keeps the superseded path.
@@ -767,7 +773,7 @@ class TestFrontierLifetime:
         solver.apply(SetSinkRAT(node=sink.node_id, required_arrival=rat))
         result = solver.resolve()
         assert solver.last_executed_fraction == 0.0
-        assert_parity(result, tree, library, "fast", backend)
+        assert_parity(result, tree, library, "fast", reference)
         # Two-step undo: the latest state splices in whole, the one
         # before it (released a resolve ago) is partly recomputed.
         solver.apply(SetSinkRAT(node=sink.node_id,
@@ -780,11 +786,38 @@ class TestFrontierLifetime:
                              capacitance=edge.capacitance))
         result = solver.resolve()
         assert solver.last_executed_fraction == 0.0
-        assert_parity(result, tree, library, "fast", backend)
+        assert_parity(result, tree, library, "fast", reference)
         solver.apply(SetSinkRAT(node=sink.node_id, required_arrival=rat))
         result = solver.resolve()
         assert solver.last_executed_fraction > 0.0
-        assert_parity(result, tree, library, "fast", backend)
+        assert_parity(result, tree, library, "fast", reference)
+
+    def test_resolve_skips_frontiers_the_cache_cannot_keep(self):
+        """On a chain too long for the cache, a resolve does not capture
+        the frontiers its own later captures would evict; the ones it
+        keeps, nearest the driver, still splice a wire edit there."""
+        library = paper_library(8)
+        tree = two_pin_net(
+            length=12000.0, sink_capacitance=fF(20.0),
+            required_arrival=ps(1500.0), driver=Driver(resistance=180.0),
+            num_segments=200,
+        )
+        cache = FrontierCache(max_bytes=1 << 19)
+        solver = IncrementalSolver(tree, library, cache=cache)
+        assert_parity(solver.resolve(), tree, library, "fast", "object")
+        stats = cache.stats()
+        assert stats["entries"] >= 10
+        # Every capture went into this fresh cache: kept or evicted.
+        assert stats["entries"] + stats["evictions"] < tree.num_nodes // 2
+        near_driver = tree.children_of(tree.root_id)[0]
+        edge = tree.edge_to(near_driver)
+        solver.apply(SetWire(node=near_driver,
+                             resistance=edge.resistance * 1.3,
+                             capacitance=edge.capacitance))
+        result = solver.resolve()
+        assert solver.last_spliced_subtrees == 1
+        assert solver.last_executed_fraction < 0.05
+        assert_parity(result, tree, library, "fast", "object")
 
     @pytest.mark.parametrize("drop", ("close", "collect"))
     def test_dropped_session_releases_everything(self, drop):
@@ -823,13 +856,12 @@ class TestFrontierLifetime:
         solver.resolve()
         assert cache.stats()["held"] == 0 and len(cache) == 0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_aborted_resolve_moves_no_holds(self, backend):
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_aborted_resolve_moves_no_holds(self, reference):
         library = paper_library(4)
         tree = polarity_tree(17)
         cache = FrontierCache()
-        solver = IncrementalSolver(tree, library, backend=backend,
-                                   cache=cache)
+        solver = IncrementalSolver(tree, library, cache=cache)
         solver.resolve()
         previous = session_keys(solver)
         sink = tree.sinks()[0]
@@ -852,7 +884,7 @@ class TestFrontierLifetime:
         for field in ("held", "entries", "released", "bytes"):
             assert after[field] == before[field]
         result = solver.resolve()
-        assert_parity(result, tree, library, "fast", backend)
+        assert_parity(result, tree, library, "fast", reference)
         assert cache.stats()["held"] == len(session_keys(solver) | previous)
 
 
@@ -912,32 +944,33 @@ class TestConcurrentSessions:
 
 
 # ----------------------------------------------------------------------
-# SoA provenance safety
+# Provenance across resolves
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.skipif("soa" not in BACKENDS, reason="numpy not installed")
-class TestSoAProvenanceSafety:
+class TestSessionProvenance:
     def test_cached_frontiers_survive_many_resolves(self):
-        """Snapshots must never hold stale tape references: entries
-        captured long ago still splice and backtrace correctly."""
+        """Entries captured many resolves ago still splice and backtrace
+        correctly, against a scratch solve on every store."""
         library = paper_library(4)
         tree = polarity_tree(7)
-        solver = IncrementalSolver(tree, library, backend="soa")
+        solver = IncrementalSolver(tree, library)
         solver.resolve()
         sinks = [node.node_id for node in tree.sinks()]
-        # Many resolves — each rewinds the factory tape.
         for index, sink in enumerate(sinks * 2):
             solver.apply(SetSinkRAT(
                 node=sink, required_arrival=ps(500.0 + 37.0 * index)
             ))
-            assert_parity(solver.resolve(), tree, library, "fast", "soa")
+            result = solver.resolve()
+            for reference in REFERENCES:
+                assert_parity(result, tree, library, "fast", reference)
 
     def test_provenance_chains_are_depth_bounded(self):
-        """Long sessions must not pin one tape archive per resolve: the
-        chain of archives reachable through spliced decisions is capped
-        (deep entries flatten to ExpandedDecision at archive time)."""
-        from repro.core.stores.soa import _CHAIN_LIMIT
+        """Long sessions must not nest provenance without bound: every
+        split re-indexes the net, so each later splice wraps its
+        decisions in one more SplicedFrontierDecision, and a decision
+        whose chain reaches _CHAIN_LIMIT is flattened instead."""
+        from repro.incremental.engine import _CHAIN_LIMIT
 
         library = paper_library(4)
         tree = two_pin_net(
@@ -946,45 +979,36 @@ class TestSoAProvenanceSafety:
             num_segments=24,
         )
         cache = FrontierCache()
-        solver = IncrementalSolver(tree, library, backend="soa",
-                                   cache=cache)
+        solver = IncrementalSolver(tree, library, cache=cache)
         solver.resolve()
-        internals = [
-            node.node_id for node in tree.nodes()
-            if not node.is_sink and not node.is_source
-        ]
-        rng = random.Random(3)
-        # Alternate wire edits: each resolve splices frontiers captured
-        # by earlier resolves, which is exactly what builds chains.
-        for step in range(4 * _CHAIN_LIMIT):
+        rng = random.Random(7)
+        deepest = 0
+        for _ in range(300):
+            internals = [
+                node.node_id for node in tree.nodes()
+                if not node.is_sink and not node.is_source
+            ]
             node = rng.choice(internals)
-            edge = tree.edge_to(node)
-            solver.apply(SetWire(
-                node=node,
-                resistance=edge.resistance * rng.uniform(0.8, 1.25),
-                capacitance=edge.capacitance * rng.uniform(0.8, 1.25),
-            ))
-            assert_parity(solver.resolve(), tree, library, "fast", "soa")
-        depths = {
-            snapshot.archive.depth
-            for snapshot in cache._entries.values()
-            if snapshot.archive is not None
-        }
-        assert depths and max(depths) <= _CHAIN_LIMIT
-
-    def test_snapshot_decisions_are_persistent_objects(self):
-        from repro.core.stores.soa import ArchivedDecision, TapeRef
-
-        library = paper_library(4)
-        tree = twin_arm_tree()
-        cache = FrontierCache()
-        solver = IncrementalSolver(tree, library, backend="soa", cache=cache)
-        solver.resolve()
-        for snapshot in cache._entries.values():
-            decisions = snapshot.decision_list()
-            for decision in decisions:
-                assert not isinstance(decision, TapeRef)
-                assert isinstance(decision, ArchivedDecision)
+            if rng.random() < 0.6:
+                edit = SplitWire(node=node, fraction=0.5)
+            else:
+                edge = tree.edge_to(node)
+                edit = SetWire(
+                    node=node,
+                    resistance=edge.resistance * rng.uniform(0.8, 1.25),
+                    capacitance=edge.capacitance * rng.uniform(0.8, 1.25),
+                )
+            solver.apply(edit)
+            assert_parity(solver.resolve(), tree, library, "fast", "object")
+            depth = max(
+                getattr(decision, "chain_depth", 0)
+                for snapshot in cache._entries.values()
+                for decision in snapshot.decisions
+            )
+            assert depth <= _CHAIN_LIMIT
+            deepest = max(deepest, depth)
+        # The run reaches the cap, so the bound above was exercised.
+        assert deepest == _CHAIN_LIMIT
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Partitioned parallel solve tests: planning, parity, pool routing.
 
 The headline contract is the repo-wide one: a partitioned solve —
-cut, dispatch, splice — returns the *bit-identical* result of the
-serial solve, on every algorithm, backend and library shape.  The
+cut, dispatch, splice, all on the object store — returns the
+*bit-identical* result of the serial solve on every store, for every
+algorithm and library shape.  The
 parity corpus runs the real splice path with inline dispatch
 (``jobs=1`` plus a precomputed plan), so it is cheap enough to sweep;
 a smaller set of tests exercises real worker processes through
@@ -35,8 +36,9 @@ from repro.tree.segmenting import segment_to_position_count
 from repro.units import fF, ps
 
 
-def assert_identical(result, reference):
-    """Bit-identical: slack, assignment, load and DP accounting."""
+def assert_identical(result, reference, backend=None):
+    """Bit-identical: slack, assignment, load and DP accounting; the
+    result ran on ``backend`` (default: the reference's store)."""
     assert result.slack == reference.slack
     assert result.assignment == reference.assignment
     assert result.driver_load == reference.driver_load
@@ -45,7 +47,7 @@ def assert_identical(result, reference):
     assert (result.stats.candidates_generated
             == reference.stats.candidates_generated)
     assert result.stats.algorithm == reference.stats.algorithm
-    assert result.stats.backend == reference.stats.backend
+    assert result.stats.backend == (backend or reference.stats.backend)
 
 
 def random_net(seed, sinks=24, positions=800):
@@ -174,9 +176,10 @@ class TestParityCorpus:
     """
 
     @pytest.mark.parametrize("algorithm", ["fast", "lillis", "van_ginneken"])
-    @pytest.mark.parametrize("backend", ["object", "soa"])
-    def test_algorithms_and_backends(self, algorithm, backend, library):
-        pytest.importorskip("numpy") if backend == "soa" else None
+    @pytest.mark.parametrize("store", ["object", "soa"])
+    def test_algorithms_and_backends(self, algorithm, store, library):
+        """The partitioned solve matches the serial solve on ``store``."""
+        pytest.importorskip("numpy") if store == "soa" else None
         if algorithm == "van_ginneken":  # single-buffer algorithm
             library = paper_library(1)
         for seed in (0, 1, 2):
@@ -184,13 +187,12 @@ class TestParityCorpus:
             plan = plan_partitions(compiled, 4, min_instructions=16)
             assert plan.viable, plan.reason
             result = solve_partitioned(
-                compiled, library, algorithm=algorithm, backend=backend,
-                jobs=1, plan=plan,
+                compiled, library, algorithm=algorithm, jobs=1, plan=plan,
             )
             reference = insert_buffers(
-                compiled, library, algorithm=algorithm, backend=backend
+                compiled, library, algorithm=algorithm, backend=store
             )
-            assert_identical(result, reference)
+            assert_identical(result, reference, backend="object")
 
     @pytest.mark.parametrize("size", [1, 3, 8])
     def test_library_sizes(self, size):
@@ -203,18 +205,17 @@ class TestParityCorpus:
         )
         assert_identical(result, insert_buffers(compiled, library))
 
-    @pytest.mark.parametrize("backend", ["object", "soa"])
-    def test_mixed_polarity_sinks(self, backend, library):
+    @pytest.mark.parametrize("store", ["object", "soa"])
+    def test_mixed_polarity_sinks(self, store, library):
+        pytest.importorskip("numpy") if store == "soa" else None
         for seed in (3, 4):
             net = mixed_polarity_net(seed)
             compiled = compile_net(net, library)
             plan = plan_partitions(compiled, 4, min_instructions=8)
             assert plan.viable, plan.reason
-            result = solve_partitioned(
-                compiled, library, backend=backend, jobs=1, plan=plan
-            )
-            reference = insert_buffers(compiled, library, backend=backend)
-            assert_identical(result, reference)
+            result = solve_partitioned(compiled, library, jobs=1, plan=plan)
+            reference = insert_buffers(compiled, library, backend=store)
+            assert_identical(result, reference, backend="object")
 
     def test_report_is_filled(self, medium_net, library):
         compiled = compile_net(medium_net, library)
@@ -383,13 +384,38 @@ class TestSolverPoolRouting:
                 assert groups == 1
 
     def test_direct_partitioned_solve_routes_auto(self, medium_net, library):
-        """``solve_partitioned``'s default "auto" runs the cuts and the
-        residual on the store of the net solved alone."""
+        """``solve_partitioned`` runs the cuts and the residual on the
+        object store, and takes no store option."""
         report = {}
         result = solve_partitioned(medium_net, library, jobs=2, report=report)
         assert report["engaged"], report["reason"]
         assert result.stats.backend == "object"
         assert_identical(result, insert_buffers(medium_net, library))
+        with pytest.raises(TypeError, match="backend"):
+            solve_partitioned(medium_net, library, backend="soa")
+
+    def test_soa_pool_partitions_on_object(self, medium_net, library):
+        """A ``backend="soa"`` pool keeps soa for single nets, yet its
+        partitioned solves run on object: the same answer and DP
+        accounting as serial object and serial soa, bit for bit."""
+        pytest.importorskip("numpy")
+        compiled = compile_net(medium_net, library)
+        serial = {
+            store: insert_buffers(compiled, library, backend=store)
+            for store in ("object", "soa")
+        }
+        with SolverPool(
+            library, jobs=2, backend="soa", policy="always_parallel"
+        ) as pool:
+            result = pool.solve([compiled])[0]
+            decisions = pool.routing_stats()["decisions_by_strategy"]
+            stats = pool.parallel_stats()
+        assert decisions == {"object-compiled+parallel": 1}
+        assert stats["parallel_solves"] == 1 and stats["last"]["engaged"]
+        for reference in serial.values():
+            assert_identical(result, reference, backend="object")
+        with SolverPool(library, backend="soa") as pool:
+            assert pool.solve([compiled])[0].stats.backend == "soa"
 
     def test_closed_pool_refuses_work(self, library):
         pool = SolverPool(

@@ -227,8 +227,8 @@ def test_generate_beta_values_match_definition(raw, specs):
                       for q, c, _ in cands)
         for buf in plan.by_resistance_desc
     }
-    # A beta's decision is (node_id, buffer_type, below).
-    emitted = {decision[1].name: (q, c) for q, c, decision in out}
+    # A beta's decision is (node_id, buffer_name, below).
+    emitted = {decision[1]: (q, c) for q, c, decision in out}
     for buf in plan.by_resistance_desc:
         if buf.name in emitted:
             assert emitted[buf.name][0] == best[buf.name]
@@ -449,8 +449,8 @@ def test_generate_fast_builds_only_surviving_betas():
     out = generate_fast(cands, plan)
     assert kernel_signature(out) == kernel_signature(
         reference_generate_fast(cands, plan))
-    # A buffer decision is (node_id, buffer_type, below).
-    assert [decision[1].name for _, _, decision in out] == ["b0"]
+    # A buffer decision is (node_id, buffer_name, below).
+    assert [decision[1] for _, _, decision in out] == ["b0"]
     assert all(
         type(decision) is tuple and len(decision) == 3
         for _, _, decision in out

@@ -142,7 +142,7 @@ class TestPolicies:
     def test_static_rule_routes_by_size(self):
         """policy='static': a single net solves on object at any size,
         groups batch on the soa side only, the instruction floor
-        partitions, sessions splice on the store their size picks."""
+        partitions, and sessions splice on object at any size."""
         router = Router(policy="static", parallel_threshold=1000)
         short = _features()  # 10 positions per sink: object
         long = _features(positions=2000, sinks=1)
@@ -178,11 +178,11 @@ class TestPolicies:
             _features(instructions=999), supports_parallel=True
         )
         assert not plan.parallel
-        # Sessions splice, on the store the size picks.
+        # Sessions splice on object, whatever their size.
         plan = router.route(replace(short, kind="session"))
         assert plan == ExecutionPlan("object", "splice")
         plan = router.route(replace(long, kind="session"))
-        assert plan == ExecutionPlan(SOA, "splice")
+        assert plan == ExecutionPlan("object", "splice")
 
     def test_escape_hatches_pin_axes(self):
         features = _features(lanes=4)
@@ -205,7 +205,9 @@ class TestPolicies:
 
     def test_explicit_backend_beats_routing(self):
         """An explicit store wins over every pin — the batch pins
-        included: a group on ``object`` solves lane by lane."""
+        included: a group on ``object`` solves lane by lane.  Sessions
+        and partitioned solves are the exception: only ``object``
+        splices frontiers, so they run there whatever the store."""
         group = _features(lanes=8)
         for policy in ("always_soa", "always_batch"):
             router = Router(policy=policy)
@@ -213,10 +215,15 @@ class TestPolicies:
             assert plan == ExecutionPlan("object", "compiled")
             plan = router.route(group, backend="object", supports_batch=True)
             assert plan == ExecutionPlan("object", "compiled")
-        plan = Router(policy="always_object").route(
-            _features(kind="session"), backend="soa"
-        )
-        assert plan == ExecutionPlan("soa", "splice")
+        for policy in ("always_object", "always_soa"):
+            router = Router(policy=policy)
+            plan = router.route(_features(kind="session"), backend="soa")
+            assert plan == ExecutionPlan("object", "splice")
+            plan = router.route(
+                _features(instructions=10**6), backend="soa",
+                supports_parallel=True,
+            )
+            assert plan == ExecutionPlan("object", "compiled", parallel=True)
 
     def test_decision_counters(self):
         router = Router(policy="static")
@@ -230,8 +237,8 @@ class TestPolicies:
 
 
 #: The router's decisions over :func:`_golden_cells`, for every policy,
-#: recorded when the static rule moved every single-net solve to
-#: ``object``.
+#: recorded when sessions and partitioned solves moved to ``object``
+#: under every policy and store.
 ROUTE_GOLDEN = Path(__file__).parent / "data" / "route_golden.json"
 
 
@@ -290,9 +297,9 @@ def _corner_group(tree, library_size, lanes=8):
 class TestStaticStore:
     """The static rule's store choice, pinned on both sides of the
     object/soa crossover (``benchmarks/bench_crossover.py``), on inputs
-    the repo benchmark does and does not send.  Since the object store's
-    single-pass kernels, a single-net solve takes ``object`` at every
-    measured size; sessions and multi-lane groups keep the floors."""
+    the repo benchmark does and does not send.  A single net — a solve
+    or a session — takes ``object`` at every measured size; only
+    multi-lane groups keep the floors."""
 
     @pytest.mark.parametrize("positions, sinks, library_size", [
         (586, 34, 8),     # Table-1 net 1 at b = 8
@@ -318,34 +325,34 @@ class TestStaticStore:
         (1600, 16, 32),   # a 16-sink net segmented to 100 per sink
     ])
     def test_soa_side(self, positions, sinks, library_size):
-        """Long lists: a session or an 8-lane group takes soa, while
-        one net's solve stays on object (it wins there too, by
-        1.1-1.5x up to 8000 positions at b = 8-64)."""
+        """Long lists: an 8-lane group takes soa, while one net's solve
+        or session stays on object (it wins there too, by 1.1-1.5x up
+        to 8000 positions at b = 8-64)."""
         features = _features(
             positions=positions, sinks=sinks, library_size=library_size
         )
-        for kind, lanes in (("session", 1), ("solve", 8)):
-            assert static_store(
-                replace(features, kind=kind, lanes=lanes)
-            ) == SOA
+        assert static_store(replace(features, lanes=8)) == SOA
         assert static_store(features) == "object"
+        assert static_store(replace(features, kind="session")) == "object"
 
     @pytest.mark.parametrize("sinks, library_size", [(20, 32), (1, 8)])
     def test_each_floor_is_the_boundary(self, sinks, library_size):
-        """For a session or a group, the first position count that
-        clears both floors picks soa; one less picks object (20 sinks:
-        the per-sink floor binds; one sink: the total)."""
+        """For a group, the first position count that clears both floors
+        picks soa; one less picks object (20 sinks: the per-sink floor
+        binds; one sink: the total).  A session at the floor stays on
+        object."""
         floor = max(SOA_MIN_POSITION_TYPES_PER_SINK * sinks,
                     SOA_MIN_POSITION_TYPES)
         positions = -(-floor // library_size)
-        for kind, lanes in (("session", 1), ("solve", 8)):
-            features = _features(
-                positions=positions, sinks=sinks, library_size=library_size,
-                kind=kind, lanes=lanes,
-            )
-            assert static_store(features) == SOA
-            below = replace(features, positions=positions - 1)
-            assert static_store(below) == "object"
+        features = _features(
+            positions=positions, sinks=sinks, library_size=library_size,
+            lanes=8,
+        )
+        assert static_store(features) == SOA
+        below = replace(features, positions=positions - 1)
+        assert static_store(below) == "object"
+        session = replace(features, kind="session", lanes=1)
+        assert static_store(session) == "object"
 
     def test_real_nets(self):
         from repro.experiments.workloads import (
@@ -358,12 +365,10 @@ class TestStaticStore:
             assert static_store(
                 features_of(net, paper_library(8))
             ) == "object"
-        assert static_store(
-            features_of(table1, paper_library(8), kind="session")
-        ) == "object"
-        assert static_store(
-            features_of(trunk, paper_library(8), kind="session")
-        ) == SOA
+        for net in (table1, trunk):
+            assert static_store(
+                features_of(net, paper_library(8), kind="session")
+            ) == "object"
 
     def test_corner_groups(self):
         """An 8-lane group of a 40-sink b = 8 net solves lane by lane on
@@ -384,10 +389,9 @@ class TestStaticStore:
             assert plan == ExecutionPlan("soa", "compiled", batch_axis=True)
 
     def test_session_store(self):
-        """``IncrementalSolver(backend="auto")`` takes the rule's store:
-        a session on a long trunk resolves on soa (1.1x faster at 2000
-        positions and b = 8, 1.45x at 1350 and b = 32), the Table-1
-        session on object."""
+        """Every session resolves on object: the Table-1 net, and long
+        trunks too, where object won the session sweep (7 or 8 of 8
+        cells in each of five sweeps)."""
         from repro.experiments.workloads import (
             FIG4_NET, TABLE1_NETS, build_net,
         )
@@ -403,7 +407,7 @@ class TestStaticStore:
             trunk = private(build_net(FIG4_NET, positions_override=positions))
             assert IncrementalSolver(
                 trunk, paper_library(size)
-            ).backend == SOA
+            ).backend == "object"
 
 
 # ---------------------------------------------------------------------
@@ -626,15 +630,13 @@ class TestReplayCorpus:
                 )
 
     def test_sessions_price_both_stores(self, report):
-        """Session replay measures every store the server may route a
-        session to, so the session oracle is not soa by construction."""
-        stores = {"object", SOA}
+        """Session replay measures the object splice resolve against a
+        from-scratch solve on every store."""
         for entry in report["per_request"]:
             if entry["kind"] == "session":
-                assert {
-                    f"{store}-{mode}"
-                    for store in stores for mode in ("splice", "compiled")
-                } <= set(entry["measured_seconds"])
+                assert set(entry["measured_seconds"]) == {
+                    "object-splice", "object-compiled", f"{SOA}-compiled",
+                }
 
     def test_policies_only_change_time_never_answers(self, report):
         """Each policy's chosen plan appears in the shared measurement

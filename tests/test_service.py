@@ -236,8 +236,8 @@ class TestAutoRouting:
             workers.shutdown()
 
     def test_fig4_trunk_solves_on_object(self, harness):
-        """One net solves on object at any size; a session on the same
-        trunk resolves on soa."""
+        """One net solves on object at any size, and a session on the
+        same trunk resolves on object too."""
         from repro.experiments.workloads import FIG4_NET, build_net
 
         library = paper_library(32)
@@ -247,7 +247,7 @@ class TestAutoRouting:
         expected = insert_buffers(trunk, library, backend="soa")
         assert answer["slack_seconds"] == expected.slack
         session = harness.client.create_session(trunk, library)
-        assert session.info["backend"] == SOA
+        assert session.info["backend"] == "object"
         session.delete()
 
     def test_table1_session_runs_on_object(self, harness):
@@ -288,8 +288,9 @@ class TestAutoRouting:
 
 
     def test_session_honours_the_request_policy(self, harness, library):
-        """A session's "auto" store is routed under the request's
-        policy, exactly like a /solve of the same body."""
+        """A request's policy pins the store of a /solve, while a
+        /session under the same body splices on object, the one store
+        that splices."""
         from repro.tree.io import library_to_dict
 
         body = {
@@ -300,8 +301,26 @@ class TestAutoRouting:
         answer = harness.client._request("POST", "/solve", body)
         assert answer["backend"] == SOA
         session = harness.client._request("POST", "/session", body)
-        assert session["backend"] == SOA
+        assert session["backend"] == "object"
         harness.client._request("DELETE", f"/session/{session['session']}")
+
+    @pytest.mark.parametrize("store", ["soa", "mmap"])
+    def test_session_on_another_store_is_400(self, harness, library, store):
+        """Sessions splice on object only: asking for another store is
+        a 400 that opens no session, never a silent object session."""
+        from repro.tree.io import library_to_dict
+
+        body = {
+            "net": tree_to_dict(random_tree_net(8, seed=11)),
+            "library": library_to_dict(library),
+            "backend": store,
+        }
+        live = harness.client.stats()["incremental"]["sessions"]["live"]
+        status, text = harness.client._request_text("POST", "/session", body)
+        assert status == 400
+        assert "backend" in json.loads(text)["error"]
+        stats = harness.client.stats()
+        assert stats["incremental"]["sessions"]["live"] == live
 
     @pytest.mark.parametrize(
         "policy", ["model", "always_splice", "always_scratch", "fastest"]

@@ -20,9 +20,8 @@ regresses.  Thresholds always come from the benchmark file itself
   per-edit incremental-vs-scratch speedups; see
   ``benchmarks/bench_incremental.py`` for the workload definition) of
   the ``ci_gate.backend`` store must be at least
-  ``ci_gate.min_speedup``.  That store is the one the router picks for
-  a session on the smallest gated trunk, recorded at generation time;
-  the other store's points print as ungated context.
+  ``ci_gate.min_speedup``.  That store is ``object``, the one sessions
+  run on; points of any other store print as ungated context.
 * ``BENCH_PR6.json`` (has ``batch_axis``) — the batch-axis gate: every
   multi-corner group cell with at least ``ci_gate.min_positions``
   actual positions and at least ``ci_gate.min_group`` lanes must solve
@@ -43,9 +42,10 @@ regresses.  Thresholds always come from the benchmark file itself
 * ``BENCH_PR10.json`` (has ``obs``) — the observability-overhead gate:
   on the Figure-4 trunk compiled solve, the disabled observability
   path (thread-local polls, nothing installed) must stay within
-  ``ci_gate.max_disabled_over_bypass`` of the hard-bypassed baseline
-  (see ``benchmarks/bench_obs.py``).  The fully enabled
-  profiling+tracing cost is printed as ungated context.
+  ``ci_gate.max_disabled_over_bypass`` of the hard-bypassed baseline,
+  read as the median of per-round ratios over paired rounds (see
+  ``benchmarks/bench_obs.py``).  The fully enabled profiling+tracing
+  cost is printed as ungated context.
 * ``BENCH_PR7.json`` (has ``fig4_trunk``) — the partitioned-solve gate:
   at every random-topology position level with at least
   ``ci_gate.min_positions`` actual positions, the best
@@ -84,7 +84,8 @@ def check_obs_overhead(payload: dict, path: Path) -> int:
     verdict = "ok" if ratio <= max_ratio else "FAIL"
     print(
         f"perf gate: disabled/bypass {ratio:.4f} "
-        f"(limit {max_ratio:.2f})  {verdict}"
+        f"(median of {report.get('paired_rounds', 1)} paired rounds, "
+        f"limit {max_ratio:.2f})  {verdict}"
     )
     if verdict == "FAIL":
         print(
@@ -181,7 +182,7 @@ def check_incremental(payload: dict, path: Path) -> int:
     gate = payload["ci_gate"]
     min_positions = gate["min_positions"]
     min_speedup = gate["min_speedup"]
-    # The gate pins the production path (the router's session store,
+    # The gate pins the production path (the store sessions run on,
     # recorded at generation time); other backends are reported ungated.
     gate_backend = gate.get("backend")
 
