@@ -1,27 +1,49 @@
 """The incremental re-solve engine: dirty-path execution with splicing.
 
 :class:`IncrementalSolver` is a stateful session around one net: it
-compiles the net's postorder schedule once, memoizes every subtree's
-finished candidate frontier in a digest-keyed
-:class:`~repro.incremental.subtree_cache.FrontierCache`, and after each
-batch of :mod:`~repro.incremental.edits` re-runs **only the dirty
-instruction sub-ranges** of the schedule — every clean subtree is a
-contiguous, skippable range whose cached frontier is spliced onto the
-interpreter stack in O(k).  The result — slack, assignment, driver
-load, even the ``peak_list_length`` / ``candidates_generated`` DP stats
-— is bit-identical to a from-scratch solve of the edited net (asserted
-exactly, ``==`` not approx, by ``tests/test_incremental.py``).
+compiles the net's postorder schedule once, memoizes the finished
+candidate frontiers of the net's *capture points* (below) in a
+digest-keyed :class:`~repro.incremental.subtree_cache.FrontierCache`,
+and after each batch of :mod:`~repro.incremental.edits` re-runs **only
+the dirty instruction sub-ranges** of the schedule — every clean
+captured subtree is a contiguous, skippable range whose cached frontier
+is spliced onto the interpreter stack in O(k).  The result — slack,
+assignment, driver load, even the ``peak_list_length`` /
+``candidates_generated`` DP stats — is bit-identical to a from-scratch
+solve of the edited net (asserted exactly, ``==`` not approx, by
+``tests/test_incremental.py``).
 
 **How dirtiness works.**  The engine maintains a Merkle digest per
 subtree and updates it along the edited node's root path (O(depth) per
 edit).  At resolve time nothing is explicitly marked dirty: the
-interpreter simply probes the frontier cache at every subtree start —
-an edited subtree's digest changed, so it *misses* and is re-executed
-(and re-captured), while unchanged subtrees hit and are skipped.  The
-digest is the invalidation.  This also means structurally repeated
-subtrees — sibling copies, or the same subtree across different
-sessions sharing one cache — are solved once and spliced everywhere
-else.
+interpreter simply probes the frontier cache at every capture point's
+subtree start — an edited subtree's digest changed, so it *misses* and
+is re-executed (and re-captured), while unchanged subtrees hit and are
+skipped.  The digest is the invalidation.  This also means
+structurally repeated subtrees — sibling copies, or the same subtree
+across different sessions sharing one cache — are solved once and
+spliced everywhere else.  Each vertex's payload text and the text of
+the wire into it are kept between edits and dropped only when an edit
+names, creates or removes the vertex, so re-hashing the dirty path
+formats no floats but the edited ones.
+
+**Capture points.**  A later resolve splices a frontier only where an
+edit can leave a subtree clean beside or below a dirty path, so a
+resolve captures (and a session holds) frontiers only there:
+
+* the **root**, which a driver swap or an undo splices whole;
+* every **non-sink child of a branching vertex**, which a sink edit
+  elsewhere splices as a sibling of its dirty path;
+* every :data:`_CAPTURE_SPACING`-th vertex **up a one-child chain**,
+  counted from its bottom (a branching vertex that ends the chain is
+  its first vertex; a sink is not counted), so a wire edit inside a
+  chain splices the capture point below it and re-executes at most
+  ``_CAPTURE_SPACING - 1`` positions more than the path above the edit.
+
+Sinks are never captured: their ``SINK`` instruction costs O(1), less
+than a cache probe.  Capturing every vertex would copy, cache and hold
+the whole dirty path on every resolve, though the next resolve splices
+only a handful of those frontiers.
 
 **Why the digest is order-sensitive.**  Unlike
 :func:`repro.service.canon.canonicalize` (which sorts children so
@@ -46,18 +68,23 @@ index reuse the decisions unwrapped.  A wrapper chain that reaches
 :data:`_CHAIN_LIMIT` generations is flattened instead of nested
 further.
 
-**Frontier lifetime.**  Each node of a session holds the cache key of
-its current subtree (:meth:`FrontierCache.hold`).  After a resolve, the
-nodes whose digest moved move their holds to the new keys.  The keys
-they left stay held until the next resolve that moves holds (a driver
-swap moves none), so undoing the latest edit still splices the whole
-previous state, while older states are recomputed.
-:meth:`IncrementalSolver.close` — or the solver's finalizer, when a
-session is dropped without it — releases every hold.  A resolve does
-not capture a frontier that its own later captures would evict from
-the byte-bounded cache (on a long trunk, all but the vertices nearest
-the driver): that frontier would be copied only to be dropped, and the
-copies would keep the cyclic GC busy for as long as the resolve runs.
+**Frontier lifetime.**  Each capture point of a session holds the
+cache key of its current subtree (:meth:`FrontierCache.hold`).  After a
+resolve, the capture points whose digest moved move their holds to the
+new keys, and holds follow the capture points themselves when a
+structural edit changes the set: a vertex that becomes one (an
+``AddSink`` under a chain vertex makes its child a branch child) takes
+a hold though its digest did not move, and one that stops being one
+gives its hold up.  The keys left behind stay held until the next
+resolve that moves holds (a driver swap moves none), so undoing the
+latest edit still splices the whole previous state, while older states
+are recomputed.  :meth:`IncrementalSolver.close` — or the solver's
+finalizer, when a session is dropped without it — releases every hold.
+A resolve does not capture a frontier that its own later captures would
+evict from the byte-bounded cache (on a long trunk, all but the capture
+points nearest the driver): that frontier would be copied only to be
+dropped, and the copies would keep the cyclic GC busy for as long as
+the resolve runs.
 """
 
 from __future__ import annotations
@@ -92,10 +119,10 @@ from repro.library.library import BufferLibrary
 from repro.obs.spans import active_tracer
 from repro.service.canon import (
     digest_body,
-    edge_entry,
     library_key,
     node_payload,
     options_key,
+    wire_text,
 )
 from repro.tree.node import Driver
 from repro.tree.routing_tree import RoutingTree
@@ -109,6 +136,40 @@ from repro.tree.routing_tree import RoutingTree
 #: time instead (O(answer) once, at most one flatten per cap-many
 #: generations).
 _CHAIN_LIMIT = 8
+
+#: Spacing of capture points up a one-child chain (see the module
+#: docstring).  Wider spacing captures less per resolve, narrower
+#: re-executes less below a wire edit.  Swept over 4, 8, 16 and 32 on
+#: the Table-1 net's ECO loop and BENCH_PR5's Figure 4 trunk replay: 4
+#: lost on both, 8, 16 and 32 came within a few percent of each other,
+#: and 8 keeps the tightest bound on a wire edit's extra work.
+_CAPTURE_SPACING = 8
+
+
+def _capture_points(tree: RoutingTree) -> Set[int]:
+    """The vertices whose frontiers a session captures and holds: the
+    root, every non-sink child of a branching vertex, and every
+    :data:`_CAPTURE_SPACING`-th vertex up a one-child chain."""
+    points = {tree.root_id}
+    # run[v]: the positions from v down to the nearest capture point or
+    # sink below it, v included (0 when v is one of those itself).
+    run: Dict[int, int] = {}
+    for node in tree.postorder():
+        children = tree.children_of(node)
+        if len(children) == 1:
+            count = run[children[0]] + 1
+            if count >= _CAPTURE_SPACING:
+                points.add(node)
+                count = 0
+        elif children:
+            points.update(
+                child for child in children if not tree.node(child).is_sink
+            )
+            count = 1
+        else:
+            count = 0
+        run[node] = count
+    return points
 
 
 class TreeIndex:
@@ -299,11 +360,18 @@ class IncrementalSolver:
         self.compiled: CompiledNet = compile_net(tree, library, validate=False)
         self._digest: Dict[int, str] = {}
         self._entry: Dict[int, str] = {}
-        #: Nodes whose digest may have moved since the last resolve.
+        #: node -> its payload text, and the text of the wire into it.
+        self._payload: Dict[int, str] = {}
+        self._wire: Dict[int, str] = {}
+        #: Nodes whose digest or capture-point status may have moved
+        #: since the last resolve.
         self._moved: Set[int] = set()
-        self._rebuild_digests()
-        #: node -> the cache key it holds, and the keys the latest
-        #: resolve that moved holds left (released by the next one).
+        for node_id in tree.postorder():
+            self._digest_node(node_id)
+        #: The capture points of the schedule the probes were built for.
+        self._points: Set[int] = set()
+        #: capture point -> the cache key it holds, and the keys the
+        #: latest resolve that moved holds left (released by the next).
         self._holds: Dict[int, Hashable] = {}
         self._superseded: List[Hashable] = []
         self._finalizer = weakref.finalize(
@@ -326,30 +394,31 @@ class IncrementalSolver:
 
     # -- digest maintenance --------------------------------------------
 
-    def _body(self, node_id: int) -> str:
-        """The order-sensitive Merkle body of one vertex (see module
+    def _refresh_entry(self, node_id: int) -> None:
+        """Re-derive the entry ``node_id`` contributes to its parent's
+        body: the text of its wire, then its digest."""
+        wire = self._wire.get(node_id)
+        if wire is None:
+            edge = self.tree.edge_to(node_id)
+            wire = self._wire[node_id] = wire_text(
+                edge.resistance, edge.capacitance
+            )
+        self._entry[node_id] = wire + self._digest[node_id]
+
+    def _digest_node(self, node_id: int) -> None:
+        """Hash one vertex's order-sensitive Merkle body (see module
         docstring for why children are *not* sorted here)."""
-        body = node_payload(self.tree, node_id)
+        body = self._payload.get(node_id)
+        if body is None:
+            body = self._payload[node_id] = node_payload(self.tree, node_id)
         children = self.tree.children_of(node_id)
         if children:
             entry = self._entry
-            body += "[" + "|".join(entry[child] for child in children) + "]"
-        return body
-
-    def _digest_node(self, node_id: int) -> None:
-        self._digest[node_id] = digest_body(self._body(node_id))
+            body += "[" + "|".join([entry[child] for child in children]) + "]"
+        self._digest[node_id] = digest_body(body)
         self._moved.add(node_id)
         if node_id != self.tree.root_id:
-            edge = self.tree.edge_to(node_id)
-            self._entry[node_id] = edge_entry(
-                edge.resistance, edge.capacitance, self._digest[node_id]
-            )
-
-    def _rebuild_digests(self) -> None:
-        self._digest.clear()
-        self._entry.clear()
-        for node_id in self.tree.postorder():
-            self._digest_node(node_id)
+            self._refresh_entry(node_id)
 
     def _recompute_up(self, node_id: int) -> None:
         """Refresh digests from ``node_id`` to the root (the dirty path)."""
@@ -386,16 +455,19 @@ class IncrementalSolver:
         self._stale = True
 
         for node_id in impact.removed:
-            self._digest.pop(node_id, None)
-            self._entry.pop(node_id, None)
+            for texts in (self._digest, self._entry, self._payload,
+                          self._wire):
+                texts.pop(node_id, None)
             self._moved.add(node_id)
-        if isinstance(edit, (SetWire, SplitWire)):
-            # The child keeps its digest; only its edge-prefixed entry
-            # (and everything above) changes.
-            edge = self.tree.edge_to(edit.node)
-            self._entry[edit.node] = edge_entry(
-                edge.resistance, edge.capacitance, self._digest[edit.node]
-            )
+        named = getattr(edit, "node", None)
+        if named is not None and named not in impact.removed:
+            # The one vertex whose own texts the edit changed.
+            self._payload.pop(named, None)
+            self._wire.pop(named, None)
+            if isinstance(edit, (SetWire, SplitWire)):
+                # The child keeps its digest; only its wire-prefixed
+                # entry (and everything above) changes.
+                self._refresh_entry(named)
         for node_id in impact.created:
             self._digest_node(node_id)
         if impact.anchor is not None:
@@ -447,24 +519,33 @@ class IncrementalSolver:
         return self._index
 
     def _probes(self) -> Dict[int, List[int]]:
-        """``instruction -> [nodes whose subtree starts here]``, outermost
-        first (so the largest clean subtree wins the splice).  Also maps
-        each node-final instruction to ``(node, number of ancestors)``."""
+        """``instruction -> [capture points whose subtree starts here]``,
+        outermost first (so the largest clean subtree wins the splice).
+        Also maps each capture point's final instruction to ``(node,
+        number of capture-point ancestors)``."""
         if self._probe is None:
+            tree = self.tree
+            points = _capture_points(tree)
+            # Vertices that joined or left the set move their holds at
+            # the next resolve that completes, like moved digests.
+            self._moved |= points ^ self._points
+            self._points = points
+            start = self.compiled.start_of_node
             final = self.compiled.final_of_node
             by_start: Dict[int, List[int]] = {}
-            for node, start in self.compiled.start_of_node.items():
-                by_start.setdefault(start, []).append(node)
+            for node in points:
+                by_start.setdefault(start[node], []).append(node)
             for nodes in by_start.values():
                 nodes.sort(key=final.__getitem__, reverse=True)
             self._probe = by_start
-            tree = self.tree
-            depth: Dict[int, int] = {}
+            above: Dict[int, int] = {}
             for node in tree.preorder():
                 parent = tree.parent_of(node)
-                depth[node] = 0 if parent is None else depth[parent] + 1
+                above[node] = (
+                    0 if parent is None else above[parent] + (parent in points)
+                )
             self._final_node = {
-                index: (node, depth[node]) for node, index in final.items()
+                final[node]: (node, above[node]) for node in points
             }
         return self._probe
 
@@ -509,10 +590,12 @@ class IncrementalSolver:
         the last resolve, returns the previous result without solving.
 
         The DP's one interpreter (:func:`repro.core.dp._execute_schedule`)
-        does the work: a splice callback at every subtree start pushes
-        the outermost cached frontier and skips its range, and the
-        node-final hook captures every frontier not cached yet that the
-        cache can keep to the end of the resolve.
+        does the work: a splice callback at every capture point's
+        subtree start pushes the outermost cached frontier and skips its
+        range, and the node-final hook captures every capture point's
+        frontier not cached yet that the cache can keep to the end of
+        the resolve (see the module docstring for which vertices are
+        capture points).
         """
         if self._last_result is not None and not self._stale:
             return self._last_result
@@ -563,12 +646,16 @@ class IncrementalSolver:
         room = cache.max_bytes
 
         def capture(i: int, store, peak: int, generated: int) -> None:
-            node, ancestors = final_node[i]
+            point = final_node.get(i)
+            if point is None:
+                return
+            node, ancestors = point
             if ancestors * snapshot_bytes(len(store)) > room:
-                # This resolve re-runs and captures every ancestor after
-                # this node; at this frontier's size (on a chain, about
-                # theirs) they fill the cache and evict it before the
-                # resolve ends, so copying it would be wasted work.
+                # This resolve re-runs and captures every capture-point
+                # ancestor after this node; at this frontier's size (on
+                # a chain, about theirs) they fill the cache and evict
+                # it before the resolve ends, so copying it would be
+                # wasted work.
                 return
             key = (digest[node], context)
             if key in pending_keys or key in cache:
@@ -599,7 +686,7 @@ class IncrementalSolver:
         if resolve_handle is not None:
             tracer.end(
                 resolve_handle, executed=executed, total=total,
-                spliced=spliced,
+                spliced=spliced, captured=len(pending),
             )
         result = _finish(
             root, best_op, release, driver, self._label,
@@ -626,18 +713,19 @@ class IncrementalSolver:
     # -- frontier lifetime ---------------------------------------------
 
     def _move_holds(self) -> None:
-        """Point each moved node's hold at its current key (after this
-        resolve's captures are in the cache).  If that supersedes any
-        key, release the keys the last such resolve superseded."""
+        """Point each moved node's hold at its current key, or drop it if
+        the node is no capture point (after this resolve's captures are
+        in the cache).  If that supersedes any key, release the keys the
+        last such resolve superseded."""
         cache = self.cache
         context = self._context_key
         digest = self._digest
+        points = self._points
         holds = self._holds
         superseded = []
         for node in self._moved:
             held = holds.get(node)
-            node_digest = digest.get(node)
-            key = None if node_digest is None else (node_digest, context)
+            key = (digest[node], context) if node in points else None
             if key == held:
                 continue
             if key is None:

@@ -29,10 +29,12 @@ entry.
 well as entries — sessions on a server share one instance, so the bound
 is the serving layer's documented memory ceiling for frontier state.
 Inside that bound, an entry lives as long as someone holds its key: a
-session holds the keys of its current subtrees
-(:meth:`FrontierCache.hold`), and an entry is dropped as soon as its
-last holder lets go (:meth:`FrontierCache.release`), so frontiers that
-edits superseded do not sit in memory until the bound evicts them.
+session holds the keys of its capture points' current subtrees
+(:meth:`FrontierCache.hold`; see :mod:`repro.incremental.engine` for
+which vertices those are — a session captures nothing else), and an
+entry is dropped as soon as its last holder lets go
+(:meth:`FrontierCache.release`), so frontiers that edits superseded do
+not sit in memory until the bound evicts them.
 """
 
 from __future__ import annotations

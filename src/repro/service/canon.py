@@ -133,9 +133,10 @@ def node_payload(tree: RoutingTree, node_id: int) -> str:
     return _payload(tree.node(node_id))
 
 
-def edge_entry(resistance: float, capacitance: float, digest: str) -> str:
-    """The edge-prefixed entry string a child contributes to its parent."""
-    return _wire(resistance, capacitance) + digest
+def wire_text(resistance: float, capacitance: float) -> str:
+    """The canonical text of one wire; a child contributes this text
+    followed by its subtree digest to its parent's body."""
+    return _wire(resistance, capacitance)
 
 
 def digest_body(body: str) -> str:

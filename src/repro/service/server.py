@@ -80,9 +80,9 @@ same :class:`~repro.service.cache.ResultCache` machinery as results);
 (2) all sessions share one
 :class:`~repro.incremental.subtree_cache.FrontierCache`, which keeps a
 frontier only while a live session holds it: each session holds its
-current net's subtree frontiers plus those its latest edit superseded
-(so undoing the latest edit splices everything), and structurally
-repeated subtrees *across* sessions share entries.  A frontier goes
+current net's frontiers at its capture points plus those its latest
+edit superseded (so undoing the latest edit splices everything), and
+structurally repeated subtrees *across* sessions share entries.  A frontier goes
 when its last holder lets go: on ``DELETE``, when an evicted or expired
 session is collected, or at the session's next resolve that supersedes
 frontiers of its own.  The byte bound (``frontier_cache_bytes``) still

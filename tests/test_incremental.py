@@ -57,6 +57,9 @@ from repro.incremental import (
     edit_from_dict,
     edit_to_dict,
 )
+from repro.incremental.engine import _CAPTURE_SPACING, _CHAIN_LIMIT
+from repro.obs.profiler import KernelProfiler, profile_scope
+from repro.obs.spans import Tracer, trace_scope
 from repro.resilience.deadline import Deadline, deadline_scope
 from repro.tree.routing_tree import RoutingTree
 from repro.units import fF, ps
@@ -102,9 +105,19 @@ def library_for(algorithm):
 
 
 def session_keys(solver):
-    """The frontier-cache keys of the session's current subtrees."""
+    """The frontier-cache keys of the session's current capture points
+    (the vertices whose frontiers a session captures and holds)."""
     context = solver._context_key
-    return {(digest, context) for digest in solver._digest.values()}
+    return {(solver._digest[node], context) for node in solver._points}
+
+
+def depth_of(tree, node):
+    """The number of edges from the source down to ``node``."""
+    depth = 0
+    while node != tree.root_id:
+        node = tree.parent_of(node)
+        depth += 1
+    return depth
 
 
 # ----------------------------------------------------------------------
@@ -795,20 +808,28 @@ class TestFrontierLifetime:
     def test_resolve_skips_frontiers_the_cache_cannot_keep(self):
         """On a chain too long for the cache, a resolve does not capture
         the frontiers its own later captures would evict; the ones it
-        keeps, nearest the driver, still splice a wire edit there."""
+        keeps, the capture points nearest the driver, still splice a
+        wire edit there."""
         library = paper_library(8)
         tree = two_pin_net(
             length=12000.0, sink_capacitance=fF(20.0),
             required_arrival=ps(1500.0), driver=Driver(resistance=180.0),
             num_segments=200,
         )
-        cache = FrontierCache(max_bytes=1 << 19)
+        cache = FrontierCache(max_bytes=1 << 17)
         solver = IncrementalSolver(tree, library, cache=cache)
         assert_parity(solver.resolve(), tree, library, "fast", "object")
         stats = cache.stats()
+        points = solver._points
+        assert len(points) == 1 + 199 // _CAPTURE_SPACING
+        # Every capture went into this fresh cache: kept or evicted.  The
+        # byte skip binds: some capture points go uncaptured.
         assert stats["entries"] >= 10
-        # Every capture went into this fresh cache: kept or evicted.
-        assert stats["entries"] + stats["evictions"] < tree.num_nodes // 2
+        assert stats["entries"] + stats["evictions"] < len(points)
+        # What the cache kept is the capture points nearest the driver.
+        nearest = sorted(points, key=lambda node: depth_of(tree, node))
+        kept = {snapshot.root_id for snapshot in cache._entries.values()}
+        assert kept == set(nearest[:len(kept)])
         near_driver = tree.children_of(tree.root_id)[0]
         edge = tree.edge_to(near_driver)
         solver.apply(SetWire(node=near_driver,
@@ -886,6 +907,157 @@ class TestFrontierLifetime:
         result = solver.resolve()
         assert_parity(result, tree, library, "fast", reference)
         assert cache.stats()["held"] == len(session_keys(solver) | previous)
+
+
+# ----------------------------------------------------------------------
+# Capture points
+# ----------------------------------------------------------------------
+
+
+def branchy_chain_net():
+    """A hand-built net: a 20-vertex chain from the source down to a
+    branching vertex whose children are a sink, a 10-vertex chain to a
+    sink and a 3-vertex chain to a sink.  Every wire differs, so no two
+    subtrees share a digest.  Returns the tree, the branching vertex
+    and the three chains, each listed bottom-up."""
+    tree = RoutingTree.with_source(driver=Driver(resistance=150.0))
+
+    def chain(parent, length, resistance):
+        vertices = []
+        for step in range(length):
+            parent = tree.add_internal(
+                parent, resistance + 0.1 * step, fF(3.0 + 0.01 * step)
+            )
+            vertices.append(parent)
+        return vertices[::-1]
+
+    upper = chain(tree.root_id, 20, 4.0)
+    branch = tree.add_internal(upper[0], 2.0, fF(1.0))
+    tree.add_sink(branch, 1.0, fF(1.0), capacitance=fF(8.0),
+                  required_arrival=ps(700.0))
+    long_arm = chain(branch, 10, 6.0)
+    tree.add_sink(long_arm[0], 1.5, fF(1.2), capacitance=fF(9.0),
+                  required_arrival=ps(800.0))
+    short_arm = chain(branch, 3, 8.0)
+    tree.add_sink(short_arm[0], 1.7, fF(1.4), capacitance=fF(10.0),
+                  required_arrival=ps(900.0))
+    return tree, branch, upper, long_arm, short_arm
+
+
+class TestCapturePoints:
+    def test_first_resolve_captures_exactly_the_capture_points(self):
+        """The root, the branch children and every _CAPTURE_SPACING-th
+        vertex up a one-child chain (the branching vertex that ends a
+        chain counts as its first vertex, a sink does not); no sink."""
+        tree, branch, upper, long_arm, short_arm = branchy_chain_net()
+        cache = FrontierCache()
+        solver = IncrementalSolver(tree, paper_library(4), cache=cache)
+        assert_parity(solver.resolve(), tree, paper_library(4), "fast",
+                      "object")
+        step = _CAPTURE_SPACING
+        expected = {
+            tree.root_id, long_arm[-1], short_arm[-1],
+            *([branch] + upper)[step - 1::step],
+            *long_arm[step - 1::step],
+            *short_arm[step - 1::step],
+        }
+        captured = [snapshot.root_id for snapshot in cache._entries.values()]
+        assert sorted(captured) == sorted(expected)
+        assert not any(tree.node(node).is_sink for node in captured)
+        assert cache.stats()["held"] == len(expected)
+
+    @pytest.mark.parametrize("arm", ("upper", "long_arm"))
+    def test_chain_wire_edit_reexecutes_at_most_spacing_minus_one(
+        self, arm
+    ):
+        """A SetWire inside a chain splices the capture point below it:
+        the resolve adds at most _CAPTURE_SPACING - 1 positions to the
+        path above the edit, and matches a scratch solve bit for bit."""
+        library = paper_library(4)
+        tree, branch, upper, long_arm, short_arm = branchy_chain_net()
+        chain = upper if arm == "upper" else long_arm
+        solver = IncrementalSolver(tree, library)
+        solver.resolve()
+        extras = []
+        for node in chain:
+            edge = tree.edge_to(node)
+            solver.apply(SetWire(node=node,
+                                 resistance=edge.resistance * 1.25,
+                                 capacitance=edge.capacitance))
+            profiler = KernelProfiler()
+            with profile_scope(profiler, flush=False):
+                result = solver.resolve()
+            assert_parity(result, tree, library, "fast", "object")
+            # Every vertex but the source is a buffer position, so the
+            # path above the edit runs one add-buffer step per vertex
+            # strictly between the source and the edited wire.
+            path = depth_of(tree, node) - 1
+            extras.append(profiler.calls["buffer"] - path)
+        assert min(extras) >= 0
+        assert max(extras) == _CAPTURE_SPACING - 1
+
+    def test_resolve_span_counts_its_captures(self):
+        """The incremental.resolve span reports how many frontiers the
+        resolve captured: every capture point on a first resolve, the
+        capture points on a sink edit's dirty path, none on a driver
+        swap."""
+        tree, branch, upper, long_arm, short_arm = branchy_chain_net()
+        solver = IncrementalSolver(tree, paper_library(4))
+        sink = tree.children_of(long_arm[0])[0]
+        tracer = Tracer()
+        with trace_scope(tracer):
+            solver.resolve()
+            solver.apply(SetSinkRAT(node=sink, required_arrival=ps(650.0)))
+            solver.resolve()
+            solver.apply(SwapDriver(resistance=90.0))
+            solver.resolve()
+        first, sink_edit, swap = [
+            args for name, _, _, _, args in tracer.spans()
+            if name == "incremental.resolve"
+        ]
+        assert first["captured"] == len(solver._points)
+        path = []
+        node = sink
+        while node != tree.root_id:
+            node = tree.parent_of(node)
+            path.append(node)
+        assert sink_edit["captured"] == len(solver._points.intersection(path))
+        assert (swap["captured"], swap["executed"], swap["spliced"]) == (
+            0, 0, 1
+        )
+
+    def test_holds_follow_the_capture_points(self):
+        """An AddSink under a chain vertex makes its child a capture
+        point though the child's digest did not move: the cache then
+        holds and keeps exactly the current and previous capture
+        points' keys."""
+        library = paper_library(4)
+        tree, branch, upper, long_arm, short_arm = branchy_chain_net()
+        cache = FrontierCache()
+        solver = IncrementalSolver(tree, library, cache=cache)
+        solver.resolve()
+        previous = session_keys(solver)
+        child = upper[1]
+        assert child not in solver._points
+        solver.apply(AddSink(
+            parent=tree.parent_of(child), edge_resistance=3.0,
+            edge_capacitance=fF(2.0), capacitance=fF(6.0),
+            required_arrival=ps(750.0),
+        ))
+        assert_parity(solver.resolve(), tree, library, "fast", "object")
+        assert child in solver._points
+        current = session_keys(solver)
+        assert cache.stats()["held"] == len(current | previous)
+        assert set(cache._entries) == current | previous
+        # Undo: the child leaves the set again and gives up its hold.
+        solver.apply(RemoveSubtree(node=tree.children_of(
+            tree.parent_of(child))[-1]))
+        result = solver.resolve()
+        assert solver.last_executed_fraction == 0.0
+        assert_parity(result, tree, library, "fast", "object")
+        assert child not in solver._points
+        assert session_keys(solver) == previous
+        assert cache.stats()["held"] == len(current | previous)
 
 
 # ----------------------------------------------------------------------
@@ -969,44 +1141,41 @@ class TestSessionProvenance:
         """Long sessions must not nest provenance without bound: every
         split re-indexes the net, so each later splice wraps its
         decisions in one more SplicedFrontierDecision, and a decision
-        whose chain reaches _CHAIN_LIMIT is flattened instead."""
-        from repro.incremental.engine import _CHAIN_LIMIT
+        whose chain reaches _CHAIN_LIMIT is flattened instead.
 
+        The run climbs a trunk twice, splitting the wire into each
+        capture point in turn from the sink up: every split splices the
+        capture point it lands on (wrapping its decisions once more)
+        and captures the ones above, which the next split splices."""
         library = paper_library(4)
         tree = two_pin_net(
             length=6000.0, sink_capacitance=fF(20.0),
             required_arrival=ps(900.0), driver=Driver(resistance=180.0),
-            num_segments=24,
+            num_segments=80,
         )
         cache = FrontierCache()
         solver = IncrementalSolver(tree, library, cache=cache)
         solver.resolve()
-        rng = random.Random(7)
+        sink = tree.sinks()[0].node_id
         deepest = 0
-        for _ in range(300):
-            internals = [
-                node.node_id for node in tree.nodes()
-                if not node.is_sink and not node.is_source
-            ]
-            node = rng.choice(internals)
-            if rng.random() < 0.6:
-                edit = SplitWire(node=node, fraction=0.5)
-            else:
-                edge = tree.edge_to(node)
-                edit = SetWire(
-                    node=node,
-                    resistance=edge.resistance * rng.uniform(0.8, 1.25),
-                    capacitance=edge.capacitance * rng.uniform(0.8, 1.25),
+        for _ in range(2):
+            node = tree.parent_of(sink)
+            while node != tree.root_id:
+                if node not in solver._points:
+                    node = tree.parent_of(node)
+                    continue
+                solver.apply(SplitWire(node=node, fraction=0.5))
+                result = solver.resolve()
+                assert solver.last_spliced_subtrees == 1
+                assert_parity(result, tree, library, "fast", "object")
+                depth = max(
+                    getattr(decision, "chain_depth", 0)
+                    for snapshot in cache._entries.values()
+                    for decision in snapshot.decisions
                 )
-            solver.apply(edit)
-            assert_parity(solver.resolve(), tree, library, "fast", "object")
-            depth = max(
-                getattr(decision, "chain_depth", 0)
-                for snapshot in cache._entries.values()
-                for decision in snapshot.decisions
-            )
-            assert depth <= _CHAIN_LIMIT
-            deepest = max(deepest, depth)
+                assert depth <= _CHAIN_LIMIT
+                deepest = max(deepest, depth)
+                node = tree.parent_of(node)
         # The run reaches the cap, so the bound above was exercised.
         assert deepest == _CHAIN_LIMIT
 

@@ -12,6 +12,7 @@ in-process :func:`repro.core.api.insert_buffers` result.
 import asyncio
 import json
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from helpers import (
     relabeled,
 )
 from repro import Driver, insert_buffers, paper_library, random_tree_net
+from repro.core.batch import SolverPool
 from repro.errors import ServiceError
 from repro.service.client import ServiceClient
 from repro.service.server import BufferServer
@@ -428,8 +430,6 @@ class TestTTLIntegration:
     def test_expired_entry_is_resolved(self, net, library):
         harness = ServerHarness(jobs=1, cache_size=64, cache_ttl=0.05)
         try:
-            import time
-
             harness.client.solve(net, library)
             time.sleep(0.1)
             answer = harness.client.solve(net, library)
@@ -555,8 +555,6 @@ class TestSessions:
             session.delete()
 
     def test_session_expiry(self, net, library):
-        import time
-
         harness = ServerHarness(jobs=1, session_ttl=0.05)
         try:
             session = harness.client.create_session(net, library)
@@ -771,11 +769,24 @@ class TestResilienceServing:
         finally:
             h.shutdown()
 
-    def test_overload_sheds_with_503(self, library):
+    def test_overload_sheds_with_503(self, library, monkeypatch):
         h = ServerHarness(jobs=1, max_inflight=1, max_queue_depth=0)
+        solve = SolverPool.solve
+
+        def solve_once_a_request_was_shed(pool, *args, **kwargs):
+            # Hold the one admission slot until another request has
+            # been shed, so the overlap never rests on solve time.
+            give_up = time.monotonic() + 30.0
+            while not h.server.counters["sheds"]:
+                if time.monotonic() > give_up:
+                    break
+                time.sleep(0.005)
+            return solve(pool, *args, **kwargs)
+
+        monkeypatch.setattr(SolverPool, "solve", solve_once_a_request_was_shed)
         try:
             big = random_tree_net(
-                900, seed=5, required_arrival=(ps(500.0), ps(2000.0)),
+                40, seed=5, required_arrival=(ps(500.0), ps(2000.0)),
                 driver=Driver(resistance=200.0),
             )
             lib8 = paper_library(8)
@@ -836,8 +847,6 @@ class TestResilienceServing:
         assert block["breakers"]["parallel"]["open"] == 0
 
     def test_drain_completes_in_flight_and_refuses_new(self, library):
-        import time
-
         h = ServerHarness(jobs=1)
         try:
             big = random_tree_net(
