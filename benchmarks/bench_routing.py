@@ -3,9 +3,9 @@
 Builds a deterministic mixed workload — solo solves across the size
 spectrum, multi-corner batch groups and incremental ECO sessions —
 captures it in the workload-log format (:mod:`repro.routing.workload`),
-then replays it under several routing policies and reports each
-policy's total wall time and regret against the oracle (the per-request
-best measured plan).
+then replays it under the default routing policy and reports its
+total wall time and regret against the oracle (the per-request best
+measured plan).
 
 The corpus is the benchmark's contract with the test suite: running
 with ``--capture tests/data/workload_mixed.jsonl`` regenerates the
@@ -24,7 +24,6 @@ What the numbers mean:
   batch a structural group only when its lanes are on SoA;
   50k-instruction parallel floor).  This is what traffic gets by
   default, so it is gated against the oracle directly.
-* ``always_*`` — single-store escape hatches, for context.
 
 Every plan's result is checked bit-identical before anything is
 priced, so a policy can only ever change wall time, never answers.
@@ -104,7 +103,7 @@ SESSION_CELLS = (
     (64, 58, [{"op": "swap_driver", "resistance": 90.0}]),
 )
 
-POLICIES = ("static", "always_object", "always_soa")
+POLICIES = ("static",)
 
 CI_GATE = {
     # The default policy must land within 10% of the oracle (the

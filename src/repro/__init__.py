@@ -38,10 +38,8 @@ from repro.core import (
     insert_buffers_van_ginneken,
     insert_buffers_with_inverters,
     register_algorithm,
-    register_store_backend,
     solve_many,
     SolverPool,
-    store_backend_names,
     verify_polarities,
 )
 from repro.library import (
@@ -87,8 +85,6 @@ __all__ = [
     "get_algorithm",
     "algorithm_names",
     "available_algorithms",
-    "register_store_backend",
-    "store_backend_names",
     "solve_many",
     "SolverPool",
     "CompiledNet",

@@ -22,9 +22,10 @@ Seven subcommands cover the workflow a user needs without writing code:
   under one or more routing policies and report per-request and
   aggregate regret against the observed best plan.
 
-Algorithms and candidate-store backends are enumerated from their
-registries (:mod:`repro.core.registry`, :mod:`repro.core.stores`), so a
-plugin registered before :func:`main` runs is selectable by name.
+Algorithms are enumerated from their registry
+(:mod:`repro.core.registry`), so a plugin registered before
+:func:`main` runs is selectable by name; the candidate stores are the
+fixed :data:`repro.core.stores.STORE_BACKENDS`.
 
 Example session (see ``docs/cli.md`` for full transcripts)::
 
@@ -37,7 +38,7 @@ Example session (see ``docs/cli.md`` for full transcripts)::
                          --edits eco.json --verify
     python -m repro info --net net.json
     python -m repro serve --port 8080 --jobs 4 --workload-log workload.jsonl
-    python -m repro replay --log workload.jsonl --policy static always_soa
+    python -m repro replay --log workload.jsonl --policy static never_batch
 """
 
 from __future__ import annotations
@@ -52,11 +53,7 @@ from typing import List, Optional
 from repro.core.api import insert_buffers
 from repro.core.batch import solve_many
 from repro.core.registry import algorithm_names, available_algorithms
-from repro.core.stores import (
-    AUTO_BACKEND,
-    SPLICE_BACKEND,
-    store_backend_names,
-)
+from repro.core.stores import AUTO_BACKEND, SPLICE_BACKEND, STORE_BACKENDS
 from repro.library.generators import paper_library
 from repro.report import describe_net, full_report, render_tree
 from repro.tree.builders import random_tree_net
@@ -105,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     buf.add_argument("--algorithm", choices=algorithm_names(), default="fast",
                      help=_algorithm_help())
     buf.add_argument("--backend",
-                     choices=("auto",) + store_backend_names(),
+                     choices=(AUTO_BACKEND,) + STORE_BACKENDS,
                      default="auto",
                      help="candidate-store backend; 'auto' (default) "
                           "picks object for a single net; a partitioned "
@@ -140,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--algorithm", choices=algorithm_names(),
                        default="fast", help=_algorithm_help())
     batch.add_argument("--backend",
-                       choices=("auto",) + store_backend_names(),
+                       choices=(AUTO_BACKEND,) + STORE_BACKENDS,
                        default="auto",
                        help="candidate-store backend; 'auto' (default) "
                             "picks object for each net, and the soa batch "

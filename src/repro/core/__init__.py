@@ -26,11 +26,6 @@ from repro.core.registry import (
     register_algorithm,
     unregister_algorithm,
 )
-from repro.core.stores import (
-    get_store_backend,
-    register_store_backend,
-    store_backend_names,
-)
 from repro.core.schedule import CompiledNet, compile_net
 from repro.core.api import insert_buffers
 from repro.core.fast import insert_buffers_fast
@@ -53,9 +48,6 @@ __all__ = [
     "get_algorithm",
     "algorithm_names",
     "available_algorithms",
-    "register_store_backend",
-    "get_store_backend",
-    "store_backend_names",
     "CompiledNet",
     "compile_net",
     "insert_buffers",

@@ -2,14 +2,14 @@
 
 Dispatch is a registry lookup (:mod:`repro.core.registry`): the
 ``algorithm`` argument names a registered :class:`InsertionAlgorithm`
-strategy, and the ``backend`` argument names a registered candidate
-store (:mod:`repro.core.stores`) — or ``"auto"``, the default, which
-defers the choice to the execution router (:mod:`repro.routing`): the
-default ``static`` policy picks the object store for one net
-(:func:`repro.routing.router.static_store`).  ``"auto"`` is resolved
-here, once; the strategy only ever sees a concrete store.
-Third-party algorithms and backends therefore plug in without touching
-this module.
+strategy, so third-party algorithms plug in without touching this
+module.  The ``backend`` argument names a candidate store
+(:data:`repro.core.stores.STORE_BACKENDS`) — or ``"auto"``, the
+default, which defers the choice to the execution router
+(:mod:`repro.routing`): the default ``static`` policy picks the object
+store for one net (:func:`repro.routing.router.static_store`).
+``"auto"`` is resolved here, once; the strategy only ever sees a
+concrete store.
 
 The first positional argument may be a plain
 :class:`~repro.tree.routing_tree.RoutingTree` *or* a
@@ -21,23 +21,16 @@ validation, plan building and flattening again.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
-from repro.core.registry import algorithm_names, get_algorithm
+from repro.core.registry import get_algorithm
 from repro.core.schedule import CompiledNet
 from repro.core.solution import BufferingResult
+from repro.core.stores import AUTO_BACKEND, validate_backend
 from repro.library.library import BufferLibrary
 from repro.resilience.deadline import Deadline, deadline_scope
 from repro.tree.node import Driver
 from repro.tree.routing_tree import RoutingTree
-
-
-def __getattr__(name: str) -> Tuple[str, ...]:
-    # Kept for backward compatibility: the historical constant tuple is
-    # now a live view of the registry.
-    if name == "ALGORITHMS":
-        return algorithm_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def insert_buffers(
@@ -82,11 +75,11 @@ def insert_buffers(
             (:func:`repro.core.registry.algorithm_names`).
         driver: Source driver; defaults to ``tree.driver``; ``None``
             means an ideal driver.
-        backend: ``"auto"`` or a registered candidate-store backend name
-            (:func:`repro.core.stores.store_backend_names`).
+        backend: ``"auto"`` or a candidate store named in
+            :data:`repro.core.stores.STORE_BACKENDS`.
         policy: Routing policy for the ``"auto"`` backend decision:
-            ``"static"`` (the default for ``None``) or an ``always_*``
-            escape hatch (see :mod:`repro.routing.router`).
+            ``"static"`` (the default for ``None``) or an ``always_*`` /
+            ``never_*`` escape hatch (see :mod:`repro.routing.router`).
         deadline: Optional per-request wall budget
             (:class:`repro.resilience.Deadline`).  Checked cooperatively
             at instruction-range boundaries; an expired deadline raises
@@ -111,7 +104,9 @@ def insert_buffers(
             )
     strategy = get_algorithm(algorithm)
     strategy.validate_options(options)
-    if backend == "auto" or policy is not None:
+    if backend != AUTO_BACKEND:
+        validate_backend(backend)
+    if backend == AUTO_BACKEND or policy is not None:
         from repro.routing.features import features_of
         from repro.routing.router import router_for
 

@@ -240,7 +240,7 @@ class SolverPool:
             defaults to
             :data:`repro.routing.router.DEFAULT_PARALLEL_THRESHOLD`.
         policy: Routing policy for every dispatch decision this pool
-            makes (backend, batch axis, partitioning): ``"static"``
+            makes (store, batch axis, partitioning): ``"static"``
             (fixed size rules, the default for ``None``) or an
             ``always_*`` / ``never_*`` escape hatch —
             ``"always_parallel"`` partitions every locally compiled
@@ -293,14 +293,14 @@ class SolverPool:
         **options,
     ) -> None:
         from repro.core.registry import get_algorithm
-        from repro.core.stores import AUTO_BACKEND, get_store_backend
+        from repro.core.stores import AUTO_BACKEND, validate_backend
         from repro.core.stores.batch_axis import supports_batch_axis
         from repro.routing.router import DEFAULT_PARALLEL_THRESHOLD, Router
         from repro.routing.workload import WorkloadLog
 
         get_algorithm(algorithm).validate_options(options)
         if backend != AUTO_BACKEND:
-            get_store_backend(backend)
+            validate_backend(backend)
         if parallel_threshold is None:
             parallel_threshold = DEFAULT_PARALLEL_THRESHOLD
 

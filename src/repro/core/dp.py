@@ -31,19 +31,19 @@ levels from the ``on_final`` hook, and joint wire sizing
 wire class.  Only the batch axis (:mod:`repro.core.stores.batch_axis`),
 whose ops take per-lane columns, keeps its own loop.
 
-The *representation* of the candidate lists is pluggable
+The candidate lists are kept in one of two stores
 (:mod:`repro.core.stores`): with ``backend="object"`` (this engine-level
 function's default — the public :func:`~repro.core.api.insert_buffers`
 defaults to ``"auto"``, which defers the choice to the execution router
 (:mod:`repro.routing`)) the engine operates on bare lists of
-``(q, c, decision)`` tuples, while any other backend runs through the
-:class:`CandidateStore` protocol, with ``add_buffer`` receiving the
-store (the built-in algorithms route it to the store's fused
-:meth:`~repro.core.stores.base.CandidateStore.apply_buffer`).  Store
-ops may mutate in place and return the same store; the interpreter's
-release bookkeeping only recycles operands that were actually
-replaced.  Provenance may be deferred: the winning root candidate's
-``decision`` can be a backend handle (the SoA tape reference) that
+``(q, c, decision)`` tuples; with ``backend="soa"`` it calls the
+methods of :class:`~repro.core.stores.soa.SoAStore`, with ``add_buffer``
+receiving the store (the built-in algorithms route it to the fused
+:meth:`~repro.core.stores.soa.SoAStore.apply_buffer`).  Store ops may
+mutate in place and return the same store; the interpreter's release
+bookkeeping only recycles operands that were actually replaced.
+Provenance may be deferred: the winning root candidate's ``decision``
+can be a store handle (the SoA tape reference) that
 :func:`~repro.core.candidate.reconstruct_assignment` expands once, at
 the end of the solve.
 """
@@ -79,6 +79,7 @@ from repro.core.schedule import (
     compile_net,
 )
 from repro.core.solution import BufferingResult, DPStats
+from repro.core.stores import validate_backend
 from repro.library.library import BufferLibrary
 from repro.obs.profiler import instrument_ops, record_dp_stats
 from repro.obs.spans import active_tracer
@@ -86,11 +87,11 @@ from repro.resilience.deadline import active_deadline
 from repro.tree.node import Driver
 from repro.tree.routing_tree import RoutingTree
 
-#: Signature of an add-buffer operation under the object backend: takes
+#: Signature of an add-buffer operation under the object store: takes
 #: the node's current candidate list and its :class:`BufferPlan`,
 #: returns the new full list (old and new candidates, nonredundant,
-#: sorted).  Under any other backend the first argument is the node's
-#: :class:`~repro.core.stores.base.CandidateStore` instead.
+#: sorted).  Under ``soa`` the first argument is the node's
+#: :class:`~repro.core.stores.soa.SoAStore` instead.
 AddBufferOp = Callable[[CandidateList, BufferPlan], CandidateList]
 
 
@@ -143,19 +144,16 @@ def _release_noop(store) -> None:
     """Store release under the object backend: bare lists, GC-managed."""
 
 
-def _release_store(store) -> None:
-    store.release()
-
-
 def _resolve_ops(
     backend: str, factory=None
 ) -> Tuple[Callable, Callable, Callable, Callable, Callable]:
-    """The five backend-specific callables the interpreter loops over.
+    """The five store-specific callables the interpreter loops over.
 
-    Returns ``(sink_op, wire_op, merge_op, best_op, release_op)``.
-    ``factory`` is the store factory of a non-object backend (unused
-    for ``"object"``); reusing one across solves keeps its scratch
-    state warm.
+    Returns ``(sink_op, wire_op, merge_op, best_op, release_op)``: the
+    object list functions for ``"object"``, else the methods of
+    :class:`~repro.core.stores.soa.SoAStore` with ``factory`` (a
+    :class:`~repro.core.stores.soa.SoAStoreFactory`; reusing one across
+    solves keeps its scratch state warm) minting the sinks.
     """
     if backend == "object":
         from repro.core.merge import merge_branches
@@ -172,11 +170,16 @@ def _resolve_ops(
             _release_noop,
         )
 
+    from repro.core.stores.soa import SoAStore
+
     factory.begin_solve()
-    wire_op = lambda store, r, c: store.add_wire(r, c)  # noqa: E731
-    merge_op = lambda left, right: left.merge(right)  # noqa: E731
-    best_op = lambda store, resistance: store.best_for_driver(resistance)  # noqa: E731
-    return factory.sink, wire_op, merge_op, best_op, _release_store
+    return (
+        factory.sink,
+        SoAStore.add_wire,
+        SoAStore.merge,
+        SoAStore.best_for_driver,
+        SoAStore.release,
+    )
 
 
 def _execute_schedule(
@@ -363,24 +366,26 @@ def run_dynamic_program(
         library: The buffer library (defines ``b``).
         add_buffer: The pluggable add-buffer operation.  Operates on
             ``CandidateList`` under ``backend="object"`` and on the
-            node's :class:`CandidateStore` under any other backend.
+            node's :class:`~repro.core.stores.soa.SoAStore` under
+            ``"soa"``.
         algorithm: Name recorded in the result.
         driver: Source driver; defaults to ``tree.driver`` (or the
             driver recorded at compile time); ``None`` means an ideal
             driver (slack is simply the best ``q``).
-        backend: A registered candidate-store backend name
-            (:func:`repro.core.stores.store_backend_names`).  ``"auto"``
-            is not one: callers resolve it before they get here.
+        backend: A candidate store named in
+            :data:`repro.core.stores.STORE_BACKENDS`.  ``"auto"`` is not
+            one: callers resolve it before they get here.
 
     Raises:
         AlgorithmError: If the tree fails validation, the backend is
             unknown, or a compiled net is combined with a mismatched
             library.
     """
+    validate_backend(backend)
     compiled = tree if isinstance(tree, CompiledNet) else compile_net(tree, library)
     compiled.check_library(library)
     driver = driver if driver is not None else compiled.driver
-    factory = None if backend == "object" else compiled.factory(backend)
+    factory = None if backend == "object" else compiled.soa_factory()
     sink_op, wire_op, merge_op, best_op, release = _resolve_ops(
         backend, factory=factory
     )

@@ -48,9 +48,8 @@ def _add_buffer_destructive(
 
 
 def _store_add_buffer_keep_all(store, plan: BufferPlan):
-    # One fused kernel per position: hull, broadcast walk, beta prune,
-    # sorted insertion (kernel backends override apply_buffer; others
-    # inherit the composed default from the store protocol).
+    # One fused SoA kernel per position: hull, broadcast walk, beta
+    # prune, sorted insertion.
     return store.apply_buffer(plan, generator="hull", destructive=False)
 
 

@@ -26,9 +26,7 @@ def _add_buffer(candidates: CandidateList, plan: BufferPlan) -> CandidateList:
 
 
 def _store_add_buffer(store, plan: BufferPlan):
-    # One fused scan-generate + insert kernel per position (kernel
-    # backends override apply_buffer; others inherit the composed
-    # default from the store protocol).
+    # One fused SoA scan-generate + insert kernel per position.
     return store.apply_buffer(plan, generator="scan")
 
 

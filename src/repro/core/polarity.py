@@ -11,8 +11,8 @@ Here that formulation is an op set over the DP's one interpreter
 (:func:`repro.core.dp._execute_schedule`) on the compiled net.  A stack
 value is a :class:`_Phases` pair: ``lists[0]`` holds the candidates
 valid when the arriving signal has the source's polarity, ``lists[1]``
-when it arrives inverted, each a bare list (object backend) or a store
-of any registered backend (:func:`repro.core.dp._resolve_ops`).
+when it arrives inverted, each a bare list (the object store) or a
+:class:`~repro.core.stores.soa.SoAStore` (:func:`repro.core.dp._resolve_ops`).
 
 * ``SINK`` seeds the sink's own phase; ``WIRE`` wires both lists.
 * ``MERGE`` combines like phases (both branches see the same arriving
@@ -45,6 +45,7 @@ from repro.core.buffer_ops import (
 from repro.core.dp import _execute_schedule, _finish, _release_noop, _resolve_ops
 from repro.core.schedule import compile_net
 from repro.core.solution import BufferingResult
+from repro.core.stores import validate_backend
 from repro.errors import AlgorithmError, InfeasibleError
 from repro.library.buffer_type import BufferType
 from repro.library.library import BufferLibrary
@@ -123,12 +124,14 @@ def _phase_ops(backend: str, factory, algorithm: str, negative: Sequence[int]):
         generate = generate_fast if algorithm == "fast" else generate_lillis
         insert = insert_candidates
     else:
+        from repro.core.stores.soa import SoAStore
+
         empty = factory.empty
-        if algorithm == "fast":
-            generate = lambda store, plan: store.generate_hull(plan)  # noqa: E731
-        else:
-            generate = lambda store, plan: store.generate_scan(plan)  # noqa: E731
-        insert = lambda store, new: store.insert(new)  # noqa: E731
+        generate = (
+            SoAStore.generate_hull if algorithm == "fast"
+            else SoAStore.generate_scan
+        )
+        insert = SoAStore.insert
     negative = frozenset(negative)
 
     def sink_op(node_id: int, q: float, c: float) -> _Phases:
@@ -210,8 +213,8 @@ def insert_buffers_with_inverters(
         algorithm: ``"fast"`` (hull walk per polarity list, the
             DATE-2005 operation) or ``"lillis"`` (exhaustive scan) —
             both exact, used to cross-check each other in tests.
-        backend: Candidate-store backend name, or ``"auto"`` for the
-            store of a net solved alone
+        backend: A store in :data:`repro.core.stores.STORE_BACKENDS`,
+            or ``"auto"`` for the store of a net solved alone
             (:func:`repro.routing.router.solo_store`); results are
             bit-identical across backends, like the main engine's.
 
@@ -234,9 +237,9 @@ def insert_buffers_with_inverters(
             f"unknown algorithm {algorithm!r}; choose 'fast' or 'lillis'"
         )
     compiled = compile_net(tree, library)
-    backend = solo_store(backend, compiled)
+    backend = validate_backend(solo_store(backend, compiled))
     negative = [sink.node_id for sink in tree.sinks() if sink.polarity == -1]
-    factory = None if backend == "object" else compiled.factory(backend)
+    factory = None if backend == "object" else compiled.soa_factory()
     try:
         sink_op, wire_op, merge_op, add_buffer, best, release = _phase_ops(
             backend, factory, algorithm, negative

@@ -102,10 +102,9 @@ class CompiledNet:
     ``(node_id, allowed-name)`` specs plus the library, so the pickled
     payload stays compact and workers re-share the one
     :func:`~repro.core.dp._full_library_plan` sort per process.
-    Per-backend store factories created for this net are cached on the
-    instance (and dropped from pickles), so repeat solves reuse the SoA
-    backend's decision arena and scratch arena instead of reallocating
-    them.
+    The ``soa`` store's factory for this net is cached on the instance
+    (and dropped from pickles), so repeat solves reuse its provenance
+    tape and scratch arena instead of reallocating them.
     """
 
     def __init__(
@@ -152,7 +151,7 @@ class CompiledNet:
         #: and wire sizing's per-edge class choice).
         self.wire_index_of = wire_index_of or {}
         self._plans: Optional[List[BufferPlan]] = None
-        self._factories: Dict[str, object] = {}
+        self._soa_factory = None
         self._runtime: Optional[tuple] = None
         self._sink_index_of: Optional[Dict[int, int]] = None
         self._group_signature: Optional[tuple] = None
@@ -199,35 +198,19 @@ class CompiledNet:
             )
         return self._runtime
 
-    def factory(self, backend: str):
-        """A per-net, per-backend store factory, reused across solves.
+    def soa_factory(self):
+        """This net's :class:`~repro.core.stores.soa.SoAStoreFactory`,
+        reused across solves.
 
-        Reuse is what lets the SoA backend's scratch arena stay warm:
-        the factory's :meth:`~repro.core.stores.base.StoreFactory.begin_solve`
-        resets per-solve state while keeping the allocated buffers.
+        Reuse is what keeps the ``soa`` scratch arena warm: the
+        factory's ``begin_solve`` resets per-solve state while keeping
+        the allocated buffers.
         """
-        factory = self._factories.get(backend)
-        if factory is None:
-            from repro.core.stores import get_store_backend
+        if self._soa_factory is None:
+            from repro.core.stores.soa import SoAStoreFactory
 
-            factory = get_store_backend(backend)()
-            self._factories[backend] = factory
-        return factory
-
-    def factory_stats(self) -> Dict[str, Dict]:
-        """Health counters of this net's per-backend store factories.
-
-        Keyed by backend name; each value is the factory's
-        :meth:`~repro.core.stores.base.StoreFactory.stats` dict (the
-        SoA backend reports solve counts, scratch-arena block pools and
-        provenance-tape capacity).  Only backends that have actually
-        solved through this compiled net appear.
-        """
-        return {
-            backend: factory.stats()
-            for backend, factory in self._factories.items()
-            if hasattr(factory, "stats")
-        }
+            self._soa_factory = SoAStoreFactory()
+        return self._soa_factory
 
     # -- partition extraction (the parallel solver's surface) ----------
 
@@ -371,7 +354,7 @@ class CompiledNet:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_plans"] = None  # rebuilt lazily from plan_specs
-        state["_factories"] = {}  # per-process solve state
+        state["_soa_factory"] = None  # per-process solve state
         state["_runtime"] = None  # unboxed lazily per process
         state["_sink_index_of"] = None  # rebuilt lazily on first patch
         state["_group_signature"] = None  # recomputed lazily per process

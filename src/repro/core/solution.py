@@ -26,8 +26,8 @@ class DPStats:
         candidates_generated: Total candidates materialized, a
             machine-independent work proxy.
         runtime_seconds: Wall-clock time of the DP proper.
-        backend: Candidate-store backend the run used
-            (:func:`repro.core.stores.store_backend_names`).
+        backend: Candidate store the run used
+            (:data:`repro.core.stores.STORE_BACKENDS`).
     """
 
     algorithm: str

@@ -79,9 +79,9 @@ from repro.core.buffer_ops import BufferPlan
 from repro.core.candidate import reconstruct_assignment
 from repro.core.pruning import prune_dominated_indices
 from repro.core.solution import BufferingResult, DPStats
-from repro.core.stores.base import BestCandidate
 from repro.core.stores.soa import (
     _NEG_INF,
+    BestCandidate,
     ProvenanceTape,
     ScratchArena,
     _generate_betas,

@@ -70,7 +70,7 @@ absent, and :class:`SoAStoreFactory` raises a clear
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 try:  # gated: the rest of the library must work without numpy
     import numpy as np
@@ -78,8 +78,8 @@ except ImportError:  # pragma: no cover - exercised only on numpy-less installs
     np = None  # type: ignore[assignment]
 
 from repro.core.buffer_ops import BufferPlan
+from repro.core.candidate import Decision
 from repro.core.pruning import hull_indices, prune_dominated_indices
-from repro.core.stores.base import BestCandidate, CandidateStore, StoreFactory
 from repro.errors import AlgorithmError
 
 _NEG_INF = float("-inf")
@@ -849,10 +849,29 @@ def _generate_betas(q, c, d, plan: BufferPlan, tape: "ProvenanceTape",
     return bq, bc, np.arange(base, base + kept, dtype=np.intp)
 
 
-class SoAStore(CandidateStore):
-    """Candidates as a packed ``(2, k)`` value array plus a tape column.
+class BestCandidate(NamedTuple):
+    """The root candidate a driver picks: plain numbers plus provenance."""
 
-    ``z[0]`` holds ``q``, ``z[1]`` holds ``c`` (one arena block, so
+    q: float
+    c: float
+    decision: Decision
+
+
+class SoAStore:
+    """One subtree's sorted nonredundant candidate list, as arrays.
+
+    The object store keeps the same list as ``(q, c, decision)`` tuples;
+    this store must match it:
+
+    * candidates are sorted by strictly increasing ``c`` *and* strictly
+      increasing ``q`` after every returned operation;
+    * numeric results are bit-identical to the object store's: the same
+      IEEE-754 operations in the same order, and the same tie rules
+      (ties in ``q - R c`` resolve to minimum ``c``; equal-(q, c) ties
+      keep the earliest candidate).
+
+    Candidates live in a packed ``(2, k)`` value array plus a tape
+    column: ``z[0]`` holds ``q``, ``z[1]`` holds ``c`` (one arena block, so
     gathers and compactions move both coordinates in single kernels);
     ``d`` holds tape indices.  Both blocks are *capacity-backed*: the
     logical candidate count is :attr:`n`, and every kernel operates on
@@ -864,8 +883,8 @@ class SoAStore(CandidateStore):
     :meth:`release` recycles the blocks, after which the store must not
     be touched (``len()`` raises so misuse fails loudly).  The in-place
     operations (:meth:`add_wire`, :meth:`apply_buffer`, :meth:`insert`)
-    return ``self`` — consistent with the object backend, whose
-    add-wire also mutates the list it owns.
+    return ``self``, and the interpreter releases only the operands an
+    operation replaced.
     """
 
     __slots__ = ("z", "d", "n", "factory")
@@ -999,7 +1018,7 @@ class SoAStore(CandidateStore):
 
     # -- MERGE ---------------------------------------------------------
 
-    def merge(self, other: "CandidateStore") -> "SoAStore":
+    def merge(self, other: "SoAStore") -> "SoAStore":
         assert isinstance(other, SoAStore)
         if self.n == 0 or other.n == 0:
             return self if other.n == 0 else other
@@ -1095,10 +1114,15 @@ class SoAStore(CandidateStore):
         """The fused BUFFER kernel: generate, prune, insert — in place.
 
         One pass over arena storage replaces the convex-hull store, the
-        beta store and the insertion store of the composed default
-        (:meth:`repro.core.stores.base.CandidateStore.apply_buffer`),
-        whose data flow — and therefore results — it reproduces
-        exactly.
+        beta store and the insertion store that composing
+        :meth:`convex_hull`, :meth:`generate_hull` and :meth:`insert`
+        (or :meth:`generate_scan` and :meth:`insert`) would build, and
+        reproduces that composition's data flow — and therefore its
+        results — exactly.  ``generator`` selects ``"hull"`` (convex
+        prune + monotone hull walk, the paper's O(k + b) step) or
+        ``"scan"`` (the exhaustive O(b k) Lillis scan); ``destructive``
+        (hull only) reproduces the paper's literal pseudocode by
+        inserting into the hull instead of the full list.
         """
         n = self.n
         if n == 0:
@@ -1134,7 +1158,7 @@ class SoAStore(CandidateStore):
             self._insert_arrays(*betas)
         return self
 
-    # -- protocol generators (standalone beta stores) ------------------
+    # -- standalone beta stores (the polarity DP's generators) ---------
 
     def _wrap_betas(self, betas) -> "SoAStore":
         bq, bc, bd = betas
@@ -1159,7 +1183,7 @@ class SoAStore(CandidateStore):
         return self._wrap_betas(betas)
 
     def generate_hull(
-        self, plan: BufferPlan, hull: Optional["CandidateStore"] = None
+        self, plan: BufferPlan, hull: Optional["SoAStore"] = None
     ) -> "SoAStore":
         if self.n == 0:
             return self
@@ -1175,7 +1199,7 @@ class SoAStore(CandidateStore):
             return self._empty()
         return self._wrap_betas(betas)
 
-    def insert(self, new: "CandidateStore") -> "SoAStore":
+    def insert(self, new: "SoAStore") -> "SoAStore":
         assert isinstance(new, SoAStore)
         if new.n == 0:
             return self
@@ -1207,7 +1231,7 @@ class SoAStore(CandidateStore):
         )
 
 
-class SoAStoreFactory(StoreFactory):
+class SoAStoreFactory:
     """Per-net context: the provenance tape plus the scratch arena.
 
     One factory may serve many solves (the compiled execution layer
@@ -1228,7 +1252,6 @@ class SoAStoreFactory(StoreFactory):
             )
         self.arena = ScratchArena()
         self.tape = ProvenanceTape(self.arena)
-        self.solves = 0
         self._scratch = _EMPTY_F8
 
     def scratch_f8(self, n: int):
@@ -1246,7 +1269,7 @@ class SoAStoreFactory(StoreFactory):
         return scratch[:n]
 
     def begin_solve(self) -> None:
-        self.solves += 1
+        """Reset per-solve state, keeping the grown capacity."""
         self.tape.reset()
         self.arena.reset()
 
@@ -1267,12 +1290,5 @@ class SoAStoreFactory(StoreFactory):
         return SoAStore(z, d, 1, self)
 
     def empty(self) -> SoAStore:
+        """A store holding no candidates (the polarity DP seeds one)."""
         return SoAStore(_EMPTY_PAIR, _EMPTY_IP, 0, self)
-
-    def stats(self) -> Dict[str, object]:
-        """Kernel-engine health for the serving layer's ``/stats``."""
-        return {
-            "solves": self.solves,
-            "arena": self.arena.stats(),
-            "tape": self.tape.stats(),
-        }

@@ -14,12 +14,12 @@ behind one policy string:
   the ``soa`` side, and a net over the instruction threshold is
   partitioned on a multi-process pool.
 * ``"always_X"`` / ``"never_X"`` — escape hatches that pin one axis and
-  leave the rest on the static rule: ``always_object``, ``always_soa``,
-  ``always_batch`` / ``never_batch``, ``always_parallel`` /
-  ``never_parallel``.
+  leave the rest on the static rule: ``always_batch`` / ``never_batch``,
+  ``always_parallel`` / ``never_parallel``.
 
-Two plans ignore every store pin: a session splices on ``object``, and
-a partitioned solve runs its cuts and residual on ``object``.  Only the
+A caller names a store with ``backend=``, never with a policy.  Two
+plans ignore even that: a session splices on ``object``, and a
+partitioned solve runs its cuts and residual on ``object``.  Only the
 object store freezes and splices frontiers.
 
 Whatever the policy, the emitted plan is only ever a *choice among
@@ -43,16 +43,14 @@ from repro.routing.features import RequestFeatures, features_of
 #: Schedule modes a plan can name.
 SCHEDULE_MODES = ("compiled", "splice")
 
-#: Each policy's pins — (store, batch axis, partitioned solve); ``None``
+#: Each policy's pins — (batch axis, partitioned solve); ``None``
 #: leaves that axis to the static rule.
 _PINS = {
-    "static": (None, None, None),
-    "always_object": ("object", None, None),
-    "always_soa": ("soa", None, None),
-    "always_batch": (None, True, None),
-    "never_batch": (None, False, None),
-    "always_parallel": (None, None, True),
-    "never_parallel": (None, None, False),
+    "static": (None, None),
+    "always_batch": (True, None),
+    "never_batch": (False, None),
+    "always_parallel": (None, True),
+    "never_parallel": (None, False),
 }
 
 #: The policy tokens (see :func:`validate_policy`).
@@ -245,13 +243,13 @@ class Router:
 
         A session splices on ``object``, whatever the store asked for.
         Otherwise the store is the caller's ``backend`` (an explicit
-        store always wins), else the policy's pinned store, else
-        :func:`static_store`'s (for a group on a context that cannot
-        batch, the store of one lane).  A multi-lane group, on a context
-        that ``supports_batch``, rides the batch axis when that store is
-        ``soa`` — or, under ``always_batch``, whenever the store was
-        left to routing; ``never_batch`` solves such a group's lanes one
-        by one on ``soa`` instead.  Anything else solves on the store,
+        store always wins), else :func:`static_store`'s (for a group on
+        a context that cannot batch, the store of one lane).  A
+        multi-lane group, on a context that ``supports_batch``, rides
+        the batch axis when that store is ``soa`` — or, under
+        ``always_batch``, whenever the store was left to routing;
+        ``never_batch`` solves such a group's lanes one by one on
+        ``soa`` instead.  Anything else solves on the store,
         or partitioned on ``object`` on a context that
         ``supports_parallel`` once its schedule reaches
         :attr:`parallel_threshold` instructions (``always_parallel``
@@ -281,11 +279,9 @@ class Router:
         supports_parallel: bool,
     ) -> ExecutionPlan:
         """:meth:`plan` for a request that is not a session."""
-        pin_store, pin_batch, pin_parallel = self._pins
+        pin_batch, pin_parallel = self._pins
         if backend != "auto":
             store = backend
-        elif pin_store is not None:
-            store = pin_store
         elif features.lanes > 1 and not supports_batch:
             # Lanes that cannot ride the batch axis solve one by one.
             store = static_store(replace(features, lanes=1))

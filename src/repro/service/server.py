@@ -143,11 +143,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.core.batch import SolverPool
 from repro.core.registry import get_algorithm
 from repro.core.schedule import CompiledNet, compile_records
-from repro.core.stores import (
-    AUTO_BACKEND,
-    SPLICE_BACKEND,
-    get_store_backend,
-)
+from repro.core.stores import AUTO_BACKEND, SPLICE_BACKEND, validate_backend
 from repro.errors import DeadlineExceeded, EditError, ReproError, WorkerCrashError
 from repro.library.library import BufferLibrary
 from repro.obs.metrics import (
@@ -1719,7 +1715,7 @@ class _SolveContext:
         try:
             get_algorithm(algorithm).validate_options(options)
             if backend != AUTO_BACKEND:
-                get_store_backend(backend)
+                validate_backend(backend)
         except ReproError as exc:
             raise _BadRequest(str(exc)) from exc
         return cls(library, algorithm, backend, options, policy, deadline_ms)

@@ -196,6 +196,33 @@ def reference_add_wire(candidates, resistance, capacitance):
     return reference_prune_dominated(wired)
 
 
+def composed_apply_buffer(store, plan, generator="hull", destructive=False):
+    """One position's add-buffer step composed from a ``SoAStore``'s
+    fine-grained operations: the reference its fused
+    :meth:`~repro.core.stores.soa.SoAStore.apply_buffer` must equal.
+
+    ``"hull"`` prunes to the convex hull, walks it for the betas and
+    inserts them into the full list (into the hull when
+    ``destructive``); ``"scan"`` scans for the betas and inserts them.
+    Consumed intermediates are released, as the fused kernel recycles
+    its own.
+    """
+    if generator == "scan":
+        new = store.generate_scan(plan)
+        result = store.insert(new)
+        if new is not result and new is not store:
+            new.release()
+        return result
+    hull = store.convex_hull()
+    new = store.generate_hull(plan, hull=hull)
+    result = (hull if destructive else store).insert(new)
+    if hull is not result and hull is not store:
+        hull.release()
+    if new is not result and new is not store and new is not hull:
+        new.release()
+    return result
+
+
 def relabeled(
     tree: RoutingTree, rename: bool = True, reverse_children: bool = False
 ) -> RoutingTree:

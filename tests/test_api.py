@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro import BufferLibrary, insert_buffers
-from repro.core.api import ALGORITHMS
+from repro import BufferLibrary, algorithm_names, insert_buffers
 from repro.errors import AlgorithmError
 
 
 def test_algorithm_names_exported():
-    assert set(ALGORITHMS) == {"fast", "lillis", "van_ginneken"}
+    assert set(algorithm_names()) == {"fast", "lillis", "van_ginneken"}
 
 
 def test_unknown_algorithm_rejected(line_net, small_library):
@@ -84,6 +83,38 @@ def test_routed_solve_imports_no_parallel_or_serving_code():
         " 'repro.service.server', 'repro.service.client', 'asyncio',"
         " 'repro.routing.workload') if m in sys.modules))\n"
         "from repro.routing import WorkloadLog, read_log, replay\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_default_path_imports_no_numpy():
+    """Importing the package and the server and running a default solve
+    load neither NumPy nor the ``soa`` store: they load only where
+    ``soa`` or the batch axis is named."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    script = (
+        "import sys\n"
+        "import repro\n"
+        "import repro.service.server\n"
+        "from repro import insert_buffers, paper_library, two_pin_net\n"
+        "insert_buffers(two_pin_net(1000.0, num_segments=4),"
+        " paper_library(4))\n"
+        "print(sorted(m for m in ('numpy', 'repro.core.stores.soa')"
+        " if m in sys.modules))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],

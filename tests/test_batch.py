@@ -45,6 +45,7 @@ def test_jobs2_matches_serial(corpus):
 
 
 def test_jobs2_soa_matches_serial_object(corpus):
+    pytest.importorskip("numpy")
     library = paper_library(3)
     serial = solve_many(corpus, library, jobs=1, backend="object")
     parallel = solve_many(corpus, library, jobs=2, backend="soa")

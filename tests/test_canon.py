@@ -235,10 +235,10 @@ class TestLibraryAndRequestKeys:
         assert auto == request_key(
             tree, library, backend="auto", policy=DEFAULT_POLICY)
         assert auto != request_key(
-            tree, library, backend="auto", policy="always_object")
+            tree, library, backend="auto", policy="never_batch")
         # A concrete store ignores the policy.
         assert request_key(
-            tree, library, backend="soa", policy="always_object"
+            tree, library, backend="soa", policy="never_batch"
         ) == request_key(tree, library, backend="soa")
 
 

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from helpers import random_small_tree
+from helpers import composed_apply_buffer, random_small_tree
 
 from repro import (
     BufferLibrary,
@@ -248,9 +248,8 @@ def test_kernel_cutoff_invariance():
 
 
 def test_fused_apply_buffer_matches_composed_default():
-    """SoA's fused kernel equals the protocol's composed default."""
+    """SoA's fused kernel equals the composition of its primitives."""
     from repro.core.dp import build_plans
-    from repro.core.stores.base import CandidateStore
     from repro.core.stores.soa import SoAStoreFactory
 
     tree = two_pin_net(length=6000.0, sink_capacitance=fF(20.0),
@@ -267,35 +266,18 @@ def test_fused_apply_buffer_matches_composed_default():
         store = store.insert(new)
         return store.add_wire(45.0, fF(6.0))
 
-    fa = SoAStoreFactory()
-    fa.begin_solve()
-    fused = build_store(fa).apply_buffer(plan, generator="hull")
+    for generator, destructive in (
+        ("hull", False), ("hull", True), ("scan", False)
+    ):
+        fa = SoAStoreFactory()
+        fa.begin_solve()
+        fused = build_store(fa).apply_buffer(
+            plan, generator=generator, destructive=destructive)
 
-    fb = SoAStoreFactory()
-    fb.begin_solve()
-    composed = CandidateStore.apply_buffer(build_store(fb), plan,
-                                           generator="hull")
-    assert fused.q.tolist() == composed.q.tolist()
-    assert fused.c.tolist() == composed.c.tolist()
-
-
-def test_factory_stats_shape():
-    from repro.core.stores.soa import SoAStoreFactory
-
-    library = uniform_random_library(4, seed=31)
-    tree = random_small_tree(31)
-    compiled = compile_net(tree, library)
-    insert_buffers(compiled, library, backend="soa")
-    insert_buffers(compiled, library, backend="soa")
-    stats = compiled.factory_stats()
-    assert "soa" in stats
-    soa_stats = stats["soa"]
-    assert soa_stats["solves"] == 2
-    assert soa_stats["arena"]["pooled_bytes"] >= 0
-    assert soa_stats["tape"]["generation"] >= 2
-    # The object backend bypasses store factories entirely (the engine
-    # operates on bare lists), so it never appears here.
-    insert_buffers(compiled, library, backend="object")
-    assert "object" not in compiled.factory_stats()
-    # The factory type itself reports through the protocol hook.
-    assert isinstance(SoAStoreFactory().stats(), dict)
+        fb = SoAStoreFactory()
+        fb.begin_solve()
+        composed = composed_apply_buffer(
+            build_store(fb), plan, generator=generator,
+            destructive=destructive)
+        assert fused.q.tolist() == composed.q.tolist()
+        assert fused.c.tolist() == composed.c.tolist()

@@ -350,7 +350,7 @@ class TestSolverPoolRouting:
         """A ``jobs=2`` "auto" pool routes each unit as ``jobs=1`` does:
         solo nets on object, 8 R/C corners of an 866-position trunk at
         b = 32 on the batch axis, and the same corners lane by lane on
-        object under ``always_object``.  Answers match ``jobs=1``."""
+        object under ``backend="object"``.  Answers match ``jobs=1``."""
         from repro.experiments.workloads import (
             FIG4_NET, build_net, corner_variants,
         )
@@ -359,16 +359,16 @@ class TestSolverPoolRouting:
         solo.append(random_net(22, sinks=24, positions=800))
         trunk = build_net(FIG4_NET, positions_override=866)
         corners = [variant for _, variant in corner_variants(trunk, 8)]
-        for nets, lib, policy in (
-            (solo, library, None),
-            (corners, paper_library(32), None),
-            (corners, paper_library(32), "always_object"),
+        for nets, lib, backend in (
+            (solo, library, "auto"),
+            (corners, paper_library(32), "auto"),
+            (corners, paper_library(32), "object"),
         ):
-            with SolverPool(lib, policy=policy) as inline:
+            with SolverPool(lib, backend=backend) as inline:
                 references = inline.solve(nets)
                 inline_decisions = (
                     inline.routing_stats()["decisions_by_strategy"])
-            with SolverPool(lib, jobs=2, policy=policy) as pool:
+            with SolverPool(lib, jobs=2, backend=backend) as pool:
                 results = pool.solve(nets)
                 decisions = pool.routing_stats()["decisions_by_strategy"]
                 groups = pool.batch_axis_stats()["groups"]
@@ -376,7 +376,7 @@ class TestSolverPoolRouting:
                 assert_identical(result, reference)
             # Each unit is routed and counted once, as inline.
             assert decisions == inline_decisions
-            if nets is solo or policy == "always_object":
+            if nets is solo or backend == "object":
                 assert set(decisions) == {"object-compiled"}
                 assert groups == 0
             elif batch_axis_available():

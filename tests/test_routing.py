@@ -158,13 +158,9 @@ class TestPolicies:
         # one by one, on a single net's store.
         plan = router.route(replace(long, lanes=2))
         assert plan == ExecutionPlan("object", "compiled")
-        # A store the caller (or the policy) pins decides for the rule.
+        # A store the caller names decides for the rule.
         plan = router.route(replace(short, lanes=2), backend="soa",
                             supports_batch=True)
-        assert plan == ExecutionPlan("soa", "compiled", batch_axis=True)
-        plan = Router(policy="always_soa").route(
-            replace(short, lanes=2), supports_batch=True
-        )
         assert plan == ExecutionPlan("soa", "compiled", batch_axis=True)
         plan = router.route(replace(long, lanes=2), backend="object",
                             supports_batch=True)
@@ -186,9 +182,7 @@ class TestPolicies:
 
     def test_escape_hatches_pin_axes(self):
         features = _features(lanes=4)
-        plan = Router(policy="always_object").route(
-            features, supports_batch=True
-        )
+        plan = Router().route(features, backend="object", supports_batch=True)
         assert plan.backend == "object" and not plan.batch_axis
         plan = Router(policy="never_batch").route(
             features, supports_batch=True
@@ -209,13 +203,13 @@ class TestPolicies:
         and partitioned solves are the exception: only ``object``
         splices frontiers, so they run there whatever the store."""
         group = _features(lanes=8)
-        for policy in ("always_soa", "always_batch"):
+        for policy in ("static", "always_batch"):
             router = Router(policy=policy)
             plan = router.route(_features(), backend="object")
             assert plan == ExecutionPlan("object", "compiled")
             plan = router.route(group, backend="object", supports_batch=True)
             assert plan == ExecutionPlan("object", "compiled")
-        for policy in ("always_object", "always_soa"):
+        for policy in ("static", "always_batch", "always_parallel"):
             router = Router(policy=policy)
             plan = router.route(_features(kind="session"), backend="soa")
             assert plan == ExecutionPlan("object", "splice")
@@ -541,7 +535,8 @@ class TestWorkloadLog:
         assert len(records) == 2
         report = replay(records, policies=("static",), repeats=1)
         assert report["requests"] == 2
-        assert report["parity_checked"] >= 4
+        # Each record is solved on every store that imports.
+        assert report["parity_checked"] == 2 * (2 if numpy is not None else 1)
         # The logged answers came from these very requests.
         assert report["logged_seconds"] > 0.0
         assert expected[0].slack is not None
@@ -580,7 +575,7 @@ class TestReplayCorpus:
     def report(self):
         corpus = Path(__file__).parent / "data" / "workload_mixed.jsonl"
         return replay(
-            corpus, policies=("static", "always_object", "always_soa"),
+            corpus, policies=("static", "always_batch", "never_batch"),
             repeats=1,
         )
 
@@ -602,8 +597,15 @@ class TestReplayCorpus:
     def test_identical_results_across_policies(self, report):
         """replay() raises ReplayError on any parity breach, so a
         returned report *is* the bit-identity proof; every request
-        checked at least two plans."""
-        assert report["parity_checked"] >= 2 * report["requests"]
+        checked at least two plans (a solve without NumPy has only the
+        object store to run on)."""
+        for entry in report["per_request"]:
+            plans = len(entry["measured_seconds"])
+            if entry["kind"] == "session" or numpy is not None:
+                assert plans >= 2
+        assert report["parity_checked"] == sum(
+            len(entry["measured_seconds"]) for entry in report["per_request"]
+        )
 
     def test_regret_accounting_is_sane(self, report):
         oracle = report["oracle_seconds"]

@@ -481,8 +481,8 @@ def test_factory_reuse_isolated_across_solves():
     compiled_b = compile_net(tree_b, library)
 
     first_a = insert_buffers(compiled_a, library, backend="soa")
-    factory = compiled_a.factory("soa")
-    assert factory is compiled_a.factory("soa")  # cached per net
+    factory = compiled_a.soa_factory()
+    assert factory is compiled_a.soa_factory()  # cached per net
 
     # Solve B on its own compiled net, then A again on the *warm* one.
     insert_buffers(compiled_b, library, backend="soa")

@@ -246,7 +246,7 @@ class TestAutoRouting:
         trunk = build_net(FIG4_NET, positions_override=500)
         answer = harness.client.solve(trunk, library)
         assert answer["backend"] == "object"
-        expected = insert_buffers(trunk, library, backend="soa")
+        expected = insert_buffers(trunk, library, backend=SOA)
         assert answer["slack_seconds"] == expected.slack
         session = harness.client.create_session(trunk, library)
         assert session.info["backend"] == "object"
@@ -272,11 +272,9 @@ class TestAutoRouting:
             "net": tree_to_dict(random_tree_net(8, seed=11)),
             "library": library_to_dict(library),
             "backend": "auto",
-            "policy": "always_object",
         }
         first = harness.client._request("POST", "/solve", body)
         assert first["backend"] == "object"
-        del body["policy"]
         second = harness.client._request(
             "POST", "/solve", dict(body, backend=SOA)
         )
@@ -290,20 +288,25 @@ class TestAutoRouting:
 
 
     def test_session_honours_the_request_policy(self, harness, library):
-        """A request's policy pins the store of a /solve, while a
-        /session under the same body splices on object, the one store
-        that splices."""
+        """A /session is routed, and counted, under the request's
+        policy, and splices on object, the one store that splices."""
+        from repro.routing.router import router_for
         from repro.tree.io import library_to_dict
 
         body = {
             "net": tree_to_dict(random_tree_net(8, seed=11)),
             "library": library_to_dict(library),
-            "policy": "always_soa",
+            "policy": "never_batch",
         }
         answer = harness.client._request("POST", "/solve", body)
-        assert answer["backend"] == SOA
+        assert answer["backend"] == "object"
+        router = router_for("never_batch")
+        before = router.stats()["decisions_by_strategy"].get(
+            "object-splice", 0)
         session = harness.client._request("POST", "/session", body)
         assert session["backend"] == "object"
+        after = router.stats()["decisions_by_strategy"]["object-splice"]
+        assert after == before + 1
         harness.client._request("DELETE", f"/session/{session['session']}")
 
     @pytest.mark.parametrize("store", ["soa", "mmap"])
@@ -1040,6 +1043,93 @@ class TestRecordsPath:
         for sent in ("miss", "hit"):
             answer = harness.client._request("POST", "/solve", body)
             assert pinned(answer) == pinned(case[sent])
+
+
+#: The one message every entry point refuses an unknown store with.
+UNKNOWN_STORE = (
+    "unknown candidate-store backend 'mmap'; choose one of ('object', 'soa')"
+)
+
+#: Every surface that takes a store name, and every one that takes a
+#: routing policy.
+STORE_SURFACES = (
+    "insert_buffers", "insert_buffers_with_inverters", "run_dynamic_program",
+    "SolverPool", "solve_many", "/solve", "/batch", "/session",
+    "repro buffer",
+)
+POLICY_SURFACES = ("insert_buffers", "SolverPool", "/solve", "repro serve")
+
+
+@pytest.mark.parametrize("surface, field, name", [
+    *[(surface, "backend", "mmap") for surface in STORE_SURFACES],
+    *[(surface, "policy", policy) for surface in POLICY_SURFACES
+      for policy in ("always_object", "always_soa")],
+])
+def test_one_rejection_rule(
+    request, net, library, tmp_path, monkeypatch, surface, field, name
+):
+    """A store is named by ``backend`` alone, and every entry point
+    refuses an unknown one the same way: ``AlgorithmError`` with one
+    message in process, a 400 that opens no pool or session over HTTP,
+    exit 2 from the CLI.  The retired store-pinning policies are
+    unknown policies everywhere."""
+    from repro.core.batch import solve_many
+    from repro.core.dp import run_dynamic_program
+    from repro.core.polarity import insert_buffers_with_inverters
+    from repro.core.registry import get_algorithm
+    from repro.errors import AlgorithmError
+    from repro.tree.io import library_to_dict
+
+    kwargs = {field: name}
+    error, message = (
+        (AlgorithmError, UNKNOWN_STORE) if field == "backend"
+        else (ValueError, f"unknown routing policy {name!r}")
+    )
+    if surface.startswith("/"):
+        harness = request.getfixturevalue("harness")
+        body = {"net": tree_to_dict(net), "library": library_to_dict(library),
+                **kwargs}
+        if surface == "/batch":
+            body["nets"] = [body.pop("net")]
+        status, text = harness.client._request_text("POST", surface, body)
+        assert status == 400
+        assert message in json.loads(text)["error"]
+        stats = harness.client.stats()
+        assert stats["pools"] == []
+        assert stats["incremental"]["sessions"]["live"] == 0
+    elif surface.startswith("repro "):
+        from repro.cli import main
+
+        served = []
+        monkeypatch.setattr(
+            "repro.service.server.serve", lambda **kw: served.append(kw))
+        if surface == "repro serve":
+            assert main(["serve", "--port", "0", "--policy", name]) == 2
+        else:
+            net_path = tmp_path / "net.json"
+            lib_path = tmp_path / "lib.json"
+            assert main(["generate", "--net", str(net_path), "--sinks", "3",
+                         "--positions", "10", "--library", str(lib_path),
+                         "--library-size", "2"]) == 0
+            with pytest.raises(SystemExit) as exit_info:
+                main(["buffer", "--net", str(net_path), "--library",
+                      str(lib_path), "--backend", name])
+            assert exit_info.value.code == 2
+        assert served == []
+    else:
+        calls = {
+            "insert_buffers": lambda: insert_buffers(net, library, **kwargs),
+            "insert_buffers_with_inverters": lambda: (
+                insert_buffers_with_inverters(net, library, **kwargs)),
+            "run_dynamic_program": lambda: run_dynamic_program(
+                net, library, get_algorithm("fast").add_buffer_op(
+                    "object", library), "fast", **kwargs),
+            "SolverPool": lambda: SolverPool(library, **kwargs),
+            "solve_many": lambda: solve_many([net], library, **kwargs),
+        }
+        with pytest.raises(error) as info:
+            calls[surface]()
+        assert str(info.value).startswith(message)
 
 
 MALFORMED = malformed_requests()

@@ -17,13 +17,6 @@ from repro import (
     two_pin_net,
     uniform_random_library,
 )
-from repro.core.stores import (
-    get_store_backend,
-    register_store_backend,
-    store_backend_names,
-    unregister_store_backend,
-)
-from repro.core.stores.base import StoreFactory
 from repro.errors import AlgorithmError
 from repro.units import fF, ps
 
@@ -143,25 +136,4 @@ def test_vectorized_paths_match_scalar_on_long_lists():
 def test_unknown_backend_rejected(line_net, small_library):
     with pytest.raises(AlgorithmError, match="unknown candidate-store"):
         insert_buffers(line_net, small_library, backend="warp_drive")
-
-
-def test_backend_names_and_duplicate_registration():
-    assert {"object", "soa"} <= set(store_backend_names())
-    with pytest.raises(AlgorithmError, match="already registered"):
-
-        @register_store_backend("object")
-        class Impostor(StoreFactory):
-            def sink(self, node_id, q, c):
-                raise NotImplementedError
-
-    class Custom(StoreFactory):
-        def sink(self, node_id, q, c):
-            raise NotImplementedError
-
-    register_store_backend("custom_for_test")(Custom)
-    try:
-        assert get_store_backend("custom_for_test") is Custom
-    finally:
-        unregister_store_backend("custom_for_test")
-    assert "custom_for_test" not in store_backend_names()
 
