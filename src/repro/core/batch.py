@@ -30,7 +30,7 @@ Results come back in input order and are identical to a serial loop
 with no multiprocessing import cost at all.
 
 On top of the process axis sits the **batch axis**: when the router
-puts a structural group on the ``soa`` side (NumPy present,
+puts a structural group on the ``soa`` side (NumPy installed,
 store-driving algorithm, and under ``"auto"`` long candidate lists),
 nets sharing a structural
 :func:`~repro.core.schedule.group_signature` — same op stream and
@@ -41,7 +41,9 @@ interpreter runs, bit-identical per net (see
 :mod:`repro.core.stores.batch_axis`).  Grouping is transparent:
 singletons, mixed structures, groups the router declines and
 unsupported contexts take the per-net path, and
-:meth:`SolverPool.batch_axis_stats` reports what happened.
+:meth:`SolverPool.batch_axis_stats` reports what happened.  The lane
+engine, and NumPy with it, is imported only when a group is routed to
+``soa``; a pool that never sees one never loads NumPy.
 
 :func:`parallel_map` is the underlying generic helper, reused by the
 experiment harness to parallelize Table 1 / figure sweep cells.
@@ -293,8 +295,11 @@ class SolverPool:
         **options,
     ) -> None:
         from repro.core.registry import get_algorithm
-        from repro.core.stores import AUTO_BACKEND, validate_backend
-        from repro.core.stores.batch_axis import supports_batch_axis
+        from repro.core.stores import (
+            AUTO_BACKEND,
+            supports_batch_axis,
+            validate_backend,
+        )
         from repro.routing.router import DEFAULT_PARALLEL_THRESHOLD, Router
         from repro.routing.workload import WorkloadLog
 
@@ -346,6 +351,8 @@ class SolverPool:
             "lanes_histogram": {},
             "batched_solves": 0,
             "scalar_solves": 0,
+            "factories": 0,
+            "arena_pooled_bytes": 0,
         }
         # Warm batch-axis factories, one per lane count (LRU-capped):
         # reusing a factory keeps its grown arena blocks and tape
@@ -361,6 +368,10 @@ class SolverPool:
         # Guards lazy pool creation: without it, two threads' first
         # solves would each spawn a worker pool and leak one.
         self._create_lock = threading.Lock()
+        # Guards the counters the solving thread publishes for the
+        # *_stats() readers (the server reads them on its event loop),
+        # so a reader never waits on a solve nor walks a factory.
+        self._stats_lock = threading.Lock()
 
     #: Distinct lane counts whose warm factories a pool keeps around.
     _MAX_FACTORIES = 4
@@ -377,18 +388,43 @@ class SolverPool:
             self._factories.popitem(last=False)
         return factory
 
+    def _lane_engine_loads(self) -> bool:
+        """Import the lane engine, and NumPy with it, for a group
+        routed to ``soa``; whether this pool's batch axis is on.
+
+        An installed NumPy that fails to import turns the axis off for
+        good: the group's lanes, and every later net, solve one by one
+        as on a pool without NumPy.
+        """
+        if self._batch_axis:
+            try:
+                from repro.core.stores import batch_axis  # noqa: F401
+            except ImportError:
+                self._batch_axis = False
+        return self._batch_axis
+
     def _record_unit(self, indices, compiled, plan, seconds, capture) -> None:
         """Count one executed per-net or batch-axis unit and log it
-        (serial lock held)."""
+        (serial lock held: after a group, the warm factories' arena
+        bytes are read here, by the thread that owns them)."""
         lanes = len(indices)
-        stats = self._batch_stats
         if lanes > 1:
-            stats["groups"] += 1
-            stats["batched_solves"] += lanes
-            histogram = stats["lanes_histogram"]
-            histogram[lanes] = histogram.get(lanes, 0) + 1
-        else:
-            stats["scalar_solves"] += 1
+            arena_bytes = 0
+            for factory in self._factories.values():
+                pools = factory.stats()
+                arena_bytes += pools["arena"]["pooled_bytes"]
+                arena_bytes += pools["cells"]["pooled_bytes"]
+        with self._stats_lock:
+            stats = self._batch_stats
+            if lanes > 1:
+                stats["groups"] += 1
+                stats["batched_solves"] += lanes
+                histogram = stats["lanes_histogram"]
+                histogram[lanes] = histogram.get(lanes, 0) + 1
+                stats["factories"] = len(self._factories)
+                stats["arena_pooled_bytes"] = arena_bytes
+            else:
+                stats["scalar_solves"] += 1
         self._log_unit(indices, compiled, plan, seconds, capture)
 
     def batch_axis_stats(self) -> dict:
@@ -397,22 +433,19 @@ class SolverPool:
         ``groups``/``lanes_histogram``/``batched_solves`` count nets
         that went through :func:`~repro.core.schedule.run_compiled_group`
         (inline or in a worker); ``scalar_solves`` counts nets that took
-        the per-net path.  ``arena_pooled_bytes`` reports the resident
-        bytes of this process's warm batched factories (worker-process
-        factories are private to the workers, like the single-net ones).
+        the per-net path.  ``factories`` and ``arena_pooled_bytes``
+        report this process's warm batched factories and their resident
+        bytes as of the last group solved here (worker-process
+        factories are private to the workers, like the single-net
+        ones).  Safe from any thread: it copies what the solving thread
+        published and never touches a factory.
         """
-        arena_bytes = 0
-        for factory in self._factories.values():
-            stats = factory.stats()
-            arena_bytes += stats["arena"].get("pooled_bytes", 0)
-            arena_bytes += stats["cells"].get("pooled_bytes", 0)
-        return dict(
-            self._batch_stats,
-            lanes_histogram=dict(self._batch_stats["lanes_histogram"]),
-            enabled=self._batch_axis,
-            factories=len(self._factories),
-            arena_pooled_bytes=arena_bytes,
-        )
+        with self._stats_lock:
+            return dict(
+                self._batch_stats,
+                lanes_histogram=dict(self._batch_stats["lanes_histogram"]),
+                enabled=self._batch_axis,
+            )
 
     def compile(
         self, net: Union[RoutingTree, CompiledNet]
@@ -591,7 +624,9 @@ class SolverPool:
         per-net solves carrying the backend their plan picked.  A
         multi-lane group the policy declines to batch (``static`` does
         when its lanes are on the ``object`` side) is split back into
-        singletons.
+        singletons.  A group routed to ``soa`` imports the lane engine
+        here (:meth:`_lane_engine_loads`); if NumPy fails to import,
+        its lanes are routed one by one instead.
         """
         from repro.routing.features import features_of
         from repro.routing.router import ExecutionPlan
@@ -609,33 +644,35 @@ class SolverPool:
         unit_plans: List[ExecutionPlan] = []
         for indices in groups:
             if len(indices) > 1:
-                plan = self.router.route(
+                plan = self.router.plan(
                     features_of(
                         compiled[indices[0]], self.library,
                         lanes=len(indices),
                     ),
                     backend=self.backend, supports_batch=True,
                 )
-                if plan.batch_axis:
-                    exec_groups.append(indices)
-                    unit_plans.append(plan)
+                if plan.backend != "soa" or self._lane_engine_loads():
+                    self.router.record(plan)
+                    if plan.batch_axis:
+                        exec_groups.append(indices)
+                        unit_plans.append(plan)
+                        continue
+                    solo_plan = ExecutionPlan(plan.backend, "compiled")
+                    for index in indices:
+                        exec_groups.append([index])
+                        unit_plans.append(solo_plan)
                     continue
-                solo_plan = ExecutionPlan(plan.backend, "compiled")
-                for index in indices:
-                    exec_groups.append([index])
-                    unit_plans.append(solo_plan)
-                continue
-            index = indices[0]
-            plan = preplans[index]
-            if plan is None:
-                plan = self.router.route(
-                    features_of(compiled[index], self.library),
-                    backend=self.backend,
-                )
-            else:
-                self.router.record(plan)
-            exec_groups.append([index])
-            unit_plans.append(plan)
+            for index in indices:
+                plan = preplans[index]
+                if plan is None:
+                    plan = self.router.route(
+                        features_of(compiled[index], self.library),
+                        backend=self.backend,
+                    )
+                else:
+                    self.router.record(plan)
+                exec_groups.append([index])
+                unit_plans.append(plan)
         if batch_ok and not any(len(ix) > 1 for ix in exec_groups):
             # Probe consumed but no group dispatched: return the token.
             self.breakers.cancel("batch_axis")
@@ -736,13 +773,14 @@ class SolverPool:
                     # never exercised, so a half-open probe returns.
                     self.breakers.cancel("parallel")
             elapsed = time.perf_counter() - start
-            stats = self._parallel_stats
-            if report["engaged"]:
-                stats["parallel_solves"] += 1
-                stats["partitions_total"] += report["partitions"]
-            else:
-                stats["fallback_solves"] += 1
-            stats["last"] = report
+            with self._stats_lock:
+                stats = self._parallel_stats
+                if report["engaged"]:
+                    stats["parallel_solves"] += 1
+                    stats["partitions_total"] += report["partitions"]
+                else:
+                    stats["fallback_solves"] += 1
+                stats["last"] = report
             self._log_unit(
                 [0], [net], plan, elapsed,
                 [capture_entry] if capture_entry is not None else None,
@@ -898,7 +936,7 @@ class SolverPool:
         splice (residual) fraction, dispatch timings and pool
         utilization.
         """
-        with self._serial_lock:
+        with self._stats_lock:
             stats = dict(self._parallel_stats)
             if stats["last"] is not None:
                 stats["last"] = dict(stats["last"])

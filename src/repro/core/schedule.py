@@ -668,9 +668,10 @@ def run_compiled_group(
     :func:`group_signature`.  Returns per-lane
     :class:`~repro.core.solution.BufferingResult`\\ s in input order,
     bit-identical to solving each net individually on the compiled-soa
-    path.  Requires NumPy and an algorithm with a store ``add_buffer``
-    op (:class:`repro.core.batch.SolverPool` probes both and falls back
-    to per-net solves when either is missing).
+    path.  Requires NumPy (this call imports it; :class:`ImportError`
+    without it) and an algorithm with a store ``add_buffer`` op
+    (:class:`repro.core.batch.SolverPool` checks both and falls back to
+    per-net solves when either is missing).
     """
     from repro.core.stores.batch_axis import solve_group
 

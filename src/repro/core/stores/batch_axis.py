@@ -56,13 +56,20 @@ Fallback rules
 ==============
 
 Grouping is an optimization the caller applies when
-:func:`batch_axis_available` holds and at least two nets share a
-:func:`repro.core.schedule.group_signature`; anything else (no NumPy,
-non-``soa`` backend, algorithms without a store ``add_buffer`` op,
-singleton groups, mixed structures) takes the existing per-net path.
-:func:`solve_group` itself validates lane compatibility and raises
-:class:`~repro.errors.AlgorithmError` on misuse — the *callers* in
-:mod:`repro.core.batch` only form groups they can legally dispatch.
+:func:`repro.core.stores.supports_batch_axis` holds and at least two
+nets share a :func:`repro.core.schedule.group_signature`; anything else
+(no NumPy, non-``soa`` backend, algorithms without a store
+``add_buffer`` op, singleton groups, mixed structures) takes the
+existing per-net path.  :func:`solve_group` itself validates lane
+compatibility and raises :class:`~repro.errors.AlgorithmError` on
+misuse — the *callers* in :mod:`repro.core.batch` only form groups they
+can legally dispatch.
+
+NumPy is imported unconditionally, and this module loads only when a
+lane group is dispatched: where NumPy is missing or fails to import,
+the import raises :class:`ImportError`, which
+:class:`~repro.core.batch.SolverPool` meets by turning its batch axis
+off and solving the group's lanes one by one.
 """
 
 from __future__ import annotations
@@ -70,10 +77,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional
 
-try:  # gated exactly like repro.core.stores.soa
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy-less installs
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.core.buffer_ops import BufferPlan
 from repro.core.candidate import reconstruct_assignment
@@ -96,34 +100,6 @@ from repro.errors import AlgorithmError
 from repro.obs.profiler import instrument_ops, record_lane_count
 from repro.obs.spans import active_tracer
 from repro.resilience.deadline import active_deadline
-
-
-def batch_axis_available() -> bool:
-    """Whether the batch-axis engine can run at all (NumPy present)."""
-    return np is not None
-
-
-def supports_batch_axis(
-    backend: str, library, algorithm: str, options: dict
-) -> bool:
-    """Whether a solve context can legally dispatch structural groups.
-
-    Requires ``backend`` ``"soa"`` (the batched store packs SoA
-    columns) or ``"auto"`` (the router may put a group there), NumPy,
-    and an algorithm that drives candidate stores through the
-    ``add_buffer_op`` seam for this library and these options — the
-    preconditions of :func:`solve_group`.  Anything else falls back to
-    the per-net path, never errors.
-    """
-    if backend not in ("soa", "auto") or not batch_axis_available():
-        return False
-    from repro.core.registry import get_algorithm
-
-    try:
-        get_algorithm(algorithm).add_buffer_op("soa", library, **options)
-    except AlgorithmError:
-        return False
-    return True
 
 
 class BatchedScratchArena:
@@ -208,11 +184,6 @@ class BatchedSoAFactory:
     """
 
     def __init__(self, lanes: int) -> None:
-        if np is None:
-            raise AlgorithmError(
-                "the batch-axis engine requires numpy, which is not "
-                "installed; solve nets individually instead"
-            )
         if lanes < 1:
             raise ValueError(f"need at least one lane, got {lanes}")
         self.lanes = lanes
@@ -809,10 +780,6 @@ def solve_group(
     from repro.core.registry import get_algorithm
     from repro.core.schedule import group_signature
 
-    if np is None:
-        raise AlgorithmError(
-            "the batch-axis engine requires numpy, which is not installed"
-        )
     if not nets:
         return []
     representative = nets[0]

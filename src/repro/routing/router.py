@@ -35,7 +35,7 @@ import threading
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, Optional
 
-from repro.core.stores import SPLICE_BACKEND
+from repro.core.stores import SPLICE_BACKEND, numpy_installed
 from repro.obs.metrics import default_registry
 from repro.obs.spans import active_tracer
 from repro.routing.features import RequestFeatures, features_of
@@ -127,13 +127,6 @@ def validate_policy(policy: str) -> str:
     return policy
 
 
-def _soa_available() -> bool:
-    """Whether NumPy imports, which the ``soa`` store needs."""
-    from repro.core.stores.soa import np
-
-    return np is not None
-
-
 #: The object/soa crossover in ``positions * library_size`` (every
 #: position tries every buffer type), measured by
 #: ``benchmarks/bench_crossover.py``.  ``soa`` pays a fixed NumPy
@@ -157,8 +150,9 @@ def static_store(features: RequestFeatures) -> str:
     will be long — ``positions * library_size`` of at least
     :data:`SOA_MIN_POSITION_TYPES_PER_SINK` per sink and
     :data:`SOA_MIN_POSITION_TYPES` in all (a Figure 4 trunk: one sink,
-    hundreds of positions) — and NumPy imports; ``"object"``
-    otherwise.
+    hundreds of positions) — and NumPy is installed
+    (:func:`~repro.core.stores.numpy_installed`, which imports nothing);
+    ``"object"`` otherwise.
     """
     if features.lanes == 1:
         return "object"
@@ -166,7 +160,7 @@ def static_store(features: RequestFeatures) -> str:
     if (
         work >= SOA_MIN_POSITION_TYPES_PER_SINK * features.sinks
         and work >= SOA_MIN_POSITION_TYPES
-        and _soa_available()
+        and numpy_installed()
     ):
         return "soa"
     return "object"

@@ -37,9 +37,10 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.schedule import CompiledNet, compile_net
 from repro.core.solution import BufferingResult
+from repro.core.stores import numpy_installed, supports_batch_axis
 from repro.errors import ReproError
 from repro.routing.features import RequestFeatures
-from repro.routing.router import ExecutionPlan, Router, _soa_available
+from repro.routing.router import ExecutionPlan, Router
 
 #: Workload-log schema version (bump on breaking record changes).
 SCHEMA_VERSION = 1
@@ -220,13 +221,13 @@ def candidate_plans(
     """Every plan replay measures for one request, reference-most first.
 
     A from-scratch solve on each store (``object``, plus ``soa`` when
-    NumPy imports), led for a session by the ``object`` splice resolve
-    (sessions splice on ``object`` only) and followed, for a group on a
-    context that can batch, by the batch axis.  Partitioned plans are
-    left out: replay runs in-process, and a one-process pool cannot
-    measure multi-process speedups honestly.
+    NumPy is installed), led for a session by the ``object`` splice
+    resolve (sessions splice on ``object`` only) and followed, for a
+    group on a context that can batch, by the batch axis.  Partitioned
+    plans are left out: replay runs in-process, and a one-process pool
+    cannot measure multi-process speedups honestly.
     """
-    stores = ["object"] + (["soa"] if _soa_available() else [])
+    stores = ["object"] + (["soa"] if numpy_installed() else [])
     plans = [ExecutionPlan(store, "compiled") for store in stores]
     if features.kind == "session":
         return [ExecutionPlan("object", "splice"), *plans]
@@ -365,8 +366,6 @@ def replay(
     """
     if isinstance(records, (str, Path)):
         records = read_log(records)
-    from repro.core.stores.batch_axis import supports_batch_axis
-
     policy_names = list(dict.fromkeys(["static", *policies]))
     routers = {
         name: Router(policy=name, parallel_threshold=parallel_threshold)

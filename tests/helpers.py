@@ -12,15 +12,38 @@ from __future__ import annotations
 
 import copy
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
+import repro
 from repro import Driver, RoutingTree
 from repro.core.candidate import Candidate
 from repro.units import fF, ps
 
 #: Tolerance for slack comparisons in seconds (sub-femtosecond).
 SLACK_ATOL = 1e-16
+
+
+def run_fresh_python(script: str, *path_prefix) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this ``repro``.
+
+    ``path_prefix`` entries go first on ``PYTHONPATH`` (a stub package
+    there shadows the installed one).  What a module-level import in
+    this process loaded cannot leak into the script's ``sys.modules``.
+    """
+    src = str(Path(repro.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [*map(str, path_prefix), src, env.get("PYTHONPATH", "")]
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env,
+    )
 
 
 #: Dummy sink ids for :func:`make_candidates`, unique across calls, so

@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import run_fresh_python
 from repro import BufferLibrary, algorithm_names, insert_buffers
 from repro.errors import AlgorithmError
 
@@ -61,16 +62,6 @@ def test_routed_solve_imports_no_parallel_or_serving_code():
     solver, the server, asyncio or the workload log (the routing
     threshold lives in routing, and the service and routing packages
     load those lazily).  The lazy names still import."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import repro
-
-    src = str(Path(repro.__file__).parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     script = (
         "import sys\n"
         "from repro import insert_buffers, paper_library\n"
@@ -84,28 +75,15 @@ def test_routed_solve_imports_no_parallel_or_serving_code():
         " 'repro.routing.workload') if m in sys.modules))\n"
         "from repro.routing import WorkloadLog, read_log, replay\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True, text=True, env=env,
-    )
+    proc = run_fresh_python(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
 def test_default_path_imports_no_numpy():
     """Importing the package and the server and running a default solve
-    load neither NumPy nor the ``soa`` store: they load only where
-    ``soa`` or the batch axis is named."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import repro
-
-    src = str(Path(repro.__file__).parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    load neither NumPy nor the ``soa`` store: they load only on a
+    ``soa`` solve or a lane group dispatched onto the batch axis."""
     script = (
         "import sys\n"
         "import repro\n"
@@ -116,9 +94,70 @@ def test_default_path_imports_no_numpy():
         "print(sorted(m for m in ('numpy', 'repro.core.stores.soa')"
         " if m in sys.modules))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True, text=True, env=env,
-    )
+    proc = run_fresh_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+#: Pools, ``solve_many`` and a served process on single nets and on a
+#: corner group the static rule keeps on ``object``: no lane group is
+#: dispatched, so neither NumPy nor a NumPy-backed store may load.
+_SINGLE_NET_SCRIPT = """
+import asyncio, json, sys
+from repro import (SolverPool, paper_library, random_tree_net, solve_many,
+                   two_pin_net)
+from repro.experiments.workloads import corner_variants
+from repro.service.server import BufferServer
+from repro.tree.io import library_to_dict, tree_to_dict
+
+library = paper_library(4)
+net = two_pin_net(1000.0, num_segments=4)
+distinct = [random_tree_net(sinks, seed=sinks) for sinks in (3, 5, 8)]
+for backend in ("auto", "object"):
+    with SolverPool(library, backend=backend) as pool:
+        pool.solve([net])
+        pool.solve(distinct)
+solve_many(distinct, library)
+
+lib = library_to_dict(library)
+corners = [tree_to_dict(v)
+           for _, v in corner_variants(random_tree_net(4, seed=2), 4)]
+requests = [
+    ("POST", "/solve", {"net": tree_to_dict(net), "library": lib}),
+    ("POST", "/solve", {"net": tree_to_dict(net), "library": lib}),
+    ("POST", "/batch",
+     {"nets": [tree_to_dict(t) for t in distinct], "library": lib}),
+    ("POST", "/batch", {"nets": corners, "library": lib}),
+    ("GET", "/stats", None),
+    ("GET", "/metrics", None),
+]
+server = BufferServer()
+
+async def drive():
+    answers = []
+    for method, path, body in requests:
+        raw = b"" if body is None else json.dumps(body).encode()
+        answers.append(await server._dispatch(method, path, raw))
+    return answers
+
+answers = asyncio.run(drive())
+assert [status for status, _ in answers] == [200] * len(requests), answers
+assert [answers[0][1]["cached"], answers[1][1]["cached"]] == [False, True]
+block = answers[4][1]["batch_axis"]
+assert (block["groups"], block["scalar_solves"]) == (0, 8), block
+print(sorted(m for m in ("numpy", "repro.core.stores.soa",
+                         "repro.core.stores.batch_axis")
+             if m in sys.modules))
+"""
+
+
+def test_single_net_paths_import_no_numpy():
+    """A pool (``"auto"`` or ``"object"``), ``solve_many`` and the
+    server's ``/solve`` miss and hit, ``/batch`` of distinct nets and
+    of short corner lanes, ``/stats`` and ``/metrics`` load neither
+    NumPy nor the ``soa`` store nor the lane engine: those load only
+    when a lane group is dispatched onto the batch axis, or on a
+    ``soa`` solve."""
+    proc = run_fresh_python(_SINGLE_NET_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

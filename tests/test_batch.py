@@ -148,6 +148,50 @@ class TestSolverPool:
             SolverPool(paper_library(2), jobs=0)
 
 
+class TestStatsFromAnotherThread:
+    """The server reads a pool's ``*_stats()`` on its event loop while
+    executor threads solve, so a read must neither walk state the
+    solving thread mutates nor wait for a solve to finish."""
+
+    def test_batch_axis_stats_never_walks_a_factory(self):
+        pool = SolverPool(paper_library(2))
+
+        class MidReadDispatch:
+            """A warm lane factory whose ``stats()`` lands mid-dispatch:
+            the solving thread's ``_factory_for`` adds another lane
+            count to the factory map."""
+
+            def stats(self):
+                pool._factories[len(pool._factories) + 2] = MidReadDispatch()
+                empty = {"pooled_bytes": 0}
+                return {"arena": empty, "cells": empty}
+
+        pool._factories[2] = MidReadDispatch()
+        pool._factories[3] = MidReadDispatch()
+        stats = pool.batch_axis_stats()
+        assert (stats["groups"], stats["scalar_solves"]) == (0, 0)
+        assert list(pool._factories) == [2, 3]
+
+    def test_stats_never_wait_on_a_solve(self):
+        import threading
+
+        pool = SolverPool(paper_library(2))
+        answers = {}
+
+        def read():
+            answers["batch_axis"] = pool.batch_axis_stats()
+            answers["parallel"] = pool.parallel_stats()
+
+        with pool._serial_lock:  # held for a whole inline solve
+            reader = threading.Thread(target=read, daemon=True)
+            reader.start()
+            reader.join(timeout=10.0)
+            waited = reader.is_alive()
+        reader.join()
+        assert not waited
+        assert set(answers) == {"batch_axis", "parallel"}
+
+
 def test_parallel_map_serial_and_parallel():
     items = list(range(20))
     assert parallel_map(_square, items, jobs=1) == [x * x for x in items]

@@ -239,6 +239,9 @@ class TestPoolGrouping:
         assert stats["batched_solves"] == 5
         assert stats["scalar_solves"] == 1
         assert stats["lanes_histogram"] == {5: 1}
+        # Published by the solving thread after the group.
+        assert stats["factories"] == 1
+        assert stats["arena_pooled_bytes"] > 0
         for tree_in, result in zip(nets + [loner], results):
             reference = insert_buffers(tree_in, library, backend="soa")
             assert result.slack == reference.slack
@@ -332,3 +335,65 @@ class TestPoolGrouping:
             reference = insert_buffers(net, library)
             assert result.slack == reference.slack
             assert result.assignment == reference.assignment
+
+    def test_stats_reads_stay_whole_under_concurrent_groups(self):
+        """Three solving threads (more than this box's cores) dispatch
+        lane groups of two to five lanes through one pool while a
+        fourth reads ``batch_axis_stats()``: no read may fail or see a
+        torn update, and no count may be lost."""
+        import sys
+        import threading
+        import time
+
+        library = paper_library(3)
+        tree = random_small_tree(3)
+        groups = [
+            [compile_net(v, library) for _, v in corner_variants(tree, lanes)]
+            for lanes in range(2, 6)
+        ]
+        pool = SolverPool(library, backend="soa")
+        solved = [0, 0]  # groups, lanes
+        failures = []
+        stop = time.monotonic() + 1.0
+        count_lock = threading.Lock()
+
+        def solve():
+            try:
+                index = 0
+                while time.monotonic() < stop:
+                    nets = groups[index % len(groups)]
+                    pool.solve(nets)
+                    with count_lock:
+                        solved[0] += 1
+                        solved[1] += len(nets)
+                    index += 1
+            except Exception as exc:  # reported below
+                failures.append(exc)
+
+        def read():
+            try:
+                while time.monotonic() < stop:
+                    stats = pool.batch_axis_stats()
+                    histogram = stats["lanes_histogram"]
+                    assert stats["groups"] == sum(histogram.values())
+                    assert stats["batched_solves"] == sum(
+                        lanes * count for lanes, count in histogram.items()
+                    )
+            except Exception as exc:  # reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=solve) for _ in range(3)]
+            threads.append(threading.Thread(target=read))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        stats = pool.batch_axis_stats()
+        assert (stats["groups"], stats["batched_solves"]) == tuple(solved)

@@ -24,7 +24,7 @@ from repro import (
     random_tree_net,
     uniform_random_library,
 )
-from repro.core.stores.batch_axis import batch_axis_available
+from repro.core.stores import numpy_installed
 from repro.errors import AlgorithmError
 from repro.parallel import (
     DEFAULT_PARALLEL_THRESHOLD,
@@ -379,7 +379,7 @@ class TestSolverPoolRouting:
             if nets is solo or backend == "object":
                 assert set(decisions) == {"object-compiled"}
                 assert groups == 0
-            elif batch_axis_available():
+            elif numpy_installed():
                 assert decisions["soa-compiled+batch"] == 1
                 assert groups == 1
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro import insert_buffers, paper_library, uniform_random_library
 from repro.core.batch import SolverPool
 from repro.core.schedule import compile_net
-from repro.core.stores.batch_axis import batch_axis_available
+from repro.core.stores import numpy_installed
 from repro.errors import AlgorithmError
 from repro.experiments.workloads import corner_variants
 from repro.routing.features import (
@@ -438,7 +438,7 @@ def test_every_candidate_plan_is_bit_identical(
 
 
 @pytest.mark.skipif(
-    not batch_axis_available(), reason="batch axis needs NumPy"
+    not numpy_installed(), reason="batch axis needs NumPy"
 )
 @settings(
     max_examples=10, deadline=None,

@@ -23,6 +23,7 @@ from helpers import (
     malformed_requests,
     random_small_tree,
     relabeled,
+    run_fresh_python,
 )
 from repro import Driver, insert_buffers, paper_library, random_tree_net
 from repro.core.batch import SolverPool
@@ -366,6 +367,88 @@ class TestBatch:
         assert [a["cached"] for a in answers] == [True, False]
         again = harness.client.solve_batch(nets, library)
         assert [a["cached"] for a in again] == [True, True]
+
+
+#: An "auto" ``/batch`` of corner lanes long enough to batch, in a
+#: fresh interpreter whose NumPy is found but fails to import.
+_BROKEN_NUMPY_BATCH = """
+import asyncio, json
+from repro import insert_buffers, paper_library
+from repro.core.stores import numpy_installed
+from repro.experiments.workloads import FIG4_NET, build_net, corner_variants
+from repro.service.server import BufferServer
+from repro.tree.io import library_to_dict, tree_to_dict
+
+assert numpy_installed()
+library = paper_library(32)
+lanes = [variant for _, variant in corner_variants(
+    build_net(FIG4_NET, positions_override=500), 4)]
+body = {"nets": [tree_to_dict(net) for net in lanes],
+        "library": library_to_dict(library)}
+server = BufferServer()
+status, payload = asyncio.run(
+    server._dispatch("POST", "/batch", json.dumps(body).encode()))
+assert status == 200, payload
+for net, answer in zip(lanes, payload["results"]):
+    expected = insert_buffers(net, library, backend="object")
+    assert answer["backend"] == "object"
+    assert answer["slack_seconds"] == expected.slack
+    assert answer["driver_load_farads"] == expected.driver_load
+    assert answer["assignment"] == {
+        str(node): buffer.name for node, buffer in expected.assignment.items()
+    }
+(entry,) = server._pools.values()
+stats = entry.pool.batch_axis_stats()
+assert stats["enabled"] is False, stats
+assert (stats["groups"], stats["scalar_solves"]) == (0, 4), stats
+routing = entry.pool.routing_stats()["decisions_by_strategy"]
+assert routing == {"object-compiled": 4}, routing
+print("degraded")
+"""
+
+
+class TestLaneGroups:
+    """A ``/batch`` of lanes above both :func:`static_store` floors
+    (4 R/C corners of a 500-position Figure 4 trunk at b = 32) is
+    where an ``"auto"`` server first loads NumPy: the lane engine
+    imports when the group is dispatched onto the batch axis."""
+
+    @pytest.mark.skipif(numpy is None, reason="the batch axis needs NumPy")
+    def test_long_lanes_ride_the_batch_axis(self, harness):
+        from repro.experiments.workloads import (
+            FIG4_NET,
+            build_net,
+            corner_variants,
+        )
+
+        library = paper_library(32)
+        lanes = [variant for _, variant in corner_variants(
+            build_net(FIG4_NET, positions_override=500), 4)]
+        answers = harness.client.solve_batch(lanes, library)
+        block = harness.client.stats()["batch_axis"]
+        assert (block["groups"], block["batched_solves"]) == (1, 4)
+        for net, answer in zip(lanes, answers):
+            expected = insert_buffers(net, library, backend="object")
+            assert answer["backend"] == "soa"
+            assert answer["slack_seconds"] == expected.slack
+            assert answer["driver_load_farads"] == expected.driver_load
+            assert answer["assignment"] == {
+                str(node_id): buffer.name
+                for node_id, buffer in expected.assignment.items()
+            }
+
+    def test_broken_numpy_solves_the_lanes_one_by_one(self, tmp_path):
+        """NumPy that is found but fails to import: the pool turns its
+        batch axis off and answers every lane on the per-net path, bit
+        for bit, instead of failing the request."""
+        stub = tmp_path / "numpy"
+        stub.mkdir()
+        (stub / "__init__.py").write_text(
+            'raise ImportError("a broken NumPy install")\n'
+        )
+        proc = run_fresh_python(_BROKEN_NUMPY_BATCH, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "degraded"
 
 
 class TestStats:
