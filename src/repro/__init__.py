@@ -22,105 +22,67 @@ Quickstart::
     print(result.slack, result.num_buffers)
 """
 
-from repro.core import (
-    BufferingResult,
-    CompiledNet,
-    DPStats,
-    InsertionAlgorithm,
-    algorithm_names,
-    available_algorithms,
-    compile_net,
-    get_algorithm,
-    insert_buffers,
-    insert_buffers_brute_force,
-    insert_buffers_fast,
-    insert_buffers_lillis,
-    insert_buffers_van_ginneken,
-    insert_buffers_with_inverters,
-    register_algorithm,
-    solve_many,
-    SolverPool,
-    verify_polarities,
-)
-from repro.library import (
-    BufferLibrary,
-    BufferType,
-    cluster_library,
-    geometric_library,
-    mixed_paper_library,
-    paper_library,
-    uniform_random_library,
-)
-from repro.timing import (
-    TimingReport,
-    evaluate_assignment,
-    evaluate_slack,
-    elmore_delays,
-    unbuffered_slack,
-)
-from repro.tree import (
-    Driver,
-    RoutingTree,
-    balanced_tree_net,
-    caterpillar_net,
-    h_tree_net,
-    load_tree,
-    prim_steiner_net,
-    random_tree_net,
-    save_tree,
-    segment_tree,
-    star_net,
-    two_pin_net,
-)
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+# Public names resolve on first access: ``import repro`` loads no
+# algorithm, builder or timing module until a name that needs it is
+# read, and ``from repro import insert_buffers`` works as it always has.
+_LAZY = {
     # core
-    "BufferingResult",
-    "DPStats",
-    "InsertionAlgorithm",
-    "register_algorithm",
-    "get_algorithm",
-    "algorithm_names",
-    "available_algorithms",
-    "solve_many",
-    "SolverPool",
-    "CompiledNet",
-    "compile_net",
-    "insert_buffers",
-    "insert_buffers_fast",
-    "insert_buffers_lillis",
-    "insert_buffers_van_ginneken",
-    "insert_buffers_brute_force",
-    "insert_buffers_with_inverters",
-    "verify_polarities",
+    "BufferingResult": "repro.core",
+    "DPStats": "repro.core",
+    "InsertionAlgorithm": "repro.core",
+    "register_algorithm": "repro.core",
+    "get_algorithm": "repro.core",
+    "algorithm_names": "repro.core",
+    "available_algorithms": "repro.core",
+    "solve_many": "repro.core",
+    "SolverPool": "repro.core",
+    "CompiledNet": "repro.core",
+    "compile_net": "repro.core",
+    "insert_buffers": "repro.core",
+    "insert_buffers_fast": "repro.core",
+    "insert_buffers_lillis": "repro.core",
+    "insert_buffers_van_ginneken": "repro.core",
+    "insert_buffers_brute_force": "repro.core",
+    "insert_buffers_with_inverters": "repro.core",
+    "verify_polarities": "repro.core",
     # library
-    "BufferType",
-    "BufferLibrary",
-    "paper_library",
-    "geometric_library",
-    "mixed_paper_library",
-    "uniform_random_library",
-    "cluster_library",
+    "BufferType": "repro.library",
+    "BufferLibrary": "repro.library",
+    "paper_library": "repro.library",
+    "geometric_library": "repro.library",
+    "mixed_paper_library": "repro.library",
+    "uniform_random_library": "repro.library",
+    "cluster_library": "repro.library",
     # timing
-    "TimingReport",
-    "evaluate_assignment",
-    "evaluate_slack",
-    "elmore_delays",
-    "unbuffered_slack",
+    "TimingReport": "repro.timing",
+    "evaluate_assignment": "repro.timing",
+    "evaluate_slack": "repro.timing",
+    "elmore_delays": "repro.timing",
+    "unbuffered_slack": "repro.timing",
     # tree
-    "Driver",
-    "RoutingTree",
-    "two_pin_net",
-    "caterpillar_net",
-    "balanced_tree_net",
-    "random_tree_net",
-    "star_net",
-    "h_tree_net",
-    "prim_steiner_net",
-    "segment_tree",
-    "save_tree",
-    "load_tree",
-]
+    "Driver": "repro.tree",
+    "RoutingTree": "repro.tree",
+    "two_pin_net": "repro.tree",
+    "caterpillar_net": "repro.tree",
+    "balanced_tree_net": "repro.tree",
+    "random_tree_net": "repro.tree",
+    "star_net": "repro.tree",
+    "h_tree_net": "repro.tree",
+    "prim_steiner_net": "repro.tree",
+    "segment_tree": "repro.tree",
+    "save_tree": "repro.tree",
+    "load_tree": "repro.tree",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(import_module(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = ["__version__", *_LAZY]

@@ -50,22 +50,11 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from repro.core.api import insert_buffers
-from repro.core.batch import solve_many
+# Only what the parser needs loads here; each subcommand imports what
+# it runs, so ``repro serve`` starts without the builders, the report
+# printer or the batch solver.
 from repro.core.registry import algorithm_names, available_algorithms
 from repro.core.stores import AUTO_BACKEND, SPLICE_BACKEND, STORE_BACKENDS
-from repro.library.generators import paper_library
-from repro.report import describe_net, full_report, render_tree
-from repro.tree.builders import random_tree_net
-from repro.tree.io import (
-    library_from_dict,
-    library_to_dict,
-    load_tree,
-    save_tree,
-)
-from repro.tree.node import Driver
-from repro.tree.segmenting import segment_to_position_count
-from repro.units import ps, to_ps
 
 
 def _algorithm_help() -> str:
@@ -274,6 +263,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         print("generate: nothing to do (pass --net and/or --library)",
               file=sys.stderr)
         return 2
+    from repro.library.generators import paper_library
+    from repro.tree.builders import random_tree_net
+    from repro.tree.io import library_to_dict, save_tree
+    from repro.tree.node import Driver
+    from repro.tree.segmenting import segment_to_position_count
+    from repro.units import ps
+
     if args.net is not None:
         lo, hi = args.rat_ps
         tree = random_tree_net(
@@ -307,6 +303,13 @@ def _cmd_buffer(args: argparse.Namespace) -> int:
               f"{SPLICE_BACKEND} store; --backend {args.backend} needs "
               f"--jobs 1", file=sys.stderr)
         return 2
+    from repro.core.api import insert_buffers
+    from repro.errors import DeadlineExceeded, WorkerCrashError
+    from repro.obs.spans import Tracer, new_request_id, request_scope, trace_scope
+    from repro.report import full_report, render_tree
+    from repro.resilience import Deadline
+    from repro.tree.io import library_from_dict, load_tree
+
     tree = load_tree(args.net)
     library = library_from_dict(json.loads(args.library.read_text()))
     options = {}
@@ -316,10 +319,6 @@ def _cmd_buffer(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         options["destructive_pruning"] = True
-    from repro.errors import DeadlineExceeded, WorkerCrashError
-    from repro.obs.spans import Tracer, new_request_id, request_scope, trace_scope
-    from repro.resilience import Deadline
-
     deadline = (
         Deadline.from_ms(args.deadline_ms)
         if args.deadline_ms is not None else None
@@ -420,6 +419,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print(f"batch: --deadline-ms must be > 0, got {args.deadline_ms}",
               file=sys.stderr)
         return 2
+    from repro.core.batch import solve_many
+    from repro.errors import DeadlineExceeded
+    from repro.resilience import Deadline
+    from repro.tree.io import library_from_dict, load_tree
+    from repro.units import to_ps
+
     library = library_from_dict(json.loads(args.library.read_text()))
     loaded = [load_tree(path) for path in args.nets]
     if args.corners >= 1:
@@ -435,9 +440,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         labels = [path.name for path in args.nets]
         trees = loaded
     jobs = args.jobs
-    from repro.errors import DeadlineExceeded
-    from repro.resilience import Deadline
-
     deadline = (
         Deadline.from_ms(args.deadline_ms)
         if args.deadline_ms is not None else None
@@ -492,8 +494,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_edit(args: argparse.Namespace) -> int:
+    from repro.core.api import insert_buffers
     from repro.errors import EditError, ReproError
     from repro.incremental import IncrementalSolver, edit_from_dict
+    from repro.tree.io import library_from_dict, load_tree
+    from repro.units import to_ps
 
     tree = load_tree(args.net)
     library = library_from_dict(json.loads(args.library.read_text()))
@@ -592,6 +597,9 @@ def _cmd_edit(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
+    from repro.report import describe_net
+    from repro.tree.io import load_tree
+
     tree = load_tree(args.net)
     print(describe_net(tree))
     return 0

@@ -16,47 +16,39 @@ All three run the same bottom-up dynamic program
 (:mod:`repro.core.buffer_ops`), exactly as in the paper.
 """
 
-from repro.core.pruning import prune_dominated, convex_prune, is_nonredundant, is_convex
-from repro.core.solution import BufferingResult, DPStats
-from repro.core.registry import (
-    InsertionAlgorithm,
-    algorithm_names,
-    available_algorithms,
-    get_algorithm,
-    register_algorithm,
-    unregister_algorithm,
-)
-from repro.core.schedule import CompiledNet, compile_net
-from repro.core.api import insert_buffers
-from repro.core.fast import insert_buffers_fast
-from repro.core.lillis import insert_buffers_lillis
-from repro.core.van_ginneken import insert_buffers_van_ginneken
-from repro.core.brute_force import insert_buffers_brute_force
-from repro.core.polarity import insert_buffers_with_inverters, verify_polarities
-from repro.core.batch import SolverPool, solve_many
+from importlib import import_module
 
-__all__ = [
-    "prune_dominated",
-    "convex_prune",
-    "is_nonredundant",
-    "is_convex",
-    "BufferingResult",
-    "DPStats",
-    "InsertionAlgorithm",
-    "register_algorithm",
-    "unregister_algorithm",
-    "get_algorithm",
-    "algorithm_names",
-    "available_algorithms",
-    "CompiledNet",
-    "compile_net",
-    "insert_buffers",
-    "insert_buffers_van_ginneken",
-    "insert_buffers_lillis",
-    "insert_buffers_fast",
-    "insert_buffers_brute_force",
-    "insert_buffers_with_inverters",
-    "verify_polarities",
-    "solve_many",
-    "SolverPool",
-]
+_LAZY = {
+    "prune_dominated": "repro.core.pruning",
+    "convex_prune": "repro.core.pruning",
+    "is_nonredundant": "repro.core.pruning",
+    "is_convex": "repro.core.pruning",
+    "BufferingResult": "repro.core.solution",
+    "DPStats": "repro.core.solution",
+    "InsertionAlgorithm": "repro.core.registry",
+    "register_algorithm": "repro.core.registry",
+    "unregister_algorithm": "repro.core.registry",
+    "get_algorithm": "repro.core.registry",
+    "algorithm_names": "repro.core.registry",
+    "available_algorithms": "repro.core.registry",
+    "CompiledNet": "repro.core.schedule",
+    "compile_net": "repro.core.schedule",
+    "insert_buffers": "repro.core.api",
+    "insert_buffers_van_ginneken": "repro.core.van_ginneken",
+    "insert_buffers_lillis": "repro.core.lillis",
+    "insert_buffers_fast": "repro.core.fast",
+    "insert_buffers_brute_force": "repro.core.brute_force",
+    "insert_buffers_with_inverters": "repro.core.polarity",
+    "verify_polarities": "repro.core.polarity",
+    "solve_many": "repro.core.batch",
+    "SolverPool": "repro.core.batch",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(import_module(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = list(_LAZY)

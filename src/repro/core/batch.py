@@ -301,7 +301,6 @@ class SolverPool:
             validate_backend,
         )
         from repro.routing.router import DEFAULT_PARALLEL_THRESHOLD, Router
-        from repro.routing.workload import WorkloadLog
 
         get_algorithm(algorithm).validate_options(options)
         if backend != AUTO_BACKEND:
@@ -318,12 +317,14 @@ class SolverPool:
         self.router = Router(
             policy=policy, parallel_threshold=parallel_threshold
         )
-        if workload_log is None or isinstance(workload_log, WorkloadLog):
-            self.workload_log = workload_log
-            self._owns_log = False
-        else:
-            self.workload_log = WorkloadLog(workload_log)
-            self._owns_log = True
+        self.workload_log = workload_log
+        self._owns_log = False
+        if workload_log is not None:
+            from repro.routing.workload import WorkloadLog
+
+            if not isinstance(workload_log, WorkloadLog):
+                self.workload_log = WorkloadLog(workload_log)
+                self._owns_log = True
         self._parallel_stats: dict = {
             "parallel_solves": 0,
             "fallback_solves": 0,

@@ -23,43 +23,33 @@ The serving layer exposes sessions over HTTP (``/session`` endpoints,
 replays edit scripts with ``repro edit``.
 """
 
-from repro.incremental.edits import (
-    AddSink,
-    Edit,
-    EditImpact,
-    RemoveSubtree,
-    SetSinkCap,
-    SetSinkPolarity,
-    SetSinkRAT,
-    SetWire,
-    SplitWire,
-    SwapDriver,
-    edit_from_dict,
-    edit_to_dict,
-)
-from repro.incremental.engine import (
-    IncrementalSolver,
-    SplicedFrontierDecision,
-    TreeIndex,
-)
-from repro.incremental.subtree_cache import FrontierCache, FrontierSnapshot
+from importlib import import_module
 
-__all__ = [
-    "Edit",
-    "EditImpact",
-    "SetSinkRAT",
-    "SetSinkCap",
-    "SetSinkPolarity",
-    "SetWire",
-    "SwapDriver",
-    "AddSink",
-    "SplitWire",
-    "RemoveSubtree",
-    "edit_from_dict",
-    "edit_to_dict",
-    "FrontierCache",
-    "FrontierSnapshot",
-    "IncrementalSolver",
-    "SplicedFrontierDecision",
-    "TreeIndex",
-]
+_LAZY = {
+    "Edit": "repro.incremental.edits",
+    "EditImpact": "repro.incremental.edits",
+    "SetSinkRAT": "repro.incremental.edits",
+    "SetSinkCap": "repro.incremental.edits",
+    "SetSinkPolarity": "repro.incremental.edits",
+    "SetWire": "repro.incremental.edits",
+    "SwapDriver": "repro.incremental.edits",
+    "AddSink": "repro.incremental.edits",
+    "SplitWire": "repro.incremental.edits",
+    "RemoveSubtree": "repro.incremental.edits",
+    "edit_from_dict": "repro.incremental.edits",
+    "edit_to_dict": "repro.incremental.edits",
+    "FrontierCache": "repro.incremental.subtree_cache",
+    "FrontierSnapshot": "repro.incremental.subtree_cache",
+    "IncrementalSolver": "repro.incremental.engine",
+    "SplicedFrontierDecision": "repro.incremental.engine",
+    "TreeIndex": "repro.incremental.engine",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(import_module(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = list(_LAZY)

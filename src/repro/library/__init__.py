@@ -11,22 +11,23 @@ needs (by non-increasing driving resistance and by non-decreasing input
 capacitance), both precomputed once per library.
 """
 
-from repro.library.buffer_type import BufferType
-from repro.library.library import BufferLibrary
-from repro.library.generators import (
-    paper_library,
-    geometric_library,
-    mixed_paper_library,
-    uniform_random_library,
-)
-from repro.library.clustering import cluster_library
+from importlib import import_module
 
-__all__ = [
-    "BufferType",
-    "BufferLibrary",
-    "paper_library",
-    "geometric_library",
-    "mixed_paper_library",
-    "uniform_random_library",
-    "cluster_library",
-]
+_LAZY = {
+    "BufferType": "repro.library.buffer_type",
+    "BufferLibrary": "repro.library.library",
+    "paper_library": "repro.library.generators",
+    "geometric_library": "repro.library.generators",
+    "mixed_paper_library": "repro.library.generators",
+    "uniform_random_library": "repro.library.generators",
+    "cluster_library": "repro.library.clustering",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(import_module(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = list(_LAZY)

@@ -29,44 +29,32 @@ boundary the same way ``REPRO_FAULTS`` ships fault plans, so a worker's
 spans and log lines carry the originating request's id.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    default_registry,
-)
-from repro.obs.profiler import (
-    KernelProfiler,
-    active_profiler,
-    profile_scope,
-)
-from repro.obs.spans import (
-    Span,
-    Tracer,
-    active_tracer,
-    current_request_id,
-    new_request_id,
-    request_scope,
-    reset_active_tracer,
-    trace_scope,
-)
+from importlib import import_module
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "KernelProfiler",
-    "MetricsRegistry",
-    "Span",
-    "Tracer",
-    "active_profiler",
-    "active_tracer",
-    "current_request_id",
-    "default_registry",
-    "new_request_id",
-    "profile_scope",
-    "request_scope",
-    "reset_active_tracer",
-    "trace_scope",
-]
+_LAZY = {
+    "Counter": "repro.obs.metrics",
+    "Gauge": "repro.obs.metrics",
+    "Histogram": "repro.obs.metrics",
+    "KernelProfiler": "repro.obs.profiler",
+    "MetricsRegistry": "repro.obs.metrics",
+    "Span": "repro.obs.spans",
+    "Tracer": "repro.obs.spans",
+    "active_profiler": "repro.obs.profiler",
+    "active_tracer": "repro.obs.spans",
+    "current_request_id": "repro.obs.spans",
+    "default_registry": "repro.obs.metrics",
+    "new_request_id": "repro.obs.spans",
+    "profile_scope": "repro.obs.profiler",
+    "request_scope": "repro.obs.spans",
+    "reset_active_tracer": "repro.obs.spans",
+    "trace_scope": "repro.obs.spans",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(import_module(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = list(_LAZY)

@@ -33,9 +33,9 @@ request id.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
-import uuid
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -60,8 +60,8 @@ _local = threading.local()
 
 
 def new_request_id() -> str:
-    """A fresh 16-hex-character request id."""
-    return uuid.uuid4().hex[:16]
+    """A fresh 16-hex-character request id (64 random bits)."""
+    return os.urandom(8).hex()
 
 
 def current_request_id() -> Optional[str]:
@@ -224,8 +224,6 @@ class Tracer:
         ``tid``; timestamps are microseconds from the tracer's epoch.
         Open the serialized dict in Perfetto or ``chrome://tracing``.
         """
-        import os
-
         pid = os.getpid()
         events: List[Dict[str, Any]] = []
         tids: Dict[str, int] = {}

@@ -18,58 +18,39 @@ Four small, dependency-free modules that every execution layer leans on:
 See ``docs/resilience.md`` for the full design.
 """
 
-from repro.errors import (
-    DeadlineExceeded,
-    FaultInjectedError,
-    WorkerCrashError,
-    WorkerHangError,
-)
-from repro.resilience.breaker import STRATEGY_AXES, BreakerBoard, CircuitBreaker
-from repro.resilience.deadline import (
-    Deadline,
-    active_deadline,
-    deadline_scope,
-    reset_active_deadline,
-)
-from repro.resilience.faults import (
-    FAULT_SITES,
-    FaultPlan,
-    FaultRule,
-    active_fault_plan,
-    clear_fault_plan,
-    inject,
-    install_fault_plan,
-    should_corrupt,
-)
-from repro.resilience.supervisor import (
-    SUPERVISABLE_ERRORS,
-    BackoffPolicy,
-    Supervisor,
-    is_supervisable,
-)
+from importlib import import_module
 
-__all__ = [
-    "BackoffPolicy",
-    "BreakerBoard",
-    "CircuitBreaker",
-    "Deadline",
-    "DeadlineExceeded",
-    "FAULT_SITES",
-    "FaultInjectedError",
-    "FaultPlan",
-    "FaultRule",
-    "STRATEGY_AXES",
-    "SUPERVISABLE_ERRORS",
-    "Supervisor",
-    "WorkerCrashError",
-    "WorkerHangError",
-    "active_deadline",
-    "active_fault_plan",
-    "clear_fault_plan",
-    "deadline_scope",
-    "inject",
-    "install_fault_plan",
-    "is_supervisable",
-    "reset_active_deadline",
-    "should_corrupt",
-]
+_LAZY = {
+    "BackoffPolicy": "repro.resilience.supervisor",
+    "BreakerBoard": "repro.resilience.breaker",
+    "CircuitBreaker": "repro.resilience.breaker",
+    "Deadline": "repro.resilience.deadline",
+    "DeadlineExceeded": "repro.errors",
+    "FAULT_SITES": "repro.resilience.faults",
+    "FaultInjectedError": "repro.errors",
+    "FaultPlan": "repro.resilience.faults",
+    "FaultRule": "repro.resilience.faults",
+    "STRATEGY_AXES": "repro.resilience.breaker",
+    "SUPERVISABLE_ERRORS": "repro.resilience.supervisor",
+    "Supervisor": "repro.resilience.supervisor",
+    "WorkerCrashError": "repro.errors",
+    "WorkerHangError": "repro.errors",
+    "active_deadline": "repro.resilience.deadline",
+    "active_fault_plan": "repro.resilience.faults",
+    "clear_fault_plan": "repro.resilience.faults",
+    "deadline_scope": "repro.resilience.deadline",
+    "inject": "repro.resilience.faults",
+    "install_fault_plan": "repro.resilience.faults",
+    "is_supervisable": "repro.resilience.supervisor",
+    "reset_active_deadline": "repro.resilience.deadline",
+    "should_corrupt": "repro.resilience.faults",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(import_module(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = list(_LAZY)

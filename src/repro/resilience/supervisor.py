@@ -17,13 +17,11 @@ Backoff jitter is drawn from a seeded stream so resilience tests and
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 import threading
 import time
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Optional, TypeVar
+from functools import lru_cache
+from typing import Callable, Optional, Tuple, TypeVar
 
 from repro.errors import (
     DeadlineExceeded,
@@ -44,20 +42,38 @@ __all__ = [
 
 T = TypeVar("T")
 
-#: Failures the supervisor may retry: dead or hung workers, broken
-#: pools, torn pipes, and injected faults.  ``OSError`` covers
-#: ``BrokenPipeError`` / ``ConnectionResetError`` from pool plumbing.
-SUPERVISABLE_ERRORS = (
-    BrokenProcessPool,
-    multiprocessing.TimeoutError,
-    FuturesTimeoutError,
-    TimeoutError,
-    EOFError,
-    OSError,
-    FaultInjectedError,
-    WorkerCrashError,
-    WorkerHangError,
-)
+@lru_cache(maxsize=None)
+def _supervisable_errors() -> Tuple[type, ...]:
+    """Failures the supervisor may retry: dead or hung workers, broken
+    pools, torn pipes, and injected faults.  ``OSError`` covers
+    ``BrokenPipeError`` / ``ConnectionResetError`` from pool plumbing.
+
+    Built on first use: the pool plumbing's exception types are the
+    only reason to import :mod:`multiprocessing` here, and a process
+    that solves inline never needs them until something fails.
+    """
+    import multiprocessing
+    from concurrent.futures import TimeoutError as FuturesTimeoutError
+    from concurrent.futures.process import BrokenProcessPool
+
+    return (
+        BrokenProcessPool,
+        multiprocessing.TimeoutError,
+        FuturesTimeoutError,
+        TimeoutError,
+        EOFError,
+        OSError,
+        FaultInjectedError,
+        WorkerCrashError,
+        WorkerHangError,
+    )
+
+
+def __getattr__(name: str):
+    # ``SUPERVISABLE_ERRORS`` stays a public tuple, resolved on first use.
+    if name == "SUPERVISABLE_ERRORS":
+        return _supervisable_errors()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def is_supervisable(exc: BaseException) -> bool:
@@ -69,7 +85,7 @@ def is_supervisable(exc: BaseException) -> bool:
     """
     if isinstance(exc, DeadlineExceeded):
         return False
-    return isinstance(exc, SUPERVISABLE_ERRORS)
+    return isinstance(exc, _supervisable_errors())
 
 
 class BackoffPolicy:

@@ -31,31 +31,23 @@ object-store reference path.
 
 from importlib import import_module
 
-from repro.routing.features import RequestFeatures, features_of
-from repro.routing.router import (
-    DEFAULT_POLICY,
-    POLICIES,
-    ExecutionPlan,
-    Router,
-)
+_LAZY = {
+    "DEFAULT_POLICY": "repro.routing.router",
+    "ExecutionPlan": "repro.routing.router",
+    "POLICIES": "repro.routing.router",
+    "RequestFeatures": "repro.routing.features",
+    "Router": "repro.routing.router",
+    "WorkloadLog": "repro.routing.workload",
+    "features_of": "repro.routing.features",
+    "read_log": "repro.routing.workload",
+    "replay": "repro.routing.workload",
+}
 
 
 def __getattr__(name: str):
-    # The workload log loads on first use, so a solve that only routes
-    # does not import it (nor hashlib and json).
-    if name in ("WorkloadLog", "read_log", "replay"):
-        return getattr(import_module("repro.routing.workload"), name)
+    if name in _LAZY:
+        return getattr(import_module(_LAZY[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "DEFAULT_POLICY",
-    "ExecutionPlan",
-    "POLICIES",
-    "RequestFeatures",
-    "Router",
-    "WorkloadLog",
-    "features_of",
-    "read_log",
-    "replay",
-]
+__all__ = list(_LAZY)

@@ -22,23 +22,23 @@ stateful front end a traffic-serving deployment needs:
   ``examples/serving.py`` and ``examples/incremental_eco.py``.
 
 Everything here is standard library only (the compute kernel underneath
-may still use NumPy through the ``soa`` backend).  The server and the
-client load on first use, so code that needs only the canonical hash
-(the incremental engine) does not import the HTTP stack.
+may still use NumPy through the ``soa`` backend).  Each public name
+loads its module on first use, so code that needs only the canonical
+hash (the incremental engine) imports neither the result cache nor the
+HTTP stack.
 """
 
 from importlib import import_module
 
-from repro.service.cache import CacheStats, ResultCache, SolutionPayload
-from repro.service.canon import (
-    CanonicalNet,
-    canonicalize,
-    library_key,
-    options_key,
-    request_key,
-)
-
 _LAZY = {
+    "CanonicalNet": "repro.service.canon",
+    "canonicalize": "repro.service.canon",
+    "library_key": "repro.service.canon",
+    "options_key": "repro.service.canon",
+    "request_key": "repro.service.canon",
+    "CacheStats": "repro.service.cache",
+    "ResultCache": "repro.service.cache",
+    "SolutionPayload": "repro.service.cache",
     "ServiceClient": "repro.service.client",
     "ServiceSession": "repro.service.client",
     "BufferServer": "repro.service.server",
@@ -52,17 +52,4 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "CanonicalNet",
-    "canonicalize",
-    "library_key",
-    "options_key",
-    "request_key",
-    "CacheStats",
-    "ResultCache",
-    "SolutionPayload",
-    "ServiceClient",
-    "ServiceSession",
-    "BufferServer",
-    "serve",
-]
+__all__ = list(_LAZY)

@@ -133,18 +133,18 @@ import contextlib
 import dataclasses
 import json
 import logging
+import os
 import signal
 import threading
 import time
-import uuid
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.core.batch import SolverPool
 from repro.core.registry import get_algorithm
 from repro.core.schedule import CompiledNet, compile_records
 from repro.core.stores import AUTO_BACKEND, SPLICE_BACKEND, validate_backend
 from repro.errors import DeadlineExceeded, EditError, ReproError, WorkerCrashError
+from repro.incremental.subtree_cache import FrontierCache
 from repro.library.library import BufferLibrary
 from repro.obs.metrics import (
     LATENCY_BUCKETS,
@@ -159,9 +159,7 @@ from repro.obs.spans import (
     request_scope,
     trace_scope,
 )
-from repro.resilience import Deadline, should_corrupt
-from repro.routing.router import DEFAULT_POLICY, validate_policy
-from repro.routing.workload import WorkloadLog, compiled_digest
+from repro.resilience import Deadline
 from repro.service.cache import CacheStats, ResultCache, SolutionPayload
 from repro.service.canon import (
     CanonicalNet,
@@ -369,12 +367,12 @@ class BufferServer:
                 f"deadline_ms must be > 0 or None, got {deadline_ms}"
             )
         if jobs is None:
-            import os
-
             jobs = os.cpu_count() or 1
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1 (or None), got {jobs}")
         if policy is not None:
+            from repro.routing.router import validate_policy
+
             validate_policy(policy)
         self.host = host
         self.port = port
@@ -388,18 +386,15 @@ class BufferServer:
         self.deadline_ms = deadline_ms
         # One log shared by every pool (and the session path): pools
         # receive the instance, so closing it stays the server's job.
-        self._workload_log = (
-            WorkloadLog(workload_log) if workload_log is not None else None
-        )
+        self._workload_log = None
+        if workload_log is not None:
+            from repro.routing.workload import WorkloadLog
+
+            self._workload_log = WorkloadLog(workload_log)
         self.results = ResultCache(maxsize=cache_size, ttl=cache_ttl)
         #: Nets compiled for misses; ``/stats`` reports it as
         #: ``compiled_cache.misses`` (that block is deprecated).
         self._compiles = 0
-        # Imported here, not at module top: the incremental engine uses
-        # repro.service.canon's digest helpers, so a module-level import
-        # would close a cycle through this package's __init__.
-        from repro.incremental.subtree_cache import FrontierCache
-
         self.sessions = ResultCache(maxsize=max_sessions, ttl=session_ttl)
         self.frontiers = FrontierCache(max_bytes=frontier_cache_bytes)
         self._pools: "OrderedDict[Tuple, _PoolEntry]" = OrderedDict()
@@ -859,6 +854,8 @@ class BufferServer:
                 }
         # Execution-routing health over the warm pools: which strategy
         # each routed request landed on.
+        from repro.routing.router import DEFAULT_POLICY
+
         routing: Dict[str, Any] = {
             "policy": self.policy if self.policy is not None
             else DEFAULT_POLICY,
@@ -1099,7 +1096,7 @@ class BufferServer:
             )
         except ReproError as exc:
             raise _BadRequest(str(exc)) from exc
-        session = _Session(uuid.uuid4().hex[:16], solver, id_map)
+        session = _Session(os.urandom(8).hex(), solver, id_map)
         self.sessions.put(session.sid, session)
         self.counters["session_creates"] += 1
         return 200, {
@@ -1160,7 +1157,8 @@ class BufferServer:
         if self._workload_log is None:
             return
         from repro.routing.features import features_of
-        from repro.routing.router import ExecutionPlan
+        from repro.routing.router import DEFAULT_POLICY, ExecutionPlan
+        from repro.routing.workload import compiled_digest
 
         solver = session.solver
         self._workload_log.record(
@@ -1367,6 +1365,8 @@ class BufferServer:
         real in-memory corruption has — so the chaos tests prove the
         read-side verification actually catches it.
         """
+        from repro.resilience.faults import should_corrupt
+
         digest = payload.digest()
         if should_corrupt("cache.payload"):
             payload = dataclasses.replace(payload, slack=payload.slack + 1.0)
@@ -1413,6 +1413,8 @@ class BufferServer:
         )
         entry = self._pools.get(context_key)
         if entry is None:
+            from repro.core.batch import SolverPool
+
             entry = _PoolEntry(SolverPool(
                 request.library,
                 algorithm=request.algorithm,
@@ -1594,7 +1596,7 @@ class _PoolEntry:
 
     __slots__ = ("pool", "in_flight", "evicted")
 
-    def __init__(self, pool: SolverPool) -> None:
+    def __init__(self, pool) -> None:
         self.pool = pool
         self.in_flight = 0
         self.evicted = False
@@ -1697,6 +1699,8 @@ class _SolveContext:
         if policy is not None:
             if not isinstance(policy, str):
                 raise _BadRequest("'policy' must be a string")
+            from repro.routing.router import validate_policy
+
             try:
                 validate_policy(policy)
             except ValueError as exc:

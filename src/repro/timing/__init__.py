@@ -12,25 +12,24 @@ Two analyses live here:
   reconstructed assignment.
 """
 
-from repro.timing.elmore import (
-    downstream_capacitance,
-    elmore_delays,
-    unbuffered_slack,
-)
-from repro.timing.buffered import (
-    TimingReport,
-    evaluate_assignment,
-    evaluate_slack,
-)
-from repro.timing.slack_map import SlackMap, compute_slack_map
+from importlib import import_module
 
-__all__ = [
-    "downstream_capacitance",
-    "elmore_delays",
-    "unbuffered_slack",
-    "TimingReport",
-    "evaluate_assignment",
-    "evaluate_slack",
-    "SlackMap",
-    "compute_slack_map",
-]
+_LAZY = {
+    "downstream_capacitance": "repro.timing.elmore",
+    "elmore_delays": "repro.timing.elmore",
+    "unbuffered_slack": "repro.timing.elmore",
+    "TimingReport": "repro.timing.buffered",
+    "evaluate_assignment": "repro.timing.buffered",
+    "evaluate_slack": "repro.timing.buffered",
+    "SlackMap": "repro.timing.slack_map",
+    "compute_slack_map": "repro.timing.slack_map",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(import_module(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = list(_LAZY)

@@ -7,44 +7,39 @@ arrival time), and whose internal vertices may be candidate buffer
 positions.  Each edge carries lumped wire resistance and capacitance.
 """
 
-from repro.tree.node import Node, NodeKind, Driver
-from repro.tree.routing_tree import RoutingTree, Edge
-from repro.tree.builders import (
-    two_pin_net,
-    caterpillar_net,
-    balanced_tree_net,
-    random_tree_net,
-    star_net,
-)
-from repro.tree.clock import h_tree_net
-from repro.tree.steiner import prim_steiner_net
-from repro.tree.segmenting import segment_tree, max_segment_length_for_positions
-from repro.tree.io import tree_to_dict, tree_from_dict, save_tree, load_tree
-from repro.tree.blockages import Blockage, apply_blockages, blockage_coverage
-from repro.tree.spef import read_spef, write_spef
+from importlib import import_module
 
-__all__ = [
-    "Node",
-    "NodeKind",
-    "Driver",
-    "RoutingTree",
-    "Edge",
-    "two_pin_net",
-    "caterpillar_net",
-    "balanced_tree_net",
-    "random_tree_net",
-    "star_net",
-    "h_tree_net",
-    "prim_steiner_net",
-    "segment_tree",
-    "max_segment_length_for_positions",
-    "tree_to_dict",
-    "tree_from_dict",
-    "save_tree",
-    "load_tree",
-    "Blockage",
-    "apply_blockages",
-    "blockage_coverage",
-    "read_spef",
-    "write_spef",
-]
+_LAZY = {
+    "Node": "repro.tree.node",
+    "NodeKind": "repro.tree.node",
+    "Driver": "repro.tree.node",
+    "RoutingTree": "repro.tree.routing_tree",
+    "Edge": "repro.tree.routing_tree",
+    "two_pin_net": "repro.tree.builders",
+    "caterpillar_net": "repro.tree.builders",
+    "balanced_tree_net": "repro.tree.builders",
+    "random_tree_net": "repro.tree.builders",
+    "star_net": "repro.tree.builders",
+    "h_tree_net": "repro.tree.clock",
+    "prim_steiner_net": "repro.tree.steiner",
+    "segment_tree": "repro.tree.segmenting",
+    "max_segment_length_for_positions": "repro.tree.segmenting",
+    "tree_to_dict": "repro.tree.io",
+    "tree_from_dict": "repro.tree.io",
+    "save_tree": "repro.tree.io",
+    "load_tree": "repro.tree.io",
+    "Blockage": "repro.tree.blockages",
+    "apply_blockages": "repro.tree.blockages",
+    "blockage_coverage": "repro.tree.blockages",
+    "read_spef": "repro.tree.spef",
+    "write_spef": "repro.tree.spef",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(import_module(_LAZY[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = list(_LAZY)

@@ -49,12 +49,54 @@ def test_result_str_and_properties(line_net, small_library):
     )
 
 
+#: Packages whose public names resolve on first access (a ``_LAZY``
+#: table and a module ``__getattr__``).
+_LAZY_PACKAGES = (
+    "repro",
+    "repro.core",
+    "repro.tree",
+    "repro.library",
+    "repro.obs",
+    "repro.resilience",
+    "repro.timing",
+    "repro.incremental",
+    "repro.service",
+    "repro.routing",
+)
+
+_EXPORTS_SCRIPT = """
+import importlib
+namespace = {{}}
+exec("from {package} import *", namespace)
+package = importlib.import_module("{package}")
+missing = [name for name in package.__all__ if name not in namespace]
+assert not missing, missing
+for name in package.__all__:
+    assert getattr(package, name) is namespace[name], name
+try:
+    package.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc), exc
+else:
+    raise AssertionError("an unknown name resolved")
+print(len(package.__all__))
+"""
+
+
 def test_package_exports():
+    """Every lazily exported name resolves, in a fresh interpreter per
+    package (``from <package> import *`` first, so an import cycle
+    that only a cold start hits fails here), and an unknown name is an
+    ``AttributeError``."""
     import repro
 
     for name in repro.__all__:
         assert hasattr(repro, name), name
     assert repro.__version__
+    for package in _LAZY_PACKAGES:
+        proc = run_fresh_python(_EXPORTS_SCRIPT.format(package=package))
+        assert proc.returncode == 0, (package, proc.stderr)
+        assert int(proc.stdout) > 0, package
 
 
 def test_routed_solve_imports_no_parallel_or_serving_code():
@@ -159,5 +201,120 @@ def test_single_net_paths_import_no_numpy():
     when a lane group is dispatched onto the batch axis, or on a
     ``soa`` solve."""
     proc = run_fresh_python(_SINGLE_NET_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+#: Modules no served ``/healthz``, ``/solve``, ``/stats`` or
+#: ``/metrics`` runs: process pools, the workload log, the session
+#: engine, the timing oracle, the builders, the report printer, the
+#: library generators, the partitioned solver and NumPy.
+_NOT_SERVED = (
+    "multiprocessing",
+    "concurrent.futures.process",
+    "uuid",
+    "repro.routing.workload",
+    "repro.incremental.engine",
+    "repro.incremental.edits",
+    "repro.timing.buffered",
+    "repro.tree.builders",
+    "repro.report",
+    "repro.library.generators",
+    "repro.parallel.solver",
+    "numpy",
+)
+
+_SERVING_SCRIPT = """
+import asyncio, sys
+from repro.service.server import BufferServer
+
+body = {body!r}.encode()
+requests = [
+    ("GET", "/healthz", b""),
+    ("POST", "/solve", body),
+    ("POST", "/solve", body),
+    ("GET", "/stats", b""),
+    ("GET", "/metrics", b""),
+]
+server = BufferServer()
+
+async def drive():
+    answers = [await server._dispatch(*request) for request in requests]
+    assert [status for status, _ in answers] == [200] * 5, answers
+    assert [answers[1][1]["cached"], answers[2][1]["cached"]] == [False, True]
+    print(sorted(m for m in {not_served!r} if m in sys.modules))
+    status, answer = await server._dispatch("POST", "/session", body)
+    assert status == 200, answer
+    print("repro.incremental.engine" in sys.modules)
+
+asyncio.run(drive())
+"""
+
+
+def test_serving_loads_only_what_it_runs():
+    """A served process imports the server and answers ``/healthz``, a
+    ``/solve`` miss and hit, ``/stats`` and ``/metrics`` without
+    loading any module those requests do not run; the first
+    ``/session`` loads the incremental engine."""
+    import json
+
+    from repro import paper_library, random_tree_net
+    from repro.tree.io import library_to_dict, tree_to_dict
+
+    body = json.dumps({
+        "net": tree_to_dict(random_tree_net(12, seed=3)),
+        "library": library_to_dict(paper_library(4)),
+    })
+    proc = run_fresh_python(
+        _SERVING_SCRIPT.format(body=body, not_served=_NOT_SERVED)
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "True"], proc.stdout
+
+
+_INLINE_POOL_SCRIPT = """
+import sys
+import repro
+from repro import SolverPool, paper_library, solve_many, two_pin_net
+
+library = paper_library(4)
+nets = [two_pin_net(1000.0 * k, num_segments=4) for k in (1, 2)]
+with SolverPool(library, jobs=1) as pool:
+    pool.solve(nets)
+solve_many(nets, library)
+print(sorted(m for m in ("multiprocessing", "concurrent.futures.process")
+             if m in sys.modules))
+
+import multiprocessing
+from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures.process import BrokenProcessPool
+from repro.errors import (AlgorithmError, DeadlineExceeded,
+                          FaultInjectedError, WorkerCrashError,
+                          WorkerHangError)
+from repro.resilience import SUPERVISABLE_ERRORS, is_supervisable
+
+assert SUPERVISABLE_ERRORS == (
+    BrokenProcessPool, multiprocessing.TimeoutError, FuturesTimeoutError,
+    TimeoutError, EOFError, OSError, FaultInjectedError, WorkerCrashError,
+    WorkerHangError,
+)
+for exc in (BrokenProcessPool(), multiprocessing.TimeoutError(),
+            FuturesTimeoutError(), EOFError(), BrokenPipeError(),
+            FaultInjectedError("x"), WorkerCrashError("x"),
+            WorkerHangError("x")):
+    assert is_supervisable(exc), exc
+for exc in (DeadlineExceeded("dp.walk", 1.0), AlgorithmError("x"),
+            ValueError(), KeyboardInterrupt()):
+    assert not is_supervisable(exc), exc
+"""
+
+
+def test_inline_pool_imports_no_multiprocessing():
+    """``SolverPool(jobs=1)`` and ``solve_many`` at ``jobs=1`` solve in
+    the calling process and load neither ``multiprocessing`` nor
+    ``concurrent.futures.process``.  The supervisor's error tuple,
+    resolved on first use, is the same tuple and classifies every error
+    as before."""
+    proc = run_fresh_python(_INLINE_POOL_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

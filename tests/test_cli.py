@@ -232,3 +232,13 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "buffer insertion" in proc.stdout
+    # Each subcommand imports what it runs inside its handler; its
+    # --help must still build from a cold start.
+    for command in ("generate", "buffer", "batch", "edit", "info", "serve",
+                    "replay"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", command, "--help"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, (command, proc.stderr)
+        assert f"usage: repro {command}" in proc.stdout, command
