@@ -152,7 +152,7 @@ def group_cells(repeats: int) -> List[dict]:
 
 def _row(kind: str, name: str, features, seconds: Dict[str, float],
          soa_plan: str, supports_batch: bool = False) -> dict:
-    plan = Router(policy="static").route(
+    plan = Router().route(
         features, supports_batch=supports_batch
     )
     picked = "soa" if plan.strategy == soa_plan else "object"

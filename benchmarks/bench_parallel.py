@@ -63,7 +63,7 @@ from repro.tree.segmenting import segment_to_position_count
 from repro.units import ps
 
 #: Worker counts swept per cell (1 = the serial baseline through the
-#: same pool policy, i.e. the fallback path's overhead).
+#: same pool settings, i.e. the fallback path's overhead).
 WORKER_SWEEP = (1, 2, 4, 8)
 
 #: Random-topology position targets at scale 1.0 (the gated sweep).
@@ -103,8 +103,9 @@ def _random_net(positions: int, seed: int = 13):
 def measure_cell(compiled, library, workers: int, serial_seconds: float,
                  reference, repeats: int) -> Dict:
     """One (net, worker count) cell: parity check, then warm timing."""
+    # A zero threshold partitions every net the pool solves.
     with SolverPool(
-        library, jobs=workers, policy="always_parallel"
+        library, jobs=workers, parallel_threshold=0
     ) as pool:
         # Warm-up doubles as the honesty guard: the partitioned result
         # must be bit-identical to the serial solve of the same net.
@@ -208,7 +209,7 @@ def collect(scale: float, repeats: int) -> Dict:
             "workload": (
                 "single large nets cut at balanced subtree boundaries "
                 "and solved across a warm SolverPool process pool "
-                "(policy='always_parallel'), vs the serial compiled-object solve "
+                "(parallel_threshold=0), vs the serial compiled-object solve "
                 "of the same pre-compiled net; bit-identity asserted "
                 "before timing; timings best-of-repeats on a warm pool"
             ),

@@ -3,9 +3,8 @@
 Builds a deterministic mixed workload — solo solves across the size
 spectrum, multi-corner batch groups and incremental ECO sessions —
 captures it in the workload-log format (:mod:`repro.routing.workload`),
-then replays it under the default routing policy and reports its
-total wall time and regret against the oracle (the per-request best
-measured plan).
+then replays it under the routing rule and reports its total wall time
+and regret against the oracle (the per-request best measured plan).
 
 The corpus is the benchmark's contract with the test suite: running
 with ``--capture tests/data/workload_mixed.jsonl`` regenerates the
@@ -17,21 +16,22 @@ structurally.
 What the numbers mean:
 
 * ``oracle_seconds`` — sum over requests of the best measured plan;
-  no policy can beat it (it is the same table every policy is priced
-  from).
-* ``policies.static`` — the default policy's fixed rules (SoA only for
-  long candidate lists, :func:`repro.routing.router.static_store`;
-  batch a structural group only when its lanes are on SoA;
-  50k-instruction parallel floor).  This is what traffic gets by
-  default, so it is gated against the oracle directly.
+  the rule cannot beat it (both are priced from the same table).
+* ``static`` — the one routing rule's fixed size rules (SoA only for
+  a group's long candidate lists,
+  :func:`repro.routing.router.static_store`; batch a structural group
+  only when its lanes are on SoA; 50k-instruction parallel floor).
+  This is what all traffic gets, so it is gated against the oracle
+  directly.
 
 Every plan's result is checked bit-identical before anything is
-priced, so a policy can only ever change wall time, never answers.
+priced, so a routing choice can only ever change wall time, never
+answers.
 
 ``ci_gate`` thresholds are embedded in the output and enforced by
-``tools/perf_gate.py`` against a freshly generated file: the default
-static policy must reach ``min_static_speedup_vs_oracle`` (how close
-to the per-request best it lands).
+``tools/perf_gate.py`` against a freshly generated file: the static
+rule must reach ``min_static_speedup_vs_oracle`` (how close to the
+per-request best it lands).
 
 Run::
 
@@ -103,12 +103,10 @@ SESSION_CELLS = (
     (64, 58, [{"op": "swap_driver", "resistance": 90.0}]),
 )
 
-POLICIES = ("static",)
-
 CI_GATE = {
-    # The default policy must land within 10% of the oracle (the
+    # The routing rule must land within 10% of the oracle (the
     # per-request best measured plan) on the mixed corpus: what
-    # traffic gets without opting into anything.
+    # traffic gets.
     "min_static_speedup_vs_oracle": 0.9,
 }
 
@@ -153,8 +151,9 @@ def build_corpus(path: Path, scale: float = 1.0) -> Dict[str, int]:
         base = random_tree_net(_scaled(sinks, scale), seed=seed)
         variants = [tree for _, tree in corner_variants(base, lanes)]
         # Captured as one batch request: the static rule would solve
-        # these short-list lanes one by one and log each as a solo.
-        pool = SolverPool(library, workload_log=log, policy="always_batch")
+        # these short-list lanes one by one and log each as a solo, so
+        # the pool names the store that batches them.
+        pool = SolverPool(library, workload_log=log, backend="soa")
         pool.solve(variants)
         pool.close()
         counts["batch"] += 1
@@ -181,7 +180,6 @@ def build_corpus(path: Path, scale: float = 1.0) -> Dict[str, int]:
             digest=compiled_digest(solver.compiled),
             features=features_of(solver.compiled, kind="session"),
             plan=plan,
-            policy="static",
             seconds=seconds,
             algorithm=solver.algorithm,
             options=solver.options,
@@ -201,7 +199,7 @@ def collect(scale: float, repeats: int) -> Dict:
     with tempfile.TemporaryDirectory() as tmp:
         corpus_path = Path(tmp) / "workload.jsonl"
         counts = build_corpus(corpus_path, scale=scale)
-        report = replay(corpus_path, policies=POLICIES, repeats=repeats)
+        report = replay(corpus_path, repeats=repeats)
     return {
         "meta": {
             "bench": "PR8 execution-routing replay",
@@ -209,15 +207,14 @@ def collect(scale: float, repeats: int) -> Dict:
             "repeats": repeats,
             "python": sys.version.split()[0],
             "corpus": dict(counts, requests=sum(counts.values())),
-            "policies": list(POLICIES),
             "workload": (
                 "deterministic mixed corpus (solo solves over three "
                 "library sizes, multi-corner batch groups, incremental "
                 "ECO sessions) captured in the workload-log format, "
                 "then replayed: every candidate plan of every request "
                 "measured best-of-repeats into one shared table, "
-                "bit-identity asserted across plans, each policy "
-                "priced from the same table"
+                "bit-identity asserted across plans, the routing "
+                "rule priced from the same table"
             ),
         },
         "ci_gate": dict(CI_GATE),
@@ -263,14 +260,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     report = payload["routing"]
     print(f"routing replay ({report['requests']} requests, "
           f"repeats={args.repeats}):")
+    static = report["static"]
     print(f"  oracle {report['oracle_seconds'] * 1e3:9.1f}ms")
-    for name, bucket in report["policies"].items():
-        print(
-            f"  {name:<16} {bucket['total_seconds'] * 1e3:9.1f}ms"
-            f"  regret {bucket['regret_seconds'] * 1e3:8.1f}ms"
-            f"  vs-oracle {bucket['speedup_vs_oracle']:5.2f}x"
-            f"  vs-static {bucket['speedup_vs_static']:5.2f}x"
-        )
+    print(
+        f"  static {static['total_seconds'] * 1e3:9.1f}ms"
+        f"  regret {static['regret_seconds'] * 1e3:8.1f}ms"
+        f"  vs-oracle {static['speedup_vs_oracle']:5.2f}x"
+    )
     print(f"wrote {args.out}")
     return 0
 

@@ -15,17 +15,18 @@ Seven subcommands cover the workflow a user needs without writing code:
 * ``serve``    — run the HTTP serving layer (:mod:`repro.service`):
   ``/solve``, ``/batch``, ``/session`` (stateful incremental ECO
   sessions), ``/healthz``, ``/stats`` with canonical-hash result
-  caching and a persistent worker pool; ``--policy`` selects the
-  execution-routing policy and ``--workload-log`` captures every
-  routed solve to a JSONL file;
+  caching and a persistent worker pool; ``--workload-log`` captures
+  every routed solve to a JSONL file;
 * ``replay``   — re-run a captured workload log (:mod:`repro.routing`)
-  under one or more routing policies and report per-request and
-  aggregate regret against the observed best plan.
+  and price the static routing rule against the observed best plan of
+  each request.
 
-Algorithms are enumerated from their registry
-(:mod:`repro.core.registry`), so a plugin registered before
-:func:`main` runs is selectable by name; the candidate stores are the
-fixed :data:`repro.core.stores.STORE_BACKENDS`.
+``--algorithm`` lists the registry's built-ins
+(:data:`repro.core.registry.BUILTIN_ALGORITHMS`) without importing
+them, and any name a plugin registered before :func:`main` runs is
+selectable too; an unknown name exits 2 with the registry's message.
+The candidate stores are the fixed
+:data:`repro.core.stores.STORE_BACKENDS`.
 
 Example session (see ``docs/cli.md`` for full transcripts)::
 
@@ -38,7 +39,7 @@ Example session (see ``docs/cli.md`` for full transcripts)::
                          --edits eco.json --verify
     python -m repro info --net net.json
     python -m repro serve --port 8080 --jobs 4 --workload-log workload.jsonl
-    python -m repro replay --log workload.jsonl --policy static never_batch
+    python -m repro replay --log workload.jsonl
 """
 
 from __future__ import annotations
@@ -51,18 +52,18 @@ from pathlib import Path
 from typing import List, Optional
 
 # Only what the parser needs loads here; each subcommand imports what
-# it runs, so ``repro serve`` starts without the builders, the report
-# printer or the batch solver.
-from repro.core.registry import algorithm_names, available_algorithms
+# it runs, so ``repro serve`` starts without the strategies, the
+# builders, the report printer or the batch solver.
+from repro.core.registry import BUILTIN_ALGORITHMS
 from repro.core.stores import AUTO_BACKEND, SPLICE_BACKEND, STORE_BACKENDS
 
-
-def _algorithm_help() -> str:
-    parts = [
-        f"{name}: {algo.complexity}"
-        for name, algo in available_algorithms().items()
-    ]
-    return "insertion algorithm (" + "; ".join(parts) + ")"
+#: ``--algorithm``'s metavar and help, from the registry's names alone.
+_ALGORITHM_METAVAR = "{" + ",".join(BUILTIN_ALGORITHMS) + "}"
+_ALGORITHM_HELP = (
+    f"insertion algorithm: one of {', '.join(BUILTIN_ALGORITHMS)} "
+    "(default fast), or the name of a plugin registered before main() "
+    "runs"
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,8 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     buf = sub.add_parser("buffer", help="run buffer insertion")
     buf.add_argument("--net", type=Path, required=True)
     buf.add_argument("--library", type=Path, required=True)
-    buf.add_argument("--algorithm", choices=algorithm_names(), default="fast",
-                     help=_algorithm_help())
+    buf.add_argument("--algorithm", default="fast",
+                     metavar=_ALGORITHM_METAVAR, help=_ALGORITHM_HELP)
     buf.add_argument("--backend",
                      choices=(AUTO_BACKEND,) + STORE_BACKENDS,
                      default="auto",
@@ -123,8 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--nets", type=Path, nargs="*", required=True,
                        metavar="NET", help="net JSON files to buffer")
     batch.add_argument("--library", type=Path, required=True)
-    batch.add_argument("--algorithm", choices=algorithm_names(),
-                       default="fast", help=_algorithm_help())
+    batch.add_argument("--algorithm", default="fast",
+                       metavar=_ALGORITHM_METAVAR, help=_ALGORITHM_HELP)
     batch.add_argument("--backend",
                        choices=(AUTO_BACKEND,) + STORE_BACKENDS,
                        default="auto",
@@ -158,8 +159,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            '(e.g. [{"op": "set_sink_rat", "node": 3, '
                            '"required_arrival": 9e-10}, ...]); node ids '
                            "are the loaded net's ids (see 'repro info')")
-    edit.add_argument("--algorithm", choices=algorithm_names(),
-                      default="fast", help=_algorithm_help())
+    edit.add_argument("--algorithm", default="fast",
+                      metavar=_ALGORITHM_METAVAR, help=_ALGORITHM_HELP)
     edit.add_argument("--verify", action="store_true",
                       help="cross-check every step against a from-scratch "
                            "solve (bit-identical slack and assignment)")
@@ -200,11 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "/solve net is partitioned across the "
                             "pool's workers (default: calibrated; "
                             "needs --jobs > 1)")
-    serve.add_argument("--policy", default=None, metavar="POLICY",
-                       help="execution-routing policy: 'static' "
-                            "(default; fixed size rules) or an "
-                            "always_*/never_* escape hatch (see "
-                            "repro.routing.router)")
     serve.add_argument("--workload-log", type=Path, default=None,
                        metavar="PATH",
                        help="append one JSONL record per routed solve "
@@ -240,14 +236,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     replay = sub.add_parser(
         "replay",
-        help="re-run a captured workload log under routing policies")
+        help="re-run a captured workload log and price the routing rule")
     replay.add_argument("--log", type=Path, required=True,
                         help="workload JSONL captured with capture='full' "
                              "(the committed corpus format)")
-    replay.add_argument("--policy", nargs="*", default=["static"],
-                        metavar="POLICY",
-                        help="policies to price (default: static); "
-                             "'static' is always included as baseline")
     replay.add_argument("--repeats", type=int, default=3,
                         help="timing repeats per (request, plan); the "
                              "best is kept (default 3)")
@@ -645,14 +637,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"serve: --deadline-ms must be > 0, got {args.deadline_ms}",
               file=sys.stderr)
         return 2
-    if args.policy is not None:
-        from repro.routing.router import validate_policy
-
-        try:
-            validate_policy(args.policy)
-        except ValueError as exc:
-            print(f"serve: {exc}", file=sys.stderr)
-            return 2
     from repro.service.server import serve
 
     if args.log_json:
@@ -665,7 +649,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           max_pools=args.max_pools, max_sessions=args.max_sessions,
           session_ttl=session_ttl,
           parallel_threshold=args.parallel_threshold,
-          policy=args.policy,
           workload_log=(
               str(args.workload_log) if args.workload_log is not None
               else None
@@ -680,7 +663,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
-    from repro.routing.router import validate_policy
     from repro.routing.workload import replay
 
     if args.repeats < 1:
@@ -690,15 +672,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if not args.log.is_file():
         print(f"replay: log file not found: {args.log}", file=sys.stderr)
         return 2
-    for policy in args.policy:
-        try:
-            validate_policy(policy)
-        except ValueError as exc:
-            print(f"replay: {exc}", file=sys.stderr)
-            return 2
     try:
-        report = replay(args.log, policies=tuple(args.policy),
-                        repeats=args.repeats)
+        report = replay(args.log, repeats=args.repeats)
     except ReproError as exc:
         print(f"replay: {exc}", file=sys.stderr)
         return 2
@@ -706,16 +681,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     print(f"replayed {report['requests']} request(s) "
           f"(repeats={report['repeats']}, "
           f"parity checked on {report['parity_checked']} plan(s))")
+    static = report["static"]
     print(f"oracle best: {report['oracle_seconds'] * 1e3:.2f} ms total")
-    header = (f"{'policy':<18}{'total (ms)':>12}{'regret (ms)':>13}"
-              f"{'vs oracle':>11}{'vs static':>11}")
-    print(header)
-    print("-" * len(header))
-    for name, bucket in report["policies"].items():
-        print(f"{name:<18}{bucket['total_seconds'] * 1e3:>12.2f}"
-              f"{bucket['regret_seconds'] * 1e3:>13.2f}"
-              f"{bucket['speedup_vs_oracle']:>10.2f}x"
-              f"{bucket['speedup_vs_static']:>10.2f}x")
+    print(f"static rule: {static['total_seconds'] * 1e3:.2f} ms total, "
+          f"regret {static['regret_seconds'] * 1e3:.2f} ms, "
+          f"{static['speedup_vs_oracle']:.2f}x of the oracle")
     if args.per_request:
         print()
         header = (f"{'#':>4}  {'kind':<8}{'features':<24}{'best plan':<24}"
@@ -740,6 +710,15 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
+    if getattr(args, "algorithm", None) is not None:
+        from repro.core.registry import get_algorithm
+        from repro.errors import AlgorithmError
+
+        try:
+            get_algorithm(args.algorithm)
+        except AlgorithmError as exc:
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return 2
     if args.command == "generate":
         return _cmd_generate(args)
     if args.command == "buffer":

@@ -6,8 +6,8 @@ strategy, so third-party algorithms plug in without touching this
 module.  The ``backend`` argument names a candidate store
 (:data:`repro.core.stores.STORE_BACKENDS`) — or ``"auto"``, the
 default, which defers the choice to the execution router
-(:mod:`repro.routing`): the default ``static`` policy picks the object
-store for one net (:func:`repro.routing.router.static_store`).
+(:mod:`repro.routing`), whose static rule picks the object store for
+one net (:func:`repro.routing.router.static_store`).
 ``"auto"`` is resolved here, once; the strategy only ever sees a
 concrete store.
 
@@ -39,7 +39,6 @@ def insert_buffers(
     algorithm: str = "fast",
     driver: Optional[Driver] = None,
     backend: str = "auto",
-    policy: Optional[str] = None,
     deadline: Optional[Deadline] = None,
     **options,
 ) -> BufferingResult:
@@ -59,9 +58,9 @@ def insert_buffers(
     ``backend`` selects how candidate lists are stored and operated on:
     ``"object"`` (lists of candidate tuples), ``"soa"`` (structure-of-arrays
     over NumPy), or ``"auto"`` (the default), which hands the choice to
-    the execution router: under the default ``policy="static"``, the
-    object store, which is the faster one for a single net at every
-    measured size (see :func:`repro.routing.router.static_store`).
+    the execution router, whose static rule picks the object store, the
+    faster one for a single net at every measured size (see
+    :func:`repro.routing.router.static_store`).
     Every backend produces bit-identical results, so the choice only
     ever moves running time.
 
@@ -77,9 +76,6 @@ def insert_buffers(
             means an ideal driver.
         backend: ``"auto"`` or a candidate store named in
             :data:`repro.core.stores.STORE_BACKENDS`.
-        policy: Routing policy for the ``"auto"`` backend decision:
-            ``"static"`` (the default for ``None``) or an ``always_*`` /
-            ``never_*`` escape hatch (see :mod:`repro.routing.router`).
         deadline: Optional per-request wall budget
             (:class:`repro.resilience.Deadline`).  Checked cooperatively
             at instruction-range boundaries; an expired deadline raises
@@ -94,25 +90,22 @@ def insert_buffers(
     Raises:
         AlgorithmError: Unknown algorithm or backend name, invalid
             options, or a compiled net whose library does not match.
-        ValueError: Unknown ``policy``.
     """
     if deadline is not None:
         with deadline_scope(deadline):
             return insert_buffers(
                 tree, library, algorithm=algorithm, driver=driver,
-                backend=backend, policy=policy, **options,
+                backend=backend, **options,
             )
     strategy = get_algorithm(algorithm)
     strategy.validate_options(options)
     if backend != AUTO_BACKEND:
         validate_backend(backend)
-    if backend == AUTO_BACKEND or policy is not None:
+    else:
         from repro.routing.features import features_of
-        from repro.routing.router import router_for
+        from repro.routing.router import ROUTER
 
-        backend = router_for(policy).route(
-            features_of(tree, library), backend=backend
-        ).backend
+        backend = ROUTER.route(features_of(tree, library)).backend
     return strategy.run(
         tree, library, driver=driver, backend=backend, **options
     )

@@ -241,13 +241,8 @@ class SolverPool:
             only; see :func:`repro.parallel.solver.solve_partitioned`);
             defaults to
             :data:`repro.routing.router.DEFAULT_PARALLEL_THRESHOLD`.
-        policy: Routing policy for every dispatch decision this pool
-            makes (store, batch axis, partitioning): ``"static"``
-            (fixed size rules, the default for ``None``) or an
-            ``always_*`` / ``never_*`` escape hatch —
-            ``"always_parallel"`` partitions every locally compiled
-            net, ``"never_parallel"`` none; see
-            :mod:`repro.routing.router`.
+            ``0`` partitions every locally compiled net, a floor above
+            the largest net none.
         workload_log: Opt-in request capture: a
             :class:`repro.routing.workload.WorkloadLog`, or a path to
             append JSONL records to.  Every execution unit (solo solve,
@@ -275,7 +270,7 @@ class SolverPool:
     Raises:
         AlgorithmError: Unknown algorithm/backend or invalid options
             (checked here, so a bad context never reaches a worker).
-        ValueError: ``jobs < 1`` or an unknown ``policy``.
+        ValueError: ``jobs < 1``.
     """
 
     def __init__(
@@ -286,7 +281,6 @@ class SolverPool:
         driver: Optional[Driver] = None,
         backend: str = "auto",
         parallel_threshold: Optional[int] = None,
-        policy: Optional[str] = None,
         workload_log=None,
         task_timeout: Optional[float] = None,
         max_retries: int = 2,
@@ -314,9 +308,7 @@ class SolverPool:
         self.driver = driver
         self.backend = backend
         self.parallel_threshold = parallel_threshold
-        self.router = Router(
-            policy=policy, parallel_threshold=parallel_threshold
-        )
+        self.router = Router(parallel_threshold=parallel_threshold)
         self.workload_log = workload_log
         self._owns_log = False
         if workload_log is not None:
@@ -477,8 +469,8 @@ class SolverPool:
         the per-net path, just amortizing every kernel launch over the
         group.  Results always come back in input order.
 
-        On a multi-process pool, single nets large enough for the
-        ``parallel`` policy are additionally solved *partitioned*: cut
+        On a multi-process pool, single nets over the pool's
+        ``parallel_threshold`` are additionally solved *partitioned*: cut
         into balanced subtrees, solved concurrently across the same
         workers, and spliced back together in this process on the
         ``object`` store, whatever the pool's ``backend`` —
@@ -486,11 +478,10 @@ class SolverPool:
 
         Every one of those dispatch decisions — backend, batch axis,
         partitioning — goes through the pool's
-        :class:`~repro.routing.router.Router` (``policy=``): the
-        default ``static`` policy applies fixed size rules (an
-        ``"auto"`` pool, at any ``jobs``, keeps single nets and groups
-        short of a long chain on the ``object`` store, see
-        :func:`~repro.routing.router.static_store`).
+        :class:`~repro.routing.router.Router`, whose static rule applies
+        fixed size rules (an ``"auto"`` pool, at any ``jobs``, keeps
+        single nets and groups short of a long chain on the ``object``
+        store, see :func:`~repro.routing.router.static_store`).
 
         ``deadline`` installs a per-call wall budget
         (:class:`~repro.resilience.Deadline`) for the duration of the
@@ -610,7 +601,7 @@ class SolverPool:
         )
         log.record(
             kind, digest=digest, features=features, plan=plan,
-            policy=self.router.policy, seconds=seconds,
+            seconds=seconds,
             algorithm=self.algorithm, options=self.options,
             payload=payload,
         )
@@ -623,14 +614,13 @@ class SolverPool:
         Returns ``(exec_groups, unit_plans)``: index
         groups of size > 1 are batch-axis dispatches, singletons are
         per-net solves carrying the backend their plan picked.  A
-        multi-lane group the policy declines to batch (``static`` does
-        when its lanes are on the ``object`` side) is split back into
-        singletons.  A group routed to ``soa`` imports the lane engine
-        here (:meth:`_lane_engine_loads`); if NumPy fails to import,
-        its lanes are routed one by one instead.
+        multi-lane group the router declines to batch (its lanes are on
+        the ``object`` side) is split back into singletons, each with
+        the group's plan.  A group routed to ``soa`` imports the lane
+        engine here (:meth:`_lane_engine_loads`); if NumPy fails to
+        import, its lanes are routed one by one instead.
         """
         from repro.routing.features import features_of
-        from repro.routing.router import ExecutionPlan
 
         batch_ok = False
         if self._batch_axis and len(compiled) > 1:
@@ -642,7 +632,7 @@ class SolverPool:
         else:
             groups = [[index] for index in range(len(compiled))]
         exec_groups: List[List[int]] = []
-        unit_plans: List[ExecutionPlan] = []
+        unit_plans: list = []
         for indices in groups:
             if len(indices) > 1:
                 plan = self.router.plan(
@@ -658,10 +648,9 @@ class SolverPool:
                         exec_groups.append(indices)
                         unit_plans.append(plan)
                         continue
-                    solo_plan = ExecutionPlan(plan.backend, "compiled")
                     for index in indices:
                         exec_groups.append([index])
-                        unit_plans.append(solo_plan)
+                        unit_plans.append(plan)
                     continue
             for index in indices:
                 plan = preplans[index]
@@ -929,8 +918,8 @@ class SolverPool:
     def parallel_stats(self) -> dict:
         """Partitioned-solve counters for this pool (``/stats`` block).
 
-        ``parallel_solves``/``fallback_solves`` count nets the policy
-        routed here that did / did not engage (a fallback means the cut
+        ``parallel_solves``/``fallback_solves`` count nets the router
+        sent here that did / did not engage (a fallback means the cut
         planner found the net too chain-like or under-covered and the
         net solved serially — same result).  ``last`` is the most
         recent solve's full report: partitions, cut depths, coverage,
@@ -941,11 +930,7 @@ class SolverPool:
             stats = dict(self._parallel_stats)
             if stats["last"] is not None:
                 stats["last"] = dict(stats["last"])
-        policy = {"always_parallel": "always", "never_parallel": "never"}.get(
-            self.router.policy, "auto"
-        )
-        stats["enabled"] = self.jobs > 1 and policy != "never"
-        stats["policy"] = policy
+        stats["enabled"] = self.jobs > 1
         stats["threshold_instructions"] = self.parallel_threshold
         return stats
 
@@ -1080,7 +1065,6 @@ def solve_many(
     driver: Optional[Driver] = None,
     backend: str = "auto",
     chunksize: Optional[int] = None,
-    policy: Optional[str] = None,
     deadline: Optional[Deadline] = None,
     **options,
 ) -> List[BufferingResult]:
@@ -1101,8 +1085,6 @@ def solve_many(
         driver: Optional driver override applied to every net.
         backend: Candidate-store backend name, or ``"auto"`` (default).
         chunksize: Nets per worker task (``jobs > 1`` only).
-        policy: Routing policy (see :class:`SolverPool`); ``None``
-            follows the process default.
         deadline: Optional wall-clock budget covering the whole call
             (see :meth:`SolverPool.solve`); exceeding it raises
             :class:`~repro.errors.DeadlineExceeded`.
@@ -1126,6 +1108,6 @@ def solve_many(
     # The pool checks the names and options before any solve.
     with SolverPool(
         library, algorithm=algorithm, jobs=jobs if len(nets) > 1 else 1,
-        driver=driver, backend=backend, policy=policy, **options,
+        driver=driver, backend=backend, **options,
     ) as pool:
         return pool.solve(nets, chunksize=chunksize, deadline=deadline)

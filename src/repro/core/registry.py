@@ -18,14 +18,15 @@ registered under a name::
 
 Third-party algorithms therefore plug in without touching core; the CLI
 and the experiment harness enumerate :func:`algorithm_names` instead of
-hardcoding tuples.  The built-in strategies (``fast``, ``lillis``,
-``van_ginneken``) live in their own modules and are imported lazily on
-first lookup, keeping this module import-cycle-free.
+hardcoding tuples.  The built-in strategies (:data:`BUILTIN_ALGORITHMS`)
+live in their own modules and are imported lazily on first lookup,
+keeping this module import-cycle-free.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from importlib import import_module
 from typing import Callable, Dict, FrozenSet, Optional, Tuple, Type
 
 from repro.core.solution import BufferingResult
@@ -102,6 +103,11 @@ class InsertionAlgorithm(ABC):
             )
 
 
+#: The built-in strategies, in registration order; ``name`` registers
+#: in the module ``repro.core.<name>``.  Naming them here lets a caller
+#: (the CLI parser) list them without importing any strategy.
+BUILTIN_ALGORITHMS = ("fast", "lillis", "van_ginneken")
+
 _REGISTRY: Dict[str, InsertionAlgorithm] = {}
 _BUILTINS_LOADED = False
 
@@ -145,9 +151,8 @@ def _ensure_builtins_loaded() -> None:
     if _BUILTINS_LOADED:
         return
     _BUILTINS_LOADED = True
-    import repro.core.fast  # noqa: F401
-    import repro.core.lillis  # noqa: F401
-    import repro.core.van_ginneken  # noqa: F401
+    for name in BUILTIN_ALGORITHMS:
+        import_module(f"repro.core.{name}")
 
 
 def get_algorithm(name: str) -> InsertionAlgorithm:

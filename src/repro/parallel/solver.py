@@ -1,9 +1,9 @@
 """Partitioned solve orchestration: dispatch cuts, splice, finish.
 
 :func:`solve_partitioned` is the entry point behind
-``SolverPool``'s partitioned plans (``policy="always_parallel"``, or
-the instruction threshold of the static rule), ``repro buffer --jobs``
-and the serving layer's large-``/solve`` routing.  The flow:
+``SolverPool``'s partitioned plans (the static rule's instruction
+threshold, ``parallel_threshold``), ``repro buffer --jobs`` and the
+serving layer's large-``/solve`` routing.  The flow:
 
 1. plan cuts over the compiled schedule
    (:func:`~repro.parallel.partition.plan_partitions`); a non-viable

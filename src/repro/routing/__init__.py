@@ -12,16 +12,15 @@ observable seam:
   extracted from a :class:`~repro.core.schedule.CompiledNet` or tree
   without solving.
 * :mod:`repro.routing.router` — ``route(features) -> ExecutionPlan``
-  under ``policy="static"`` (the rule:
-  :func:`~repro.routing.router.static_store` picks ``soa`` only for
-  long candidate lists, groups batch on the ``soa`` side, big nets
-  partition on multi-process pools) or an ``always_*`` / ``never_*``
-  escape hatch that pins one axis.
+  by one rule, the static rule
+  (:func:`~repro.routing.router.static_store` picks ``soa`` only for
+  a group's long candidate lists, groups batch on the ``soa`` side,
+  big nets partition on multi-process pools).
 * :mod:`repro.routing.workload` — an opt-in JSONL workload log written
   by :class:`~repro.core.batch.SolverPool` and the server, plus
   :func:`~repro.routing.workload.replay`, which re-runs a captured log,
-  measures every candidate plan, and reports each policy's regret
-  against the per-request best plan.
+  measures every candidate plan, and reports the rule's regret against
+  the per-request best plan.
 
 The doctrine is unchanged from every earlier subsystem: routing may
 only *pick* answers, never change them.  ``tests/test_routing.py``
@@ -32,9 +31,7 @@ object-store reference path.
 from importlib import import_module
 
 _LAZY = {
-    "DEFAULT_POLICY": "repro.routing.router",
     "ExecutionPlan": "repro.routing.router",
-    "POLICIES": "repro.routing.router",
     "RequestFeatures": "repro.routing.features",
     "Router": "repro.routing.router",
     "WorkloadLog": "repro.routing.workload",

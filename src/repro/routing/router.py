@@ -5,28 +5,25 @@ here, once per request: ``insert_buffers``, ``SolverPool`` and
 ``solve_many`` at every ``jobs`` value and the server through
 :class:`Router`, and ``insert_buffers_with_inverters`` through
 :func:`solo_store`.  The strategies and the DP interpreter take a
-concrete store only.  The :class:`Router` puts every dispatch decision
-behind one policy string:
+concrete store only.  The :class:`Router` applies one rule, the static
+rule: :func:`static_store` picks the candidate store from the
+request's size (``object`` for every single net), a structural group
+rides the batch axis when it is on the ``soa`` side, and a net over
+the instruction threshold is partitioned on a multi-process pool.
 
-* ``"static"`` — the rule (the default): :func:`static_store` picks
-  the candidate store from the request's size (``object`` for every
-  single net), a structural group rides the batch axis when it is on
-  the ``soa`` side, and a net over the instruction threshold is
-  partitioned on a multi-process pool.
-* ``"always_X"`` / ``"never_X"`` — escape hatches that pin one axis and
-  leave the rest on the static rule: ``always_batch`` / ``never_batch``,
-  ``always_parallel`` / ``never_parallel``.
+A caller pins an axis with a knob: ``backend=`` names the store
+(``"soa"`` batches a group, ``"object"`` solves its lanes one by one),
+and a pool's ``parallel_threshold`` sets the partitioning floor (``0``
+partitions every net, a floor above the net none).  Two plans ignore
+even ``backend``: a session splices on ``object``, and a partitioned
+solve runs its cuts and residual on ``object``.  Only the object store
+freezes and splices frontiers.
 
-A caller names a store with ``backend=``, never with a policy.  Two
-plans ignore even that: a session splices on ``object``, and a
-partitioned solve runs its cuts and residual on ``object``.  Only the
-object store freezes and splices frontiers.
-
-Whatever the policy, the emitted plan is only ever a *choice among
-bit-identical executions* — ``tests/test_routing.py`` proves every
-plan returns the same slack, assignment, driver load and DP stats as
-the compiled object-store reference, and locks the decisions
-themselves in ``tests/data/route_golden.json``.
+The emitted plan is only ever a *choice among bit-identical
+executions* — ``tests/test_routing.py`` proves every plan returns the
+same slack, assignment, driver load and DP stats as the compiled
+object-store reference, and locks the decisions themselves in
+``tests/data/route_golden.json``.
 """
 
 from __future__ import annotations
@@ -42,22 +39,6 @@ from repro.routing.features import RequestFeatures, features_of
 
 #: Schedule modes a plan can name.
 SCHEDULE_MODES = ("compiled", "splice")
-
-#: Each policy's pins — (batch axis, partitioned solve); ``None``
-#: leaves that axis to the static rule.
-_PINS = {
-    "static": (None, None),
-    "always_batch": (True, None),
-    "never_batch": (False, None),
-    "always_parallel": (None, True),
-    "never_parallel": (None, False),
-}
-
-#: The policy tokens (see :func:`validate_policy`).
-POLICIES = tuple(_PINS)
-
-#: The policy a caller gets with ``policy=None``.
-DEFAULT_POLICY = "static"
 
 #: Instruction-count floor of the static rule's partitioned solve
 #: (roughly twice the buffer-position count).  Calibrated against the
@@ -118,15 +99,6 @@ class ExecutionPlan:
         return cls(**{k: v for k, v in data.items() if k in names})
 
 
-def validate_policy(policy: str) -> str:
-    """Raise ``ValueError`` on an unknown policy string; return it."""
-    if policy not in _PINS:
-        raise ValueError(
-            f"unknown routing policy {policy!r}; expected one of {POLICIES}"
-        )
-    return policy
-
-
 #: The object/soa crossover in ``positions * library_size`` (every
 #: position tries every buffer type), measured by
 #: ``benchmarks/bench_crossover.py``.  ``soa`` pays a fixed NumPy
@@ -179,26 +151,15 @@ def solo_store(backend: str, compiled) -> str:
 
 
 class Router:
-    """Turns request features into :class:`ExecutionPlan` decisions.
+    """Turns request features into :class:`ExecutionPlan` decisions by
+    the static rule, and counts the decisions it executes.
 
     Args:
-        policy: ``"static"`` or an ``always_*`` / ``never_*`` escape
-            hatch (see module docstring); ``None`` means
-            :data:`DEFAULT_POLICY`.
-        parallel_threshold: Instruction floor of the static
-            partitioned-solve rule; defaults to
-            :data:`DEFAULT_PARALLEL_THRESHOLD`.
+        parallel_threshold: Instruction floor of the partitioned solve;
+            defaults to :data:`DEFAULT_PARALLEL_THRESHOLD`.
     """
 
-    def __init__(
-        self,
-        policy: Optional[str] = None,
-        parallel_threshold: Optional[int] = None,
-    ) -> None:
-        self.policy = validate_policy(
-            DEFAULT_POLICY if policy is None else policy
-        )
-        self._pins = _PINS[self.policy]
+    def __init__(self, parallel_threshold: Optional[int] = None) -> None:
         self.parallel_threshold = (
             DEFAULT_PARALLEL_THRESHOLD
             if parallel_threshold is None else parallel_threshold
@@ -230,30 +191,24 @@ class Router:
         supports_batch: bool = False,
         supports_parallel: bool = False,
     ) -> ExecutionPlan:
-        """Pick the execution plan for one request: the static rule
-        with this policy's pins applied.  Nothing is counted: a caller
-        that probes a plan it may not execute (a pool deciding which
-        nets to partition) records the plan of each unit it runs.
+        """Pick the execution plan for one request by the static rule.
+        Nothing is counted: a caller that probes a plan it may not
+        execute (a pool deciding which nets to partition) records the
+        plan of each unit it runs.
 
         A session splices on ``object``, whatever the store asked for.
         Otherwise the store is the caller's ``backend`` (an explicit
         store always wins), else :func:`static_store`'s (for a group on
         a context that cannot batch, the store of one lane).  A
         multi-lane group, on a context that ``supports_batch``, rides
-        the batch axis when that store is ``soa`` — or, under
-        ``always_batch``, whenever the store was left to routing;
-        ``never_batch`` solves such a group's lanes one by one on
-        ``soa`` instead.  Anything else solves on the store,
-        or partitioned on ``object`` on a context that
-        ``supports_parallel`` once its schedule reaches
-        :attr:`parallel_threshold` instructions (``always_parallel``
-        partitions every single net, ``never_parallel`` none).
+        the batch axis when that store is ``soa``.  Anything else
+        solves on the store, or partitioned on ``object`` on a context
+        that ``supports_parallel`` once its schedule reaches
+        :attr:`parallel_threshold` instructions.
         """
         tracer = active_tracer()
         route_handle = (
-            tracer.begin("route", policy=self.policy)
-            if tracer is not None
-            else None
+            tracer.begin("route") if tracer is not None else None
         )
         if features.kind == "session":
             plan = ExecutionPlan(SPLICE_BACKEND, "splice")
@@ -273,7 +228,6 @@ class Router:
         supports_parallel: bool,
     ) -> ExecutionPlan:
         """:meth:`plan` for a request that is not a session."""
-        pin_batch, pin_parallel = self._pins
         if backend != "auto":
             store = backend
         elif features.lanes > 1 and not supports_batch:
@@ -281,19 +235,11 @@ class Router:
             store = static_store(replace(features, lanes=1))
         else:
             store = static_store(features)
-        if supports_batch and features.lanes > 1 and (
-            store == "soa" or (pin_batch is True and backend == "auto")
-        ):
-            return ExecutionPlan(
-                "soa", "compiled", batch_axis=pin_batch is not False
-            )
+        if supports_batch and features.lanes > 1 and store == "soa":
+            return ExecutionPlan("soa", "compiled", batch_axis=True)
         parallel = (
             supports_parallel
-            and pin_parallel is not False
-            and (
-                features.instructions >= self.parallel_threshold
-                or (pin_parallel is True and features.lanes == 1)
-            )
+            and features.instructions >= self.parallel_threshold
         )
         return ExecutionPlan(
             SPLICE_BACKEND if parallel else store, "compiled",
@@ -315,23 +261,13 @@ class Router:
         with self._lock:
             decisions = dict(self._decisions)
         return {
-            "policy": self.policy,
             "decisions": sum(decisions.values()),
             "decisions_by_strategy": decisions,
         }
 
 
-_routers: Dict[str, Router] = {}
-_routers_lock = threading.Lock()
-
-
-def router_for(policy: Optional[str] = None) -> Router:
-    """The process-wide :class:`Router` for ``policy`` — the one that
-    ``insert_buffers`` and incremental sessions route ``"auto"`` with
-    (one per policy, so its decision counters accumulate)."""
-    key = validate_policy(DEFAULT_POLICY if policy is None else policy)
-    with _routers_lock:
-        router = _routers.get(key)
-        if router is None:
-            router = _routers[key] = Router(policy=key)
-        return router
+#: The process-wide router: ``insert_buffers`` and the server's
+#: sessions route with it, so its decision counters accumulate.  A
+#: :class:`~repro.core.batch.SolverPool` keeps its own, for its
+#: ``parallel_threshold``.
+ROUTER = Router()

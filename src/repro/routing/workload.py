@@ -2,28 +2,29 @@
 
 **Capture.**  A :class:`WorkloadLog` is an opt-in, append-only JSONL
 file: one line per routed request, recording the request digest, the
-routing feature vector, the chosen :class:`ExecutionPlan`, the policy
-that chose it, and the measured wall seconds.  ``capture="full"``
-additionally embeds the serialized net(s), library and (for sessions)
-edits, which is what makes a log *replayable* on another machine or
-under another policy.  :class:`~repro.core.batch.SolverPool` and the
-HTTP server write these logs when asked (``workload_log=``; the CLI
-exposes ``repro serve --workload-log``).
+routing feature vector, the chosen :class:`ExecutionPlan` and the
+measured wall seconds.  ``capture="full"`` additionally embeds the
+serialized net(s), library and (for sessions) edits, which is what
+makes a log *replayable* on another machine or under another build.
+:class:`~repro.core.batch.SolverPool` and the HTTP server write these
+logs when asked (``workload_log=``; the CLI exposes
+``repro serve --workload-log``).
 
-**Replay.**  :func:`replay` re-runs a captured log under any set of
-policies and reports *regret*: for every request it measures every
-candidate plan once (best-of-``repeats`` wall time), checks the
-results bit-identical across plans, and then charges each policy the
-measured time of the plan it would have chosen.  Because every policy
-is priced from the same measurement table, the comparison is
-deterministic given one replay run: the oracle is the per-request
-minimum, and a policy's regret is how far above that minimum its
+**Replay.**  :func:`replay` re-runs a captured log and reports the
+static rule's *regret*: for every request it measures every candidate
+plan once (best-of-``repeats`` wall time), checks the results
+bit-identical across plans, and then charges the rule the measured
+time of the plan it would have chosen.  The rule and the oracle are
+priced from the same measurement table: the oracle is the per-request
+minimum, and the regret is how far above that minimum the rule's
 choices land.  ``repro replay`` is the CLI wrapper;
 ``benchmarks/bench_routing.py`` turns the same report into the gated
 ``BENCH_PR8.json``.
 
 The log schema (``v: 1``) is locked by the committed corpus
 ``tests/data/workload_mixed.jsonl`` and its tier-1 replay test.
+Records written before routing had one rule carry a ``"policy"`` key;
+the reader accepts and ignores it.
 """
 
 from __future__ import annotations
@@ -40,14 +41,14 @@ from repro.core.solution import BufferingResult
 from repro.core.stores import numpy_installed, supports_batch_axis
 from repro.errors import ReproError
 from repro.routing.features import RequestFeatures
-from repro.routing.router import ExecutionPlan, Router
+from repro.routing.router import ROUTER, ExecutionPlan
 
 #: Workload-log schema version (bump on breaking record changes).
 SCHEMA_VERSION = 1
 
 #: Keys every record carries, whatever its kind.
 RECORD_KEYS = (
-    "v", "kind", "digest", "policy", "algorithm", "options",
+    "v", "kind", "digest", "algorithm", "options",
     "plan", "features", "seconds",
 )
 
@@ -124,7 +125,6 @@ class WorkloadLog:
         digest: str,
         features: RequestFeatures,
         plan: ExecutionPlan,
-        policy: str,
         seconds: float,
         algorithm: str = "fast",
         options: Optional[dict] = None,
@@ -137,7 +137,6 @@ class WorkloadLog:
             "v": SCHEMA_VERSION,
             "kind": kind,
             "digest": digest,
-            "policy": policy,
             "algorithm": algorithm,
             "options": dict(options or {}),
             "plan": plan.to_dict(),
@@ -347,36 +346,24 @@ def _measure_session(
 
 def replay(
     records: Union[Sequence[dict], str, Path],
-    policies: Sequence[str] = ("static",),
     repeats: int = 3,
-    parallel_threshold: Optional[int] = None,
 ) -> dict:
-    """Re-run a captured workload under ``policies``; report regret.
+    """Re-run a captured workload; report the static rule's regret.
 
     Every :func:`candidate_plans` entry of every request is measured
     once (best-of-``repeats``); plans must agree bit-identically or the
     replay aborts with :class:`ReplayError` — a routing bug, not a
-    measurement artifact.  Policies are then priced from that shared
-    table.  ``"static"`` (the default policy) is always evaluated,
-    requested or not, because it is the baseline the gate compares
-    against.
+    measurement artifact.  The rule is then priced from that table
+    (replay runs in-process, so it never partitions).
 
     Returns the report dict (see ``docs/benchmarks.md`` for the field
     reference used by ``BENCH_PR8.json``).
     """
     if isinstance(records, (str, Path)):
         records = read_log(records)
-    policy_names = list(dict.fromkeys(["static", *policies]))
-    routers = {
-        name: Router(policy=name, parallel_threshold=parallel_threshold)
-        for name in policy_names
-    }
 
-    totals = {name: 0.0 for name in policy_names}
-    regrets = {name: 0.0 for name in policy_names}
-    decisions: Dict[str, Dict[str, int]] = {
-        name: {} for name in policy_names
-    }
+    total = 0.0
+    decisions: Dict[str, int] = {}
     oracle_total = 0.0
     logged_total = 0.0
     per_request = []
@@ -413,21 +400,13 @@ def replay(
         oracle_total += best_seconds
         logged_total += record["seconds"]
 
-        chosen = {}
-        for name in policy_names:
-            plan = routers[name].route(
-                features, supports_batch=supports_batch
+        chosen = ROUTER.plan(features, supports_batch=supports_batch).strategy
+        if chosen not in measured:
+            raise ReplayError(
+                f"record {index}: the router chose unmeasured plan {chosen}"
             )
-            if plan.strategy not in measured:
-                raise ReplayError(
-                    f"record {index}: policy {name} chose unmeasured "
-                    f"plan {plan.strategy}"
-                )
-            chosen[name] = plan.strategy
-            totals[name] += measured[plan.strategy]
-            regrets[name] += measured[plan.strategy] - best_seconds
-            bucket = decisions[name]
-            bucket[plan.strategy] = bucket.get(plan.strategy, 0) + 1
+        total += measured[chosen]
+        decisions[chosen] = decisions.get(chosen, 0) + 1
 
         per_request.append({
             "index": index,
@@ -438,23 +417,9 @@ def replay(
             "best": best_strategy,
             "logged_seconds": record["seconds"],
             "chosen": chosen,
-            "regret_seconds": {
-                name: measured[chosen[name]] - best_seconds
-                for name in policy_names
-            },
+            "regret_seconds": measured[chosen] - best_seconds,
         })
 
-    report_policies = {}
-    static_total = totals["static"]
-    for name in policy_names:
-        total = totals[name]
-        report_policies[name] = {
-            "total_seconds": total,
-            "regret_seconds": regrets[name],
-            "speedup_vs_oracle": oracle_total / total if total else 1.0,
-            "speedup_vs_static": static_total / total if total else 1.0,
-            "decisions_by_strategy": decisions[name],
-        }
     return {
         "schema_version": SCHEMA_VERSION,
         "requests": len(records),
@@ -462,6 +427,11 @@ def replay(
         "parity_checked": parity_checked,
         "oracle_seconds": oracle_total,
         "logged_seconds": logged_total,
-        "policies": report_policies,
+        "static": {
+            "total_seconds": total,
+            "regret_seconds": total - oracle_total,
+            "speedup_vs_oracle": oracle_total / total if total else 1.0,
+            "decisions_by_strategy": decisions,
+        },
         "per_request": per_request,
     }

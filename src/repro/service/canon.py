@@ -301,7 +301,6 @@ def request_key(
     backend: str = "auto",
     options: Optional[Dict[str, object]] = None,
     driver: Optional[Driver] = None,
-    policy: Optional[str] = None,
 ) -> str:
     """The cache key of one solve request.
 
@@ -310,11 +309,11 @@ def request_key(
     algorithm, the store selection, and the option flags.  All stores
     return bit-identical results, but the key keeps store selections
     apart so a cached payload's ``backend`` is one the request asked
-    for: a concrete store keys by its name, and ``"auto"`` keys by the
-    routing policy that picks the store (``auto/<policy>``), since the
-    router may send the same net to ``object`` under one policy and to
-    ``soa`` under another.  A cached ``"auto"`` answer reports the store
-    that computed it.
+    for: a concrete store keys by its name, and ``"auto"`` keys as
+    ``auto/static``, after the static routing rule that picks its
+    store (the text is kept byte for byte, so committed and live keys
+    stay put).  A cached ``"auto"`` answer reports the store that
+    computed it.
 
     Args:
         net: The routing tree, or an already-computed
@@ -327,15 +326,9 @@ def request_key(
         backend: Candidate-store backend name or ``"auto"``.
         options: Algorithm-specific flags.
         driver: Effective driver override; defaults to the net's own.
-        policy: The routing policy an ``"auto"`` request is solved
-            under; ``None`` means
-            :data:`repro.routing.router.DEFAULT_POLICY`.  Ignored for a
-            concrete store.
     """
     if backend == "auto":
-        from repro.routing.router import DEFAULT_POLICY
-
-        backend = f"auto/{policy if policy is not None else DEFAULT_POLICY}"
+        backend = "auto/static"
     if not isinstance(library, str):
         library = library_key(library)
     if isinstance(net, CanonicalNet):

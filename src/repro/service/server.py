@@ -138,10 +138,9 @@ import signal
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.registry import get_algorithm
-from repro.core.schedule import CompiledNet, compile_records
 from repro.core.stores import AUTO_BACKEND, SPLICE_BACKEND, validate_backend
 from repro.errors import DeadlineExceeded, EditError, ReproError, WorkerCrashError
 from repro.incremental.subtree_cache import FrontierCache
@@ -175,12 +174,22 @@ from repro.tree.io import (
     tree_from_dict,
 )
 
+if TYPE_CHECKING:
+    from repro.core.schedule import CompiledNet
+
 _JSON_HEADERS = "Content-Type: application/json\r\nConnection: close\r\n"
 _TEXT_HEADERS = (
     "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
     "Connection: close\r\n"
 )
 _MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: The 400 a request carrying ``"policy"`` gets: routing has one rule,
+#: and a request pins a store with ``"backend"``.
+_POLICY_REFUSAL = (
+    "'policy' is not a request field: routing has one rule; "
+    "name a store with 'backend'"
+)
 
 #: One record per request (INFO for 2xx, WARNING for 4xx/5xx), always
 #: carrying the correlation id as an ``extra`` field — the event-loop
@@ -301,10 +310,6 @@ class BufferServer:
             single ``/solve`` net is partitioned across the pool's
             workers (see :mod:`repro.parallel`); ``None`` uses the
             calibrated default.  Only effective with ``jobs > 1``.
-        policy: Server-wide execution-routing policy
-            (:mod:`repro.routing.router`); ``None`` follows the process
-            default (``"static"``).  A request may override it with its
-            own ``"policy"`` field.
         workload_log: Path of an opt-in JSONL workload log; every
             routed solve (and every session re-solve) appends one
             record that ``repro replay`` can re-run offline.
@@ -336,7 +341,6 @@ class BufferServer:
         session_ttl: Optional[float] = 3600.0,
         frontier_cache_bytes: int = 64 << 20,
         parallel_threshold: Optional[int] = None,
-        policy: Optional[str] = None,
         workload_log: Optional[str] = None,
         max_inflight: int = 8,
         max_queue_depth: int = 32,
@@ -370,15 +374,10 @@ class BufferServer:
             jobs = os.cpu_count() or 1
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1 (or None), got {jobs}")
-        if policy is not None:
-            from repro.routing.router import validate_policy
-
-            validate_policy(policy)
         self.host = host
         self.port = port
         self.jobs = jobs
         self.parallel_threshold = parallel_threshold
-        self.policy = policy
         self.max_inflight = max_inflight
         self.max_queue_depth = max_queue_depth
         self.max_request_bytes = max_request_bytes
@@ -854,11 +853,7 @@ class BufferServer:
                 }
         # Execution-routing health over the warm pools: which strategy
         # each routed request landed on.
-        from repro.routing.router import DEFAULT_POLICY
-
         routing: Dict[str, Any] = {
-            "policy": self.policy if self.policy is not None
-            else DEFAULT_POLICY,
             "decisions": 0,
             "decisions_by_strategy": {},
             "workload_records": (
@@ -971,7 +966,6 @@ class BufferServer:
                 {
                     "algorithm": entry.pool.algorithm,
                     "backend": entry.pool.backend,
-                    "policy": entry.pool.router.policy,
                     "jobs": entry.pool.jobs,
                     "library_size": entry.pool.library.size,
                     "in_flight": entry.in_flight,
@@ -989,9 +983,7 @@ class BufferServer:
         async with self._admit():
             spec = _parse_body(body)
             net_spec = _require(spec, "net", dict)
-            request = _SolveContext.from_spec(
-                spec, self.policy, self.deadline_ms
-            )
+            request = _SolveContext.from_spec(spec, self.deadline_ms)
             params = dict(
                 part.partition("=")[::2] for part in query.split("&") if part
             )
@@ -1021,9 +1013,7 @@ class BufferServer:
             net_specs = _require(spec, "nets", list)
             if not net_specs:
                 raise _BadRequest("'nets' must contain at least one net")
-            request = _SolveContext.from_spec(
-                spec, self.policy, self.deadline_ms
-            )
+            request = _SolveContext.from_spec(spec, self.deadline_ms)
             self.counters["batch_requests"] += 1
             self.counters["nets_requested"] += len(net_specs)
             answers = await self._answer(
@@ -1055,7 +1045,7 @@ class BufferServer:
     ) -> Tuple[int, Dict]:
         spec = _parse_body(body)
         net_spec = _require(spec, "net", dict)
-        context = _SolveContext.from_spec(spec, self.policy)
+        context = _SolveContext.from_spec(spec)
         if context.backend not in (AUTO_BACKEND, SPLICE_BACKEND):
             raise _BadRequest(
                 f"sessions solve on the {SPLICE_BACKEND!r} store; 'backend' "
@@ -1074,14 +1064,14 @@ class BufferServer:
             raise _phase_error(f"net has negative-phase sinks {negative}")
         from repro.incremental.engine import IncrementalSolver
         from repro.routing.features import features_of
-        from repro.routing.router import router_for
+        from repro.routing.router import ROUTER
 
         def create() -> IncrementalSolver:
-            # Counted under the request's policy like a /solve miss (a
-            # session always plans object-splice); construction
-            # validates, compiles and digests the net — O(n) work that
-            # belongs off the event loop.
-            router_for(context.policy).route(
+            # Counted by the process-wide router (a session always
+            # plans object-splice); construction validates, compiles
+            # and digests the net — O(n) work that belongs off the
+            # event loop.
+            ROUTER.route(
                 features_of(tree, context.library, kind="session")
             )
             return IncrementalSolver(
@@ -1157,7 +1147,7 @@ class BufferServer:
         if self._workload_log is None:
             return
         from repro.routing.features import features_of
-        from repro.routing.router import DEFAULT_POLICY, ExecutionPlan
+        from repro.routing.router import ExecutionPlan
         from repro.routing.workload import compiled_digest
 
         solver = session.solver
@@ -1166,9 +1156,6 @@ class BufferServer:
             digest=compiled_digest(solver.compiled),
             features=features_of(solver.compiled, kind="session"),
             plan=ExecutionPlan(backend=solver.backend, schedule_mode="splice"),
-            policy=(
-                self.policy if self.policy is not None else DEFAULT_POLICY
-            ),
             seconds=answer["stats"]["solve_runtime_seconds"],
             algorithm=solver.algorithm,
             options=dict(solver.options),
@@ -1271,7 +1258,7 @@ class BufferServer:
                 key = request_key(
                     canon, request.library_key, algorithm=request.algorithm,
                     backend=request.backend, options=request.options,
-                    driver=net.driver, policy=request.policy,
+                    driver=net.driver,
                 )
             record = _NetRecord(
                 key, canon, [node.id for node in net.nodes]
@@ -1292,6 +1279,12 @@ class BufferServer:
                 pending.setdefault(key, (index, net, canon))
 
         misses: Dict[str, Tuple[CompiledNet, CanonicalNet]] = {}
+        if not pending:
+            return misses
+        # The compiler, and the buffer plans it builds, load on the
+        # first miss: a server that only answers /healthz never runs it.
+        from repro.core.schedule import compile_records
+
         for key, (index, net, canon) in pending.items():
             self._compiles += 1
             try:
@@ -1408,7 +1401,6 @@ class BufferServer:
             request.library_key,
             request.algorithm,
             request.backend,
-            request.policy,
             options_key(request.options),
         )
         entry = self._pools.get(context_key)
@@ -1421,7 +1413,6 @@ class BufferServer:
                 jobs=self.jobs,
                 backend=request.backend,
                 parallel_threshold=self.parallel_threshold,
-                policy=request.policy,
                 workload_log=self._workload_log,
                 **request.options,
             ))
@@ -1660,14 +1651,12 @@ class _SolveContext:
         algorithm: str,
         backend: str,
         options: Dict[str, Any],
-        policy: Optional[str] = None,
         deadline_ms: Optional[float] = None,
     ) -> None:
         self.library = library
         self.algorithm = algorithm
         self.backend = backend
         self.options = options
-        self.policy = policy
         self.deadline_ms = deadline_ms
         self.library_key = library_key(library)
 
@@ -1675,9 +1664,10 @@ class _SolveContext:
     def from_spec(
         cls,
         spec: Dict[str, Any],
-        default_policy: Optional[str] = None,
         default_deadline_ms: Optional[float] = None,
     ) -> "_SolveContext":
+        if "policy" in spec:
+            raise _BadRequest(_POLICY_REFUSAL)
         library_spec = _require(spec, "library", dict)
         try:
             library = library_from_dict(library_spec)
@@ -1695,16 +1685,6 @@ class _SolveContext:
         options = spec.get("options", {})
         if not isinstance(options, dict):
             raise _BadRequest("'options' must be an object")
-        policy = spec.get("policy", default_policy)
-        if policy is not None:
-            if not isinstance(policy, str):
-                raise _BadRequest("'policy' must be a string")
-            from repro.routing.router import validate_policy
-
-            try:
-                validate_policy(policy)
-            except ValueError as exc:
-                raise _BadRequest(str(exc)) from exc
         deadline_ms = spec.get("deadline_ms", default_deadline_ms)
         if deadline_ms is not None:
             if (
@@ -1722,7 +1702,7 @@ class _SolveContext:
                 validate_backend(backend)
         except ReproError as exc:
             raise _BadRequest(str(exc)) from exc
-        return cls(library, algorithm, backend, options, policy, deadline_ms)
+        return cls(library, algorithm, backend, options, deadline_ms)
 
 
 def _parse_body(body: bytes) -> Dict[str, Any]:
@@ -1756,7 +1736,6 @@ def serve(
     session_ttl: Optional[float] = 3600.0,
     frontier_cache_bytes: int = 64 << 20,
     parallel_threshold: Optional[int] = None,
-    policy: Optional[str] = None,
     workload_log: Optional[str] = None,
     max_inflight: int = 8,
     max_queue_depth: int = 32,
@@ -1774,7 +1753,7 @@ def serve(
     Args:
         host, port, jobs, cache_size, cache_ttl, max_pools,
         max_sessions, session_ttl, frontier_cache_bytes,
-        parallel_threshold, policy, workload_log, max_inflight,
+        parallel_threshold, workload_log, max_inflight,
         max_queue_depth, max_request_bytes, max_positions,
         deadline_ms: Forwarded to :class:`BufferServer`.
         ready: Optional callback invoked with the started server (tests
@@ -1788,7 +1767,7 @@ def serve(
             max_sessions=max_sessions, session_ttl=session_ttl,
             frontier_cache_bytes=frontier_cache_bytes,
             parallel_threshold=parallel_threshold,
-            policy=policy, workload_log=workload_log,
+            workload_log=workload_log,
             max_inflight=max_inflight, max_queue_depth=max_queue_depth,
             max_request_bytes=max_request_bytes,
             max_positions=max_positions, deadline_ms=deadline_ms,

@@ -222,24 +222,29 @@ class TestLibraryAndRequestKeys:
             tree, library, options={"destructive_pruning": True}) != base
         assert request_key(tree, library, driver=Driver(999.0)) != base
 
-    def test_auto_backend_hashes_by_its_policy(self):
+    def test_auto_backend_has_one_key(self):
         """"auto" may run on either store, so it never shares an entry
-        with a concrete store, and two policies never share one."""
-        from repro.routing.router import DEFAULT_POLICY
+        with a concrete store.  Routing has one rule, so "auto" has one
+        key, hashed from the text ``backend=auto/static`` byte for byte
+        (committed and live keys stay put), and a key takes no policy."""
+        import hashlib
 
         tree = branchy_tree()
         library = paper_library(4)
         auto = request_key(tree, library, backend="auto")
         assert auto != request_key(tree, library, backend="soa")
         assert auto != request_key(tree, library, backend="object")
-        assert auto == request_key(
-            tree, library, backend="auto", policy=DEFAULT_POLICY)
-        assert auto != request_key(
-            tree, library, backend="auto", policy="never_batch")
-        # A concrete store ignores the policy.
-        assert request_key(
-            tree, library, backend="soa", policy="never_batch"
-        ) == request_key(tree, library, backend="soa")
+        text = ";".join((
+            f"net={canonicalize(tree).key}",
+            f"lib={library_key(library)}",
+            f"drv={driver_key(tree.driver)}",
+            "alg=fast",
+            "backend=auto/static",
+            "opts={}",
+        ))
+        assert auto == hashlib.sha256(text.encode("utf-8")).hexdigest()
+        with pytest.raises(TypeError, match="policy"):
+            request_key(tree, library, backend="auto", policy="static")
 
 
 class TestIndexMapping:

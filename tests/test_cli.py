@@ -106,6 +106,81 @@ def test_paper_pseudocode_requires_fast(tmp_path, capsys):
                  "--algorithm", "lillis", "--paper-pseudocode"]) == 2
 
 
+def test_unknown_algorithm_fails_at_the_registry(tmp_path, capsys):
+    """``--algorithm`` lists the built-ins without checking the name:
+    the registry refuses an unknown one with its own message, exit 2,
+    in every command that runs an algorithm."""
+    from repro.core.registry import get_algorithm
+    from repro.errors import AlgorithmError
+
+    with pytest.raises(AlgorithmError) as info:
+        get_algorithm("nosuch")
+    net_path = tmp_path / "net.json"
+    lib_path = tmp_path / "lib.json"
+    main(["generate", "--net", str(net_path), "--sinks", "3",
+          "--positions", "10", "--library", str(lib_path),
+          "--library-size", "2"])
+    capsys.readouterr()
+    for argv in (
+        ["buffer", "--net", str(net_path), "--library", str(lib_path)],
+        ["batch", "--nets", str(net_path), "--library", str(lib_path)],
+        ["edit", "--net", str(net_path), "--library", str(lib_path),
+         "--edits", str(tmp_path / "edits.json")],
+    ):
+        assert main([*argv, "--algorithm", "nosuch"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"{argv[0]}: {info.value}\n"
+        assert captured.out == ""
+
+
+#: Every strategy module and the kernels behind them.
+_STRATEGY_MODULES = (
+    "repro.core.fast", "repro.core.lillis", "repro.core.van_ginneken",
+    "repro.core.dp", "repro.core.buffer_ops", "repro.obs.profiler",
+)
+
+_SERVE_START_SCRIPT = """
+import sys, threading, time, urllib.request
+import repro.service.server as server
+from repro.cli import _build_parser, main
+
+_build_parser()
+print(sorted(m for m in {modules!r} if m in sys.modules))
+
+ports = []
+start = server.BufferServer.start
+
+async def capture(self):
+    bound = await start(self)
+    ports.append(bound[1])
+    return bound
+
+server.BufferServer.start = capture
+threading.Thread(
+    target=main, args=(["serve", "--port", "0"],), daemon=True).start()
+deadline = time.monotonic() + 30
+while not ports and time.monotonic() < deadline:
+    time.sleep(0.01)
+with urllib.request.urlopen(f"http://127.0.0.1:{{ports[0]}}/healthz") as r:
+    assert r.status == 200
+print(sorted(m for m in {modules!r} if m in sys.modules))
+"""
+
+
+def test_parser_and_serve_start_load_no_strategy():
+    """Building the parser loads no strategy module or kernel, and
+    neither does ``repro serve`` up to its first ``/healthz``: a
+    strategy loads when a request first runs one."""
+    from helpers import run_fresh_python
+
+    proc = run_fresh_python(
+        _SERVE_START_SCRIPT.format(modules=_STRATEGY_MODULES)
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_show_tree(tmp_path, capsys):
     net_path = tmp_path / "net.json"
     lib_path = tmp_path / "lib.json"

@@ -285,13 +285,15 @@ class TestEdgeCases:
 
 class TestSolverPoolRouting:
     def test_invalid_policy_rejected(self, library):
-        with pytest.raises(ValueError, match="routing policy"):
+        """Routing has one rule: ``policy`` is no pool option, and the
+        algorithm's option check refuses it."""
+        with pytest.raises(AlgorithmError, match="policy"):
             SolverPool(library, policy="sometimes_parallel")
 
     def test_pool_partitioned_solve_bit_identical(self, medium_net, library):
         reference = insert_buffers(medium_net, library)
         with SolverPool(
-            library, jobs=2, policy="always_parallel"
+            library, jobs=2, parallel_threshold=0
         ) as pool:
             first = pool.solve([medium_net])[0]
             second = pool.solve([medium_net])[0]  # pool reuse
@@ -324,13 +326,18 @@ class TestSolverPoolRouting:
         assert_identical(result, insert_buffers(small, library))
 
     def test_parallel_never_disables_routing(self, medium_net, library):
+        """A threshold above the net keeps a multi-process pool's solve
+        serial: the plan a ``jobs=1`` pool runs, the same answer."""
+        above = compile_net(medium_net, library).num_instructions + 1
         with SolverPool(
-            library, jobs=2, policy="never_parallel"
+            library, jobs=2, parallel_threshold=above
         ) as pool:
             result = pool.solve([medium_net])[0]
             stats = pool.parallel_stats()
-        assert not stats["enabled"]
-        assert stats["parallel_solves"] == 0
+            decisions = pool.routing_stats()["decisions_by_strategy"]
+        assert stats["enabled"]
+        assert stats["parallel_solves"] == stats["fallback_solves"] == 0
+        assert decisions == {"object-compiled": 1}
         assert_identical(result, insert_buffers(medium_net, library))
 
     def test_mixed_batch_routes_only_large_nets(self, medium_net, library):
@@ -405,7 +412,7 @@ class TestSolverPoolRouting:
             for store in ("object", "soa")
         }
         with SolverPool(
-            library, jobs=2, backend="soa", policy="always_parallel"
+            library, jobs=2, backend="soa", parallel_threshold=0
         ) as pool:
             result = pool.solve([compiled])[0]
             decisions = pool.routing_stats()["decisions_by_strategy"]
@@ -419,7 +426,7 @@ class TestSolverPoolRouting:
 
     def test_closed_pool_refuses_work(self, library):
         pool = SolverPool(
-            library, jobs=2, policy="always_parallel"
+            library, jobs=2, parallel_threshold=0
         )
         pool.close()
         with pytest.raises(RuntimeError):

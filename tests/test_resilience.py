@@ -638,7 +638,7 @@ class TestFaultSitesAcrossStrategies:
         ), export_env=True)
         net = partitionable_net()
         with SolverPool(
-            library, jobs=2, policy="always_parallel", task_timeout=5.0,
+            library, jobs=2, parallel_threshold=0, task_timeout=5.0,
         ) as pool:
             result = pool.solve([net])[0]
             counters = pool.resilience_stats()

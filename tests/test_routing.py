@@ -1,6 +1,7 @@
-"""Execution routing: features, router policies, workload
-capture/replay — and the parity doctrine that routing may only ever
-*pick* an execution, never change its answer."""
+"""Execution routing: features, the one routing rule and the knobs
+that pin its axes, workload capture/replay — and the parity doctrine
+that routing may only ever *pick* an execution, never change its
+answer."""
 
 from __future__ import annotations
 
@@ -27,13 +28,11 @@ from repro.routing.features import (
 )
 from repro.routing.router import (
     DEFAULT_PARALLEL_THRESHOLD,
-    POLICIES,
     SOA_MIN_POSITION_TYPES,
     SOA_MIN_POSITION_TYPES_PER_SINK,
     ExecutionPlan,
     Router,
     static_store,
-    validate_policy,
 )
 from repro.routing.workload import (
     ReplayError,
@@ -101,7 +100,7 @@ def _features(**overrides):
 
 
 # ---------------------------------------------------------------------
-# Plans and policies
+# Plans and the rule
 
 
 class TestExecutionPlan:
@@ -126,24 +125,26 @@ class TestExecutionPlan:
 
 
 class TestPolicies:
-    def test_all_canonical_policies_validate(self):
-        for policy in POLICIES:
-            assert validate_policy(policy) == policy
+    """The one rule, and the knobs that pin its axes in its place."""
 
     def test_unknown_policy_rejected(self):
-        for bad in ("fastest", "always_gpu", "never_walk", "always_",
-                    "always_walk", "always_compiled", "always_object-walk",
-                    "model", "always_splice", "always_scratch"):
-            with pytest.raises(ValueError, match="routing policy"):
-                validate_policy(bad)
-            with pytest.raises(ValueError, match="routing policy"):
-                Router(policy=bad)
+        """Routing has one rule: the policy tables and the per-policy
+        router cache are gone, and the router takes no policy."""
+        import repro.routing
+        import repro.routing.router as router_module
+
+        for name in ("_PINS", "POLICIES", "DEFAULT_POLICY",
+                     "validate_policy", "router_for"):
+            assert not hasattr(router_module, name), name
+            assert not hasattr(repro.routing, name), name
+        with pytest.raises(TypeError, match="policy"):
+            Router(policy="static")
 
     def test_static_rule_routes_by_size(self):
-        """policy='static': a single net solves on object at any size,
+        """The static rule: a single net solves on object at any size,
         groups batch on the soa side only, the instruction floor
         partitions, and sessions splice on object at any size."""
-        router = Router(policy="static", parallel_threshold=1000)
+        router = Router(parallel_threshold=1000)
         short = _features()  # 10 positions per sink: object
         long = _features(positions=2000, sinks=1)
         assert router.route(short) == ExecutionPlan("object", "compiled")
@@ -181,36 +182,35 @@ class TestPolicies:
         assert plan == ExecutionPlan("object", "splice")
 
     def test_escape_hatches_pin_axes(self):
+        """The knobs pin each axis: ``backend`` the store and so the
+        batch axis (``"object"`` solves a group lane by lane, ``"soa"``
+        batches it), ``parallel_threshold`` the partitioned solve
+        (``0`` partitions every net, a floor above the net none)."""
         features = _features(lanes=4)
         plan = Router().route(features, backend="object", supports_batch=True)
-        assert plan.backend == "object" and not plan.batch_axis
-        plan = Router(policy="never_batch").route(
-            features, supports_batch=True
-        )
-        assert not plan.batch_axis
-        plan = Router(policy="always_parallel").route(
+        assert plan == ExecutionPlan("object", "compiled")
+        plan = Router().route(features, backend="soa", supports_batch=True)
+        assert plan == ExecutionPlan("soa", "compiled", batch_axis=True)
+        plan = Router(parallel_threshold=0).route(
             _features(), supports_parallel=True
         )
         assert plan == ExecutionPlan("object", "compiled", parallel=True)
-        plan = Router(policy="never_parallel").route(
+        plan = Router(parallel_threshold=10**6 + 1).route(
             _features(instructions=10**6), supports_parallel=True
         )
-        assert not plan.parallel
+        assert plan == ExecutionPlan("object", "compiled")
 
     def test_explicit_backend_beats_routing(self):
-        """An explicit store wins over every pin — the batch pins
-        included: a group on ``object`` solves lane by lane.  Sessions
-        and partitioned solves are the exception: only ``object``
-        splices frontiers, so they run there whatever the store."""
+        """An explicit store wins over the rule at every partitioning
+        floor: a group on ``object`` solves lane by lane.  Sessions and
+        partitioned solves are the exception: only ``object`` splices
+        frontiers, so they run there whatever the store."""
         group = _features(lanes=8)
-        for policy in ("static", "always_batch"):
-            router = Router(policy=policy)
+        for router in (Router(), Router(parallel_threshold=0)):
             plan = router.route(_features(), backend="object")
             assert plan == ExecutionPlan("object", "compiled")
             plan = router.route(group, backend="object", supports_batch=True)
             assert plan == ExecutionPlan("object", "compiled")
-        for policy in ("static", "always_batch", "always_parallel"):
-            router = Router(policy=policy)
             plan = router.route(_features(kind="session"), backend="soa")
             assert plan == ExecutionPlan("object", "splice")
             plan = router.route(
@@ -220,19 +220,18 @@ class TestPolicies:
             assert plan == ExecutionPlan("object", "compiled", parallel=True)
 
     def test_decision_counters(self):
-        router = Router(policy="static")
+        router = Router()
         for _ in range(3):
             router.route(_features())
         assert router.stats() == {
-            "policy": "static",
             "decisions": 3,
             "decisions_by_strategy": {"object-compiled": 3},
         }
 
 
-#: The router's decisions over :func:`_golden_cells`, for every policy,
-#: recorded when sessions and partitioned solves moved to ``object``
-#: under every policy and store.
+#: The static rule's decisions over :func:`_golden_cells`, recorded
+#: when sessions and partitioned solves moved to ``object`` under every
+#: store.
 ROUTE_GOLDEN = Path(__file__).parent / "data" / "route_golden.json"
 
 
@@ -271,16 +270,15 @@ def _golden_cells():
     reason="the golden table was recorded with NumPy",
 )
 def test_route_golden():
-    """Every policy decides as recorded on the whole grid."""
+    """The one rule decides as recorded on the whole grid."""
     golden = json.loads(ROUTE_GOLDEN.read_text())
-    assert set(golden) == set(POLICIES)
-    for policy in POLICIES:
-        router = Router(policy=policy)
-        cells = list(_golden_cells())
-        assert set(golden[policy]) == {key for key, _, _ in cells}
-        for key, features, kwargs in cells:
-            plan = router.route(features, **kwargs)
-            assert plan.strategy == golden[policy][key], (policy, key)
+    assert set(golden) == {"static"}
+    router = Router()
+    cells = list(_golden_cells())
+    assert set(golden["static"]) == {key for key, _, _ in cells}
+    for key, features, kwargs in cells:
+        plan = router.route(features, **kwargs)
+        assert plan.strategy == golden["static"][key], key
 
 
 def _corner_group(tree, library_size, lanes=8):
@@ -371,7 +369,7 @@ class TestStaticStore:
         such trunk alone solves on object."""
         from repro.experiments.workloads import FIG4_NET, build_net
 
-        router = Router(policy="static")
+        router = Router()
         small = _corner_group(random_tree_net(40, seed=3), 8)
         plan = router.route(small, supports_batch=True)
         assert plan == ExecutionPlan("object", "compiled")
@@ -479,13 +477,15 @@ class TestWorkloadLog:
         plan = ExecutionPlan("object", "compiled")
         entry = log.record(
             "solve", digest=compiled_digest(compiled),
-            features=features, plan=plan, policy="static", seconds=0.01,
+            features=features, plan=plan, seconds=0.01,
         )
         log.close()
         (record,) = read_log(path)
         assert record == entry
         assert record["features"] == features.to_dict()
         assert record["plan"] == plan.to_dict()
+        # Routing has one rule, so a record names no policy.
+        assert "policy" not in record
 
     def test_features_capture_omits_payload(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -495,7 +495,7 @@ class TestWorkloadLog:
         log.record(
             "solve", digest="d", features=features_of(compiled),
             plan=ExecutionPlan("object", "compiled"),
-            policy="static", seconds=0.01,
+            seconds=0.01,
             payload={"net": {"nodes": []}},
         )
         log.close()
@@ -533,7 +533,7 @@ class TestWorkloadLog:
 
         records = read_log(path)
         assert len(records) == 2
-        report = replay(records, policies=("static",), repeats=1)
+        report = replay(records, repeats=1)
         assert report["requests"] == 2
         # Each record is solved on every store that imports.
         assert report["parity_checked"] == 2 * (2 if numpy is not None else 1)
@@ -543,25 +543,30 @@ class TestWorkloadLog:
 
 
 # ---------------------------------------------------------------------
-# Partitioning is pinned through the router, not a pool knob
+# Partitioning is pinned by the pool's threshold, not a policy
 
 
 class TestDeprecations:
     def test_parallel_override_with_policy_is_clean(self):
+        """``parallel_threshold`` is the one partitioning knob: a pool
+        reports it and no policy, and ``parallel`` and ``policy`` are
+        no pool options — the algorithm's option check rejects both."""
         library = paper_library(2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for policy, label in (
-                ("always_parallel", "always"),
-                ("never_parallel", "never"),
-                (None, "auto"),
+            for threshold, want in (
+                (0, 0), (None, DEFAULT_PARALLEL_THRESHOLD)
             ):
-                with SolverPool(library, jobs=1, policy=policy) as pool:
-                    assert pool.parallel_stats()["policy"] == label
-        # ``parallel`` is no pool option: the algorithm's option check
-        # rejects it.
-        with pytest.raises(AlgorithmError, match="parallel"):
-            SolverPool(library, parallel="never")
+                with SolverPool(
+                    library, jobs=1, parallel_threshold=threshold
+                ) as pool:
+                    stats = pool.parallel_stats()
+                assert "policy" not in stats
+                assert stats["threshold_instructions"] == want
+                assert stats["enabled"] is False  # jobs=1 never partitions
+        for option in ("parallel", "policy"):
+            with pytest.raises(AlgorithmError, match=option):
+                SolverPool(library, **{option: "never"})
 
 
 # ---------------------------------------------------------------------
@@ -573,13 +578,16 @@ CORPUS = "tests/data/workload_mixed.jsonl"
 class TestReplayCorpus:
     @pytest.fixture(scope="class")
     def report(self):
-        corpus = Path(__file__).parent / "data" / "workload_mixed.jsonl"
-        return replay(
-            corpus, policies=("static", "always_batch", "never_batch"),
-            repeats=1,
-        )
+        return replay(Path(__file__).parent / "data" / "workload_mixed.jsonl",
+                      repeats=1)
 
     def test_corpus_shape(self, report):
+        """The committed schema-v1 records still carry the ``policy``
+        key of the days of several rules; the reader accepts and
+        ignores it."""
+        corpus = Path(__file__).parent / "data" / "workload_mixed.jsonl"
+        assert all(record["policy"] == "static"
+                   for record in read_log(corpus))
         assert report["schema_version"] == 1
         assert report["requests"] == 40
         kinds = [entry["kind"] for entry in report["per_request"]]
@@ -588,9 +596,9 @@ class TestReplayCorpus:
         assert kinds.count("session") == 8
 
     def test_static_routes_the_corpus_to_object(self, report):
-        """Every corpus net is short-list: the default policy solves
-        solos and group lanes on ``object`` and splices sessions there."""
-        assert report["policies"]["static"]["decisions_by_strategy"] == {
+        """Every corpus net is short-list: the rule solves solos and
+        group lanes on ``object`` and splices sessions there."""
+        assert report["static"]["decisions_by_strategy"] == {
             "object-compiled": 32, "object-splice": 8,
         }
 
@@ -610,26 +618,27 @@ class TestReplayCorpus:
     def test_regret_accounting_is_sane(self, report):
         oracle = report["oracle_seconds"]
         assert oracle > 0.0
-        for name, bucket in report["policies"].items():
-            # No policy beats the oracle, and regret is exactly the
-            # gap to it (same shared measurement table).
-            assert bucket["total_seconds"] >= oracle - 1e-12
-            assert bucket["regret_seconds"] == pytest.approx(
-                bucket["total_seconds"] - oracle
-            )
-            assert bucket["regret_seconds"] >= -1e-12
-            assert bucket["speedup_vs_oracle"] <= 1.0 + 1e-9
-            assert sum(bucket["decisions_by_strategy"].values()) == 40
-        assert report["policies"]["static"]["speedup_vs_static"] == 1.0
+        bucket = report["static"]
+        # The rule cannot beat the oracle, and its regret is exactly
+        # the gap to it (same shared measurement table).
+        assert bucket["total_seconds"] >= oracle - 1e-12
+        assert bucket["regret_seconds"] == pytest.approx(
+            bucket["total_seconds"] - oracle
+        )
+        assert bucket["regret_seconds"] >= -1e-12
+        assert bucket["speedup_vs_oracle"] <= 1.0 + 1e-9
+        assert sum(bucket["decisions_by_strategy"].values()) == 40
+        assert bucket["total_seconds"] == pytest.approx(sum(
+            entry["measured_seconds"][entry["chosen"]]
+            for entry in report["per_request"]
+        ))
 
     def test_per_request_regret_consistent(self, report):
         for entry in report["per_request"]:
             best = entry["measured_seconds"][entry["best"]]
-            for name, chosen in entry["chosen"].items():
-                assert entry["measured_seconds"][chosen] >= best - 1e-12
-                assert entry["regret_seconds"][name] == pytest.approx(
-                    entry["measured_seconds"][chosen] - best
-                )
+            chosen = entry["measured_seconds"][entry["chosen"]]
+            assert chosen >= best - 1e-12
+            assert entry["regret_seconds"] == pytest.approx(chosen - best)
 
     def test_sessions_price_both_stores(self, report):
         """Session replay measures the object splice resolve against a
@@ -641,8 +650,7 @@ class TestReplayCorpus:
                 }
 
     def test_policies_only_change_time_never_answers(self, report):
-        """Each policy's chosen plan appears in the shared measurement
+        """The rule's chosen plan appears in the shared measurement
         table — pricing never executed anything unmeasured."""
         for entry in report["per_request"]:
-            for chosen in entry["chosen"].values():
-                assert chosen in entry["measured_seconds"]
+            assert entry["chosen"] in entry["measured_seconds"]

@@ -288,27 +288,44 @@ class TestAutoRouting:
         assert again["cached"] is True and again["backend"] == SOA
 
 
-    def test_session_honours_the_request_policy(self, harness, library):
-        """A /session is routed, and counted, under the request's
-        policy, and splices on object, the one store that splices."""
-        from repro.routing.router import router_for
+    def test_session_counts_on_the_one_router(self, harness, library):
+        """A /session is routed, and counted, by the process-wide
+        router, and splices on object, the one store that splices."""
+        from repro.routing.router import ROUTER
         from repro.tree.io import library_to_dict
 
         body = {
             "net": tree_to_dict(random_tree_net(8, seed=11)),
             "library": library_to_dict(library),
-            "policy": "never_batch",
         }
         answer = harness.client._request("POST", "/solve", body)
         assert answer["backend"] == "object"
-        router = router_for("never_batch")
-        before = router.stats()["decisions_by_strategy"].get(
+        before = ROUTER.stats()["decisions_by_strategy"].get(
             "object-splice", 0)
         session = harness.client._request("POST", "/session", body)
         assert session["backend"] == "object"
-        after = router.stats()["decisions_by_strategy"]["object-splice"]
+        after = ROUTER.stats()["decisions_by_strategy"]["object-splice"]
         assert after == before + 1
         harness.client._request("DELETE", f"/session/{session['session']}")
+
+    def test_a_policy_field_opens_no_second_pool(self, harness, library):
+        """A /solve with ``"policy"`` is refused before it reaches a
+        pool, so it never warms a second pool beside the one a /solve
+        without it uses: one context, one pool."""
+        from repro.tree.io import library_to_dict
+
+        body = {
+            "net": tree_to_dict(random_tree_net(8, seed=11)),
+            "library": library_to_dict(library),
+        }
+        assert harness.client._request("POST", "/solve", body)
+        for policy in ("static", "never_batch"):
+            status, _ = harness.client._request_text(
+                "POST", "/solve", dict(body, policy=policy))
+            assert status == 400
+        assert harness.client._request(
+            "POST", "/solve", body)["cached"] is True
+        assert len(harness.client.stats()["pools"]) == 1
 
     @pytest.mark.parametrize("store", ["soa", "mmap"])
     def test_session_on_another_store_is_400(self, harness, library, store):
@@ -332,6 +349,7 @@ class TestAutoRouting:
         "policy", ["model", "always_splice", "always_scratch", "fastest"]
     )
     def test_unknown_policy_is_400(self, harness, net, library, policy):
+        """Any ``policy`` field is refused: routing has one rule."""
         from repro.tree.io import library_to_dict
 
         body = {
@@ -342,7 +360,7 @@ class TestAutoRouting:
         for path in ("/solve", "/session"):
             status, text = harness.client._request_text("POST", path, body)
             assert status == 400
-            assert "unknown routing policy" in json.loads(text)["error"]
+            assert POLICY_REFUSAL in json.loads(text)["error"]
 
 
 class TestBatch:
@@ -469,7 +487,6 @@ class TestStats:
         assert stats["pools"] == [{
             "algorithm": "fast",
             "backend": "auto",
-            "policy": "static",
             "jobs": 1,
             "library_size": 4,
             "in_flight": 0,
@@ -1133,20 +1150,33 @@ UNKNOWN_STORE = (
     "unknown candidate-store backend 'mmap'; choose one of ('object', 'soa')"
 )
 
-#: Every surface that takes a store name, and every one that takes a
+#: The 400 every endpoint answers a ``"policy"`` field with.
+POLICY_REFUSAL = "'policy' is not a request field: routing has one rule"
+
+#: Every surface that takes a store name, and every one that took a
 #: routing policy.
 STORE_SURFACES = (
     "insert_buffers", "insert_buffers_with_inverters", "run_dynamic_program",
     "SolverPool", "solve_many", "/solve", "/batch", "/session",
     "repro buffer",
 )
-POLICY_SURFACES = ("insert_buffers", "SolverPool", "/solve", "repro serve")
+POLICY_SURFACES = (
+    "insert_buffers", "SolverPool", "solve_many", "Router", "request_key",
+    "WorkloadLog.record", "replay", "BufferServer", "serve",
+    "/solve", "/batch", "/session", "repro serve", "repro replay",
+)
+#: The one rule's old name, the retired escape hatches and the retired
+#: store pins.
+POLICY_NAMES = (
+    "static", "always_batch", "never_batch", "always_parallel",
+    "never_parallel", "always_object", "always_soa",
+)
 
 
 @pytest.mark.parametrize("surface, field, name", [
     *[(surface, "backend", "mmap") for surface in STORE_SURFACES],
     *[(surface, "policy", policy) for surface in POLICY_SURFACES
-      for policy in ("always_object", "always_soa")],
+      for policy in POLICY_NAMES],
 ])
 def test_one_rejection_rule(
     request, net, library, tmp_path, monkeypatch, surface, field, name
@@ -1154,20 +1184,33 @@ def test_one_rejection_rule(
     """A store is named by ``backend`` alone, and every entry point
     refuses an unknown one the same way: ``AlgorithmError`` with one
     message in process, a 400 that opens no pool or session over HTTP,
-    exit 2 from the CLI.  The retired store-pinning policies are
-    unknown policies everywhere."""
+    exit 2 from the CLI.  Routing has one rule, so a ``policy`` is
+    refused loudly everywhere it was once taken, never ignored: the
+    unknown-option ``AlgorithmError`` where a call takes ``**options``,
+    a ``TypeError`` where it does not, the same 400 over HTTP and
+    exit 2 from the CLI."""
     from repro.core.batch import solve_many
     from repro.core.dp import run_dynamic_program
     from repro.core.polarity import insert_buffers_with_inverters
     from repro.core.registry import get_algorithm
     from repro.errors import AlgorithmError
+    from repro.routing.features import features_of
+    from repro.routing.router import ExecutionPlan, Router
+    from repro.routing.workload import WorkloadLog, replay
+    from repro.service.canon import request_key
+    from repro.service.server import BufferServer, serve
     from repro.tree.io import library_to_dict
 
     kwargs = {field: name}
-    error, message = (
-        (AlgorithmError, UNKNOWN_STORE) if field == "backend"
-        else (ValueError, f"unknown routing policy {name!r}")
-    )
+    if field == "backend":
+        error, message = AlgorithmError, UNKNOWN_STORE
+    elif surface in ("insert_buffers", "SolverPool", "solve_many"):
+        error, message = (
+            AlgorithmError, "unknown options for 'fast': ['policy']")
+    elif surface.startswith("/"):
+        error, message = None, POLICY_REFUSAL
+    else:
+        error, message = TypeError, None
     if surface.startswith("/"):
         harness = request.getfixturevalue("harness")
         body = {"net": tree_to_dict(net), "library": library_to_dict(library),
@@ -1186,8 +1229,14 @@ def test_one_rejection_rule(
         served = []
         monkeypatch.setattr(
             "repro.service.server.serve", lambda **kw: served.append(kw))
-        if surface == "repro serve":
-            assert main(["serve", "--port", "0", "--policy", name]) == 2
+        if surface in ("repro serve", "repro replay"):
+            log = tmp_path / "log.jsonl"
+            log.write_text("")
+            argv = (["serve", "--port", "0"] if surface == "repro serve"
+                    else ["replay", "--log", str(log)])
+            with pytest.raises(SystemExit) as exit_info:
+                main([*argv, "--policy", name])
+            assert exit_info.value.code == 2
         else:
             net_path = tmp_path / "net.json"
             lib_path = tmp_path / "lib.json"
@@ -1209,10 +1258,24 @@ def test_one_rejection_rule(
                     "object", library), "fast", **kwargs),
             "SolverPool": lambda: SolverPool(library, **kwargs),
             "solve_many": lambda: solve_many([net], library, **kwargs),
+            "Router": lambda: Router(**kwargs),
+            "request_key": lambda: request_key(net, library, **kwargs),
+            "WorkloadLog.record": lambda: WorkloadLog(log).record(
+                "solve", digest="d", features=features_of(net, library),
+                plan=ExecutionPlan("object", "compiled"), seconds=0.0,
+                **kwargs),
+            "replay": lambda: replay([], policies=(name,)),
+            "BufferServer": lambda: BufferServer(**kwargs),
+            "serve": lambda: serve(port=0, **kwargs),
         }
+        log = tmp_path / "log.jsonl"
         with pytest.raises(error) as info:
             calls[surface]()
-        assert str(info.value).startswith(message)
+        if message is not None:
+            assert str(info.value).startswith(message)
+        else:
+            assert "unexpected keyword argument 'polic" in str(info.value)
+        assert not log.exists()
 
 
 MALFORMED = malformed_requests()

@@ -127,6 +127,6 @@ def test_stats_schema_matches_golden(harness):
     # a golden regeneration cannot silently drop them.
     routing = stats["routing"]
     assert set(routing) == {
-        "policy", "decisions", "decisions_by_strategy", "workload_records",
+        "decisions", "decisions_by_strategy", "workload_records",
     }
     assert routing["decisions"] >= 1

@@ -30,7 +30,7 @@ regresses.  Thresholds always come from the benchmark file itself
   same pre-compiled lanes (see ``benchmarks/bench_batch_axis.py``).
   Smaller cells are printed as ungated context.
 * ``BENCH_PR8.json`` (has ``routing``) — the execution-routing gate:
-  on the mixed replay corpus the default ``static`` policy's total must
+  on the mixed replay corpus the ``static`` routing rule's total must
   reach ``ci_gate.min_static_speedup_vs_oracle`` of the oracle
   (per-request best measured plan; see ``benchmarks/bench_routing.py``).
 * ``BENCH_PR9.json`` (has ``resilience``) — the chaos gate: under the
@@ -348,9 +348,9 @@ def check_routing(payload: dict, path: Path) -> int:
     min_static_vs_oracle = payload["ci_gate"]["min_static_speedup_vs_oracle"]
 
     report = payload["routing"]
-    policies = report["policies"]
-    if "static" not in policies:
-        print("perf gate: replay report has no 'static' policy bucket")
+    static = report.get("static")
+    if static is None:
+        print("perf gate: replay report has no 'static' bucket")
         return 1
 
     oracle = report["oracle_seconds"]
@@ -359,15 +359,12 @@ def check_routing(payload: dict, path: Path) -> int:
         f"parity checked across {report['parity_checked']} plan runs, "
         f"oracle {oracle*1e3:.1f}ms"
     )
-    for name, bucket in policies.items():
-        print(
-            f"perf gate:   {name:<16}"
-            f" {bucket['total_seconds']*1e3:9.1f}ms"
-            f"  vs-oracle {bucket['speedup_vs_oracle']:5.2f}x"
-            f"  vs-static {bucket['speedup_vs_static']:5.2f}x"
-        )
+    print(
+        f"perf gate:   static {static['total_seconds']*1e3:9.1f}ms"
+        f"  regret {static['regret_seconds']*1e3:8.1f}ms"
+    )
 
-    static_vs_oracle = policies["static"]["speedup_vs_oracle"]
+    static_vs_oracle = static["speedup_vs_oracle"]
     ok = static_vs_oracle >= min_static_vs_oracle
     print(
         f"perf gate: static vs oracle {static_vs_oracle:.3f} "
@@ -375,7 +372,7 @@ def check_routing(payload: dict, path: Path) -> int:
     )
     if not ok:
         print(
-            "perf gate: the default routing policy is leaving measured "
+            "perf gate: the routing rule is leaving measured "
             "wall time on the table"
         )
     return 0 if ok else 1
