@@ -57,6 +57,7 @@ from repro.core.batch import SolverPool
 from repro.core.schedule import compile_net
 from repro.experiments.workloads import FIG4_NET, build_net
 from repro.library.generators import paper_library
+from repro.obs.metrics import default_registry
 from repro.tree.builders import random_tree_net
 from repro.tree.node import Driver
 from repro.tree.segmenting import segment_to_position_count
@@ -123,10 +124,12 @@ def measure_cell(compiled, library, workers: int, serial_seconds: float,
             started = time.perf_counter()
             pool.solve([compiled])
             best = min(best, time.perf_counter() - started)
-        report = pool.parallel_stats()["last"]
-    if report is None:
-        # jobs=1: the pool never routes, the cell is the pure serial
-        # baseline through the same pool plumbing.
+    if workers > 1:
+        # The process's latest partitioned solve: this cell's last one.
+        report = default_registry().latest("partitioned_solve")
+    else:
+        # jobs=1: the pool never partitions, the cell is the pure
+        # serial baseline through the same pool plumbing.
         report = {
             "engaged": False, "reason": "single worker (serial baseline)",
             "partitions": 0, "coverage": 0.0, "residual_fraction": 1.0,

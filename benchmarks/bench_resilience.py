@@ -19,8 +19,10 @@ What the numbers mean:
 * ``latency`` — per-request wall-clock percentiles.  Fault handling
   costs time (a hang is only detected at ``task_timeout``); p99 shows
   the price of the worst recovery path.
-* ``supervisor`` / ``breakers`` — what the recovery machinery actually
-  did: retries, pool respawns, in-process fallbacks, breaker trips.
+* ``supervisor`` / ``breaker_trips`` — what the recovery machinery
+  actually did during the run: retries, pool respawns, in-process
+  fallbacks, and each breaker's trips, failures and successes (deltas
+  of the process registry's counters) beside its final state.
 
 ``ci_gate`` thresholds are embedded in the output and enforced by
 ``tools/perf_gate.py`` against a freshly generated file: at least
@@ -47,12 +49,14 @@ from typing import Dict, List, Optional
 from repro.core.api import insert_buffers
 from repro.core.batch import SolverPool
 from repro.library.generators import paper_library
+from repro.obs.metrics import process_counter
 from repro.resilience import (
     FaultPlan,
     FaultRule,
     clear_fault_plan,
     install_fault_plan,
 )
+from repro.resilience.breaker import STRATEGY_AXES
 from repro.tree.builders import random_tree_net
 
 LIBRARY_SIZE = 8
@@ -73,6 +77,27 @@ CI_GATE = {
     # degraded execution is allowed, degraded *results* are not.
     "require_bit_identical": True,
 }
+
+
+#: The supervisor's events, as BENCH_PR9's ``supervisor`` block names them.
+SUPERVISOR_EVENTS = ("retries", "respawns", "fallbacks", "supervised_failures")
+
+#: Each breaker's counted events, by the key BENCH_PR9 reports them under.
+BREAKER_EVENTS = (("trips", "trip"), ("failures", "failure"),
+                  ("successes", "success"))
+
+
+def _events() -> Dict[str, Dict[str, float]]:
+    """Supervisor and per-axis breaker events counted so far in this
+    process's registry."""
+    events = {
+        "supervisor": process_counter("repro_supervisor_events_total").by(
+            "event")
+    }
+    for axis in STRATEGY_AXES:
+        events[axis] = process_counter("repro_breaker_events_total").by(
+            "event", axis=axis)
+    return events
 
 
 def _percentile(samples: List[float], fraction: float) -> float:
@@ -118,6 +143,7 @@ def collect(requests: int, scale: float, seed: int,
     successes = 0
     identical = 0
     failures: List[str] = []
+    before = _events()
     install_fault_plan(plan, export_env=True)
     try:
         with SolverPool(
@@ -134,10 +160,26 @@ def collect(requests: int, scale: float, seed: int,
                     if _identical(result, reference):
                         identical += 1
                 latencies.append(time.perf_counter() - started)
-            supervisor = pool.supervisor.stats()
-            resilience = pool.resilience_stats()
+            states = {
+                axis: pool.breakers.breaker(axis).state
+                for axis in STRATEGY_AXES
+            }
     finally:
         clear_fault_plan()
+    after = _events()
+
+    def moved(kind: str, event: str) -> int:
+        return int(after[kind].get(event, 0) - before[kind].get(event, 0))
+
+    supervisor = {
+        event: moved("supervisor", event) for event in SUPERVISOR_EVENTS
+    }
+    breakers = {
+        axis: {"state": states[axis], **{
+            key: moved(axis, event) for key, event in BREAKER_EVENTS
+        }}
+        for axis in STRATEGY_AXES
+    }
 
     return {
         "meta": {
@@ -175,7 +217,7 @@ def collect(requests: int, scale: float, seed: int,
                 "total_seconds": sum(latencies),
             },
             "supervisor": supervisor,
-            "breaker_trips": resilience["breakers"],
+            "breaker_trips": breakers,
         },
     }
 

@@ -6,12 +6,13 @@ captures it in the workload-log format (:mod:`repro.routing.workload`),
 then replays it under the routing rule and reports its total wall time
 and regret against the oracle (the per-request best measured plan).
 
-The corpus is the benchmark's contract with the test suite: running
-with ``--capture tests/data/workload_mixed.jsonl`` regenerates the
-committed regression corpus the tier-1 replay test locks the schema
-with.  The benchmark itself builds the same corpus in a temporary
-file, so the committed artifact and the measured one cannot drift
-structurally.
+The benchmark builds its corpus afresh in a temporary file;
+``--capture PATH`` writes today's corpus to a path of one's choosing
+and exits.  ``tests/data/workload_mixed.jsonl`` is not that corpus: it
+is a frozen schema-v1 corpus, kept to prove that old workload logs
+still replay (the tier-1 replay test pins its record mix and parity
+count), so do not overwrite it with a capture.  Its records' digests,
+features, nets, plans and edit scripts differ from a fresh capture's.
 
 What the numbers mean:
 
@@ -38,7 +39,7 @@ Run::
     PYTHONPATH=src python benchmarks/bench_routing.py \\
         [--out BENCH_PR8.json] [--scale 1.0] [--repeats 3]
     PYTHONPATH=src python benchmarks/bench_routing.py \\
-        --capture tests/data/workload_mixed.jsonl
+        --capture workload.jsonl
 """
 
 from __future__ import annotations
@@ -238,8 +239,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="best-of repeats per (request, plan) (default 3)")
     parser.add_argument(
         "--capture", type=Path, default=None, metavar="PATH",
-        help="only write the corpus JSONL here (the committed "
-             "tests/data/workload_mixed.jsonl mode) and exit")
+        help="only write today's corpus JSONL to PATH and exit "
+             "(not the frozen tests/data/workload_mixed.jsonl)")
     args = parser.parse_args(argv)
 
     if args.capture is not None:

@@ -45,6 +45,12 @@ unsupported contexts take the per-net path, and
 engine, and NumPy with it, is imported only when a group is routed to
 ``soa``; a pool that never sees one never loads NumPy.
 
+A pool counts what it runs — units by lane count, partitioned
+outcomes, degraded units — in the process registry
+(:data:`repro.obs.metrics.PROCESS_COUNTERS`), in this process, where
+each unit is routed and its results come back; its worker processes
+only solve.
+
 :func:`parallel_map` is the underlying generic helper, reused by the
 experiment harness to parallelize Table 1 / figure sweep cells.
 """
@@ -60,6 +66,7 @@ from repro.core.schedule import CompiledNet, compile_net, group_signature
 from repro.core.solution import BufferingResult
 from repro.errors import DeadlineExceeded, WorkerHangError
 from repro.library.library import BufferLibrary
+from repro.obs.metrics import default_registry, process_counter
 from repro.obs.spans import active_tracer
 from repro.resilience.breaker import BreakerBoard
 from repro.resilience.deadline import Deadline, active_deadline, deadline_scope
@@ -259,12 +266,10 @@ class SolverPool:
         max_retries: Supervised dispatch attempts after the first
             failure; exhausting them degrades to the bit-identical
             in-process fallback instead of failing the solve (see
-            :mod:`repro.resilience.supervisor`).
-        breaker_threshold / breaker_reset_seconds: Circuit-breaker
-            tuning for the ``parallel`` / ``batch_axis`` strategy axes
-            (:mod:`repro.resilience.breaker`): consecutive failures
-            that trip an axis, and the cool-down before a half-open
-            probe.
+            :mod:`repro.resilience.supervisor`).  The ``parallel`` and
+            ``batch_axis`` strategy axes each have a circuit breaker
+            with :class:`~repro.resilience.breaker.BreakerBoard`'s
+            defaults.
         **options: Algorithm-specific flags.
 
     Raises:
@@ -284,8 +289,6 @@ class SolverPool:
         workload_log=None,
         task_timeout: Optional[float] = None,
         max_retries: int = 2,
-        breaker_threshold: int = 3,
-        breaker_reset_seconds: float = 30.0,
         **options,
     ) -> None:
         from repro.core.registry import get_algorithm
@@ -317,36 +320,23 @@ class SolverPool:
             if not isinstance(workload_log, WorkloadLog):
                 self.workload_log = WorkloadLog(workload_log)
                 self._owns_log = True
-        self._parallel_stats: dict = {
-            "parallel_solves": 0,
-            "fallback_solves": 0,
-            "partitions_total": 0,
-            "last": None,
-        }
         self.options = dict(options)
         self.task_timeout = task_timeout
         self.supervisor = Supervisor(max_retries=max_retries)
-        self.breakers = BreakerBoard(
-            failure_threshold=breaker_threshold,
-            reset_seconds=breaker_reset_seconds,
-        )
-        self._resilience_counters = {
-            "batch_group_fallbacks": 0,
-            "partitioned_fallbacks": 0,
-        }
+        self.breakers = BreakerBoard()
         self._pool = None  # created lazily on the first multi-process solve
         self._closed = False
-        self._batch_axis = supports_batch_axis(
+        #: Whether groups may ride the batch axis (turned off for good
+        #: if an installed NumPy fails to import).
+        self.batch_axis = supports_batch_axis(
             self.backend, library, algorithm, self.options
         )
-        self._batch_stats = {
-            "groups": 0,
-            "lanes_histogram": {},
-            "batched_solves": 0,
-            "scalar_solves": 0,
-            "factories": 0,
-            "arena_pooled_bytes": 0,
-        }
+        #: ``(warm lane factories, their pooled arena bytes)`` as of the
+        #: last group solved in this process, published by the solving
+        #: thread in one assignment: a reader on another thread (the
+        #: server's event loop) sees a whole pair and never walks a
+        #: factory.
+        self.lane_arena = (0, 0)
         # Warm batch-axis factories, one per lane count (LRU-capped):
         # reusing a factory keeps its grown arena blocks and tape
         # capacity across solves, as a CompiledNet's own factory does
@@ -361,10 +351,6 @@ class SolverPool:
         # Guards lazy pool creation: without it, two threads' first
         # solves would each spawn a worker pool and leak one.
         self._create_lock = threading.Lock()
-        # Guards the counters the solving thread publishes for the
-        # *_stats() readers (the server reads them on its event loop),
-        # so a reader never waits on a solve nor walks a factory.
-        self._stats_lock = threading.Lock()
 
     #: Distinct lane counts whose warm factories a pool keeps around.
     _MAX_FACTORIES = 4
@@ -389,12 +375,12 @@ class SolverPool:
         good: the group's lanes, and every later net, solve one by one
         as on a pool without NumPy.
         """
-        if self._batch_axis:
+        if self.batch_axis:
             try:
                 from repro.core.stores import batch_axis  # noqa: F401
             except ImportError:
-                self._batch_axis = False
-        return self._batch_axis
+                self.batch_axis = False
+        return self.batch_axis
 
     def _record_unit(self, indices, compiled, plan, seconds, capture) -> None:
         """Count one executed per-net or batch-axis unit and log it
@@ -402,43 +388,53 @@ class SolverPool:
         bytes are read here, by the thread that owns them)."""
         lanes = len(indices)
         if lanes > 1:
+            process_counter("repro_batch_axis_groups_total").inc(
+                lanes=str(lanes)
+            )
             arena_bytes = 0
             for factory in self._factories.values():
                 pools = factory.stats()
                 arena_bytes += pools["arena"]["pooled_bytes"]
                 arena_bytes += pools["cells"]["pooled_bytes"]
-        with self._stats_lock:
-            stats = self._batch_stats
-            if lanes > 1:
-                stats["groups"] += 1
-                stats["batched_solves"] += lanes
-                histogram = stats["lanes_histogram"]
-                histogram[lanes] = histogram.get(lanes, 0) + 1
-                stats["factories"] = len(self._factories)
-                stats["arena_pooled_bytes"] = arena_bytes
-            else:
-                stats["scalar_solves"] += 1
+            self.lane_arena = (len(self._factories), arena_bytes)
+        else:
+            process_counter("repro_batch_axis_scalar_solves_total").inc()
         self._log_unit(indices, compiled, plan, seconds, capture)
 
     def batch_axis_stats(self) -> dict:
-        """Batch-axis grouping counters for this pool.
+        """Batch-axis grouping counters, and this pool's lane arenas.
 
-        ``groups``/``lanes_histogram``/``batched_solves`` count nets
-        that went through :func:`~repro.core.schedule.run_compiled_group`
-        (inline or in a worker); ``scalar_solves`` counts nets that took
-        the per-net path.  ``factories`` and ``arena_pooled_bytes``
-        report this process's warm batched factories and their resident
-        bytes as of the last group solved here (worker-process
-        factories are private to the workers, like the single-net
-        ones).  Safe from any thread: it copies what the solving thread
-        published and never touches a factory.
+        The counts are the process's, every pool's: ``groups`` /
+        ``lanes_histogram`` / ``batched_solves`` count groups that went
+        through :func:`~repro.core.schedule.run_compiled_group` (inline
+        or in a worker) and the nets in them; ``scalar_solves`` counts
+        nets that took the per-net path.  ``enabled`` is this pool's
+        batch axis; ``factories`` and ``arena_pooled_bytes`` are its
+        :attr:`lane_arena` (worker-process factories are private to
+        the workers, like the single-net ones).  Safe from any thread:
+        it reads the registry and what the solving thread published,
+        and never waits on a solve nor touches a factory.
         """
-        with self._stats_lock:
-            return dict(
-                self._batch_stats,
-                lanes_histogram=dict(self._batch_stats["lanes_histogram"]),
-                enabled=self._batch_axis,
-            )
+        histogram = {
+            int(lanes): int(count)
+            for lanes, count in process_counter(
+                "repro_batch_axis_groups_total"
+            ).by("lanes").items()
+        }
+        factories, arena_bytes = self.lane_arena
+        return {
+            "groups": sum(histogram.values()),
+            "lanes_histogram": histogram,
+            "batched_solves": sum(
+                lanes * count for lanes, count in histogram.items()
+            ),
+            "scalar_solves": int(
+                process_counter("repro_batch_axis_scalar_solves_total").value()
+            ),
+            "factories": factories,
+            "arena_pooled_bytes": arena_bytes,
+            "enabled": self.batch_axis,
+        }
 
     def compile(
         self, net: Union[RoutingTree, CompiledNet]
@@ -491,7 +487,8 @@ class SolverPool:
         result.  Dispatch failures (dead or hung workers, when
         ``task_timeout`` is set) are supervised: the pool is respawned
         and the work retried, then degraded to the bit-identical
-        in-process path (see :meth:`resilience_stats`).
+        in-process path (counted in ``repro_supervisor_events_total``
+        and ``repro_degraded_units_total``).
         """
         if self._closed:
             raise RuntimeError("SolverPool is closed")
@@ -623,7 +620,7 @@ class SolverPool:
         from repro.routing.features import features_of
 
         batch_ok = False
-        if self._batch_axis and len(compiled) > 1:
+        if self.batch_axis and len(compiled) > 1:
             # A tripped "batch_axis" breaker degrades every group to
             # singletons (bit-identical, just unbatched).
             batch_ok = self.breakers.allow("batch_axis")
@@ -721,7 +718,15 @@ class SolverPool:
     def _solve_partitioned_net(
         self, net: CompiledNet, plan, capture_entry=None
     ) -> BufferingResult:
-        """One large net across all workers, spliced in this process."""
+        """One large net across all workers, spliced in this process.
+
+        Counts its outcome (``engaged``, or a serial ``fallback`` when
+        the cut planner found the net too chain-like or under-covered;
+        the same result either way) and its partitions, and notes its
+        report as the process's latest ``partitioned_solve``:
+        partitions, cut depths, coverage, splice (residual) fraction,
+        dispatch timings and pool utilization.
+        """
         from repro.parallel.solver import solve_partitioned
 
         report: dict = {}
@@ -744,7 +749,7 @@ class SolverPool:
                 if not is_supervisable(exc):
                     raise
                 self.breakers.record("parallel", False)
-                self._resilience_counters["partitioned_fallbacks"] += 1
+                _count_degraded("partitioned")
                 report["engaged"] = False
                 report["reason"] = f"degraded after worker failure: {exc}"
                 from repro.core.api import insert_buffers
@@ -763,14 +768,15 @@ class SolverPool:
                     # never exercised, so a half-open probe returns.
                     self.breakers.cancel("parallel")
             elapsed = time.perf_counter() - start
-            with self._stats_lock:
-                stats = self._parallel_stats
-                if report["engaged"]:
-                    stats["parallel_solves"] += 1
-                    stats["partitions_total"] += report["partitions"]
-                else:
-                    stats["fallback_solves"] += 1
-                stats["last"] = report
+            engaged = report["engaged"]
+            process_counter("repro_partitioned_solves_total").inc(
+                outcome="engaged" if engaged else "fallback"
+            )
+            if engaged:
+                process_counter("repro_partitions_total").inc(
+                    report["partitions"]
+                )
+            default_registry().note("partitioned_solve", report)
             self._log_unit(
                 [0], [net], plan, elapsed,
                 [capture_entry] if capture_entry is not None else None,
@@ -789,7 +795,7 @@ class SolverPool:
         from repro.parallel.worker import _solve_partition, solve_subschedule
 
         def fallback() -> list:
-            self._resilience_counters["partitioned_fallbacks"] += 1
+            _count_degraded("partitioned")
             return [
                 (index, solve_subschedule(
                     sub, root_id, self.library, self.algorithm,
@@ -915,25 +921,6 @@ class SolverPool:
             self.options, factory,
         )
 
-    def parallel_stats(self) -> dict:
-        """Partitioned-solve counters for this pool (``/stats`` block).
-
-        ``parallel_solves``/``fallback_solves`` count nets the router
-        sent here that did / did not engage (a fallback means the cut
-        planner found the net too chain-like or under-covered and the
-        net solved serially — same result).  ``last`` is the most
-        recent solve's full report: partitions, cut depths, coverage,
-        splice (residual) fraction, dispatch timings and pool
-        utilization.
-        """
-        with self._stats_lock:
-            stats = dict(self._parallel_stats)
-            if stats["last"] is not None:
-                stats["last"] = dict(stats["last"])
-        stats["enabled"] = self.jobs > 1
-        stats["threshold_instructions"] = self.parallel_threshold
-        return stats
-
     def _solve_inline(
         self,
         compiled: List[CompiledNet],
@@ -963,7 +950,7 @@ class SolverPool:
                     if not is_supervisable(exc):
                         raise
                     self.breakers.record("batch_axis", False)
-                    self._resilience_counters["batch_group_fallbacks"] += 1
+                    _count_degraded("batch_group")
                     unit_results = [
                         self._run_unit(plan.backend, [net])[0] for net in nets
                     ]
@@ -974,22 +961,6 @@ class SolverPool:
                 results[index] = result
             self._record_unit(indices, compiled, plan, elapsed, capture)
         return results  # type: ignore[return-value]
-
-    def resilience_stats(self) -> dict:
-        """Supervision and breaker counters (``/stats`` block).
-
-        ``supervisor`` aggregates retries / respawns / fallbacks across
-        every supervised dispatch; ``breakers`` reports each strategy
-        axis's state machine; the ``*_fallbacks`` counters say how many
-        execution units degraded to the bit-identical in-process path.
-        """
-        stats = {
-            "supervisor": self.supervisor.stats(),
-            "breakers": self.breakers.stats(),
-            "task_timeout": self.task_timeout,
-        }
-        stats.update(self._resilience_counters)
-        return stats
 
     def worker_health(self) -> dict:
         """Worker-process liveness (the deep-healthz ``workers`` view).
@@ -1008,15 +979,6 @@ class SolverPool:
                     if procs else 0
                 ),
             }
-
-    def routing_stats(self) -> dict:
-        """Routing decisions and workload-log records (``/stats`` block)."""
-        stats = self.router.stats()
-        log = self.workload_log
-        stats["workload_records"] = (
-            log.records_written if log is not None else 0
-        )
-        return stats
 
     def _ensure_pool(self):
         with self._create_lock:
@@ -1055,6 +1017,11 @@ class SolverPool:
             f"backend={self.backend!r}, jobs={self.jobs}, b="
             f"{self.library.size}, {state})"
         )
+
+
+def _count_degraded(path: str) -> None:
+    """Count one execution unit degraded to the in-process path."""
+    process_counter("repro_degraded_units_total").inc(path=path)
 
 
 def solve_many(

@@ -97,7 +97,7 @@ from repro.core.stores.soa import (
     prime_plan_kernels,
 )
 from repro.errors import AlgorithmError
-from repro.obs.profiler import instrument_ops, record_lane_count
+from repro.obs.profiler import instrument_ops
 from repro.obs.spans import active_tracer
 from repro.resilience.deadline import active_deadline
 
@@ -816,7 +816,6 @@ def solve_group(
         net.driver if driver is None else driver for net in nets
     ]
 
-    record_lane_count(lanes)
     factory.begin_solve()
     deadline = active_deadline()
     tracer = active_tracer()

@@ -8,8 +8,8 @@ Three instrument kinds, deliberately minimal (stdlib only):
   computed at scrape time from a callback (how uptime is derived);
 * :class:`Histogram` — fixed-boundary buckets plus sum and count, the
   Prometheus cumulative-``le`` shape.  Latency buckets for
-  solve/batch/session/edit, list-length and lane-count buckets for the
-  DP statistics.
+  solve/batch/session/edit, list-length buckets for the DP
+  statistics.
 
 A :class:`MetricsRegistry` owns instruments by name (get-or-create, so
 a counter is *defined once* and shared by every caller that names it)
@@ -21,7 +21,14 @@ process-wide one that kernel, pool, supervisor and routing instruments
 feed (so worker-facing subsystems need no plumbing), and each
 :class:`~repro.service.server.BufferServer` owns a private registry for
 its request counters (so two servers in one test process do not bleed
-counts into each other).  ``GET /metrics`` renders both.
+counts into each other).  ``GET /metrics`` renders both, and ``GET
+/stats`` projects the same instruments.  The solver-side counters are
+defined once, in :data:`PROCESS_COUNTERS`, and fed once, where their
+event happens, in the process that routes and dispatches (a pool's
+worker processes only solve).  The process registry also keeps the
+latest report of a kind (:meth:`MetricsRegistry.note`: the last
+partitioned solve), which ``/stats`` shows and ``/metrics`` does not
+render.
 
 :class:`UptimeClock` is the one started-clock helper behind every
 uptime figure: ``/healthz`` and ``/stats`` both read
@@ -41,11 +48,12 @@ __all__ = [
     "Gauge",
     "Histogram",
     "LATENCY_BUCKETS",
-    "LANE_BUCKETS",
     "LIST_LENGTH_BUCKETS",
     "MetricsRegistry",
+    "PROCESS_COUNTERS",
     "UptimeClock",
     "default_registry",
+    "process_counter",
 ]
 
 #: Solve/batch/session/edit latency buckets (seconds) — spaced for a
@@ -63,9 +71,6 @@ LIST_LENGTH_BUCKETS = (
     1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
     256.0, 512.0, 1024.0, 4096.0,
 )
-
-#: Batch-axis lane-count buckets (structural group sizes).
-LANE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 _LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -126,6 +131,17 @@ class Counter(_Instrument):
     def series(self) -> Dict[_LabelKey, float]:
         with self._lock:
             return dict(self._series)
+
+    def by(self, label: str, **where: str) -> Dict[str, float]:
+        """Counts summed by ``label``'s value, over the series whose
+        labels include ``where`` (``by("event", axis="parallel")``)."""
+        want = set(_label_key(where))
+        totals: Dict[str, float] = {}
+        for key, value in self.series().items():
+            labels = dict(key)
+            if label in labels and want <= set(key):
+                totals[labels[label]] = totals.get(labels[label], 0.0) + value
+        return totals
 
     def _set(self, value: float, **labels: str) -> None:
         """Direct assignment — only the dict-compatibility views use it."""
@@ -288,6 +304,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instruments: "Dict[str, _Instrument]" = {}
+        self._notes: Dict[str, dict] = {}
 
     def _get_or_create(self, name: str, factory, kind) -> _Instrument:
         with self._lock:
@@ -329,6 +346,17 @@ class MetricsRegistry:
         clock = UptimeClock()
         self.gauge(name, help, fn=clock.seconds)
         return clock
+
+    def note(self, kind: str, report: dict) -> None:
+        """Keep ``report`` as the latest of its ``kind``."""
+        with self._lock:
+            self._notes[kind] = report
+
+    def latest(self, kind: str) -> Optional[dict]:
+        """A copy of the latest report of ``kind``, or ``None``."""
+        with self._lock:
+            report = self._notes.get(kind)
+        return None if report is None else dict(report)
 
     def instruments(self) -> List[_Instrument]:
         with self._lock:
@@ -406,3 +434,32 @@ def default_registry() -> MetricsRegistry:
         if _default_registry is None:
             _default_registry = MetricsRegistry()
         return _default_registry
+
+
+#: The solver-side counters, by metric name: each is fed once, where
+#: its event happens, in the process that routes and dispatches.
+PROCESS_COUNTERS = {
+    "repro_routing_decisions_total":
+        "Execution plans chosen, by strategy label.",
+    "repro_supervisor_events_total":
+        "Supervisor events across all supervised resources.",
+    "repro_batch_axis_groups_total":
+        "Batch-axis structural groups a pool solved, by lane count.",
+    "repro_batch_axis_scalar_solves_total":
+        "Nets a pool solved one by one, outside a batch-axis group.",
+    "repro_partitioned_solves_total":
+        "Nets routed to a partitioned solve, by outcome "
+        "(engaged, or a serial fallback).",
+    "repro_partitions_total":
+        "Partitions dispatched by engaged partitioned solves.",
+    "repro_degraded_units_total":
+        "Execution units degraded to the in-process path, by path.",
+    "repro_breaker_events_total":
+        "Circuit-breaker trips, failures and successes, by axis.",
+}
+
+
+def process_counter(name: str) -> Counter:
+    """The process registry's counter ``name``, one of
+    :data:`PROCESS_COUNTERS`."""
+    return default_registry().counter(name, PROCESS_COUNTERS[name])

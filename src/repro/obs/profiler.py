@@ -22,11 +22,10 @@ ranges (1 in :attr:`KernelProfiler.sample_every`) emit
 trace, so Perfetto shows where inside the interpreter a slow range
 spent its time without paying span overhead on every range.
 
-Independent of any profiler, two **always-on** registry histograms are
+Independent of any profiler, one **always-on** registry histogram is
 fed once per solve from :class:`~repro.core.solution.DPStats`
-(:func:`record_dp_stats`) and once per batch-axis group
-(:func:`record_lane_count`) — one histogram observation per solve, not
-per instruction.
+(:func:`record_dp_stats`) — one observation per solve, not per
+instruction.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.obs.metrics import (
-    LANE_BUCKETS,
     LIST_LENGTH_BUCKETS,
     Histogram,
     default_registry,
@@ -50,14 +48,13 @@ __all__ = [
     "instrument_ops",
     "profile_scope",
     "record_dp_stats",
-    "record_lane_count",
     "reset_active_profiler",
 ]
 
 _local = threading.local()
 
 #: When ``True``, :func:`active_profiler`, :func:`instrument_ops` and
-#: the always-on histogram feeds short-circuit to no-ops.  Only
+#: the always-on histogram feed short-circuit to no-ops.  Only
 #: ``benchmarks/bench_obs.py`` sets this, to measure the cost of the
 #: observability entry checks themselves against a bypassed baseline.
 _BYPASS = False
@@ -265,7 +262,7 @@ def instrument_ops(
     )
 
 
-# -- always-on histogram feeds (one observation per solve / group) ------
+# -- the always-on histogram feed (one observation per solve) -----------
 
 def _peak_histogram(registry=None) -> Histogram:
     registry = registry if registry is not None else default_registry()
@@ -276,24 +273,8 @@ def _peak_histogram(registry=None) -> Histogram:
     )
 
 
-def _lane_histogram(registry=None) -> Histogram:
-    registry = registry if registry is not None else default_registry()
-    return registry.histogram(
-        "repro_batch_lanes",
-        "Lane count per batch-axis structural group.",
-        LANE_BUCKETS,
-    )
-
-
 def record_dp_stats(stats) -> None:
-    """Feed the always-on histograms from one solve's ``DPStats``."""
+    """Feed the always-on histogram from one solve's ``DPStats``."""
     if _BYPASS:
         return
     _peak_histogram().observe(stats.peak_list_length)
-
-
-def record_lane_count(lanes: int) -> None:
-    """Feed the lane-count histogram from one batch-axis group."""
-    if _BYPASS:
-        return
-    _lane_histogram().observe(lanes)

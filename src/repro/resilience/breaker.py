@@ -13,18 +13,23 @@ A :class:`CircuitBreaker` guards one strategy axis (``"parallel"``,
   success closes the breaker, failure re-opens it and restarts the
   cool-down.
 
-:class:`BreakerBoard` holds one breaker per axis and renders the
-``/stats`` / deep-healthz view.  Callers consult the board by masking
-the ``supports_parallel`` / ``supports_batch`` capability flags they
-pass to :meth:`repro.routing.router.Router.route`, so a tripped axis
-is simply never chosen — routing itself stays deterministic.
+Every trip, failure and success counts in the process registry's
+``repro_breaker_events_total`` (by ``axis`` and ``event``), which the
+``/stats`` ``resilience`` block projects beside each breaker's live
+state.  :class:`BreakerBoard` holds one breaker per axis.  Callers
+consult the board by masking the ``supports_parallel`` /
+``supports_batch`` capability flags they pass to
+:meth:`repro.routing.router.Router.route`, so a tripped axis is simply
+never chosen — routing itself stays deterministic.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
+
+from repro.obs.metrics import process_counter
 
 __all__ = ["CircuitBreaker", "BreakerBoard", "STRATEGY_AXES"]
 
@@ -41,7 +46,7 @@ class CircuitBreaker:
     """A three-state breaker for one strategy axis.
 
     Args:
-        name: Axis label, used in stats output.
+        name: Axis label, the ``axis`` of its counted events.
         failure_threshold: Consecutive failures that trip the breaker.
         reset_seconds: Cool-down before a half-open probe is admitted.
         clock: Monotonic time source (injectable for tests).
@@ -65,9 +70,11 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         self._opened_at = 0.0
         self._probe_in_flight = False
-        self.trips = 0
-        self.failures = 0
-        self.successes = 0
+
+    def _count(self, event: str) -> None:
+        process_counter("repro_breaker_events_total").inc(
+            axis=self.name, event=event
+        )
 
     @property
     def state(self) -> str:
@@ -103,10 +110,10 @@ class CircuitBreaker:
 
     def record_success(self) -> None:
         with self._lock:
-            self.successes += 1
             self._consecutive_failures = 0
             self._state = _CLOSED
             self._probe_in_flight = False
+        self._count("success")
 
     def cancel_probe(self) -> None:
         """Return an unused half-open probe token.
@@ -121,39 +128,26 @@ class CircuitBreaker:
 
     def record_failure(self) -> None:
         with self._lock:
-            self.failures += 1
             self._probe_in_flight = False
-            if self._state == _HALF_OPEN:
-                # Failed probe: re-open and restart the cool-down.
-                self._state = _OPEN
-                self._opened_at = self._clock()
-                self.trips += 1
-                return
             self._consecutive_failures += 1
-            if (
+            # A failed probe re-opens and restarts the cool-down.
+            tripped = self._state == _HALF_OPEN or (
                 self._state == _CLOSED
                 and self._consecutive_failures >= self.failure_threshold
-            ):
+            )
+            if tripped:
                 self._state = _OPEN
                 self._opened_at = self._clock()
-                self.trips += 1
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "state": self._effective_state(),
-                "trips": self.trips,
-                "failures": self.failures,
-                "successes": self.successes,
-                "consecutive_failures": self._consecutive_failures,
-            }
+        self._count("failure")
+        if tripped:
+            self._count("trip")
 
     def __repr__(self) -> str:
         return f"CircuitBreaker({self.name!r}, state={self.state!r})"
 
 
 class BreakerBoard:
-    """One breaker per strategy axis, with an aggregate stats view."""
+    """One breaker per strategy axis."""
 
     def __init__(
         self,
@@ -192,9 +186,3 @@ class BreakerBoard:
             breaker.record_success()
         else:
             breaker.record_failure()
-
-    def trips(self) -> int:
-        return sum(b.trips for b in self._breakers.values())
-
-    def stats(self) -> dict:
-        return {axis: b.stats() for axis, b in self._breakers.items()}

@@ -29,7 +29,7 @@ from repro.errors import (
     WorkerCrashError,
     WorkerHangError,
 )
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import process_counter
 from repro.obs.spans import active_tracer
 from repro.resilience.deadline import Deadline
 
@@ -126,9 +126,10 @@ class BackoffPolicy:
 class Supervisor:
     """Retry/respawn/degrade loop around a fallible attempt.
 
-    One instance per supervised resource (e.g. per :class:`SolverPool`);
-    counters aggregate across calls and feed the ``/stats``
-    ``resilience`` block.
+    One instance per supervised resource (e.g. per :class:`SolverPool`).
+    Every retry, respawn, fallback and supervised failure counts in the
+    process registry's ``repro_supervisor_events_total`` (by ``event``),
+    which the ``/stats`` ``resilience`` block projects.
     """
 
     def __init__(
@@ -142,19 +143,10 @@ class Supervisor:
         self.max_retries = int(max_retries)
         self.backoff = backoff if backoff is not None else BackoffPolicy()
         self._sleep = sleep
-        self._lock = threading.Lock()
-        self.retries = 0
-        self.respawns = 0
-        self.fallbacks = 0
-        self.supervised_failures = 0
 
-    def _count(self, field: str) -> None:
-        with self._lock:
-            setattr(self, field, getattr(self, field) + 1)
-        default_registry().counter(
-            "repro_supervisor_events_total",
-            "Supervisor events across all supervised resources.",
-        ).inc(event=field)
+    @staticmethod
+    def _count(event: str) -> None:
+        process_counter("repro_supervisor_events_total").inc(event=event)
 
     def run(
         self,
@@ -216,12 +208,3 @@ class Supervisor:
             return fallback()
         assert last is not None
         raise last
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "retries": self.retries,
-                "respawns": self.respawns,
-                "fallbacks": self.fallbacks,
-                "supervised_failures": self.supervised_failures,
-            }

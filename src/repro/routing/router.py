@@ -28,12 +28,11 @@ object-store reference, and locks the decisions themselves in
 
 from __future__ import annotations
 
-import threading
 from dataclasses import asdict, dataclass, replace
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.stores import SPLICE_BACKEND, numpy_installed
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import process_counter
 from repro.obs.spans import active_tracer
 from repro.routing.features import RequestFeatures, features_of
 
@@ -152,7 +151,8 @@ def solo_store(backend: str, compiled) -> str:
 
 class Router:
     """Turns request features into :class:`ExecutionPlan` decisions by
-    the static rule, and counts the decisions it executes.
+    the static rule, and counts the decisions it executes in the
+    process registry's ``repro_routing_decisions_total``.
 
     Args:
         parallel_threshold: Instruction floor of the partitioned solve;
@@ -164,8 +164,6 @@ class Router:
             DEFAULT_PARALLEL_THRESHOLD
             if parallel_threshold is None else parallel_threshold
         )
-        self._lock = threading.Lock()
-        self._decisions: Dict[str, int] = {}
 
     def route(
         self,
@@ -247,27 +245,14 @@ class Router:
         )
 
     def record(self, plan: ExecutionPlan) -> None:
-        """Count one executed plan in :meth:`stats` and the registry."""
-        key = plan.strategy
-        with self._lock:
-            self._decisions[key] = self._decisions.get(key, 0) + 1
-        default_registry().counter(
-            "repro_routing_decisions_total",
-            "Execution plans chosen, by strategy label.",
-        ).inc(strategy=key)
-
-    def stats(self) -> dict:
-        """The ``/stats`` ``routing`` block for one router."""
-        with self._lock:
-            decisions = dict(self._decisions)
-        return {
-            "decisions": sum(decisions.values()),
-            "decisions_by_strategy": decisions,
-        }
+        """Count one executed plan, by its strategy label."""
+        process_counter("repro_routing_decisions_total").inc(
+            strategy=plan.strategy
+        )
 
 
 #: The process-wide router: ``insert_buffers`` and the server's
-#: sessions route with it, so its decision counters accumulate.  A
-#: :class:`~repro.core.batch.SolverPool` keeps its own, for its
-#: ``parallel_threshold``.
+#: sessions route with it.  A :class:`~repro.core.batch.SolverPool`
+#: keeps its own, for its ``parallel_threshold``; every router counts
+#: into the one registry counter.
 ROUTER = Router()

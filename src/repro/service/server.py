@@ -26,8 +26,8 @@ path                      method  purpose
                                   routing decisions and the resilience
                                   block (retries, trips, sheds, drains,
                                   deadline hits)
-``/metrics``              GET     the same counters (plus latency, list-
-                                  length and lane histograms and kernel
+``/metrics``              GET     the same counters (plus latency and
+                                  list-length histograms and kernel
                                   profiler totals) as Prometheus text
                                   exposition format
 ========================  ======  ==========================================
@@ -150,6 +150,7 @@ from repro.obs.metrics import (
     CounterGroup,
     MetricsRegistry,
     default_registry,
+    process_counter,
 )
 from repro.obs.spans import (
     Tracer,
@@ -159,6 +160,7 @@ from repro.obs.spans import (
     trace_scope,
 )
 from repro.resilience import Deadline
+from repro.resilience.breaker import STRATEGY_AXES
 from repro.service.cache import CacheStats, ResultCache, SolutionPayload
 from repro.service.canon import (
     CanonicalNet,
@@ -454,8 +456,8 @@ class BufferServer:
     def solves_by_backend(self) -> Dict[str, int]:
         """Per-backend solve counts, read from the labeled counter."""
         return {
-            dict(key).get("backend", ""): int(value)
-            for key, value in self._solve_counter.series().items()
+            backend: int(count)
+            for backend, count in self._solve_counter.by("backend").items()
         }
 
     # -- lifecycle -----------------------------------------------------
@@ -755,7 +757,7 @@ class BufferServer:
                     for entry in self._pools.values()
                     if entry.pool.breakers.breaker(axis).state != "closed"
                 )
-                for axis in ("parallel", "batch_axis")
+                for axis in STRATEGY_AXES
             }
             answer["admission"] = {
                 "in_flight_requests": self._active_requests,
@@ -794,84 +796,62 @@ class BufferServer:
         query: str = "",
         request_id: Optional[str] = None,
     ) -> Tuple[int, Dict]:
-        # Batch-axis health, aggregated over the warm pools: how much
-        # of the traffic actually formed structural groups (the /batch
-        # multi-corner case) versus falling back to per-net solves.
-        batch_axis: Dict[str, Any] = {
-            "pools_enabled": 0,
-            "groups": 0,
-            "lanes_histogram": {},
-            "batched_solves": 0,
-            "scalar_solves": 0,
-            "arena_pooled_bytes": 0,
+        """The instruments ``/metrics`` renders, as JSON, beside live
+        state.
+
+        Every count is read from one of the two registries: request
+        counters from this server's, solver-side counters from the
+        process registry, which counts every pool this process ran
+        (evicted ones too) and the sessions' router.  Only present
+        state is read live: warm pools, their breaker states and lane
+        arenas, caches and sessions.
+        """
+        pools = [entry.pool for entry in self._pools.values()]
+        lanes = _counts("repro_batch_axis_groups_total", "lanes")
+        batch_axis = {
+            "pools_enabled": sum(1 for pool in pools if pool.batch_axis),
+            "groups": sum(lanes.values()),
+            "lanes_histogram": lanes,
+            "batched_solves": sum(
+                int(width) * count for width, count in lanes.items()
+            ),
+            "scalar_solves": int(process_counter(
+                "repro_batch_axis_scalar_solves_total"
+            ).value()),
+            "arena_pooled_bytes": sum(pool.lane_arena[1] for pool in pools),
         }
-        for entry in self._pools.values():
-            pool_stats = entry.pool.batch_axis_stats()
-            batch_axis["pools_enabled"] += 1 if pool_stats["enabled"] else 0
-            batch_axis["groups"] += pool_stats["groups"]
-            batch_axis["batched_solves"] += pool_stats["batched_solves"]
-            batch_axis["scalar_solves"] += pool_stats["scalar_solves"]
-            batch_axis["arena_pooled_bytes"] += (
-                pool_stats["arena_pooled_bytes"]
-            )
-            histogram = batch_axis["lanes_histogram"]
-            for lanes, count in pool_stats["lanes_histogram"].items():
-                key = str(lanes)  # stable JSON schema: string keys
-                histogram[key] = histogram.get(key, 0) + count
-        # Partitioned-solve health over the warm pools: how many large
-        # nets actually fanned out across workers, how balanced the
-        # cuts were, and how much of the last solve stayed serial (the
-        # splice/residual overhead).
-        parallel: Dict[str, Any] = {
-            "pools_enabled": 0,
-            "parallel_solves": 0,
-            "fallback_solves": 0,
-            "partitions_total": 0,
-            "last": None,
+        outcomes = _counts("repro_partitioned_solves_total", "outcome")
+        parallel = {
+            "pools_enabled": sum(1 for pool in pools if pool.jobs > 1),
+            "parallel_solves": outcomes.get("engaged", 0),
+            "fallback_solves": outcomes.get("fallback", 0),
+            "partitions_total": int(
+                process_counter("repro_partitions_total").value()
+            ),
+            "last": default_registry().latest("partitioned_solve"),
         }
-        for entry in self._pools.values():
-            pool_stats = entry.pool.parallel_stats()
-            parallel["pools_enabled"] += 1 if pool_stats["enabled"] else 0
-            parallel["parallel_solves"] += pool_stats["parallel_solves"]
-            parallel["fallback_solves"] += pool_stats["fallback_solves"]
-            parallel["partitions_total"] += pool_stats["partitions_total"]
-            last = pool_stats["last"]
-            if last is not None:
-                parallel["last"] = {
-                    "engaged": last["engaged"],
-                    "reason": last["reason"],
-                    "partitions": last["partitions"],
-                    "cut_depths": list(last["cut_depths"]),
-                    "coverage": last["coverage"],
-                    "residual_fraction": last["residual_fraction"],
-                    "workers": last["workers"],
-                    "total_instructions": last["total_instructions"],
-                    "plan_seconds": last["plan_seconds"],
-                    "dispatch_seconds": last["dispatch_seconds"],
-                    "worker_busy_seconds": last["worker_busy_seconds"],
-                    "pool_utilization": last["pool_utilization"],
-                }
-        # Execution-routing health over the warm pools: which strategy
-        # each routed request landed on.
-        routing: Dict[str, Any] = {
-            "decisions": 0,
-            "decisions_by_strategy": {},
+        decisions = _counts("repro_routing_decisions_total", "strategy")
+        routing = {
+            "decisions": sum(decisions.values()),
+            "decisions_by_strategy": decisions,
             "workload_records": (
                 self._workload_log.records_written
                 if self._workload_log is not None else 0
             ),
         }
-        for entry in self._pools.values():
-            pool_stats = entry.pool.routing_stats()
-            routing["decisions"] += pool_stats["decisions"]
-            by_strategy = routing["decisions_by_strategy"]
-            for strategy, count in (
-                pool_stats["decisions_by_strategy"].items()
-            ):
-                by_strategy[strategy] = by_strategy.get(strategy, 0) + count
-        # Resilience health: supervised-retry/respawn/fallback totals
-        # and breaker state over the warm pools, plus the server-side
-        # admission, deadline, drain and cache-integrity counters.
+        breakers = {}
+        for axis in STRATEGY_AXES:
+            events = _counts("repro_breaker_events_total", "event", axis=axis)
+            states = [pool.breakers.breaker(axis).state for pool in pools]
+            breakers[axis] = {
+                "open": states.count("open"),
+                "half_open": states.count("half_open"),
+                "trips": events.get("trip", 0),
+                "failures": events.get("failure", 0),
+                "successes": events.get("success", 0),
+            }
+        supervisor = _counts("repro_supervisor_events_total", "event")
+        degraded = _counts("repro_degraded_units_total", "path")
         resilience: Dict[str, Any] = {
             "server": {
                 "sheds": self.counters["sheds"],
@@ -887,40 +867,18 @@ class BufferServer:
                 "default_deadline_ms": self.deadline_ms,
             },
             "supervisor": {
-                "retries": 0,
-                "respawns": 0,
-                "fallbacks": 0,
-                "supervised_failures": 0,
+                event: supervisor.get(event, 0)
+                for event in (
+                    "retries", "respawns", "fallbacks", "supervised_failures",
+                )
             },
-            "breaker_trips": 0,
-            "breakers": {},
-            "batch_group_fallbacks": 0,
-            "partitioned_fallbacks": 0,
+            "breaker_trips": sum(
+                counts["trips"] for counts in breakers.values()
+            ),
+            "breakers": breakers,
+            "batch_group_fallbacks": degraded.get("batch_group", 0),
+            "partitioned_fallbacks": degraded.get("partitioned", 0),
         }
-        for entry in self._pools.values():
-            pool_stats = entry.pool.resilience_stats()
-            supervisor = resilience["supervisor"]
-            for key, value in pool_stats["supervisor"].items():
-                supervisor[key] = supervisor.get(key, 0) + value
-            breakers = resilience["breakers"]
-            for axis, breaker_stats in pool_stats["breakers"].items():
-                bucket = breakers.setdefault(axis, {
-                    "open": 0, "half_open": 0, "trips": 0,
-                    "failures": 0, "successes": 0,
-                })
-                state = breaker_stats["state"]
-                if state in ("open", "half_open"):
-                    bucket[state] += 1
-                bucket["trips"] += breaker_stats["trips"]
-                bucket["failures"] += breaker_stats["failures"]
-                bucket["successes"] += breaker_stats["successes"]
-                resilience["breaker_trips"] += breaker_stats["trips"]
-            resilience["batch_group_fallbacks"] += (
-                pool_stats["batch_group_fallbacks"]
-            )
-            resilience["partitioned_fallbacks"] += (
-                pool_stats["partitioned_fallbacks"]
-            )
         session_stats = self.sessions.stats()
         live_sessions = tuple(self.sessions.values())
         resolves = self.counters["session_resolves"]
@@ -1703,6 +1661,15 @@ class _SolveContext:
         except ReproError as exc:
             raise _BadRequest(str(exc)) from exc
         return cls(library, algorithm, backend, options, deadline_ms)
+
+
+def _counts(name: str, label: str, **where: str) -> Dict[str, int]:
+    """A process counter's counts by ``label``'s value, over the series
+    whose labels include ``where`` (:meth:`~repro.obs.metrics.Counter.by`)."""
+    return {
+        key: int(count)
+        for key, count in process_counter(name).by(label, **where).items()
+    }
 
 
 def _parse_body(body: bytes) -> Dict[str, Any]:

@@ -17,8 +17,21 @@ from helpers import (  # noqa: F401  (re-exported for legacy imports)
 )
 
 from repro import BufferLibrary, BufferType, RoutingTree, paper_library, two_pin_net
+from repro.obs import metrics
 from repro.tree.node import Driver
 from repro.units import fF, ps
+
+
+@pytest.fixture(autouse=True)
+def fresh_process_registry():
+    """Every test counts into a process registry of its own, so the
+    solver-side counts a test reads (routing decisions, batch-axis
+    units, partitioned outcomes, supervisor and breaker events) are its
+    own, whatever ran before it."""
+    saved = metrics._default_registry
+    metrics._default_registry = metrics.MetricsRegistry()
+    yield metrics._default_registry
+    metrics._default_registry = saved
 
 
 @pytest.fixture

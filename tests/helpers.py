@@ -22,10 +22,20 @@ from typing import Any, Callable, Dict, List, Sequence, Tuple
 import repro
 from repro import Driver, RoutingTree
 from repro.core.candidate import Candidate
+from repro.obs.metrics import process_counter
 from repro.units import fF, ps
 
 #: Tolerance for slack comparisons in seconds (sub-femtosecond).
 SLACK_ATOL = 1e-16
+
+
+def process_counts(name: str, label: str, **where: str) -> Dict[str, int]:
+    """A process-registry counter's counts by ``label``'s value, over
+    the series whose labels include ``where``."""
+    return {
+        key: int(value)
+        for key, value in process_counter(name).by(label, **where).items()
+    }
 
 
 def run_fresh_python(script: str, *path_prefix) -> subprocess.CompletedProcess:

@@ -149,9 +149,10 @@ class TestSolverPool:
 
 
 class TestStatsFromAnotherThread:
-    """The server reads a pool's ``*_stats()`` on its event loop while
-    executor threads solve, so a read must neither walk state the
-    solving thread mutates nor wait for a solve to finish."""
+    """The server reads a pool's live state and the process registry
+    on its event loop while executor threads solve, so a read must
+    neither walk state the solving thread mutates nor wait for a solve
+    to finish."""
 
     def test_batch_axis_stats_never_walks_a_factory(self):
         pool = SolverPool(paper_library(2))
@@ -173,14 +174,31 @@ class TestStatsFromAnotherThread:
         assert list(pool._factories) == [2, 3]
 
     def test_stats_never_wait_on_a_solve(self):
+        """``/stats``, ``/metrics`` and ``batch_axis_stats()`` answer
+        while a solve holds the pool."""
+        import asyncio
+        import json
         import threading
 
-        pool = SolverPool(paper_library(2))
+        from repro.service.server import BufferServer
+        from repro.tree.io import library_to_dict, tree_to_dict
+
+        library = paper_library(2)
+        server = BufferServer()
+        body = json.dumps({
+            "net": tree_to_dict(random_small_tree(1)),
+            "library": library_to_dict(library),
+        }).encode()
+        assert asyncio.run(server._dispatch("POST", "/solve", body))[0] == 200
+        (entry,) = server._pools.values()
+        pool = entry.pool
         answers = {}
 
         def read():
-            answers["batch_axis"] = pool.batch_axis_stats()
-            answers["parallel"] = pool.parallel_stats()
+            answers["batch_axis"] = pool.batch_axis_stats()["scalar_solves"]
+            for path in ("/stats", "/metrics"):
+                status, _ = asyncio.run(server._dispatch("GET", path, b""))
+                answers[path] = status
 
         with pool._serial_lock:  # held for a whole inline solve
             reader = threading.Thread(target=read, daemon=True)
@@ -189,7 +207,7 @@ class TestStatsFromAnotherThread:
             waited = reader.is_alive()
         reader.join()
         assert not waited
-        assert set(answers) == {"batch_axis", "parallel"}
+        assert answers == {"batch_axis": 1, "/stats": 200, "/metrics": 200}
 
 
 def test_parallel_map_serial_and_parallel():

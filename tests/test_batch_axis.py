@@ -18,7 +18,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from helpers import random_small_tree
+from helpers import process_counts, random_small_tree
 
 from repro import (
     Driver,
@@ -315,6 +315,20 @@ class TestPoolGrouping:
         the pool must construct with batch axis off, not raise."""
         with SolverPool(paper_library(4), algorithm="van_ginneken") as pool:
             assert pool.batch_axis_stats()["enabled"] is False
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_lane_group_counts_in_the_parent_registry(self, jobs):
+        """A group a worker process solves counts its lanes where the
+        pool routed it, exactly as an inline group does."""
+        library = paper_library(3)
+        nets = [v for _, v in corner_variants(random_small_tree(3), 4)]
+        with SolverPool(library, jobs=jobs, backend="soa") as pool:
+            pool.solve(nets)
+            stats = pool.batch_axis_stats()
+        assert process_counts(
+            "repro_batch_axis_groups_total", "lanes") == {"4": 1}
+        assert (stats["groups"], stats["batched_solves"]) == (1, 4)
+        assert stats["lanes_histogram"] == {4: 1}
 
     def test_pool_jobs2_grouping_matches_serial(self):
         library = paper_library(3)

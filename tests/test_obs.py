@@ -36,6 +36,7 @@ import pytest
 
 from repro import Driver, compile_net, paper_library, random_tree_net
 from repro.errors import ServiceError
+from repro.experiments.workloads import corner_variants
 from repro.obs.logging import JsonLogFormatter, configure_json_logging
 from repro.obs.metrics import (
     LATENCY_BUCKETS,
@@ -45,6 +46,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     UptimeClock,
+    default_registry,
 )
 from repro.obs.profiler import (
     KernelProfiler,
@@ -68,7 +70,15 @@ from repro.tree.io import library_to_dict, tree_to_dict
 from repro.tree.segmenting import segment_to_position_count
 from repro.units import ps
 
+try:
+    import numpy
+except ImportError:  # pragma: no cover
+    numpy = None
+
 GOLDEN = Path(__file__).parent / "data" / "metrics_schema.json"
+
+#: The store that batches a lane group, where NumPy is installed.
+SOA = "soa" if numpy is not None else "object"
 
 
 def small_net(seed=11, sinks=8):
@@ -107,6 +117,30 @@ class TestMetrics:
         rendered = "\n".join(counter.render())
         assert 'c_total{backend="object"} 3' in rendered
         assert 'c_total{backend="soa"} 1' in rendered
+
+    def test_counter_by_one_label(self):
+        counter = Counter("c_total", "help")
+        counter.inc(axis="parallel", event="trip")
+        counter.inc(2, axis="parallel", event="failure")
+        counter.inc(axis="batch_axis", event="failure")
+        counter.inc()  # an unlabeled series has no "event"
+        assert counter.by("event") == {"trip": 1, "failure": 3}
+        assert counter.by("event", axis="parallel") == {
+            "trip": 1, "failure": 2,
+        }
+        assert counter.by("axis", event="trip") == {"parallel": 1}
+        assert counter.by("lanes") == {}
+
+    def test_registry_keeps_the_latest_report_of_a_kind(self):
+        registry = MetricsRegistry()
+        assert registry.latest("partitioned_solve") is None
+        registry.note("partitioned_solve", {"partitions": 2})
+        registry.note("partitioned_solve", {"partitions": 3})
+        report = registry.latest("partitioned_solve")
+        assert report == {"partitions": 3}
+        report["partitions"] = 9  # a copy: the kept report stays
+        assert registry.latest("partitioned_solve") == {"partitions": 3}
+        assert registry.render() == ""  # a report is not an instrument
 
     def test_gauge_callback_reads_at_scrape(self):
         box = [1.0]
@@ -567,6 +601,145 @@ class TestMetricsEndpoint:
         assert response.status == 200
         assert response.getheader("Content-Type").startswith("text/plain")
         assert "repro_uptime_seconds" in body
+
+
+def _series(text):
+    """``{metric: {label pairs: value}}`` from a Prometheus scrape."""
+    series = {}
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        head, value = line.rsplit(" ", 1)
+        name, _, labels = head.partition("{")
+        pairs = tuple(sorted(re.findall(r'(\w+)="([^"]*)"', labels)))
+        series.setdefault(name, {})[pairs] = float(value)
+    return series
+
+
+def _label_values(series, name, label):
+    """``{label value: sample}`` of one labeled counter."""
+    return {
+        dict(pairs)[label]: value
+        for pairs, value in series.get(name, {}).items()
+        if label in dict(pairs)
+    }
+
+
+def assert_stats_are_metrics(stats, text):
+    """Every count of the ``routing``, ``batch_axis``, ``parallel`` and
+    ``resilience`` blocks equals the sum of its ``/metrics`` series."""
+    series = _series(text)
+
+    def total(name, **where):
+        return sum(
+            value for pairs, value in series.get(name, {}).items()
+            if set(where.items()) <= set(pairs)
+        )
+
+    routing = stats["routing"]
+    assert routing["decisions"] == total("repro_routing_decisions_total")
+    assert routing["decisions_by_strategy"] == _label_values(
+        series, "repro_routing_decisions_total", "strategy")
+
+    batch_axis = stats["batch_axis"]
+    lanes = _label_values(series, "repro_batch_axis_groups_total", "lanes")
+    assert batch_axis["lanes_histogram"] == lanes
+    assert batch_axis["groups"] == total("repro_batch_axis_groups_total")
+    assert batch_axis["batched_solves"] == sum(
+        int(width) * count for width, count in lanes.items())
+    assert batch_axis["scalar_solves"] == total(
+        "repro_batch_axis_scalar_solves_total")
+
+    parallel = stats["parallel"]
+    assert parallel["parallel_solves"] == total(
+        "repro_partitioned_solves_total", outcome="engaged")
+    assert parallel["fallback_solves"] == total(
+        "repro_partitioned_solves_total", outcome="fallback")
+    assert parallel["partitions_total"] == total("repro_partitions_total")
+
+    resilience = stats["resilience"]
+    for event, count in resilience["supervisor"].items():
+        assert count == total("repro_supervisor_events_total", event=event)
+    assert resilience["breaker_trips"] == total(
+        "repro_breaker_events_total", event="trip")
+    for axis, block in resilience["breakers"].items():
+        for key, event in (("trips", "trip"), ("failures", "failure"),
+                           ("successes", "success")):
+            assert block[key] == total(
+                "repro_breaker_events_total", axis=axis, event=event)
+    assert resilience["batch_group_fallbacks"] == total(
+        "repro_degraded_units_total", path="batch_group")
+    assert resilience["partitioned_fallbacks"] == total(
+        "repro_degraded_units_total", path="partitioned")
+    for key in ("sheds", "deadline_hits", "rejected_payloads",
+                "integrity_failures", "drains"):
+        assert resilience["server"][key] == total(f"repro_{key}_total")
+
+
+class TestStatsAreMetrics:
+    """``/stats`` and ``/metrics`` are two views of one set of
+    instruments: every count agrees, whatever pools came and went."""
+
+    def test_counts_survive_eviction_and_include_sessions(self):
+        h = ServerHarness(jobs=1, max_pools=1)
+        try:
+            library = paper_library(4)
+            h.client.solve(small_net(), library)
+            corners = [v for _, v in corner_variants(small_net(seed=7), 4)]
+            # A second solve context: the first pool is evicted.
+            h.client.solve_batch(corners, library, backend=SOA)
+            h.client.create_session(small_net(seed=3), library)
+            stats = h.client.stats()
+            text = h.client.metrics()
+        finally:
+            h.shutdown()
+        assert_stats_are_metrics(stats, text)
+        assert len(stats["pools"]) == 1
+        # The evicted pool's solve, the lanes and the session all count.
+        decisions = stats["routing"]["decisions_by_strategy"]
+        assert decisions["object-splice"] == 1
+        assert stats["routing"]["decisions"] == (3 if numpy else 6)
+        assert stats["batch_axis"]["scalar_solves"] == (1 if numpy else 5)
+        assert set(stats["resilience"]["breakers"]) == {
+            "parallel", "batch_axis"}
+
+    def test_counts_agree_with_workers(self):
+        h = ServerHarness(jobs=2, max_pools=1, parallel_threshold=500)
+        try:
+            library = paper_library(4)
+            corners = [v for _, v in corner_variants(small_net(seed=7), 4)]
+            h.client.solve_batch(corners, library, backend=SOA)
+            h.client.solve(partitionable_net(positions=2500), library)
+            stats = h.client.stats()
+            text = h.client.metrics()
+        finally:
+            h.shutdown()
+        assert_stats_are_metrics(stats, text)
+        parallel = stats["parallel"]
+        assert parallel["parallel_solves"] + parallel["fallback_solves"] == 1
+        if numpy is not None:
+            assert stats["batch_axis"]["lanes_histogram"] == {"4": 1}
+
+    def test_parallel_last_is_the_latest_partitioned_solve(self):
+        """``parallel.last`` is the process's latest partitioned solve,
+        not the report of the most recently used pool."""
+        h = ServerHarness(jobs=2, parallel_threshold=4000)
+        try:
+            first, second = paper_library(4), paper_library(5)
+            nets = [partitionable_net(positions=n) for n in (2500, 3000)]
+            sizes = [
+                compile_net(net, library).num_instructions
+                for net, library in zip(nets, (first, second))
+            ]
+            h.client.solve(nets[0], first)   # pool A partitions
+            h.client.solve(nets[1], second)  # pool B partitions
+            h.client.solve(small_net(), first)  # pool A, no partition
+            parallel = h.client.stats()["parallel"]
+        finally:
+            h.shutdown()
+        assert parallel["pools_enabled"] == 2
+        assert parallel["parallel_solves"] + parallel["fallback_solves"] == 2
+        assert parallel["last"]["total_instructions"] == sizes[1] != sizes[0]
 
 
 class TestTraceRoundtrip:

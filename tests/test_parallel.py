@@ -14,6 +14,7 @@ import pickle
 
 import pytest
 
+from helpers import process_counts
 from repro import (
     Driver,
     RoutingTree,
@@ -26,6 +27,7 @@ from repro import (
 )
 from repro.core.stores import numpy_installed
 from repro.errors import AlgorithmError
+from repro.obs.metrics import default_registry, process_counter
 from repro.parallel import (
     DEFAULT_PARALLEL_THRESHOLD,
     plan_partitions,
@@ -48,6 +50,26 @@ def assert_identical(result, reference, backend=None):
             == reference.stats.candidates_generated)
     assert result.stats.algorithm == reference.stats.algorithm
     assert result.stats.backend == (backend or reference.stats.backend)
+
+
+def decisions():
+    """Routing decisions in the process registry, by strategy."""
+    return process_counts("repro_routing_decisions_total", "strategy")
+
+
+def partitioned_outcomes():
+    """Partitioned solves in the process registry, by outcome."""
+    return process_counts("repro_partitioned_solves_total", "outcome")
+
+
+def partitions_total():
+    return process_counter("repro_partitions_total").value()
+
+
+def _delta(after, before):
+    """The counts that moved from ``before`` to ``after``."""
+    moved = {key: count - before.get(key, 0) for key, count in after.items()}
+    return {key: count for key, count in moved.items() if count}
 
 
 def random_net(seed, sinks=24, positions=800):
@@ -297,22 +319,20 @@ class TestSolverPoolRouting:
         ) as pool:
             first = pool.solve([medium_net])[0]
             second = pool.solve([medium_net])[0]  # pool reuse
-            stats = pool.parallel_stats()
+        last = default_registry().latest("partitioned_solve")
         assert_identical(first, reference)
         assert_identical(second, reference)
-        assert stats["parallel_solves"] == 2
-        assert stats["partitions_total"] >= 4
-        assert stats["last"]["engaged"]
-        assert stats["last"]["pool_utilization"] > 0.0
+        assert partitioned_outcomes() == {"engaged": 2}
+        assert partitions_total() >= 4
+        assert last["engaged"]
+        assert last["pool_utilization"] > 0.0
 
     def test_auto_threshold_keeps_small_nets_serial(self, library):
         small = random_net(9, sinks=12, positions=200)
         with SolverPool(library, jobs=2) as pool:
             result = pool.solve([small])[0]
-            stats = pool.parallel_stats()
-        assert stats["parallel_solves"] == 0
-        assert stats["fallback_solves"] == 0
-        assert stats["threshold_instructions"] == DEFAULT_PARALLEL_THRESHOLD
+        assert partitioned_outcomes() == {}
+        assert pool.parallel_threshold == DEFAULT_PARALLEL_THRESHOLD
         assert_identical(result, insert_buffers(small, library))
 
     def test_custom_threshold_routes_small_nets(self, library):
@@ -321,8 +341,7 @@ class TestSolverPoolRouting:
             library, jobs=2, parallel_threshold=100
         ) as pool:
             result = pool.solve([small])[0]
-            stats = pool.parallel_stats()
-        assert stats["parallel_solves"] + stats["fallback_solves"] == 1
+        assert sum(partitioned_outcomes().values()) == 1
         assert_identical(result, insert_buffers(small, library))
 
     def test_parallel_never_disables_routing(self, medium_net, library):
@@ -333,11 +352,8 @@ class TestSolverPoolRouting:
             library, jobs=2, parallel_threshold=above
         ) as pool:
             result = pool.solve([medium_net])[0]
-            stats = pool.parallel_stats()
-            decisions = pool.routing_stats()["decisions_by_strategy"]
-        assert stats["enabled"]
-        assert stats["parallel_solves"] == stats["fallback_solves"] == 0
-        assert decisions == {"object-compiled": 1}
+        assert partitioned_outcomes() == {}
+        assert decisions() == {"object-compiled": 1}
         assert_identical(result, insert_buffers(medium_net, library))
 
     def test_mixed_batch_routes_only_large_nets(self, medium_net, library):
@@ -348,10 +364,9 @@ class TestSolverPoolRouting:
             library, jobs=2, parallel_threshold=2000
         ) as pool:
             results = pool.solve(nets)
-            stats = pool.parallel_stats()
         for result, reference in zip(results, references):
             assert_identical(result, reference)
-        assert stats["parallel_solves"] + stats["fallback_solves"] == 1
+        assert sum(partitioned_outcomes().values()) == 1
 
     def test_auto_pool_routes_units_like_the_inline_pool(self, library):
         """A ``jobs=2`` "auto" pool routes each unit as ``jobs=1`` does:
@@ -372,22 +387,24 @@ class TestSolverPoolRouting:
             (corners, paper_library(32), "object"),
         ):
             with SolverPool(lib, backend=backend) as inline:
+                before = decisions()
                 references = inline.solve(nets)
-                inline_decisions = (
-                    inline.routing_stats()["decisions_by_strategy"])
+                groups_before = inline.batch_axis_stats()["groups"]
+                inline_decisions = _delta(decisions(), before)
             with SolverPool(lib, jobs=2, backend=backend) as pool:
+                before = decisions()
                 results = pool.solve(nets)
-                decisions = pool.routing_stats()["decisions_by_strategy"]
-                groups = pool.batch_axis_stats()["groups"]
+                pool_decisions = _delta(decisions(), before)
+                groups = pool.batch_axis_stats()["groups"] - groups_before
             for result, reference in zip(results, references):
                 assert_identical(result, reference)
             # Each unit is routed and counted once, as inline.
-            assert decisions == inline_decisions
+            assert pool_decisions == inline_decisions
             if nets is solo or backend == "object":
-                assert set(decisions) == {"object-compiled"}
+                assert set(pool_decisions) == {"object-compiled"}
                 assert groups == 0
             elif numpy_installed():
-                assert decisions["soa-compiled+batch"] == 1
+                assert pool_decisions["soa-compiled+batch"] == 1
                 assert groups == 1
 
     def test_direct_partitioned_solve_routes_auto(self, medium_net, library):
@@ -415,10 +432,9 @@ class TestSolverPoolRouting:
             library, jobs=2, backend="soa", parallel_threshold=0
         ) as pool:
             result = pool.solve([compiled])[0]
-            decisions = pool.routing_stats()["decisions_by_strategy"]
-            stats = pool.parallel_stats()
-        assert decisions == {"object-compiled+parallel": 1}
-        assert stats["parallel_solves"] == 1 and stats["last"]["engaged"]
+        assert decisions() == {"object-compiled+parallel": 1}
+        assert partitioned_outcomes() == {"engaged": 1}
+        assert default_registry().latest("partitioned_solve")["engaged"]
         for reference in serial.values():
             assert_identical(result, reference, backend="object")
         with SolverPool(library, backend="soa") as pool:

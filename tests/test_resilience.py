@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from helpers import process_counts
 from repro import Driver, compile_net, insert_buffers, paper_library, random_tree_net
 from repro.core.batch import SolverPool, solve_many
 from repro.errors import (
@@ -57,6 +58,16 @@ def small_net(seed=11, sinks=8):
         sinks, seed=seed, required_arrival=(ps(500.0), ps(2000.0)),
         driver=Driver(resistance=200.0),
     )
+
+
+def supervisor_events():
+    """Supervisor events in the process registry, by event."""
+    return process_counts("repro_supervisor_events_total", "event")
+
+
+def breaker_events(axis):
+    """One axis's breaker events in the process registry, by event."""
+    return process_counts("repro_breaker_events_total", "event", axis=axis)
 
 
 def partitionable_net(seed=5, sinks=24, positions=800):
@@ -256,10 +267,7 @@ class TestSupervisor:
     def test_success_needs_no_supervision(self):
         supervisor = Supervisor(max_retries=2, sleep=lambda _: None)
         assert supervisor.run(lambda: 42) == 42
-        assert supervisor.stats() == {
-            "retries": 0, "respawns": 0, "fallbacks": 0,
-            "supervised_failures": 0,
-        }
+        assert supervisor_events() == {}
 
     def test_retry_then_success(self):
         supervisor = Supervisor(max_retries=2, sleep=lambda _: None)
@@ -275,10 +283,10 @@ class TestSupervisor:
         assert supervisor.run(attempt, respawn=lambda: respawns.append(1)) == "ok"
         assert len(attempts) == 2
         assert len(respawns) == 1
-        stats = supervisor.stats()
+        stats = supervisor_events()
         assert stats["retries"] == 1
         assert stats["respawns"] == 1
-        assert stats["fallbacks"] == 0
+        assert "fallbacks" not in stats
 
     def test_non_supervisable_raises_immediately(self):
         supervisor = Supervisor(max_retries=5, sleep=lambda _: None)
@@ -315,7 +323,7 @@ class TestSupervisor:
             raise FaultInjectedError("test.site")
 
         assert supervisor.run(attempt, fallback=lambda: "degraded") == "degraded"
-        stats = supervisor.stats()
+        stats = supervisor_events()
         assert stats["fallbacks"] == 1
         assert stats["supervised_failures"] == 2  # initial + 1 retry
 
@@ -356,7 +364,7 @@ class TestCircuitBreaker:
         breaker.record_failure()
         assert breaker.state == "open"
         assert not breaker.allow()
-        assert breaker.trips == 1
+        assert breaker_events("parallel")["trip"] == 1
 
     def test_success_resets_the_count(self):
         clock = FakeClock()
@@ -390,7 +398,7 @@ class TestCircuitBreaker:
         assert breaker.allow()
         breaker.record_failure()
         assert breaker.state == "open"
-        assert breaker.trips == 2
+        assert breaker_events("parallel")["trip"] == 2
         clock.now = 40.0
         assert not breaker.allow()  # cool-down restarted at 31
         clock.now = 62.0
@@ -409,13 +417,19 @@ class TestCircuitBreaker:
         breaker.cancel_probe()
         assert breaker.allow()
 
-    def test_stats_shape(self):
+    def test_events_count_in_the_process_registry(self):
+        """Each failure, success and trip is one registry event, by
+        axis: the counts ``/stats`` and ``/metrics`` both read."""
         breaker = self.make(FakeClock())
-        stats = breaker.stats()
-        assert set(stats) == {
-            "state", "trips", "failures", "successes",
-            "consecutive_failures",
+        other = CircuitBreaker("batch_axis", failure_threshold=1)
+        breaker.record_success()
+        for _ in range(3):
+            breaker.record_failure()
+        other.record_failure()
+        assert breaker_events("parallel") == {
+            "success": 1, "failure": 3, "trip": 1,
         }
+        assert breaker_events("batch_axis") == {"failure": 1, "trip": 1}
 
     def test_board(self):
         clock = FakeClock()
@@ -424,10 +438,10 @@ class TestCircuitBreaker:
         board.record("parallel", False)
         assert not board.allow("parallel")
         assert board.allow("batch_axis")
-        assert board.trips() == 1
-        stats = board.stats()
-        assert stats["parallel"]["state"] == "open"
-        assert stats["batch_axis"]["state"] == "closed"
+        assert process_counts("repro_breaker_events_total", "axis",
+                              event="trip") == {"parallel": 1}
+        assert board.breaker("parallel").state == "open"
+        assert board.breaker("batch_axis").state == "closed"
         # Unknown axes are permissive no-ops, never KeyErrors.
         assert board.allow("nonexistent")
         board.record("nonexistent", False)
@@ -553,7 +567,7 @@ class TestFaultSitesAcrossStrategies:
         nets = [small_net(seed) for seed in (1, 2, 3)]
         with SolverPool(library, jobs=2, max_retries=1) as pool:
             results = pool.solve(nets)
-            stats = pool.supervisor.stats()
+        stats = supervisor_events()
         clear_fault_plan()
         for result, reference in zip(results, self.refs(nets, library)):
             assert_identical(result, reference)
@@ -572,7 +586,7 @@ class TestFaultSitesAcrossStrategies:
             library, jobs=2, task_timeout=1.0, max_retries=1,
         ) as pool:
             results = pool.solve(nets)
-            stats = pool.supervisor.stats()
+        stats = supervisor_events()
         clear_fault_plan()
         assert time.monotonic() - started < 30.0
         for result, reference in zip(results, self.refs(nets, library)):
@@ -590,7 +604,7 @@ class TestFaultSitesAcrossStrategies:
             library, jobs=2, task_timeout=0.5, max_retries=0,
         ) as pool:
             results = pool.solve(nets)
-            stats = pool.supervisor.stats()
+        stats = supervisor_events()
         clear_fault_plan()
         assert time.monotonic() - started < 15.0
         for result, reference in zip(results, self.refs(nets, library)):
@@ -605,12 +619,12 @@ class TestFaultSitesAcrossStrategies:
         nets = [small_net(seed) for seed in (1, 2, 3)]
         with SolverPool(library, jobs=2, max_retries=2) as pool:
             results = pool.solve(nets)
-            stats = pool.supervisor.stats()
+        stats = supervisor_events()
         clear_fault_plan()
         for result, reference in zip(results, self.refs(nets, library)):
             assert_identical(result, reference)
         assert stats["retries"] == 1
-        assert stats["fallbacks"] == 0
+        assert "fallbacks" not in stats
 
     def test_batch_group_fault_degrades_bit_identically(self, library):
         pytest.importorskip("numpy")
@@ -621,14 +635,14 @@ class TestFaultSitesAcrossStrategies:
         trees = [tree for _, tree in corner_variants(small_net(), 3)]
         with SolverPool(library, jobs=1, backend="soa") as pool:
             results = pool.solve(trees)
-            counters = pool.resilience_stats()
+        degraded = process_counts("repro_degraded_units_total", "path")
         references = [
             insert_buffers(tree, library, backend="soa") for tree in trees
         ]
         for result, reference in zip(results, references):
             assert_identical(result, reference)
-        assert counters["batch_group_fallbacks"] >= 1
-        assert counters["breakers"]["batch_axis"]["failures"] >= 1
+        assert degraded["batch_group"] >= 1
+        assert breaker_events("batch_axis")["failure"] >= 1
 
     def test_partitioned_dispatch_fault_degrades_bit_identically(
         self, library
@@ -641,10 +655,10 @@ class TestFaultSitesAcrossStrategies:
             library, jobs=2, parallel_threshold=0, task_timeout=5.0,
         ) as pool:
             result = pool.solve([net])[0]
-            counters = pool.resilience_stats()
+        degraded = process_counts("repro_degraded_units_total", "path")
         clear_fault_plan()
         assert_identical(result, insert_buffers(net, library))
-        assert counters["partitioned_fallbacks"] >= 1
+        assert degraded["partitioned"] >= 1
 
     def test_worker_partition_crash_raises_typed_error(self, library):
         """Satellite regression: an os._exit worker during a transient
@@ -665,6 +679,8 @@ class TestFaultSitesAcrossStrategies:
         assert "worker pool broke" in str(info.value)
 
     def test_breaker_opens_and_reroutes_after_group_failures(self, library):
+        """Three failing group solves trip the axis (the board's
+        default threshold)."""
         pytest.importorskip("numpy")
         from repro.experiments.workloads import corner_variants
 
@@ -674,18 +690,18 @@ class TestFaultSitesAcrossStrategies:
         references = [
             insert_buffers(tree, library, backend="soa") for tree in trees
         ]
-        with SolverPool(
-            library, jobs=1, backend="soa", breaker_threshold=1,
-        ) as pool:
-            first = pool.solve(trees)
+        with SolverPool(library, jobs=1, backend="soa") as pool:
+            first = [pool.solve(trees) for _ in range(3)]
             assert pool.breakers.breaker("batch_axis").state == "open"
             # Tripped axis: groups are no longer formed, the scalar
             # path answers — and the fault site is never reached.
             second = pool.solve(trees)
-            fired_after_trip = pool.resilience_stats()
-        for result, reference in zip(first + second, references * 2):
-            assert_identical(result, reference)
-        assert fired_after_trip["batch_group_fallbacks"] == 1
+        fired_after_trip = process_counts(
+            "repro_degraded_units_total", "path")
+        for results in first + [second]:
+            for result, reference in zip(results, references):
+                assert_identical(result, reference)
+        assert fired_after_trip["batch_group"] == 3
 
 
 class TestDeadlineErrorMapping:

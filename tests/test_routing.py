@@ -220,13 +220,20 @@ class TestPolicies:
             assert plan == ExecutionPlan("object", "compiled", parallel=True)
 
     def test_decision_counters(self):
+        """Every router counts into the one registry counter; ``plan``
+        alone counts nothing."""
+        from helpers import process_counts
+
         router = Router()
         for _ in range(3):
             router.route(_features())
-        assert router.stats() == {
-            "decisions": 3,
-            "decisions_by_strategy": {"object-compiled": 3},
-        }
+        Router(parallel_threshold=0).route(
+            _features(instructions=10**6), supports_parallel=True,
+        )
+        router.plan(_features(kind="session"))
+        assert process_counts(
+            "repro_routing_decisions_total", "strategy"
+        ) == {"object-compiled": 3, "object-compiled+parallel": 1}
 
 
 #: The static rule's decisions over :func:`_golden_cells`, recorded
@@ -560,10 +567,9 @@ class TestDeprecations:
                 with SolverPool(
                     library, jobs=1, parallel_threshold=threshold
                 ) as pool:
-                    stats = pool.parallel_stats()
-                assert "policy" not in stats
-                assert stats["threshold_instructions"] == want
-                assert stats["enabled"] is False  # jobs=1 never partitions
+                    assert not hasattr(pool, "policy")
+                    assert pool.parallel_threshold == want
+                    assert pool.router.parallel_threshold == want
         for option in ("parallel", "policy"):
             with pytest.raises(AlgorithmError, match=option):
                 SolverPool(library, **{option: "never"})

@@ -291,7 +291,6 @@ class TestAutoRouting:
     def test_session_counts_on_the_one_router(self, harness, library):
         """A /session is routed, and counted, by the process-wide
         router, and splices on object, the one store that splices."""
-        from repro.routing.router import ROUTER
         from repro.tree.io import library_to_dict
 
         body = {
@@ -300,12 +299,11 @@ class TestAutoRouting:
         }
         answer = harness.client._request("POST", "/solve", body)
         assert answer["backend"] == "object"
-        before = ROUTER.stats()["decisions_by_strategy"].get(
-            "object-splice", 0)
         session = harness.client._request("POST", "/session", body)
         assert session["backend"] == "object"
-        after = ROUTER.stats()["decisions_by_strategy"]["object-splice"]
-        assert after == before + 1
+        assert harness.client.stats()["routing"]["decisions_by_strategy"] == {
+            "object-compiled": 1, "object-splice": 1,
+        }
         harness.client._request("DELETE", f"/session/{session['session']}")
 
     def test_a_policy_field_opens_no_second_pool(self, harness, library):
@@ -419,7 +417,9 @@ for net, answer in zip(lanes, payload["results"]):
 stats = entry.pool.batch_axis_stats()
 assert stats["enabled"] is False, stats
 assert (stats["groups"], stats["scalar_solves"]) == (0, 4), stats
-routing = entry.pool.routing_stats()["decisions_by_strategy"]
+status, payload = asyncio.run(server._dispatch("GET", "/stats", b""))
+assert payload["batch_axis"]["pools_enabled"] == 0, payload["batch_axis"]
+routing = payload["routing"]["decisions_by_strategy"]
 assert routing == {"object-compiled": 4}, routing
 print("degraded")
 """
